@@ -42,7 +42,6 @@ from .speed_profile import (
     ExpFlatG,
     MonomialG,
     ProfileReport,
-    ScaledSpeedContext,
     ScaleOverflowError,
     SpeedProfile,
     TabulatedG,

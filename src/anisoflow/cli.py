@@ -28,7 +28,7 @@ from .speed_profile import (
     ZeroG,
     validate_for_regime,
 )
-from .sphere_geometry import SphericalGrid, load_graph, sphere_graph, RadialGraph
+from .sphere_geometry import RadialGraph, SphericalGrid, _fmt, load_graph, sphere_graph
 
 _REQUIRED = object()
 
@@ -382,10 +382,6 @@ def parse_config(text):
     )
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def format_config(cfg):
     """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
     p, g = cfg.profile, cfg.profile.g
@@ -625,19 +621,6 @@ def cmd_ode_compare(config_path):
 
 
 def main(argv=None):
-    raw_threads = os.environ.get("ANISOFLOW_THREADS")
-    if raw_threads is not None:
-        try:
-            if int(raw_threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(
-                f"ANISOFLOW_THREADS must be a positive integer, got {raw_threads!r}",
-                file=sys.stderr,
-            )
-            return 1
-        # Worker-count hint only: every reduction is fixed-order, so results
-        # cannot depend on it.
     parser = argparse.ArgumentParser(
         prog="anisoflow",
         description="Normalized anisotropic curvature flow of star-shaped hypersurfaces.",

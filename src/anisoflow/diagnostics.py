@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speed_profile import ScaledSpeedContext
+from .speed_profile import eval_scaled
 
 COLUMNS = (
     "tau",
@@ -139,7 +139,7 @@ def sphere_ode_rhs(profile, r, t):
         raise ValueError(f"radius must be positive, got {r}")
     gamma, ka = profile.gamma, profile.ka
     lam = math.exp(gamma * t)
-    gs = ScaledSpeedContext(profile, lam).eval(float(r)).g
+    gs = eval_scaled(profile, lam, float(r)).g
     return -gamma * r ** (profile.beta - ka) - gamma * gs * r ** (-ka) + gamma * r
 
 

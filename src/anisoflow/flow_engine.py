@@ -25,14 +25,15 @@ from .speed_profile import (
     BumpG,
     ExpFlatG,
     MonomialG,
-    ScaledSpeedContext,
     SpeedProfile,
     TabulatedG,
     ZeroG,
+    eval_scaled,
     validate_for_regime,
 )
 from .sphere_geometry import (
     RadialGraph,
+    _fmt,
     graph_from_text,
     graph_to_text,
     weingarten,
@@ -185,7 +186,7 @@ def rhs(profile, graph, lam, tau=None):
     field = weingarten(graph)
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
-    speed = ScaledSpeedContext(profile, lam).eval(field.r)
+    speed = eval_scaled(profile, lam, field.r)
     A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho + (
         field.rho / field.r
     ) * speed.g
@@ -291,7 +292,7 @@ def diagnostics_row(state):
     """The per-record reduction vector (see DiagnosticsSeries for the order)."""
     profile = state.profile
     field = weingarten(state.graph)
-    speed = ScaledSpeedContext(profile, state.lam).eval(field.r)
+    speed = eval_scaled(profile, state.lam, field.r)
     sig = field.sigma[..., profile.k - 1]
     big_phi = speed.f * _sigma_pow(sig, profile.alpha)
     r_min = float(field.r.min())
@@ -346,10 +347,6 @@ def run(state, control):
 # checkpointing (bit-exact resume)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _profile_line(profile):
     g = profile.g
     parts = [
@@ -392,8 +389,18 @@ def _parse_kv(text):
 
 
 def load_checkpoint(path):
+    """The FlowState saved by ``save_checkpoint``; ValueError on any malformed file."""
     with open(path) as fh:
         lines = fh.read().splitlines()
+    try:
+        return _state_from_lines(lines)
+    except IndexError:
+        raise ValueError("checkpoint is truncated") from None
+    except KeyError as err:
+        raise ValueError(f"checkpoint line lacks its {err.args[0]}= field") from None
+
+
+def _state_from_lines(lines):
     if not lines or lines[0].strip() != "anisoflow-checkpoint 1":
         raise ValueError("not an anisoflow checkpoint")
     if not lines[1].startswith("profile: "):

@@ -203,7 +203,6 @@ def eval_g(profile, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("g is only defined for r >= 0")
-    one_ka = 1.0 + profile.ka
     if isinstance(g, ZeroG):
         z = np.zeros_like(r)
         return _as_float_or_array(z, z.copy())
@@ -212,27 +211,9 @@ def eval_g(profile, r):
     if isinstance(g, TabulatedG):
         val, der = g(r)
         return _as_float_or_array(val, der)
-    if isinstance(g, BumpG):
-        s = r - g.epsilon
-        live = s > 0
-        with np.errstate(divide="ignore", over="ignore"):
-            barrier = np.where(live, s, 1.0) ** (-g.p)
-        live &= barrier <= EXP_FLUSH
-        ssafe = np.where(live, s, 1.0)
-        E = np.where(live, np.exp(-np.where(live, barrier, 0.0)), 0.0)
-        gval = r**one_ka * E
-        gder = gval * np.where(live, one_ka / np.maximum(r, 1e-300) + g.p * ssafe ** (-g.p - 1.0), 0.0)
-        return _as_float_or_array(gval, gder)
-    # ExpFlatG
-    live = r > 0
-    rsafe = np.where(live, r, 1.0)
-    with np.errstate(over="ignore"):
-        barrier = rsafe ** (-g.p)
-    live &= barrier <= EXP_FLUSH
-    E = np.where(live, np.exp(-np.where(live, barrier, 0.0)), 0.0)
-    gval = r**one_ka * E
-    gder = gval * np.where(live, one_ka / rsafe + g.p * rsafe ** (-g.p - 1.0), 0.0)
-    return _as_float_or_array(gval, gder)
+    # the flat families: the rescaled formula at lam = 1
+    shift = g.epsilon if isinstance(g, BumpG) else 0.0
+    return _as_float_or_array(*_scaled_flat_family(profile, 1.0, r, shift))
 
 
 class ScaledSpeed(NamedTuple):
@@ -248,21 +229,6 @@ class ScaledSpeed(NamedTuple):
     gp: object
     f: object
     fp: object
-
-
-@dataclass(frozen=True)
-class ScaledSpeedContext:
-    """A profile together with the current rescaling factor lam >= 1."""
-
-    profile: SpeedProfile
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam >= 1.0 - 1e-12:
-            raise ValueError(f"rescaling factor must be >= 1, got {self.lam}")
-
-    def eval(self, r):
-        return eval_scaled(self.profile, self.lam, r)
 
 
 def _scaled_flat_family(profile, lam, r, shift):

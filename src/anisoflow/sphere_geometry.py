@@ -13,8 +13,8 @@ shape operator from the graph formulas (induced metric r^2*(g_S + dphi dphi),
 second form (r/rho)*(g_S + dphi dphi - Hess phi)), symmetrized through the
 metric's Cholesky factor so the operator is an honest symmetric matrix per
 node.  ``embedding_oracle`` recomputes curvature from the embedded position
-vector and classical fundamental-form algebra; it shares no geometry code with
-``weingarten`` and exists to cross-check it.
+vector and classical fundamental-form algebra; it shares only the stencils with
+``weingarten`` and exists to cross-check its geometry.
 """
 
 import math
@@ -132,23 +132,9 @@ def sphere_graph(grid, r0):
 # finite differences
 
 
-def _d1_periodic(f, h, axis=-1):
-    return (
-        np.roll(f, 2, axis=axis)
-        - 8.0 * np.roll(f, 1, axis=axis)
-        + 8.0 * np.roll(f, -1, axis=axis)
-        - np.roll(f, -2, axis=axis)
-    ) / (12.0 * h)
-
-
-def _d2_periodic(f, h, axis=-1):
-    return (
-        -np.roll(f, 2, axis=axis)
-        + 16.0 * np.roll(f, 1, axis=axis)
-        - 30.0 * f
-        + 16.0 * np.roll(f, -1, axis=axis)
-        - np.roll(f, -2, axis=axis)
-    ) / (12.0 * h * h)
+def _pad_periodic(F):
+    """Two wrapped ghost entries past each end of axis 0."""
+    return np.concatenate((F[-2:], F, F[:2]))
 
 
 def _pad_lat(F, n_lon):
@@ -163,11 +149,13 @@ def _pad_lat(F, n_lon):
     return P
 
 
-def _d1_lat(P, h):
+def _d1(P, h):
+    """First derivative along axis 0 of P, padded by two ghost entries at each end."""
     return (P[:-4] - 8.0 * P[1:-3] + 8.0 * P[3:-1] - P[4:]) / (12.0 * h)
 
 
-def _d2_lat(P, h):
+def _d2(P, h):
+    """Second derivative along axis 0 of P, padded by two ghost entries at each end."""
     return (-P[:-4] + 16.0 * P[1:-3] - 30.0 * P[2:-2] + 16.0 * P[3:-1] - P[4:]) / (
         12.0 * h * h
     )
@@ -177,11 +165,12 @@ def _partials_sphere(grid, F):
     """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp) on the n=2 grid."""
     ht, hp = grid.h_theta, grid.h_phi
     P = _pad_lat(F, grid.n_lon)
-    F_t = _d1_lat(P, ht)
-    F_tt = _d2_lat(P, ht)
-    F_p = _d1_periodic(F, hp, axis=1)
-    F_pp = _d2_periodic(F, hp, axis=1)
-    F_tp = _d1_lat(_pad_lat(F_p, grid.n_lon), ht)
+    F_t = _d1(P, ht)
+    F_tt = _d2(P, ht)
+    Q = _pad_periodic(F.T)
+    F_p = _d1(Q, hp).T
+    F_pp = _d2(Q, hp).T
+    F_tp = _d1(_pad_lat(F_p, grid.n_lon), ht)
     return F_t, F_p, F_tt, F_tp, F_pp
 
 
@@ -195,7 +184,8 @@ def covariant_derivatives(graph):
     """
     grid, phi = graph.grid, graph.phi
     if grid.n == 1:
-        return _d1_periodic(phi, grid.h_theta), _d2_periodic(phi, grid.h_theta)
+        P = _pad_periodic(phi)
+        return _d1(P, grid.h_theta), _d2(P, grid.h_theta)
     t = grid.theta
     sin_t, cos_t = np.sin(t)[:, None], np.cos(t)[:, None]
     cot_t = cos_t / sin_t
@@ -220,9 +210,7 @@ def covariant_derivatives(graph):
 class WeingartenField:
     """Per-node curvature data of a radial graph.
 
-    shape_op is the shape operator expressed in the orthonormal frame obtained
-    from the induced metric's Cholesky factor, hence symmetric; kappa holds its
-    eigenvalues (principal curvatures, descending); sigma the elementary
+    kappa holds the principal curvatures (descending); sigma the elementary
     symmetric polynomials sigma_1..sigma_n of kappa.  rho = sqrt(1+|grad phi|^2)
     and u = r/rho is the support function.
     """
@@ -232,7 +220,6 @@ class WeingartenField:
     rho: np.ndarray
     grad_sq: np.ndarray
     u: np.ndarray
-    shape_op: np.ndarray
     kappa: np.ndarray
     sigma: np.ndarray
 
@@ -268,21 +255,17 @@ def _chol_shape_operator(G11, G12, G22, B11, B12, B22):
     return S11, S12, S22
 
 
-def _pack_2x2(S11, S12, S22):
-    S = np.empty(S11.shape + (2, 2))
-    S[..., 0, 0] = S11
-    S[..., 0, 1] = S12
-    S[..., 1, 0] = S12
-    S[..., 1, 1] = S22
+def _kappa_sigma(S11, S12, S22):
+    """(kappa, sigma) of the symmetric 2x2 [[S11, S12], [S12, S22]], kappa descending."""
     mean = 0.5 * (S11 + S22)
     disc = np.sqrt((0.5 * (S11 - S22)) ** 2 + S12 * S12)
     kappa = np.stack([mean + disc, mean - disc], axis=-1)
     sigma = np.stack([S11 + S22, S11 * S22 - S12 * S12], axis=-1)
-    return S, kappa, sigma
+    return kappa, sigma
 
 
 def weingarten(graph):
-    """Shape operator and curvature data from the radial-graph formulas."""
+    """Curvature data from the radial-graph formulas."""
     grid = graph.grid
     if grid.n == 1:
         phi_d, phi_dd = covariant_derivatives(graph)
@@ -296,7 +279,6 @@ def weingarten(graph):
             rho=rho,
             grad_sq=phi_d * phi_d,
             u=r / rho,
-            shape_op=kappa[:, None, None].copy(),
             kappa=kappa[:, None].copy(),
             sigma=kappa[:, None].copy(),
         )
@@ -316,14 +298,13 @@ def weingarten(graph):
     B11 = c * (1.0 + p_t * p_t - hess[..., 0, 0])
     B12 = c * (p_t * p_p - hess[..., 0, 1])
     B22 = c * (sin_t * sin_t + p_p * p_p - hess[..., 1, 1])
-    S, kappa, sigma = _pack_2x2(*_chol_shape_operator(G11, G12, G22, B11, B12, B22))
+    kappa, sigma = _kappa_sigma(*_chol_shape_operator(G11, G12, G22, B11, B12, B22))
     return WeingartenField(
         grid=grid,
         r=r,
         rho=rho,
         grad_sq=grad2,
         u=r / rho,
-        shape_op=S,
         kappa=kappa,
         sigma=sigma,
     )
@@ -333,8 +314,8 @@ def embedding_oracle(graph):
     """Curvature recomputed from the embedded position vector (cross-check route).
 
     Differentiates X = r(theta) * (unit vector) componentwise and applies the
-    classical fundamental-form formulas; only the output container is shared
-    with ``weingarten``.
+    classical fundamental-form formulas.  It shares only the output container
+    and the finite-difference stencils with ``weingarten``.
     """
     grid = graph.grid
     r = np.exp(graph.phi)
@@ -343,8 +324,9 @@ def embedding_oracle(graph):
         x = r * np.cos(t)
         y = r * np.sin(t)
         h = grid.h_theta
-        xd, yd = _d1_periodic(x, h), _d1_periodic(y, h)
-        xdd, ydd = _d2_periodic(x, h), _d2_periodic(y, h)
+        Px, Py = _pad_periodic(x), _pad_periodic(y)
+        xd, yd = _d1(Px, h), _d1(Py, h)
+        xdd, ydd = _d2(Px, h), _d2(Py, h)
         speed2 = xd * xd + yd * yd
         if np.any(speed2 <= 0.0):
             raise SingularMetricError("curve parameterization degenerated")
@@ -359,7 +341,6 @@ def embedding_oracle(graph):
             rho=rr / u,
             grad_sq=(rdot / rr) ** 2,
             u=u,
-            shape_op=kappa[:, None, None].copy(),
             kappa=kappa[:, None].copy(),
             sigma=kappa[:, None].copy(),
         )
@@ -368,16 +349,7 @@ def embedding_oracle(graph):
     p = grid.phi_lon[None, :]
     sin_t, cos_t = np.sin(t), np.cos(t)
     X = (r * sin_t * np.cos(p), r * sin_t * np.sin(p), r * cos_t)
-    ht, hp = grid.h_theta, grid.h_phi
-    Xt, Xp, Xtt, Xtp, Xpp = [], [], [], [], []
-    for comp in X:
-        P = _pad_lat(comp, grid.n_lon)
-        Xt.append(_d1_lat(P, ht))
-        Xtt.append(_d2_lat(P, ht))
-        cp = _d1_periodic(comp, hp, axis=1)
-        Xp.append(cp)
-        Xpp.append(_d2_periodic(comp, hp, axis=1))
-        Xtp.append(_d1_lat(_pad_lat(cp, grid.n_lon), ht))
+    Xt, Xp, Xtt, Xtp, Xpp = zip(*(_partials_sphere(grid, comp) for comp in X))
 
     def dot(a, b):
         return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -401,7 +373,6 @@ def embedding_oracle(graph):
     disc = np.sqrt(np.maximum(H * H - K, 0.0))
     kappa = np.stack([H + disc, H - disc], axis=-1)
     sigma = np.stack([2.0 * H, K], axis=-1)
-    S, _, _ = _pack_2x2(*_chol_shape_operator(E, F, G2, L, M, N2))
 
     u = dot(X, nu)
     rr = np.sqrt(dot(X, X))
@@ -414,7 +385,6 @@ def embedding_oracle(graph):
         rho=rr / u,
         grad_sq=grad_sq,
         u=u,
-        shape_op=S,
         kappa=kappa,
         sigma=sigma,
     )

@@ -388,17 +388,6 @@ def test_ode_compare_requires_sphere(tmp_path, capsys):
     assert "kind = sphere" in capsys.readouterr().err
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("ANISOFLOW_THREADS", "0")
-    assert main(["verify", "symfunc"]) == 1
-    assert "ANISOFLOW_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("ANISOFLOW_THREADS", "abc")
-    assert main(["verify", "symfunc"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("ANISOFLOW_THREADS", "4")
-    assert main(["verify", "symfunc"]) == 0
-
-
 def test_svg_plot_handles_all_zero_series(tmp_path):
     from anisoflow.diagnostics import COLUMNS
 

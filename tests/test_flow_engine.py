@@ -438,3 +438,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_text(tampered)
     with pytest.raises(ValueError, match="inconsistent"):
         load_checkpoint(bad)
+
+    lines = text.splitlines(keepends=True)
+    state_end = next(i for i, ln in enumerate(lines) if ln.startswith("state: ")) + 1
+    for cut in (1, 2, state_end):
+        bad.write_text("".join(lines[:cut]))
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(bad)
+
+    bad.write_text(text.replace(" g=zero", "", 1))
+    with pytest.raises(ValueError, match="g= field"):
+        load_checkpoint(bad)

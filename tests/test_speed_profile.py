@@ -10,7 +10,6 @@ from anisoflow.speed_profile import (
     BumpG,
     ExpFlatG,
     MonomialG,
-    ScaledSpeedContext,
     ScaleOverflowError,
     SpeedProfile,
     TabulatedG,
@@ -228,14 +227,6 @@ def test_scaled_tabulated_lam_cap():
     eval_scaled(prof, 1e99, 1.0)  # under the cap: fine (g == 0 everywhere)
     with pytest.raises(ScaleOverflowError):
         eval_scaled(prof, 1e101, 1.0)
-
-
-def test_scaled_context_wrapper():
-    prof = profile_k1(3.0, MonomialG(4.0))
-    ctx = ScaledSpeedContext(prof, 10.0)
-    assert ctx.eval(2.0) == eval_scaled(prof, 10.0, 2.0)
-    with pytest.raises(ValueError):
-        ScaledSpeedContext(prof, 0.5)
 
 
 def test_scaled_rejects_bad_inputs():

