@@ -10,6 +10,7 @@ Exit codes: 0 ok; 1 config error; 2 runtime (cone/overflow/step) error;
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -19,9 +20,7 @@ import numpy as np
 from . import flow_engine, verify
 from .diagnostics import closed_form_r2, fit_exponential, pde_vs_ode_check
 from .speed_profile import (
-    BumpG,
-    ExpFlatG,
-    MonomialG,
+    G_KINDS,
     ScaleOverflowError,
     SpeedProfile,
     TabulatedG,
@@ -67,8 +66,16 @@ class RunConfig:
     g_table_path: str = None
 
 
+# g.<field> for every field of every dataclass g kind (tabulated g has g.table_path)
+_G_PARAMS = {
+    f"g.{f.name}"
+    for cls in G_KINDS.values()
+    if dataclasses.is_dataclass(cls)
+    for f in dataclasses.fields(cls)
+}
+
 _SECTIONS = {
-    "profile": {"n", "k", "alpha", "beta", "g.kind", "g.epsilon", "g.p", "g.l", "g.table_path"},
+    "profile": {"n", "k", "alpha", "beta", "g.kind", "g.table_path"} | _G_PARAMS,
     "grid": {"n", "N", "n_lat", "n_lon"},
     "initial": {"kind", "r0", "const", "variable", "path"},
     "control": {"cfl", "dt_max", "t_end", "sphericity_stop", "max_steps", "record_every", "override"},
@@ -150,37 +157,24 @@ def _parse_profile(data, errors):
     kind = _take(data, "profile", "g.kind", str, errors)
     table_path = None
     g = None
-    if kind == "zero":
-        g = ZeroG()
-    elif kind == "bump":
-        eps = _take(data, "profile", "g.epsilon", float, errors)
-        p = _take(data, "profile", "g.p", float, errors)
-        if eps is not None and p is not None:
-            try:
-                g = BumpG(epsilon=eps, p=p)
-            except ValueError as exc:
-                errors.append(f"[profile] g: {exc}")
-    elif kind == "expflat":
-        p = _take(data, "profile", "g.p", float, errors)
-        if p is not None:
-            try:
-                g = ExpFlatG(p=p)
-            except ValueError as exc:
-                errors.append(f"[profile] g: {exc}")
-    elif kind == "monomial":
-        l = _take(data, "profile", "g.l", int, errors)
-        if l is not None:
-            try:
-                g = MonomialG(l=l)
-            except ValueError as exc:
-                errors.append(f"[profile] g: {exc}")
-    elif kind == "tabulated":
+    cls = G_KINDS.get(kind)
+    if cls is TabulatedG:
         table_path = _take(data, "profile", "g.table_path", str, errors)
         if table_path is not None:
             try:
                 g = _load_table(table_path)
             except (OSError, ValueError) as exc:
                 errors.append(f"[profile] g.table_path: {exc}")
+    elif cls is not None:
+        params = {
+            f.name: _take(data, "profile", f"g.{f.name}", float, errors)
+            for f in dataclasses.fields(cls)
+        }
+        if None not in params.values():
+            try:
+                g = cls(**params)
+            except ValueError as exc:
+                errors.append(f"[profile] g: {exc}")
     elif kind is not None:
         errors.append(f"[profile] g.kind: unknown kind {kind!r}")
     for leftover in sorted(data["profile"]):
@@ -208,8 +202,7 @@ def _load_table(path):
             rows.append([float(tok) for tok in parts])
     if len(rows) < 2:
         raise ValueError("table needs at least 2 rows")
-    pts, vals, ders = (np.array(col) for col in zip(*rows))
-    return TabulatedG(points=pts, values=vals, derivs=ders)
+    return TabulatedG(*zip(*rows))
 
 
 def _parse_grid(data, profile, errors):
@@ -386,14 +379,10 @@ def format_config(cfg):
     """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
     p, g = cfg.profile, cfg.profile.g
     lines = ["[profile]", f"n = {p.n}", f"k = {p.k}", f"alpha = {_fmt(p.alpha)}", f"beta = {_fmt(p.beta)}", f"g.kind = {g.KIND}"]
-    if g.KIND == "bump":
-        lines += [f"g.epsilon = {_fmt(g.epsilon)}", f"g.p = {_fmt(g.p)}"]
-    elif g.KIND == "expflat":
-        lines += [f"g.p = {_fmt(g.p)}"]
-    elif g.KIND == "monomial":
-        lines += [f"g.l = {g.l}"]
-    elif g.KIND == "tabulated":
-        lines += [f"g.table_path = {cfg.g_table_path}"]
+    if g.KIND == "tabulated":
+        lines.append(f"g.table_path = {cfg.g_table_path}")
+    else:
+        lines += [f"g.{f.name} = {_fmt(getattr(g, f.name))}" for f in dataclasses.fields(g)]
     lines.append("[grid]")
     if cfg.grid.n == 1:
         lines.append(f"N = {cfg.grid.n_lat}")

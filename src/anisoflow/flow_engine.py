@@ -15,6 +15,7 @@ r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
 the physical time t(tau).
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,12 +23,9 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries
 from .speed_profile import (
-    BumpG,
-    ExpFlatG,
-    MonomialG,
+    G_KINDS,
     SpeedProfile,
     TabulatedG,
-    ZeroG,
     eval_scaled,
     validate_for_regime,
 )
@@ -167,9 +165,9 @@ def _cone_gate(profile, field, tau):
     stays uniformly parabolic for any curvature sign."""
     if profile.k == 1 and abs(profile.alpha - 1.0) <= _ALPHA_TOL:
         return
-    node_margin = field.sigma[..., : profile.k].min(axis=-1)
-    margin = node_margin.min()
+    margin = field.sigma[..., : profile.k].min()
     if margin <= CONE_EPS:
+        node_margin = field.sigma[..., : profile.k].min(axis=-1)
         node = np.unravel_index(int(np.argmin(node_margin)), node_margin.shape)
         node = node[0] if len(node) == 1 else node
         raise ConeViolationError(node=node, margin=float(margin), tau=tau)
@@ -186,10 +184,9 @@ def rhs(profile, graph, lam, tau=None):
     field = weingarten(graph)
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
-    speed = eval_scaled(profile, lam, field.r)
     A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho + (
         field.rho / field.r
-    ) * speed.g
+    ) * eval_scaled(profile, lam, field.r)
     out = -A * _sigma_pow(sig, profile.alpha) + profile.gamma
     if not np.all(np.isfinite(out)):
         raise NonFiniteRHSError("non-finite right-hand side", tau)
@@ -292,9 +289,9 @@ def diagnostics_row(state):
     """The per-record reduction vector (see DiagnosticsSeries for the order)."""
     profile = state.profile
     field = weingarten(state.graph)
-    speed = eval_scaled(profile, state.lam, field.r)
+    f = field.r**profile.beta + eval_scaled(profile, state.lam, field.r)
     sig = field.sigma[..., profile.k - 1]
-    big_phi = speed.f * _sigma_pow(sig, profile.alpha)
+    big_phi = f * _sigma_pow(sig, profile.alpha)
     r_min = float(field.r.min())
     r_max = float(field.r.max())
     return {
@@ -356,14 +353,10 @@ def _profile_line(profile):
         f"beta={_fmt(profile.beta)}",
         f"g={g.KIND}",
     ]
-    if g.KIND == "bump":
-        parts += [f"epsilon={_fmt(g.epsilon)}", f"p={_fmt(g.p)}"]
-    elif g.KIND == "expflat":
-        parts += [f"p={_fmt(g.p)}"]
-    elif g.KIND == "monomial":
-        parts += [f"l={_fmt(g.l)}"]
-    elif g.KIND == "tabulated":
-        parts += [f"points={len(g.points)}"]
+    if g.KIND == "tabulated":
+        parts.append(f"points={len(g.points)}")
+    else:
+        parts += [f"{f.name}={_fmt(getattr(g, f.name))}" for f in dataclasses.fields(g)]
     return "profile: " + " ".join(parts)
 
 
@@ -407,27 +400,23 @@ def _state_from_lines(lines):
         raise ValueError("checkpoint missing profile line")
     pf = _parse_kv(lines[1][len("profile: ") :])
     idx = 2
-    kind = pf["g"]
-    if kind == "tabulated":
+    cls = G_KINDS.get(pf["g"])
+    if cls is None:
+        raise ValueError(f"unknown g kind {pf['g']!r} in checkpoint")
+    if cls is TabulatedG:
         count = int(pf["points"])
+        if count < 2:
+            raise ValueError(f"checkpoint declares {count} tabulated g rows, need >= 2")
         rows = []
         for _ in range(count):
-            if not lines[idx].startswith("table: "):
+            row = lines[idx][len("table: ") :].split(",")
+            if not lines[idx].startswith("table: ") or len(row) != 3:
                 raise ValueError("checkpoint missing tabulated g rows")
-            rows.append([float(v) for v in lines[idx][len("table: ") :].split(",")])
+            rows.append([float(v) for v in row])
             idx += 1
-        pts, vals, ders = (np.array(col) for col in zip(*rows))
-        g = TabulatedG(points=pts, values=vals, derivs=ders)
-    elif kind == "zero":
-        g = ZeroG()
-    elif kind == "bump":
-        g = BumpG(epsilon=float(pf["epsilon"]), p=float(pf["p"]))
-    elif kind == "expflat":
-        g = ExpFlatG(p=float(pf["p"]))
-    elif kind == "monomial":
-        g = MonomialG(l=float(pf["l"]))
+        g = TabulatedG(*zip(*rows))
     else:
-        raise ValueError(f"unknown g kind {kind!r} in checkpoint")
+        g = cls(**{f.name: float(pf[f.name]) for f in dataclasses.fields(cls)})
     profile = SpeedProfile(
         n=int(pf["n"]), k=int(pf["k"]), alpha=float(pf["alpha"]), beta=float(pf["beta"]), g=g
     )

@@ -1,10 +1,14 @@
 """Radial speed weights f(r) = r^beta + g(r) and their admissibility checks.
 
 The flow speed is f(r) * sigma_k^alpha.  The normalized equation never needs g
-itself, only the rescaled combinations lam^beta * g(r/lam) and
-lam^(beta-1) * g'(r/lam); those are evaluated here in forms that stay finite for
-arbitrarily large lam (log-space for the exponentially flat families, exponent
-arithmetic for monomials).
+itself, only the rescaled term lam^beta * g(r/lam); ``eval_scaled`` evaluates
+it in a form that stays finite for arbitrarily large lam (log-space for the
+exponentially flat families, exponent arithmetic for monomials).  g' is needed
+only by the validators, through ``eval_g``.
+
+This module is the one place that knows the g kinds: ``G_KINDS`` maps each
+kind's name to its class, and the fields of a dataclass kind are its
+parameters, which the config and checkpoint codecs read and write by name.
 
 Two validator entry points mirror the two convergence regimes:
 
@@ -16,7 +20,6 @@ Two validator entry points mirror the two convergence regimes:
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -34,19 +37,11 @@ class ScaleOverflowError(ArithmeticError):
     """Rescaled speed evaluation left the representable range."""
 
 
+@dataclass(frozen=True)
 class ZeroG:
     """g identically zero (pure r^beta speed)."""
 
     KIND = "zero"
-
-    def __repr__(self):
-        return "ZeroG()"
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroG)
-
-    def __hash__(self):
-        return hash(self.KIND)
 
 
 @dataclass(frozen=True)
@@ -82,14 +77,17 @@ class ExpFlatG:
 
 @dataclass(frozen=True)
 class MonomialG:
-    """g = r^l.  Admissibility (l >= floor(beta) + 1) is the validators' business."""
+    """g = r^l for an integer l >= 1 (r^l is smooth at 0 only for integer l).
+
+    Admissibility (l >= floor(beta) + 1) is the validators' business.
+    """
 
     l: float
     KIND = "monomial"
 
     def __post_init__(self):
-        if not self.l >= 1:
-            raise ValueError(f"monomial exponent must be >= 1, got {self.l}")
+        if not (self.l >= 1 and float(self.l).is_integer()):
+            raise ValueError(f"monomial exponent must be an integer >= 1, got {self.l}")
 
 
 class TabulatedG:
@@ -194,8 +192,9 @@ def _as_float_or_array(*vals):
 
 
 def eval_g(profile, r):
-    """g(r) and g'(r) for the profile's g specification.
+    """g(r) and g'(r) for the profile's g specification, unscaled (lam = 1).
 
+    The one source of g', which only the admissibility validators read.
     Accepts scalars or arrays; r must be >= 0 (and within the table for
     tabulated g).  Returns (g, gp) with the input's shape.
     """
@@ -211,28 +210,22 @@ def eval_g(profile, r):
     if isinstance(g, TabulatedG):
         val, der = g(r)
         return _as_float_or_array(val, der)
-    # the flat families: the rescaled formula at lam = 1
+    # the flat families: the rescaled formula at lam = 1, times the log-derivative
+    # g'/g = (1 + k*alpha)/r + p*(r - shift)^(-p-1) where g > 0
     shift = g.epsilon if isinstance(g, BumpG) else 0.0
-    return _as_float_or_array(*_scaled_flat_family(profile, 1.0, r, shift))
-
-
-class ScaledSpeed(NamedTuple):
-    """Rescaled speed data at one (lam, r) query.
-
-    g  = lam^beta   * g(r / lam)
-    gp = lam^(beta-1) * g'(r / lam)
-    f  = r^beta + g          (equals lam^beta * f(r / lam))
-    fp = beta * r^(beta-1) + gp
-    """
-
-    g: object
-    gp: object
-    f: object
-    fp: object
+    gs = _scaled_flat_family(profile, 1.0, r, shift)
+    live = gs > 0.0
+    slope = np.where(
+        live,
+        (1.0 + profile.ka) / np.where(live, r, 1.0)
+        + g.p * np.where(live, r - shift, 1.0) ** (-g.p - 1.0),
+        0.0,
+    )
+    return _as_float_or_array(gs, gs * slope)
 
 
 def _scaled_flat_family(profile, lam, r, shift):
-    """lam^beta * g(r/lam) terms for the bump (shift=epsilon) / expflat (shift=0) kinds."""
+    """lam^beta * g(r/lam) for the bump (shift=epsilon) / expflat (shift=0) kinds."""
     g = profile.g
     one_ka = 1.0 + profile.ka
     s = r / lam
@@ -247,20 +240,15 @@ def _scaled_flat_family(profile, lam, r, shift):
         raise ScaleOverflowError(
             f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
         )
-    gs = np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
-    slope = np.where(
-        live,
-        one_ka / np.where(live, s, 1.0) + g.p * np.where(live, base, 1.0) ** (-g.p - 1.0),
-        0.0,
-    )
-    gps = gs * slope / lam
-    return gs, gps
+    return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
 
 
 def eval_scaled(profile, lam, r):
-    """Rescaled speed terms; see ScaledSpeed for the four fields.
+    """The rescaled speed term lam^beta * g(r/lam), the one g term the flow reads.
 
-    lam is a scalar >= 1; r a scalar or array of radii > 0.
+    lam is a scalar >= 1; r a scalar or array of radii > 0.  Returns a float
+    for scalar r, else an array of r's shape.  The full weight is
+    r^beta + eval_scaled(...), which equals lam^beta * f(r/lam).
     """
     lam = float(lam)
     if not lam >= 1.0 - 1e-12:
@@ -273,33 +261,26 @@ def eval_scaled(profile, lam, r):
 
     if isinstance(g, ZeroG):
         gs = np.zeros_like(r)
-        gps = np.zeros_like(r)
     elif isinstance(g, MonomialG):
-        lam_pow = lam ** (beta - g.l)
-        gs = lam_pow * r**g.l
-        gps = g.l * lam_pow * r ** (g.l - 1.0)
+        gs = lam ** (beta - g.l) * r**g.l
     elif isinstance(g, BumpG):
-        gs, gps = _scaled_flat_family(profile, lam, r, g.epsilon)
+        gs = _scaled_flat_family(profile, lam, r, g.epsilon)
     elif isinstance(g, ExpFlatG):
-        gs, gps = _scaled_flat_family(profile, lam, r, 0.0)
+        gs = _scaled_flat_family(profile, lam, r, 0.0)
     else:  # TabulatedG: direct evaluation behind the lam cap
         if lam > LAMBDA_CAP:
             raise ScaleOverflowError(
                 f"lam={lam!r} exceeds the tabulated-speed cap {LAMBDA_CAP:g} (r={r!r})"
             )
-        val, der = g(r / lam)
+        val, _ = g(r / lam)
         with np.errstate(over="ignore"):
             gs = np.where(val == 0.0, 0.0, lam**beta * val)
-            gps = np.where(der == 0.0, 0.0, lam ** (beta - 1.0) * der)
-        if not (np.all(np.isfinite(gs)) and np.all(np.isfinite(gps))):
-            bad = int(np.argmax(~np.isfinite(np.ravel(gs) + np.ravel(gps))))
+        if not np.all(np.isfinite(gs)):
+            bad = int(np.argmax(~np.isfinite(np.ravel(gs))))
             raise ScaleOverflowError(
                 f"rescaled tabulated g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
             )
-
-    fs = r**beta + gs
-    fps = beta * r ** (beta - 1.0) + gps
-    return ScaledSpeed(*_as_float_or_array(gs, gps, fs, fps))
+    return _as_float_or_array(gs)
 
 
 # ---------------------------------------------------------------------------

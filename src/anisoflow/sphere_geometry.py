@@ -449,10 +449,13 @@ def graph_from_text(text):
 
 def _parse_header(line):
     fields = dict(tok.split("=", 1) for tok in line.split())
-    if fields.get("n") == "1":
-        return SphericalGrid.circle(int(fields["N"]))
-    if fields.get("n") == "2":
-        return SphericalGrid.sphere(int(fields["N_lat"]), int(fields["N_lon"]))
+    try:
+        if fields.get("n") == "1":
+            return SphericalGrid.circle(int(fields["N"]))
+        if fields.get("n") == "2":
+            return SphericalGrid.sphere(int(fields["N_lat"]), int(fields["N_lon"]))
+    except KeyError as err:
+        raise ValueError(f"bad graph header: {line!r} lacks {err.args[0]}=") from None
     raise ValueError(f"bad graph header: {line!r}")
 
 

@@ -8,6 +8,8 @@ import pytest
 import anisoflow.symfunc
 from anisoflow.cli import (
     ConfigError,
+    InitialSpec,
+    RunConfig,
     build_initial_graph,
     format_config,
     main,
@@ -15,9 +17,18 @@ from anisoflow.cli import (
     write_svg_plot,
 )
 from anisoflow.diagnostics import DiagnosticsSeries
-from anisoflow.flow_engine import load_checkpoint
+from anisoflow.flow_engine import StepControl, initial_state, load_checkpoint, save_checkpoint
 from anisoflow.sphere_geometry import SphericalGrid, save_graph, sphere_graph
-from anisoflow.speed_profile import TabulatedG, eval_g
+from anisoflow.speed_profile import (
+    G_KINDS,
+    BumpG,
+    ExpFlatG,
+    MonomialG,
+    SpeedProfile,
+    TabulatedG,
+    ZeroG,
+    eval_g,
+)
 
 
 BASIC = """\
@@ -128,6 +139,13 @@ def test_leftover_g_parameters_rejected():
     assert any("not valid for g.kind=zero" in e for e in errs)
 
 
+def test_monomial_exponent_must_be_integer():
+    monomial = BASIC.replace("beta = 2", "beta = 3").replace("g.kind = zero", "g.kind = monomial\ng.l = 4.5")
+    errs = errors_of(monomial)
+    assert any("[profile] g: monomial exponent must be an integer" in e for e in errs)
+    assert parse_config(monomial.replace("g.l = 4.5", "g.l = 4.0")).profile.g == MonomialG(4)
+
+
 def test_missing_required_keys():
     errs = errors_of(BASIC.replace("t_end = 0.5\n", ""))
     assert any("[control] t_end: required" in e for e in errs)
@@ -189,6 +207,15 @@ def test_file_initial_roundtrip(tmp_path):
     np.testing.assert_allclose(graph.r(), 1.25)
 
 
+def test_file_initial_bad_header_is_config_error(tmp_path, capsys):
+    (tmp_path / "init.csv").write_text("n=1\n")
+    text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
+    text += f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\n"
+    assert main(["run", write_config(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "bad graph header" in err
+
+
 def test_file_initial_grid_mismatch(tmp_path):
     save_graph(sphere_graph(SphericalGrid.circle(32), 1.0), tmp_path / "init.csv")
     text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
@@ -239,6 +266,48 @@ def test_format_roundtrip_tabulated(tmp_path):
     cfg = parse_config(text)
     assert isinstance(cfg.profile.g, TabulatedG)
     assert cfg.g_table_path == str(table)
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def flat_table():
+    base = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    pts = np.linspace(0.0, 4.0, 60)
+    return TabulatedG(pts, *eval_g(base, pts))
+
+
+# one sample per kind: a kind added to G_KINDS without a sample fails below
+G_SAMPLES = {
+    "zero": ZeroG(),
+    "bump": BumpG(epsilon=0.5, p=2.0),
+    "expflat": ExpFlatG(p=2.0),
+    "monomial": MonomialG(l=5.0),
+    "tabulated": flat_table(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(G_KINDS))
+def test_codecs_roundtrip_every_g_kind(tmp_path, kind):
+    g = G_SAMPLES[kind]
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=g)
+    grid = SphericalGrid.circle(16)
+    state = initial_state(profile, sphere_graph(grid, 1.0), validate_regime=False)
+    save_checkpoint(state, tmp_path / "state.chk")
+    assert load_checkpoint(tmp_path / "state.chk").profile == profile
+
+    table_path = None
+    if isinstance(g, TabulatedG):
+        table_path = str(tmp_path / "table.csv")
+        with open(table_path, "w") as fh:
+            for row in zip(g.points, g.values, g.derivs):
+                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    cfg = RunConfig(
+        profile=profile,
+        grid=grid,
+        initial=InitialSpec(kind="sphere", r0=1.0),
+        control=StepControl(t_end=0.5),
+        override=True,
+        g_table_path=table_path,
+    )
     assert parse_config(format_config(cfg)) == cfg
 
 

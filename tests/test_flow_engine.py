@@ -34,6 +34,7 @@ from anisoflow.speed_profile import (
     TabulatedG,
     ZeroG,
     eval_g,
+    eval_scaled,
 )
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, sphere_graph, weingarten
 
@@ -153,6 +154,10 @@ def test_cone_gate_trips_on_dumbbell():
         rhs(prof, graph, lam=1.0, tau=0.0)
     assert exc.value.tau == 0.0
     assert exc.value.margin < 0.0
+    node_margin = weingarten(graph).sigma[..., :2].min(axis=-1)
+    worst = int(np.argmin(node_margin))
+    assert exc.value.node == np.unravel_index(worst, node_margin.shape)
+    assert exc.value.margin == node_margin.ravel()[worst]
     assert "cone margin" in str(exc.value)
 
 
@@ -182,7 +187,7 @@ def scalar_phi_rk4(prof, phi0, tau0, dt, lam_of):
 
     def F(phi, tau):
         r = math.exp(phi)
-        g, _, f, _ = eval_scaled_tuple(prof, lam_of(tau), r)
+        g = eval_scaled(prof, lam_of(tau), r)
         sig = (math.comb(prof.n, prof.k) * r**-prof.k) ** prof.alpha
         A = r ** (prof.beta - 1.0) + g / r
         return -A * sig + prof.gamma
@@ -192,13 +197,6 @@ def scalar_phi_rk4(prof, phi0, tau0, dt, lam_of):
     k3 = F(phi0 + 0.5 * dt * k2, tau0 + 0.5 * dt)
     k4 = F(phi0 + dt * k3, tau0 + dt)
     return phi0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def eval_scaled_tuple(prof, lam, r):
-    from anisoflow.speed_profile import eval_scaled
-
-    s = eval_scaled(prof, lam, r)
-    return s.g, s.gp, s.f, s.fp
 
 
 @pytest.mark.parametrize(
@@ -449,3 +447,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_text(text.replace(" g=zero", "", 1))
     with pytest.raises(ValueError, match="g= field"):
         load_checkpoint(bad)
+
+    tab = initial_state(tab_profile(), wiggly_circle(N=32, amp=0.04), validate_regime=False)
+    save_checkpoint(tab, path)
+    text = path.read_text()
+    first_row = next(ln for ln in text.splitlines() if ln.startswith("table: "))
+    for tampered in (text.replace(first_row, first_row + ",0", 1), text.replace(" points=80", " points=0", 1)):
+        bad.write_text(tampered)
+        with pytest.raises(ValueError, match="tabulated g rows"):
+            load_checkpoint(bad)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow.speed_profile import (
+    EXP_FLUSH,
     BumpG,
     ExpFlatG,
     MonomialG,
@@ -73,6 +74,8 @@ def test_g_parameter_validation():
         ExpFlatG(p=-1.0)
     with pytest.raises(ValueError):
         MonomialG(l=0.5)
+    with pytest.raises(ValueError, match="integer"):
+        MonomialG(l=4.5)
     with pytest.raises(ValueError):
         TabulatedG([1.0, 0.5], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
@@ -111,6 +114,53 @@ def test_eval_g_derivative_consistency(g):
     assert_allclose(gp, fd, rtol=2e-9, atol=1e-9)
 
 
+def reference_flat_gp(profile, r, shift):
+    """g' of the flat families by the formula _scaled_flat_family used when it
+    also returned g' (here at lam = 1): g * slope / lam, live where the barrier
+    is below the flush threshold."""
+    g = profile.g
+    lam = 1.0
+    one_ka = 1.0 + profile.ka
+    s = r / lam
+    base = s - shift
+    live = base > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        barrier = np.where(live, base, 1.0) ** (-g.p)
+    live &= barrier <= EXP_FLUSH
+    w = (profile.beta - one_ka) * math.log(lam) - np.where(live, barrier, 0.0)
+    gs = np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
+    slope = np.where(
+        live,
+        one_ka / np.where(live, s, 1.0) + g.p * np.where(live, base, 1.0) ** (-g.p - 1.0),
+        0.0,
+    )
+    return gs * slope / lam
+
+
+@pytest.mark.parametrize(
+    "prof",
+    [
+        profile_k1(2.0, BumpG(0.5, 1.0)),
+        profile_k1(2.0, BumpG(0.3, 2.0)),
+        profile_k1(4.0, ExpFlatG(1.0)),
+        SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(2.0)),
+    ],
+    ids=["bump-p1", "bump-p2", "expflat-p1", "expflat-n2k2-p2"],
+)
+def test_flat_derivative_matches_reference_bitwise(prof):
+    shift = getattr(prof.g, "epsilon", 0.0)
+    samples = [
+        np.array([0.0]),
+        np.array([1e-300]),
+        np.linspace(0.0, max(shift, 1e-3), 257),  # r <= epsilon (the flat zone for bump)
+        np.linspace(1.0 / EXP_FLUSH, 1.0 / 700.0, 257),  # live nodes whose g underflows to 0
+        np.geomspace(1e-3, 5.0, 2001),
+    ]
+    for r in samples:
+        _, gp = eval_g(prof, r)
+        assert np.array_equal(gp, reference_flat_gp(prof, r, shift))
+
+
 def test_expflat_closed_form():
     prof = profile_k1(4.0, ExpFlatG(1.0))  # 1 + k*alpha = 2
     rs = np.array([0.5, 1.0, 2.0])
@@ -145,24 +195,18 @@ def test_tabulated_roundtrip_and_range():
 
 def test_scaled_zero_g_is_pure_power():
     prof = profile_k1(3.0)
-    s = eval_scaled(prof, 25.0, 2.0)
-    assert s.g == 0.0 and s.gp == 0.0
-    assert s.f == 8.0
-    assert s.fp == 12.0
+    assert eval_scaled(prof, 25.0, 2.0) == 0.0
 
 
 def test_scaled_monomial_spot_value():
     prof = profile_k1(3.0, MonomialG(4.0))
     s = eval_scaled(prof, 10.0, 2.0)
-    assert_allclose(s.g, 1.6, rtol=1e-15)  # 10^(3-4) * 2^4
-    assert_allclose(s.f, 9.6, rtol=1e-15)
+    assert_allclose(s, 1.6, rtol=1e-15)  # 10^(3-4) * 2^4
 
 
 def test_scaled_bump_below_support_is_exact_power():
     prof = profile_k1(2.0, BumpG(0.5, 1.0))
-    s = eval_scaled(prof, 4.0, 1.9)  # r/lam = 0.475 < epsilon
-    assert s.g == 0.0
-    assert s.f == 1.9**2.0
+    assert eval_scaled(prof, 4.0, 1.9) == 0.0  # r/lam = 0.475 < epsilon
 
 
 def test_scaled_matches_direct_for_moderate_lam():
@@ -175,22 +219,19 @@ def test_scaled_matches_direct_for_moderate_lam():
     rs = np.linspace(0.8, 2.5, 31)
     for prof, lam in cases:
         s = eval_scaled(prof, lam, rs)
-        direct_g, direct_gp = eval_g(prof, rs / lam)
-        assert_allclose(s.g, lam**prof.beta * direct_g, rtol=1e-12, atol=1e-280)
-        assert_allclose(s.gp, lam ** (prof.beta - 1.0) * direct_gp, rtol=1e-12, atol=1e-280)
+        direct_g, _ = eval_g(prof, rs / lam)
+        assert_allclose(s, lam**prof.beta * direct_g, rtol=1e-12, atol=1e-280)
 
 
 def test_scaled_lam_one_reduces_to_eval_g():
     prof = profile_k1(4.0, ExpFlatG(2.0))
     rs = np.linspace(0.3, 2.0, 19)
-    s = eval_scaled(prof, 1.0, rs)
-    g, gp = eval_g(prof, rs)
-    assert_allclose(s.g, g, rtol=0, atol=0)
-    assert_allclose(s.gp, gp, rtol=0, atol=0)
+    g, _ = eval_g(prof, rs)
+    assert_allclose(eval_scaled(prof, 1.0, rs), g, rtol=0, atol=0)
 
 
 def test_scaled_f_dominates_pure_power():
-    # g >= 0 for every built-in kind, so f >= r^beta at any rescaling
+    # g >= 0 for every built-in kind, so f = r^beta + g >= r^beta at any rescaling
     profs = [
         profile_k1(3.0, MonomialG(4.0)),
         profile_k1(4.0, ExpFlatG(1.0)),
@@ -200,17 +241,14 @@ def test_scaled_f_dominates_pure_power():
     rs = np.geomspace(0.05, 5.0, 200)
     for prof in profs:
         for lam in (1.0, 10.0, 1e5, 1e40):
-            s = eval_scaled(prof, lam, rs)
-            assert np.all(s.g >= 0.0)
-            assert np.all(s.f >= rs**prof.beta)
+            assert np.all(eval_scaled(prof, lam, rs) >= 0.0)
 
 
 def test_scaled_huge_lam_flushes_flat_families():
     # at lam = 1e80 the argument r/lam is deep in the flat zone: exactly zero
     for g in (ExpFlatG(1.0), BumpG(0.5, 1.0)):
         prof = profile_k1(4.0 if isinstance(g, ExpFlatG) else 2.0, g)
-        s = eval_scaled(prof, 1e80, np.array([0.5, 1.0, 2.0]))
-        assert np.all(s.g == 0.0) and np.all(s.gp == 0.0)
+        assert np.all(eval_scaled(prof, 1e80, np.array([0.5, 1.0, 2.0])) == 0.0)
 
 
 def test_scaled_overflow_raises():

@@ -387,8 +387,9 @@ def test_serialization_rejects_malformed_text():
     text = graph_to_text(g)
     with pytest.raises(ValueError):
         graph_from_text("")
-    with pytest.raises(ValueError, match="header"):
-        graph_from_text("n=3 N=16\n0,0\n")
+    for header in ("n=3 N=16", "n=1", "n=2 N_lat=16"):
+        with pytest.raises(ValueError, match="header"):
+            graph_from_text(header + "\n0,0\n")
     lines = text.splitlines()
     with pytest.raises(ValueError):  # wrong row count
         graph_from_text("\n".join(lines[:-1]) + "\n")
