@@ -24,6 +24,7 @@ from .flow_engine import (
     FlowState,
     NonFiniteRHSError,
     RunResult,
+    SpeedRangeError,
     StepControl,
     StepTooSmallError,
     initial_state,
@@ -44,6 +45,7 @@ from .speed_profile import (
     ProfileReport,
     ScaleOverflowError,
     SpeedProfile,
+    TableRangeError,
     TabulatedG,
     ZeroG,
     eval_g,

@@ -25,6 +25,7 @@ from .diagnostics import DiagnosticsSeries
 from .speed_profile import (
     G_KINDS,
     SpeedProfile,
+    TableRangeError,
     TabulatedG,
     eval_scaled,
     validate_for_regime,
@@ -71,6 +72,10 @@ class NonFiniteRHSError(FlowError):
 
 class StepTooSmallError(FlowError):
     """The stable step size collapsed below 1e-14."""
+
+
+class SpeedRangeError(FlowError):
+    """The radii left the range on which the speed's g is given (a tabulated g's table)."""
 
 
 class AdmissibilityError(ValueError):
@@ -184,11 +189,11 @@ def rhs(profile, graph, lam, tau=None):
     field = weingarten(graph)
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
-    A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho + (
-        field.rho / field.r
-    ) * eval_scaled(profile, lam, field.r)
-    out = -A * _sigma_pow(sig, profile.alpha) + profile.gamma
-    if not np.all(np.isfinite(out)):
+    A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho
+    if not profile.pure_power:  # else A + 0.0 == A: the flow's A is >= 0
+        A = A + (field.rho / field.r) * eval_scaled(profile, lam, field.r)
+    out = profile.gamma - A * _sigma_pow(sig, profile.alpha)
+    if not np.isfinite(out).all():
         raise NonFiniteRHSError("non-finite right-hand side", tau)
     return out, field, A
 
@@ -224,7 +229,7 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
     ht2 = grid.h_theta**2
     if zonal:
         return float(ht2 / D.max())
-    sin2 = np.sin(grid.theta)[:, None] ** 2
+    sin2 = grid.sin_theta**2
     allowed = np.minimum(ht2, grid.h_phi**2 * sin2) / D
     return float(allowed.min())
 
@@ -236,22 +241,22 @@ def step(state, control, dt_cap=math.inf):
     tau0, phi0 = state.tau, state.graph.phi
     zonal = is_zonal(state.graph)
 
-    def stage(phi_arr, tau_stage):
+    def stage(graph, tau_stage):
         try:
-            return rhs(profile, RadialGraph(grid, phi_arr), math.exp(gamma * tau_stage), tau_stage)
+            return rhs(profile, graph, math.exp(gamma * tau_stage), tau_stage)
         except FlowError as err:
             if err.tau is None:
                 err.tau = tau_stage
             raise
 
-    k1, field0, A0 = stage(phi0, tau0)
+    k1, field0, A0 = stage(state.graph, tau0)
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field0, A0, zonal), dt_cap)
     if dt < _MIN_DT:
         raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
     half = tau0 + 0.5 * dt
-    k2, _, _ = stage(phi0 + (0.5 * dt) * k1, half)
-    k3, _, _ = stage(phi0 + (0.5 * dt) * k2, half)
-    k4, _, _ = stage(phi0 + dt * k3, tau0 + dt)
+    k2, _, _ = stage(RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k1), half)
+    k3, _, _ = stage(RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k2), half)
+    k4, _, _ = stage(RadialGraph._unchecked(grid, phi0 + dt * k3), tau0 + dt)
     phi1 = phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     tau1 = tau0 + dt
     return FlowState(
@@ -289,9 +294,12 @@ def diagnostics_row(state):
     """The per-record reduction vector (see DiagnosticsSeries for the order)."""
     profile = state.profile
     field = weingarten(state.graph)
-    f = field.r**profile.beta + eval_scaled(profile, state.lam, field.r)
+    f = field.r**profile.beta
+    if not profile.pure_power:
+        f = f + eval_scaled(profile, state.lam, field.r)
     sig = field.sigma[..., profile.k - 1]
     big_phi = f * _sigma_pow(sig, profile.alpha)
+    grad_phi = field.grad_phi_norm()
     r_min = float(field.r.min())
     r_max = float(field.r.max())
     return {
@@ -299,8 +307,8 @@ def diagnostics_row(state):
         "r_min": r_min,
         "r_max": r_max,
         "osc": r_max - r_min,
-        "grad_phi_max": float(field.grad_phi_norm().max()),
-        "grad_r_max": float(field.grad_r_norm().max()),
+        "grad_phi_max": float(grad_phi.max()),
+        "grad_r_max": float((field.r * grad_phi).max()),
         "u_min": float(field.u.min()),
         "phi_min_cap": float(big_phi.min()),
         "phi_max_cap": float(big_phi.max()),
@@ -315,28 +323,33 @@ def run(state, control):
     order), recording diagnostics every record_every steps plus the final state."""
     series = DiagnosticsSeries()
     last_recorded = -1
-    while True:
-        if state.step_count % control.record_every == 0 and state.step_count != last_recorded:
-            series.append(**diagnostics_row(state))
-            last_recorded = state.step_count
-        if state.tau >= control.t_end - 1e-15:
-            reason = "t_end"
-            break
-        if control.sphericity_stop > 0.0:
-            if float(np.ptp(np.exp(state.graph.phi))) < control.sphericity_stop:
-                reason = "sphericity_stop"
+    try:
+        while True:
+            if state.step_count % control.record_every == 0 and state.step_count != last_recorded:
+                series.append(**diagnostics_row(state))
+                last_recorded = state.step_count
+            if state.tau >= control.t_end - 1e-15:
+                reason = "t_end"
                 break
-        if state.step_count >= control.max_steps:
-            reason = "max_steps"
-            break
-        try:
-            state = step(state, control, dt_cap=control.t_end - state.tau)
-        except FlowError as err:
-            if err.tau is None:
-                err.tau = state.tau
-            raise
-    if state.step_count != last_recorded:
-        series.append(**diagnostics_row(state))
+            if control.sphericity_stop > 0.0:
+                r = np.exp(state.graph.phi)
+                if float(r.max() - r.min()) < control.sphericity_stop:
+                    reason = "sphericity_stop"
+                    break
+            if state.step_count >= control.max_steps:
+                reason = "max_steps"
+                break
+            try:
+                state = step(state, control, dt_cap=control.t_end - state.tau)
+            except FlowError as err:
+                if err.tau is None:
+                    err.tau = state.tau
+                raise
+        if state.step_count != last_recorded:
+            series.append(**diagnostics_row(state))
+    except TableRangeError as err:
+        # from a record or a step that starts at state.tau
+        raise SpeedRangeError(str(err), state.tau) from err
     return RunResult(state=state, series=series, reason=reason)
 
 

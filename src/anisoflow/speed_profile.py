@@ -37,6 +37,10 @@ class ScaleOverflowError(ArithmeticError):
     """Rescaled speed evaluation left the representable range."""
 
 
+class TableRangeError(ValueError):
+    """A tabulated g was queried outside its table."""
+
+
 @dataclass(frozen=True)
 class ZeroG:
     """g identically zero (pure r^beta speed)."""
@@ -111,13 +115,18 @@ class TabulatedG:
         self._spline = CubicHermiteSpline(self.points, self.values, self.derivs)
         self._dspline = self._spline.derivative()
 
-    def __call__(self, r):
+    def value(self, r):
+        """g(r) alone: the flow reads no g'."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < self.points[0]) or np.any(r > self.points[-1]):
-            raise ValueError(
+        if (r < self.points[0]).any() or (r > self.points[-1]).any():
+            raise TableRangeError(
                 f"tabulated g queried outside [{self.points[0]}, {self.points[-1]}]"
             )
-        return self._spline(r), self._dspline(r)
+        return self._spline(r)
+
+    def __call__(self, r):
+        """(g(r), g'(r))."""
+        return self.value(r), self._dspline(np.asarray(r, dtype=float))
 
     def __eq__(self, other):
         return (
@@ -181,6 +190,11 @@ class SpeedProfile:
         return self.k * self.alpha
 
     @property
+    def pure_power(self):
+        """True when g is identically zero, so f(r) = r^beta and lam^beta g(r/lam) = 0."""
+        return isinstance(self.g, ZeroG)
+
+    @property
     def equality_regime(self):
         """True when beta = 1 + k*alpha (fixed-sphere regime)."""
         return abs(self.beta - (1.0 + self.ka)) <= _TOL
@@ -235,7 +249,7 @@ def _scaled_flat_family(profile, lam, r, shift):
         barrier = np.where(live, base, 1.0) ** (-g.p)
     live &= barrier <= EXP_FLUSH
     w = (profile.beta - one_ka) * math.log(lam) - np.where(live, barrier, 0.0)
-    if np.any(live & (w > 700.0)):
+    if (live & (w > 700.0)).any():
         bad = int(np.argmax(np.where(live, w, -np.inf)))
         raise ScaleOverflowError(
             f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
@@ -254,7 +268,7 @@ def eval_scaled(profile, lam, r):
     if not lam >= 1.0 - 1e-12:
         raise ValueError(f"rescaling factor must be >= 1, got {lam}")
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if (r <= 0).any():
         raise ValueError("rescaled speed needs r > 0")
     g = profile.g
     beta = profile.beta
@@ -272,10 +286,10 @@ def eval_scaled(profile, lam, r):
             raise ScaleOverflowError(
                 f"lam={lam!r} exceeds the tabulated-speed cap {LAMBDA_CAP:g} (r={r!r})"
             )
-        val, _ = g(r / lam)
+        val = g.value(r / lam)
         with np.errstate(over="ignore"):
             gs = np.where(val == 0.0, 0.0, lam**beta * val)
-        if not np.all(np.isfinite(gs)):
+        if not np.isfinite(gs).all():
             bad = int(np.argmax(~np.isfinite(np.ravel(gs))))
             raise ScaleOverflowError(
                 f"rescaled tabulated g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"

@@ -19,6 +19,7 @@ vector and classical fundamental-form algebra; it shares only the stencils with
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -27,6 +28,11 @@ TWO_PI = 2.0 * math.pi
 
 class SingularMetricError(ArithmeticError):
     """First fundamental form lost positive definiteness."""
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +92,28 @@ class SphericalGrid:
             raise AttributeError("circle grids have no longitude coordinate")
         return np.arange(self.n_lon) * (TWO_PI / self.n_lon)
 
+    # Per-grid tables: built on first use, cached on the instance (outside the
+    # fields, so equality and hashing ignore them), and read-only.
+
+    @cached_property
+    def sin_theta(self):
+        """sin(theta) as an (N_lat, 1) column."""
+        return _read_only(np.sin(self.theta)[:, None])
+
+    @cached_property
+    def cos_theta(self):
+        """cos(theta) as an (N_lat, 1) column."""
+        return _read_only(np.cos(self.theta)[:, None])
+
+    @cached_property
+    def lat_pad_index(self):
+        """Flat indices into an (N_lat, N_lon) field giving its (N_lat + 4, N_lon)
+        pole padding: two ghost rows past each pole by the antipodal rule
+        value(-theta, phi) = value(theta, phi + pi)."""
+        index = np.arange(self.n_lat * self.n_lon).reshape(self.n_lat, self.n_lon)
+        across = np.roll(index, self.n_lon // 2, axis=1)  # (theta, phi + pi)
+        return _read_only(np.concatenate((across[1::-1], index, across[:-3:-1])))
+
     def describe(self):
         if self.n == 1:
             return f"n=1 N={self.n_lat}"
@@ -103,9 +131,22 @@ class RadialGraph:
         phi = np.asarray(self.phi, dtype=float)
         if phi.shape != self.grid.shape:
             raise ValueError(f"phi shape {phi.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise ValueError("phi must be finite")
         object.__setattr__(self, "phi", phi)
+
+    @classmethod
+    def _unchecked(cls, grid, phi):
+        """A graph on a float array of grid.shape, without the finiteness scan.
+
+        For RK stage inputs phi0 + c*dt*k, sums of finite arrays that only an
+        overflow makes non-finite; ``rhs`` then fails on them (NonFiniteRHSError
+        on its output, or first an error from the curvature or speed terms).
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "grid", grid)
+        object.__setattr__(graph, "phi", phi)
+        return graph
 
     def r(self):
         return np.exp(self.phi)
@@ -137,16 +178,9 @@ def _pad_periodic(F):
     return np.concatenate((F[-2:], F, F[:2]))
 
 
-def _pad_lat(F, n_lon):
+def _pad_lat(F, grid):
     """Two ghost rows past each pole via value(-theta, phi) = value(theta, phi+pi)."""
-    half = n_lon // 2
-    P = np.empty((F.shape[0] + 4, n_lon), dtype=float)
-    P[2:-2] = F
-    P[1] = np.roll(F[0], half)
-    P[0] = np.roll(F[1], half)
-    P[-2] = np.roll(F[-1], half)
-    P[-1] = np.roll(F[-2], half)
-    return P
+    return F.take(grid.lat_pad_index)
 
 
 def _d1(P, h):
@@ -164,14 +198,21 @@ def _d2(P, h):
 def _partials_sphere(grid, F):
     """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp) on the n=2 grid."""
     ht, hp = grid.h_theta, grid.h_phi
-    P = _pad_lat(F, grid.n_lon)
+    P = _pad_lat(F, grid)
     F_t = _d1(P, ht)
     F_tt = _d2(P, ht)
     Q = _pad_periodic(F.T)
     F_p = _d1(Q, hp).T
     F_pp = _d2(Q, hp).T
-    F_tp = _d1(_pad_lat(F_p, grid.n_lon), ht)
+    F_tp = _d1(_pad_lat(F_p, grid), ht)
     return F_t, F_p, F_tt, F_tp, F_pp
+
+
+def _sphere_derivatives(grid, phi):
+    """(phi_t, phi_p, H_tt, H_tp, H_pp): gradient and covariant Hessian on the n=2 grid."""
+    sin_t, cos_t = grid.sin_theta, grid.cos_theta
+    F_t, F_p, F_tt, F_tp, F_pp = _partials_sphere(grid, phi)
+    return F_t, F_p, F_tt, F_tp - (cos_t / sin_t) * F_p, F_pp + sin_t * cos_t * F_t
 
 
 def covariant_derivatives(graph):
@@ -185,15 +226,10 @@ def covariant_derivatives(graph):
     grid, phi = graph.grid, graph.phi
     if grid.n == 1:
         P = _pad_periodic(phi)
-        return _d1(P, grid.h_theta), _d2(P, grid.h_theta)
-    t = grid.theta
-    sin_t, cos_t = np.sin(t)[:, None], np.cos(t)[:, None]
-    cot_t = cos_t / sin_t
-    F_t, F_p, F_tt, F_tp, F_pp = _partials_sphere(grid, phi)
+        h = grid.h_theta
+        return _d1(P, h), _d2(P, h)
+    F_t, F_p, H_tt, H_tp, H_pp = _sphere_derivatives(grid, phi)
     grad = np.stack([F_t, F_p], axis=-1)
-    H_tt = F_tt
-    H_tp = F_tp - cot_t * F_p
-    H_pp = F_pp + sin_t * cos_t * F_t
     hess = np.empty(grid.shape + (2, 2))
     hess[..., 0, 0] = H_tt
     hess[..., 0, 1] = H_tp
@@ -210,9 +246,11 @@ def covariant_derivatives(graph):
 class WeingartenField:
     """Per-node curvature data of a radial graph.
 
-    kappa holds the principal curvatures (descending); sigma the elementary
-    symmetric polynomials sigma_1..sigma_n of kappa.  rho = sqrt(1+|grad phi|^2)
-    and u = r/rho is the support function.
+    sigma holds the elementary symmetric polynomials sigma_1..sigma_n of the
+    principal curvatures; kappa the principal curvatures themselves
+    (descending), built by kappa_fn on first read, since only the step's dt
+    bound and the diagnostics read them.  rho = sqrt(1+|grad phi|^2) and
+    u = r/rho is the support function.
     """
 
     grid: SphericalGrid
@@ -220,8 +258,12 @@ class WeingartenField:
     rho: np.ndarray
     grad_sq: np.ndarray
     u: np.ndarray
-    kappa: np.ndarray
     sigma: np.ndarray
+    kappa_fn: object  # () -> kappa
+
+    @cached_property
+    def kappa(self):
+        return self.kappa_fn()
 
     def grad_phi_norm(self):
         # |grad phi| is kept as a stored square rather than recovered from
@@ -229,18 +271,15 @@ class WeingartenField:
         # to 1, and the diagnostics need small gradients at full precision.
         return np.sqrt(self.grad_sq)
 
-    def grad_r_norm(self):
-        return self.r * self.grad_phi_norm()
-
 
 def _chol_shape_operator(G11, G12, G22, B11, B12, B22):
     """Symmetric S = L^-1 B L^-T with G = L L^T; eigenvalues of S solve det(B - x G) = 0."""
-    if np.any(G11 <= 0.0):
+    if (G11 <= 0.0).any():
         raise SingularMetricError("metric lost positivity (G11 <= 0)")
     L11 = np.sqrt(G11)
     L21 = G12 / L11
     M22 = G22 - L21 * L21
-    if np.any(M22 <= 0.0):
+    if (M22 <= 0.0).any():
         raise SingularMetricError("metric lost positivity (Schur complement <= 0)")
     L22 = np.sqrt(M22)
     Y11 = B11 / L11
@@ -248,66 +287,46 @@ def _chol_shape_operator(G11, G12, G22, B11, B12, B22):
     Y21 = (B12 - L21 * Y11) / L22
     Y22 = (B22 - L21 * Y12) / L22
     S11 = Y11 / L11
-    S12 = (Y12 - L21 * (Y11 / L11)) / L22
     S21 = Y21 / L11
-    S22 = (Y22 - L21 * (Y21 / L11)) / L22
-    S12 = 0.5 * (S12 + S21)
+    S12 = 0.5 * ((Y12 - L21 * S11) / L22 + S21)
+    S22 = (Y22 - L21 * S21) / L22
     return S11, S12, S22
 
 
-def _kappa_sigma(S11, S12, S22):
-    """(kappa, sigma) of the symmetric 2x2 [[S11, S12], [S12, S22]], kappa descending."""
+def _eigen_2x2(S11, S12, S22):
+    """Eigenvalues of the symmetric 2x2 [[S11, S12], [S12, S22]], descending."""
     mean = 0.5 * (S11 + S22)
     disc = np.sqrt((0.5 * (S11 - S22)) ** 2 + S12 * S12)
-    kappa = np.stack([mean + disc, mean - disc], axis=-1)
-    sigma = np.stack([S11 + S22, S11 * S22 - S12 * S12], axis=-1)
-    return kappa, sigma
+    return np.stack([mean + disc, mean - disc], axis=-1)
 
 
 def weingarten(graph):
     """Curvature data from the radial-graph formulas."""
     grid = graph.grid
+    r = graph.r()
     if grid.n == 1:
         phi_d, phi_dd = covariant_derivatives(graph)
-        r = graph.r()
-        rho2 = 1.0 + phi_d * phi_d
+        grad_sq = phi_d * phi_d
+        rho2 = 1.0 + grad_sq
         rho = np.sqrt(rho2)
-        kappa = (1.0 + phi_d * phi_d - phi_dd) / (r * rho * rho2)
-        return WeingartenField(
-            grid=grid,
-            r=r,
-            rho=rho,
-            grad_sq=phi_d * phi_d,
-            u=r / rho,
-            kappa=kappa[:, None].copy(),
-            sigma=kappa[:, None].copy(),
-        )
+        kappa = ((rho2 - phi_dd) / (r * rho * rho2))[:, None]  # also sigma_1
+        return WeingartenField(grid, r, rho, grad_sq, r / rho, kappa, lambda: kappa)
 
-    t = grid.theta
-    sin_t = np.sin(t)[:, None]
-    grad, hess = covariant_derivatives(graph)
-    p_t, p_p = grad[..., 0], grad[..., 1]
-    r = graph.r()
-    grad2 = p_t * p_t + (p_p / sin_t) ** 2
+    sin_t = grid.sin_theta
+    p_t, p_p, H_tt, H_tp, H_pp = _sphere_derivatives(grid, graph.phi)
+    tt = p_t * p_t
+    tp = p_t * p_p
+    e11 = 1.0 + tt
+    e22 = sin_t * sin_t + p_p * p_p
+    grad2 = tt + (p_p / sin_t) ** 2
     rho = np.sqrt(1.0 + grad2)
     r2 = r * r
-    G11 = r2 * (1.0 + p_t * p_t)
-    G12 = r2 * (p_t * p_p)
-    G22 = r2 * (sin_t * sin_t + p_p * p_p)
     c = r / rho
-    B11 = c * (1.0 + p_t * p_t - hess[..., 0, 0])
-    B12 = c * (p_t * p_p - hess[..., 0, 1])
-    B22 = c * (sin_t * sin_t + p_p * p_p - hess[..., 1, 1])
-    kappa, sigma = _kappa_sigma(*_chol_shape_operator(G11, G12, G22, B11, B12, B22))
-    return WeingartenField(
-        grid=grid,
-        r=r,
-        rho=rho,
-        grad_sq=grad2,
-        u=r / rho,
-        kappa=kappa,
-        sigma=sigma,
+    S11, S12, S22 = _chol_shape_operator(
+        r2 * e11, r2 * tp, r2 * e22, c * (e11 - H_tt), c * (tp - H_tp), c * (e22 - H_pp)
     )
+    sigma = np.stack([S11 + S22, S11 * S22 - S12 * S12], axis=-1)
+    return WeingartenField(grid, r, rho, grad2, c, sigma, partial(_eigen_2x2, S11, S12, S22))
 
 
 def embedding_oracle(graph):
@@ -335,14 +354,15 @@ def embedding_oracle(graph):
         u = (x * yd - y * xd) / speed
         rr = np.hypot(x, y)
         rdot = (x * xd + y * yd) / rr
+        kappa = kappa[:, None]
         return WeingartenField(
             grid=grid,
             r=rr,
             rho=rr / u,
             grad_sq=(rdot / rr) ** 2,
             u=u,
-            kappa=kappa[:, None].copy(),
-            sigma=kappa[:, None].copy(),
+            sigma=kappa,
+            kappa_fn=lambda: kappa,
         )
 
     t = grid.theta[:, None]
@@ -385,8 +405,8 @@ def embedding_oracle(graph):
         rho=rr / u,
         grad_sq=grad_sq,
         u=u,
-        kappa=kappa,
         sigma=sigma,
+        kappa_fn=lambda: kappa,
     )
 
 

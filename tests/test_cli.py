@@ -380,6 +380,25 @@ def test_run_reports_cone_violation(tmp_path, capsys):
     assert "cone margin" in err and "node" in err
 
 
+def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
+    # strict regime: lam = exp(tau) grows while r stays near 1, so r/lam
+    # leaves the table [0.5, 3] before tau = ln 2 (at tau = 0.5165)
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{r},{r**5},{5 * r**4}\n" for r in np.linspace(0.5, 3.0, 11)))
+    text = (
+        BASIC.replace("beta = 2", "beta = 3")
+        .replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
+        .replace("t_end = 0.5", "t_end = 2.0\noverride = true")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    code = main(["run", write_config(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("run failed: tabulated g queried outside [0.5, 3.0]")
+    tau = float(err.split("at tau=")[1].rstrip(")\n"))
+    assert 0.5 < tau < math.log(2.0)
+
+
 def test_run_bad_config_exit_code(tmp_path, capsys):
     code = main(["run", write_config(tmp_path, BASIC.replace("r0 = 1.0", "r0 = -2"))])
     assert code == 1

@@ -36,7 +36,14 @@ from anisoflow.speed_profile import (
     eval_g,
     eval_scaled,
 )
-from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, sphere_graph, weingarten
+from anisoflow.sphere_geometry import (
+    RadialGraph,
+    SingularMetricError,
+    SphericalGrid,
+    sphere_graph,
+    weingarten,
+)
+from anisoflow.symfunc import CONE_EPS, sigma_k_partials
 
 
 def profile_k1(beta, g=None, n=1):
@@ -141,6 +148,20 @@ def test_rhs_nonfinite_detected():
     graph = sphere_graph(SphericalGrid.circle(32), math.exp(600.0))
     with pytest.raises(NonFiniteRHSError):
         rhs(prof, graph, lam=1.0)
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("g", [ZeroG(), MonomialG(5.0)], ids=["zero", "monomial"])
+def test_rhs_rejects_non_finite_stage_input(n, bad, g):
+    # RK stage graphs skip RadialGraph's finiteness scan; rhs must still fail loudly
+    grid = SphericalGrid.circle(64) if n == 1 else SphericalGrid.sphere(16, 32)
+    phi = np.zeros(grid.shape)
+    phi.flat[5] = bad
+    prof = SpeedProfile(n=n, k=1, alpha=1.0, beta=4.0, g=g)
+    with pytest.raises((NonFiniteRHSError, SingularMetricError, ValueError)):
+        rhs(prof, RadialGraph._unchecked(grid, phi), lam=1.0)
 
 
 def test_cone_gate_trips_on_dumbbell():
@@ -278,6 +299,174 @@ def test_zonality_is_preserved_by_steps():
     for _ in range(5):
         state = step(state, StepControl(t_end=10.0))
     assert is_zonal(state.graph)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity guard: the engine's stages against a plain transcription of the
+# stage arithmetic, which builds everything the stages once built
+
+
+def _ref_d1(P, h):
+    return (P[:-4] - 8.0 * P[1:-3] + 8.0 * P[3:-1] - P[4:]) / (12.0 * h)
+
+
+def _ref_d2(P, h):
+    return (-P[:-4] + 16.0 * P[1:-3] - 30.0 * P[2:-2] + 16.0 * P[3:-1] - P[4:]) / (12.0 * h * h)
+
+
+def _ref_pad_periodic(F):
+    return np.concatenate((F[-2:], F, F[:2]))
+
+
+def _ref_pad_lat(F, n_lon):
+    half = n_lon // 2
+    P = np.empty((F.shape[0] + 4, n_lon))
+    P[2:-2] = F
+    P[1] = np.roll(F[0], half)
+    P[0] = np.roll(F[1], half)
+    P[-2] = np.roll(F[-1], half)
+    P[-1] = np.roll(F[-2], half)
+    return P
+
+
+def _ref_weingarten(graph):
+    """(r, rho, kappa, sigma) with the packed gradient and Hessian and every
+    product formed where the formula names it."""
+    grid, phi = graph.grid, graph.phi
+    r = np.exp(phi)
+    if grid.n == 1:
+        P = _ref_pad_periodic(phi)
+        phi_d, phi_dd = _ref_d1(P, grid.h_theta), _ref_d2(P, grid.h_theta)
+        rho2 = 1.0 + phi_d * phi_d
+        rho = np.sqrt(rho2)
+        kappa = (1.0 + phi_d * phi_d - phi_dd) / (r * rho * rho2)
+        return r, rho, kappa[:, None].copy(), kappa[:, None].copy()
+    t = grid.theta
+    sin_t, cos_t = np.sin(t)[:, None], np.cos(t)[:, None]
+    ht, hp = grid.h_theta, grid.h_phi
+    P = _ref_pad_lat(phi, grid.n_lon)
+    Q = _ref_pad_periodic(phi.T)
+    F_t, F_tt = _ref_d1(P, ht), _ref_d2(P, ht)
+    F_p, F_pp = _ref_d1(Q, hp).T, _ref_d2(Q, hp).T
+    F_tp = _ref_d1(_ref_pad_lat(F_p, grid.n_lon), ht)
+    grad = np.stack([F_t, F_p], axis=-1)
+    hess = np.empty(grid.shape + (2, 2))
+    hess[..., 0, 0] = F_tt
+    hess[..., 0, 1] = hess[..., 1, 0] = F_tp - (cos_t / sin_t) * F_p
+    hess[..., 1, 1] = F_pp + sin_t * cos_t * F_t
+    p_t, p_p = grad[..., 0], grad[..., 1]
+    rho = np.sqrt(1.0 + (p_t * p_t + (p_p / sin_t) ** 2))
+    r2 = r * r
+    G11 = r2 * (1.0 + p_t * p_t)
+    G12 = r2 * (p_t * p_p)
+    G22 = r2 * (sin_t * sin_t + p_p * p_p)
+    c = r / rho
+    B11 = c * (1.0 + p_t * p_t - hess[..., 0, 0])
+    B12 = c * (p_t * p_p - hess[..., 0, 1])
+    B22 = c * (sin_t * sin_t + p_p * p_p - hess[..., 1, 1])
+    L11 = np.sqrt(G11)
+    L21 = G12 / L11
+    L22 = np.sqrt(G22 - L21 * L21)
+    Y11 = B11 / L11
+    Y12 = B12 / L11
+    Y21 = (B12 - L21 * Y11) / L22
+    Y22 = (B22 - L21 * Y12) / L22
+    S11 = Y11 / L11
+    S12 = (Y12 - L21 * (Y11 / L11)) / L22
+    S21 = Y21 / L11
+    S22 = (Y22 - L21 * (Y21 / L11)) / L22
+    S12 = 0.5 * (S12 + S21)
+    mean = 0.5 * (S11 + S22)
+    disc = np.sqrt((0.5 * (S11 - S22)) ** 2 + S12 * S12)
+    kappa = np.stack([mean + disc, mean - disc], axis=-1)
+    sigma = np.stack([S11 + S22, S11 * S22 - S12 * S12], axis=-1)
+    return r, rho, kappa, sigma
+
+
+def _ref_stage(profile, graph, lam):
+    """(d phi/d tau, A, r, rho, kappa, sigma), eval_scaled called whatever g is."""
+    k, alpha = profile.k, profile.alpha
+    r, rho, kappa, sigma = _ref_weingarten(graph)
+    assert (k == 1 and alpha == 1.0) or sigma[..., :k].min() > CONE_EPS
+    A = np.exp((profile.beta - 1.0) * graph.phi) * rho + (rho / r) * eval_scaled(profile, lam, r)
+    power = sigma[..., k - 1] if alpha == 1.0 else np.power(sigma[..., k - 1], alpha)
+    return -A * power + profile.gamma, A, r, rho, kappa, sigma
+
+
+def _ref_step(state, control):
+    """(phi, dt) of one RK4 step with a validated RadialGraph per stage."""
+    profile, grid = state.profile, state.graph.grid
+    k, alpha, gamma = profile.k, profile.alpha, profile.gamma
+
+    def stage(phi, tau):
+        return _ref_stage(profile, RadialGraph(grid, phi), math.exp(gamma * tau))
+
+    tau0, phi0 = state.tau, state.graph.phi
+    k1, A, r, rho, kappa, sigma = stage(phi0, tau0)
+    D = A * sigma_k_partials(kappa, k).max(axis=-1) / (r * rho)
+    if alpha != 1.0:
+        D = alpha * np.power(sigma[..., k - 1], alpha - 1.0) * D
+    if grid.n == 1 or float(np.ptp(phi0, axis=1).max()) == 0.0:
+        bound = float(grid.h_theta**2 / D.max())
+    else:
+        sin2 = np.sin(grid.theta)[:, None] ** 2
+        bound = float((np.minimum(grid.h_theta**2, grid.h_phi**2 * sin2) / D).min())
+    dt = min(control.dt_max, control.cfl * bound)
+    half = tau0 + 0.5 * dt
+    k2 = stage(phi0 + (0.5 * dt) * k1, half)[0]
+    k3 = stage(phi0 + (0.5 * dt) * k2, half)[0]
+    k4 = stage(phi0 + dt * k3, tau0 + dt)[0]
+    return phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt
+
+
+def _curve(N, amp):
+    grid = SphericalGrid.circle(N)
+    return RadialGraph(grid, np.log(1.0 + amp * np.cos(2.0 * grid.theta)))
+
+
+def _surface(n_lat, n_lon, zonal):
+    grid = SphericalGrid.sphere(n_lat, n_lon)
+    t = grid.theta[:, None]
+    phi = np.broadcast_to(np.log(1.0375 + 0.1125 * np.cos(2.0 * t)), grid.shape).copy()
+    if not zonal:
+        phi = phi + 1e-3 * np.sin(t) ** 2 * np.cos(2.0 * grid.phi_lon)[None, :]
+    return RadialGraph(grid, phi)
+
+
+# one case per branch the stages specialize: g = 0 (no eval_scaled), the cone
+# gate off and on, alpha = 1 and not, n = 1 and 2, zonal and pole-bound dt
+LEAN_STAGE_CASES = {
+    "n1-zero-k1a1": (SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0), _curve(256, 0.3)),
+    "n1-alpha2-gate": (SpeedProfile(n=1, k=1, alpha=2.0, beta=3.5), _curve(128, 0.1)),
+    "n1-monomial": (SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=MonomialG(5.0)), _curve(128, 0.2)),
+    "n2-k2-expflat-zonal": (
+        SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0)),
+        _surface(32, 64, zonal=True),
+    ),
+    "n2-bump-nonzonal": (
+        SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0, g=BumpG(epsilon=0.5, p=1.0)),
+        _surface(16, 32, zonal=False),
+    ),
+    "n2-k1-alpha2": (SpeedProfile(n=2, k=1, alpha=2.0, beta=3.5), _surface(16, 32, zonal=False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAN_STAGE_CASES))
+def test_step_matches_reference_stages_bitwise(case):
+    profile, graph = LEAN_STAGE_CASES[case]
+    state = initial_state(profile, graph, validate_regime=False)
+    control = StepControl(t_end=10.0)
+    for _ in range(4):
+        # the stage values themselves: with a small dt, a last-bit change in
+        # a stage can vanish in phi + dt * k
+        out, field, A = rhs(profile, state.graph, state.lam, state.tau)
+        got = (out, A, field.r, field.rho, field.kappa, field.sigma)
+        for value, ref in zip(got, _ref_stage(profile, state.graph, state.lam)):
+            assert np.array_equal(value, ref)
+        ref_phi, ref_dt = _ref_step(state, control)
+        state = step(state, control)
+        assert state.last_dt == ref_dt
+        assert np.array_equal(state.graph.phi, ref_phi)
 
 
 # ---------------------------------------------------------------------------

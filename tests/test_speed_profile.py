@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicHermiteSpline
 
 from anisoflow.speed_profile import (
     EXP_FLUSH,
@@ -265,6 +266,22 @@ def test_scaled_tabulated_lam_cap():
     eval_scaled(prof, 1e99, 1.0)  # under the cap: fine (g == 0 everywhere)
     with pytest.raises(ScaleOverflowError):
         eval_scaled(prof, 1e101, 1.0)
+
+
+def test_scaled_tabulated_matches_reference_bitwise():
+    # reference: evaluate both splines and drop the derivative, then rescale
+    base = profile_k1(4.0, ExpFlatG(1.0))
+    pts = np.linspace(0.05, 3.0, 400)
+    vals, ders = eval_g(base, pts)
+    prof = profile_k1(4.0, TabulatedG(pts, vals, ders))
+    spline = CubicHermiteSpline(pts, vals, ders)
+    dspline = spline.derivative()
+    r = np.random.default_rng(5).uniform(0.5, 2.9, (32, 64))
+    for lam in (1.0, 1.7, 9.5):
+        val, _ = spline(r / lam), dspline(r / lam)
+        ref = np.where(val == 0.0, 0.0, lam**prof.beta * val)
+        assert np.array_equal(eval_scaled(prof, lam, r), ref)
+    assert np.array_equal(eval_g(prof, r)[1], dspline(r))
 
 
 def test_scaled_rejects_bad_inputs():

@@ -13,7 +13,6 @@ from anisoflow.sphere_geometry import (
     _chol_shape_operator,
     _d1,
     _d2,
-    _pad_lat,
     _pad_periodic,
     covariant_derivatives,
     embedding_oracle,
@@ -263,16 +262,29 @@ def _d2_roll(f, h, axis=-1):
     ) / (12.0 * h * h)
 
 
+def _pad_lat_roll(F, n_lon):
+    """Reference pole padding: the ghost rows written one by one with np.roll."""
+    half = n_lon // 2
+    P = np.empty((F.shape[0] + 4, n_lon), dtype=float)
+    P[2:-2] = F
+    P[1] = np.roll(F[0], half)
+    P[0] = np.roll(F[1], half)
+    P[-2] = np.roll(F[-1], half)
+    P[-1] = np.roll(F[-2], half)
+    return P
+
+
 def roll_covariant_derivatives(graph):
-    """Reference: covariant_derivatives with np.roll stencils in the periodic directions."""
+    """Reference: covariant_derivatives with np.roll stencils in the periodic directions
+    and np.roll pole padding."""
     grid, phi = graph.grid, graph.phi
     if grid.n == 1:
         return _d1_roll(phi, grid.h_theta), _d2_roll(phi, grid.h_theta)
     ht, hp = grid.h_theta, grid.h_phi
-    P = _pad_lat(phi, grid.n_lon)
+    P = _pad_lat_roll(phi, grid.n_lon)
     F_t, F_tt = _d1(P, ht), _d2(P, ht)
     F_p, F_pp = _d1_roll(phi, hp, axis=1), _d2_roll(phi, hp, axis=1)
-    F_tp = _d1(_pad_lat(F_p, grid.n_lon), ht)
+    F_tp = _d1(_pad_lat_roll(F_p, grid.n_lon), ht)
     sin_t, cos_t = np.sin(grid.theta)[:, None], np.cos(grid.theta)[:, None]
     H_tp = F_tp - (cos_t / sin_t) * F_p
     H_pp = F_pp + sin_t * cos_t * F_t
@@ -281,7 +293,9 @@ def roll_covariant_derivatives(graph):
 
 
 @pytest.mark.parametrize(
-    "grid", [SphericalGrid.circle(256), SphericalGrid.sphere(32, 64)], ids=["n1", "n2"]
+    "grid",
+    [SphericalGrid.circle(256), SphericalGrid.sphere(32, 64), SphericalGrid.sphere(17, 18)],
+    ids=["n1", "n2", "n2-odd-lat"],
 )
 def test_pad_stencils_match_roll_reference_bitwise(grid):
     rng = np.random.default_rng(11)
@@ -289,6 +303,20 @@ def test_pad_stencils_match_roll_reference_bitwise(grid):
     for got, ref in zip(covariant_derivatives(graph), roll_covariant_derivatives(graph)):
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
+
+
+def test_grid_tables_are_cached_read_only_and_outside_equality():
+    a, b = SphericalGrid.sphere(32, 64), SphericalGrid.sphere(32, 64)
+    tables = (a.sin_theta, a.cos_theta, a.lat_pad_index)
+    assert a.sin_theta is tables[0] and a.lat_pad_index is tables[2]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
+    assert np.array_equal(a.sin_theta, np.sin(a.theta)[:, None])
+    assert np.array_equal(a.cos_theta, np.cos(a.theta)[:, None])
+    assert a == b and hash(a) == hash(b)
+    assert "sin_theta" not in vars(b)
+    assert a != SphericalGrid.sphere(32, 66)
 
 
 def test_hessian_of_radius_identity():
