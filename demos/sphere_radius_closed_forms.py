@@ -18,13 +18,14 @@ import numpy as np
 from anisoflow.diagnostics import (
     closed_form_r1,
     closed_form_r2,
-    pde_vs_ode_check,
     r1_comparison_rhs,
     rk4_scalar_step,
     sphere_ode_at,
 )
+from anisoflow.flow_engine import StepControl
 from anisoflow.speed_profile import MonomialG, SpeedProfile, ZeroG
 from anisoflow.sphere_geometry import SphericalGrid
+from anisoflow.verify import pde_vs_ode_check
 
 prof = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0)
 r0 = 2.0
@@ -53,7 +54,7 @@ print("full PDE (N = 256 circle) against the radius ODE:")
 grid = SphericalGrid.circle(256)
 for g, label in ((ZeroG(), "g == 0"), (MonomialG(4.0), "g = r^4")):
     p = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0, g=g)
-    dev, nonuni = pde_vs_ode_check(p, r0, math.log(2.0), grid, record_every=50)
+    dev, nonuni = pde_vs_ode_check(p, r0, grid, StepControl(t_end=math.log(2.0), record_every=50))
     print(f"  {label:>7}: max relative deviation {dev:.2e}, spatial non-uniformity {nonuni:.2e}")
 
 print()

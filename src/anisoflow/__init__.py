@@ -13,13 +13,13 @@ from .diagnostics import (
     closed_form_r2,
     fit_exponential,
     integrate_sphere_ode,
-    pde_vs_ode_check,
     sphere_ode_at,
     sphere_ode_rhs,
 )
 from .flow_engine import (
     AdmissibilityError,
     ConeViolationError,
+    DegenerateMetricError,
     FlowError,
     FlowState,
     NonFiniteRHSError,
@@ -42,6 +42,7 @@ from .speed_profile import (
     BumpG,
     ExpFlatG,
     MonomialG,
+    NonPositiveRadiusError,
     ProfileReport,
     ScaleOverflowError,
     SpeedProfile,
@@ -69,11 +70,10 @@ from .sphere_geometry import (
 from .symfunc import (
     CONE_EPS,
     cone_margin,
-    eigenvalues_sym,
     in_gamma_k_plus,
     sigma_k,
-    sigma_k_of_matrix,
     sigma_k_partials,
 )
+from .verify import pde_vs_ode_check
 
 __version__ = "0.1.0"

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow_engine, verify
-from .diagnostics import closed_form_r2, fit_exponential, pde_vs_ode_check
+from .diagnostics import closed_form_r2, fit_exponential
 from .speed_profile import (
     G_KINDS,
-    ScaleOverflowError,
     SpeedProfile,
     TabulatedG,
     ZeroG,
@@ -74,11 +73,14 @@ _G_PARAMS = {
     for f in dataclasses.fields(cls)
 }
 
+# [control] is StepControl's fields (their types and defaults too) plus override
+_CONTROL_FIELDS = dataclasses.fields(flow_engine.StepControl)
+
 _SECTIONS = {
     "profile": {"n", "k", "alpha", "beta", "g.kind", "g.table_path"} | _G_PARAMS,
     "grid": {"n", "N", "n_lat", "n_lon"},
     "initial": {"kind", "r0", "const", "variable", "path"},
-    "control": {"cfl", "dt_max", "t_end", "sphericity_stop", "max_steps", "record_every", "override"},
+    "control": {f.name for f in _CONTROL_FIELDS} | {"override"},
     "output": {"csv_path", "plot_path", "checkpoint_path"},
 }
 
@@ -319,23 +321,14 @@ def parse_config(text):
     errors = []
     data = _tokenize(text, errors)
     override = _take(data, "control", "override", _bool, errors, default=False)
-    cfl = _take(data, "control", "cfl", float, errors, default=0.2)
-    dt_max = _take(data, "control", "dt_max", float, errors, default=1.0)
-    t_end = _take(data, "control", "t_end", float, errors)
-    sphericity_stop = _take(data, "control", "sphericity_stop", float, errors, default=0.0)
-    max_steps = _take(data, "control", "max_steps", int, errors, default=10_000_000)
-    record_every = _take(data, "control", "record_every", int, errors, default=10)
+    controls = {}
+    for f in _CONTROL_FIELDS:
+        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+        controls[f.name] = _take(data, "control", f.name, f.type, errors, default)
     control = None
-    if t_end is not None:
+    if None not in controls.values():
         try:
-            control = flow_engine.StepControl(
-                t_end=t_end,
-                cfl=cfl,
-                dt_max=dt_max,
-                sphericity_stop=sphericity_stop,
-                max_steps=max_steps,
-                record_every=record_every,
-            )
+            control = flow_engine.StepControl(**controls)
         except ValueError as exc:
             errors.append(f"[control] {exc}")
 
@@ -401,17 +394,11 @@ def format_config(cfg):
             lines.append(f"sin_{m} = {_fmt(c)}")
     else:
         lines.append(f"path = {init.path}")
-    c = cfg.control
-    lines += [
-        "[control]",
-        f"t_end = {_fmt(c.t_end)}",
-        f"cfl = {_fmt(c.cfl)}",
-        f"dt_max = {_fmt(c.dt_max)}",
-        f"sphericity_stop = {_fmt(c.sphericity_stop)}",
-        f"max_steps = {c.max_steps}",
-        f"record_every = {c.record_every}",
-        f"override = {'true' if cfg.override else 'false'}",
-    ]
+    lines.append("[control]")
+    for f in _CONTROL_FIELDS:  # ints as plain digits: _fmt(10**17) is '1e+17', which int() rejects
+        value = getattr(cfg.control, f.name)
+        lines.append(f"{f.name} = {_fmt(value) if f.type is float else value}")
+    lines.append(f"override = {'true' if cfg.override else 'false'}")
     lines.append("[output]")
     if cfg.csv_path is not None:
         lines.append(f"csv_path = {cfg.csv_path}")
@@ -531,10 +518,7 @@ def cmd_run(config_path):
     state = flow_engine.initial_state(cfg.profile, graph, validate_regime=False)
     try:
         result = flow_engine.run(state, cfg.control)
-    except flow_engine.ConeViolationError as err:
-        print(f"run failed: {err} [node {err.node}]", file=sys.stderr)
-        return 2
-    except (flow_engine.FlowError, ScaleOverflowError) as err:
+    except flow_engine.FlowError as err:
         print(f"run failed: {err}", file=sys.stderr)
         return 2
     result.series.to_csv(cfg.csv_path)
@@ -590,16 +574,8 @@ def cmd_ode_compare(config_path):
         print("config error: ode-compare needs [initial] kind = sphere", file=sys.stderr)
         return 1
     try:
-        deviation, nonuniformity = pde_vs_ode_check(
-            cfg.profile,
-            cfg.initial.r0,
-            cfg.control.t_end,
-            cfg.grid,
-            cfl=cfg.control.cfl,
-            dt_max=cfg.control.dt_max,
-            record_every=cfg.control.record_every,
-        )
-    except (flow_engine.FlowError, ScaleOverflowError) as err:
+        deviation, nonuniformity = verify.pde_vs_ode_check(cfg.profile, cfg.initial.r0, cfg.grid, cfg.control)
+    except flow_engine.FlowError as err:
         print(f"ode-compare failed: {err}", file=sys.stderr)
         return 2
     print(f"max_relative_deviation={deviation:.4e} max_spatial_oscillation={nonuniformity:.4e}")

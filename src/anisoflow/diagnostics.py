@@ -9,8 +9,8 @@ with lam = exp(gamma*tau).  For beta > 1 + k*alpha and g == 0 this has the
 closed form ``closed_form_r2``; bounding the g term by C*lam^(q) r^(beta-ka)
 with q = beta - floor(beta) - 1 gives the comparison solution
 ``closed_form_r1`` (a Bernoulli equation, solved exactly here).  Both tend to
-1, sandwiching the true radius.  ``pde_vs_ode_check`` closes the loop against
-the full PDE engine on sphere data.
+1, sandwiching the true radius.  ``verify.pde_vs_ode_check`` closes the loop
+against the full PDE engine on sphere data.
 """
 
 import math
@@ -228,26 +228,3 @@ def r1_comparison_rhs(profile, C_bound, r, t):
     q = profile.beta - math.floor(profile.beta) - 1.0
     lam_q = math.exp(q * gamma * t)
     return -(gamma + C_bound * lam_q) * r ** (profile.beta - profile.ka) + gamma * r
-
-
-def pde_vs_ode_check(profile, r0, t_end, grid, cfl=0.2, dt_max=1.0, record_every=10, ode_dt=1e-3):
-    """Integrate the PDE from sphere data and compare its radius trajectory
-    with the RK4-integrated sphere ODE at every record.
-
-    Returns (max relative radius deviation, max spatial oscillation).
-    """
-    from . import flow_engine  # deferred: flow_engine imports this module
-
-    from .sphere_geometry import sphere_graph
-
-    state = flow_engine.initial_state(profile, sphere_graph(grid, r0))
-    control = flow_engine.StepControl(
-        t_end=t_end, cfl=cfl, dt_max=dt_max, record_every=record_every
-    )
-    result = flow_engine.run(state, control)
-    taus = result.series.column("tau")
-    r_pde = result.series.column("r_max")
-    r_ode = sphere_ode_at(profile, r0, taus, max_dt=ode_dt)
-    deviation = float(np.max(np.abs(r_pde - r_ode) / r_ode))
-    nonuniformity = float(result.series.column("osc").max())
-    return deviation, nonuniformity

@@ -24,6 +24,8 @@ import numpy as np
 from .diagnostics import DiagnosticsSeries
 from .speed_profile import (
     G_KINDS,
+    NonPositiveRadiusError,
+    ScaleOverflowError,
     SpeedProfile,
     TableRangeError,
     TabulatedG,
@@ -32,6 +34,7 @@ from .speed_profile import (
 )
 from .sphere_geometry import (
     RadialGraph,
+    SingularMetricError,
     _fmt,
     graph_from_text,
     graph_to_text,
@@ -75,7 +78,12 @@ class StepTooSmallError(FlowError):
 
 
 class SpeedRangeError(FlowError):
-    """The radii left the range on which the speed's g is given (a tabulated g's table)."""
+    """The speed's g term could not be evaluated: a radius <= 0, radii outside a
+    tabulated g's table, or a rescaled value beyond the floating-point range."""
+
+
+class DegenerateMetricError(FlowError):
+    """The graph's metric lost positive definiteness, e.g. where a radius reached 0."""
 
 
 class AdmissibilityError(ValueError):
@@ -84,14 +92,18 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class FlowState:
-    """One instant of the normalized flow.  lam == exp(gamma*tau) always."""
+    """One instant of the normalized flow."""
 
     tau: float
     graph: RadialGraph
-    lam: float
     step_count: int
     last_dt: float
     profile: SpeedProfile
+
+    @property
+    def lam(self):
+        """The normalization factor exp(gamma*tau)."""
+        return lambda_of_tau(self.profile, self.tau)
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,7 @@ def t_of_tau(profile, tau):
 
 
 def lambda_of_tau(profile, tau):
+    """The normalization factor lam = exp(gamma*tau), the one place it is computed."""
     return math.exp(profile.gamma * tau)
 
 
@@ -173,7 +186,7 @@ def _cone_gate(profile, field, tau):
     margin = field.sigma[..., : profile.k].min()
     if margin <= CONE_EPS:
         node_margin = field.sigma[..., : profile.k].min(axis=-1)
-        node = np.unravel_index(int(np.argmin(node_margin)), node_margin.shape)
+        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(node_margin)), node_margin.shape))
         node = node[0] if len(node) == 1 else node
         raise ConeViolationError(node=node, margin=float(margin), tau=tau)
 
@@ -237,35 +250,20 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
 def step(state, control, dt_cap=math.inf):
     """One explicit RK4 step; dt = min(dt_max, cfl * stability bound, dt_cap)."""
     profile, grid = state.profile, state.graph.grid
-    gamma = profile.gamma
     tau0, phi0 = state.tau, state.graph.phi
     zonal = is_zonal(state.graph)
-
-    def stage(graph, tau_stage):
-        try:
-            return rhs(profile, graph, math.exp(gamma * tau_stage), tau_stage)
-        except FlowError as err:
-            if err.tau is None:
-                err.tau = tau_stage
-            raise
-
-    k1, field0, A0 = stage(state.graph, tau0)
+    k1, field0, A0 = rhs(profile, state.graph, state.lam, tau0)
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field0, A0, zonal), dt_cap)
     if dt < _MIN_DT:
         raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
-    half = tau0 + 0.5 * dt
-    k2, _, _ = stage(RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k1), half)
-    k3, _, _ = stage(RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k2), half)
-    k4, _, _ = stage(RadialGraph._unchecked(grid, phi0 + dt * k3), tau0 + dt)
+    half, tau1 = tau0 + 0.5 * dt, tau0 + dt
+    lam_half = lambda_of_tau(profile, half)
+    k2, _, _ = rhs(profile, RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k1), lam_half, half)
+    k3, _, _ = rhs(profile, RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k2), lam_half, half)
+    k4, _, _ = rhs(profile, RadialGraph._unchecked(grid, phi0 + dt * k3), lambda_of_tau(profile, tau1), tau1)
     phi1 = phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    tau1 = tau0 + dt
     return FlowState(
-        tau=tau1,
-        graph=RadialGraph(grid, phi1),
-        lam=math.exp(gamma * tau1),
-        step_count=state.step_count + 1,
-        last_dt=dt,
-        profile=profile,
+        tau=tau1, graph=RadialGraph(grid, phi1), step_count=state.step_count + 1, last_dt=dt, profile=profile
     )
 
 
@@ -285,9 +283,7 @@ def initial_state(profile, graph, validate_regime=True):
                 f"profile fails its regime validator: condition {report.condition!r}, "
                 f"worst violation {report.worst_violation:.3e} at r={report.location:.6g}"
             )
-    return FlowState(
-        tau=0.0, graph=graph, lam=1.0, step_count=0, last_dt=0.0, profile=profile
-    )
+    return FlowState(tau=0.0, graph=graph, step_count=0, last_dt=0.0, profile=profile)
 
 
 def diagnostics_row(state):
@@ -320,7 +316,10 @@ def diagnostics_row(state):
 
 def run(state, control):
     """Advance until t_end, sphericity_stop, or max_steps (checked in that
-    order), recording diagnostics every record_every steps plus the final state."""
+    order), recording diagnostics every record_every steps plus the final state.
+
+    Every failure ends as a FlowError that carries its tau.
+    """
     series = DiagnosticsSeries()
     last_recorded = -1
     try:
@@ -339,17 +338,14 @@ def run(state, control):
             if state.step_count >= control.max_steps:
                 reason = "max_steps"
                 break
-            try:
-                state = step(state, control, dt_cap=control.t_end - state.tau)
-            except FlowError as err:
-                if err.tau is None:
-                    err.tau = state.tau
-                raise
+            state = step(state, control, dt_cap=control.t_end - state.tau)
         if state.step_count != last_recorded:
             series.append(**diagnostics_row(state))
-    except TableRangeError as err:
+    except (NonPositiveRadiusError, TableRangeError, ScaleOverflowError) as err:
         # from a record or a step that starts at state.tau
         raise SpeedRangeError(str(err), state.tau) from err
+    except SingularMetricError as err:
+        raise DegenerateMetricError(str(err), state.tau) from err
     return RunResult(state=state, series=series, reason=reason)
 
 
@@ -442,7 +438,7 @@ def _state_from_lines(lines):
     graph = graph_from_text("\n".join(lines[idx + 1 :]))
     tau = float(st["tau"])
     lam = float(st["lambda"])
-    expected = math.exp(profile.gamma * tau)
+    expected = lambda_of_tau(profile, tau)
     if lam != expected:
         raise ValueError(
             f"checkpoint lambda {lam!r} inconsistent with exp(gamma*tau) = {expected!r}"
@@ -450,7 +446,6 @@ def _state_from_lines(lines):
     state = FlowState(
         tau=tau,
         graph=graph,
-        lam=lam,
         step_count=int(st["step_count"]),
         last_dt=float(st["last_dt"]),
         profile=profile,

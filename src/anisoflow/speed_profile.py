@@ -41,6 +41,10 @@ class TableRangeError(ValueError):
     """A tabulated g was queried outside its table."""
 
 
+class NonPositiveRadiusError(ValueError):
+    """The rescaled speed was asked for at a radius <= 0."""
+
+
 @dataclass(frozen=True)
 class ZeroG:
     """g identically zero (pure r^beta speed)."""
@@ -269,7 +273,7 @@ def eval_scaled(profile, lam, r):
         raise ValueError(f"rescaling factor must be >= 1, got {lam}")
     r = np.asarray(r, dtype=float)
     if (r <= 0).any():
-        raise ValueError("rescaled speed needs r > 0")
+        raise NonPositiveRadiusError("rescaled speed needs r > 0")
     g = profile.g
     beta = profile.beta
 

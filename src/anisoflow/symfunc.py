@@ -11,9 +11,6 @@ import numpy as np
 #: strict cone membership is tested as margin > CONE_EPS
 CONE_EPS = 1e-10
 
-#: relative asymmetry tolerance for matrix input
-SYM_TOL = 1e-10
-
 
 def _check_nk(n, k):
     if n not in (1, 2, 3):
@@ -88,67 +85,3 @@ def in_gamma_k_plus(kappa, k, cone_eps=CONE_EPS):
     """
     margin = cone_margin(kappa, k)
     return margin > cone_eps, margin
-
-
-def check_symmetric(W, tol=SYM_TOL):
-    """Raise ValueError if W (..., n, n) is asymmetric beyond a relative tolerance."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim < 2 or W.shape[-1] != W.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {W.shape}")
-    asym = np.max(np.abs(W - np.swapaxes(W, -1, -2)))
-    scale = max(1.0, float(np.max(np.abs(W))) if W.size else 1.0)
-    if asym > tol * scale:
-        raise ValueError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.1e} * {scale:.3e}"
-        )
-    return W
-
-
-def eigenvalues_sym(W):
-    """Eigenvalues of symmetric matrices (..., n, n), n <= 3, descending order.
-
-    n <= 2 uses closed forms; n = 3 falls back to numpy's symmetric solver.
-    """
-    W = np.asarray(W, dtype=float)
-    n = W.shape[-1]
-    if n == 1:
-        return W[..., 0, 0][..., None].copy()
-    if n == 2:
-        a, b, d = W[..., 0, 0], W[..., 0, 1], W[..., 1, 1]
-        mean = 0.5 * (a + d)
-        disc = np.sqrt((0.5 * (a - d)) ** 2 + b * b)
-        return np.stack([mean + disc, mean - disc], axis=-1)
-    if n == 3:
-        return np.linalg.eigvalsh(W)[..., ::-1].copy()
-    raise ValueError(f"only n <= 3 is supported, got n={n}")
-
-
-def sigma_k_of_matrix(W, k, tol=SYM_TOL):
-    """sigma_k of the eigenvalues of a symmetric matrix field.
-
-    Parameters
-    ----------
-    W : array_like, shape (..., n, n), symmetric within ``tol`` (relative)
-    k : int
-
-    Returns
-    -------
-    value : ndarray (...) -- sigma_k of the spectrum, via trace/determinant
-        combinations so no eigendecomposition error enters
-    eigs : ndarray (..., n) -- eigenvalues, descending
-    """
-    W = check_symmetric(W, tol)
-    n = W.shape[-1]
-    _check_nk(n, k)
-    eigs = eigenvalues_sym(W)
-    if k == 1:
-        value = np.trace(W, axis1=-2, axis2=-1)
-    elif n == 2:
-        value = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
-    elif k == 3:
-        value = np.linalg.det(W)
-    else:  # n == 3, k == 2
-        tr = np.trace(W, axis1=-2, axis2=-1)
-        tr2 = np.trace(W @ W, axis1=-2, axis2=-1)
-        value = 0.5 * (tr * tr - tr2)
-    return value, eigs

@@ -1,5 +1,6 @@
 """Property suites: algebraic identities, curvature-oracle agreement,
-profile-validator matrix, and sphere-ODE closed-form cross-checks.
+profile-validator matrix, and sphere-ODE closed-form cross-checks, plus the
+full PDE engine against the sphere ODE (``pde_vs_ode_check``).
 
 Each suite returns a SuiteResult and is safe to run repeatedly (fixed seeds,
 no state).  The CLI's ``verify`` subcommand prints one line per suite; the
@@ -7,13 +8,14 @@ test suite asserts on the same results.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 import anisoflow.symfunc as sf
 
 from .diagnostics import closed_form_r1, closed_form_r2, r1_comparison_rhs, rk4_scalar_step, sphere_ode_at, sphere_ode_rhs
+from .flow_engine import initial_state, run
 from .speed_profile import (
     BumpG,
     ExpFlatG,
@@ -23,7 +25,7 @@ from .speed_profile import (
     validate_theorem1,
     validate_theorem2,
 )
-from .sphere_geometry import RadialGraph, SphericalGrid, embedding_oracle, weingarten
+from .sphere_geometry import RadialGraph, SphericalGrid, embedding_oracle, sphere_graph, weingarten
 
 IDENTITY_TOL = 1e-10
 
@@ -34,25 +36,6 @@ class SuiteResult:
     ok: bool
     worst: float
     details: str
-
-
-SUITE_NAMES = ("symfunc", "oracle", "profiles", "sphere-ode")
-
-
-def run_suite(name):
-    if name == "symfunc":
-        return identity_suite()
-    if name == "oracle":
-        return oracle_suite()
-    if name == "profiles":
-        return profile_suite()
-    if name == "sphere-ode":
-        return sphere_ode_suite()
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-
-
-def run_all():
-    return [run_suite(name) for name in SUITE_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +388,44 @@ def sphere_ode_suite():
 
     worst_all = max(worst, rk_worst, lim_worst, sandwich_worst)
     return SuiteResult("sphere-ode", ok, worst_all, "; ".join(notes))
+
+
+def pde_vs_ode_check(profile, r0, grid, control, ode_dt=1e-3):
+    """Integrate the PDE from sphere data under ``control`` and compare its
+    radius trajectory with the RK4-integrated sphere ODE at every record.
+
+    Sphere data starts round, so a sphericity stop would end the run at
+    tau = 0; it is ignored and the run goes to t_end (or max_steps).
+
+    Returns (max relative radius deviation, max spatial oscillation).
+    """
+    state = initial_state(profile, sphere_graph(grid, r0))
+    result = run(state, replace(control, sphericity_stop=0.0))
+    taus = result.series.column("tau")
+    r_pde = result.series.column("r_max")
+    r_ode = sphere_ode_at(profile, r0, taus, max_dt=ode_dt)
+    deviation = float(np.max(np.abs(r_pde - r_ode) / r_ode))
+    nonuniformity = float(result.series.column("osc").max())
+    return deviation, nonuniformity
+
+
+# ---------------------------------------------------------------------------
+# suite registry
+
+SUITES = {
+    "symfunc": identity_suite,
+    "oracle": oracle_suite,
+    "profiles": profile_suite,
+    "sphere-ode": sphere_ode_suite,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
+def run_suite(name):
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return SUITES[name]()
+
+
+def run_all():
+    return [run_suite(name) for name in SUITE_NAMES]

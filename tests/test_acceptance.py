@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from anisoflow.diagnostics import fit_exponential, pde_vs_ode_check
+from anisoflow.diagnostics import fit_exponential
 from anisoflow.flow_engine import StepControl, initial_state, is_zonal, rhs, run
 from anisoflow.speed_profile import ExpFlatG, MonomialG, SpeedProfile
 from anisoflow.sphere_geometry import (
@@ -28,6 +28,7 @@ from anisoflow.sphere_geometry import (
     sphere_graph,
     weingarten,
 )
+from anisoflow.verify import pde_vs_ode_check
 from anisoflow.symfunc import CONE_EPS
 from anisoflow.verify import (
     aggregate_slope,
@@ -113,7 +114,7 @@ def test_ac2_sphere_matches_closed_form_and_ode():
     ok_closed = rel <= 1e-4 and nonuni <= 1e-8
 
     prof_g = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0, g=MonomialG(4.0))
-    dev, osc = pde_vs_ode_check(prof_g, 2.0, math.log(2.0), grid, record_every=50)
+    dev, osc = pde_vs_ode_check(prof_g, 2.0, grid, StepControl(t_end=math.log(2.0), record_every=50))
     ok_ode = dev <= 1e-4 and osc <= 1e-8
 
     line = _report(

@@ -1,9 +1,12 @@
-"""The names the benchmark's tracer and step clock wrap must exist in the package.
+"""The names the benchmark's tracer and step clock wrap must exist in the package,
+and a run must reach them through those names.
 
 perfbench/layers.py times layers by replacing module-level names of anisoflow;
 a renamed name would silently mark its layer absent (or, for diagnostics_row,
-drop the calibrated step clock back to raw wall time).  The layer table is read
-from that file, which is imported and left unmodified.
+drop the calibrated step clock back to raw wall time), and so would a run that
+called a local copy instead of looking the name up.  The layer table, the
+tracer and the step clock are read from that file, which is imported and left
+unmodified.
 """
 
 import importlib
@@ -11,6 +14,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -27,7 +31,10 @@ def load_layers():
     return module
 
 
-@pytest.mark.parametrize("layer", load_layers().LAYERS, ids=lambda layer: layer[0])
+layers = load_layers()
+
+
+@pytest.mark.parametrize("layer", layers.LAYERS, ids=lambda layer: layer[0])
 def test_every_layer_resolves_to_a_callable(layer):
     _, module_name, names = layer
     module = importlib.import_module(f"anisoflow.{module_name}")
@@ -38,3 +45,26 @@ def test_step_clock_hook_exists():
     from anisoflow import flow_engine
 
     assert callable(getattr(flow_engine, "diagnostics_row", None))
+
+
+def run_tiny_curve(hook):
+    """30 steps of a 32-node curve, recorded every 10, with hook active."""
+    from anisoflow import RadialGraph, SpeedProfile, SphericalGrid, StepControl, flow_engine
+
+    grid = SphericalGrid.circle(32)
+    graph = RadialGraph(grid, np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta)))
+    state = flow_engine.initial_state(SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0), graph)
+    with hook:
+        result = flow_engine.run(state, StepControl(t_end=1.0, max_steps=30, record_every=10))
+    assert result.reason == "max_steps"
+    return hook
+
+
+def test_step_clock_cuts_a_run_into_chunks():
+    assert run_tiny_curve(layers.StepClock(chunk_steps=10)).chunks()
+
+
+def test_tracer_counts_rhs_step_and_diagnostics():
+    tracer = run_tiny_curve(layers.Tracer())
+    for layer in ("rhs", "step", "diagnostics"):
+        assert tracer.calls[layer] > 0, layer

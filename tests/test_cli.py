@@ -1,5 +1,6 @@
 """Config parsing, the run/verify/ode-compare subcommands, and their exit codes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from anisoflow.cli import (
 )
 from anisoflow.diagnostics import DiagnosticsSeries
 from anisoflow.flow_engine import StepControl, initial_state, load_checkpoint, save_checkpoint
-from anisoflow.sphere_geometry import SphericalGrid, save_graph, sphere_graph
+from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, save_graph, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
     BumpG,
@@ -146,6 +147,13 @@ def test_monomial_exponent_must_be_integer():
     assert parse_config(monomial.replace("g.l = 4.5", "g.l = 4.0")).profile.g == MonomialG(4)
 
 
+def test_control_keys_are_step_control_fields():
+    assert parse_config(BASIC).control == StepControl(t_end=0.5)  # every other field at its default
+    errs = errors_of(BASIC.replace("t_end = 0.5", "t_end = 0.5\ncfl = banana\nmax_steps = 1e5"))
+    assert any("[control] cfl: bad value 'banana'" in e for e in errs)
+    assert any("[control] max_steps: bad value '1e5'" in e for e in errs)
+
+
 def test_missing_required_keys():
     errs = errors_of(BASIC.replace("t_end = 0.5\n", ""))
     assert any("[control] t_end: required" in e for e in errs)
@@ -230,6 +238,8 @@ def test_file_initial_grid_mismatch(tmp_path):
 def test_format_roundtrip_basic():
     cfg = parse_config(BASIC)
     assert parse_config(format_config(cfg)) == cfg
+    huge = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, max_steps=10**17))
+    assert parse_config(format_config(huge)) == huge
 
 
 def test_format_roundtrip_rich_config(tmp_path):
@@ -377,7 +387,7 @@ def test_run_reports_cone_violation(tmp_path, capsys):
     code = main(["run", write_config(tmp_path, text)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "cone margin" in err and "node" in err
+    assert "cone margin" in err and err.count("node") == 1
 
 
 def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
@@ -397,6 +407,32 @@ def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
     assert err.startswith("run failed: tabulated g queried outside [0.5, 3.0]")
     tau = float(err.split("at tau=")[1].rstrip(")\n"))
     assert 0.5 < tau < math.log(2.0)
+
+
+@pytest.mark.parametrize(
+    "profile, grid_keys, grid",
+    [
+        ("n = 1\nk = 1\nalpha = 1\nbeta = 3\ng.kind = monomial\ng.l = 5", "N = 64", SphericalGrid.circle(64)),
+        ("n = 2\nk = 1\nalpha = 1\nbeta = 2\ng.kind = zero", "n_lat = 16\nn_lon = 32", SphericalGrid.sphere(16, 32)),
+    ],
+    ids=["n1-monomial", "n2"],
+)
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # n=1 kappa divides by r = 0 first
+def test_run_reports_a_radius_underflowing_to_zero(tmp_path, capsys, profile, grid_keys, grid):
+    # exp(-800) == 0.0 at one node: eval_scaled (n=1, monomial g) or the metric (n=2) rejects it
+    phi = np.zeros(grid.shape)
+    phi[(3,) * phi.ndim] = -800.0
+    save_graph(RadialGraph(grid, phi), tmp_path / "init.csv")
+    text = (
+        BASIC.replace("n = 1\nk = 1\nalpha = 1\nbeta = 2\ng.kind = zero", profile)
+        .replace("N = 64", grid_keys)
+        .replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    code = main(["run", write_config(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("run failed: ") and err.endswith("(at tau=0)\n")
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):
@@ -467,6 +503,9 @@ def test_ode_compare_strict_regime(tmp_path, capsys):
     deviation = float(out.split("max_relative_deviation=")[1].split()[0])
     assert deviation < 1e-6
     assert "closed_form_radius_at_t_end=1.33333333" in out
+    # sphere data starts round: a sphericity stop would end the run at once, so it is ignored
+    assert main(["ode-compare", write_config(tmp_path, text + "sphericity_stop = 1e-3\n")]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_ode_compare_requires_sphere(tmp_path, capsys):

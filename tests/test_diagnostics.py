@@ -14,14 +14,15 @@ from anisoflow.diagnostics import (
     closed_form_r2,
     fit_exponential,
     integrate_sphere_ode,
-    pde_vs_ode_check,
     r1_comparison_rhs,
     rk4_scalar_step,
     sphere_ode_at,
     sphere_ode_rhs,
 )
+from anisoflow.flow_engine import StepControl
 from anisoflow.speed_profile import SpeedProfile, ZeroG
 from anisoflow.sphere_geometry import SphericalGrid
+from anisoflow.verify import pde_vs_ode_check
 
 
 def profile_k1(beta):
@@ -276,13 +277,13 @@ def test_closed_form_r1_input_validation():
 
 def test_pde_vs_ode_stationary_sphere():
     prof = profile_k1(2.0)
-    dev, osc = pde_vs_ode_check(prof, 1.3, t_end=0.2, grid=SphericalGrid.circle(32))
+    dev, osc = pde_vs_ode_check(prof, 1.3, SphericalGrid.circle(32), StepControl(t_end=0.2))
     assert dev < 1e-10
     assert osc < 1e-12
 
 
 def test_pde_vs_ode_strict_regime_tracks_closed_form():
     prof = profile_k1(3.0)
-    dev, osc = pde_vs_ode_check(prof, 2.0, t_end=math.log(2.0), grid=SphericalGrid.circle(64))
+    dev, osc = pde_vs_ode_check(prof, 2.0, SphericalGrid.circle(64), StepControl(t_end=math.log(2.0)))
     assert dev < 1e-8
     assert osc < 1e-12

@@ -91,9 +91,7 @@ def test_unnormalize_strict_regime_spot_value():
     # beta = k*alpha + 2 and gamma = 1: tau = log 3 corresponds to t = 2
     prof = profile_k1(3.0)
     graph = sphere_graph(SphericalGrid.circle(32), 1.0)
-    state = FlowState(
-        tau=math.log(3.0), graph=graph, lam=3.0, step_count=5, last_dt=0.1, profile=prof
-    )
+    state = FlowState(tau=math.log(3.0), graph=graph, step_count=5, last_dt=0.1, profile=prof)
     t, phys = unnormalize(state)
     assert_allclose(t, 2.0, rtol=1e-15)
     assert_allclose(phys.r(), 1.0 / 3.0, rtol=1e-15)

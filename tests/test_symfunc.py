@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from anisoflow.sphere_geometry import _eigen_2x2
 from anisoflow.symfunc import (
     cone_margin,
-    eigenvalues_sym,
     in_gamma_k_plus,
     sigma_k,
-    sigma_k_of_matrix,
     sigma_k_partials,
 )
 
@@ -109,38 +108,12 @@ def test_euler_identity_tight():
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def test_sigma_of_matrix_and_eigenvalues():
-    val, eigs = sigma_k_of_matrix(np.eye(2), 2)
-    assert val == 1.0
-    np.testing.assert_array_equal(eigs, [1.0, 1.0])
-    val, _ = sigma_k_of_matrix(np.diag([2.0, 3.0]), 1)
-    assert val == 5.0
-    val, eigs = sigma_k_of_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]), 2)
-    np.testing.assert_allclose(val, 3.0)
-    np.testing.assert_allclose(eigs, [3.0, 1.0])
-
-
-def test_sigma_of_matrix_consistent_with_spectrum():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
+def test_eigenvalues_sorted_descending():
+    # the 2x2 symmetric eigen formula the S^2 curvature route uses
+    rng = np.random.default_rng(31)
+    for _ in range(100):
         A = rng.normal(size=(2, 2))
         W = 0.5 * (A + A.T)
-        for k in (1, 2):
-            val, eigs = sigma_k_of_matrix(W, k)
-            np.testing.assert_allclose(val, brute_sigma(eigs, k), rtol=1e-12, atol=1e-12)
-
-
-def test_sigma_of_matrix_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        sigma_k_of_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
-
-
-def test_eigenvalues_sorted_descending():
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 3):
-        for _ in range(100):
-            A = rng.normal(size=(n, n))
-            W = 0.5 * (A + A.T)
-            eigs = eigenvalues_sym(W)
-            assert np.all(np.diff(eigs) <= 1e-12)
-            np.testing.assert_allclose(np.sum(eigs), np.trace(W), rtol=1e-10, atol=1e-10)
+        eigs = _eigen_2x2(W[0, 0], W[0, 1], W[1, 1])
+        assert np.all(np.diff(eigs) <= 1e-12)
+        np.testing.assert_allclose(np.sum(eigs), np.trace(W), rtol=1e-10, atol=1e-10)
