@@ -574,7 +574,10 @@ def cmd_ode_compare(config_path):
         print("config error: ode-compare needs [initial] kind = sphere", file=sys.stderr)
         return 1
     try:
-        deviation, nonuniformity = verify.pde_vs_ode_check(cfg.profile, cfg.initial.r0, cfg.grid, cfg.control)
+        # the regime was checked (or overridden) when the config was parsed
+        deviation, nonuniformity = verify.pde_vs_ode_check(
+            cfg.profile, cfg.initial.r0, cfg.grid, cfg.control, validate_regime=False
+        )
     except flow_engine.FlowError as err:
         print(f"ode-compare failed: {err}", file=sys.stderr)
         return 2

@@ -10,6 +10,12 @@ where lam = exp(gamma*tau) is the normalization factor, advanced analytically
 bound recomputed from the current curvature field every step; all reductions
 are fixed-order numpy reductions so repeated runs are bit-identical.
 
+A bit-exactly zonal state on S^2 (see ``is_zonal``) is stepped and recorded
+on a two-column strip of its grid, which keeps the full grid's longitude
+spacing so that every value matches the full grid's bit for bit; ``step``
+broadcasts the new column back.  A state's curvature field is built once,
+for a record and the next step's first stage alike.
+
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
 the physical time t(tau).
@@ -18,9 +24,11 @@ the physical time t(tau).
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import speed_profile
 from .diagnostics import DiagnosticsSeries
 from .speed_profile import (
     G_KINDS,
@@ -29,7 +37,6 @@ from .speed_profile import (
     SpeedProfile,
     TableRangeError,
     TabulatedG,
-    eval_scaled,
     validate_for_regime,
 )
 from .sphere_geometry import (
@@ -104,6 +111,21 @@ class FlowState:
     def lam(self):
         """The normalization factor exp(gamma*tau)."""
         return lambda_of_tau(self.profile, self.tau)
+
+    @cached_property
+    def stage_graph(self):
+        """The graph the RK stages, the dt bound and the record evaluate: the
+        first two columns on grid.zonal_strip when the graph is bit-exactly
+        zonal, else the graph itself."""
+        graph = self.graph
+        if not is_zonal(graph):
+            return graph
+        return RadialGraph._unchecked(graph.grid.zonal_strip, graph.phi[:, :2].copy())
+
+    @cached_property
+    def field(self):
+        """weingarten(stage_graph), shared by a record and the next step's k1 stage."""
+        return weingarten(self.stage_graph)
 
 
 @dataclass(frozen=True)
@@ -197,14 +219,20 @@ def _sigma_pow(sig, alpha):
     return np.power(sig, alpha)
 
 
-def rhs(profile, graph, lam, tau=None):
-    """d(phi)/d(tau) per node, plus the curvature field and coefficient A."""
-    field = weingarten(graph)
+def rhs(profile, graph, lam, tau=None, field=None):
+    """d(phi)/d(tau) per node, plus the curvature field and coefficient A.
+
+    field, when given, is weingarten(graph), already built.
+    """
+    if field is None:
+        field = weingarten(graph)
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
     A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho
     if not profile.pure_power:  # else A + 0.0 == A: the flow's A is >= 0
-        A = A + (field.rho / field.r) * eval_scaled(profile, lam, field.r)
+        # looked up per call, so that a wrapper installed on the module name
+        # (perfbench/layers.py's tracer) sees every evaluation
+        A = A + (field.rho / field.r) * speed_profile.eval_scaled(profile, lam, field.r)
     out = profile.gamma - A * _sigma_pow(sig, profile.alpha)
     if not np.isfinite(out).all():
         raise NonFiniteRHSError("non-finite right-hand side", tau)
@@ -216,7 +244,12 @@ def is_zonal(graph):
 
     Every stencil and coefficient in this module is longitude-uniform, so a
     bit-exactly zonal state stays bit-exactly zonal under RK4; the longitude
-    direction then contributes nothing to the stability bound.
+    direction then contributes nothing to the stability bound.  So ``step``
+    and ``diagnostics_row`` evaluate such a state on two columns
+    (``FlowState.stage_graph``), which every other column would repeat bit
+    for bit.  The strip keeps the full grid's h_phi: the longitude stencils
+    of a constant row round to a tiny nonzero numerator, and only the same
+    spacing divides it to the full grid's bits.
     """
     return graph.grid.n == 2 and float(np.ptp(graph.phi, axis=1).max()) == 0.0
 
@@ -248,20 +281,29 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
 
 
 def step(state, control, dt_cap=math.inf):
-    """One explicit RK4 step; dt = min(dt_max, cfl * stability bound, dt_cap)."""
+    """One explicit RK4 step; dt = min(dt_max, cfl * stability bound, dt_cap).
+
+    The stages run on state.stage_graph; a zonal strip's new column is
+    broadcast back to the full grid.
+    """
     profile, grid = state.profile, state.graph.grid
-    tau0, phi0 = state.tau, state.graph.phi
-    zonal = is_zonal(state.graph)
-    k1, field0, A0 = rhs(profile, state.graph, state.lam, tau0)
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field0, A0, zonal), dt_cap)
+    graph = state.stage_graph
+    zonal = graph is not state.graph
+    tau0, phi0, stage_grid = state.tau, graph.phi, graph.grid
+    k1, field0, A0 = rhs(profile, graph, state.lam, tau0, state.field)
+    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, graph, field0, A0, zonal), dt_cap)
     if dt < _MIN_DT:
         raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
     half, tau1 = tau0 + 0.5 * dt, tau0 + dt
     lam_half = lambda_of_tau(profile, half)
-    k2, _, _ = rhs(profile, RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k1), lam_half, half)
-    k3, _, _ = rhs(profile, RadialGraph._unchecked(grid, phi0 + (0.5 * dt) * k2), lam_half, half)
-    k4, _, _ = rhs(profile, RadialGraph._unchecked(grid, phi0 + dt * k3), lambda_of_tau(profile, tau1), tau1)
+    k2, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, phi0 + (0.5 * dt) * k1), lam_half, half)
+    k3, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, phi0 + (0.5 * dt) * k2), lam_half, half)
+    k4, _, _ = rhs(
+        profile, RadialGraph._unchecked(stage_grid, phi0 + dt * k3), lambda_of_tau(profile, tau1), tau1
+    )
     phi1 = phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if zonal:
+        phi1 = np.repeat(phi1[:, :1], grid.n_lon, axis=1)
     return FlowState(
         tau=tau1, graph=RadialGraph(grid, phi1), step_count=state.step_count + 1, last_dt=dt, profile=profile
     )
@@ -287,12 +329,13 @@ def initial_state(profile, graph, validate_regime=True):
 
 
 def diagnostics_row(state):
-    """The per-record reduction vector (see DiagnosticsSeries for the order)."""
+    """The per-record reduction vector (see DiagnosticsSeries for the order),
+    reduced over state.field, which the next step's first stage reuses."""
     profile = state.profile
-    field = weingarten(state.graph)
+    field = state.field
     f = field.r**profile.beta
     if not profile.pure_power:
-        f = f + eval_scaled(profile, state.lam, field.r)
+        f = f + speed_profile.eval_scaled(profile, state.lam, field.r)
     sig = field.sigma[..., profile.k - 1]
     big_phi = f * _sigma_pow(sig, profile.alpha)
     grad_phi = field.grad_phi_norm()

@@ -114,10 +114,35 @@ class SphericalGrid:
         across = np.roll(index, self.n_lon // 2, axis=1)  # (theta, phi + pi)
         return _read_only(np.concatenate((across[1::-1], index, across[:-3:-1])))
 
+    @cached_property
+    def zonal_strip(self):
+        """The (N_lat, 2) grid a longitude-independent n=2 field is evaluated on.
+
+        Two columns are the fewest the longitude padding takes, and the pole
+        rule's shift by n_lon // 2 = 1 lands on the twin column.  The strip
+        keeps this grid's h_phi: on a zonal field the longitude stencils'
+        numerators (a - 8a + 8a - a) round to tiny nonzero values, which
+        match the full grid's bit for bit only over the same spacing.
+        """
+        if self.n != 2:
+            raise AttributeError("circle grids have no zonal strip")
+        return _ZonalStrip(n=2, n_lat=self.n_lat, n_lon=2, full_n_lon=self.n_lon)
+
     def describe(self):
         if self.n == 1:
             return f"n=1 N={self.n_lat}"
         return f"n=2 N_lat={self.n_lat} N_lon={self.n_lon}"
+
+
+@dataclass(frozen=True, eq=True)
+class _ZonalStrip(SphericalGrid):
+    """Two longitude columns of an n=2 grid with full_n_lon columns, at its spacing."""
+
+    full_n_lon: int
+
+    @property
+    def h_phi(self):
+        return TWO_PI / self.full_n_lon
 
 
 @dataclass(frozen=True, eq=False)

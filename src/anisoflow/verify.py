@@ -390,16 +390,17 @@ def sphere_ode_suite():
     return SuiteResult("sphere-ode", ok, worst_all, "; ".join(notes))
 
 
-def pde_vs_ode_check(profile, r0, grid, control, ode_dt=1e-3):
+def pde_vs_ode_check(profile, r0, grid, control, ode_dt=1e-3, validate_regime=True):
     """Integrate the PDE from sphere data under ``control`` and compare its
     radius trajectory with the RK4-integrated sphere ODE at every record.
 
     Sphere data starts round, so a sphericity stop would end the run at
     tau = 0; it is ignored and the run goes to t_end (or max_steps).
+    validate_regime is passed to ``initial_state``.
 
     Returns (max relative radius deviation, max spatial oscillation).
     """
-    state = initial_state(profile, sphere_graph(grid, r0))
+    state = initial_state(profile, sphere_graph(grid, r0), validate_regime)
     result = run(state, replace(control, sphericity_stop=0.0))
     taus = result.series.column("tau")
     r_pde = result.series.column("r_max")

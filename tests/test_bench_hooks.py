@@ -68,3 +68,23 @@ def test_tracer_counts_rhs_step_and_diagnostics():
     tracer = run_tiny_curve(layers.Tracer())
     for layer in ("rhs", "step", "diagnostics"):
         assert tracer.calls[layer] > 0, layer
+
+
+def test_tracer_sees_the_zonal_strip_layers():
+    # a zonal surface is stepped on its two-column strip; the strip must still
+    # reach curvature, the cone gate and the speed terms through their module names
+    from anisoflow import ExpFlatG, RadialGraph, SpeedProfile, SphericalGrid, StepControl, flow_engine
+
+    grid = SphericalGrid.sphere(16, 32)
+    col = np.log(1.0375 + 0.1125 * np.cos(2.0 * grid.theta))
+    graph = RadialGraph(grid, np.broadcast_to(col[:, None], grid.shape).copy())
+    profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    state = flow_engine.initial_state(profile, graph)
+    assert state.stage_graph.grid == grid.zonal_strip
+    with layers.Tracer() as tracer:
+        result = flow_engine.run(state, StepControl(t_end=1.0, max_steps=6, record_every=2))
+    assert result.reason == "max_steps"
+    for layer in ("rhs", "weingarten", "cone_gate", "eval_scaled"):
+        assert tracer.calls[layer] > 0, layer
+    # each record's field is reused by the next step's first stage
+    assert tracer.calls["weingarten"] == 4 * result.state.step_count + 1

@@ -508,6 +508,16 @@ def test_ode_compare_strict_regime(tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_ode_compare_honours_override(tmp_path, capsys):
+    text = BASIC.replace("g.kind = zero", "g.kind = monomial\ng.l = 1").replace(
+        "t_end = 0.5", "t_end = 0.5\noverride = true"
+    )
+    code = main(["ode-compare", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "max_relative_deviation=" in captured.out
+
+
 def test_ode_compare_requires_sphere(tmp_path, capsys):
     text = fourier_config("const = 1.0\ncos_2 = 0.1")
     code = main(["ode-compare", write_config(tmp_path, text)])

@@ -1,5 +1,6 @@
 """Normalized-flow time stepping: RK4, stability control, runs, checkpoints."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from anisoflow.flow_engine import (
     NonFiniteRHSError,
     RunResult,
     StepControl,
+    diagnostics_row,
     initial_state,
     is_zonal,
     lambda_maps,
@@ -297,6 +299,85 @@ def test_zonality_is_preserved_by_steps():
     for _ in range(5):
         state = step(state, StepControl(t_end=10.0))
     assert is_zonal(state.graph)
+
+
+# ---------------------------------------------------------------------------
+# the zonal strip: a bit-exactly zonal state is stepped and recorded on two
+# columns, and every result must equal the full grid's bit for bit
+
+
+def _zonal_expflat_state():
+    profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    return initial_state(profile, _surface(32, 64, zonal=True), validate_regime=False)
+
+
+def _full_grid_rk4(state, control):
+    """(phi, dt) of one RK4 step built from rhs on the full grid."""
+    profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
+    k1, field, A = rhs(profile, state.graph, state.lam, tau0)
+    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field, A, zonal=True))
+    half, tau1 = tau0 + 0.5 * dt, tau0 + dt
+    k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), lambda_of_tau(profile, half), half)
+    k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), lambda_of_tau(profile, half), half)
+    k4, _, _ = rhs(profile, RadialGraph(grid, phi0 + dt * k3), lambda_of_tau(profile, tau1), tau1)
+    return phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt
+
+
+def _on_full_grid(state):
+    """A copy of state whose stage graph is pinned to its full grid."""
+    full = dataclasses.replace(state)
+    full.__dict__["stage_graph"] = full.graph
+    return full
+
+
+def test_only_zonal_states_take_the_strip():
+    zonal = _zonal_expflat_state()
+    assert zonal.stage_graph.grid == zonal.graph.grid.zonal_strip
+    assert np.array_equal(zonal.stage_graph.phi, zonal.graph.phi[:, :2])
+    assert zonal.field.r.shape == (32, 2)
+    state = initial_state(zonal.profile, _surface(32, 64, zonal=False))
+    assert state.stage_graph is state.graph
+    assert state.field.r.shape == (32, 64)
+    assert not is_zonal(step(state, StepControl(t_end=10.0)).graph)
+
+
+def test_zonal_step_equals_full_grid_rk4_bitwise():
+    state = _zonal_expflat_state()
+    control = StepControl(t_end=10.0)
+    for _ in range(3):
+        ref_phi, ref_dt = _full_grid_rk4(state, control)
+        state = step(state, control)
+        assert state.last_dt == ref_dt
+        assert state.graph.phi.shape == (32, 64)
+        assert np.array_equal(state.graph.phi, ref_phi)
+
+
+def test_zonal_record_equals_full_grid_record():
+    state = _zonal_expflat_state()
+    for _ in range(2):
+        strip_row = diagnostics_row(state)
+        full_row = diagnostics_row(_on_full_grid(state))
+        assert state.field.r.shape == (32, 2)
+        assert strip_row == full_row
+        state = step(state, StepControl(t_end=10.0))
+
+
+def test_zonal_cone_exit_matches_full_grid():
+    grid = SphericalGrid.sphere(32, 64)
+    t = grid.theta[:, None]
+    graph = RadialGraph(grid, np.broadcast_to(np.log(1.0 + 0.7 * np.cos(2 * t)), grid.shape).copy())
+    state = dataclasses.replace(_zonal_expflat_state(), graph=graph, tau=0.25)
+    with pytest.raises(ConeViolationError) as full:
+        rhs(state.profile, graph, state.lam, state.tau)
+    with pytest.raises(ConeViolationError) as strip:
+        step(state, StepControl(t_end=10.0))
+    assert state.field.r.shape == (32, 2)
+    assert full.value.node[1] == 0
+    assert (strip.value.node, strip.value.margin, strip.value.tau) == (
+        full.value.node,
+        full.value.margin,
+        full.value.tau,
+    )
 
 
 # ---------------------------------------------------------------------------

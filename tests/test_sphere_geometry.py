@@ -14,6 +14,7 @@ from anisoflow.sphere_geometry import (
     _d1,
     _d2,
     _pad_periodic,
+    _partials_sphere,
     covariant_derivatives,
     embedding_oracle,
     graph_from_text,
@@ -317,6 +318,30 @@ def test_grid_tables_are_cached_read_only_and_outside_equality():
     assert a == b and hash(a) == hash(b)
     assert "sin_theta" not in vars(b)
     assert a != SphericalGrid.sphere(32, 66)
+
+
+def test_sphere_partials_are_c_ordered():
+    # F_p feeds _pad_lat's take, which would first copy a Fortran-ordered array
+    grid = SphericalGrid.sphere(32, 64)
+    F = np.random.default_rng(3).standard_normal(grid.shape)
+    for partial in _partials_sphere(grid, F):
+        assert partial.flags.c_contiguous
+
+
+def test_zonal_strip_curvature_equals_full_grid_bitwise():
+    grid = SphericalGrid.sphere(32, 64)
+    assert "zonal_strip" not in vars(grid)  # built on first use
+    strip = grid.zonal_strip
+    assert grid.zonal_strip is strip
+    assert strip.shape == (32, 2) and strip.h_phi == grid.h_phi and strip.h_theta == grid.h_theta
+    assert strip != SphericalGrid(n=2, n_lat=32, n_lon=2)
+    graph = sphere2_graph(32, 64, lambda t, p: np.log(1.0375 + 0.1125 * np.cos(2.0 * t)) + 0.0 * p)
+    full = weingarten(graph)
+    narrow = weingarten(RadialGraph(strip, graph.phi[:, :2].copy()))
+    for name in ("r", "rho", "grad_sq", "u", "sigma", "kappa"):
+        assert np.array_equal(getattr(narrow, name), getattr(full, name)[:, :2]), name
+    with pytest.raises(AttributeError):
+        SphericalGrid.circle(32).zonal_strip
 
 
 def test_hessian_of_radius_identity():
