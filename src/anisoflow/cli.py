@@ -519,6 +519,10 @@ def cmd_run(config_path):
     try:
         result = flow_engine.run(state, cfg.control)
     except flow_engine.FlowError as err:
+        # keep the evidence: the records before the failure and the last state reached
+        err.series.to_csv(cfg.csv_path)
+        if cfg.checkpoint_path is not None:
+            flow_engine.save_checkpoint(err.state, cfg.checkpoint_path)
         print(f"run failed: {err}", file=sys.stderr)
         return 2
     result.series.to_csv(cfg.csv_path)

@@ -54,11 +54,18 @@ _ALPHA_TOL = 1e-12
 
 
 class FlowError(Exception):
-    """Base class for run-terminating integration errors; carries the failing tau."""
+    """Base class for run-terminating integration errors; carries the failing tau.
 
-    def __init__(self, message, tau=None):
+    Once raised out of ``run`` it also carries the run's evidence: ``series``,
+    the records made before the failure, and ``state``, the last state the
+    run reached (the start of the failing step or record).
+    """
+
+    def __init__(self, message, tau=None, series=None, state=None):
         super().__init__(message)
         self.tau = tau
+        self.series = series
+        self.state = state
 
     def __str__(self):
         base = super().__str__()
@@ -250,8 +257,13 @@ def is_zonal(graph):
     for bit.  The strip keeps the full grid's h_phi: the longitude stencils
     of a constant row round to a tiny nonzero numerator, and only the same
     spacing divides it to the full grid's bits.
+
+    For the finite phi a RadialGraph holds, every row equal to its first
+    column is the same test as a zero peak-to-peak per row (zeros of either
+    sign are equal), and cheaper.
     """
-    return graph.grid.n == 2 and float(np.ptp(graph.phi, axis=1).max()) == 0.0
+    phi = graph.phi
+    return graph.grid.n == 2 and bool((phi == phi[:, :1]).all())
 
 
 def stable_dt_bound(profile, graph, field, A, zonal=None):
@@ -260,10 +272,19 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
     D = alpha * A * sigma_k^(alpha-1) * maxeig(d sigma_k / d kappa) / (r rho)
     per node; for n=2 the longitude direction carries the metric factor
     sin^2(theta) unless the state is bit-exactly zonal.
+
+    For k = 1 the partials are all 1 and A * 1.0 is A, so D = A / (r rho)
+    needs no kappa (no eigen solve on a surface).  For k = 2 (so n = 2) the
+    largest of the two partials is one np.maximum of their columns: the same
+    float as a max over the last axis, without numpy's slow reduction over
+    a length-2 axis.
     """
     k, alpha = profile.k, profile.alpha
-    sdot_max = sigma_k_partials(field.kappa, k).max(axis=-1)
-    D = A * sdot_max / (field.r * field.rho)
+    if k == 1:
+        D = A / (field.r * field.rho)
+    else:
+        sdot = sigma_k_partials(field.kappa, k)
+        D = A * np.maximum(sdot[..., 0], sdot[..., 1]) / (field.r * field.rho)
     if abs(alpha - 1.0) > _ALPHA_TOL:
         sig = field.sigma[..., k - 1]
         D = alpha * np.power(sig, alpha - 1.0) * D
@@ -361,7 +382,8 @@ def run(state, control):
     """Advance until t_end, sphericity_stop, or max_steps (checked in that
     order), recording diagnostics every record_every steps plus the final state.
 
-    Every failure ends as a FlowError that carries its tau.
+    Every failure ends as a FlowError that carries its tau, the series
+    recorded so far and the last state reached.
     """
     series = DiagnosticsSeries()
     last_recorded = -1
@@ -384,11 +406,14 @@ def run(state, control):
             state = step(state, control, dt_cap=control.t_end - state.tau)
         if state.step_count != last_recorded:
             series.append(**diagnostics_row(state))
+    except FlowError as err:
+        err.series, err.state = series, state
+        raise
     except (NonPositiveRadiusError, TableRangeError, ScaleOverflowError) as err:
         # from a record or a step that starts at state.tau
-        raise SpeedRangeError(str(err), state.tau) from err
+        raise SpeedRangeError(str(err), state.tau, series, state) from err
     except SingularMetricError as err:
-        raise DegenerateMetricError(str(err), state.tau) from err
+        raise DegenerateMetricError(str(err), state.tau, series, state) from err
     return RunResult(state=state, series=series, reason=reason)
 
 

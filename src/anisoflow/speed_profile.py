@@ -243,22 +243,37 @@ def eval_g(profile, r):
 
 
 def _scaled_flat_family(profile, lam, r, shift):
-    """lam^beta * g(r/lam) for the bump (shift=epsilon) / expflat (shift=0) kinds."""
+    """lam^beta * g(r/lam) for the bump (shift=epsilon) / expflat (shift=0) kinds.
+
+    A node is live where base = r/lam - shift > 0 and the barrier base^-p is
+    at most EXP_FLUSH; a dead node's value is exactly 0.  The masks that keep
+    dead nodes out of the power, the exponent and the overflow check are
+    applied only when some node is dead (``live`` is None when none is):
+    when every node is live, the normal case, np.where(live, x, fill) is x
+    bit for bit.
+    """
     g = profile.g
     one_ka = 1.0 + profile.ka
-    s = r / lam
-    base = s - shift
+    base = r / lam - shift
     live = base > 0
     with np.errstate(divide="ignore", over="ignore"):
-        barrier = np.where(live, base, 1.0) ** (-g.p)
+        barrier = (base if live.all() else np.where(live, base, 1.0)) ** (-g.p)
     live &= barrier <= EXP_FLUSH
-    w = (profile.beta - one_ka) * math.log(lam) - np.where(live, barrier, 0.0)
-    if (live & (w > 700.0)).any():
-        bad = int(np.argmax(np.where(live, w, -np.inf)))
+    if live.all():
+        live = None
+    w = (profile.beta - one_ka) * math.log(lam) - _live_or(live, barrier, 0.0)
+    w_live = _live_or(live, w, -np.inf)
+    if (w_live > 700.0).any():
+        bad = int(np.argmax(w_live))
         raise ScaleOverflowError(
             f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
         )
-    return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
+    return _live_or(live, r**one_ka * np.exp(_live_or(live, w, 0.0)), 0.0)
+
+
+def _live_or(live, x, fill):
+    """x where live, fill elsewhere; x itself when live is None (all live)."""
+    return x if live is None else np.where(live, x, fill)
 
 
 def eval_scaled(profile, lam, r):

@@ -399,7 +399,7 @@ def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
         BASIC.replace("beta = 2", "beta = 3")
         .replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
         .replace("t_end = 0.5", "t_end = 2.0\noverride = true")
-        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\ncheckpoint_path = {tmp_path / 'x.chk'}\n"
     )
     code = main(["run", write_config(tmp_path, text)])
     err = capsys.readouterr().err
@@ -407,6 +407,13 @@ def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
     assert err.startswith("run failed: tabulated g queried outside [0.5, 3.0]")
     tau = float(err.split("at tau=")[1].rstrip(")\n"))
     assert 0.5 < tau < math.log(2.0)
+    # the failed run keeps the records it made before the failure
+    taus = DiagnosticsSeries.from_csv(tmp_path / "x.csv").column("tau")
+    assert len(taus) > 1 and taus[0] == 0.0
+    assert taus[-1] < tau
+    # and the state the failing step started from, at the reported tau
+    last = load_checkpoint(tmp_path / "x.chk")
+    assert f"{last.tau:.6g}" == f"{tau:.6g}" and last.step_count > 0
 
 
 @pytest.mark.parametrize(

@@ -472,25 +472,30 @@ def _ref_stage(profile, graph, lam):
     return -A * power + profile.gamma, A, r, rho, kappa, sigma
 
 
+def _ref_dt_bound(profile, grid, phi, A, r, rho, kappa, sigma):
+    """The parabolic dt bound, the largest partial taken by a reduction over
+    the partials' last axis and zonality by a zero peak-to-peak per row."""
+    k, alpha = profile.k, profile.alpha
+    D = A * sigma_k_partials(kappa, k).max(axis=-1) / (r * rho)
+    if alpha != 1.0:
+        D = alpha * np.power(sigma[..., k - 1], alpha - 1.0) * D
+    if grid.n == 1 or float(np.ptp(phi, axis=1).max()) == 0.0:
+        return float(grid.h_theta**2 / D.max())
+    sin2 = np.sin(grid.theta)[:, None] ** 2
+    return float((np.minimum(grid.h_theta**2, grid.h_phi**2 * sin2) / D).min())
+
+
 def _ref_step(state, control):
     """(phi, dt) of one RK4 step with a validated RadialGraph per stage."""
     profile, grid = state.profile, state.graph.grid
-    k, alpha, gamma = profile.k, profile.alpha, profile.gamma
+    gamma = profile.gamma
 
     def stage(phi, tau):
         return _ref_stage(profile, RadialGraph(grid, phi), math.exp(gamma * tau))
 
     tau0, phi0 = state.tau, state.graph.phi
     k1, A, r, rho, kappa, sigma = stage(phi0, tau0)
-    D = A * sigma_k_partials(kappa, k).max(axis=-1) / (r * rho)
-    if alpha != 1.0:
-        D = alpha * np.power(sigma[..., k - 1], alpha - 1.0) * D
-    if grid.n == 1 or float(np.ptp(phi0, axis=1).max()) == 0.0:
-        bound = float(grid.h_theta**2 / D.max())
-    else:
-        sin2 = np.sin(grid.theta)[:, None] ** 2
-        bound = float((np.minimum(grid.h_theta**2, grid.h_phi**2 * sin2) / D).min())
-    dt = min(control.dt_max, control.cfl * bound)
+    dt = min(control.dt_max, control.cfl * _ref_dt_bound(profile, grid, phi0, A, r, rho, kappa, sigma))
     half = tau0 + 0.5 * dt
     k2 = stage(phi0 + (0.5 * dt) * k1, half)[0]
     k3 = stage(phi0 + (0.5 * dt) * k2, half)[0]
@@ -510,6 +515,60 @@ def _surface(n_lat, n_lon, zonal):
     if not zonal:
         phi = phi + 1e-3 * np.sin(t) ** 2 * np.cos(2.0 * grid.phi_lon)[None, :]
     return RadialGraph(grid, phi)
+
+
+DT_BOUND_CASES = [
+    (where, k, alpha)
+    for where in ("curve", "zonal-strip", "nonzonal")
+    for k in (1, 2)
+    for alpha in (1.0, 2.0)
+    if not (where == "curve" and k == 2)
+]
+
+
+@pytest.mark.parametrize("where, k, alpha", DT_BOUND_CASES, ids=[f"{w}-k{k}-a{a:g}" for w, k, a in DT_BOUND_CASES])
+def test_dt_bound_equals_last_axis_max_reference(where, k, alpha):
+    n = 1 if where == "curve" else 2
+    profile = SpeedProfile(n=n, k=k, alpha=alpha, beta=2.0 + k * alpha, g=ExpFlatG(1.0))
+    graph = _curve(128, 0.1) if where == "curve" else _surface(32, 64, zonal=where == "zonal-strip")
+    state = initial_state(profile, graph, validate_regime=False)
+    graph = state.stage_graph
+    assert graph.phi.shape == {"curve": (128,), "zonal-strip": (32, 2), "nonzonal": (32, 64)}[where]
+    _, field, A = rhs(profile, graph, state.lam, field=state.field)
+    bound = stable_dt_bound(profile, graph, field, A)
+    if k == 1:  # all-ones partials: no principal curvatures needed
+        assert "kappa" not in field.__dict__
+    ref = _ref_dt_bound(profile, graph.grid, graph.phi, A, field.r, field.rho, field.kappa, field.sigma)
+    assert bound == ref
+
+
+def _ptp_zonal(graph):
+    """is_zonal by a zero peak-to-peak along every row."""
+    return graph.grid.n == 2 and float(np.ptp(graph.phi, axis=1).max()) == 0.0
+
+
+def _is_zonal_cases():
+    grid = SphericalGrid.sphere(16, 32)
+    col = np.log(1.0 + 0.1 * np.cos(2.0 * grid.theta))
+    zonal = np.broadcast_to(col[:, None], grid.shape).copy()
+    signed = np.zeros(grid.shape)
+    signed[3, 0] = signed[5, 9] = -0.0  # equal to 0.0, in the first column and elsewhere
+    ulp = zonal.copy()
+    ulp[4, 9] = np.nextafter(ulp[4, 9], np.inf)
+    return {
+        "zonal": (RadialGraph(grid, zonal), True),
+        "signed-zero": (RadialGraph(grid, signed), True),
+        "one-ulp": (RadialGraph(grid, ulp), False),
+        "nonzonal": (_surface(16, 32, zonal=False), False),
+        "curve": (RadialGraph(SphericalGrid.circle(16), np.zeros(16)), False),
+    }
+
+
+@pytest.mark.parametrize("case", ["zonal", "signed-zero", "one-ulp", "nonzonal", "curve"])
+def test_is_zonal_agrees_with_zero_peak_to_peak(case):
+    graph, expected = _is_zonal_cases()[case]
+    assert is_zonal(graph) is expected
+    assert _ptp_zonal(graph) is expected
 
 
 # one case per branch the stages specialize: g = 0 (no eval_scaled), the cone

@@ -115,12 +115,10 @@ def test_eval_g_derivative_consistency(g):
     assert_allclose(gp, fd, rtol=2e-9, atol=1e-9)
 
 
-def reference_flat_gp(profile, r, shift):
-    """g' of the flat families by the formula _scaled_flat_family used when it
-    also returned g' (here at lam = 1): g * slope / lam, live where the barrier
-    is below the flush threshold."""
+def reference_flat_scaled(profile, lam, r, shift):
+    """(lam^beta g(r/lam), live) of the flat families with every dead-node
+    mask applied unconditionally, and the same overflow check and message."""
     g = profile.g
-    lam = 1.0
     one_ka = 1.0 + profile.ka
     s = r / lam
     base = s - shift
@@ -129,13 +127,25 @@ def reference_flat_gp(profile, r, shift):
         barrier = np.where(live, base, 1.0) ** (-g.p)
     live &= barrier <= EXP_FLUSH
     w = (profile.beta - one_ka) * math.log(lam) - np.where(live, barrier, 0.0)
-    gs = np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
+    if (live & (w > 700.0)).any():
+        bad = int(np.argmax(np.where(live, w, -np.inf)))
+        raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}")
+    return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0), live
+
+
+def reference_flat_gp(profile, r, shift):
+    """g' of the flat families by the formula _scaled_flat_family used when it
+    also returned g' (here at lam = 1): g * slope, live where the barrier
+    is below the flush threshold."""
+    gs, live = reference_flat_scaled(profile, 1.0, r, shift)
+    base = r - shift
     slope = np.where(
         live,
-        one_ka / np.where(live, s, 1.0) + g.p * np.where(live, base, 1.0) ** (-g.p - 1.0),
+        (1.0 + profile.ka) / np.where(live, r, 1.0)
+        + profile.g.p * np.where(live, base, 1.0) ** (-profile.g.p - 1.0),
         0.0,
     )
-    return gs * slope / lam
+    return gs * slope
 
 
 @pytest.mark.parametrize(
@@ -160,6 +170,56 @@ def test_flat_derivative_matches_reference_bitwise(prof):
     for r in samples:
         _, gp = eval_g(prof, r)
         assert np.array_equal(gp, reference_flat_gp(prof, r, shift))
+
+
+FLAT_SCALED_PROFILES = {
+    "expflat-n2k2-p1": SpeedProfile(n=2, k=2, alpha=1.0, beta=5.0, g=ExpFlatG(1.0)),
+    "expflat-n1-p2": profile_k1(4.0, ExpFlatG(2.0)),
+    "bump-n2k2-p1": SpeedProfile(n=2, k=2, alpha=1.0, beta=5.0, g=BumpG(0.5, 1.0)),
+    "bump-n1-p2": profile_k1(3.0, BumpG(0.3, 2.0)),
+    "bump-n1-p1.5": profile_k1(3.0, BumpG(0.3, 1.5)),  # (r/lam - epsilon)^-p is NaN below epsilon
+}
+
+
+@pytest.mark.parametrize("prof", FLAT_SCALED_PROFILES.values(), ids=FLAT_SCALED_PROFILES.keys())
+@pytest.mark.filterwarnings("error")
+def test_scaled_flat_family_matches_masked_reference_bitwise(prof):
+    shift = getattr(prof.g, "epsilon", 0.0)
+    rng = np.random.default_rng(3)
+    live = rng.uniform(0.8, 1.3, (32, 64))
+    dead = live.copy()
+    dead[::5, ::7] = 1e-3  # r/lam <= epsilon (bump), barrier above EXP_FLUSH (expflat)
+    cases = [
+        (1.0, live),
+        (1.37, live),
+        (1.0, 1.2),  # scalar r
+        (1.37, dead),
+        (1.0, np.array([1e-300, 1.0 / EXP_FLUSH, 1.0 / 700.0, max(shift, 1e-3), shift + 1e-3, 2.0])),
+        (1e80, live),  # every node flushed
+    ]
+    for lam, r in cases:
+        ref, _ = reference_flat_scaled(prof, lam, np.asarray(r, dtype=float), shift)
+        got = eval_scaled(prof, lam, r)
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("prof", FLAT_SCALED_PROFILES.values(), ids=FLAT_SCALED_PROFILES.keys())
+@pytest.mark.filterwarnings("error")
+def test_scaled_flat_family_overflow_names_the_reference_radius(prof):
+    # w = (beta - 1 - k*alpha) log(lam) - barrier passes 700 where r/lam is
+    # largest: every node live, then some flushed
+    lam = 1e306
+    for r in (
+        lam * np.array([1.5, 3.0, 2.0]),
+        lam * np.array([1e-6, 1.5, 3.0, 2.0, 1e-6]),
+    ):
+        with pytest.raises(ScaleOverflowError) as ref:
+            reference_flat_scaled(prof, lam, r, getattr(prof.g, "epsilon", 0.0))
+        with pytest.raises(ScaleOverflowError) as got:
+            eval_scaled(prof, lam, r)
+        assert str(got.value) == str(ref.value)
+        assert f"r={r[np.argmax(r)]!r}" in str(got.value)
 
 
 def test_expflat_closed_form():
