@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speed_profile import eval_scaled
+from . import speed_profile
 
 COLUMNS = (
     "tau",
@@ -139,7 +139,7 @@ def sphere_ode_rhs(profile, r, t):
         raise ValueError(f"radius must be positive, got {r}")
     gamma, ka = profile.gamma, profile.ka
     lam = math.exp(gamma * t)
-    gs = eval_scaled(profile, lam, float(r))
+    gs = speed_profile.eval_scaled(profile, lam, float(r))
     return -gamma * r ** (profile.beta - ka) - gamma * gs * r ** (-ka) + gamma * r
 
 

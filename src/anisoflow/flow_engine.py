@@ -271,7 +271,8 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
 
     D = alpha * A * sigma_k^(alpha-1) * maxeig(d sigma_k / d kappa) / (r rho)
     per node; for n=2 the longitude direction carries the metric factor
-    sin^2(theta) unless the state is bit-exactly zonal.
+    sin^2(theta) (the grid's cached ``min_spacing_sq``) unless the state is
+    bit-exactly zonal.
 
     For k = 1 the partials are all 1 and A * 1.0 is A, so D = A / (r rho)
     needs no kappa (no eigen solve on a surface).  For k = 2 (so n = 2) the
@@ -289,16 +290,9 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
         sig = field.sigma[..., k - 1]
         D = alpha * np.power(sig, alpha - 1.0) * D
     grid = graph.grid
-    if grid.n == 1:
+    if grid.n == 1 or (is_zonal(graph) if zonal is None else zonal):
         return float(grid.h_theta**2 / D.max())
-    if zonal is None:
-        zonal = is_zonal(graph)
-    ht2 = grid.h_theta**2
-    if zonal:
-        return float(ht2 / D.max())
-    sin2 = grid.sin_theta**2
-    allowed = np.minimum(ht2, grid.h_phi**2 * sin2) / D
-    return float(allowed.min())
+    return float((grid.min_spacing_sq / D).min())
 
 
 def step(state, control, dt_cap=math.inf):

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 #: exp(-1/x) is flushed to exactly 0 once 1/x > EXP_FLUSH (avoids subnormals)
 EXP_FLUSH = 745.0
@@ -101,7 +100,10 @@ class MonomialG:
 class TabulatedG:
     """g given by sample points with values and derivatives, Hermite-interpolated.
 
-    Queries outside [points[0], points[-1]] raise ValueError.
+    Queries outside [points[0], points[-1]] raise ValueError.  scipy is
+    imported here, when the first table is built: no other g kind needs it,
+    and loading scipy.interpolate would take most of the package's import
+    time.
     """
 
     KIND = "tabulated"
@@ -116,6 +118,8 @@ class TabulatedG:
             raise ValueError("points, values and derivs must have equal shapes")
         if not np.all(np.diff(self.points) > 0):
             raise ValueError("sample points must be strictly increasing")
+        from scipy.interpolate import CubicHermiteSpline
+
         self._spline = CubicHermiteSpline(self.points, self.values, self.derivs)
         self._dspline = self._spline.derivative()
 
@@ -279,7 +283,8 @@ def _live_or(live, x, fill):
 def eval_scaled(profile, lam, r):
     """The rescaled speed term lam^beta * g(r/lam), the one g term the flow reads.
 
-    lam is a scalar >= 1; r a scalar or array of radii > 0.  Returns a float
+    lam is a scalar >= 1; r a scalar or array of radii > 0 (a NaN radius
+    raises NonPositiveRadiusError like a radius <= 0).  Returns a float
     for scalar r, else an array of r's shape.  The full weight is
     r^beta + eval_scaled(...), which equals lam^beta * f(r/lam).
     """
@@ -287,7 +292,7 @@ def eval_scaled(profile, lam, r):
     if not lam >= 1.0 - 1e-12:
         raise ValueError(f"rescaling factor must be >= 1, got {lam}")
     r = np.asarray(r, dtype=float)
-    if (r <= 0).any():
+    if not (r > 0).all():
         raise NonPositiveRadiusError("rescaled speed needs r > 0")
     g = profile.g
     beta = profile.beta

@@ -106,6 +106,13 @@ class SphericalGrid:
         return _read_only(np.cos(self.theta)[:, None])
 
     @cached_property
+    def min_spacing_sq(self):
+        """min(h_theta^2, h_phi^2 sin^2(theta)) as an (N_lat, 1) column: the
+        squared shorter edge of each row's cells, which the non-zonal dt bound
+        divides by the diffusivity."""
+        return _read_only(np.minimum(self.h_theta**2, self.h_phi**2 * self.sin_theta**2))
+
+    @cached_property
     def lat_pad_index(self):
         """Flat indices into an (N_lat, N_lon) field giving its (N_lat + 4, N_lon)
         pole padding: two ghost rows past each pole by the antipodal rule

@@ -20,7 +20,8 @@ from anisoflow.diagnostics import (
     sphere_ode_rhs,
 )
 from anisoflow.flow_engine import StepControl
-from anisoflow.speed_profile import SpeedProfile, ZeroG
+from anisoflow import speed_profile
+from anisoflow.speed_profile import ExpFlatG, SpeedProfile, ZeroG
 from anisoflow.sphere_geometry import SphericalGrid
 from anisoflow.verify import pde_vs_ode_check
 
@@ -164,6 +165,21 @@ def test_sphere_ode_rhs_spot_values():
     assert sphere_ode_rhs(strict, 1.0, 5.0) == 0.0
     with pytest.raises(ValueError):
         sphere_ode_rhs(eq, 0.0, 0.0)
+
+
+def test_sphere_ode_rhs_calls_eval_scaled_through_its_module(monkeypatch):
+    # a wrapper on speed_profile.eval_scaled (as a tracer installs) sees the ODE's calls
+    calls = []
+    original = speed_profile.eval_scaled
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(speed_profile, "eval_scaled", counting)
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    sphere_ode_rhs(profile, 1.2, 0.3)
+    assert len(calls) == 1
 
 
 def test_rk4_scalar_step_order():

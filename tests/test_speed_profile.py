@@ -9,9 +9,11 @@ from scipy.interpolate import CubicHermiteSpline
 
 from anisoflow.speed_profile import (
     EXP_FLUSH,
+    G_KINDS,
     BumpG,
     ExpFlatG,
     MonomialG,
+    NonPositiveRadiusError,
     ScaleOverflowError,
     SpeedProfile,
     TabulatedG,
@@ -350,6 +352,25 @@ def test_scaled_rejects_bad_inputs():
         eval_scaled(prof, 0.9, 1.0)
     with pytest.raises(ValueError):
         eval_scaled(prof, 2.0, 0.0)
+
+
+def _nan_radius_profiles():
+    pts = np.linspace(0.05, 3.0, 50)
+    return {
+        "zero": profile_k1(3.0),
+        "monomial": profile_k1(3.0, MonomialG(4)),
+        "bump": profile_k1(3.0, BumpG(0.5, 1.0)),
+        "expflat": profile_k1(3.0, ExpFlatG(1.0)),
+        "tabulated": profile_k1(3.0, TabulatedG(pts, pts**4, 4.0 * pts**3)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(G_KINDS))
+@pytest.mark.parametrize("r", [math.nan, [math.nan, 1.0], [[1.0, 2.0], [1.5, math.nan]]])
+def test_scaled_rejects_nan_radius_for_every_kind(kind, r):
+    # NaN fails every comparison, so a guard written as "any r <= 0" lets it through
+    with pytest.raises(NonPositiveRadiusError):
+        eval_scaled(_nan_radius_profiles()[kind], 1.5, r)
 
 
 # ---------------------------------------------------------------------------
