@@ -6,9 +6,10 @@ The evolving unknown is phi = log r with
                       * sigma_k(kappa)^alpha  +  gamma,
 
 where lam = exp(gamma*tau) is the normalization factor, advanced analytically
-(never integrated).  Stepping is classic explicit RK4 with a parabolic CFL
-bound recomputed from the current curvature field every step; all reductions
-are fixed-order numpy reductions so repeated runs are bit-identical.
+(never integrated).  Stepping is classic explicit RK4 with dt a fraction
+``cfl`` of its linear stability limit, recomputed from the current curvature
+field every step; all reductions are fixed-order numpy reductions so repeated
+runs are bit-identical.
 
 A bit-exactly zonal state on S^2 (see ``is_zonal``) is stepped and recorded
 on a two-column strip of its grid, which keeps the full grid's longitude
@@ -51,6 +52,18 @@ from .symfunc import CONE_EPS, sigma_k_partials
 
 _MIN_DT = 1e-14
 _ALPHA_TOL = 1e-12
+
+# RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has
+# R(z) - 1 = z (z^3 + 4z^2 + 12z + 24) / 24, so |R(z)| <= 1 on the real
+# interval [-RK4_REAL_LIMIT, 0], where -RK4_REAL_LIMIT = -2.78529356... is the
+# cubic's real root (Hairer & Wanner, Solving ODEs II, Sec. IV.2), here by
+# Cardano's formula.
+RK4_REAL_LIMIT = (
+    4.0 + math.cbrt(172.0 + 36.0 * math.sqrt(29.0)) - math.cbrt(36.0 * math.sqrt(29.0) - 172.0)
+) / 3.0
+# h^2 times the spectral radius of the 4th-order second-difference stencil:
+# its symbol (30 - 32 cos(xi) + 2 cos(2 xi)) / 12 peaks at xi = pi.
+D2_RADIUS = 16.0 / 3.0
 
 
 class FlowError(Exception):
@@ -137,10 +150,14 @@ class FlowState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Integration controls.  sphericity_stop = 0 disables that termination."""
+    """Integration controls.  sphericity_stop = 0 disables that termination.
+
+    cfl is the fraction of RK4's linear stability limit (``stable_dt_bound``)
+    a step takes; cfl = 1 steps at the limit itself and is still stable.
+    """
 
     t_end: float
-    cfl: float = 0.2
+    cfl: float = 0.8
     dt_max: float = 1.0
     sphericity_stop: float = 0.0
     max_steps: int = 10_000_000
@@ -267,11 +284,13 @@ def is_zonal(graph):
 
 
 def stable_dt_bound(profile, graph, field, A, zonal=None):
-    """Parabolic bound h_eff^2 / D_max from the linearized principal symbol.
+    """RK4's linear stability limit: RK4_REAL_LIMIT over the largest spectral
+    radius of the linearized principal part, D2_RADIUS * D / h_theta^2 per node.
 
     D = alpha * A * sigma_k^(alpha-1) * maxeig(d sigma_k / d kappa) / (r rho)
-    per node; for n=2 the longitude direction carries the metric factor
-    sin^2(theta) (the grid's cached ``min_spacing_sq``) unless the state is
+    is the diffusivity per node.  For n=2 the longitude direction adds
+    D2_RADIUS * D / (h_phi^2 sin^2(theta)), so the two inverse squared
+    spacings sum (the grid's cached ``inv_spacing_sq``), unless the state is
     bit-exactly zonal.
 
     For k = 1 the partials are all 1 and A * 1.0 is A, so D = A / (r rho)
@@ -291,12 +310,16 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
         D = alpha * np.power(sig, alpha - 1.0) * D
     grid = graph.grid
     if grid.n == 1 or (is_zonal(graph) if zonal is None else zonal):
-        return float(grid.h_theta**2 / D.max())
-    return float((grid.min_spacing_sq / D).min())
+        d_over_h2 = D.max() / grid.h_theta**2
+    else:
+        d_over_h2 = (grid.inv_spacing_sq * D).max()
+    return float(RK4_REAL_LIMIT / (D2_RADIUS * d_over_h2))
 
 
 def step(state, control, dt_cap=math.inf):
-    """One explicit RK4 step; dt = min(dt_max, cfl * stability bound, dt_cap).
+    """One explicit RK4 step; dt = min(dt_max, cfl * stability limit, dt_cap).
+
+    The limit is ``stable_dt_bound``, so any cfl in (0, 1] is linearly stable.
 
     The stages run on state.stage_graph; a zonal strip's new column is
     broadcast back to the full grid.
@@ -390,7 +413,7 @@ def run(state, control):
                 reason = "t_end"
                 break
             if control.sphericity_stop > 0.0:
-                r = np.exp(state.graph.phi)
+                r = state.field.r  # exp(phi), built anyway for the next k1 stage
                 if float(r.max() - r.min()) < control.sphericity_stop:
                     reason = "sphericity_stop"
                     break

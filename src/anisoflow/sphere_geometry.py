@@ -106,11 +106,11 @@ class SphericalGrid:
         return _read_only(np.cos(self.theta)[:, None])
 
     @cached_property
-    def min_spacing_sq(self):
-        """min(h_theta^2, h_phi^2 sin^2(theta)) as an (N_lat, 1) column: the
-        squared shorter edge of each row's cells, which the non-zonal dt bound
-        divides by the diffusivity."""
-        return _read_only(np.minimum(self.h_theta**2, self.h_phi**2 * self.sin_theta**2))
+    def inv_spacing_sq(self):
+        """1/h_theta^2 + 1/(h_phi^2 sin^2(theta)) as an (N_lat, 1) column: each
+        row's inverse squared spacings summed over both directions, which the
+        non-zonal dt bound multiplies by the diffusivity."""
+        return _read_only(1.0 / self.h_theta**2 + 1.0 / (self.h_phi**2 * self.sin_theta**2))
 
     @cached_property
     def lat_pad_index(self):

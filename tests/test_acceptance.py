@@ -59,7 +59,7 @@ def ac3_run():
     grid = SphericalGrid.circle(512)
     graph = RadialGraph(grid, np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta)))
     state = initial_state(prof, graph)
-    control = StepControl(t_end=3.0, sphericity_stop=1e-3, record_every=10)
+    control = StepControl(t_end=3.0, sphericity_stop=1e-3, record_every=5)
     return run(state, control)
 
 
@@ -71,7 +71,7 @@ def ac4_run():
     col = np.log(1.0375 + 0.1125 * np.cos(2.0 * grid.theta))
     graph = RadialGraph(grid, np.broadcast_to(col[:, None], grid.shape).copy())
     state = initial_state(prof, graph)
-    return run(state, StepControl(t_end=6.0, record_every=20))
+    return run(state, StepControl(t_end=6.0, record_every=10))
 
 
 # ---------------------------------------------------------------------------

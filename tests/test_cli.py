@@ -69,7 +69,7 @@ def test_parse_minimal_config():
     assert cfg.grid.n_lat == 64
     assert cfg.initial.kind == "sphere" and cfg.initial.r0 == 1.0
     assert cfg.control.t_end == 0.5
-    assert cfg.control.cfl == 0.2  # defaults
+    assert cfg.control.cfl == 0.8  # defaults
     assert cfg.control.dt_max == 1.0
     assert cfg.control.record_every == 10
     assert cfg.csv_path is None and not cfg.override

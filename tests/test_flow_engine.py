@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow.flow_engine import (
+    RK4_REAL_LIMIT,
     AdmissibilityError,
     ConeViolationError,
     FlowState,
@@ -251,7 +252,7 @@ def test_step_self_convergence_order():
             assert s.last_dt == dt
         return s.graph.phi
 
-    T, m0 = 0.032, 4  # dt below the N=64 stability bound so the cap binds
+    T, m0 = 0.032, 8  # dt below the N=64 stability limit (about 0.0048) so the cap binds
     sols = [advance(T / m, m) for m in (m0, 2 * m0, 4 * m0)]
     e1 = np.max(np.abs(sols[0] - sols[1]))
     e2 = np.max(np.abs(sols[1] - sols[2]))
@@ -287,7 +288,64 @@ def test_zonal_bound_ignores_longitude():
     b_zonal = stable_dt_bound(prof, graph, field, A, zonal=True)
     b_generic = stable_dt_bound(prof, graph, field, A, zonal=False)
     assert b_zonal > 20.0 * b_generic  # sin^2 near the poles throttles the generic bound
-    assert_allclose(b_zonal, grid.h_theta**2 / (A * field.kappa.max() / 1.0).max(), rtol=0.5)
+    D = A * sigma_k_partials(field.kappa, 2).max(axis=-1) / (field.r * field.rho)
+    assert_allclose(b_zonal, RK4_REAL_LIMIT * (3.0 / 16.0) * grid.h_theta**2 / D.max(), rtol=1e-12)
+
+
+def test_rk4_real_limit_is_the_cubic_root():
+    z = RK4_REAL_LIMIT
+    roots = np.roots([1.0, 4.0, 12.0, 24.0])
+    assert_allclose(-z, roots[np.isreal(roots)].real, rtol=1e-14)
+    R = 1.0 - z + z**2 / 2.0 - z**3 / 6.0 + z**4 / 24.0  # RK4's R(-z)
+    assert abs(R - 1.0) < 1e-14
+
+
+def _fd_jacobian_radius(profile, graph):
+    """Spectral radius of rhs's Jacobian in phi, by central differences."""
+    phi0, eps = graph.phi, 1e-6
+    J = np.empty((phi0.size, phi0.size))
+    for j in range(phi0.size):
+        d = np.zeros(phi0.size)
+        d[j] = eps
+        d = d.reshape(phi0.shape)
+        up = rhs(profile, RadialGraph(graph.grid, phi0 + d), 1.0)[0]
+        down = rhs(profile, RadialGraph(graph.grid, phi0 - d), 1.0)[0]
+        J[:, j] = ((up - down) / (2.0 * eps)).ravel()
+    return float(np.abs(np.linalg.eigvals(J)).max())
+
+
+SPECTRUM_CASES = [("curve", amp) for amp in (0.0, 0.1, 0.3)] + [("surface", amp) for amp in (0.0, 1e-3, 0.05)]
+
+
+@pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=[f"{w}-{a:g}" for w, a in SPECTRUM_CASES])
+def test_dt_bound_is_rk4_limit_over_measured_spectral_radius(where, amp):
+    # the bound times the Jacobian's spectral radius is RK4's real-axis limit
+    # z*, reached on the round curve (measured 2.658-2.7853 on the curve,
+    # 2.660-2.766 on the surface); the full grid's longitude modes count, so
+    # the surface is evaluated with zonal=False even when its data are zonal
+    if where == "curve":
+        profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
+        graph = _curve(64, amp)
+    else:
+        profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+        graph = _surface(16, 32, zonal=False, amp=amp)
+    _, field, A = rhs(profile, graph, 1.0)
+    bound = stable_dt_bound(profile, graph, field, A, zonal=False)
+    product = bound * _fd_jacobian_radius(profile, graph)
+    assert 0.9 * RK4_REAL_LIMIT <= product <= RK4_REAL_LIMIT * (1.0 + 1e-6), product
+
+
+def test_cfl_one_is_stable_and_matches_the_default():
+    # cfl = 1 steps at the linear limit itself; at 1.02x the limit this run's
+    # r_max rises by 9e-4 between records and phi is off by 0.1
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
+    state = initial_state(profile, _curve(256, 0.3))
+    default = run(state, StepControl(t_end=0.5))
+    full = run(state, StepControl(t_end=0.5, cfl=1.0))
+    assert full.reason == "t_end" and full.state.tau == default.state.tau == 0.5
+    assert full.state.step_count < default.state.step_count
+    assert np.diff(full.series.column("r_max")).max() <= 1e-9
+    assert np.abs(full.state.graph.phi - default.state.graph.phi).max() <= 1e-10
 
 
 def test_zonality_is_preserved_by_steps():
@@ -473,16 +531,18 @@ def _ref_stage(profile, graph, lam):
 
 
 def _ref_dt_bound(profile, grid, phi, A, r, rho, kappa, sigma):
-    """The parabolic dt bound, the largest partial taken by a reduction over
-    the partials' last axis and zonality by a zero peak-to-peak per row."""
+    """RK4's linear stability limit, the largest partial taken by a reduction
+    over the partials' last axis and zonality by a zero peak-to-peak per row."""
     k, alpha = profile.k, profile.alpha
     D = A * sigma_k_partials(kappa, k).max(axis=-1) / (r * rho)
     if alpha != 1.0:
         D = alpha * np.power(sigma[..., k - 1], alpha - 1.0) * D
     if grid.n == 1 or float(np.ptp(phi, axis=1).max()) == 0.0:
-        return float(grid.h_theta**2 / D.max())
-    sin2 = np.sin(grid.theta)[:, None] ** 2
-    return float((np.minimum(grid.h_theta**2, grid.h_phi**2 * sin2) / D).min())
+        d_over_h2 = D.max() / grid.h_theta**2
+    else:
+        sin2 = np.sin(grid.theta)[:, None] ** 2
+        d_over_h2 = ((1.0 / grid.h_theta**2 + 1.0 / (grid.h_phi**2 * sin2)) * D).max()
+    return float(RK4_REAL_LIMIT / ((16.0 / 3.0) * d_over_h2))
 
 
 def _ref_step(state, control):
@@ -508,12 +568,12 @@ def _curve(N, amp):
     return RadialGraph(grid, np.log(1.0 + amp * np.cos(2.0 * grid.theta)))
 
 
-def _surface(n_lat, n_lon, zonal):
+def _surface(n_lat, n_lon, zonal, amp=1e-3):
     grid = SphericalGrid.sphere(n_lat, n_lon)
     t = grid.theta[:, None]
     phi = np.broadcast_to(np.log(1.0375 + 0.1125 * np.cos(2.0 * t)), grid.shape).copy()
     if not zonal:
-        phi = phi + 1e-3 * np.sin(t) ** 2 * np.cos(2.0 * grid.phi_lon)[None, :]
+        phi = phi + amp * np.sin(t) ** 2 * np.cos(2.0 * grid.phi_lon)[None, :]
     return RadialGraph(grid, phi)
 
 

@@ -320,12 +320,12 @@ def test_grid_tables_are_cached_read_only_and_outside_equality():
     assert a != SphericalGrid.sphere(32, 66)
 
 
-def test_min_spacing_sq_is_the_formula_cached_and_read_only():
+def test_inv_spacing_sq_is_the_formula_cached_and_read_only():
     grid = SphericalGrid.sphere(32, 64)
-    table = grid.min_spacing_sq
-    ref = np.minimum(grid.h_theta**2, grid.h_phi**2 * np.sin(grid.theta)[:, None] ** 2)
+    table = grid.inv_spacing_sq
+    ref = 1.0 / grid.h_theta**2 + 1.0 / (grid.h_phi**2 * np.sin(grid.theta)[:, None] ** 2)
     assert table.shape == (32, 1) and np.array_equal(table, ref)
-    assert grid.min_spacing_sq is table
+    assert grid.inv_spacing_sq is table
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 0
