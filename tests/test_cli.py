@@ -446,6 +446,10 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     code = main(["run", write_config(tmp_path, BASIC.replace("r0 = 1.0", "r0 = -2"))])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    # a nan stop would otherwise switch the stop off silently
+    code = main(["run", write_config(tmp_path, BASIC.replace("t_end = 0.5", "t_end = 0.5\nsphericity_stop = nan"))])
+    assert code == 1
+    assert "config error: [control] sphericity_stop must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_all(capsys):

@@ -1,6 +1,8 @@
-"""Normalized-flow time stepping: RK4, stability control, runs, checkpoints."""
+"""Normalized-flow time stepping: SSPRK(4,3) against an RK4 oracle, stability control,
+runs, checkpoints."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow.flow_engine import (
-    RK4_REAL_LIMIT,
+    SSPRK43_REAL_LIMIT,
     AdmissibilityError,
     ConeViolationError,
     FlowState,
@@ -47,6 +49,13 @@ from anisoflow.sphere_geometry import (
     weingarten,
 )
 from anisoflow.symfunc import CONE_EPS, sigma_k_partials
+
+
+# classic RK4's real stability limit, the real root of z^3 + 4z^2 + 12z + 24
+# negated (Hairer & Wanner, Solving ODEs II, Sec. IV.2); the RK4 oracle steps
+# at this fraction of the engine's bound
+RK4_REAL_LIMIT = (4.0 + math.cbrt(172.0 + 36.0 * math.sqrt(29.0)) - math.cbrt(36.0 * math.sqrt(29.0) - 172.0)) / 3.0
+RK4_FRACTION = RK4_REAL_LIMIT / SSPRK43_REAL_LIMIT
 
 
 def profile_k1(beta, g=None, n=1):
@@ -204,16 +213,31 @@ def test_cone_gate_active_for_powered_curvature():
 # stepping
 
 
-def scalar_phi_rk4(prof, phi0, tau0, dt, lam_of):
-    """RK4 on the sphere-reduced phi equation, mirroring the engine's stages."""
+def _sphere_F(prof):
+    """The sphere-reduced phi equation's right-hand side F(phi, tau)."""
 
     def F(phi, tau):
         r = math.exp(phi)
-        g = eval_scaled(prof, lam_of(tau), r)
+        g = eval_scaled(prof, math.exp(prof.gamma * tau), r)
         sig = (math.comb(prof.n, prof.k) * r**-prof.k) ** prof.alpha
         A = r ** (prof.beta - 1.0) + g / r
         return -A * sig + prof.gamma
 
+    return F
+
+
+def scalar_phi_ssprk43(prof, phi0, tau0, dt):
+    """SSPRK(4,3) on the sphere-reduced phi equation, mirroring the engine's stages."""
+    F = _sphere_F(prof)
+    u1 = phi0 + 0.5 * dt * F(phi0, tau0)
+    u2 = u1 + 0.5 * dt * F(u1, tau0 + 0.5 * dt)
+    u3 = (2.0 / 3.0) * phi0 + (1.0 / 3.0) * u2 + (dt / 6.0) * F(u2, tau0 + dt)
+    return u3 + 0.5 * dt * F(u3, tau0 + 0.5 * dt)
+
+
+def scalar_phi_rk4(prof, phi0, tau0, dt):
+    """Classic RK4 on the sphere-reduced phi equation, mirroring the oracle's stages."""
+    F = _sphere_F(prof)
     k1 = F(phi0, tau0)
     k2 = F(phi0 + 0.5 * dt * k1, tau0 + 0.5 * dt)
     k3 = F(phi0 + 0.5 * dt * k2, tau0 + 0.5 * dt)
@@ -221,21 +245,30 @@ def scalar_phi_rk4(prof, phi0, tau0, dt, lam_of):
     return phi0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-@pytest.mark.parametrize(
-    "g", [ZeroG(), MonomialG(5.0)], ids=["zero", "monomial"]
-)
-def test_step_on_sphere_matches_scalar_rk4(g):
+SPHERE_GS = pytest.mark.parametrize("g", [ZeroG(), MonomialG(5.0)], ids=["zero", "monomial"])
+
+
+@SPHERE_GS
+def test_step_on_sphere_matches_scalar_stages(g):
     prof = profile_k1(4.0, g)
     state = initial_state(prof, sphere_graph(SphericalGrid.circle(64), 1.5))
     new = step(state, StepControl(t_end=1.0))
     dt = new.last_dt
     assert dt > 0.0
-    phi_expect = scalar_phi_rk4(
-        prof, math.log(1.5), 0.0, dt, lambda tau: math.exp(prof.gamma * tau)
-    )
+    phi_expect = scalar_phi_ssprk43(prof, math.log(1.5), 0.0, dt)
     assert np.max(np.abs(new.graph.phi - phi_expect)) < 1e-12
     assert new.tau == dt
     assert new.step_count == 1
+
+
+@SPHERE_GS
+def test_step_on_sphere_matches_scalar_rk4(g):
+    # the RK4 oracle against the scalar RK4, at the oracle's own dt
+    prof = profile_k1(4.0, g)
+    state = initial_state(prof, sphere_graph(SphericalGrid.circle(64), 1.5))
+    phi, dt = _rk4_step(state, StepControl(t_end=1.0))
+    assert dt > 0.0
+    assert np.max(np.abs(phi - scalar_phi_rk4(prof, math.log(1.5), 0.0, dt))) < 1e-12
 
 
 def test_step_self_convergence_order():
@@ -252,12 +285,12 @@ def test_step_self_convergence_order():
             assert s.last_dt == dt
         return s.graph.phi
 
-    T, m0 = 0.032, 8  # dt below the N=64 stability limit (about 0.0048) so the cap binds
+    T, m0 = 0.032, 8  # dt below the N=64 stability limit (about 0.0089) so the cap binds
     sols = [advance(T / m, m) for m in (m0, 2 * m0, 4 * m0)]
     e1 = np.max(np.abs(sols[0] - sols[1]))
     e2 = np.max(np.abs(sols[1] - sols[2]))
     order = math.log2(e1 / e2)
-    assert order > 2.0, order
+    assert order > 2.5, order  # third order: measured 3.03
 
 
 def test_step_too_small_rejected():
@@ -289,10 +322,19 @@ def test_zonal_bound_ignores_longitude():
     b_generic = stable_dt_bound(prof, graph, field, A, zonal=False)
     assert b_zonal > 20.0 * b_generic  # sin^2 near the poles throttles the generic bound
     D = A * sigma_k_partials(field.kappa, 2).max(axis=-1) / (field.r * field.rho)
-    assert_allclose(b_zonal, RK4_REAL_LIMIT * (3.0 / 16.0) * grid.h_theta**2 / D.max(), rtol=1e-12)
+    assert_allclose(b_zonal, SSPRK43_REAL_LIMIT * (3.0 / 16.0) * grid.h_theta**2 / D.max(), rtol=1e-12)
+
+
+def test_real_limit_is_the_cubic_root():
+    z = SSPRK43_REAL_LIMIT
+    roots = np.roots([1.0, -8.0, 24.0, -48.0])
+    assert_allclose(z, roots[np.isreal(roots)].real, rtol=1e-14)
+    R = 1.0 - z + z**2 / 2.0 - z**3 / 6.0 + z**4 / 48.0  # SSPRK(4,3)'s R(-z)
+    assert abs(R - 1.0) < 1e-14
 
 
 def test_rk4_real_limit_is_the_cubic_root():
+    # the oracle's limit
     z = RK4_REAL_LIMIT
     roots = np.roots([1.0, 4.0, 12.0, 24.0])
     assert_allclose(-z, roots[np.isreal(roots)].real, rtol=1e-14)
@@ -300,8 +342,8 @@ def test_rk4_real_limit_is_the_cubic_root():
     assert abs(R - 1.0) < 1e-14
 
 
-def _fd_jacobian_radius(profile, graph):
-    """Spectral radius of rhs's Jacobian in phi, by central differences."""
+def _fd_jacobian(profile, graph):
+    """rhs's Jacobian in phi, by central differences."""
     phi0, eps = graph.phi, 1e-6
     J = np.empty((phi0.size, phi0.size))
     for j in range(phi0.size):
@@ -311,18 +353,20 @@ def _fd_jacobian_radius(profile, graph):
         up = rhs(profile, RadialGraph(graph.grid, phi0 + d), 1.0)[0]
         down = rhs(profile, RadialGraph(graph.grid, phi0 - d), 1.0)[0]
         J[:, j] = ((up - down) / (2.0 * eps)).ravel()
-    return float(np.abs(np.linalg.eigvals(J)).max())
+    return J
 
 
 SPECTRUM_CASES = [("curve", amp) for amp in (0.0, 0.1, 0.3)] + [("surface", amp) for amp in (0.0, 1e-3, 0.05)]
+SPECTRUM_IDS = [f"{w}-{a:g}" for w, a in SPECTRUM_CASES]
 
 
-@pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=[f"{w}-{a:g}" for w, a in SPECTRUM_CASES])
-def test_dt_bound_is_rk4_limit_over_measured_spectral_radius(where, amp):
-    # the bound times the Jacobian's spectral radius is RK4's real-axis limit
-    # z*, reached on the round curve (measured 2.658-2.7853 on the curve,
-    # 2.660-2.766 on the surface); the full grid's longitude modes count, so
-    # the surface is evaluated with zonal=False even when its data are zonal
+@functools.cache
+def _bound_and_spectrum(where, amp):
+    """(stable_dt_bound, eigenvalues of the Jacobian) of a SPECTRUM_CASES entry.
+
+    The full grid's longitude modes count, so the surface is evaluated with
+    zonal=False even when its data are zonal.
+    """
     if where == "curve":
         profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
         graph = _curve(64, amp)
@@ -331,13 +375,48 @@ def test_dt_bound_is_rk4_limit_over_measured_spectral_radius(where, amp):
         graph = _surface(16, 32, zonal=False, amp=amp)
     _, field, A = rhs(profile, graph, 1.0)
     bound = stable_dt_bound(profile, graph, field, A, zonal=False)
-    product = bound * _fd_jacobian_radius(profile, graph)
+    return bound, np.linalg.eigvals(_fd_jacobian(profile, graph))
+
+
+@pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=SPECTRUM_IDS)
+def test_dt_bound_is_the_real_limit_over_measured_spectral_radius(where, amp):
+    # the bound times the Jacobian's spectral radius is SSPRK(4,3)'s real-axis
+    # limit z*, reached on the round curve (measured 4.914-5.1495 on the
+    # curve, 4.917-5.113 on the surface)
+    bound, eigs = _bound_and_spectrum(where, amp)
+    product = bound * float(np.abs(eigs).max())
+    assert 0.9 * SSPRK43_REAL_LIMIT <= product <= SSPRK43_REAL_LIMIT * (1.0 + 1e-6), product
+
+
+@pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=SPECTRUM_IDS)
+def test_cfl_one_keeps_every_measured_eigenvalue_stable(where, amp):
+    # |R(dt lambda)| <= 1 at dt = the bound for every eigenvalue of the
+    # measured Jacobian, R being SSPRK(4,3)'s stability polynomial; the
+    # spectra are real to 4e-8, the curves' max|R| is 1 - 1e-10 (the scaling
+    # mode's near-zero eigenvalue and, on the round curve, the limit itself),
+    # the surfaces' 1 - 2e-4
+    bound, eigs = _bound_and_spectrum(where, amp)
+    z = bound * eigs
+    R = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 48.0
+    assert float(np.abs(R).max()) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=SPECTRUM_IDS)
+def test_dt_bound_is_rk4_limit_over_measured_spectral_radius(where, amp):
+    # the RK4 oracle's bound, RK4_FRACTION of the engine's, times the
+    # Jacobian's spectral radius is RK4's real-axis limit, and classic RK4's
+    # |R| stays <= 1 over the measured spectrum there
+    bound, eigs = _bound_and_spectrum(where, amp)
+    z = RK4_FRACTION * bound * eigs
+    product = float(np.abs(z).max())
     assert 0.9 * RK4_REAL_LIMIT <= product <= RK4_REAL_LIMIT * (1.0 + 1e-6), product
+    R = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    assert float(np.abs(R).max()) <= 1.0 + 1e-12
 
 
 def test_cfl_one_is_stable_and_matches_the_default():
     # cfl = 1 steps at the linear limit itself; at 1.02x the limit this run's
-    # r_max rises by 9e-4 between records and phi is off by 0.1
+    # r_max rises by 0.04 between records and phi is off by 0.06
     profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
     state = initial_state(profile, _curve(256, 0.3))
     default = run(state, StepControl(t_end=0.5))
@@ -369,16 +448,19 @@ def _zonal_expflat_state():
     return initial_state(profile, _surface(32, 64, zonal=True), validate_regime=False)
 
 
-def _full_grid_rk4(state, control):
-    """(phi, dt) of one RK4 step built from rhs on the full grid."""
+def _full_grid_step(state, control):
+    """(phi, dt) of one SSPRK(4,3) step built from rhs on the full grid."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
     k1, field, A = rhs(profile, state.graph, state.lam, tau0)
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field, A, zonal=True))
     half, tau1 = tau0 + 0.5 * dt, tau0 + dt
-    k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), lambda_of_tau(profile, half), half)
-    k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), lambda_of_tau(profile, half), half)
-    k4, _, _ = rhs(profile, RadialGraph(grid, phi0 + dt * k3), lambda_of_tau(profile, tau1), tau1)
-    return phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt
+    u1 = phi0 + (0.5 * dt) * k1
+    k2, _, _ = rhs(profile, RadialGraph(grid, u1), lambda_of_tau(profile, half), half)
+    u2 = u1 + (0.5 * dt) * k2
+    k3, _, _ = rhs(profile, RadialGraph(grid, u2), lambda_of_tau(profile, tau1), tau1)
+    u3 = (2.0 / 3.0) * phi0 + (1.0 / 3.0) * u2 + (dt / 6.0) * k3
+    k4, _, _ = rhs(profile, RadialGraph(grid, u3), lambda_of_tau(profile, half), half)
+    return u3 + (0.5 * dt) * k4, dt
 
 
 def _on_full_grid(state):
@@ -399,11 +481,11 @@ def test_only_zonal_states_take_the_strip():
     assert not is_zonal(step(state, StepControl(t_end=10.0)).graph)
 
 
-def test_zonal_step_equals_full_grid_rk4_bitwise():
+def test_zonal_step_equals_full_grid_step_bitwise():
     state = _zonal_expflat_state()
     control = StepControl(t_end=10.0)
     for _ in range(3):
-        ref_phi, ref_dt = _full_grid_rk4(state, control)
+        ref_phi, ref_dt = _full_grid_step(state, control)
         state = step(state, control)
         assert state.last_dt == ref_dt
         assert state.graph.phi.shape == (32, 64)
@@ -531,7 +613,7 @@ def _ref_stage(profile, graph, lam):
 
 
 def _ref_dt_bound(profile, grid, phi, A, r, rho, kappa, sigma):
-    """RK4's linear stability limit, the largest partial taken by a reduction
+    """SSPRK(4,3)'s linear stability limit, the largest partial taken by a reduction
     over the partials' last axis and zonality by a zero peak-to-peak per row."""
     k, alpha = profile.k, profile.alpha
     D = A * sigma_k_partials(kappa, k).max(axis=-1) / (r * rho)
@@ -542,11 +624,11 @@ def _ref_dt_bound(profile, grid, phi, A, r, rho, kappa, sigma):
     else:
         sin2 = np.sin(grid.theta)[:, None] ** 2
         d_over_h2 = ((1.0 / grid.h_theta**2 + 1.0 / (grid.h_phi**2 * sin2)) * D).max()
-    return float(RK4_REAL_LIMIT / ((16.0 / 3.0) * d_over_h2))
+    return float(SSPRK43_REAL_LIMIT / ((16.0 / 3.0) * d_over_h2))
 
 
 def _ref_step(state, control):
-    """(phi, dt) of one RK4 step with a validated RadialGraph per stage."""
+    """(phi, dt) of one SSPRK(4,3) step with a validated RadialGraph per stage."""
     profile, grid = state.profile, state.graph.grid
     gamma = profile.gamma
 
@@ -557,10 +639,35 @@ def _ref_step(state, control):
     k1, A, r, rho, kappa, sigma = stage(phi0, tau0)
     dt = min(control.dt_max, control.cfl * _ref_dt_bound(profile, grid, phi0, A, r, rho, kappa, sigma))
     half = tau0 + 0.5 * dt
-    k2 = stage(phi0 + (0.5 * dt) * k1, half)[0]
-    k3 = stage(phi0 + (0.5 * dt) * k2, half)[0]
-    k4 = stage(phi0 + dt * k3, tau0 + dt)[0]
+    u1 = phi0 + (0.5 * dt) * k1
+    u2 = u1 + (0.5 * dt) * stage(u1, half)[0]
+    u3 = (2.0 / 3.0) * phi0 + (1.0 / 3.0) * u2 + (dt / 6.0) * stage(u2, tau0 + dt)[0]
+    return u3 + (0.5 * dt) * stage(u3, half)[0], dt
+
+
+# ---------------------------------------------------------------------------
+# the RK4 oracle: classic RK4 from rhs on the full grid, at cfl of its own
+# limit, against which the engine's trajectories are checked at fixed horizons
+
+
+def _rk4_step(state, control, dt_cap=math.inf):
+    """(phi, dt) of one classic RK4 step, dt = min(dt_max, cfl * RK4's limit, dt_cap)."""
+    profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
+    k1, field, A = rhs(profile, state.graph, state.lam, tau0)
+    dt = min(control.dt_max, control.cfl * RK4_FRACTION * stable_dt_bound(profile, state.graph, field, A), dt_cap)
+    half, tau1 = tau0 + 0.5 * dt, tau0 + dt
+    k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), lambda_of_tau(profile, half), half)
+    k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), lambda_of_tau(profile, half), half)
+    k4, _, _ = rhs(profile, RadialGraph(grid, phi0 + dt * k3), lambda_of_tau(profile, tau1), tau1)
     return phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt
+
+
+def _rk4_final_phi(state, control):
+    """phi at control.t_end by RK4 oracle steps."""
+    while state.tau < control.t_end - 1e-15:
+        phi, dt = _rk4_step(state, control, control.t_end - state.tau)
+        state = dataclasses.replace(state, tau=state.tau + dt, graph=RadialGraph(state.graph.grid, phi))
+    return state.graph.phi
 
 
 def _curve(N, amp):
@@ -667,6 +774,26 @@ def test_step_matches_reference_stages_bitwise(case):
         assert np.array_equal(state.graph.phi, ref_phi)
 
 
+EXPFLAT_K2 = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+# the benchmark workloads' seed-0 data, each to a fixed horizon
+ORACLE_CASES = {
+    "curve_nonconvex": (SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0), _curve(256, 0.3), 1.0),
+    "zonal_expflat": (EXPFLAT_K2, _surface(32, 64, zonal=True), 6.0),
+    "nonzonal_pole": (EXPFLAT_K2, _surface(32, 64, zonal=False), 0.005),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_fixed_horizon_phi_matches_rk4_oracle(case):
+    # measured max|dphi| 2.9e-12, 4.0e-11 and 6.4e-15
+    profile, graph, t_end = ORACLE_CASES[case]
+    state = initial_state(profile, graph)
+    result = run(state, StepControl(t_end=t_end, record_every=10**9))
+    assert result.reason == "t_end"
+    oracle = _rk4_final_phi(state, StepControl(t_end=t_end))
+    assert np.abs(result.state.graph.phi - oracle).max() <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -740,6 +867,14 @@ def test_control_validation():
         StepControl(t_end=1.0, sphericity_stop=-1e-3)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, record_every=0)
+    # nan would fail every "osc < stop" test, so the run would never stop there
+    with pytest.raises(ValueError, match="sphericity_stop"):
+        StepControl(t_end=1.0, sphericity_stop=math.nan)
+    # record_every = 2.5 would record only at multiples of 5
+    for bad in ({"record_every": 2.5}, {"record_every": 2.0}, {"max_steps": 1e5}):
+        with pytest.raises(ValueError, match="integers"):
+            StepControl(t_end=1.0, **bad)
+    assert StepControl(t_end=1.0, record_every=np.int64(3)).record_every == 3
 
 
 def test_initial_state_validation():
