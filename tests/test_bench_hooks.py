@@ -55,7 +55,7 @@ def run_tiny_curve(hook):
     graph = RadialGraph(grid, np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta)))
     state = flow_engine.initial_state(SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0), graph)
     with hook:
-        result = flow_engine.run(state, StepControl(t_end=1.0, max_steps=30, record_every=10))
+        result = flow_engine.run(state, StepControl(t_end=3.0, max_steps=30, record_every=10))
     assert result.reason == "max_steps"
     return hook
 

