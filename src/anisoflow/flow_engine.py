@@ -13,10 +13,10 @@ the current curvature field every step; all reductions are fixed-order numpy
 reductions so repeated runs are bit-identical.
 
 A bit-exactly zonal state on S^2 (see ``is_zonal``) is stepped and recorded
-on a two-column strip of its grid, which keeps the full grid's longitude
-spacing so that every value matches the full grid's bit for bit; ``step``
-broadcasts the new column back.  A state's curvature field is built once,
-for a record and the next step's first stage alike.
+on a two-column strip of its grid, where ``weingarten`` computes only the
+latitude partials and every value matches the full grid's bit for bit;
+``step`` broadcasts the new column back.  A state's curvature field is built
+once, for a record and the next step's first stage alike.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -277,9 +277,9 @@ def is_zonal(graph):
     direction then contributes nothing to the stability bound.  So ``step``
     and ``diagnostics_row`` evaluate such a state on two columns
     (``FlowState.stage_graph``), which every other column would repeat bit
-    for bit.  The strip keeps the full grid's h_phi: the longitude stencils
-    of a constant row round to a tiny nonzero numerator, and only the same
-    spacing divides it to the full grid's bits.
+    for bit.  The longitude stencils of a constant row give exactly +0.0, so
+    the strip skips them, and the terms they would add, without changing a
+    bit.
 
     For the finite phi a RadialGraph holds, every row equal to its first
     column is the same test as a zero peak-to-peak per row (zeros of either

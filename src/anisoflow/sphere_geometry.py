@@ -8,12 +8,12 @@ A star-shaped hypersurface is stored as phi = log r on a structured grid:
   periodic; latitude stencils close over the poles with the antipodal rule
   value(-theta, phi) = value(theta, phi + pi), which is why N_lon must be even.
 
-All derivatives are 4th-order central differences.  ``weingarten`` builds the
-shape operator from the graph formulas (induced metric r^2*(g_S + dphi dphi),
-second form (r/rho)*(g_S + dphi dphi - Hess phi)), symmetrized through the
-metric's Cholesky factor so the operator is an honest symmetric matrix per
-node.  ``embedding_oracle`` recomputes curvature from the embedded position
-vector and classical fundamental-form algebra; it shares only the stencils with
+All derivatives are 4th-order central differences, written as differences of
+neighbours so that a constant row gives exactly +0.0.  ``weingarten`` takes
+the curvature from the graph invariants in closed form (induced metric
+r^2*E with E = g_S + dphi dphi, second form (r/rho)*(E - Hess phi)).
+``embedding_oracle`` recomputes curvature from the embedded position vector
+and classical fundamental-form algebra; it shares only the stencils with
 ``weingarten`` and exists to cross-check its geometry.
 """
 
@@ -106,11 +106,31 @@ class SphericalGrid:
         return _read_only(np.cos(self.theta)[:, None])
 
     @cached_property
+    def sin2_theta(self):
+        """sin^2(theta) as an (N_lat, 1) column."""
+        return _read_only(self.sin_theta**2)
+
+    @cached_property
+    def inv_sin2_theta(self):
+        """1/sin^2(theta) as an (N_lat, 1) column."""
+        return _read_only(1.0 / self.sin2_theta)
+
+    @cached_property
+    def cot_theta(self):
+        """cot(theta) = cos(theta)/sin(theta) as an (N_lat, 1) column."""
+        return _read_only(self.cos_theta / self.sin_theta)
+
+    @cached_property
+    def sin_cos_theta(self):
+        """sin(theta) cos(theta) as an (N_lat, 1) column."""
+        return _read_only(self.sin_theta * self.cos_theta)
+
+    @cached_property
     def inv_spacing_sq(self):
         """1/h_theta^2 + 1/(h_phi^2 sin^2(theta)) as an (N_lat, 1) column: each
         row's inverse squared spacings summed over both directions, which the
         non-zonal dt bound multiplies by the diffusivity."""
-        return _read_only(1.0 / self.h_theta**2 + 1.0 / (self.h_phi**2 * self.sin_theta**2))
+        return _read_only(1.0 / self.h_theta**2 + 1.0 / (self.h_phi**2 * self.sin2_theta))
 
     @cached_property
     def lat_pad_index(self):
@@ -122,14 +142,26 @@ class SphericalGrid:
         return _read_only(np.concatenate((across[1::-1], index, across[:-3:-1])))
 
     @cached_property
+    def lon_pad_index(self):
+        """Flat indices into an (N_lat, N_lon) field giving one line: the
+        (N_lat + 4) rows of its pole padding, each wrapped by two entries past
+        either end, end to end, with two more entries at either end of the
+        line.  A stencil along the line is the longitude stencil of every
+        padded row at the centres that are not wrapped entries."""
+        rows = self.lat_pad_index
+        line = np.concatenate((rows[:, -2:], rows, rows[:, :2]), axis=1).ravel()
+        return _read_only(np.concatenate((line[:2], line, line[-2:])))
+
+    @cached_property
     def zonal_strip(self):
         """The (N_lat, 2) grid a longitude-independent n=2 field is evaluated on.
 
         Two columns are the fewest the longitude padding takes, and the pole
-        rule's shift by n_lon // 2 = 1 lands on the twin column.  The strip
-        keeps this grid's h_phi: on a zonal field the longitude stencils'
-        numerators (a - 8a + 8a - a) round to tiny nonzero values, which
-        match the full grid's bit for bit only over the same spacing.
+        rule's shift by n_lon // 2 = 1 lands on the twin column.  ``weingarten``
+        evaluates a strip from its latitude partials alone: the longitude
+        partials of a constant row are exactly zero, so the full grid's
+        general path gives the same bits.  The strip reports this grid's
+        h_phi, the spacing of the surface it stands for.
         """
         if self.n != 2:
             raise AttributeError("circle grids have no zonal strip")
@@ -143,7 +175,8 @@ class SphericalGrid:
 
 @dataclass(frozen=True, eq=True)
 class _ZonalStrip(SphericalGrid):
-    """Two longitude columns of an n=2 grid with full_n_lon columns, at its spacing."""
+    """Two longitude columns of an n=2 grid with full_n_lon columns, which
+    ``weingarten`` evaluates as a zonal field: latitude partials only."""
 
     full_n_lon: int
 
@@ -210,41 +243,40 @@ def _pad_periodic(F):
     return np.concatenate((F[-2:], F, F[:2]))
 
 
-def _pad_lat(F, grid):
-    """Two ghost rows past each pole via value(-theta, phi) = value(theta, phi+pi)."""
-    return F.take(grid.lat_pad_index)
-
-
 def _d1(P, h):
     """First derivative along axis 0 of P, padded by two ghost entries at each end."""
-    return (P[:-4] - 8.0 * P[1:-3] + 8.0 * P[3:-1] - P[4:]) / (12.0 * h)
+    return (P[3:-1] - P[1:-3]) * (8.0 / (12.0 * h)) - (P[4:] - P[:-4]) * (1.0 / (12.0 * h))
 
 
 def _d2(P, h):
     """Second derivative along axis 0 of P, padded by two ghost entries at each end."""
-    return (-P[:-4] + 16.0 * P[1:-3] - 30.0 * P[2:-2] + 16.0 * P[3:-1] - P[4:]) / (
-        12.0 * h * h
-    )
+    C = P[2:-2]
+    return ((P[1:-3] - C) + (P[3:-1] - C)) * (16.0 / (12.0 * h * h)) - (
+        (P[:-4] - C) + (P[4:] - C)
+    ) * (1.0 / (12.0 * h * h))
 
 
 def _partials_sphere(grid, F):
-    """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp) on the n=2 grid."""
-    ht, hp = grid.h_theta, grid.h_phi
-    P = _pad_lat(F, grid)
-    F_t = _d1(P, ht)
-    F_tt = _d2(P, ht)
-    Q = _pad_periodic(F.T)
-    F_p = _d1(Q, hp).T
-    F_pp = _d2(Q, hp).T
-    F_tp = _d1(_pad_lat(F_p, grid), ht)
-    return F_t, F_p, F_tt, F_tp, F_pp
+    """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp) on the n=2 grid.
+
+    Every stencil runs over contiguous slices: the latitude ones down the
+    pole padding (``lat_pad_index``), the longitude ones along the line of
+    wrapped padded rows (``lon_pad_index``), whose rows' interiors are kept.
+    F_tp is the latitude derivative of the longitude derivative over the
+    padded rows, whose ghost rows are those of F_p by the pole rule.
+    """
+    ht, hp, width = grid.h_theta, grid.h_phi, grid.n_lon + 4
+    P = F.take(grid.lat_pad_index)
+    line = F.take(grid.lon_pad_index)
+    F_p_padded = _d1(line, hp).reshape(-1, width)[:, 2:-2].copy()
+    F_pp = _d2(line[2 * width : -2 * width], hp).reshape(-1, width)[:, 2:-2].copy()
+    return _d1(P, ht), F_p_padded[2:-2], _d2(P, ht), _d1(F_p_padded, ht), F_pp
 
 
 def _sphere_derivatives(grid, phi):
     """(phi_t, phi_p, H_tt, H_tp, H_pp): gradient and covariant Hessian on the n=2 grid."""
-    sin_t, cos_t = grid.sin_theta, grid.cos_theta
     F_t, F_p, F_tt, F_tp, F_pp = _partials_sphere(grid, phi)
-    return F_t, F_p, F_tt, F_tp - (cos_t / sin_t) * F_p, F_pp + sin_t * cos_t * F_t
+    return F_t, F_p, F_tt, F_tp - grid.cot_theta * F_p, F_pp + grid.sin_cos_theta * F_t
 
 
 def covariant_derivatives(graph):
@@ -304,36 +336,50 @@ class WeingartenField:
         return np.sqrt(self.grad_sq)
 
 
-def _chol_shape_operator(G11, G12, G22, B11, B12, B22):
-    """Symmetric S = L^-1 B L^-T with G = L L^T; eigenvalues of S solve det(B - x G) = 0."""
-    if (G11 <= 0.0).any():
-        raise SingularMetricError("metric lost positivity (G11 <= 0)")
-    L11 = np.sqrt(G11)
-    L21 = G12 / L11
-    M22 = G22 - L21 * L21
-    if (M22 <= 0.0).any():
-        raise SingularMetricError("metric lost positivity (Schur complement <= 0)")
-    L22 = np.sqrt(M22)
-    Y11 = B11 / L11
-    Y12 = B12 / L11
-    Y21 = (B12 - L21 * Y11) / L22
-    Y22 = (B22 - L21 * Y12) / L22
-    S11 = Y11 / L11
-    S21 = Y21 / L11
-    S12 = 0.5 * ((Y12 - L21 * S11) / L22 + S21)
-    S22 = (Y22 - L21 * S21) / L22
-    return S11, S12, S22
+def _eigen_2x2(M11, M12, M21, M22, den):
+    """Eigenvalues, descending, of [[M11, M12], [M21, M22]] / den, a matrix with
+    a real spectrum (self-adjoint for some inner product), along a new last axis.
+
+    The discriminant is built from the entries, ((M11 - M22)/2)^2 + M12 M21,
+    not from trace and determinant, so it does not cancel at an umbilic;
+    round-off below 0 is clamped.
+    """
+    mean = 0.5 * (M11 + M22) / den
+    root = np.sqrt(np.maximum((0.5 * (M11 - M22)) ** 2 + M12 * M21, 0.0)) / den
+    out = np.empty(np.shape(mean) + (2,))
+    np.add(mean, root, out=out[..., 0])
+    np.subtract(mean, root, out=out[..., 1])
+    return out
 
 
-def _eigen_2x2(S11, S12, S22):
-    """Eigenvalues of the symmetric 2x2 [[S11, S12], [S12, S22]], descending."""
-    mean = 0.5 * (S11 + S22)
-    disc = np.sqrt((0.5 * (S11 - S22)) ** 2 + S12 * S12)
-    return np.stack([mean + disc, mean - disc], axis=-1)
+def _graph_curvature(grid, r, rho2, tr_num, det_num):
+    """(rho, u, sigma, den): sigma_1 = tr_num/den and sigma_2 = det_num/(den r rho)
+    with den = det E r rho, after a check that a radius underflowing to 0 (a
+    zero den) raises before any division."""
+    rho = np.sqrt(rho2)
+    w = r * rho
+    den = grid.sin2_theta * rho2 * w
+    den2 = den * w
+    if not (den2 > 0.0).all():
+        raise SingularMetricError("metric lost positivity (det <= 0)")
+    sigma = np.empty(r.shape + (2,))
+    np.divide(tr_num, den, out=sigma[..., 0])
+    np.divide(det_num, den2, out=sigma[..., 1])
+    return rho, r / rho, sigma, den
 
 
 def weingarten(graph):
-    """Curvature data from the radial-graph formulas."""
+    """Curvature data from the radial-graph formulas.
+
+    On S^2, with E = g_S + dphi dphi and B' = E - Hess phi, the shape
+    operator is E^-1 B' / (r rho): sigma_1 = tr(E^-1 B')/(r rho) and
+    sigma_2 = det B'/(det E r^2 rho^2), with det E = sin^2(theta) rho^2.
+    kappa, built on first read, are the eigenvalues of adj(E) B' over
+    det E r rho.  A zonal strip computes only the latitude partials and
+    drops the terms of the longitude ones, which are exactly zero on a
+    zonal field, so its values have the full grid's bits.  A radius that
+    underflows to 0 raises SingularMetricError.
+    """
     grid = graph.grid
     r = graph.r()
     if grid.n == 1:
@@ -344,21 +390,35 @@ def weingarten(graph):
         kappa = ((rho2 - phi_dd) / (r * rho * rho2))[:, None]  # also sigma_1
         return WeingartenField(grid, r, rho, grad_sq, r / rho, kappa, lambda: kappa)
 
-    sin_t = grid.sin_theta
-    p_t, p_p, H_tt, H_tp, H_pp = _sphere_derivatives(grid, graph.phi)
-    tt = p_t * p_t
-    tp = p_t * p_p
+    s2 = grid.sin2_theta
+    if isinstance(grid, _ZonalStrip):
+        P = graph.phi.take(grid.lat_pad_index)
+        F_t, H_tt = _d1(P, grid.h_theta), _d2(P, grid.h_theta)
+        grad2 = F_t * F_t
+        e11 = 1.0 + grad2  # also rho^2
+        b11 = e11 - H_tt
+        b22 = s2 - grid.sin_cos_theta * F_t
+        n11, n22 = s2 * b11, e11 * b22
+        rho, u, sigma, den = _graph_curvature(grid, r, e11, n11 + n22, b11 * b22)
+        return WeingartenField(grid, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
+
+    F_t, F_p, H_tt, H_tp, H_pp = _sphere_derivatives(grid, graph.phi)
+    tt, pp, tp = F_t * F_t, F_p * F_p, F_t * F_p
+    grad2 = tt + pp * grid.inv_sin2_theta
     e11 = 1.0 + tt
-    e22 = sin_t * sin_t + p_p * p_p
-    grad2 = tt + (p_p / sin_t) ** 2
-    rho = np.sqrt(1.0 + grad2)
-    r2 = r * r
-    c = r / rho
-    S11, S12, S22 = _chol_shape_operator(
-        r2 * e11, r2 * tp, r2 * e22, c * (e11 - H_tt), c * (tp - H_tp), c * (e22 - H_pp)
-    )
-    sigma = np.stack([S11 + S22, S11 * S22 - S12 * S12], axis=-1)
-    return WeingartenField(grid, r, rho, grad2, c, sigma, partial(_eigen_2x2, S11, S12, S22))
+    e22 = s2 + pp
+    b11 = e11 - H_tt
+    b12 = tp - H_tp
+    b22 = e22 - H_pp
+    cross = tp * b12
+    n11 = e22 * b11 - cross  # the diagonal of adj(E) B'
+    n22 = e11 * b22 - cross
+    rho, u, sigma, den = _graph_curvature(grid, r, 1.0 + grad2, n11 + n22, b11 * b22 - b12 * b12)
+
+    # the off-diagonal of adj(E) B', built now: a lazy kappa holding its nine
+    # inputs alive read slower on the non-zonal benchmark than this extra work
+    n12, n21 = e22 * b12 - tp * b22, e11 * b12 - tp * b11
+    return WeingartenField(grid, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
 
 
 def embedding_oracle(graph):

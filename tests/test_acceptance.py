@@ -204,6 +204,28 @@ def test_ac4_zonal_surface_converges_to_unit_sphere(ac4_run):
     assert ok, line
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 2.0), (2.0, 3.0)])
+def test_ac4_mean_convex_nonconvex_surface_rounds_out(alpha, beta):
+    # k = 1 on S^2 beyond convexity: r = 1 + 0.3 cos 2 theta is mean-convex
+    # but pinched at the equator (sigma_2 < 0); the sigma_1 cone margin must
+    # hold at every record, with alpha = 2 behind the live cone gate
+    prof = SpeedProfile(n=2, k=1, alpha=alpha, beta=beta)
+    grid = SphericalGrid.sphere(32, 64)
+    col = np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta))
+    graph = RadialGraph(grid, np.broadcast_to(col[:, None], grid.shape).copy())
+    sigma2_min = float(weingarten(graph).sigma[..., 1].min())
+    result = run(initial_state(prof, graph), StepControl(t_end=10.0, sphericity_stop=1e-3, record_every=1))
+    margin = float(result.series.column("cone_margin").min())
+    ok = sigma2_min < 0.0 and margin > CONE_EPS and result.reason == "sphericity_stop"
+    line = _report(
+        f"AC-4 mean-convex, non-convex zonal surface rounds out (alpha={alpha:g}, beta={beta:g})", ok,
+        f"initial min sigma_2 = {sigma2_min:.3f}, min sigma_1 margin = {margin:.3f}, "
+        f"{result.state.step_count} steps, reason = {result.reason}",
+    )
+    assert is_zonal(result.state.graph)
+    assert ok, line
+
+
 # ---------------------------------------------------------------------------
 # AC-5: the two curvature routes agree under refinement
 

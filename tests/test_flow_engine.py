@@ -553,11 +553,14 @@ def test_zonal_cone_exit_matches_full_grid():
 
 
 def _ref_d1(P, h):
-    return (P[:-4] - 8.0 * P[1:-3] + 8.0 * P[3:-1] - P[4:]) / (12.0 * h)
+    w1, w2 = 8.0 / (12.0 * h), 1.0 / (12.0 * h)
+    return w1 * (P[3:-1] - P[1:-3]) - w2 * (P[4:] - P[:-4])
 
 
 def _ref_d2(P, h):
-    return (-P[:-4] + 16.0 * P[1:-3] - 30.0 * P[2:-2] + 16.0 * P[3:-1] - P[4:]) / (12.0 * h * h)
+    C = P[2:-2]
+    w3, w4 = 16.0 / (12.0 * h * h), 1.0 / (12.0 * h * h)
+    return w3 * ((P[1:-3] - C) + (P[3:-1] - C)) - w4 * ((P[:-4] - C) + (P[4:] - C))
 
 
 def _ref_pad_periodic(F):
@@ -599,33 +602,24 @@ def _ref_weingarten(graph):
     hess = np.empty(grid.shape + (2, 2))
     hess[..., 0, 0] = F_tt
     hess[..., 0, 1] = hess[..., 1, 0] = F_tp - (cos_t / sin_t) * F_p
-    hess[..., 1, 1] = F_pp + sin_t * cos_t * F_t
+    hess[..., 1, 1] = F_pp + (sin_t * cos_t) * F_t
     p_t, p_p = grad[..., 0], grad[..., 1]
-    rho = np.sqrt(1.0 + (p_t * p_t + (p_p / sin_t) ** 2))
-    r2 = r * r
-    G11 = r2 * (1.0 + p_t * p_t)
-    G12 = r2 * (p_t * p_p)
-    G22 = r2 * (sin_t * sin_t + p_p * p_p)
-    c = r / rho
-    B11 = c * (1.0 + p_t * p_t - hess[..., 0, 0])
-    B12 = c * (p_t * p_p - hess[..., 0, 1])
-    B22 = c * (sin_t * sin_t + p_p * p_p - hess[..., 1, 1])
-    L11 = np.sqrt(G11)
-    L21 = G12 / L11
-    L22 = np.sqrt(G22 - L21 * L21)
-    Y11 = B11 / L11
-    Y12 = B12 / L11
-    Y21 = (B12 - L21 * Y11) / L22
-    Y22 = (B22 - L21 * Y12) / L22
-    S11 = Y11 / L11
-    S12 = (Y12 - L21 * (Y11 / L11)) / L22
-    S21 = Y21 / L11
-    S22 = (Y22 - L21 * (Y21 / L11)) / L22
-    S12 = 0.5 * (S12 + S21)
-    mean = 0.5 * (S11 + S22)
-    disc = np.sqrt((0.5 * (S11 - S22)) ** 2 + S12 * S12)
+    sin2 = sin_t * sin_t
+    grad2 = p_t * p_t + p_p * p_p * (1.0 / sin2)
+    rho2 = 1.0 + grad2
+    rho = np.sqrt(rho2)
+    E11, E12, E22 = 1.0 + p_t * p_t, p_t * p_p, sin2 + p_p * p_p
+    B11, B12, B22 = E11 - hess[..., 0, 0], E12 - hess[..., 0, 1], E22 - hess[..., 1, 1]
+    # adj(E) B' = [[N11, N12], [N21, N22]]
+    N11 = E22 * B11 - E12 * B12
+    N12 = E22 * B12 - E12 * B22
+    N21 = E11 * B12 - E12 * B11
+    N22 = E11 * B22 - E12 * B12
+    den = sin2 * rho2 * (r * rho)  # det E * r rho
+    sigma = np.stack([(N11 + N22) / den, (B11 * B22 - B12 * B12) / (den * (r * rho))], axis=-1)
+    mean = 0.5 * (N11 + N22) / den
+    disc = np.sqrt(np.maximum((0.5 * (N11 - N22)) ** 2 + N12 * N21, 0.0)) / den
     kappa = np.stack([mean + disc, mean - disc], axis=-1)
-    sigma = np.stack([S11 + S22, S11 * S22 - S12 * S12], axis=-1)
     return r, rho, kappa, sigma
 
 

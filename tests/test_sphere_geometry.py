@@ -10,7 +10,6 @@ from anisoflow.sphere_geometry import (
     RadialGraph,
     SingularMetricError,
     SphericalGrid,
-    _chol_shape_operator,
     _d1,
     _d2,
     _pad_periodic,
@@ -245,22 +244,17 @@ def test_two_curvature_routes_agree_on_wiggly_graphs():
 
 
 def _d1_roll(f, h, axis=-1):
-    return (
-        np.roll(f, 2, axis=axis)
-        - 8.0 * np.roll(f, 1, axis=axis)
-        + 8.0 * np.roll(f, -1, axis=axis)
-        - np.roll(f, -2, axis=axis)
-    ) / (12.0 * h)
+    def at(shift):
+        return np.roll(f, -shift, axis=axis)
+
+    return (at(1) - at(-1)) * (8.0 / (12.0 * h)) - (at(2) - at(-2)) * (1.0 / (12.0 * h))
 
 
 def _d2_roll(f, h, axis=-1):
-    return (
-        -np.roll(f, 2, axis=axis)
-        + 16.0 * np.roll(f, 1, axis=axis)
-        - 30.0 * f
-        + 16.0 * np.roll(f, -1, axis=axis)
-        - np.roll(f, -2, axis=axis)
-    ) / (12.0 * h * h)
+    def dev(shift):
+        return np.roll(f, -shift, axis=axis) - f
+
+    return (dev(-1) + dev(1)) * (16.0 / (12.0 * h * h)) - (dev(-2) + dev(2)) * (1.0 / (12.0 * h * h))
 
 
 def _pad_lat_roll(F, n_lon):
@@ -308,13 +302,21 @@ def test_pad_stencils_match_roll_reference_bitwise(grid):
 
 def test_grid_tables_are_cached_read_only_and_outside_equality():
     a, b = SphericalGrid.sphere(32, 64), SphericalGrid.sphere(32, 64)
-    tables = (a.sin_theta, a.cos_theta, a.lat_pad_index)
-    assert a.sin_theta is tables[0] and a.lat_pad_index is tables[2]
+    tables = (
+        a.sin_theta, a.cos_theta, a.sin2_theta, a.inv_sin2_theta, a.cot_theta, a.sin_cos_theta,
+        a.lat_pad_index, a.lon_pad_index,
+    )
+    assert a.sin_theta is tables[0] and a.lon_pad_index is tables[-1]
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0
-    assert np.array_equal(a.sin_theta, np.sin(a.theta)[:, None])
-    assert np.array_equal(a.cos_theta, np.cos(a.theta)[:, None])
+    sin_t, cos_t = np.sin(a.theta)[:, None], np.cos(a.theta)[:, None]
+    assert np.array_equal(a.sin_theta, sin_t)
+    assert np.array_equal(a.cos_theta, cos_t)
+    assert np.array_equal(a.sin2_theta, sin_t * sin_t)
+    assert np.array_equal(a.inv_sin2_theta, 1.0 / (sin_t * sin_t))
+    assert np.array_equal(a.cot_theta, cos_t / sin_t)
+    assert np.array_equal(a.sin_cos_theta, sin_t * cos_t)
     assert a == b and hash(a) == hash(b)
     assert "sin_theta" not in vars(b)
     assert a != SphericalGrid.sphere(32, 66)
@@ -332,7 +334,8 @@ def test_inv_spacing_sq_is_the_formula_cached_and_read_only():
 
 
 def test_sphere_partials_are_c_ordered():
-    # F_p feeds _pad_lat's take, which would first copy a Fortran-ordered array
+    # the longitude partials are cut from the rows of a longer line; each
+    # partial must still come out as a C-ordered array
     grid = SphericalGrid.sphere(32, 64)
     F = np.random.default_rng(3).standard_normal(grid.shape)
     for partial in _partials_sphere(grid, F):
@@ -353,6 +356,73 @@ def test_zonal_strip_curvature_equals_full_grid_bitwise():
         assert np.array_equal(getattr(narrow, name), getattr(full, name)[:, :2]), name
     with pytest.raises(AttributeError):
         SphericalGrid.circle(32).zonal_strip
+
+
+def test_constant_row_longitude_partials_are_exactly_positive_zero():
+    grid = SphericalGrid.sphere(32, 64)
+    col = np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta))
+    F_t, F_p, F_tt, F_tp, F_pp = _partials_sphere(grid, np.broadcast_to(col[:, None], grid.shape).copy())
+    for partial in (F_p, F_tp, F_pp):
+        assert (partial == 0.0).all() and not np.signbit(partial).any()
+    assert np.abs(F_t).max() > 0.1 and np.abs(F_tt).max() > 0.1
+
+
+def test_zonal_strip_equals_full_grid_bitwise_on_a_nonconvex_surface():
+    # r = 1 + 0.3 cos 2 theta: mean-convex, pinched at the equator (sigma_2 < 0)
+    graph = sphere2_graph(32, 64, lambda t, p: np.log(1.0 + 0.3 * np.cos(2.0 * t)) + 0.0 * p)
+    full = weingarten(graph)
+    narrow = weingarten(RadialGraph(graph.grid.zonal_strip, graph.phi[:, :2].copy()))
+    assert full.sigma[..., 1].min() < -1.3 and full.sigma[..., 0].min() > 0.4
+    for name in ("r", "rho", "grad_sq", "u", "sigma", "kappa"):
+        assert np.array_equal(getattr(narrow, name), getattr(full, name)[:, :2]), name
+
+
+def _cholesky_curvature(graph):
+    """(sigma, kappa) by the Cholesky route: the metric G = r^2 E and second
+    form B = (r/rho)(E - Hess phi) from ``covariant_derivatives``, the
+    symmetric S = L^-1 B L^-T with G = L L^T, and numpy's symmetric eigen
+    solver on S."""
+    grad, hess = covariant_derivatives(graph)
+    sin_t = graph.grid.sin_theta
+    r = np.exp(graph.phi)
+    p_t, p_p = grad[..., 0], grad[..., 1]
+    rho = np.sqrt(1.0 + p_t * p_t + (p_p / sin_t) ** 2)
+    E11, E12, E22 = 1.0 + p_t * p_t, p_t * p_p, sin_t * sin_t + p_p * p_p
+    G11, G12, G22 = r * r * E11, r * r * E12, r * r * E22
+    c = r / rho
+    B11, B12, B22 = c * (E11 - hess[..., 0, 0]), c * (E12 - hess[..., 0, 1]), c * (E22 - hess[..., 1, 1])
+    L11 = np.sqrt(G11)
+    L21 = G12 / L11
+    L22 = np.sqrt(G22 - L21 * L21)
+    Y11, Y12 = B11 / L11, B12 / L11
+    Y21, Y22 = (B12 - L21 * Y11) / L22, (B22 - L21 * Y12) / L22
+    S11, S21 = Y11 / L11, Y21 / L11
+    S12 = 0.5 * ((Y12 - L21 * S11) / L22 + S21)
+    S22 = (Y22 - L21 * S21) / L22
+    sigma = np.stack([S11 + S22, S11 * S22 - S12 * S12], axis=-1)
+    S = np.stack([np.stack([S11, S12], axis=-1), np.stack([S12, S22], axis=-1)], axis=-2)
+    return sigma, np.linalg.eigvalsh(S)[..., ::-1]
+
+
+def test_curvature_matches_cholesky_oracle_on_random_smooth_graphs():
+    # the curvature algebra alone: both routes read the same stencils
+    grid = SphericalGrid.sphere(32, 64)
+    t, p = grid.theta[:, None], grid.phi_lon[None, :]
+    xyz = (np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t) + 0.0 * p)
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        # a random cubic in the embedding coordinates: smooth across the poles
+        phi = sum(
+            rng.normal(0.0, 0.1) * xyz[0] ** a * xyz[1] ** b * xyz[2] ** c
+            for a in range(4) for b in range(4 - a) for c in range(4 - a - b)
+        )
+        graph = RadialGraph(grid, phi)
+        field = weingarten(graph)
+        sigma, kappa = _cholesky_curvature(graph)
+        for j in range(2):
+            scale = np.abs(sigma[..., j]).max()
+            assert np.abs(field.sigma[..., j] - sigma[..., j]).max() <= 1e-13 * scale
+        assert np.abs(field.kappa - kappa).max() <= 1e-11 * np.abs(kappa).max()
 
 
 def test_hessian_of_radius_identity():
@@ -416,14 +486,20 @@ def test_circle_shift_equivariance_is_exact():
     assert np.array_equal(np.roll(f0.kappa, 9, axis=0), f1.kappa)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_metric_detected():
-    bad = np.array([[-1.0]])
-    with pytest.raises(SingularMetricError):
-        _chol_shape_operator(bad, bad, bad, bad, bad, bad)
-    one = np.array([[1.0]])
-    two = np.array([[2.0]])
-    with pytest.raises(SingularMetricError):  # Schur complement 1 - 4 < 0
-        _chol_shape_operator(one, two, one, one, one, one)
+    # exp(-800) == 0.0: the metric check raises before anything divides by r,
+    # on the general path (one node, or a zonal row) and on the zonal strip
+    grid = SphericalGrid.sphere(16, 32)
+    node, row = np.zeros(grid.shape), np.zeros(grid.shape)
+    node[3, 5] = row[3] = -800.0
+    for graph in (
+        RadialGraph(grid, node),
+        RadialGraph(grid, row),
+        RadialGraph(grid.zonal_strip, row[:, :2].copy()),
+    ):
+        with pytest.raises(SingularMetricError, match="metric lost positivity"):
+            weingarten(graph)
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,15 @@ def test_euler_identity_tight():
 
 
 def test_eigenvalues_sorted_descending():
-    # the 2x2 symmetric eigen formula the S^2 curvature route uses
+    # the 2x2 eigen formula the S^2 curvature route uses, on symmetric W and
+    # on E^-1 W with E positive definite (a real spectrum, as for E^-1 B')
     rng = np.random.default_rng(31)
     for _ in range(100):
-        A = rng.normal(size=(2, 2))
+        A, C = rng.normal(size=(2, 2, 2))
         W = 0.5 * (A + A.T)
-        eigs = _eigen_2x2(W[0, 0], W[0, 1], W[1, 1])
-        assert np.all(np.diff(eigs) <= 1e-12)
-        np.testing.assert_allclose(np.sum(eigs), np.trace(W), rtol=1e-10, atol=1e-10)
+        E = C @ C.T + 0.1 * np.eye(2)
+        for M in (W, np.linalg.solve(E, W)):
+            eigs = _eigen_2x2(M[0, 0], M[0, 1], M[1, 0], M[1, 1], 1.0)
+            assert np.all(np.diff(eigs) <= 1e-12)
+            np.testing.assert_allclose(np.sum(eigs), np.trace(M), rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(eigs, np.sort(np.linalg.eigvals(M).real)[::-1], rtol=1e-9, atol=1e-9)
