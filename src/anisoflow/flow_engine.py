@@ -50,7 +50,7 @@ from .sphere_geometry import (
     graph_to_text,
     weingarten,
 )
-from .symfunc import CONE_EPS, sigma_k_partials
+from .symfunc import CONE_EPS
 
 _MIN_DT = 1e-14
 _ALPHA_TOL = 1e-12
@@ -301,16 +301,14 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
 
     For k = 1 the partials are all 1 and A * 1.0 is A, so D = A / (r rho)
     needs no kappa (no eigen solve on a surface).  For k = 2 (so n = 2) the
-    largest of the two partials is one np.maximum of their columns: the same
-    float as a max over the last axis, without numpy's slow reduction over
-    a length-2 axis.
+    partials are (kappa_2, kappa_1), and the larger is kappa_1, the first of
+    the descending kappa columns.
     """
     k, alpha = profile.k, profile.alpha
     if k == 1:
         D = A / (field.r * field.rho)
     else:
-        sdot = sigma_k_partials(field.kappa, k)
-        D = A * np.maximum(sdot[..., 0], sdot[..., 1]) / (field.r * field.rho)
+        D = A * field.kappa[..., 0] / (field.r * field.rho)
     if abs(alpha - 1.0) > _ALPHA_TOL:
         sig = field.sigma[..., k - 1]
         D = alpha * np.power(sig, alpha - 1.0) * D

@@ -100,10 +100,11 @@ class MonomialG:
 class TabulatedG:
     """g given by sample points with values and derivatives, Hermite-interpolated.
 
-    Queries outside [points[0], points[-1]] raise ValueError.  scipy is
-    imported here, when the first table is built: no other g kind needs it,
-    and loading scipy.interpolate would take most of the package's import
-    time.
+    Queries outside [points[0], points[-1]] raise ValueError.  Inside, g and
+    g' are bit for bit those of scipy's ``CubicHermiteSpline`` and its
+    derivative: the same power-basis coefficients per interval, the same
+    interval for a query at a node (the one it starts), and the same order
+    of summation.
     """
 
     KIND = "tabulated"
@@ -118,10 +119,18 @@ class TabulatedG:
             raise ValueError("points, values and derivs must have equal shapes")
         if not np.all(np.diff(self.points) > 0):
             raise ValueError("sample points must be strictly increasing")
-        from scipy.interpolate import CubicHermiteSpline
+        h = np.diff(self.points)
+        d0 = self.derivs[:-1]
+        slope = np.diff(self.values) / h
+        t = (d0 + self.derivs[1:] - 2 * slope) / h
+        # one contiguous column per power of s = r - points[i], gathered by take
+        self._c = (self.values[:-1], d0, (slope - d0) / h - t, t / h)
 
-        self._spline = CubicHermiteSpline(self.points, self.values, self.derivs)
-        self._dspline = self._spline.derivative()
+    def _gather(self, r):
+        """s = r - points[i] and the coefficients of r's interval i (the last
+        interval for r == points[-1])."""
+        i = np.minimum(np.searchsorted(self.points, r, side="right") - 1, self.points.size - 2)
+        return r - self.points.take(i), *(c.take(i) for c in self._c)
 
     def value(self, r):
         """g(r) alone: the flow reads no g'."""
@@ -130,11 +139,14 @@ class TabulatedG:
             raise TableRangeError(
                 f"tabulated g queried outside [{self.points[0]}, {self.points[-1]}]"
             )
-        return self._spline(r)
+        s, c0, c1, c2, c3 = self._gather(r)
+        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
     def __call__(self, r):
         """(g(r), g'(r))."""
-        return self.value(r), self._dspline(np.asarray(r, dtype=float))
+        val = self.value(r)
+        s, _, c1, c2, c3 = self._gather(np.asarray(r, dtype=float))
+        return val, 0.0 + c1 + (2 * c2) * s + (3 * c3) * (s * s)
 
     def __eq__(self, other):
         return (

@@ -387,7 +387,10 @@ def weingarten(graph):
         grad_sq = phi_d * phi_d
         rho2 = 1.0 + grad_sq
         rho = np.sqrt(rho2)
-        kappa = ((rho2 - phi_dd) / (r * rho * rho2))[:, None]  # also sigma_1
+        den = r * rho * rho2
+        if not den.all():  # den >= 0: a radius underflowed to 0
+            raise SingularMetricError("metric lost positivity (r = 0)")
+        kappa = ((rho2 - phi_dd) / den)[:, None]  # also sigma_1
         return WeingartenField(grid, r, rho, grad_sq, r / rho, kappa, lambda: kappa)
 
     s2 = grid.sin2_theta

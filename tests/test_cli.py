@@ -421,12 +421,12 @@ def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
     [
         ("n = 1\nk = 1\nalpha = 1\nbeta = 3\ng.kind = monomial\ng.l = 5", "N = 64", SphericalGrid.circle(64)),
         ("n = 2\nk = 1\nalpha = 1\nbeta = 2\ng.kind = zero", "n_lat = 16\nn_lon = 32", SphericalGrid.sphere(16, 32)),
+        ("n = 1\nk = 1\nalpha = 1\nbeta = 2\ng.kind = zero", "N = 64", SphericalGrid.circle(64)),
     ],
-    ids=["n1-monomial", "n2"],
+    ids=["n1-monomial", "n2", "n1-zero"],
 )
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # n=1 kappa divides by r = 0 first
 def test_run_reports_a_radius_underflowing_to_zero(tmp_path, capsys, profile, grid_keys, grid):
-    # exp(-800) == 0.0 at one node: eval_scaled (n=1, monomial g) or the metric (n=2) rejects it
+    # exp(-800) == 0.0 at one node: the metric check rejects it before any division
     phi = np.zeros(grid.shape)
     phi[(3,) * phi.ndim] = -800.0
     save_graph(RadialGraph(grid, phi), tmp_path / "init.csv")
@@ -439,7 +439,7 @@ def test_run_reports_a_radius_underflowing_to_zero(tmp_path, capsys, profile, gr
     code = main(["run", write_config(tmp_path, text)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("run failed: ") and err.endswith("(at tau=0)\n")
+    assert err.startswith("run failed: metric lost positivity") and err.endswith("(at tau=0)\n")
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):

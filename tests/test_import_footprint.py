@@ -1,9 +1,9 @@
-"""scipy stays off the import path until the first tabulated g is built.
+"""No path through the package loads scipy: numpy is its only runtime dependency.
 
-Only ``TabulatedG`` needs scipy (for its Hermite spline), and loading
-scipy.interpolate costs several times the rest of the package's import.  The
-check runs in a fresh interpreter, because this test process has long since
-imported scipy through other test modules.
+Every g kind, the tabulated one with its Hermite spline included, is plain
+numpy.  The check runs in a fresh interpreter, because this test process has
+long since imported scipy, the tests' independent reference, through other
+test modules.
 """
 
 import json
@@ -22,8 +22,8 @@ import anisoflow
 import anisoflow.cli
 from anisoflow import (
     BumpG, DiagnosticsSeries, ExpFlatG, MonomialG, RadialGraph, SpeedProfile,
-    SphericalGrid, StepControl, ZeroG, initial_state, load_checkpoint, run,
-    save_checkpoint,
+    SphericalGrid, StepControl, TabulatedG, ZeroG, eval_g, initial_state,
+    load_checkpoint, run, save_checkpoint,
 )
 
 tmp = sys.argv[1]
@@ -46,14 +46,17 @@ graphs = {
         sphere, col + 1e-3 * np.sin(sphere.theta)[:, None] ** 2 * np.cos(2.0 * sphere.phi_lon)
     ),
 }
+pts = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, 200)])
 for where, graph in graphs.items():
     n = graph.grid.n
     ka = float(n)  # k = n, alpha = 1
+    expflat = SpeedProfile(n=n, k=n, alpha=1.0, beta=2.0 + ka, g=ExpFlatG(1.0))
     profiles = (
         SpeedProfile(n=n, k=n, alpha=1.0, beta=1.0 + ka, g=ZeroG()),
         SpeedProfile(n=n, k=n, alpha=1.0, beta=1.0 + ka, g=BumpG(0.5, 1.0)),
-        SpeedProfile(n=n, k=n, alpha=1.0, beta=2.0 + ka, g=ExpFlatG(1.0)),
+        expflat,
         SpeedProfile(n=n, k=n, alpha=1.0, beta=2.0 + ka, g=MonomialG(3.0 + ka)),
+        SpeedProfile(n=n, k=n, alpha=1.0, beta=2.0 + ka, g=TabulatedG(pts, *eval_g(expflat, pts))),
     )
     for profile in profiles:
         result = run(initial_state(profile, graph), StepControl(t_end=1.0, max_steps=3, record_every=1))
@@ -89,24 +92,26 @@ with open(ode_ini, "w") as fh:
 assert anisoflow.cli.main(["ode-compare", ode_ini]) == 0
 assert anisoflow.cli.main(["verify"]) == 0
 assert anisoflow.cli.main(["verify", run_ini]) == 0
+table = os.path.join(tmp, "table.csv")
+g = profiles[-1].g  # the S^2 tabulated expflat g, which does not depend on beta
+np.savetxt(table, np.column_stack((g.points, g.values, g.derivs)), fmt="%.17g", delimiter=",")
+tab_ini = os.path.join(tmp, "tab.ini")
+with open(run_ini) as src, open(tab_ini, "w") as fh:
+    fh.write(src.read().replace("g.p = 1", f"g.table_path = {table}").replace("expflat", "tabulated"))
+assert anisoflow.cli.main(["run", tab_ini]) == 0
+assert anisoflow.cli.main(["verify", tab_ini]) == 0
 note("anisoflow run, ode-compare and verify")
 
-from anisoflow import TabulatedG
-
-pts = np.linspace(0.0, 2.0, 9)
-table = TabulatedG(pts, pts**3, 3.0 * pts**2)
-note("TabulatedG")
-from scipy.interpolate import CubicHermiteSpline
-
-r = np.linspace(0.0, 2.0, 101)
-seen["value matches CubicHermiteSpline"] = bool(
-    np.array_equal(table.value(r), CubicHermiteSpline(pts, pts**3, 3.0 * pts**2)(r))
-)
+cubic = TabulatedG(pts, pts**3, 3.0 * pts**2)
+r = np.linspace(0.0, 3.0, 101)
+val, der = cubic(r)
+assert np.array_equal(val, cubic.value(r)) and np.abs(der - 3.0 * r**2).max() < 1e-3
+note("TabulatedG value and g'")
 print("FOOTPRINT " + json.dumps(seen))
 '''
 
 
-def test_only_a_tabulated_g_loads_scipy(tmp_path):
+def test_no_path_loads_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path), SRC],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -118,8 +123,10 @@ def test_only_a_tabulated_g_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     line = [ln for ln in proc.stdout.splitlines() if ln.startswith("FOOTPRINT ")][-1]
     seen = json.loads(line.removeprefix("FOOTPRINT "))
-    assert seen["import"] == []
-    assert seen["runs, records and checkpoints"] == []
-    assert seen["anisoflow run, ode-compare and verify"] == []
-    assert "scipy.interpolate" in seen["TabulatedG"]
-    assert seen["value matches CubicHermiteSpline"] is True
+    assert list(seen) == [
+        "import",
+        "runs, records and checkpoints",
+        "anisoflow run, ode-compare and verify",
+        "TabulatedG value and g'",
+    ]
+    assert all(modules == [] for modules in seen.values()), seen

@@ -252,6 +252,50 @@ def test_tabulated_roundtrip_and_range():
         eval_g(tab, 0.01)
 
 
+def _cubic(r):
+    return 2.0 - r + 0.5 * r**2 + 0.25 * r**3, -1.0 + r + 0.75 * r**2
+
+
+def test_tabulated_reproduces_a_cubic():
+    # a cubic Hermite spline is exact for a cubic, on uneven nodes too
+    pts = np.array([0.0, 0.1, 0.35, 0.4, 1.0, 1.7, 2.0])
+    table = TabulatedG(pts, *_cubic(pts))
+    q = np.random.default_rng(3).uniform(0.0, 2.0, 500)
+    g, gp = table(q)
+    want, want_p = _cubic(q)
+    assert_allclose(g, want, rtol=1e-14, atol=1e-14)
+    assert_allclose(gp, want_p, rtol=1e-14, atol=1e-14)
+
+
+def test_tabulated_at_its_nodes():
+    pts = np.array([0.05, 0.2, 0.9, 1.0, 2.5, 3.0])
+    vals, ders = _cubic(pts)
+    g, gp = TabulatedG(pts, vals, ders)(pts)
+    # a node starts its interval (s = 0), save the last, which ends the last interval
+    assert np.array_equal(g[:-1], vals[:-1]) and np.array_equal(gp[:-1], ders[:-1])
+    assert_allclose(g[-1], vals[-1], rtol=1e-14)
+    assert_allclose(gp[-1], ders[-1], rtol=1e-14)
+
+
+def test_tabulated_two_rows():
+    table = TabulatedG([1.0, 3.0], [0.5, 2.0], [1.0, -0.5])
+    g, gp = table(np.array([1.0, 2.0, 3.0]))
+    # Hermite midpoint: (y0 + y1)/2 + h (d0 - d1)/8 and 3 (y1 - y0)/(2h) - (d0 + d1)/4
+    assert_allclose(g, [0.5, 1.25 + 2.0 * 1.5 / 8.0, 2.0], rtol=1e-15)
+    assert_allclose(gp, [1.0, 1.5 * 1.5 / 2.0 - 0.5 / 4.0, -0.5], rtol=1e-15)
+    with pytest.raises(ValueError, match="outside"):
+        table.value(3.0 + 1e-12)
+
+
+def test_tabulated_scalar_query_returns_floats():
+    pts = np.linspace(0.0, 2.0, 9)
+    prof = profile_k1(4.0, TabulatedG(pts, *_cubic(pts)))
+    for r in (0.0, 0.7, 2.0):
+        g, gp = eval_g(prof, r)
+        assert type(g) is float and type(gp) is float
+        assert (g, gp) == tuple(float(v[0]) for v in prof.g(np.array([r])))  # an array query's bits
+
+
 # ---------------------------------------------------------------------------
 # rescaled evaluation
 
