@@ -6,10 +6,11 @@ The evolving unknown is phi = log r with
                       * sigma_k(kappa)^alpha  +  gamma,
 
 where lam = exp(gamma*tau) is the normalization factor, advanced analytically
-(never integrated).  Stepping is explicit, second order in time: the
-four-stage Runge-Kutta-Chebyshev polynomial RKC(4) in a two-register form,
-with dt a fraction ``cfl`` of its damped real stability limit, recomputed from
-the current curvature field every step; all reductions are fixed-order numpy
+(never integrated).  Stepping is explicit, second order in time: four rhs
+calls per step in a two-register form, whose stability polynomial swings
+between +eta and -eta, RKC(4)'s damping, over a real interval 1.21x RKC(4)'s,
+with dt a fraction ``cfl`` of that real stability limit, recomputed from the
+current curvature field every step; all reductions are fixed-order numpy
 reductions so repeated runs are bit-identical.
 
 A bit-exactly zonal state on S^2 (see ``is_zonal``) is stepped and recorded
@@ -55,17 +56,20 @@ from .symfunc import CONE_EPS
 _MIN_DT = 1e-14
 _ALPHA_TOL = 1e-12
 
-# RKC(4), the four-stage second-order Runge-Kutta-Chebyshev polynomial with
-# damping eps = 2/13 (Verwer, Hundsdorfer & Sommeijer, Numer. Math. 57 (1990) 157):
-# R(z) = 1 + b (T4(w0 + w1 z) - T4(w0)) = 1 + z + z^2/2 + a3 z^3 + a4 z^4, where
-# w0 = 1 + eps/16, w1 = T4'(w0)/T4''(w0), b = T4''(w0)/T4'(w0)^2, a3 = 32 b w0 w1^3
-# and a4 = 8 b w1^4.  |R(-x)| <= 1 on [0, RKC4_REAL_LIMIT], the x where w0 - w1 x
-# = -1, and <= 0.954 on [1, RKC4_REAL_LIMIT]: 9.80426, 1.90x SSPRK(4,3)'s 5.1495.
-# ``step``'s stage coefficients are c1 = a4/a3 = w1/(4 w0) and c2 = 2 a3.
-_W0 = 1.0 + (2.0 / 13.0) / 16.0
-_W1 = (32.0 * _W0**3 - 16.0 * _W0) / (96.0 * _W0**2 - 16.0)
-RKC4_REAL_LIMIT = (1.0 + _W0) / _W1
-RKC4_C1, RKC4_C2 = _W1 / (4.0 * _W0), 4.0 * _W0 * _W1 / (6.0 * _W0**2 - 1.0)
+# The damped optimal four-stage second-order stability polynomial (after Abdulle
+# & Medovikov, Numer. Math. 90 (2001) 1): R(z) = 1 + z + z^2/2 + a3 z^3 + a4 z^4.
+# Of the three extrema of R(-x) on x > 0 (near x = 1.457, 4.7199 and 9.8247), a3
+# and a4 put the last two at exactly +eta and -eta, eta = 0.954182 the damping of
+# RKC(4) (Verwer, Hundsdorfer & Sommeijer, Numer. Math. 57 (1990) 157): the four
+# equations R(-x1) = eta, R(-x2) = -eta, R'(-x1) = R'(-x2) = 0 in (a3, a4, x1, x2).
+# |R(-x)| <= 1 on [0, REAL_LIMIT], the real root of a4 x^3 - a3 x^2 + x/2 - 1
+# (where R(-x) climbs back to 1), and <= eta on [1, x2]: 11.8693, 1.21x RKC(4)'s
+# 9.80426 and 2.30x SSPRK(4,3)'s 5.1495.  ``step``'s stage coefficients are
+# c1 = a4/a3 and c2 = 2 a3.  A cfl up to x2 / REAL_LIMIT = 0.828, the default 0.8
+# among them, keeps every mode past x = 1 damped by eta.
+_A3, _A4 = 0.07894655096054984, 0.0037002440195151153
+REAL_LIMIT = 11.869290077999935
+STAGE_C1, STAGE_C2 = _A4 / _A3, 2.0 * _A3
 # h^2 times the spectral radius of the 4th-order second-difference stencil:
 # its symbol (30 - 32 cos(xi) + 2 cos(2 xi)) / 12 peaks at xi = pi.
 D2_RADIUS = 16.0 / 3.0
@@ -290,8 +294,9 @@ def is_zonal(graph):
 
 
 def stable_dt_bound(profile, graph, field, A, zonal=None):
-    """The linear stability limit: RKC4_REAL_LIMIT over the largest spectral
-    radius of the linearized principal part, D2_RADIUS * D / h_theta^2 per node.
+    """The linear stability limit: REAL_LIMIT, the stability polynomial's
+    real interval, over the largest spectral radius of the linearized
+    principal part, D2_RADIUS * D / h_theta^2 per node.
 
     D = alpha * A * sigma_k^(alpha-1) * maxeig(d sigma_k / d kappa) / (r rho)
     is the diffusivity per node.  For n=2 the longitude direction adds
@@ -317,18 +322,19 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
         d_over_h2 = D.max() / grid.h_theta**2
     else:
         d_over_h2 = (grid.inv_spacing_sq * D).max()
-    return float(RKC4_REAL_LIMIT / (D2_RADIUS * d_over_h2))
+    return float(REAL_LIMIT / (D2_RADIUS * d_over_h2))
 
 
 def step(state, control, dt_cap=math.inf):
-    """One explicit RKC(4) step; dt = min(dt_max, cfl * stability limit, dt_cap).
+    """One explicit step; dt = min(dt_max, cfl * stability limit, dt_cap).
 
     The limit is ``stable_dt_bound``, so any cfl in (0, 1] is linearly stable.
-    With c = (0, RKC4_C1, RKC4_C2, 1/2, 1) and u_0 = phi0, each stage restarts
-    from phi0: u_j = phi0 + c_j dt F(u_{j-1}, tau0 + c_{j-1} dt), and phi1 = u_4.
-    That is second order in time; a third-order four-stage method such as
-    SSPRK(4,3) reaches only 5.15 on the real axis.  The stages run on
-    state.stage_graph; a zonal strip's new column is broadcast back.
+    With c = (0, STAGE_C1, STAGE_C2, 1/2, 1) and u_0 = phi0, each stage restarts
+    from phi0: u_j = phi0 + c_j dt F(u_{j-1}, tau0 + c_{j-1} dt), and phi1 = u_4,
+    whose stability polynomial is R above.  That is second order in time; a
+    third-order four-stage method such as SSPRK(4,3) reaches only 5.15 on the
+    real axis.  The stages run on state.stage_graph; a zonal strip's new
+    column is broadcast back.
     """
     profile, grid = state.profile, state.graph.grid
     graph = state.stage_graph
@@ -340,7 +346,7 @@ def step(state, control, dt_cap=math.inf):
         raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
     # two registers, phi0 and k: each stage turns the last rhs output, a fresh
     # array, into the next stage in place (k * h + phi0 has the bits of phi0 + h * k)
-    for h in (RKC4_C1 * dt, RKC4_C2 * dt, 0.5 * dt):
+    for h in (STAGE_C1 * dt, STAGE_C2 * dt, 0.5 * dt):
         k *= h
         k += phi0
         k, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, k), lambda_of_tau(profile, tau0 + h), tau0 + h)

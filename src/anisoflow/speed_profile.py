@@ -262,34 +262,35 @@ def _scaled_flat_family(profile, lam, r, shift):
     """lam^beta * g(r/lam) for the bump (shift=epsilon) / expflat (shift=0) kinds.
 
     A node is live where base = r/lam - shift > 0 and the barrier base^-p is
-    at most EXP_FLUSH; a dead node's value is exactly 0.  The masks that keep
-    dead nodes out of the power, the exponent and the overflow check are
-    applied only when some node is dead (``live`` is None when none is):
-    when every node is live, the normal case, np.where(live, x, fill) is x
-    bit for bit.
+    at most EXP_FLUSH; a dead node's value is exactly 0.  Masks keep dead
+    nodes out of the power, the exponent and the overflow check; when every
+    node is live, the normal case, none is built, since np.where(live, x,
+    fill) would be x bit for bit.
     """
     g = profile.g
     one_ka = 1.0 + profile.ka
+    log_scale = (profile.beta - one_ka) * math.log(lam)
     base = r / lam - shift
-    live = base > 0
+    positive = base > 0
+    all_positive = positive.all()
     with np.errstate(divide="ignore", over="ignore"):
-        barrier = (base if live.all() else np.where(live, base, 1.0)) ** (-g.p)
-    live &= barrier <= EXP_FLUSH
-    if live.all():
-        live = None
-    w = (profile.beta - one_ka) * math.log(lam) - _live_or(live, barrier, 0.0)
-    w_live = _live_or(live, w, -np.inf)
-    if (w_live > 700.0).any():
-        bad = int(np.argmax(w_live))
-        raise ScaleOverflowError(
-            f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
-        )
-    return _live_or(live, r**one_ka * np.exp(_live_or(live, w, 0.0)), 0.0)
+        barrier = (base if all_positive else np.where(positive, base, 1.0)) ** (-g.p)
+    unflushed = barrier <= EXP_FLUSH
+    if all_positive and unflushed.all():
+        w = log_scale - barrier
+        _check_overflow(w, lam, r)
+        return r**one_ka * np.exp(w)
+    live = positive & unflushed
+    w = log_scale - np.where(live, barrier, 0.0)
+    _check_overflow(np.where(live, w, -np.inf), lam, r)
+    return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
 
 
-def _live_or(live, x, fill):
-    """x where live, fill elsewhere; x itself when live is None (all live)."""
-    return x if live is None else np.where(live, x, fill)
+def _check_overflow(w, lam, r):
+    """ScaleOverflowError naming the radius of the largest exponent w past 700."""
+    if (w > 700.0).any():
+        bad = int(np.argmax(w))
+        raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}")
 
 
 def eval_scaled(profile, lam, r):
@@ -330,7 +331,7 @@ def eval_scaled(profile, lam, r):
             raise ScaleOverflowError(
                 f"rescaled tabulated g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
             )
-    return _as_float_or_array(gs)
+    return gs if r.ndim else float(gs)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def ac4_run():
     col = np.log(1.0375 + 0.1125 * np.cos(2.0 * grid.theta))
     graph = RadialGraph(grid, np.broadcast_to(col[:, None], grid.shape).copy())
     state = initial_state(prof, graph)
-    return run(state, StepControl(t_end=6.0, record_every=2))
+    return run(state, StepControl(t_end=6.0, record_every=1))
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +107,14 @@ def test_ac2_sphere_matches_closed_form_and_ode():
 
     prof = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0)
     state = initial_state(prof, sphere_graph(grid, 2.0))
-    result = run(state, StepControl(t_end=math.log(2.0), record_every=12))
+    result = run(state, StepControl(t_end=math.log(2.0), record_every=9))
     r_end = result.series.last("r_max")
     rel = abs(r_end - 4.0 / 3.0) / (4.0 / 3.0)
     nonuni = float(result.series.column("osc").max())
     ok_closed = rel <= 1e-4 and nonuni <= 1e-8
 
     prof_g = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0, g=MonomialG(4.0))
-    dev, osc = pde_vs_ode_check(prof_g, 2.0, grid, StepControl(t_end=math.log(2.0), record_every=12))
+    dev, osc = pde_vs_ode_check(prof_g, 2.0, grid, StepControl(t_end=math.log(2.0), record_every=9))
     ok_ode = dev <= 1e-4 and osc <= 1e-8
 
     line = _report(

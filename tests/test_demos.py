@@ -1,0 +1,45 @@
+"""Every demo runs to completion: each ``demos/*.py`` script, and ``anisoflow
+run demos/sample_run.ini``, in a fresh interpreter that turns every
+RuntimeWarning into an error, from a temporary working directory (the sample
+run writes its CSV and sketch there)."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+DEMOS = os.path.join(ROOT, "demos")
+SCRIPTS = sorted(glob.glob(os.path.join(DEMOS, "*.py")))
+
+
+def _run(args, cwd):
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_demos_are_found():
+    assert len(SCRIPTS) >= 5
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[os.path.basename(s) for s in SCRIPTS])
+def test_demo_script_runs(script, tmp_path):
+    proc = _run([script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sample_run_config_runs(tmp_path):
+    proc = _run(["-m", "anisoflow.cli", "run", os.path.join(DEMOS, "sample_run.ini")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "reason=sphericity_stop" in proc.stdout
+    assert (tmp_path / "run_series.csv").is_file()
+    assert (tmp_path / "run_profile.svg").is_file()

@@ -1,5 +1,6 @@
-"""Normalized-flow time stepping: RKC(4) against an RK4 oracle, stability control,
-runs, checkpoints."""
+"""Normalized-flow time stepping: the engine's damped optimal four-stage
+polynomial, re-derived from its defining equations, against an RK4 oracle;
+stability control, runs, checkpoints."""
 
 import dataclasses
 import functools
@@ -10,9 +11,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow.flow_engine import (
-    RKC4_C1,
-    RKC4_C2,
-    RKC4_REAL_LIMIT,
+    STAGE_C1,
+    STAGE_C2,
+    REAL_LIMIT,
     AdmissibilityError,
     ConeViolationError,
     FlowState,
@@ -57,21 +58,63 @@ from anisoflow.symfunc import CONE_EPS, sigma_k_partials
 # negated (Hairer & Wanner, Solving ODEs II, Sec. IV.2); the RK4 oracle steps
 # at this fraction of the engine's bound
 RK4_REAL_LIMIT = (4.0 + math.cbrt(172.0 + 36.0 * math.sqrt(29.0)) - math.cbrt(36.0 * math.sqrt(29.0) - 172.0)) / 3.0
-RK4_FRACTION = RK4_REAL_LIMIT / RKC4_REAL_LIMIT
+RK4_FRACTION = RK4_REAL_LIMIT / REAL_LIMIT
 
-# RKC(4) with damping 2/13 from the Chebyshev polynomial T4 itself:
-# R(z) = 1 + b (T4(W0 + W1 z) - T4(W0)) = 1 + z + z^2/2 + A3 z^3 + A4 z^4
+# RKC(4) with damping 2/13, from the Chebyshev polynomial T4 itself: R(z) =
+# 1 + B (T4(W0 + W1 z) - T4(W0)) swings between 1 - B (T4(W0) + 1) and its
+# damping 1 - B (T4(W0) - 1) past z = -1
 T4 = np.polynomial.Chebyshev.basis(4)
 W0 = 1.0 + (2.0 / 13.0) / 16.0
-W1 = T4.deriv(1)(W0) / T4.deriv(2)(W0)
 B = T4.deriv(2)(W0) / T4.deriv(1)(W0) ** 2
-A3 = B * T4.deriv(3)(W0) * W1**3 / 6.0
-A4 = B * T4.deriv(4)(W0) * W1**4 / 24.0
+T4_DAMPING = 1.0 - B * (T4(W0) - 1.0)
+
+# the engine's polynomial R(z) = 1 + z + z^2/2 + A3 z^3 + A4 z^4, re-derived:
+# R(-x) has extrema exactly +ETA at X1 and -ETA at X2, ETA being RKC(4)'s
+# damping to six digits
+ETA = 0.954182
 
 
-def rkc4_R(z):
-    """RKC(4)'s stability polynomial."""
+def _polynomial_by_newton(eta):
+    """(a3, a4, x1, x2) solving p(x1) = eta, p(x2) = -eta, p'(x1) = p'(x2) = 0
+    for p(x) = R(-x) = 1 - x + x^2/2 - a3 x^3 + a4 x^4, by Newton's method."""
+
+    def residual(v):
+        a3, a4, x1, x2 = v
+        p = np.polynomial.Polynomial([1.0, -1.0, 0.5, -a3, a4])
+        dp = p.deriv()
+        return np.array([p(x1) - eta, p(x2) + eta, dp(x1), dp(x2)]), dp.deriv()
+
+    v = np.array([0.08, 0.004, 5.0, 10.0])  # near RKC(4)'s coefficients
+    for _ in range(50):
+        res, d2p = residual(v)
+        a3, a4, x1, x2 = v
+        jac = np.array([
+            [-x1**3, x1**4, 0.0, 0.0],
+            [-x2**3, x2**4, 0.0, 0.0],
+            [-3.0 * x1**2, 4.0 * x1**3, d2p(x1), 0.0],
+            [-3.0 * x2**2, 4.0 * x2**3, 0.0, d2p(x2)],
+        ])
+        v = v - np.linalg.solve(jac, res)
+    assert np.abs(residual(v)[0]).max() < 1e-13
+    return tuple(float(c) for c in v)
+
+
+A3, A4, X1, X2 = _polynomial_by_newton(ETA)
+
+
+def stability_R(z):
+    """The engine's stability polynomial."""
     return 1.0 + z + z**2 / 2.0 + A3 * z**3 + A4 * z**4
+
+
+def stage_polynomials():
+    """R_1..R_4 of the two-register stages on z' = z u: R_j = 1 + c_j z R_{j-1},
+    c = (STAGE_C1, STAGE_C2, 1/2, 1), R_0 = 1; R_4 is R."""
+    z = np.polynomial.Polynomial([0.0, 1.0])
+    polys = [np.polynomial.Polynomial([1.0])]
+    for c in (STAGE_C1, STAGE_C2, 0.5, 1.0):
+        polys.append(1.0 + c * z * polys[-1])
+    return polys[1:]
 
 
 def profile_k1(beta, g=None, n=1):
@@ -242,12 +285,12 @@ def _sphere_F(prof):
     return F
 
 
-def scalar_phi_rkc4(prof, phi0, tau0, dt):
-    """RKC(4) on the sphere-reduced phi equation, mirroring the engine's stages."""
+def scalar_phi_engine(prof, phi0, tau0, dt):
+    """The engine's stages on the sphere-reduced phi equation."""
     F = _sphere_F(prof)
-    u1 = phi0 + RKC4_C1 * dt * F(phi0, tau0)
-    u2 = phi0 + RKC4_C2 * dt * F(u1, tau0 + RKC4_C1 * dt)
-    u3 = phi0 + 0.5 * dt * F(u2, tau0 + RKC4_C2 * dt)
+    u1 = phi0 + STAGE_C1 * dt * F(phi0, tau0)
+    u2 = phi0 + STAGE_C2 * dt * F(u1, tau0 + STAGE_C1 * dt)
+    u3 = phi0 + 0.5 * dt * F(u2, tau0 + STAGE_C2 * dt)
     return phi0 + dt * F(u3, tau0 + 0.5 * dt)
 
 
@@ -271,7 +314,7 @@ def test_step_on_sphere_matches_scalar_stages(g):
     new = step(state, StepControl(t_end=1.0))
     dt = new.last_dt
     assert dt > 0.0
-    phi_expect = scalar_phi_rkc4(prof, math.log(1.5), 0.0, dt)
+    phi_expect = scalar_phi_engine(prof, math.log(1.5), 0.0, dt)
     assert np.max(np.abs(new.graph.phi - phi_expect)) < 1e-12
     assert new.tau == dt
     assert new.step_count == 1
@@ -338,28 +381,47 @@ def test_zonal_bound_ignores_longitude():
     b_generic = stable_dt_bound(prof, graph, field, A, zonal=False)
     assert b_zonal > 20.0 * b_generic  # sin^2 near the poles throttles the generic bound
     D = A * sigma_k_partials(field.kappa, 2).max(axis=-1) / (field.r * field.rho)
-    assert_allclose(b_zonal, RKC4_REAL_LIMIT * (3.0 / 16.0) * grid.h_theta**2 / D.max(), rtol=1e-12)
+    assert_allclose(b_zonal, REAL_LIMIT * (3.0 / 16.0) * grid.h_theta**2 / D.max(), rtol=1e-12)
+
+
+def test_polynomial_solves_its_defining_equations():
+    # ETA is RKC(4)'s damping, and the engine's stage coefficients are
+    # Newton's solution to 1e-13
+    assert abs(ETA - T4_DAMPING) < 5e-7
+    assert_allclose((X1, X2), (4.7198946, 9.8247403), rtol=1e-7)
+    assert abs(STAGE_C2 / 2.0 - A3) <= 1e-13
+    assert abs(STAGE_C1 * STAGE_C2 / 2.0 - A4) <= 1e-13
 
 
 def test_real_limit_closed_form():
-    # the limit is where W0 + W1 z reaches -1, and T4(-1) = 1 there
-    z = RKC4_REAL_LIMIT
-    assert_allclose(z, (1.0 + W0) / W1, rtol=1e-15)
-    assert_allclose(z, 9.804255788126, rtol=1e-12)
-    assert_allclose(A3, 0.0809019299170, rtol=1e-11)
-    assert_allclose(A4, 0.00410621083190, rtol=1e-11)
-    assert_allclose(rkc4_R(-z), 1.0 - B * (T4(W0) - 1.0), rtol=1e-13)
-    # |R| <= 1 on [-z, 0], damped to 0.954 on [-z, -1]; past -z it climbs back
-    x = np.linspace(0.0, z, 100_001)
-    assert np.abs(rkc4_R(-x)).max() <= 1.0
-    assert_allclose(np.abs(rkc4_R(-x[x >= 1.0])).max(), 0.954182, rtol=1e-6)
-    assert abs(rkc4_R(-1.02 * z)) > abs(rkc4_R(-z))
+    # the limit is where R(-x) climbs back to 1: R(-x) - 1 = x (a4 x^3 - a3 x^2
+    # + x/2 - 1), whose cubic has one real root.  |R(-x)| <= 1 on [0, L]
+    # (R(-L) = 1 up to round-off), damped to ETA on [1, X2]; past L it climbs
+    # above 1
+    z = REAL_LIMIT
+    roots = np.roots([A4, -A3, 0.5, -1.0])
+    assert np.isreal(roots).sum() == 1
+    assert_allclose(z, roots[np.isreal(roots)].real, rtol=1e-13)
+    assert_allclose(z, 11.869290077999935, rtol=1e-13)
+    x = np.linspace(0.0, z, 200_001)
+    assert np.abs(stability_R(-x)).max() <= 1.0 + 1e-13
+    assert abs(stability_R(-z) - 1.0) <= 1e-13
+    past_one = x[(x >= 1.0) & (x <= X2)]
+    assert_allclose(np.abs(stability_R(-past_one)).max(), ETA, rtol=1e-9)
+    assert abs(stability_R(-1.02 * z)) > 1.0
 
 
 def test_stage_coefficients_give_the_polynomial():
     # the two-register stages multiply out to R: c2/2 = a3 and c1 c2/2 = a4
-    assert_allclose(RKC4_C2 * 0.5, A3, rtol=1e-14)
-    assert_allclose(RKC4_C1 * RKC4_C2 * 0.5, A4, rtol=1e-14)
+    assert_allclose(stage_polynomials()[-1].coef, [1.0, 1.0, 0.5, A3, A4], rtol=1e-13, atol=0.0)
+
+
+def test_internal_stage_polynomials_stay_bounded():
+    # each stage's own amplification R_1..R_3 stays within 1 on [-L, 0] too,
+    # so no stage amplifies a stiff mode on its way to phi1
+    x = np.linspace(0.0, REAL_LIMIT, 200_001)
+    for poly in stage_polynomials()[:3]:
+        assert np.abs(poly(-x)).max() <= 1.0
 
 
 def test_rk4_real_limit_is_the_cubic_root():
@@ -409,22 +471,23 @@ def _bound_and_spectrum(where, amp):
 
 @pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=SPECTRUM_IDS)
 def test_dt_bound_is_the_real_limit_over_measured_spectral_radius(where, amp):
-    # the bound times the Jacobian's spectral radius is RKC(4)'s real-axis
-    # limit z*, reached on the round curve (measured 9.356-9.8043 on the
-    # curve, 9.362-9.735 on the surface)
+    # the bound times the Jacobian's spectral radius is the polynomial's
+    # real-axis limit L, reached on the round curve (measured 11.327-11.869
+    # on the curve, 11.334-11.786 on the surface)
     bound, eigs = _bound_and_spectrum(where, amp)
     product = bound * float(np.abs(eigs).max())
-    assert 0.9 * RKC4_REAL_LIMIT <= product <= RKC4_REAL_LIMIT * (1.0 + 1e-6), product
+    assert 0.9 * REAL_LIMIT <= product <= REAL_LIMIT * (1.0 + 1e-6), product
 
 
 @pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=SPECTRUM_IDS)
 def test_cfl_one_keeps_every_measured_eigenvalue_stable(where, amp):
     # |R(dt lambda)| <= 1 at dt = the bound for every eigenvalue of the
-    # measured Jacobian, R being RKC(4)'s stability polynomial; the spectra
-    # are real to 4e-8, and max|R| is 1 - 1e-10 on the curves and 1 - 4e-4 on
-    # the surfaces, both from the slowest mode's near-zero eigenvalue
+    # measured Jacobian, R being the engine's stability polynomial; the
+    # spectra are real to 4e-8, and max|R| is 1 - 1e-10 on the curves and
+    # 1 - 5e-4 on the surfaces, both from the slowest mode's near-zero
+    # eigenvalue (the round curve's top eigenvalue, at L itself, reads 1 - 6e-10)
     bound, eigs = _bound_and_spectrum(where, amp)
-    assert float(np.abs(rkc4_R(bound * eigs)).max()) <= 1.0 + 1e-12
+    assert float(np.abs(stability_R(bound * eigs)).max()) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=SPECTRUM_IDS)
@@ -442,8 +505,8 @@ def test_dt_bound_is_rk4_limit_over_measured_spectral_radius(where, amp):
 
 def test_cfl_one_is_stable_and_matches_the_default():
     # cfl = 1 steps at the linear limit itself; at 1.02x the limit this run's
-    # r_max rises by 0.48 between records and phi is off by 0.38.  The two
-    # runs differ by the second-order time error (measured 4.4e-8)
+    # r_max rises by 8.3 between records and phi is off by 1.6.  The two
+    # runs differ by the second-order time error (measured 6.6e-8)
     profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
     state = initial_state(profile, _curve(256, 0.3))
     default = run(state, StepControl(t_end=0.5))
@@ -476,14 +539,14 @@ def _zonal_expflat_state():
 
 
 def _full_grid_step(state, control):
-    """(phi, dt) of one RKC(4) step built from rhs on the full grid."""
+    """(phi, dt) of one engine step built from rhs on the full grid."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
     k1, field, A = rhs(profile, state.graph, state.lam, tau0)
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field, A, zonal=True))
-    t1, t2, t3 = tau0 + RKC4_C1 * dt, tau0 + RKC4_C2 * dt, tau0 + 0.5 * dt
-    u1 = phi0 + (RKC4_C1 * dt) * k1
+    t1, t2, t3 = tau0 + STAGE_C1 * dt, tau0 + STAGE_C2 * dt, tau0 + 0.5 * dt
+    u1 = phi0 + (STAGE_C1 * dt) * k1
     k2, _, _ = rhs(profile, RadialGraph(grid, u1), lambda_of_tau(profile, t1), t1)
-    u2 = phi0 + (RKC4_C2 * dt) * k2
+    u2 = phi0 + (STAGE_C2 * dt) * k2
     k3, _, _ = rhs(profile, RadialGraph(grid, u2), lambda_of_tau(profile, t2), t2)
     u3 = phi0 + (0.5 * dt) * k3
     k4, _, _ = rhs(profile, RadialGraph(grid, u3), lambda_of_tau(profile, t3), t3)
@@ -634,7 +697,7 @@ def _ref_stage(profile, graph, lam):
 
 
 def _ref_dt_bound(profile, grid, phi, A, r, rho, kappa, sigma):
-    """RKC(4)'s linear stability limit, the largest partial taken by a reduction
+    """The engine's linear stability limit, the largest partial taken by a reduction
     over the partials' last axis and zonality by a zero peak-to-peak per row."""
     k, alpha = profile.k, profile.alpha
     D = A * sigma_k_partials(kappa, k).max(axis=-1) / (r * rho)
@@ -645,11 +708,11 @@ def _ref_dt_bound(profile, grid, phi, A, r, rho, kappa, sigma):
     else:
         sin2 = np.sin(grid.theta)[:, None] ** 2
         d_over_h2 = ((1.0 / grid.h_theta**2 + 1.0 / (grid.h_phi**2 * sin2)) * D).max()
-    return float(RKC4_REAL_LIMIT / ((16.0 / 3.0) * d_over_h2))
+    return float(REAL_LIMIT / ((16.0 / 3.0) * d_over_h2))
 
 
 def _ref_step(state, control):
-    """(phi, dt) of one RKC(4) step with a validated RadialGraph per stage."""
+    """(phi, dt) of one engine step with a validated RadialGraph per stage."""
     profile, grid = state.profile, state.graph.grid
     gamma = profile.gamma
 
@@ -659,9 +722,9 @@ def _ref_step(state, control):
     tau0, phi0 = state.tau, state.graph.phi
     k1, A, r, rho, kappa, sigma = stage(phi0, tau0)
     dt = min(control.dt_max, control.cfl * _ref_dt_bound(profile, grid, phi0, A, r, rho, kappa, sigma))
-    u1 = phi0 + (RKC4_C1 * dt) * k1
-    u2 = phi0 + (RKC4_C2 * dt) * stage(u1, tau0 + RKC4_C1 * dt)[0]
-    u3 = phi0 + (0.5 * dt) * stage(u2, tau0 + RKC4_C2 * dt)[0]
+    u1 = phi0 + (STAGE_C1 * dt) * k1
+    u2 = phi0 + (STAGE_C2 * dt) * stage(u1, tau0 + STAGE_C1 * dt)[0]
+    u3 = phi0 + (0.5 * dt) * stage(u2, tau0 + STAGE_C2 * dt)[0]
     return phi0 + dt * stage(u3, tau0 + 0.5 * dt)[0], dt
 
 
@@ -806,7 +869,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_fixed_horizon_phi_matches_rk4_oracle(case):
     # second order against fourth, so ROADMAP's 1e-6 bar; measured max|dphi|
-    # 2.3e-8, 4.0e-8 and 8.1e-11
+    # 3.5e-8, 6.1e-8 and 1.2e-10
     profile, graph, t_end = ORACLE_CASES[case]
     state = initial_state(profile, graph)
     result = run(state, StepControl(t_end=t_end, record_every=10**9))
