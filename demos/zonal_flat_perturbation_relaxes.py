@@ -13,9 +13,9 @@ rotationally symmetric: r = 1.0375 + 0.1125 cos(2 theta).  Two things to watch:
 
 import numpy as np
 
-from anisoflow.flow_engine import StepControl, initial_state, is_zonal, run
+from anisoflow.flow_engine import StepControl, initial_state, run
 from anisoflow.speed_profile import ExpFlatG, SpeedProfile
-from anisoflow.sphere_geometry import RadialGraph, SphericalGrid
+from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal
 
 prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
 grid = SphericalGrid.sphere(32, 64)

@@ -263,12 +263,9 @@ def _parse_initial(data, grid, errors):
         if variable not in ("r", "phi"):
             errors.append(f"[initial] variable: must be 'r' or 'phi', got {variable!r}")
             variable = "r"
-        if grid is not None and grid.n == 2:
-            if terms["sin"]:
-                errors.append("[initial] sin_*: not smooth across the poles on n=2 grids")
-            for m, _c in terms["cos"]:
-                if m % 2:
-                    errors.append(f"[initial] cos_{m}: n=2 zonal modes must be even in theta")
+        # cos(m theta) = T_m(cos theta) is smooth on S^2; sin(theta) is not at the poles
+        if grid is not None and grid.n == 2 and terms["sin"]:
+            errors.append("[initial] sin_*: not smooth across the poles on n=2 grids")
         spec = InitialSpec(
             kind="fourier",
             const=const,

@@ -13,11 +13,11 @@ with dt a fraction ``cfl`` of that real stability limit, recomputed from the
 current curvature field every step; all reductions are fixed-order numpy
 reductions so repeated runs are bit-identical.
 
-A bit-exactly zonal state on S^2 (see ``is_zonal``) is stepped and recorded
-on a two-column strip of its grid, where ``weingarten`` computes only the
-latitude partials and every value matches the full grid's bit for bit;
-``step`` broadcasts the new column back.  A state's curvature field is built
-once, for a record and the next step's first stage alike.
+The engine does not branch on the kind of grid: a state is stepped and
+recorded on its grid's stage of its graph (``SphericalGrid.stage``), which
+for a bit-exactly zonal state on S^2 is one latitude column, and ``step``
+has the stage grid broadcast the result back.  A state's curvature field is
+built once, for a record and the next step's first stage alike.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -49,6 +49,7 @@ from .sphere_geometry import (
     _fmt,
     graph_from_text,
     graph_to_text,
+    is_zonal,  # noqa: F401  re-exported: callers reach it as flow_engine.is_zonal too
     weingarten,
 )
 from .symfunc import CONE_EPS
@@ -144,12 +145,8 @@ class FlowState:
     @cached_property
     def stage_graph(self):
         """The graph the RK stages, the dt bound and the record evaluate: the
-        first two columns on grid.zonal_strip when the graph is bit-exactly
-        zonal, else the graph itself."""
-        graph = self.graph
-        if not is_zonal(graph):
-            return graph
-        return RadialGraph._unchecked(graph.grid.zonal_strip, graph.phi[:, :2].copy())
+        grid's stage of the graph."""
+        return self.graph.grid.stage(self.graph)
 
     @cached_property
     def field(self):
@@ -273,36 +270,16 @@ def rhs(profile, graph, lam, tau=None, field=None):
     return out, field, A
 
 
-def is_zonal(graph):
-    """True when the field is bit-exactly longitude-independent (n=2 only).
-
-    Every stencil and coefficient in this module is longitude-uniform, so a
-    bit-exactly zonal state stays bit-exactly zonal under a step; the longitude
-    direction then contributes nothing to the stability bound.  So ``step``
-    and ``diagnostics_row`` evaluate such a state on two columns
-    (``FlowState.stage_graph``), which every other column would repeat bit
-    for bit.  The longitude stencils of a constant row give exactly +0.0, so
-    the strip skips them, and the terms they would add, without changing a
-    bit.
-
-    For the finite phi a RadialGraph holds, every row equal to its first
-    column is the same test as a zero peak-to-peak per row (zeros of either
-    sign are equal), and cheaper.
-    """
-    phi = graph.phi
-    return graph.grid.n == 2 and bool((phi == phi[:, :1]).all())
-
-
-def stable_dt_bound(profile, graph, field, A, zonal=None):
+def stable_dt_bound(profile, graph, field, A):
     """The linear stability limit: REAL_LIMIT, the stability polynomial's
     real interval, over the largest spectral radius of the linearized
-    principal part, D2_RADIUS * D / h_theta^2 per node.
+    principal part, D2_RADIUS * D / h^2 per node and stencil direction.
 
     D = alpha * A * sigma_k^(alpha-1) * maxeig(d sigma_k / d kappa) / (r rho)
-    is the diffusivity per node.  For n=2 the longitude direction adds
-    D2_RADIUS * D / (h_phi^2 sin^2(theta)), so the two inverse squared
-    spacings sum (the grid's cached ``inv_spacing_sq``), unless the state is
-    bit-exactly zonal.
+    is the diffusivity per node.  The graph's grid sums the inverse squared
+    spacings h^-2 over the directions its stencils run
+    (``SphericalGrid.max_d_over_h2``): a full S^2 grid's longitude adds
+    1 / (h_phi^2 sin^2(theta)), a zonal column's does not.
 
     For k = 1 the partials are all 1 and A * 1.0 is A, so D = A / (r rho)
     needs no kappa (no eigen solve on a surface).  For k = 2 (so n = 2) the
@@ -317,12 +294,7 @@ def stable_dt_bound(profile, graph, field, A, zonal=None):
     if abs(alpha - 1.0) > _ALPHA_TOL:
         sig = field.sigma[..., k - 1]
         D = alpha * np.power(sig, alpha - 1.0) * D
-    grid = graph.grid
-    if grid.n == 1 or (is_zonal(graph) if zonal is None else zonal):
-        d_over_h2 = D.max() / grid.h_theta**2
-    else:
-        d_over_h2 = (grid.inv_spacing_sq * D).max()
-    return float(REAL_LIMIT / (D2_RADIUS * d_over_h2))
+    return float(REAL_LIMIT / (D2_RADIUS * graph.grid.max_d_over_h2(D)))
 
 
 def step(state, control, dt_cap=math.inf):
@@ -333,15 +305,14 @@ def step(state, control, dt_cap=math.inf):
     from phi0: u_j = phi0 + c_j dt F(u_{j-1}, tau0 + c_{j-1} dt), and phi1 = u_4,
     whose stability polynomial is R above.  That is second order in time; a
     third-order four-stage method such as SSPRK(4,3) reaches only 5.15 on the
-    real axis.  The stages run on state.stage_graph; a zonal strip's new
-    column is broadcast back.
+    real axis.  The stages run on state.stage_graph, whose grid broadcasts the
+    result back onto the state's grid.
     """
     profile, grid = state.profile, state.graph.grid
     graph = state.stage_graph
-    zonal = graph is not state.graph
     tau0, phi0, stage_grid = state.tau, graph.phi, graph.grid
     k, field0, A0 = rhs(profile, graph, state.lam, tau0, state.field)
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, graph, field0, A0, zonal), dt_cap)
+    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, graph, field0, A0), dt_cap)
     if dt < _MIN_DT:
         raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
     # two registers, phi0 and k: each stage turns the last rhs output, a fresh
@@ -352,7 +323,7 @@ def step(state, control, dt_cap=math.inf):
         k, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, k), lambda_of_tau(profile, tau0 + h), tau0 + h)
     k *= dt
     k += phi0
-    phi1 = np.repeat(k[:, :1], grid.n_lon, axis=1) if zonal else k
+    phi1 = stage_grid.broadcast(k, grid)
     return FlowState(
         tau=tau0 + dt, graph=RadialGraph(grid, phi1), step_count=state.step_count + 1, last_dt=dt, profile=profile
     )

@@ -1,12 +1,11 @@
 """Radial graphs over S^1 and S^2: grids, derivatives, curvature.
 
-A star-shaped hypersurface is stored as phi = log r on a structured grid:
-
-* n = 1: N equispaced nodes theta_j = 2*pi*j/N on the circle (periodic);
-* n = 2: an equirectangular N_lat x N_lon grid with cell-centered latitudes
-  theta_i = (i + 1/2) * pi / N_lat, so no node sits on a pole.  Longitude is
-  periodic; latitude stencils close over the poles with the antipodal rule
-  value(-theta, phi) = value(theta, phi + pi), which is why N_lon must be even.
+A star-shaped hypersurface is stored as phi = log r on a structured grid.
+Each kind of grid is a class that owns its stencils, curvature, dt-bound
+spacings and staging: ``CircleGrid`` (S^1), ``SphereGrid`` (S^2) and
+``ZonalColumn``, the one column of a sphere grid on which a bit-exactly zonal
+state is evaluated.  ``covariant_derivatives`` and ``weingarten`` delegate to
+the graph's grid.
 
 All derivatives are 4th-order central differences, written as differences of
 neighbours so that a constant row gives exactly +0.0.  ``weingarten`` takes
@@ -18,6 +17,7 @@ and classical fundamental-form algebra; it shares only the stencils with
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -36,110 +36,192 @@ def _read_only(a):
 
 
 # ---------------------------------------------------------------------------
-# grids
+# grids: one class per kind, each owning its discretization
+
+
+def _size(value):
+    """A grid size as an int; ValueError unless it is an integer (numpy's too)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"grid sizes must be integers, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=True)
 class SphericalGrid:
-    """Structured grid on S^n.  Build with ``circle`` or ``sphere``."""
+    """Structured grid on S^n.  Build with ``circle`` or ``sphere``.
+
+    Each kind of grid owns its discretization:
+
+    * ``derivatives(phi)``, its stencils: what ``covariant_derivatives`` returns;
+    * ``curvature(graph)``: what ``weingarten`` returns;
+    * ``max_d_over_h2(D)``: the largest diffusivity D times the inverse squared
+      spacings summed over the directions its stencils run (the dt bound);
+    * ``stage(graph)`` and ``broadcast(phi, grid)``: the graph a state's
+      stages run on, and a stage result put back on the state's grid.
+
+    The defaults here: stencils in theta alone, states staged on themselves.
+    """
 
     n: int
     n_lat: int
     n_lon: int
 
-    @classmethod
-    def circle(cls, N):
+    def __post_init__(self):
+        if type(self) is SphericalGrid:
+            raise TypeError("build a grid with SphericalGrid.circle or SphericalGrid.sphere")
+
+    @staticmethod
+    def circle(N):
+        N = _size(N)
         if N < 16:
             raise ValueError(f"need at least 16 nodes, got {N}")
-        return cls(n=1, n_lat=int(N), n_lon=0)
+        return CircleGrid(n=1, n_lat=N, n_lon=0)
 
-    @classmethod
-    def sphere(cls, n_lat, n_lon):
+    @staticmethod
+    def sphere(n_lat, n_lon):
+        n_lat, n_lon = _size(n_lat), _size(n_lon)
         if n_lat < 16 or n_lon < 16:
             raise ValueError(f"need at least 16 nodes per direction, got {n_lat}x{n_lon}")
         if n_lon % 2:
             raise ValueError(f"longitude count must be even for the pole rule, got {n_lon}")
-        return cls(n=2, n_lat=int(n_lat), n_lon=int(n_lon))
+        return SphereGrid(n=2, n_lat=n_lat, n_lon=n_lon)
+
+    def max_d_over_h2(self, D):
+        return D.max() / self.h_theta**2
+
+    def stage(self, graph):
+        return graph
+
+    def broadcast(self, phi, grid):
+        return phi
+
+
+class CircleGrid(SphericalGrid):
+    """n = 1: N equispaced nodes theta_j = 2*pi*j/N on the circle (periodic)."""
 
     @property
     def shape(self):
-        return (self.n_lat,) if self.n == 1 else (self.n_lat, self.n_lon)
+        return (self.n_lat,)
 
     @property
     def h_theta(self):
-        return TWO_PI / self.n_lat if self.n == 1 else math.pi / self.n_lat
-
-    @property
-    def h_phi(self):
-        if self.n == 1:
-            raise AttributeError("circle grids have no longitude spacing")
-        return TWO_PI / self.n_lon
-
-    @property
-    def h(self):
-        """Smallest coordinate spacing (radians)."""
-        return self.h_theta if self.n == 1 else min(self.h_theta, self.h_phi)
+        return TWO_PI / self.n_lat
 
     @property
     def theta(self):
-        if self.n == 1:
-            return np.arange(self.n_lat) * (TWO_PI / self.n_lat)
-        return (np.arange(self.n_lat) + 0.5) * (math.pi / self.n_lat)
+        return np.arange(self.n_lat) * (TWO_PI / self.n_lat)
+
+    def describe(self):
+        return f"n=1 N={self.n_lat}"
 
     @property
-    def phi_lon(self):
-        if self.n == 1:
-            raise AttributeError("circle grids have no longitude coordinate")
-        return np.arange(self.n_lon) * (TWO_PI / self.n_lon)
+    def nodes(self):
+        """(theta,) per node, in the order of phi.ravel()."""
+        return [(t,) for t in self.theta.tolist()]
+
+    def partials(self, F):
+        """(F', F'') by the periodic stencils."""
+        P, h = _pad_periodic(F), self.h_theta
+        return _d1(P, h), _d2(P, h)
+
+    derivatives = partials  # the metric is d theta^2: covariant derivatives are partials
+
+    def curvature(self, graph):
+        r = graph.r()
+        phi_d, phi_dd = covariant_derivatives(graph)
+        grad_sq = phi_d * phi_d
+        rho2 = 1.0 + grad_sq
+        rho = np.sqrt(rho2)
+        den = r * rho * rho2
+        if not den.all():  # den >= 0: a radius underflowed to 0
+            raise SingularMetricError("metric lost positivity (r = 0)")
+        kappa = ((rho2 - phi_dd) / den)[:, None]  # also sigma_1
+        return WeingartenField(self, r, rho, grad_sq, r / rho, kappa, lambda: kappa)
+
+
+class _LatitudeGrid(SphericalGrid):
+    """What the n = 2 kinds share: N_lat cell-centered latitudes
+    theta_i = (i + 1/2) * pi / N_lat, so no node sits on a pole, the latitude
+    tables and the pole padding."""
+
+    @property
+    def shape(self):
+        return (self.n_lat, self.n_lon)
+
+    @property
+    def h_theta(self):
+        return math.pi / self.n_lat
+
+    @property
+    def theta(self):
+        return (np.arange(self.n_lat) + 0.5) * (math.pi / self.n_lat)
+
+    def describe(self):
+        return f"n=2 N_lat={self.n_lat} N_lon={self.n_lon}"
 
     # Per-grid tables: built on first use, cached on the instance (outside the
-    # fields, so equality and hashing ignore them), and read-only.
+    # fields, so equality and hashing ignore them), and read-only.  The
+    # latitude tables are (N_lat, 1) columns.
 
     @cached_property
     def sin_theta(self):
-        """sin(theta) as an (N_lat, 1) column."""
         return _read_only(np.sin(self.theta)[:, None])
 
     @cached_property
     def cos_theta(self):
-        """cos(theta) as an (N_lat, 1) column."""
         return _read_only(np.cos(self.theta)[:, None])
 
     @cached_property
     def sin2_theta(self):
-        """sin^2(theta) as an (N_lat, 1) column."""
         return _read_only(self.sin_theta**2)
 
     @cached_property
     def inv_sin2_theta(self):
-        """1/sin^2(theta) as an (N_lat, 1) column."""
         return _read_only(1.0 / self.sin2_theta)
 
     @cached_property
     def cot_theta(self):
-        """cot(theta) = cos(theta)/sin(theta) as an (N_lat, 1) column."""
         return _read_only(self.cos_theta / self.sin_theta)
 
     @cached_property
     def sin_cos_theta(self):
-        """sin(theta) cos(theta) as an (N_lat, 1) column."""
         return _read_only(self.sin_theta * self.cos_theta)
-
-    @cached_property
-    def inv_spacing_sq(self):
-        """1/h_theta^2 + 1/(h_phi^2 sin^2(theta)) as an (N_lat, 1) column: each
-        row's inverse squared spacings summed over both directions, which the
-        non-zonal dt bound multiplies by the diffusivity."""
-        return _read_only(1.0 / self.h_theta**2 + 1.0 / (self.h_phi**2 * self.sin2_theta))
 
     @cached_property
     def lat_pad_index(self):
         """Flat indices into an (N_lat, N_lon) field giving its (N_lat + 4, N_lon)
         pole padding: two ghost rows past each pole by the antipodal rule
-        value(-theta, phi) = value(theta, phi + pi)."""
+        value(-theta, phi) = value(theta, phi + pi); on one column, the
+        column's even reflection."""
         index = np.arange(self.n_lat * self.n_lon).reshape(self.n_lat, self.n_lon)
         across = np.roll(index, self.n_lon // 2, axis=1)  # (theta, phi + pi)
         return _read_only(np.concatenate((across[1::-1], index, across[:-3:-1])))
+
+
+class SphereGrid(_LatitudeGrid):
+    """n = 2: the equirectangular N_lat x N_lon grid.  Longitude is periodic;
+    latitude stencils close over the poles by the antipodal rule, which is
+    why N_lon must be even."""
+
+    @property
+    def h_phi(self):
+        return TWO_PI / self.n_lon
+
+    @property
+    def phi_lon(self):
+        return np.arange(self.n_lon) * (TWO_PI / self.n_lon)
+
+    @property
+    def nodes(self):
+        """(theta, phi) per node, in the order of phi.ravel()."""
+        return [(t, p) for t in self.theta.tolist() for p in self.phi_lon.tolist()]
+
+    @cached_property
+    def inv_spacing_sq(self):
+        """1/h_theta^2 + 1/(h_phi^2 sin^2(theta)) as an (N_lat, 1) column: each
+        row's inverse squared spacings summed over both directions, which the
+        dt bound multiplies by the diffusivity."""
+        return _read_only(1.0 / self.h_theta**2 + 1.0 / (self.h_phi**2 * self.sin2_theta))
 
     @cached_property
     def lon_pad_index(self):
@@ -153,36 +235,90 @@ class SphericalGrid:
         return _read_only(np.concatenate((line[:2], line, line[-2:])))
 
     @cached_property
-    def zonal_strip(self):
-        """The (N_lat, 2) grid a longitude-independent n=2 field is evaluated on.
+    def zonal_column(self):
+        """The (N_lat, 1) grid a bit-exactly zonal state's stages run on."""
+        return ZonalColumn(n=2, n_lat=self.n_lat, n_lon=1)
 
-        Two columns are the fewest the longitude padding takes, and the pole
-        rule's shift by n_lon // 2 = 1 lands on the twin column.  ``weingarten``
-        evaluates a strip from its latitude partials alone: the longitude
-        partials of a constant row are exactly zero, so the full grid's
-        general path gives the same bits.  The strip reports this grid's
-        h_phi, the spacing of the surface it stands for.
+    def partials(self, F):
+        """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp).
+
+        Every stencil runs over contiguous slices: the latitude ones down the
+        pole padding (``lat_pad_index``), the longitude ones along the line of
+        wrapped padded rows (``lon_pad_index``), whose rows' interiors are kept.
+        F_tp is the latitude derivative of the longitude derivative over the
+        padded rows, whose ghost rows are those of F_p by the pole rule.
         """
-        if self.n != 2:
-            raise AttributeError("circle grids have no zonal strip")
-        return _ZonalStrip(n=2, n_lat=self.n_lat, n_lon=2, full_n_lon=self.n_lon)
+        ht, hp, width = self.h_theta, self.h_phi, self.n_lon + 4
+        P = F.take(self.lat_pad_index)
+        line = F.take(self.lon_pad_index)
+        F_p_padded = _d1(line, hp).reshape(-1, width)[:, 2:-2].copy()
+        F_pp = _d2(line[2 * width : -2 * width], hp).reshape(-1, width)[:, 2:-2].copy()
+        return _d1(P, ht), F_p_padded[2:-2], _d2(P, ht), _d1(F_p_padded, ht), F_pp
 
-    def describe(self):
-        if self.n == 1:
-            return f"n=1 N={self.n_lat}"
-        return f"n=2 N_lat={self.n_lat} N_lon={self.n_lon}"
+    def derivatives(self, phi):
+        """(phi_t, phi_p, H_tt, H_tp, H_pp): gradient and covariant Hessian."""
+        F_t, F_p, F_tt, F_tp, F_pp = self.partials(phi)
+        return F_t, F_p, F_tt, F_tp - self.cot_theta * F_p, F_pp + self.sin_cos_theta * F_t
+
+    def curvature(self, graph):
+        """kappa, built on first read: the eigenvalues of adj(E) B' / (det E r rho)."""
+        r = graph.r()
+        F_t, F_p, H_tt, H_tp, H_pp = covariant_derivatives(graph)
+        s2 = self.sin2_theta
+        tt, pp, tp = F_t * F_t, F_p * F_p, F_t * F_p
+        grad2 = tt + pp * self.inv_sin2_theta
+        e11 = 1.0 + tt
+        e22 = s2 + pp
+        b11 = e11 - H_tt
+        b12 = tp - H_tp
+        b22 = e22 - H_pp
+        cross = tp * b12
+        n11 = e22 * b11 - cross  # the diagonal of adj(E) B'
+        n22 = e11 * b22 - cross
+        rho, u, sigma, den = _graph_curvature(self, r, 1.0 + grad2, n11 + n22, b11 * b22 - b12 * b12)
+
+        # the off-diagonal of adj(E) B', built now: a lazy kappa holding its nine
+        # inputs alive read slower on the non-zonal benchmark than this extra work
+        n12, n21 = e22 * b12 - tp * b22, e11 * b12 - tp * b11
+        return WeingartenField(self, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
+
+    def max_d_over_h2(self, D):
+        return (self.inv_spacing_sq * D).max()
+
+    def stage(self, graph):
+        if not is_zonal(graph):
+            return graph
+        return RadialGraph._unchecked(self.zonal_column, graph.phi[:, :1].copy())
 
 
-@dataclass(frozen=True, eq=True)
-class _ZonalStrip(SphericalGrid):
-    """Two longitude columns of an n=2 grid with full_n_lon columns, which
-    ``weingarten`` evaluates as a zonal field: latitude partials only."""
+class ZonalColumn(_LatitudeGrid):
+    """One longitude column of an n = 2 grid, the stage of a bit-exactly zonal
+    state.  A zonal field's longitude partials are exactly +0.0, so the column
+    computes only the latitude ones and drops the terms the others would add:
+    every value has the full grid's bits."""
 
-    full_n_lon: int
+    def derivatives(self, phi):
+        """(phi_t, H_tt, H_pp): the derivatives a zonal field does not zero."""
+        P = phi.take(self.lat_pad_index)
+        F_t = _d1(P, self.h_theta)
+        return F_t, _d2(P, self.h_theta), self.sin_cos_theta * F_t
 
-    @property
-    def h_phi(self):
-        return TWO_PI / self.full_n_lon
+    def curvature(self, graph):
+        """The principal directions are the coordinate ones: kappa, built on
+        first read, are the diagonal entries over det E r rho."""
+        r = graph.r()
+        F_t, H_tt, H_pp = covariant_derivatives(graph)
+        s2 = self.sin2_theta
+        grad2 = F_t * F_t
+        e11 = 1.0 + grad2  # also rho^2
+        b11 = e11 - H_tt
+        b22 = s2 - H_pp
+        n11, n22 = s2 * b11, e11 * b22
+        rho, u, sigma, den = _graph_curvature(self, r, e11, n11 + n22, b11 * b22)
+        return WeingartenField(self, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
+
+    def broadcast(self, phi, grid):
+        return np.repeat(phi, grid.n_lon, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +363,21 @@ class RadialGraph:
         )
 
 
+def is_zonal(graph):
+    """True when the field is bit-exactly longitude-independent (n=2 only).
+
+    Every stencil and coefficient is longitude-uniform, so such a state stays
+    so under a step, and a sphere grid stages it on its ``zonal_column``,
+    which every other column would repeat bit for bit.
+
+    For the finite phi a RadialGraph holds, every row equal to its first
+    column is the same test as a zero peak-to-peak per row (zeros of either
+    sign are equal), and cheaper.
+    """
+    phi = graph.phi
+    return graph.grid.n == 2 and bool((phi == phi[:, :1]).all())
+
+
 def sphere_graph(grid, r0):
     """The round sphere of radius r0 as a graph."""
     if not r0 > 0:
@@ -256,50 +407,17 @@ def _d2(P, h):
     ) * (1.0 / (12.0 * h * h))
 
 
-def _partials_sphere(grid, F):
-    """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp) on the n=2 grid.
-
-    Every stencil runs over contiguous slices: the latitude ones down the
-    pole padding (``lat_pad_index``), the longitude ones along the line of
-    wrapped padded rows (``lon_pad_index``), whose rows' interiors are kept.
-    F_tp is the latitude derivative of the longitude derivative over the
-    padded rows, whose ghost rows are those of F_p by the pole rule.
-    """
-    ht, hp, width = grid.h_theta, grid.h_phi, grid.n_lon + 4
-    P = F.take(grid.lat_pad_index)
-    line = F.take(grid.lon_pad_index)
-    F_p_padded = _d1(line, hp).reshape(-1, width)[:, 2:-2].copy()
-    F_pp = _d2(line[2 * width : -2 * width], hp).reshape(-1, width)[:, 2:-2].copy()
-    return _d1(P, ht), F_p_padded[2:-2], _d2(P, ht), _d1(F_p_padded, ht), F_pp
-
-
-def _sphere_derivatives(grid, phi):
-    """(phi_t, phi_p, H_tt, H_tp, H_pp): gradient and covariant Hessian on the n=2 grid."""
-    F_t, F_p, F_tt, F_tp, F_pp = _partials_sphere(grid, phi)
-    return F_t, F_p, F_tt, F_tp - grid.cot_theta * F_p, F_pp + grid.sin_cos_theta * F_t
-
-
 def covariant_derivatives(graph):
-    """Round-metric gradient and covariant Hessian of phi.
+    """Round-metric gradient and covariant Hessian of phi, the tuple of its
+    grid's kind (``derivatives``):
 
-    Returns
-    -------
-    grad : (N,) for n=1, (N_lat, N_lon, 2) for n=2 (covariant components)
-    hess : (N,) for n=1, (N_lat, N_lon, 2, 2) for n=2
+    * circle: (phi', phi'');
+    * sphere: (phi_t, phi_p, H_tt, H_tp, H_pp), covariant components;
+    * zonal column: (phi_t, H_tt, H_pp), the entries a zonal field does not zero.
+
+    Every kind's curvature reads its stencils through this name.
     """
-    grid, phi = graph.grid, graph.phi
-    if grid.n == 1:
-        P = _pad_periodic(phi)
-        h = grid.h_theta
-        return _d1(P, h), _d2(P, h)
-    F_t, F_p, H_tt, H_tp, H_pp = _sphere_derivatives(grid, phi)
-    grad = np.stack([F_t, F_p], axis=-1)
-    hess = np.empty(grid.shape + (2, 2))
-    hess[..., 0, 0] = H_tt
-    hess[..., 0, 1] = H_tp
-    hess[..., 1, 0] = H_tp
-    hess[..., 1, 1] = H_pp
-    return grad, hess
+    return graph.grid.derivatives(graph.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -369,59 +487,15 @@ def _graph_curvature(grid, r, rho2, tr_num, det_num):
 
 
 def weingarten(graph):
-    """Curvature data from the radial-graph formulas.
+    """Curvature data from the radial-graph formulas, by the grid's kind.
 
-    On S^2, with E = g_S + dphi dphi and B' = E - Hess phi, the shape
-    operator is E^-1 B' / (r rho): sigma_1 = tr(E^-1 B')/(r rho) and
-    sigma_2 = det B'/(det E r^2 rho^2), with det E = sin^2(theta) rho^2.
-    kappa, built on first read, are the eigenvalues of adj(E) B' over
-    det E r rho.  A zonal strip computes only the latitude partials and
-    drops the terms of the longitude ones, which are exactly zero on a
-    zonal field, so its values have the full grid's bits.  A radius that
-    underflows to 0 raises SingularMetricError.
+    On S^1, kappa = (rho^2 - phi'')/(r rho^3).  On S^2, with E = g_S + dphi dphi
+    and B' = E - Hess phi, the shape operator is E^-1 B' / (r rho):
+    sigma_1 = tr(E^-1 B')/(r rho) and sigma_2 = det B'/(det E r^2 rho^2), with
+    det E = sin^2(theta) rho^2.  A radius that underflows to 0 raises
+    SingularMetricError.
     """
-    grid = graph.grid
-    r = graph.r()
-    if grid.n == 1:
-        phi_d, phi_dd = covariant_derivatives(graph)
-        grad_sq = phi_d * phi_d
-        rho2 = 1.0 + grad_sq
-        rho = np.sqrt(rho2)
-        den = r * rho * rho2
-        if not den.all():  # den >= 0: a radius underflowed to 0
-            raise SingularMetricError("metric lost positivity (r = 0)")
-        kappa = ((rho2 - phi_dd) / den)[:, None]  # also sigma_1
-        return WeingartenField(grid, r, rho, grad_sq, r / rho, kappa, lambda: kappa)
-
-    s2 = grid.sin2_theta
-    if isinstance(grid, _ZonalStrip):
-        P = graph.phi.take(grid.lat_pad_index)
-        F_t, H_tt = _d1(P, grid.h_theta), _d2(P, grid.h_theta)
-        grad2 = F_t * F_t
-        e11 = 1.0 + grad2  # also rho^2
-        b11 = e11 - H_tt
-        b22 = s2 - grid.sin_cos_theta * F_t
-        n11, n22 = s2 * b11, e11 * b22
-        rho, u, sigma, den = _graph_curvature(grid, r, e11, n11 + n22, b11 * b22)
-        return WeingartenField(grid, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
-
-    F_t, F_p, H_tt, H_tp, H_pp = _sphere_derivatives(grid, graph.phi)
-    tt, pp, tp = F_t * F_t, F_p * F_p, F_t * F_p
-    grad2 = tt + pp * grid.inv_sin2_theta
-    e11 = 1.0 + tt
-    e22 = s2 + pp
-    b11 = e11 - H_tt
-    b12 = tp - H_tp
-    b22 = e22 - H_pp
-    cross = tp * b12
-    n11 = e22 * b11 - cross  # the diagonal of adj(E) B'
-    n22 = e11 * b22 - cross
-    rho, u, sigma, den = _graph_curvature(grid, r, 1.0 + grad2, n11 + n22, b11 * b22 - b12 * b12)
-
-    # the off-diagonal of adj(E) B', built now: a lazy kappa holding its nine
-    # inputs alive read slower on the non-zonal benchmark than this extra work
-    n12, n21 = e22 * b12 - tp * b22, e11 * b12 - tp * b11
-    return WeingartenField(grid, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
+    return graph.grid.curvature(graph)
 
 
 def embedding_oracle(graph):
@@ -437,10 +511,7 @@ def embedding_oracle(graph):
         t = grid.theta
         x = r * np.cos(t)
         y = r * np.sin(t)
-        h = grid.h_theta
-        Px, Py = _pad_periodic(x), _pad_periodic(y)
-        xd, yd = _d1(Px, h), _d1(Py, h)
-        xdd, ydd = _d2(Px, h), _d2(Py, h)
+        (xd, xdd), (yd, ydd) = grid.partials(x), grid.partials(y)
         speed2 = xd * xd + yd * yd
         if np.any(speed2 <= 0.0):
             raise SingularMetricError("curve parameterization degenerated")
@@ -450,21 +521,13 @@ def embedding_oracle(graph):
         rr = np.hypot(x, y)
         rdot = (x * xd + y * yd) / rr
         kappa = kappa[:, None]
-        return WeingartenField(
-            grid=grid,
-            r=rr,
-            rho=rr / u,
-            grad_sq=(rdot / rr) ** 2,
-            u=u,
-            sigma=kappa,
-            kappa_fn=lambda: kappa,
-        )
+        return WeingartenField(grid, rr, rr / u, (rdot / rr) ** 2, u, kappa, lambda: kappa)
 
     t = grid.theta[:, None]
     p = grid.phi_lon[None, :]
     sin_t, cos_t = np.sin(t), np.cos(t)
     X = (r * sin_t * np.cos(p), r * sin_t * np.sin(p), r * cos_t)
-    Xt, Xp, Xtt, Xtp, Xpp = zip(*(_partials_sphere(grid, comp) for comp in X))
+    Xt, Xp, Xtt, Xtp, Xpp = zip(*(grid.partials(comp) for comp in X))
 
     def dot(a, b):
         return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -494,15 +557,7 @@ def embedding_oracle(graph):
     rt = dot(X, Xt) / rr
     rp = dot(X, Xp) / rr
     grad_sq = (rt * rt + (rp / sin_t) ** 2) / (rr * rr)
-    return WeingartenField(
-        grid=grid,
-        r=rr,
-        rho=rr / u,
-        grad_sq=grad_sq,
-        u=u,
-        sigma=sigma,
-        kappa_fn=lambda: kappa,
-    )
+    return WeingartenField(grid, rr, rr / u, grad_sq, u, sigma, lambda: kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +569,9 @@ def _fmt(x):
 
 
 def graph_to_text(graph):
-    grid = graph.grid
-    lines = [grid.describe()]
-    if grid.n == 1:
-        for th, v in zip(grid.theta, graph.phi):
-            lines.append(f"{_fmt(th)},{_fmt(v)}")
-    else:
-        lon = grid.phi_lon
-        for i, th in enumerate(grid.theta):
-            for j, ph in enumerate(lon):
-                lines.append(f"{_fmt(th)},{_fmt(ph)},{_fmt(graph.phi[i, j])}")
-    return "\n".join(lines) + "\n"
+    values = graph.phi.ravel().tolist()
+    rows = (",".join(map(_fmt, (*node, v))) for node, v in zip(graph.grid.nodes, values))
+    return "\n".join((graph.grid.describe(), *rows)) + "\n"
 
 
 def graph_from_text(text):
@@ -532,34 +579,18 @@ def graph_from_text(text):
     if not lines:
         raise ValueError("empty graph serialization")
     grid = _parse_header(lines[0])
-    body = lines[1:]
-    phi = np.empty(grid.shape)
-    if grid.n == 1:
-        if len(body) != grid.n_lat:
-            raise ValueError(f"expected {grid.n_lat} rows, got {len(body)}")
-        theta = grid.theta
-        for j, ln in enumerate(body):
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"bad row {ln!r}")
-            if float(parts[0]) != theta[j]:
-                raise ValueError(f"row {j}: theta {parts[0]} does not match the grid")
-            phi[j] = float(parts[1])
-    else:
-        if len(body) != grid.n_lat * grid.n_lon:
-            raise ValueError(f"expected {grid.n_lat * grid.n_lon} rows, got {len(body)}")
-        theta, lon = grid.theta, grid.phi_lon
-        idx = 0
-        for i in range(grid.n_lat):
-            for j in range(grid.n_lon):
-                parts = body[idx].split(",")
-                if len(parts) != 3:
-                    raise ValueError(f"bad row {body[idx]!r}")
-                if float(parts[0]) != theta[i] or float(parts[1]) != lon[j]:
-                    raise ValueError(f"row {idx}: node does not match the grid")
-                phi[i, j] = float(parts[2])
-                idx += 1
-    return RadialGraph(grid, phi)
+    nodes, body = grid.nodes, lines[1:]
+    if len(body) != len(nodes):
+        raise ValueError(f"expected {len(nodes)} rows, got {len(body)}")
+    phi = []
+    for idx, (ln, node) in enumerate(zip(body, nodes)):
+        *coords, value = ln.split(",")
+        if len(coords) != len(node):
+            raise ValueError(f"bad row {ln!r}")
+        if tuple(map(float, coords)) != node:
+            raise ValueError(f"row {idx}: node does not match the grid")
+        phi.append(float(value))
+    return RadialGraph(grid, np.reshape(phi, grid.shape))
 
 
 def _parse_header(line):

@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 
 from anisoflow.diagnostics import fit_exponential
-from anisoflow.flow_engine import StepControl, initial_state, is_zonal, rhs, run
+from anisoflow.flow_engine import StepControl, initial_state, rhs, run
 from anisoflow.speed_profile import ExpFlatG, MonomialG, SpeedProfile
 from anisoflow.sphere_geometry import (
     RadialGraph,
     SphericalGrid,
+    is_zonal,
     sphere_graph,
     weingarten,
 )
@@ -304,5 +305,57 @@ def test_ac8_gradient_bounds_on_stored_runs(ac3_run, ac4_run):
         "AC-8 oscillation bounded by pi*max|grad r|; gradient cap non-increasing",
         ok,
         "both stored runs" if ok else "; ".join(problems),
+    )
+    assert ok, line
+
+
+# ---------------------------------------------------------------------------
+# AC-11: the whole flow is fourth order in space
+
+
+def _flow_phi(profile, graph, t_end):
+    """phi at t_end, stepped at cfl 0.2."""
+    result = run(initial_state(profile, graph), StepControl(t_end=t_end, cfl=0.2, record_every=10**9))
+    assert result.reason == "t_end"
+    return result.state.graph.phi
+
+
+def test_ac11_flow_is_fourth_order_in_space():
+    # max|phi_N - phi_fine| on the coarse nodes, which the fine grid nests:
+    # the curve (equispaced) under doubling against N = 512 at tau 0.5, the
+    # AC-4 zonal column (cell-centred latitudes) under tripling against
+    # N_lat = 144 at tau 1.  Measured 5.8e-5, 3.6e-6, 2.3e-7 (ratios 15.97 and
+    # 16.03, fourth order 16) and 7.9e-6, 9.7e-8 (ratio 82, fourth order 81).
+    # The three-point second-difference stencil in place of the fourth-order
+    # one gives ratios 4.1, 4.2 and 9.0, so the bounds are ratio >= 12 under
+    # doubling and >= 40 under tripling.  At cfl 0.2 the engine's second-order
+    # time error (dt ~ h^2, so it too falls as h^4) stays below these.
+    curve = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
+
+    def curve_phi(N):
+        grid = SphericalGrid.circle(N)
+        return _flow_phi(curve, RadialGraph(grid, np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta))), 0.5)
+
+    surface = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+
+    def column_phi(n_lat):
+        grid = SphericalGrid.sphere(n_lat, 16)
+        col = np.log(1.0375 + 0.1125 * np.cos(2.0 * grid.theta))
+        graph = RadialGraph(grid, np.broadcast_to(col[:, None], grid.shape).copy())
+        return _flow_phi(surface, graph, 1.0)[:, 0]
+
+    fine = curve_phi(512)
+    curve_errs = [float(np.abs(curve_phi(N) - fine[:: 512 // N]).max()) for N in (32, 64, 128)]
+    fine = column_phi(144)
+    column_errs = [float(np.abs(column_phi(n) - fine[144 // n // 2 :: 144 // n]).max()) for n in (16, 48)]
+    curve_ratios = [a / b for a, b in zip(curve_errs, curve_errs[1:])]
+    column_ratio = column_errs[0] / column_errs[1]
+    ok = min(curve_ratios) >= 12.0 and column_ratio >= 40.0
+    line = _report(
+        "AC-11 the flow is fourth order in space", ok,
+        "curve N=32,64,128 vs 512: " + ", ".join(f"{e:.2e}" for e in curve_errs)
+        + " (ratios " + ", ".join(f"{q:.2f}" for q in curve_ratios) + "); "
+        + "zonal N_lat=16,48 vs 144: " + ", ".join(f"{e:.2e}" for e in column_errs)
+        + f" (ratio {column_ratio:.1f})",
     )
     assert ok, line

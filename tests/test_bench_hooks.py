@@ -70,21 +70,26 @@ def test_tracer_counts_rhs_step_and_diagnostics():
         assert tracer.calls[layer] > 0, layer
 
 
-def test_tracer_sees_the_zonal_strip_layers():
-    # a zonal surface is stepped on its two-column strip; the strip must still
-    # reach curvature, the cone gate and the speed terms through their module names
+@pytest.mark.parametrize("zonal", [True, False], ids=["zonal", "nonzonal"])
+def test_tracer_sees_every_layer_of_a_surface_run(zonal):
+    # a zonal surface is stepped on its one-column stage and a non-zonal one on
+    # its full grid; either must reach the stencils, curvature, the cone gate
+    # and the speed terms through their module names
     from anisoflow import ExpFlatG, RadialGraph, SpeedProfile, SphericalGrid, StepControl, flow_engine
 
     grid = SphericalGrid.sphere(16, 32)
-    col = np.log(1.0375 + 0.1125 * np.cos(2.0 * grid.theta))
-    graph = RadialGraph(grid, np.broadcast_to(col[:, None], grid.shape).copy())
+    t = grid.theta[:, None]
+    phi = np.broadcast_to(np.log(1.0375 + 0.1125 * np.cos(2.0 * t)), grid.shape).copy()
+    if not zonal:
+        phi += 1e-3 * np.sin(t) ** 2 * np.cos(2.0 * grid.phi_lon)
     profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
-    state = flow_engine.initial_state(profile, graph)
-    assert state.stage_graph.grid == grid.zonal_strip
+    state = flow_engine.initial_state(profile, RadialGraph(grid, phi))
+    assert state.stage_graph.grid == (grid.zonal_column if zonal else grid)
     with layers.Tracer() as tracer:
         result = flow_engine.run(state, StepControl(t_end=1.0, max_steps=6, record_every=2))
     assert result.reason == "max_steps"
-    for layer in ("rhs", "weingarten", "cone_gate", "eval_scaled"):
+    for layer in ("stencils", "rhs", "weingarten", "cone_gate", "eval_scaled"):
         assert tracer.calls[layer] > 0, layer
     # each record's field is reused by the next step's first stage
     assert tracer.calls["weingarten"] == 4 * result.state.step_count + 1
+    assert tracer.calls["stencils"] == tracer.calls["weingarten"]

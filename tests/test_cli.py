@@ -19,7 +19,7 @@ from anisoflow.cli import (
 )
 from anisoflow.diagnostics import DiagnosticsSeries
 from anisoflow.flow_engine import StepControl, initial_state, load_checkpoint, save_checkpoint
-from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, save_graph, sphere_graph
+from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, save_graph, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
     BumpG,
@@ -198,8 +198,12 @@ def n2_config(initial):
 def test_n2_fourier_restrictions():
     errs = errors_of(n2_config("kind = fourier\nconst = 1.0\nsin_2 = 0.1"))
     assert any("not smooth across the poles" in e for e in errs)
-    errs = errors_of(n2_config("kind = fourier\nconst = 1.0\ncos_1 = 0.1"))
-    assert any("must be even" in e for e in errs)
+    # cos(m theta) = T_m(cos theta) is smooth on S^2 for odd m too
+    cfg = parse_config(n2_config("kind = fourier\nconst = 1.0\ncos_1 = 0.1\ncos_3 = 0.05"))
+    graph = build_initial_graph(cfg.grid, cfg.initial)
+    assert is_zonal(graph)
+    th = cfg.grid.theta
+    np.testing.assert_allclose(graph.phi[:, 0], np.log(1.0 + 0.1 * np.cos(th) + 0.05 * np.cos(3.0 * th)), rtol=0.0, atol=1e-15)
     cfg = parse_config(n2_config("kind = fourier\nconst = 1.0\ncos_2 = 0.1"))
     graph = build_initial_graph(cfg.grid, cfg.initial)
     assert graph.grid.shape == (16, 32)

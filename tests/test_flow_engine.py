@@ -22,7 +22,6 @@ from anisoflow.flow_engine import (
     StepControl,
     diagnostics_row,
     initial_state,
-    is_zonal,
     lambda_maps,
     lambda_of_tau,
     load_checkpoint,
@@ -48,6 +47,7 @@ from anisoflow.sphere_geometry import (
     RadialGraph,
     SingularMetricError,
     SphericalGrid,
+    is_zonal,
     sphere_graph,
     weingarten,
 )
@@ -377,8 +377,8 @@ def test_zonal_bound_ignores_longitude():
     graph = sphere_graph(grid, 1.0)
     _, field, A = rhs(prof, graph, lam=1.0)
     assert is_zonal(graph)
-    b_zonal = stable_dt_bound(prof, graph, field, A, zonal=True)
-    b_generic = stable_dt_bound(prof, graph, field, A, zonal=False)
+    b_zonal = stable_dt_bound(prof, grid.stage(graph), field, A)
+    b_generic = stable_dt_bound(prof, graph, field, A)
     assert b_zonal > 20.0 * b_generic  # sin^2 near the poles throttles the generic bound
     D = A * sigma_k_partials(field.kappa, 2).max(axis=-1) / (field.r * field.rho)
     assert_allclose(b_zonal, REAL_LIMIT * (3.0 / 16.0) * grid.h_theta**2 / D.max(), rtol=1e-12)
@@ -455,8 +455,8 @@ SPECTRUM_IDS = [f"{w}-{a:g}" for w, a in SPECTRUM_CASES]
 def _bound_and_spectrum(where, amp):
     """(stable_dt_bound, eigenvalues of the Jacobian) of a SPECTRUM_CASES entry.
 
-    The full grid's longitude modes count, so the surface is evaluated with
-    zonal=False even when its data are zonal.
+    The full grid's longitude modes count, so the surface is evaluated on
+    its full grid, not its stage, even when its data are zonal.
     """
     if where == "curve":
         profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
@@ -465,7 +465,7 @@ def _bound_and_spectrum(where, amp):
         profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
         graph = _surface(16, 32, zonal=False, amp=amp)
     _, field, A = rhs(profile, graph, 1.0)
-    bound = stable_dt_bound(profile, graph, field, A, zonal=False)
+    bound = stable_dt_bound(profile, graph, field, A)
     return bound, np.linalg.eigvals(_fd_jacobian(profile, graph))
 
 
@@ -542,7 +542,7 @@ def _full_grid_step(state, control):
     """(phi, dt) of one engine step built from rhs on the full grid."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
     k1, field, A = rhs(profile, state.graph, state.lam, tau0)
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field, A, zonal=True))
+    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.stage_graph, field, A))
     t1, t2, t3 = tau0 + STAGE_C1 * dt, tau0 + STAGE_C2 * dt, tau0 + 0.5 * dt
     u1 = phi0 + (STAGE_C1 * dt) * k1
     k2, _, _ = rhs(profile, RadialGraph(grid, u1), lambda_of_tau(profile, t1), t1)
@@ -562,9 +562,9 @@ def _on_full_grid(state):
 
 def test_only_zonal_states_take_the_strip():
     zonal = _zonal_expflat_state()
-    assert zonal.stage_graph.grid == zonal.graph.grid.zonal_strip
-    assert np.array_equal(zonal.stage_graph.phi, zonal.graph.phi[:, :2])
-    assert zonal.field.r.shape == (32, 2)
+    assert zonal.stage_graph.grid == zonal.graph.grid.zonal_column
+    assert np.array_equal(zonal.stage_graph.phi, zonal.graph.phi[:, :1])
+    assert zonal.field.r.shape == (32, 1)
     state = initial_state(zonal.profile, _surface(32, 64, zonal=False))
     assert state.stage_graph is state.graph
     assert state.field.r.shape == (32, 64)
@@ -587,7 +587,7 @@ def test_zonal_record_equals_full_grid_record():
     for _ in range(2):
         strip_row = diagnostics_row(state)
         full_row = diagnostics_row(_on_full_grid(state))
-        assert state.field.r.shape == (32, 2)
+        assert state.field.r.shape == (32, 1)
         assert strip_row == full_row
         state = step(state, StepControl(t_end=10.0))
 
@@ -601,7 +601,7 @@ def test_zonal_cone_exit_matches_full_grid():
         rhs(state.profile, graph, state.lam, state.tau)
     with pytest.raises(ConeViolationError) as strip:
         step(state, StepControl(t_end=10.0))
-    assert state.field.r.shape == (32, 2)
+    assert state.field.r.shape == (32, 1)
     assert full.value.node[1] == 0
     assert (strip.value.node, strip.value.margin, strip.value.tau) == (
         full.value.node,
@@ -737,7 +737,8 @@ def _rk4_step(state, control, dt_cap=math.inf):
     """(phi, dt) of one classic RK4 step, dt = min(dt_max, cfl * RK4's limit, dt_cap)."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
     k1, field, A = rhs(profile, state.graph, state.lam, tau0)
-    dt = min(control.dt_max, control.cfl * RK4_FRACTION * stable_dt_bound(profile, state.graph, field, A), dt_cap)
+    # the engine's bound, whose stage graph drops a zonal state's longitude
+    dt = min(control.dt_max, control.cfl * RK4_FRACTION * stable_dt_bound(profile, state.stage_graph, field, A), dt_cap)
     half, tau1 = tau0 + 0.5 * dt, tau0 + dt
     k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), lambda_of_tau(profile, half), half)
     k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), lambda_of_tau(profile, half), half)
@@ -783,7 +784,7 @@ def test_dt_bound_equals_last_axis_max_reference(where, k, alpha):
     graph = _curve(128, 0.1) if where == "curve" else _surface(32, 64, zonal=where == "zonal-strip")
     state = initial_state(profile, graph, validate_regime=False)
     graph = state.stage_graph
-    assert graph.phi.shape == {"curve": (128,), "zonal-strip": (32, 2), "nonzonal": (32, 64)}[where]
+    assert graph.phi.shape == {"curve": (128,), "zonal-strip": (32, 1), "nonzonal": (32, 64)}[where]
     _, field, A = rhs(profile, graph, state.lam, field=state.field)
     bound = stable_dt_bound(profile, graph, field, A)
     if k == 1:  # all-ones partials: no principal curvatures needed

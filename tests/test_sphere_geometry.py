@@ -13,7 +13,6 @@ from anisoflow.sphere_geometry import (
     _d1,
     _d2,
     _pad_periodic,
-    _partials_sphere,
     covariant_derivatives,
     embedding_oracle,
     graph_from_text,
@@ -44,7 +43,7 @@ def sphere2_graph(n_lat, n_lon, fn):
 def test_grid_constructors_and_spacing():
     c = SphericalGrid.circle(64)
     assert c.shape == (64,)
-    assert c.h == c.h_theta == 2.0 * math.pi / 64
+    assert c.h_theta == 2.0 * math.pi / 64
     assert c.describe() == "n=1 N=64"
     assert_allclose(c.theta[1] - c.theta[0], c.h_theta)
 
@@ -52,7 +51,6 @@ def test_grid_constructors_and_spacing():
     assert s.shape == (32, 64)
     assert s.h_theta == math.pi / 32
     assert s.h_phi == 2.0 * math.pi / 64
-    assert s.h == min(s.h_theta, s.h_phi)
     assert s.describe() == "n=2 N_lat=32 N_lon=64"
     # cell-centered latitudes: no node on a pole, symmetric about the equator
     assert s.theta[0] == 0.5 * s.h_theta
@@ -66,6 +64,15 @@ def test_grid_validation():
         SphericalGrid.sphere(8, 32)
     with pytest.raises(ValueError, match="even"):
         SphericalGrid.sphere(32, 33)
+    # a non-integral size raises instead of truncating; numpy integers pass
+    with pytest.raises(ValueError, match="integers"):
+        SphericalGrid.circle(16.9)
+    with pytest.raises(ValueError, match="integers"):
+        SphericalGrid.sphere(32, 64.0)
+    assert SphericalGrid.circle(np.int64(16)) == SphericalGrid.circle(16)
+    assert SphericalGrid.sphere(np.int32(32), np.int64(64)).shape == (32, 64)
+    with pytest.raises(TypeError, match="circle or SphericalGrid.sphere"):
+        SphericalGrid(n=1, n_lat=64, n_lon=0)  # the kind is a class: no kindless grid
 
 
 def test_radial_graph_validation():
@@ -92,9 +99,12 @@ def test_constant_graph_derivatives_vanish_to_rounding():
         sphere_graph(SphericalGrid.circle(32), 1.7),
         sphere_graph(SphericalGrid.sphere(16, 32), 1.7),
     ):
-        grad, hess = covariant_derivatives(graph)
-        assert_allclose(grad, 0.0, atol=1e-14)
-        assert_allclose(hess, 0.0, atol=1e-13)
+        # n gradient components, then the Hessian's
+        n, derivs = graph.grid.n, covariant_derivatives(graph)
+        for grad in derivs[:n]:
+            assert_allclose(grad, 0.0, atol=1e-14)
+        for hess in derivs[n:]:
+            assert_allclose(hess, 0.0, atol=1e-13)
 
 
 def test_circle_derivatives_fourth_order():
@@ -117,11 +127,11 @@ def test_zonal_hessian_matches_closed_form():
     for n_lat in (24, 48):
         graph = sphere2_graph(n_lat, 32, lambda t, p: np.cos(t) + 0.0 * p)
         t = graph.grid.theta[:, None]
-        _, hess = covariant_derivatives(graph)
+        _, _, H_tt, H_tp, H_pp = covariant_derivatives(graph)
         e = max(
-            np.max(np.abs(hess[..., 0, 0] + np.cos(t))),
-            np.max(np.abs(hess[..., 0, 1])),
-            np.max(np.abs(hess[..., 1, 1] + np.sin(t) ** 2 * np.cos(t))),
+            np.max(np.abs(H_tt + np.cos(t))),
+            np.max(np.abs(H_tp)),
+            np.max(np.abs(H_pp + np.sin(t) ** 2 * np.cos(t))),
         )
         errs.append(e)
     assert errs[1] < errs[0] / 12.0
@@ -134,10 +144,10 @@ def test_degree_one_harmonic_hessian():
     t = graph.grid.theta[:, None]
     p = graph.grid.phi_lon[None, :]
     Y = np.sin(t) * np.cos(p)
-    _, hess = covariant_derivatives(graph)
-    assert_allclose(hess[..., 0, 0], -Y, atol=2e-5)
-    assert_allclose(hess[..., 0, 1], 0.0, atol=2e-5)
-    assert_allclose(hess[..., 1, 1], -Y * np.sin(t) ** 2, atol=2e-5)
+    _, _, H_tt, H_tp, H_pp = covariant_derivatives(graph)
+    assert_allclose(H_tt, -Y, atol=2e-5)
+    assert_allclose(H_tp, 0.0, atol=2e-5)
+    assert_allclose(H_pp, -Y * np.sin(t) ** 2, atol=2e-5)
 
 
 def test_degree_two_harmonic_hessian_mixed_term():
@@ -150,11 +160,11 @@ def test_degree_two_harmonic_hessian_mixed_term():
     t = graph.grid.theta[:, None]
     p = graph.grid.phi_lon[None, :]
     st, ct, sp, cp = np.sin(t), np.cos(t), np.sin(p), np.cos(p)
-    _, hess = covariant_derivatives(graph)
-    assert_allclose(hess[..., 0, 0], -4.0 * st * ct * sp, atol=5e-5)
-    assert_allclose(hess[..., 0, 1], -(st**2) * cp, atol=5e-5)
-    assert_allclose(hess[..., 1, 1], -2.0 * st**3 * ct * sp, atol=5e-5)
-    lap = hess[..., 0, 0] + hess[..., 1, 1] / st**2
+    _, _, H_tt, H_tp, H_pp = covariant_derivatives(graph)
+    assert_allclose(H_tt, -4.0 * st * ct * sp, atol=5e-5)
+    assert_allclose(H_tp, -(st**2) * cp, atol=5e-5)
+    assert_allclose(H_pp, -2.0 * st**3 * ct * sp, atol=5e-5)
+    lap = H_tt + H_pp / st**2
     assert_allclose(lap, -6.0 * st * ct * sp, atol=5e-4)
 
 
@@ -283,8 +293,7 @@ def roll_covariant_derivatives(graph):
     sin_t, cos_t = np.sin(grid.theta)[:, None], np.cos(grid.theta)[:, None]
     H_tp = F_tp - (cos_t / sin_t) * F_p
     H_pp = F_pp + sin_t * cos_t * F_t
-    hess = np.stack([np.stack([F_tt, H_tp], axis=-1), np.stack([H_tp, H_pp], axis=-1)], axis=-2)
-    return np.stack([F_t, F_p], axis=-1), hess
+    return F_t, F_p, F_tt, H_tp, H_pp
 
 
 @pytest.mark.parametrize(
@@ -338,30 +347,30 @@ def test_sphere_partials_are_c_ordered():
     # partial must still come out as a C-ordered array
     grid = SphericalGrid.sphere(32, 64)
     F = np.random.default_rng(3).standard_normal(grid.shape)
-    for partial in _partials_sphere(grid, F):
+    for partial in grid.partials(F):
         assert partial.flags.c_contiguous
 
 
 def test_zonal_strip_curvature_equals_full_grid_bitwise():
     grid = SphericalGrid.sphere(32, 64)
-    assert "zonal_strip" not in vars(grid)  # built on first use
-    strip = grid.zonal_strip
-    assert grid.zonal_strip is strip
-    assert strip.shape == (32, 2) and strip.h_phi == grid.h_phi and strip.h_theta == grid.h_theta
-    assert strip != SphericalGrid(n=2, n_lat=32, n_lon=2)
+    assert "zonal_column" not in vars(grid)  # built on first use
+    column = grid.zonal_column
+    assert grid.zonal_column is column
+    assert column.shape == (32, 1) and column.h_theta == grid.h_theta
+    assert column != grid and column.describe() == "n=2 N_lat=32 N_lon=1"
     graph = sphere2_graph(32, 64, lambda t, p: np.log(1.0375 + 0.1125 * np.cos(2.0 * t)) + 0.0 * p)
     full = weingarten(graph)
-    narrow = weingarten(RadialGraph(strip, graph.phi[:, :2].copy()))
+    narrow = weingarten(RadialGraph(column, graph.phi[:, :1].copy()))
     for name in ("r", "rho", "grad_sq", "u", "sigma", "kappa"):
-        assert np.array_equal(getattr(narrow, name), getattr(full, name)[:, :2]), name
+        assert np.array_equal(getattr(narrow, name), getattr(full, name)[:, :1]), name
     with pytest.raises(AttributeError):
-        SphericalGrid.circle(32).zonal_strip
+        SphericalGrid.circle(32).zonal_column
 
 
 def test_constant_row_longitude_partials_are_exactly_positive_zero():
     grid = SphericalGrid.sphere(32, 64)
     col = np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta))
-    F_t, F_p, F_tt, F_tp, F_pp = _partials_sphere(grid, np.broadcast_to(col[:, None], grid.shape).copy())
+    F_t, F_p, F_tt, F_tp, F_pp = grid.partials(np.broadcast_to(col[:, None], grid.shape).copy())
     for partial in (F_p, F_tp, F_pp):
         assert (partial == 0.0).all() and not np.signbit(partial).any()
     assert np.abs(F_t).max() > 0.1 and np.abs(F_tt).max() > 0.1
@@ -371,10 +380,10 @@ def test_zonal_strip_equals_full_grid_bitwise_on_a_nonconvex_surface():
     # r = 1 + 0.3 cos 2 theta: mean-convex, pinched at the equator (sigma_2 < 0)
     graph = sphere2_graph(32, 64, lambda t, p: np.log(1.0 + 0.3 * np.cos(2.0 * t)) + 0.0 * p)
     full = weingarten(graph)
-    narrow = weingarten(RadialGraph(graph.grid.zonal_strip, graph.phi[:, :2].copy()))
+    narrow = weingarten(RadialGraph(graph.grid.zonal_column, graph.phi[:, :1].copy()))
     assert full.sigma[..., 1].min() < -1.3 and full.sigma[..., 0].min() > 0.4
     for name in ("r", "rho", "grad_sq", "u", "sigma", "kappa"):
-        assert np.array_equal(getattr(narrow, name), getattr(full, name)[:, :2]), name
+        assert np.array_equal(getattr(narrow, name), getattr(full, name)[:, :1]), name
 
 
 def _cholesky_curvature(graph):
@@ -382,15 +391,14 @@ def _cholesky_curvature(graph):
     form B = (r/rho)(E - Hess phi) from ``covariant_derivatives``, the
     symmetric S = L^-1 B L^-T with G = L L^T, and numpy's symmetric eigen
     solver on S."""
-    grad, hess = covariant_derivatives(graph)
+    p_t, p_p, H_tt, H_tp, H_pp = covariant_derivatives(graph)
     sin_t = graph.grid.sin_theta
     r = np.exp(graph.phi)
-    p_t, p_p = grad[..., 0], grad[..., 1]
     rho = np.sqrt(1.0 + p_t * p_t + (p_p / sin_t) ** 2)
     E11, E12, E22 = 1.0 + p_t * p_t, p_t * p_p, sin_t * sin_t + p_p * p_p
     G11, G12, G22 = r * r * E11, r * r * E12, r * r * E22
     c = r / rho
-    B11, B12, B22 = c * (E11 - hess[..., 0, 0]), c * (E12 - hess[..., 0, 1]), c * (E22 - hess[..., 1, 1])
+    B11, B12, B22 = c * (E11 - H_tt), c * (E12 - H_tp), c * (E22 - H_pp)
     L11 = np.sqrt(G11)
     L21 = G12 / L11
     L22 = np.sqrt(G22 - L21 * L21)
@@ -489,14 +497,14 @@ def test_circle_shift_equivariance_is_exact():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_metric_detected():
     # exp(-800) == 0.0: the metric check raises before anything divides by r,
-    # on the general path (one node, or a zonal row) and on the zonal strip
+    # on the general path (one node, or a zonal row) and on the zonal column
     grid = SphericalGrid.sphere(16, 32)
     node, row = np.zeros(grid.shape), np.zeros(grid.shape)
     node[3, 5] = row[3] = -800.0
     for graph in (
         RadialGraph(grid, node),
         RadialGraph(grid, row),
-        RadialGraph(grid.zonal_strip, row[:, :2].copy()),
+        RadialGraph(grid.zonal_column, row[:, :1].copy()),
     ):
         with pytest.raises(SingularMetricError, match="metric lost positivity"):
             weingarten(graph)
