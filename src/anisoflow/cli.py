@@ -19,14 +19,8 @@ import numpy as np
 
 from . import flow_engine, verify
 from .diagnostics import closed_form_r2, fit_exponential
-from .speed_profile import (
-    G_KINDS,
-    SpeedProfile,
-    TabulatedG,
-    ZeroG,
-    validate_for_regime,
-)
-from .sphere_geometry import RadialGraph, SphericalGrid, _fmt, load_graph, sphere_graph
+from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
+from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, _fmt, load_graph, sphere_graph
 
 _REQUIRED = object()
 
@@ -65,20 +59,15 @@ class RunConfig:
     g_table_path: str = None
 
 
-# g.<field> for every field of every dataclass g kind (tabulated g has g.table_path)
-_G_PARAMS = {
-    f"g.{f.name}"
-    for cls in G_KINDS.values()
-    if dataclasses.is_dataclass(cls)
-    for f in dataclasses.fields(cls)
-}
+# g.<field> for every field of every g kind given by parameters (a table kind has g.table_path)
+_G_PARAMS = {f"g.{f.name}" for cls in G_KINDS.values() if not cls.TABLE for f in dataclasses.fields(cls)}
 
 # [control] is StepControl's fields (their types and defaults too) plus override
 _CONTROL_FIELDS = dataclasses.fields(flow_engine.StepControl)
 
 _SECTIONS = {
     "profile": {"n", "k", "alpha", "beta", "g.kind", "g.table_path"} | _G_PARAMS,
-    "grid": {"n", "N", "n_lat", "n_lon"},
+    "grid": {"n"} | {key for cls in GRID_KINDS.values() for key in cls.CONFIG_KEYS},
     "initial": {"kind", "r0", "const", "variable", "path"},
     "control": {f.name for f in _CONTROL_FIELDS} | {"override"},
     "output": {"csv_path", "plot_path", "checkpoint_path"},
@@ -160,11 +149,12 @@ def _parse_profile(data, errors):
     table_path = None
     g = None
     cls = G_KINDS.get(kind)
-    if cls is TabulatedG:
+    if cls is not None and cls.TABLE:
         table_path = _take(data, "profile", "g.table_path", str, errors)
         if table_path is not None:
             try:
-                g = _load_table(table_path)
+                with open(table_path) as fh:
+                    g = cls.from_rows(fh)
             except (OSError, ValueError) as exc:
                 errors.append(f"[profile] g.table_path: {exc}")
     elif cls is not None:
@@ -191,54 +181,24 @@ def _parse_profile(data, errors):
         return None, table_path
 
 
-def _load_table(path):
-    rows = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"bad table row {line!r} (want 'r,value,derivative')")
-            rows.append([float(tok) for tok in parts])
-    if len(rows) < 2:
-        raise ValueError("table needs at least 2 rows")
-    return TabulatedG(*zip(*rows))
-
-
 def _parse_grid(data, profile, errors):
     n_grid = _take(data, "grid", "n", int, errors, default=None)
     if profile is not None and n_grid is not None and n_grid != profile.n:
         errors.append(f"[grid] n: {n_grid} does not match [profile] n = {profile.n}")
     n = profile.n if profile is not None else n_grid
-    if n == 1:
-        N = _take(data, "grid", "N", int, errors)
-        for key in ("n_lat", "n_lon"):
-            if key in data["grid"]:
-                _, lineno = data["grid"][key]
-                errors.append(f"line {lineno}: [grid] {key}: not valid for n=1 (use N)")
-        if N is None:
-            return None
-        try:
-            return SphericalGrid.circle(N)
-        except ValueError as exc:
-            errors.append(f"[grid] {exc}")
-            return None
-    if n == 2:
-        n_lat = _take(data, "grid", "n_lat", int, errors)
-        n_lon = _take(data, "grid", "n_lon", int, errors)
-        if "N" in data["grid"]:
-            _, lineno = data["grid"]["N"]
-            errors.append(f"line {lineno}: [grid] N: not valid for n=2 (use n_lat/n_lon)")
-        if n_lat is None or n_lon is None:
-            return None
-        try:
-            return SphericalGrid.sphere(n_lat, n_lon)
-        except ValueError as exc:
-            errors.append(f"[grid] {exc}")
-            return None
-    return None
+    cls = GRID_KINDS.get(n)
+    if cls is None:
+        return None
+    sizes = [_take(data, "grid", key, int, errors) for key in cls.CONFIG_KEYS]
+    for key, (_, lineno) in sorted(data["grid"].items()):  # another kind's keys
+        errors.append(f"line {lineno}: [grid] {key}: not valid for n={n} (use {'/'.join(cls.CONFIG_KEYS)})")
+    if None in sizes:
+        return None
+    try:
+        return cls.build(*sizes)
+    except ValueError as exc:
+        errors.append(f"[grid] {exc}")
+        return None
 
 
 def _parse_initial(data, grid, errors):
@@ -296,14 +256,13 @@ def build_initial_graph(grid, spec):
                 f"initial file grid ({graph.grid.describe()}) does not match config grid ({grid.describe()})"
             )
         return graph
-    th = grid.theta
+    th = np.expand_dims(grid.theta, tuple(range(1, len(grid.shape))))  # a column on a sphere grid
     vals = np.full_like(th, spec.const)
     for m, c in spec.cos_terms:
         vals = vals + c * np.cos(m * th)
     for m, c in spec.sin_terms:
         vals = vals + c * np.sin(m * th)
-    if grid.n == 2:
-        vals = np.broadcast_to(vals[:, None], grid.shape).copy()
+    vals = np.broadcast_to(vals, grid.shape).copy()
     if spec.variable == "r":
         if not np.all(vals > 0.0):
             raise ValueError(f"initial radius must be positive everywhere (min = {vals.min():.6g})")
@@ -346,7 +305,9 @@ def parse_config(text):
             )
     if grid is not None and initial is not None:
         try:
-            build_initial_graph(grid, initial)
+            graph = build_initial_graph(grid, initial)
+            if profile is not None:  # the initial data's own checks, without the validator's
+                flow_engine.initial_state(profile, graph, validate_regime=False)
         except ValueError as exc:
             errors.append(f"[initial] {exc}")
 
@@ -369,15 +330,11 @@ def format_config(cfg):
     """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
     p, g = cfg.profile, cfg.profile.g
     lines = ["[profile]", f"n = {p.n}", f"k = {p.k}", f"alpha = {_fmt(p.alpha)}", f"beta = {_fmt(p.beta)}", f"g.kind = {g.KIND}"]
-    if g.KIND == "tabulated":
+    lines += [f"g.{name} = {_fmt(value)}" for name, value in g.params.items()]
+    if g.TABLE:
         lines.append(f"g.table_path = {cfg.g_table_path}")
-    else:
-        lines += [f"g.{f.name} = {_fmt(getattr(g, f.name))}" for f in dataclasses.fields(g)]
     lines.append("[grid]")
-    if cfg.grid.n == 1:
-        lines.append(f"N = {cfg.grid.n_lat}")
-    else:
-        lines += [f"n_lat = {cfg.grid.n_lat}", f"n_lon = {cfg.grid.n_lon}"]
+    lines += [f"{key} = {size}" for key, size in zip(cfg.grid.CONFIG_KEYS, cfg.grid.shape)]
     init = cfg.initial
     lines.append("[initial]")
     lines.append(f"kind = {init.kind}")
@@ -583,7 +540,7 @@ def cmd_ode_compare(config_path):
         print(f"ode-compare failed: {err}", file=sys.stderr)
         return 2
     print(f"max_relative_deviation={deviation:.4e} max_spatial_oscillation={nonuniformity:.4e}")
-    if not cfg.profile.equality_regime and cfg.profile.g == ZeroG():
+    if not cfg.profile.equality_regime and cfg.profile.pure_power:
         r2 = closed_form_r2(cfg.profile, cfg.initial.r0, cfg.control.t_end)
         print(f"closed_form_radius_at_t_end={r2:.12g}")
     return 0

@@ -40,7 +40,6 @@ from .speed_profile import (
     ScaleOverflowError,
     SpeedProfile,
     TableRangeError,
-    TabulatedG,
     validate_for_regime,
 )
 from .sphere_geometry import (
@@ -334,10 +333,14 @@ def step(state, control, dt_cap=math.inf):
 
 
 def initial_state(profile, graph, validate_regime=True):
-    """FlowState at tau = 0.  Unless disabled, the profile must pass its
-    theorem-regime validator (override knob for deliberately inadmissible runs)."""
+    """FlowState at tau = 0.  The radius exp(phi) must be finite everywhere,
+    and unless disabled, the profile must pass its theorem-regime validator
+    (override knob for deliberately inadmissible runs)."""
     if graph.grid.n != profile.n:
         raise ValueError(f"grid dimension {graph.grid.n} != profile n {profile.n}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(graph.r()).all():
+            raise ValueError(f"initial radius exp(phi) overflows (max phi = {graph.phi.max():.6g})")
     if validate_regime:
         report = validate_for_regime(profile)
         if not report.ok:
@@ -420,7 +423,7 @@ def run(state, control):
 # checkpointing (bit-exact resume)
 
 
-def _profile_line(profile):
+def _profile_line(profile, rows):
     g = profile.g
     parts = [
         f"n={profile.n}",
@@ -428,20 +431,16 @@ def _profile_line(profile):
         f"alpha={_fmt(profile.alpha)}",
         f"beta={_fmt(profile.beta)}",
         f"g={g.KIND}",
+        *(f"{name}={_fmt(value)}" for name, value in g.params.items()),
     ]
-    if g.KIND == "tabulated":
-        parts.append(f"points={len(g.points)}")
-    else:
-        parts += [f"{f.name}={_fmt(getattr(g, f.name))}" for f in dataclasses.fields(g)]
+    if g.TABLE:
+        parts.append(f"points={len(rows)}")
     return "profile: " + " ".join(parts)
 
 
 def save_checkpoint(state, path):
-    lines = ["anisoflow-checkpoint 1", _profile_line(state.profile)]
-    g = state.profile.g
-    if g.KIND == "tabulated":
-        for pt, val, der in zip(g.points, g.values, g.derivs):
-            lines.append(f"table: {_fmt(pt)},{_fmt(val)},{_fmt(der)}")
+    rows = state.profile.g.rows()
+    lines = ["anisoflow-checkpoint 1", _profile_line(state.profile, rows), *(f"table: {row}" for row in rows)]
     lines.append(
         "state: "
         f"tau={_fmt(state.tau)} lambda={_fmt(state.lam)} "
@@ -479,18 +478,15 @@ def _state_from_lines(lines):
     cls = G_KINDS.get(pf["g"])
     if cls is None:
         raise ValueError(f"unknown g kind {pf['g']!r} in checkpoint")
-    if cls is TabulatedG:
+    if cls.TABLE:
         count = int(pf["points"])
-        if count < 2:
-            raise ValueError(f"checkpoint declares {count} tabulated g rows, need >= 2")
-        rows = []
-        for _ in range(count):
-            row = lines[idx][len("table: ") :].split(",")
-            if not lines[idx].startswith("table: ") or len(row) != 3:
-                raise ValueError("checkpoint missing tabulated g rows")
-            rows.append([float(v) for v in row])
-            idx += 1
-        g = TabulatedG(*zip(*rows))
+        rows, idx = lines[idx : idx + count], idx + count
+        try:
+            if len(rows) != count or not all(row.startswith("table: ") for row in rows):
+                raise ValueError(f"want {count} 'table: ' lines")
+            g = cls.from_rows(row[len("table: ") :] for row in rows)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint's {cls.KIND} g rows: {exc}") from None
     else:
         g = cls(**{f.name: float(pf[f.name]) for f in dataclasses.fields(cls)})
     profile = SpeedProfile(

@@ -7,8 +7,9 @@ exponentially flat families, exponent arithmetic for monomials).  g' is needed
 only by the validators, through ``eval_g``.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
-kind's name to its class, and the fields of a dataclass kind are its
-parameters, which the config and checkpoint codecs read and write by name.
+kind's name to its class, and each kind answers for itself: ``scaled``
+(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``support``, and its text,
+``params`` by name or, for a ``TABLE`` kind, 'r,value,derivative' ``rows``.
 
 Two validator entry points mirror the two convergence regimes:
 
@@ -18,6 +19,7 @@ Two validator entry points mirror the two convergence regimes:
   flat at the origin through order floor(beta) (checked by a decade ratio test).
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -44,15 +46,81 @@ class NonPositiveRadiusError(ValueError):
     """The rescaled speed was asked for at a radius <= 0."""
 
 
+def _positive_finite(name, value):
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+class _Analytic:
+    """What the analytic kinds share: parameters (the dataclass fields) and no
+    table rows, and g defined for every r >= 0."""
+
+    TABLE = False
+    support = (0.0, math.inf)
+    params = property(dataclasses.asdict)
+
+    def rows(self):
+        return ()
+
+
 @dataclass(frozen=True)
-class ZeroG:
+class ZeroG(_Analytic):
     """g identically zero (pure r^beta speed)."""
 
     KIND = "zero"
 
+    def scaled(self, profile, lam, r):
+        return np.zeros_like(r)
+
+    def derivative(self, profile, r, g):
+        return np.zeros_like(r)
+
+
+class _FlatFamily(_Analytic):
+    """g = r^(1+k*alpha) * exp(-1/(r - shift)^p) where r > shift, else 0."""
+
+    def scaled(self, profile, lam, r):
+        """lam^beta * g(r/lam).
+
+        A node is live where base = r/lam - shift > 0 and the barrier base^-p
+        is at most EXP_FLUSH; a dead node's value is exactly 0.  Masks keep
+        dead nodes out of the power, the exponent and the overflow check; when
+        every node is live, the normal case, none is built, since
+        np.where(live, x, fill) would be x bit for bit.
+        """
+        one_ka = 1.0 + profile.ka
+        log_scale = (profile.beta - one_ka) * math.log(lam)
+        base = r / lam - self.shift
+        positive = base > 0
+        all_positive = positive.all()
+        with np.errstate(divide="ignore", over="ignore"):
+            barrier = (base if all_positive else np.where(positive, base, 1.0)) ** (-self.p)
+        unflushed = barrier <= EXP_FLUSH
+        if all_positive and unflushed.all():
+            w = log_scale - barrier
+            _check_overflow(w, lam, r)
+            return r**one_ka * np.exp(w)
+        live = positive & unflushed
+        w = log_scale - np.where(live, barrier, 0.0)
+        _check_overflow(np.where(live, w, -np.inf), lam, r)
+        return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
+
+    def derivative(self, profile, r, g):
+        """g times its log-derivative (1 + k*alpha)/r + p*(r - shift)^(-p-1) where g > 0."""
+        live = g > 0.0
+        slope = np.where(
+            live,
+            (1.0 + profile.ka) / np.where(live, r, 1.0)
+            + self.p * np.where(live, r - self.shift, 1.0) ** (-self.p - 1.0),
+            0.0,
+        )
+        return g * slope
+
 
 @dataclass(frozen=True)
-class BumpG:
+class BumpG(_FlatFamily):
     """g = 0 on [0, epsilon], then r^(1+k*alpha) * exp(-1/(r-epsilon)^p).
 
     Identically zero near the origin, so it is admissible in the equality
@@ -64,26 +132,28 @@ class BumpG:
     KIND = "bump"
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        _positive_finite("epsilon", self.epsilon)
+        _positive_finite("p", self.p)
+
+    @property
+    def shift(self):
+        return self.epsilon
 
 
 @dataclass(frozen=True)
-class ExpFlatG:
+class ExpFlatG(_FlatFamily):
     """g = r^(1+k*alpha) * exp(-1/r^p): positive for r > 0, flat to all orders at 0."""
 
     p: float
     KIND = "expflat"
+    shift = 0.0
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        _positive_finite("p", self.p)
 
 
 @dataclass(frozen=True)
-class MonomialG:
+class MonomialG(_Analytic):
     """g = r^l for an integer l >= 1 (r^l is smooth at 0 only for integer l).
 
     Admissibility (l >= floor(beta) + 1) is the validators' business.
@@ -96,18 +166,26 @@ class MonomialG:
         if not (self.l >= 1 and float(self.l).is_integer()):
             raise ValueError(f"monomial exponent must be an integer >= 1, got {self.l}")
 
+    def scaled(self, profile, lam, r):
+        return lam ** (profile.beta - self.l) * r**self.l
+
+    def derivative(self, profile, r, g):
+        return self.l * r ** (self.l - 1.0)
+
 
 class TabulatedG:
     """g given by sample points with values and derivatives, Hermite-interpolated.
 
-    Queries outside [points[0], points[-1]] raise ValueError.  Inside, g and
-    g' are bit for bit those of scipy's ``CubicHermiteSpline`` and its
-    derivative: the same power-basis coefficients per interval, the same
-    interval for a query at a node (the one it starts), and the same order
-    of summation.
+    Queries outside ``support``, [points[0], points[-1]], raise ValueError.
+    Inside, g and g' are bit for bit those of scipy's ``CubicHermiteSpline``
+    and its derivative: the same power-basis coefficients per interval, the
+    same interval for a query at a node (the one it starts), and the same
+    order of summation.
     """
 
     KIND = "tabulated"
+    TABLE = True
+    params = property(lambda self: {})  # the rows are all of it
 
     def __init__(self, points, values, derivs):
         self.points = np.asarray(points, dtype=float)
@@ -117,6 +195,8 @@ class TabulatedG:
             raise ValueError("need at least two sample points")
         if self.values.shape != self.points.shape or self.derivs.shape != self.points.shape:
             raise ValueError("points, values and derivs must have equal shapes")
+        if not np.isfinite([self.points, self.values, self.derivs]).all():
+            raise ValueError("table entries must be finite")
         if not np.all(np.diff(self.points) > 0):
             raise ValueError("sample points must be strictly increasing")
         h = np.diff(self.points)
@@ -125,6 +205,32 @@ class TabulatedG:
         t = (d0 + self.derivs[1:] - 2 * slope) / h
         # one contiguous column per power of s = r - points[i], gathered by take
         self._c = (self.values[:-1], d0, (slope - d0) / h - t, t / h)
+
+    @classmethod
+    def from_rows(cls, lines):
+        """The table of 'r,value,derivative' lines; '#' starts a comment and
+        blank lines are skipped."""
+        rows = []
+        for raw in lines:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"bad table row {line!r} (want 'r,value,derivative')")
+            rows.append([float(tok) for tok in parts])
+        if len(rows) < 2:
+            raise ValueError("table needs at least 2 rows")
+        return cls(*zip(*rows))
+
+    def rows(self):
+        """The 'r,value,derivative' lines, 17 significant digits (bit-exact)."""
+        table = zip(self.points.tolist(), self.values.tolist(), self.derivs.tolist())
+        return [",".join(format(v, ".17g") for v in row) for row in table]
+
+    @property
+    def support(self):
+        return float(self.points[0]), float(self.points[-1])
 
     def _gather(self, r):
         """s = r - points[i] and the coefficients of r's interval i (the last
@@ -142,11 +248,29 @@ class TabulatedG:
         s, c0, c1, c2, c3 = self._gather(r)
         return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
+    def derivative(self, profile, r, g):
+        s, _, c1, c2, c3 = self._gather(np.asarray(r, dtype=float))
+        return 0.0 + c1 + (2 * c2) * s + (3 * c3) * (s * s)
+
     def __call__(self, r):
         """(g(r), g'(r))."""
-        val = self.value(r)
-        s, _, c1, c2, c3 = self._gather(np.asarray(r, dtype=float))
-        return val, 0.0 + c1 + (2 * c2) * s + (3 * c3) * (s * s)
+        return self.value(r), self.derivative(None, r, None)
+
+    def scaled(self, profile, lam, r):
+        """lam^beta * g(r/lam) by direct evaluation, behind the lam cap."""
+        if lam > LAMBDA_CAP:
+            raise ScaleOverflowError(
+                f"lam={lam!r} exceeds the tabulated-speed cap {LAMBDA_CAP:g} (r={r!r})"
+            )
+        val = self.value(r / lam)
+        with np.errstate(over="ignore"):
+            gs = np.where(val == 0.0, 0.0, lam**profile.beta * val)
+        if not np.isfinite(gs).all():
+            bad = int(np.argmax(~np.isfinite(np.ravel(gs))))
+            raise ScaleOverflowError(
+                f"rescaled tabulated g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
+            )
+        return gs
 
     def __eq__(self, other):
         return (
@@ -201,6 +325,8 @@ class SpeedProfile:
             raise ValueError(
                 f"beta must be >= 1 + k*alpha = {1 + self.k * self.alpha}, got {self.beta}"
             )
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if not isinstance(self.g, tuple(G_KINDS.values())):
             raise TypeError(f"unrecognized g specification: {self.g!r}")
         object.__setattr__(self, "gamma", float(math.comb(self.n, self.k) ** self.alpha))
@@ -220,11 +346,6 @@ class SpeedProfile:
         return abs(self.beta - (1.0 + self.ka)) <= _TOL
 
 
-def _as_float_or_array(*vals):
-    out = tuple(float(v) if np.ndim(v) == 0 else v for v in vals)
-    return out if len(out) > 1 else out[0]
-
-
 def eval_g(profile, r):
     """g(r) and g'(r) for the profile's g specification, unscaled (lam = 1).
 
@@ -232,58 +353,12 @@ def eval_g(profile, r):
     Accepts scalars or arrays; r must be >= 0 (and within the table for
     tabulated g).  Returns (g, gp) with the input's shape.
     """
-    g = profile.g
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("g is only defined for r >= 0")
-    if isinstance(g, ZeroG):
-        z = np.zeros_like(r)
-        return _as_float_or_array(z, z.copy())
-    if isinstance(g, MonomialG):
-        return _as_float_or_array(r**g.l, g.l * r ** (g.l - 1.0))
-    if isinstance(g, TabulatedG):
-        val, der = g(r)
-        return _as_float_or_array(val, der)
-    # the flat families: the rescaled formula at lam = 1, times the log-derivative
-    # g'/g = (1 + k*alpha)/r + p*(r - shift)^(-p-1) where g > 0
-    shift = g.epsilon if isinstance(g, BumpG) else 0.0
-    gs = _scaled_flat_family(profile, 1.0, r, shift)
-    live = gs > 0.0
-    slope = np.where(
-        live,
-        (1.0 + profile.ka) / np.where(live, r, 1.0)
-        + g.p * np.where(live, r - shift, 1.0) ** (-g.p - 1.0),
-        0.0,
-    )
-    return _as_float_or_array(gs, gs * slope)
-
-
-def _scaled_flat_family(profile, lam, r, shift):
-    """lam^beta * g(r/lam) for the bump (shift=epsilon) / expflat (shift=0) kinds.
-
-    A node is live where base = r/lam - shift > 0 and the barrier base^-p is
-    at most EXP_FLUSH; a dead node's value is exactly 0.  Masks keep dead
-    nodes out of the power, the exponent and the overflow check; when every
-    node is live, the normal case, none is built, since np.where(live, x,
-    fill) would be x bit for bit.
-    """
-    g = profile.g
-    one_ka = 1.0 + profile.ka
-    log_scale = (profile.beta - one_ka) * math.log(lam)
-    base = r / lam - shift
-    positive = base > 0
-    all_positive = positive.all()
-    with np.errstate(divide="ignore", over="ignore"):
-        barrier = (base if all_positive else np.where(positive, base, 1.0)) ** (-g.p)
-    unflushed = barrier <= EXP_FLUSH
-    if all_positive and unflushed.all():
-        w = log_scale - barrier
-        _check_overflow(w, lam, r)
-        return r**one_ka * np.exp(w)
-    live = positive & unflushed
-    w = log_scale - np.where(live, barrier, 0.0)
-    _check_overflow(np.where(live, w, -np.inf), lam, r)
-    return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
+    g = profile.g.scaled(profile, 1.0, r)
+    gp = profile.g.derivative(profile, r, g)
+    return (g, gp) if r.ndim else (float(g), float(gp))
 
 
 def _check_overflow(w, lam, r):
@@ -307,30 +382,7 @@ def eval_scaled(profile, lam, r):
     r = np.asarray(r, dtype=float)
     if not (r > 0).all():
         raise NonPositiveRadiusError("rescaled speed needs r > 0")
-    g = profile.g
-    beta = profile.beta
-
-    if isinstance(g, ZeroG):
-        gs = np.zeros_like(r)
-    elif isinstance(g, MonomialG):
-        gs = lam ** (beta - g.l) * r**g.l
-    elif isinstance(g, BumpG):
-        gs = _scaled_flat_family(profile, lam, r, g.epsilon)
-    elif isinstance(g, ExpFlatG):
-        gs = _scaled_flat_family(profile, lam, r, 0.0)
-    else:  # TabulatedG: direct evaluation behind the lam cap
-        if lam > LAMBDA_CAP:
-            raise ScaleOverflowError(
-                f"lam={lam!r} exceeds the tabulated-speed cap {LAMBDA_CAP:g} (r={r!r})"
-            )
-        val = g.value(r / lam)
-        with np.errstate(over="ignore"):
-            gs = np.where(val == 0.0, 0.0, lam**beta * val)
-        if not np.isfinite(gs).all():
-            bad = int(np.argmax(~np.isfinite(np.ravel(gs))))
-            raise ScaleOverflowError(
-                f"rescaled tabulated g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
-            )
+    gs = profile.g.scaled(profile, lam, r)
     return gs if r.ndim else float(gs)
 
 
@@ -440,19 +492,12 @@ def validate_theorem2(profile, r_grid=None):
 
     conds = [_condition_nonneg(profile, r_grid, gval)]
 
-    g = profile.g
-    if isinstance(g, TabulatedG):
-        origin = float(g.points[0])
-    else:
-        origin = 0.0
+    origin, end = profile.g.support
     g0, _ = eval_g(profile, origin)
     conds.append(ConditionReport("vanishes_at_origin", abs(g0) <= _TOL, abs(float(g0)), origin))
 
     m = math.floor(profile.beta) + 1
-    lo, hi = 1e-3, 1e-1
-    if isinstance(g, TabulatedG):
-        lo = max(lo, float(g.points[0]) or 1e-3)
-        hi = min(hi, float(g.points[-1]))
+    lo, hi = max(1e-3, origin), min(1e-1, end)
     if hi > lo * 10.0:
         mid = math.sqrt(lo * hi)
         d1 = np.geomspace(lo, mid, 40)

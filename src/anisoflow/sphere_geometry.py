@@ -57,7 +57,9 @@ class SphericalGrid:
     * ``max_d_over_h2(D)``: the largest diffusivity D times the inverse squared
       spacings summed over the directions its stencils run (the dt bound);
     * ``stage(graph)`` and ``broadcast(phi, grid)``: the graph a state's
-      stages run on, and a stage result put back on the state's grid.
+      stages run on, and a stage result put back on the state's grid;
+    * ``HEADER_KEYS``/``CONFIG_KEYS``: its sizes' (``shape``'s) names in a graph
+      header (``describe``) and a config, and ``build(*shape)``, its constructor.
 
     The defaults here: stencils in theta alone, states staged on themselves.
     """
@@ -86,6 +88,9 @@ class SphericalGrid:
             raise ValueError(f"longitude count must be even for the pole rule, got {n_lon}")
         return SphereGrid(n=2, n_lat=n_lat, n_lon=n_lon)
 
+    def describe(self):
+        return " ".join((f"n={self.n}", *(f"{key}={size}" for key, size in zip(self.HEADER_KEYS, self.shape))))
+
     def max_d_over_h2(self, D):
         return D.max() / self.h_theta**2
 
@@ -99,6 +104,9 @@ class SphericalGrid:
 class CircleGrid(SphericalGrid):
     """n = 1: N equispaced nodes theta_j = 2*pi*j/N on the circle (periodic)."""
 
+    HEADER_KEYS = CONFIG_KEYS = ("N",)
+    build = staticmethod(SphericalGrid.circle)
+
     @property
     def shape(self):
         return (self.n_lat,)
@@ -110,9 +118,6 @@ class CircleGrid(SphericalGrid):
     @property
     def theta(self):
         return np.arange(self.n_lat) * (TWO_PI / self.n_lat)
-
-    def describe(self):
-        return f"n=1 N={self.n_lat}"
 
     @property
     def nodes(self):
@@ -136,13 +141,16 @@ class CircleGrid(SphericalGrid):
         if not den.all():  # den >= 0: a radius underflowed to 0
             raise SingularMetricError("metric lost positivity (r = 0)")
         kappa = ((rho2 - phi_dd) / den)[:, None]  # also sigma_1
-        return WeingartenField(self, r, rho, grad_sq, r / rho, kappa, lambda: kappa)
+        return WeingartenField(r, rho, grad_sq, r / rho, kappa, lambda: kappa)
 
 
 class _LatitudeGrid(SphericalGrid):
     """What the n = 2 kinds share: N_lat cell-centered latitudes
     theta_i = (i + 1/2) * pi / N_lat, so no node sits on a pole, the latitude
     tables and the pole padding."""
+
+    HEADER_KEYS = ("N_lat", "N_lon")
+    CONFIG_KEYS = ("n_lat", "n_lon")
 
     @property
     def shape(self):
@@ -155,9 +163,6 @@ class _LatitudeGrid(SphericalGrid):
     @property
     def theta(self):
         return (np.arange(self.n_lat) + 0.5) * (math.pi / self.n_lat)
-
-    def describe(self):
-        return f"n=2 N_lat={self.n_lat} N_lon={self.n_lon}"
 
     # Per-grid tables: built on first use, cached on the instance (outside the
     # fields, so equality and hashing ignore them), and read-only.  The
@@ -202,6 +207,8 @@ class SphereGrid(_LatitudeGrid):
     """n = 2: the equirectangular N_lat x N_lon grid.  Longitude is periodic;
     latitude stencils close over the poles by the antipodal rule, which is
     why N_lon must be even."""
+
+    build = staticmethod(SphericalGrid.sphere)
 
     @property
     def h_phi(self):
@@ -280,7 +287,7 @@ class SphereGrid(_LatitudeGrid):
         # the off-diagonal of adj(E) B', built now: a lazy kappa holding its nine
         # inputs alive read slower on the non-zonal benchmark than this extra work
         n12, n21 = e22 * b12 - tp * b22, e11 * b12 - tp * b11
-        return WeingartenField(self, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
+        return WeingartenField(r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
 
     def max_d_over_h2(self, D):
         return (self.inv_spacing_sq * D).max()
@@ -315,10 +322,14 @@ class ZonalColumn(_LatitudeGrid):
         b22 = s2 - H_pp
         n11, n22 = s2 * b11, e11 * b22
         rho, u, sigma, den = _graph_curvature(self, r, e11, n11 + n22, b11 * b22)
-        return WeingartenField(self, r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
+        return WeingartenField(r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
 
     def broadcast(self, phi, grid):
         return np.repeat(phi, grid.n_lon, axis=1)
+
+
+#: the grid kind of each dimension n, which a graph header and a config name
+GRID_KINDS = {1: CircleGrid, 2: SphereGrid}
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +446,6 @@ class WeingartenField:
     u = r/rho is the support function.
     """
 
-    grid: SphericalGrid
     r: np.ndarray
     rho: np.ndarray
     grad_sq: np.ndarray
@@ -521,7 +531,7 @@ def embedding_oracle(graph):
         rr = np.hypot(x, y)
         rdot = (x * xd + y * yd) / rr
         kappa = kappa[:, None]
-        return WeingartenField(grid, rr, rr / u, (rdot / rr) ** 2, u, kappa, lambda: kappa)
+        return WeingartenField(rr, rr / u, (rdot / rr) ** 2, u, kappa, lambda: kappa)
 
     t = grid.theta[:, None]
     p = grid.phi_lon[None, :]
@@ -557,7 +567,7 @@ def embedding_oracle(graph):
     rt = dot(X, Xt) / rr
     rp = dot(X, Xp) / rr
     grad_sq = (rt * rt + (rp / sin_t) ** 2) / (rr * rr)
-    return WeingartenField(grid, rr, rr / u, grad_sq, u, sigma, lambda: kappa)
+    return WeingartenField(rr, rr / u, grad_sq, u, sigma, lambda: kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +605,13 @@ def graph_from_text(text):
 
 def _parse_header(line):
     fields = dict(tok.split("=", 1) for tok in line.split())
+    cls = {str(n): kind for n, kind in GRID_KINDS.items()}.get(fields.get("n"))
+    if cls is None:
+        raise ValueError(f"bad graph header: {line!r}")
     try:
-        if fields.get("n") == "1":
-            return SphericalGrid.circle(int(fields["N"]))
-        if fields.get("n") == "2":
-            return SphericalGrid.sphere(int(fields["N_lat"]), int(fields["N_lon"]))
+        return cls.build(*(int(fields[key]) for key in cls.HEADER_KEYS))
     except KeyError as err:
         raise ValueError(f"bad graph header: {line!r} lacks {err.args[0]}=") from None
-    raise ValueError(f"bad graph header: {line!r}")
 
 
 def save_graph(graph, path):

@@ -73,15 +73,15 @@ def cone_margin(kappa, k):
     return margin
 
 
-def in_gamma_k_plus(kappa, k, cone_eps=CONE_EPS):
+def in_gamma_k_plus(kappa, k):
     """Test membership in the cone Gamma_k^+ = {sigma_1 > 0, ..., sigma_k > 0}.
 
     Returns
     -------
     inside : bool ndarray, shape (...)
-        margin > cone_eps (strict positivity with a numerical guard band)
+        margin > CONE_EPS (strict positivity with a numerical guard band)
     margin : ndarray, shape (...)
         min over j <= k of sigma_j(kappa)
     """
     margin = cone_margin(kappa, k)
-    return margin > cone_eps, margin
+    return margin > CONE_EPS, margin

@@ -22,12 +22,14 @@ from .speed_profile import (
     MonomialG,
     SpeedProfile,
     ZeroG,
+    eval_scaled,
     validate_theorem1,
     validate_theorem2,
 )
 from .sphere_geometry import RadialGraph, SphericalGrid, embedding_oracle, sphere_graph, weingarten
 
 IDENTITY_TOL = 1e-10
+ODE_DT = 1e-3  # the largest RK4 step of the sphere ODE in pde_vs_ode_check
 
 
 @dataclass(frozen=True)
@@ -373,7 +375,7 @@ def sphere_ode_suite():
     c_obs = 0.0
     for t, r in zip(times, r_ode):
         lam = math.exp(prof_g.gamma * t)
-        gs = prof_g.gamma * (lam**prof_g.beta) * float(np.exp(-1.0 / (r / lam))) * (r / lam) ** (1.0 + prof_g.ka)
+        gs = prof_g.gamma * eval_scaled(prof_g, lam, r)
         c_obs = max(c_obs, gs / (lam**q * r**prof_g.beta))
     # 1% slack: the sampled supremum can undershoot the true one between
     # samples; with the slack the comparison solution is a strict subsolution.
@@ -390,9 +392,10 @@ def sphere_ode_suite():
     return SuiteResult("sphere-ode", ok, worst_all, "; ".join(notes))
 
 
-def pde_vs_ode_check(profile, r0, grid, control, ode_dt=1e-3, validate_regime=True):
+def pde_vs_ode_check(profile, r0, grid, control, validate_regime=True):
     """Integrate the PDE from sphere data under ``control`` and compare its
-    radius trajectory with the RK4-integrated sphere ODE at every record.
+    radius trajectory with the sphere ODE, RK4 at steps of at most ODE_DT,
+    at every record.
 
     Sphere data starts round, so a sphericity stop would end the run at
     tau = 0; it is ignored and the run goes to t_end (or max_steps).
@@ -404,7 +407,7 @@ def pde_vs_ode_check(profile, r0, grid, control, ode_dt=1e-3, validate_regime=Tr
     result = run(state, replace(control, sphericity_stop=0.0))
     taus = result.series.column("tau")
     r_pde = result.series.column("r_max")
-    r_ode = sphere_ode_at(profile, r0, taus, max_dt=ode_dt)
+    r_ode = sphere_ode_at(profile, r0, taus, max_dt=ODE_DT)
     deviation = float(np.max(np.abs(r_pde - r_ode) / r_ode))
     nonuniformity = float(result.series.column("osc").max())
     return deviation, nonuniformity

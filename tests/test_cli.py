@@ -140,6 +140,21 @@ def test_leftover_g_parameters_rejected():
     assert any("not valid for g.kind=zero" in e for e in errs)
 
 
+@pytest.mark.parametrize(
+    "speed, message",
+    [
+        ("alpha = 1\nbeta = nan\ng.kind = zero", "[profile] alpha and beta must be finite"),
+        ("alpha = 1\nbeta = inf\ng.kind = zero", "[profile] alpha and beta must be finite"),
+        ("alpha = inf\nbeta = inf\ng.kind = zero", "[profile] alpha and beta must be finite"),
+        ("alpha = 1\nbeta = 3\ng.kind = expflat\ng.p = inf", "[profile] g: p must be finite"),
+        ("alpha = 1\nbeta = 2\ng.kind = bump\ng.epsilon = inf\ng.p = 1", "[profile] g: epsilon must be finite"),
+    ],
+)
+def test_non_finite_speed_parameters_are_config_errors(speed, message):
+    errs = errors_of(BASIC.replace("alpha = 1\nbeta = 2\ng.kind = zero", speed))
+    assert any(message in e for e in errs), errs
+
+
 def test_monomial_exponent_must_be_integer():
     monomial = BASIC.replace("beta = 2", "beta = 3").replace("g.kind = zero", "g.kind = monomial\ng.l = 4.5")
     errs = errors_of(monomial)
@@ -185,6 +200,16 @@ def test_fourier_initial_variable_phi():
 def test_fourier_initial_must_stay_positive():
     errs = errors_of(fourier_config("const = 1.0\ncos_2 = 1.5"))
     assert any("must be positive" in e for e in errs)
+
+
+def test_fourier_initial_radius_must_not_overflow(tmp_path, capsys):
+    text = fourier_config("variable = phi\nconst = 800")
+    errs = errors_of(text)
+    assert any(e.startswith("[initial]") and "overflows" in e for e in errs)
+    text += f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\n"
+    assert main(["run", write_config(tmp_path, text)]) == 1
+    assert "[initial] initial radius exp(phi) overflows" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def n2_config(initial):
@@ -302,27 +327,33 @@ G_SAMPLES = {
 @pytest.mark.parametrize("kind", sorted(G_KINDS))
 def test_codecs_roundtrip_every_g_kind(tmp_path, kind):
     g = G_SAMPLES[kind]
-    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=g)
-    grid = SphericalGrid.circle(16)
-    state = initial_state(profile, sphere_graph(grid, 1.0), validate_regime=False)
-    save_checkpoint(state, tmp_path / "state.chk")
-    assert load_checkpoint(tmp_path / "state.chk").profile == profile
+    for grid in (SphericalGrid.circle(16), SphericalGrid.sphere(16, 32)):
+        profile = SpeedProfile(n=grid.n, k=1, alpha=1.0, beta=4.0, g=g)
+        state = initial_state(profile, sphere_graph(grid, 1.0), validate_regime=False)
+        save_checkpoint(state, tmp_path / "state.chk")
+        loaded = load_checkpoint(tmp_path / "state.chk")
+        assert loaded.profile == profile and loaded.graph == state.graph
+        # the text fixed point: a loaded checkpoint is saved to the same bytes
+        save_checkpoint(loaded, tmp_path / "again.chk")
+        assert (tmp_path / "again.chk").read_bytes() == (tmp_path / "state.chk").read_bytes()
 
-    table_path = None
-    if isinstance(g, TabulatedG):
-        table_path = str(tmp_path / "table.csv")
-        with open(table_path, "w") as fh:
-            for row in zip(g.points, g.values, g.derivs):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    cfg = RunConfig(
-        profile=profile,
-        grid=grid,
-        initial=InitialSpec(kind="sphere", r0=1.0),
-        control=StepControl(t_end=0.5),
-        override=True,
-        g_table_path=table_path,
-    )
-    assert parse_config(format_config(cfg)) == cfg
+        table_path = None
+        if isinstance(g, TabulatedG):
+            table_path = str(tmp_path / "table.csv")
+            with open(table_path, "w") as fh:
+                for row in zip(g.points, g.values, g.derivs):
+                    fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        cfg = RunConfig(
+            profile=profile,
+            grid=grid,
+            initial=InitialSpec(kind="sphere", r0=1.0),
+            control=StepControl(t_end=0.5),
+            override=True,
+            g_table_path=table_path,
+        )
+        text = format_config(cfg)
+        assert parse_config(text) == cfg
+        assert format_config(parse_config(text)) == text
 
 
 def test_bad_table_rejected(tmp_path):

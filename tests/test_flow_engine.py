@@ -972,6 +972,11 @@ def test_initial_state_validation():
         initial_state(bad, graph)
     state = initial_state(bad, graph, validate_regime=False)  # explicit override
     assert state.tau == 0.0 and state.lam == 1.0
+    huge = RadialGraph(graph.grid, np.full(graph.grid.shape, 710.0))  # exp(710) overflows
+    for validate_regime in (True, False):
+        with pytest.raises(ValueError, match="overflows"):
+            initial_state(prof, huge, validate_regime=validate_regime)
+    initial_state(prof, RadialGraph(graph.grid, np.full(graph.grid.shape, 709.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,16 @@ def test_beta_lower_bound():
         SpeedProfile(n=2, k=2, alpha=1.0, beta=2.5)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [(1.0, math.nan), (1.0, math.inf), (math.inf, math.inf), (math.nan, 4.0), (math.inf, 4.0)]
+)
+def test_non_finite_alpha_or_beta_rejected(alpha, beta):
+    with pytest.raises(ValueError):
+        profile_k1(beta, alpha=alpha)
+    with pytest.raises(ValueError):
+        SpeedProfile(n=2, k=2, alpha=alpha, beta=beta)
+
+
 def test_bad_dimensions_rejected():
     with pytest.raises(ValueError):
         SpeedProfile(n=3, k=1, alpha=1.0, beta=2.0)
@@ -83,6 +93,55 @@ def test_g_parameter_validation():
         TabulatedG([1.0, 0.5], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         TabulatedG([1.0], [0.0], [0.0])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            BumpG(epsilon=bad, p=1.0)
+        with pytest.raises(ValueError):
+            BumpG(epsilon=0.5, p=bad)
+        with pytest.raises(ValueError):
+            ExpFlatG(p=bad)
+        with pytest.raises(ValueError):
+            MonomialG(l=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedG([0.0, 1.0], [0.0, bad], [0.0, 0.0])
+
+
+# one sample per kind: a kind added to G_KINDS without a sample fails below
+G_SAMPLES = {
+    "zero": ZeroG(),
+    "bump": BumpG(epsilon=0.5, p=2.0),
+    "expflat": ExpFlatG(p=2.0),
+    "monomial": MonomialG(l=5.0),
+    "tabulated": TabulatedG(np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 9) ** 5, 5.0 * np.linspace(0.0, 4.0, 9) ** 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(G_KINDS))
+def test_every_kind_answers_for_itself(kind):
+    g = G_SAMPLES[kind]
+    assert type(g) is G_KINDS[kind] and g.KIND == kind
+    for name in ("scaled", "derivative", "support", "params", "rows", "TABLE"):
+        assert hasattr(g, name), name
+    lo, hi = g.support
+    assert 0.0 <= lo < hi
+    assert bool(g.TABLE) == bool(g.rows())
+
+
+@pytest.mark.parametrize("kind", sorted(G_KINDS))
+def test_eval_g_is_scaled_at_lam_one_bitwise(kind):
+    prof = profile_k1(6.0, G_SAMPLES[kind])
+    r = np.concatenate((np.geomspace(1e-3, 4.0, 400), np.linspace(0.01, 4.0, 57)))
+    g, _ = eval_g(prof, r)
+    assert np.array_equal(g, eval_scaled(prof, 1.0, r))
+    assert np.array_equal(np.signbit(g), np.signbit(eval_scaled(prof, 1.0, r)))
+    for x in (0.37, 1.0, 4.0):
+        assert eval_g(prof, x)[0] == eval_scaled(prof, 1.0, x)
+
+
+def test_table_rows_roundtrip_bitwise():
+    table = G_SAMPLES["tabulated"]
+    assert table.rows()[1] == "0.5,0.03125,0.3125"
+    assert TabulatedG.from_rows(["# r,value,derivative", "", *table.rows()]) == table
 
 
 # ---------------------------------------------------------------------------
