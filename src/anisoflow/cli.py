@@ -274,6 +274,11 @@ def build_initial_graph(grid, spec):
 
 def parse_config(text):
     """Validated RunConfig or ConfigError listing every problem."""
+    return _parse_config(text)[0]
+
+
+def _parse_config(text):
+    """(RunConfig, the initial graph built and checked from it), as parse_config."""
     errors = []
     data = _tokenize(text, errors)
     override = _take(data, "control", "override", _bool, errors, default=False)
@@ -303,6 +308,7 @@ def parse_config(text):
                 f"[profile] fails its regime validator (condition {report.condition!r}, "
                 f"worst violation {report.worst_violation:.3e}); set [control] override = true to force"
             )
+    graph = None
     if grid is not None and initial is not None:
         try:
             graph = build_initial_graph(grid, initial)
@@ -313,7 +319,7 @@ def parse_config(text):
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
+    config = RunConfig(
         profile=profile,
         grid=grid,
         initial=initial,
@@ -324,6 +330,7 @@ def parse_config(text):
         checkpoint_path=checkpoint_path,
         g_table_path=table_path,
     )
+    return config, graph
 
 
 def format_config(cfg):
@@ -436,10 +443,10 @@ def write_svg_plot(path, series):
 # subcommands
 
 
-def _read_config(path):
+def _read_config(path, parse=parse_config):
     try:
         with open(path) as fh:
-            return parse_config(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
@@ -459,16 +466,16 @@ def _probe_writable(path):
 
 
 def cmd_run(config_path):
-    cfg = _read_config(config_path)
-    if cfg is None:
+    parsed = _read_config(config_path, _parse_config)
+    if parsed is None:
         return 1
+    cfg, graph = parsed
     if cfg.csv_path is None:
         print("config error: [output] csv_path is required by run", file=sys.stderr)
         return 1
     for path in (cfg.csv_path, cfg.plot_path, cfg.checkpoint_path):
         if path is not None and not _probe_writable(path):
             return 1
-    graph = build_initial_graph(cfg.grid, cfg.initial)
     state = flow_engine.initial_state(cfg.profile, graph, validate_regime=False)
     try:
         result = flow_engine.run(state, cfg.control)

@@ -16,8 +16,10 @@ reductions so repeated runs are bit-identical.
 The engine does not branch on the kind of grid: a state is stepped and
 recorded on its grid's stage of its graph (``SphericalGrid.stage``), which
 for a bit-exactly zonal state on S^2 is one latitude column, and ``step``
-has the stage grid broadcast the result back.  A state's curvature field is
-built once, for a record and the next step's first stage alike.
+has the stage grid broadcast the result back.  A step keeps a zonal state
+zonal, so it hands the column it computed on to the state it returns: the
+zonality scan runs once per run.  A state's curvature field is built once,
+for a record and the next step's first stage alike.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -48,7 +50,6 @@ from .sphere_geometry import (
     _fmt,
     graph_from_text,
     graph_to_text,
-    is_zonal,  # noqa: F401  re-exported: callers reach it as flow_engine.is_zonal too
     weingarten,
 )
 from .symfunc import CONE_EPS
@@ -128,7 +129,11 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class FlowState:
-    """One instant of the normalized flow."""
+    """One instant of the normalized flow.
+
+    stage_graph is built from graph on first read, unless ``step`` handed on
+    the zonal column it computed, of which graph is the broadcast.
+    """
 
     tau: float
     graph: RadialGraph
@@ -249,6 +254,17 @@ def _sigma_pow(sig, alpha):
     return np.power(sig, alpha)
 
 
+def _speed_coefficient(profile, graph, field, lam):
+    """A = f rho / r, the coefficient of sigma_k^alpha in the rhs, where
+    f = r^beta + lam^beta g(r/lam) is the rescaled speed weight."""
+    A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho
+    if not profile.pure_power:  # else A + 0.0 == A: the flow's A is >= 0
+        # looked up per call, so that a wrapper installed on the module name
+        # (perfbench/layers.py's tracer) sees every evaluation
+        A = A + (field.rho / field.r) * speed_profile.eval_scaled(profile, lam, field.r)
+    return A
+
+
 def rhs(profile, graph, lam, tau=None, field=None):
     """d(phi)/d(tau) per node, plus the curvature field and coefficient A.
 
@@ -258,11 +274,7 @@ def rhs(profile, graph, lam, tau=None, field=None):
         field = weingarten(graph)
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
-    A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho
-    if not profile.pure_power:  # else A + 0.0 == A: the flow's A is >= 0
-        # looked up per call, so that a wrapper installed on the module name
-        # (perfbench/layers.py's tracer) sees every evaluation
-        A = A + (field.rho / field.r) * speed_profile.eval_scaled(profile, lam, field.r)
+    A = _speed_coefficient(profile, graph, field, lam)
     out = profile.gamma - A * _sigma_pow(sig, profile.alpha)
     if not np.isfinite(out).all():
         raise NonFiniteRHSError("non-finite right-hand side", tau)
@@ -305,7 +317,10 @@ def step(state, control, dt_cap=math.inf):
     whose stability polynomial is R above.  That is second order in time; a
     third-order four-stage method such as SSPRK(4,3) reaches only 5.15 on the
     real axis.  The stages run on state.stage_graph, whose grid broadcasts the
-    result back onto the state's grid.
+    result back onto the state's grid.  Only the stage's values are checked
+    for finiteness; when the stage is not the state's graph (a zonal column),
+    the broadcast graph is built unchecked and the column is handed on as the
+    new state's stage_graph, since a step keeps a zonal state zonal.
     """
     profile, grid = state.profile, state.graph.grid
     graph = state.stage_graph
@@ -322,10 +337,13 @@ def step(state, control, dt_cap=math.inf):
         k, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, k), lambda_of_tau(profile, tau0 + h), tau0 + h)
     k *= dt
     k += phi0
-    phi1 = stage_grid.broadcast(k, grid)
-    return FlowState(
-        tau=tau0 + dt, graph=RadialGraph(grid, phi1), step_count=state.step_count + 1, last_dt=dt, profile=profile
-    )
+    stage = RadialGraph(stage_grid, k)
+    if stage_grid is grid:
+        return FlowState(tau=tau0 + dt, graph=stage, step_count=state.step_count + 1, last_dt=dt, profile=profile)
+    graph1 = RadialGraph._unchecked(grid, stage_grid.broadcast(k, grid))
+    state1 = FlowState(tau=tau0 + dt, graph=graph1, step_count=state.step_count + 1, last_dt=dt, profile=profile)
+    vars(state1)["stage_graph"] = stage  # fills the cached property: no zonality scan
+    return state1
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +371,20 @@ def initial_state(profile, graph, validate_regime=True):
 
 def diagnostics_row(state):
     """The per-record reduction vector (see DiagnosticsSeries for the order),
-    reduced over state.field, which the next step's first stage reuses."""
+    reduced over state.field, which the next step's first stage reuses.
+
+    The speed factor Phi = f sigma_k^alpha, f = r^beta + lam^beta g(r/lam),
+    is taken as u (A sigma_k^alpha), the support function times the rhs's
+    speed term, so it stays finite where r^beta overflows but Phi does not
+    (a large sphere: r^beta sigma_k^alpha ~ r^(beta - k alpha)).
+    """
     profile = state.profile
     field = state.field
-    f = field.r**profile.beta
-    if not profile.pure_power:
-        f = f + speed_profile.eval_scaled(profile, state.lam, field.r)
-    sig = field.sigma[..., profile.k - 1]
-    big_phi = f * _sigma_pow(sig, profile.alpha)
-    grad_phi = field.grad_phi_norm()
+    sig_pow = _sigma_pow(field.sigma[..., profile.k - 1], profile.alpha)
+    big_phi = field.u * (_speed_coefficient(profile, state.stage_graph, field, state.lam) * sig_pow)
     r_min = float(field.r.min())
     r_max = float(field.r.max())
+    grad_phi = field.grad_phi_norm()
     return {
         "tau": state.tau,
         "r_min": r_min,

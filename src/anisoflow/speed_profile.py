@@ -28,6 +28,9 @@ import numpy as np
 #: exp(-1/x) is flushed to exactly 0 once 1/x > EXP_FLUSH (avoids subnormals)
 EXP_FLUSH = 745.0
 
+#: an exponent past EXP_MAX is an overflow (e^700 ~ 1e304)
+EXP_MAX = 700.0
+
 #: hard cap on the rescaling factor for direct (tabulated) evaluation
 LAMBDA_CAP = 1e100
 
@@ -86,23 +89,28 @@ class _FlatFamily(_Analytic):
 
         A node is live where base = r/lam - shift > 0 and the barrier base^-p
         is at most EXP_FLUSH; a dead node's value is exactly 0.  Masks keep
-        dead nodes out of the power, the exponent and the overflow check; when
-        every node is live, the normal case, none is built, since
-        np.where(live, x, fill) would be x bit for bit.
+        dead nodes out of the power, the exponent and the overflow check.
+        The normal case, every node live, is told by one min and one max and
+        builds no mask (np.where(live, x, fill) would be x bit for bit); its
+        barriers stay below that of the smallest base, so no np.errstate is
+        needed when that one is below e^EXP_MAX, and its exponents below
+        log_scale, so no overflow scan is needed when log_scale <= EXP_MAX.
         """
         one_ka = 1.0 + profile.ka
         log_scale = (profile.beta - one_ka) * math.log(lam)
         base = r / lam - self.shift
+        low = base.min(initial=math.inf)  # NaN fails every test below
+        if low > 0 and self.p * math.log(low) > -EXP_MAX:
+            barrier = base ** (-self.p)
+            if barrier.max(initial=0.0) <= EXP_FLUSH:
+                w = log_scale - barrier
+                if log_scale > EXP_MAX:
+                    _check_overflow(w, lam, r)
+                return r**one_ka * np.exp(w)
         positive = base > 0
-        all_positive = positive.all()
         with np.errstate(divide="ignore", over="ignore"):
-            barrier = (base if all_positive else np.where(positive, base, 1.0)) ** (-self.p)
-        unflushed = barrier <= EXP_FLUSH
-        if all_positive and unflushed.all():
-            w = log_scale - barrier
-            _check_overflow(w, lam, r)
-            return r**one_ka * np.exp(w)
-        live = positive & unflushed
+            barrier = np.where(positive, base, 1.0) ** (-self.p)
+        live = positive & (barrier <= EXP_FLUSH)
         w = log_scale - np.where(live, barrier, 0.0)
         _check_overflow(np.where(live, w, -np.inf), lam, r)
         return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
@@ -362,8 +370,8 @@ def eval_g(profile, r):
 
 
 def _check_overflow(w, lam, r):
-    """ScaleOverflowError naming the radius of the largest exponent w past 700."""
-    if (w > 700.0).any():
+    """ScaleOverflowError naming the radius of the largest exponent w past EXP_MAX."""
+    if (w > EXP_MAX).any():
         bad = int(np.argmax(w))
         raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}")
 
@@ -380,7 +388,7 @@ def eval_scaled(profile, lam, r):
     if not lam >= 1.0 - 1e-12:
         raise ValueError(f"rescaling factor must be >= 1, got {lam}")
     r = np.asarray(r, dtype=float)
-    if not (r > 0).all():
+    if not r.min(initial=math.inf) > 0:  # NaN fails too; an empty r passes
         raise NonPositiveRadiusError("rescaled speed needs r > 0")
     gs = profile.g.scaled(profile, lam, r)
     return gs if r.ndim else float(gs)

@@ -141,7 +141,7 @@ class CircleGrid(SphericalGrid):
         if not den.all():  # den >= 0: a radius underflowed to 0
             raise SingularMetricError("metric lost positivity (r = 0)")
         kappa = ((rho2 - phi_dd) / den)[:, None]  # also sigma_1
-        return WeingartenField(r, rho, grad_sq, r / rho, kappa, lambda: kappa)
+        return WeingartenField(r, rho, grad_sq, kappa, lambda: kappa)
 
 
 class _LatitudeGrid(SphericalGrid):
@@ -282,12 +282,12 @@ class SphereGrid(_LatitudeGrid):
         cross = tp * b12
         n11 = e22 * b11 - cross  # the diagonal of adj(E) B'
         n22 = e11 * b22 - cross
-        rho, u, sigma, den = _graph_curvature(self, r, 1.0 + grad2, n11 + n22, b11 * b22 - b12 * b12)
+        rho, sigma, den = _graph_curvature(self, r, 1.0 + grad2, n11 + n22, b11 * b22 - b12 * b12)
 
         # the off-diagonal of adj(E) B', built now: a lazy kappa holding its nine
         # inputs alive read slower on the non-zonal benchmark than this extra work
         n12, n21 = e22 * b12 - tp * b22, e11 * b12 - tp * b11
-        return WeingartenField(r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
+        return WeingartenField(r, rho, grad2, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
 
     def max_d_over_h2(self, D):
         return (self.inv_spacing_sq * D).max()
@@ -321,8 +321,8 @@ class ZonalColumn(_LatitudeGrid):
         b11 = e11 - H_tt
         b22 = s2 - H_pp
         n11, n22 = s2 * b11, e11 * b22
-        rho, u, sigma, den = _graph_curvature(self, r, e11, n11 + n22, b11 * b22)
-        return WeingartenField(r, rho, grad2, u, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
+        rho, sigma, den = _graph_curvature(self, r, e11, n11 + n22, b11 * b22)
+        return WeingartenField(r, rho, grad2, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
 
     def broadcast(self, phi, grid):
         return np.repeat(phi, grid.n_lon, axis=1)
@@ -442,20 +442,24 @@ class WeingartenField:
     sigma holds the elementary symmetric polynomials sigma_1..sigma_n of the
     principal curvatures; kappa the principal curvatures themselves
     (descending), built by kappa_fn on first read, since only the step's dt
-    bound and the diagnostics read them.  rho = sqrt(1+|grad phi|^2) and
-    u = r/rho is the support function.
+    bound and the diagnostics read them.  rho = sqrt(1+|grad phi|^2), and
+    u = r/rho, the support function, is built on first read too: only the
+    diagnostics read it.
     """
 
     r: np.ndarray
     rho: np.ndarray
     grad_sq: np.ndarray
-    u: np.ndarray
     sigma: np.ndarray
     kappa_fn: object  # () -> kappa
 
     @cached_property
     def kappa(self):
         return self.kappa_fn()
+
+    @cached_property
+    def u(self):
+        return self.r / self.rho
 
     def grad_phi_norm(self):
         # |grad phi| is kept as a stored square rather than recovered from
@@ -481,19 +485,19 @@ def _eigen_2x2(M11, M12, M21, M22, den):
 
 
 def _graph_curvature(grid, r, rho2, tr_num, det_num):
-    """(rho, u, sigma, den): sigma_1 = tr_num/den and sigma_2 = det_num/(den r rho)
+    """(rho, sigma, den): sigma_1 = tr_num/den and sigma_2 = det_num/(den r rho)
     with den = det E r rho, after a check that a radius underflowing to 0 (a
     zero den) raises before any division."""
     rho = np.sqrt(rho2)
     w = r * rho
     den = grid.sin2_theta * rho2 * w
     den2 = den * w
-    if not (den2 > 0.0).all():
+    if not den2.min() > 0.0:  # NaN fails too
         raise SingularMetricError("metric lost positivity (det <= 0)")
     sigma = np.empty(r.shape + (2,))
     np.divide(tr_num, den, out=sigma[..., 0])
     np.divide(det_num, den2, out=sigma[..., 1])
-    return rho, r / rho, sigma, den
+    return rho, sigma, den
 
 
 def weingarten(graph):
@@ -531,7 +535,7 @@ def embedding_oracle(graph):
         rr = np.hypot(x, y)
         rdot = (x * xd + y * yd) / rr
         kappa = kappa[:, None]
-        return WeingartenField(rr, rr / u, (rdot / rr) ** 2, u, kappa, lambda: kappa)
+        return _oracle_field(rr, u, (rdot / rr) ** 2, kappa, kappa)
 
     t = grid.theta[:, None]
     p = grid.phi_lon[None, :]
@@ -567,7 +571,14 @@ def embedding_oracle(graph):
     rt = dot(X, Xt) / rr
     rp = dot(X, Xp) / rr
     grad_sq = (rt * rt + (rp / sin_t) ** 2) / (rr * rr)
-    return WeingartenField(rr, rr / u, grad_sq, u, sigma, lambda: kappa)
+    return _oracle_field(rr, u, grad_sq, sigma, kappa)
+
+
+def _oracle_field(r, u, grad_sq, sigma, kappa):
+    """The oracle's field, which keeps its own support function u = X . nu."""
+    field = WeingartenField(r, r / u, grad_sq, sigma, lambda: kappa)
+    vars(field)["u"] = u  # fills the cached property: not r / rho
+    return field
 
 
 # ---------------------------------------------------------------------------

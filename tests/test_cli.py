@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import anisoflow.cli
 import anisoflow.symfunc
 from anisoflow.cli import (
     ConfigError,
@@ -244,6 +245,19 @@ def test_file_initial_roundtrip(tmp_path):
     np.testing.assert_allclose(graph.r(), 1.25)
 
 
+def test_file_initial_run_reads_the_file_once(tmp_path, monkeypatch, capsys):
+    # parse_config's checked graph is the graph the run starts from
+    save_graph(sphere_graph(SphericalGrid.circle(64), 1.25), tmp_path / "init.csv")
+    reads = []
+    load = anisoflow.cli.load_graph
+    monkeypatch.setattr(anisoflow.cli, "load_graph", lambda path: reads.append(path) or load(path))
+    text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
+    text += f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\n"
+    assert main(["run", write_config(tmp_path, text)]) == 0
+    assert reads == [str(tmp_path / "init.csv")]
+    assert DiagnosticsSeries.from_csv(tmp_path / "out.csv").column("r_max")[0] == pytest.approx(1.25)
+
+
 def test_file_initial_bad_header_is_config_error(tmp_path, capsys):
     (tmp_path / "init.csv").write_text("n=1\n")
     text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
@@ -475,6 +489,21 @@ def test_run_reports_a_radius_underflowing_to_zero(tmp_path, capsys, profile, gr
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("run failed: metric lost positivity") and err.endswith("(at tau=0)\n")
+
+
+def test_run_records_a_finite_speed_where_r_to_the_beta_overflows(tmp_path, capsys):
+    # phi = 400: r^2 overflows, Phi = r^2 * (1/r) = e^400 does not, and every
+    # sphere is a fixed point here (beta = 1 + k*alpha); pyproject turns an
+    # overflow warning into an error
+    text = (
+        BASIC.replace("kind = sphere\nr0 = 1.0", "kind = fourier\nvariable = phi\nconst = 400")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    assert main(["run", write_config(tmp_path, text)]) == 0
+    assert "reason=t_end" in capsys.readouterr().out
+    series = DiagnosticsSeries.from_csv(tmp_path / "x.csv")
+    for column in ("phi_min_cap", "phi_max_cap"):
+        np.testing.assert_allclose(series.column(column), math.exp(400.0), rtol=1e-12)
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):

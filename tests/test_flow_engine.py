@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from anisoflow import sphere_geometry
 from anisoflow.flow_engine import (
     STAGE_C1,
     STAGE_C2,
@@ -608,6 +609,58 @@ def test_zonal_cone_exit_matches_full_grid():
         full.value.margin,
         full.value.tau,
     )
+
+
+def test_stepped_zonal_states_carry_their_column():
+    # a step hands the column it computed on: the next state's stage is that
+    # column, equal bit for bit to the one its broadcast graph would give
+    state = _zonal_expflat_state()
+    column = state.graph.grid.zonal_column
+    for _ in range(4):
+        state = step(state, StepControl(t_end=10.0))
+        assert "stage_graph" in vars(state)  # handed on, not rebuilt
+        assert state.stage_graph.grid is column
+        assert state.stage_graph.phi.tobytes() == state.graph.phi[:, :1].copy().tobytes()
+        assert is_zonal(state.graph)
+
+
+def test_stepped_nonzonal_state_stages_on_its_full_grid():
+    profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    state = initial_state(profile, _surface(32, 64, zonal=False), validate_regime=False)
+    for _ in range(2):
+        state = step(state, StepControl(t_end=10.0))
+        assert "stage_graph" not in vars(state)
+        assert state.stage_graph is state.graph
+
+
+def test_zonal_run_scans_for_zonality_once(monkeypatch):
+    calls = []
+    scan = sphere_geometry.is_zonal
+    monkeypatch.setattr(sphere_geometry, "is_zonal", lambda graph: calls.append(graph) or scan(graph))
+    result = run(_zonal_expflat_state(), StepControl(t_end=10.0, max_steps=12, record_every=5))
+    assert result.state.step_count == 12 and len(result.series) == 4
+    assert len(calls) == 1  # the initial state's; each step hands its column on
+
+
+@pytest.mark.parametrize("zonal", [None, True, False], ids=["circle", "zonal", "nonzonal"])
+@pytest.mark.parametrize("g", [ZeroG(), ExpFlatG(1.0)], ids=["pure", "expflat"])
+def test_recorded_speed_factor_is_f_times_sigma_k_to_the_alpha(zonal, g):
+    # the record takes Phi as u (A sigma_k^alpha); to rounding it is the
+    # defining f sigma_k^alpha with f = r^beta + lam^beta g(r/lam)
+    if zonal is None:
+        profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0, g=g)
+        grid = SphericalGrid.circle(64)
+        graph = RadialGraph(grid, 0.1 * np.cos(3.0 * grid.theta))
+    else:
+        profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=g)
+        graph = _surface(32, 64, zonal)
+    state = step(initial_state(profile, graph, validate_regime=False), StepControl(t_end=10.0))
+    field = state.field
+    f = field.r**profile.beta + eval_scaled(profile, state.lam, field.r)
+    big_phi = f * field.sigma[..., profile.k - 1] ** profile.alpha
+    row = diagnostics_row(state)
+    assert row["phi_min_cap"] == pytest.approx(big_phi.min(), rel=1e-14)
+    assert row["phi_max_cap"] == pytest.approx(big_phi.max(), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

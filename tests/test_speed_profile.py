@@ -425,6 +425,18 @@ def test_scaled_overflow_raises():
         eval_scaled(prof, lam, lam)  # r/lam = 1: not flushed, genuinely huge
 
 
+@pytest.mark.parametrize("g", [ExpFlatG(1.0), BumpG(0.5, 1.0)], ids=["expflat", "bump"])
+def test_scaled_flat_overflow_raises_past_700_only(g):
+    # w = log_scale - barrier with barrier >= 0: an overflow needs log_scale > 700
+    prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=5.0, g=g)  # log_scale = 2 log(lam)
+    r = np.array([1.0, 1.5, 3.0])
+    for lam in (1e160, 1e300):
+        with pytest.raises(ScaleOverflowError) as err:
+            eval_scaled(prof, lam, lam * r)
+        assert repr(3.0 * lam) in str(err.value)  # the largest r/lam's radius
+    assert np.isfinite(eval_scaled(prof, math.exp(349.9), r)).all()  # log_scale just below 700
+
+
 def test_scaled_tabulated_lam_cap():
     pts = np.linspace(0.0, 3.0, 50)
     prof = profile_k1(3.0, TabulatedG(pts, np.zeros(50), np.zeros(50)))
@@ -457,6 +469,12 @@ def test_scaled_rejects_bad_inputs():
         eval_scaled(prof, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("kind", sorted(G_KINDS))
+def test_scaled_accepts_an_empty_radius_array(kind):
+    got = eval_scaled(_nan_radius_profiles()[kind], 1.5, np.empty((0, 3)))
+    assert isinstance(got, np.ndarray) and got.shape == (0, 3)
+
+
 def _nan_radius_profiles():
     pts = np.linspace(0.05, 3.0, 50)
     return {
@@ -469,9 +487,13 @@ def _nan_radius_profiles():
 
 
 @pytest.mark.parametrize("kind", sorted(G_KINDS))
-@pytest.mark.parametrize("r", [math.nan, [math.nan, 1.0], [[1.0, 2.0], [1.5, math.nan]]])
+@pytest.mark.parametrize(
+    "r",
+    [math.nan, [math.nan, 1.0], [[1.0, 2.0], [1.5, math.nan]], 0.0, -0.0, [1.0, 0.0], [[1.0, 2.0], [-0.0, 1.5]]],
+)
 def test_scaled_rejects_nan_radius_for_every_kind(kind, r):
-    # NaN fails every comparison, so a guard written as "any r <= 0" lets it through
+    # NaN fails every comparison, so a guard written as "any r <= 0" lets it
+    # through; zeros of either sign fail "min > 0" too
     with pytest.raises(NonPositiveRadiusError):
         eval_scaled(_nan_radius_profiles()[kind], 1.5, r)
 

@@ -494,6 +494,25 @@ def test_circle_shift_equivariance_is_exact():
     assert np.array_equal(np.roll(f0.kappa, 9, axis=0), f1.kappa)
 
 
+def test_lazy_support_function_is_r_over_rho_on_every_grid_kind():
+    circle = circle_graph(64, lambda t: np.log(1.0 + 0.2 * np.cos(2.0 * t)))
+    sphere = sphere2_graph(16, 32, lambda t, p: 0.1 * np.sin(t) ** 2 * np.cos(2.0 * p))
+    zonal = sphere2_graph(16, 32, lambda t, p: np.log(1.0 + 0.2 * np.cos(2.0 * t)) + 0.0 * p)
+    column = RadialGraph(zonal.grid.zonal_column, zonal.phi[:, :1].copy())
+    for graph in (circle, sphere, column):
+        field = weingarten(graph)
+        assert "u" not in vars(field)  # built on first read
+        assert field.u.tobytes() == (field.r / field.rho).tobytes()
+        assert field.u is field.u
+
+
+def test_embedding_oracle_keeps_its_own_support_function():
+    graph = sphere2_graph(16, 32, lambda t, p: 0.1 * np.sin(t) ** 2 * np.cos(2.0 * p))
+    oracle = embedding_oracle(graph)
+    assert "u" in vars(oracle)
+    assert_allclose(oracle.u, oracle.r / oracle.rho, rtol=1e-14)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_metric_detected():
     # exp(-800) == 0.0: the metric check raises before anything divides by r,
@@ -506,6 +525,17 @@ def test_singular_metric_detected():
         RadialGraph(grid, row),
         RadialGraph(grid.zonal_column, row[:, :1].copy()),
     ):
+        with pytest.raises(SingularMetricError, match="metric lost positivity"):
+            weingarten(graph)
+
+
+def test_metric_check_rejects_a_nan_radius():
+    # NaN fails "min > 0" as it failed "all > 0": an RK stage that went NaN
+    # is a singular metric, on the full grid and on the zonal column
+    grid = SphericalGrid.sphere(16, 32)
+    phi = np.zeros(grid.shape)
+    phi[3] = np.nan
+    for graph in (RadialGraph._unchecked(grid, phi), RadialGraph._unchecked(grid.zonal_column, phi[:, :1].copy())):
         with pytest.raises(SingularMetricError, match="metric lost positivity"):
             weingarten(graph)
 
