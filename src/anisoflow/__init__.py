@@ -12,7 +12,6 @@ from .diagnostics import (
     closed_form_r1,
     closed_form_r2,
     fit_exponential,
-    integrate_sphere_ode,
     sphere_ode_at,
     sphere_ode_rhs,
 )

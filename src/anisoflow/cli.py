@@ -195,7 +195,7 @@ def _parse_grid(data, profile, errors):
     if None in sizes:
         return None
     try:
-        return cls.build(*sizes)
+        return cls(*sizes)
     except ValueError as exc:
         errors.append(f"[grid] {exc}")
         return None

@@ -138,8 +138,7 @@ def sphere_ode_rhs(profile, r, t):
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     gamma, ka = profile.gamma, profile.ka
-    lam = math.exp(gamma * t)
-    gs = speed_profile.eval_scaled(profile, lam, float(r))
+    gs = speed_profile.eval_scaled(profile, speed_profile.lambda_of_tau(profile, t), float(r))
     return -gamma * r ** (profile.beta - ka) - gamma * gs * r ** (-ka) + gamma * r
 
 
@@ -175,12 +174,6 @@ def sphere_ode_at(profile, r0, times, max_dt=1e-3):
             t = target
         out[i] = r
     return out
-
-
-def integrate_sphere_ode(profile, r0, t_end, max_dt=1e-3, n_records=201):
-    """(times, radii) of the sphere ODE on [0, t_end] at n_records sample times."""
-    times = np.linspace(0.0, t_end, n_records)
-    return times, sphere_ode_at(profile, r0, times, max_dt=max_dt)
 
 
 def _require_shrinking_regime(profile):

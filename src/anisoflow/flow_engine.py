@@ -42,6 +42,7 @@ from .speed_profile import (
     ScaleOverflowError,
     SpeedProfile,
     TableRangeError,
+    lambda_of_tau,
     validate_for_regime,
 )
 from .sphere_geometry import (
@@ -204,7 +205,7 @@ def lambda_maps(profile, t):
         raise ValueError(f"t must be >= 0, got {t}")
     gamma = profile.gamma
     if profile.equality_regime:
-        return math.exp(gamma * t), t
+        return lambda_of_tau(profile, t), t
     p = profile.beta - profile.ka - 1.0
     lam = (1.0 + p * gamma * t) ** (1.0 / p)
     tau = math.log1p(p * gamma * t) / (p * gamma)
@@ -217,11 +218,6 @@ def t_of_tau(profile, tau):
         return tau
     p = profile.beta - profile.ka - 1.0
     return math.expm1(p * profile.gamma * tau) / (p * profile.gamma)
-
-
-def lambda_of_tau(profile, tau):
-    """The normalization factor lam = exp(gamma*tau), the one place it is computed."""
-    return math.exp(profile.gamma * tau)
 
 
 def unnormalize(state):
@@ -254,19 +250,21 @@ def _sigma_pow(sig, alpha):
     return np.power(sig, alpha)
 
 
-def _speed_coefficient(profile, graph, field, lam):
+def _speed_coefficient(profile, graph, field, tau):
     """A = f rho / r, the coefficient of sigma_k^alpha in the rhs, where
-    f = r^beta + lam^beta g(r/lam) is the rescaled speed weight."""
+    f = r^beta + lam^beta g(r/lam) is the rescaled speed weight at tau."""
     A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho
     if not profile.pure_power:  # else A + 0.0 == A: the flow's A is >= 0
         # looked up per call, so that a wrapper installed on the module name
         # (perfbench/layers.py's tracer) sees every evaluation
+        lam = lambda_of_tau(profile, tau)
         A = A + (field.rho / field.r) * speed_profile.eval_scaled(profile, lam, field.r)
     return A
 
 
-def rhs(profile, graph, lam, tau=None, field=None):
-    """d(phi)/d(tau) per node, plus the curvature field and coefficient A.
+def rhs(profile, graph, tau, field=None):
+    """d(phi)/d(tau) per node at normalized time tau, plus the curvature field
+    and coefficient A.
 
     field, when given, is weingarten(graph), already built.
     """
@@ -274,7 +272,7 @@ def rhs(profile, graph, lam, tau=None, field=None):
         field = weingarten(graph)
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
-    A = _speed_coefficient(profile, graph, field, lam)
+    A = _speed_coefficient(profile, graph, field, tau)
     out = profile.gamma - A * _sigma_pow(sig, profile.alpha)
     if not np.isfinite(out).all():
         raise NonFiniteRHSError("non-finite right-hand side", tau)
@@ -325,7 +323,7 @@ def step(state, control, dt_cap=math.inf):
     profile, grid = state.profile, state.graph.grid
     graph = state.stage_graph
     tau0, phi0, stage_grid = state.tau, graph.phi, graph.grid
-    k, field0, A0 = rhs(profile, graph, state.lam, tau0, state.field)
+    k, field0, A0 = rhs(profile, graph, tau0, state.field)
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, graph, field0, A0), dt_cap)
     if dt < _MIN_DT:
         raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
@@ -334,7 +332,7 @@ def step(state, control, dt_cap=math.inf):
     for h in (STAGE_C1 * dt, STAGE_C2 * dt, 0.5 * dt):
         k *= h
         k += phi0
-        k, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, k), lambda_of_tau(profile, tau0 + h), tau0 + h)
+        k, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, k), tau0 + h)
     k *= dt
     k += phi0
     stage = RadialGraph(stage_grid, k)
@@ -381,7 +379,7 @@ def diagnostics_row(state):
     profile = state.profile
     field = state.field
     sig_pow = _sigma_pow(field.sigma[..., profile.k - 1], profile.alpha)
-    big_phi = field.u * (_speed_coefficient(profile, state.stage_graph, field, state.lam) * sig_pow)
+    big_phi = field.u * (_speed_coefficient(profile, state.stage_graph, field, state.tau) * sig_pow)
     r_min = float(field.r.min())
     r_max = float(field.r.max())
     grad_phi = field.grad_phi_norm()

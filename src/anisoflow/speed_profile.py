@@ -1,10 +1,11 @@
 """Radial speed weights f(r) = r^beta + g(r) and their admissibility checks.
 
 The flow speed is f(r) * sigma_k^alpha.  The normalized equation never needs g
-itself, only the rescaled term lam^beta * g(r/lam); ``eval_scaled`` evaluates
-it in a form that stays finite for arbitrarily large lam (log-space for the
-exponentially flat families, exponent arithmetic for monomials).  g' is needed
-only by the validators, through ``eval_g``.
+itself, only the rescaled term lam^beta * g(r/lam), with lam = exp(gamma*tau)
+(``lambda_of_tau``); ``eval_scaled`` evaluates it in a form that stays finite
+for arbitrarily large lam (log-space for the exponentially flat families,
+exponent arithmetic for monomials).  g' is needed only by the validators,
+through ``eval_g``.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
 kind's name to its class, and each kind answers for itself: ``scaled``
@@ -27,6 +28,8 @@ import numpy as np
 
 #: exp(-1/x) is flushed to exactly 0 once 1/x > EXP_FLUSH (avoids subnormals)
 EXP_FLUSH = 745.0
+# p log(base) above this keeps base^-p below EXP_FLUSH with room for rounding
+_LIVE_LOG = 1e-9 - math.log(EXP_FLUSH)
 
 #: an exponent past EXP_MAX is an overflow (e^700 ~ 1e304)
 EXP_MAX = 700.0
@@ -85,35 +88,40 @@ class _FlatFamily(_Analytic):
     """g = r^(1+k*alpha) * exp(-1/(r - shift)^p) where r > shift, else 0."""
 
     def scaled(self, profile, lam, r):
-        """lam^beta * g(r/lam).
+        """lam^beta * g(r/lam) = exp(L), L = (1+k*alpha) log r + w with the
+        exponent w = (beta-1-k*alpha) log lam - barrier.
 
         A node is live where base = r/lam - shift > 0 and the barrier base^-p
         is at most EXP_FLUSH; a dead node's value is exactly 0.  Masks keep
-        dead nodes out of the power, the exponent and the overflow check.
-        The normal case, every node live, is told by one min and one max and
-        builds no mask (np.where(live, x, fill) would be x bit for bit); its
-        barriers stay below that of the smallest base, so no np.errstate is
-        needed when that one is below e^EXP_MAX, and its exponents below
-        log_scale, so no overflow scan is needed when log_scale <= EXP_MAX.
+        dead nodes out of the power and the exponent.  The normal case, every
+        node live, is told by one min and builds no mask (np.where(live, x,
+        fill) would be x bit for bit): the largest barrier is the smallest
+        base's, so the log of that base tells it, with a margin that leaves
+        the nodes within rounding of the threshold to the masks, and then no
+        barrier can overflow.  One max bounds the rest: with w <= log_scale, no
+        factor and no value can pass e^EXP_MAX while log_scale +
+        (1+k*alpha) log max(r, 1) does not, and the value is
+        r^(1+k*alpha) e^w; otherwise it is exp(L), after a check that no live
+        L passes EXP_MAX.
         """
         one_ka = 1.0 + profile.ka
         log_scale = (profile.beta - one_ka) * math.log(lam)
+        bounded = log_scale + one_ka * math.log(r.max(initial=1.0)) <= EXP_MAX
         base = r / lam - self.shift
-        low = base.min(initial=math.inf)  # NaN fails every test below
-        if low > 0 and self.p * math.log(low) > -EXP_MAX:
-            barrier = base ** (-self.p)
-            if barrier.max(initial=0.0) <= EXP_FLUSH:
-                w = log_scale - barrier
-                if log_scale > EXP_MAX:
-                    _check_overflow(w, lam, r)
+        low = base.min(initial=math.inf)  # NaN fails the test below
+        if low > 0 and self.p * math.log(low) > _LIVE_LOG:
+            w = log_scale - base ** (-self.p)
+            if bounded:
                 return r**one_ka * np.exp(w)
+            return _exp_checked(one_ka * np.log(r) + w, lam, r)
         positive = base > 0
         with np.errstate(divide="ignore", over="ignore"):
             barrier = np.where(positive, base, 1.0) ** (-self.p)
         live = positive & (barrier <= EXP_FLUSH)
         w = log_scale - np.where(live, barrier, 0.0)
-        _check_overflow(np.where(live, w, -np.inf), lam, r)
-        return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0)
+        if bounded:
+            return np.where(live, r**one_ka * np.exp(w), 0.0)
+        return _exp_checked(np.where(live, one_ka * np.log(np.where(live, r, 1.0)) + w, -np.inf), lam, r)
 
     def derivative(self, profile, r, g):
         """g times its log-derivative (1 + k*alpha)/r + p*(r - shift)^(-p-1) where g > 0."""
@@ -354,6 +362,11 @@ class SpeedProfile:
         return abs(self.beta - (1.0 + self.ka)) <= _TOL
 
 
+def lambda_of_tau(profile, tau):
+    """The normalization factor lam = exp(gamma*tau), the one place it is computed."""
+    return math.exp(profile.gamma * tau)
+
+
 def eval_g(profile, r):
     """g(r) and g'(r) for the profile's g specification, unscaled (lam = 1).
 
@@ -369,11 +382,13 @@ def eval_g(profile, r):
     return (g, gp) if r.ndim else (float(g), float(gp))
 
 
-def _check_overflow(w, lam, r):
-    """ScaleOverflowError naming the radius of the largest exponent w past EXP_MAX."""
-    if (w > EXP_MAX).any():
-        bad = int(np.argmax(w))
+def _exp_checked(L, lam, r):
+    """exp(L), or ScaleOverflowError naming the radius of the largest L if it
+    passes EXP_MAX."""
+    if (L > EXP_MAX).any():
+        bad = int(np.argmax(L))
         raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}")
+    return np.exp(L)
 
 
 def eval_scaled(profile, lam, r):

@@ -39,18 +39,19 @@ def _read_only(a):
 # grids: one class per kind, each owning its discretization
 
 
-def _size(value):
-    """A grid size as an int; ValueError unless it is an integer (numpy's too)."""
+def _set_size(grid, name):
+    """Store a grid size as an int; ValueError unless it is an integer (numpy's too)."""
+    value = getattr(grid, name)
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"grid sizes must be integers, got {value!r}")
-    return int(value)
+    object.__setattr__(grid, name, int(value))
 
 
-@dataclass(frozen=True, eq=True)
 class SphericalGrid:
     """Structured grid on S^n.  Build with ``circle`` or ``sphere``.
 
-    Each kind of grid owns its discretization:
+    Each kind of grid is a frozen dataclass of its own sizes, with its
+    dimension ``n`` a class attribute, and owns its discretization:
 
     * ``derivatives(phi)``, its stencils: what ``covariant_derivatives`` returns;
     * ``curvature(graph)``: what ``weingarten`` returns;
@@ -58,35 +59,23 @@ class SphericalGrid:
       spacings summed over the directions its stencils run (the dt bound);
     * ``stage(graph)`` and ``broadcast(phi, grid)``: the graph a state's
       stages run on, and a stage result put back on the state's grid;
-    * ``HEADER_KEYS``/``CONFIG_KEYS``: its sizes' (``shape``'s) names in a graph
-      header (``describe``) and a config, and ``build(*shape)``, its constructor.
+    * ``HEADER_KEYS``/``CONFIG_KEYS``: its sizes' (``shape``'s, the
+      constructor's arguments) names in a graph header (``describe``) and a
+      config.
 
     The defaults here: stencils in theta alone, states staged on themselves.
     """
 
-    n: int
-    n_lat: int
-    n_lon: int
-
-    def __post_init__(self):
-        if type(self) is SphericalGrid:
-            raise TypeError("build a grid with SphericalGrid.circle or SphericalGrid.sphere")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a grid with SphericalGrid.circle or SphericalGrid.sphere")
 
     @staticmethod
     def circle(N):
-        N = _size(N)
-        if N < 16:
-            raise ValueError(f"need at least 16 nodes, got {N}")
-        return CircleGrid(n=1, n_lat=N, n_lon=0)
+        return CircleGrid(N)
 
     @staticmethod
     def sphere(n_lat, n_lon):
-        n_lat, n_lon = _size(n_lat), _size(n_lon)
-        if n_lat < 16 or n_lon < 16:
-            raise ValueError(f"need at least 16 nodes per direction, got {n_lat}x{n_lon}")
-        if n_lon % 2:
-            raise ValueError(f"longitude count must be even for the pole rule, got {n_lon}")
-        return SphereGrid(n=2, n_lat=n_lat, n_lon=n_lon)
+        return SphereGrid(n_lat, n_lon)
 
     def describe(self):
         return " ".join((f"n={self.n}", *(f"{key}={size}" for key, size in zip(self.HEADER_KEYS, self.shape))))
@@ -101,11 +90,18 @@ class SphericalGrid:
         return phi
 
 
+@dataclass(frozen=True)
 class CircleGrid(SphericalGrid):
     """n = 1: N equispaced nodes theta_j = 2*pi*j/N on the circle (periodic)."""
 
+    n_lat: int
+    n = 1
     HEADER_KEYS = CONFIG_KEYS = ("N",)
-    build = staticmethod(SphericalGrid.circle)
+
+    def __post_init__(self):
+        _set_size(self, "n_lat")
+        if self.n_lat < 16:
+            raise ValueError(f"need at least 16 nodes, got {self.n_lat}")
 
     @property
     def shape(self):
@@ -149,6 +145,7 @@ class _LatitudeGrid(SphericalGrid):
     theta_i = (i + 1/2) * pi / N_lat, so no node sits on a pole, the latitude
     tables and the pole padding."""
 
+    n = 2
     HEADER_KEYS = ("N_lat", "N_lon")
     CONFIG_KEYS = ("n_lat", "n_lon")
 
@@ -203,12 +200,22 @@ class _LatitudeGrid(SphericalGrid):
         return _read_only(np.concatenate((across[1::-1], index, across[:-3:-1])))
 
 
+@dataclass(frozen=True)
 class SphereGrid(_LatitudeGrid):
     """n = 2: the equirectangular N_lat x N_lon grid.  Longitude is periodic;
     latitude stencils close over the poles by the antipodal rule, which is
     why N_lon must be even."""
 
-    build = staticmethod(SphericalGrid.sphere)
+    n_lat: int
+    n_lon: int
+
+    def __post_init__(self):
+        _set_size(self, "n_lat")
+        _set_size(self, "n_lon")
+        if self.n_lat < 16 or self.n_lon < 16:
+            raise ValueError(f"need at least 16 nodes per direction, got {self.n_lat}x{self.n_lon}")
+        if self.n_lon % 2:
+            raise ValueError(f"longitude count must be even for the pole rule, got {self.n_lon}")
 
     @property
     def h_phi(self):
@@ -244,7 +251,7 @@ class SphereGrid(_LatitudeGrid):
     @cached_property
     def zonal_column(self):
         """The (N_lat, 1) grid a bit-exactly zonal state's stages run on."""
-        return ZonalColumn(n=2, n_lat=self.n_lat, n_lon=1)
+        return ZonalColumn(self.n_lat)
 
     def partials(self, F):
         """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp).
@@ -298,11 +305,15 @@ class SphereGrid(_LatitudeGrid):
         return RadialGraph._unchecked(self.zonal_column, graph.phi[:, :1].copy())
 
 
+@dataclass(frozen=True)
 class ZonalColumn(_LatitudeGrid):
     """One longitude column of an n = 2 grid, the stage of a bit-exactly zonal
     state.  A zonal field's longitude partials are exactly +0.0, so the column
     computes only the latitude ones and drops the terms the others would add:
     every value has the full grid's bits."""
+
+    n_lat: int
+    n_lon = 1
 
     def derivatives(self, phi):
         """(phi_t, H_tt, H_pp): the derivatives a zonal field does not zero."""
@@ -620,7 +631,7 @@ def _parse_header(line):
     if cls is None:
         raise ValueError(f"bad graph header: {line!r}")
     try:
-        return cls.build(*(int(fields[key]) for key in cls.HEADER_KEYS))
+        return cls(*(int(fields[key]) for key in cls.HEADER_KEYS))
     except KeyError as err:
         raise ValueError(f"bad graph header: {line!r} lacks {err.args[0]}=") from None
 

@@ -14,6 +14,7 @@ import numpy as np
 
 import anisoflow.symfunc as sf
 
+from . import speed_profile
 from .diagnostics import closed_form_r1, closed_form_r2, r1_comparison_rhs, rk4_scalar_step, sphere_ode_at, sphere_ode_rhs
 from .flow_engine import initial_state, run
 from .speed_profile import (
@@ -29,6 +30,10 @@ from .speed_profile import (
 from .sphere_geometry import RadialGraph, SphericalGrid, embedding_oracle, sphere_graph, weingarten
 
 IDENTITY_TOL = 1e-10
+IDENTITY_SAMPLES = 2000  # cone samples per (n, k) in identity_suite
+IDENTITY_SEED = 20240817
+GRAPH_AMPLITUDE = 0.08  # bound on each mode's coefficient in random_graph_function
+R1_RK4_STEPS = 4000  # RK4 steps of the bounding ODE in the sphere-ODE suite
 ODE_DT = 1e-3  # the largest RK4 step of the sphere ODE in pde_vs_ode_check
 
 
@@ -58,9 +63,9 @@ def cone_samples(n, k, count, rng):
     return np.array(out[:count])
 
 
-def identity_suite(samples_per_case=2000, seed=20240817):
+def identity_suite():
     """Exact symmetric-polynomial identities on random cone samples."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(IDENTITY_SEED)
     worst = 0.0
     worst_what = ""
     total = 0
@@ -73,7 +78,7 @@ def identity_suite(samples_per_case=2000, seed=20240817):
 
     for n in (1, 2, 3):
         for k in range(1, n + 1):
-            kap = cone_samples(n, k, samples_per_case, rng)
+            kap = cone_samples(n, k, IDENTITY_SAMPLES, rng)
             total += len(kap)
             sig_k = sf.sigma_k(kap, k)
             partials = sf.sigma_k_partials(kap, k)
@@ -124,7 +129,7 @@ def identity_suite(samples_per_case=2000, seed=20240817):
 # curvature-oracle agreement
 
 
-def random_graph_function(n, seed, amplitude=0.08):
+def random_graph_function(n, seed):
     """A fixed random smooth log-radius function, evaluable on any grid size.
 
     Built from low-order trigonometric modes (n=1) or restrictions of harmonic
@@ -132,8 +137,8 @@ def random_graph_function(n, seed, amplitude=0.08):
     """
     rng = np.random.default_rng(seed)
     if n == 1:
-        a = rng.uniform(-amplitude, amplitude, size=4)
-        b = rng.uniform(-amplitude, amplitude, size=4)
+        a = rng.uniform(-GRAPH_AMPLITUDE, GRAPH_AMPLITUDE, size=4)
+        b = rng.uniform(-GRAPH_AMPLITUDE, GRAPH_AMPLITUDE, size=4)
 
         def f(theta):
             out = np.zeros_like(theta)
@@ -143,7 +148,7 @@ def random_graph_function(n, seed, amplitude=0.08):
 
         return f
 
-    c = rng.uniform(-amplitude, amplitude, size=5)
+    c = rng.uniform(-GRAPH_AMPLITUDE, GRAPH_AMPLITUDE, size=5)
 
     def f(theta, phi):
         st, ct = np.sin(theta), np.cos(theta)
@@ -176,13 +181,13 @@ def _kappa_gap(graph, band=None):
     return float(gap.max())
 
 
-def oracle_convergence(n, seed, levels, amplitude=0.08):
+def oracle_convergence(n, seed, levels):
     """Refinement study of the two curvature routes on one random graph.
 
     Returns (mid_errs, pole_errs): max-norm gaps per level; for n=1 the two
     lists are identical (no pole band).
     """
-    f = random_graph_function(n, seed, amplitude)
+    f = random_graph_function(n, seed)
     mid, pole = [], []
     for lv in levels:
         if n == 1:
@@ -314,11 +319,11 @@ def profile_suite():
 # sphere-ODE closed forms
 
 
-def _r1_vs_rk4(profile, r0, C_bound, t_end, steps=4000):
+def _r1_vs_rk4(profile, r0, C_bound, t_end):
     fun = lambda t, r: r1_comparison_rhs(profile, C_bound, r, t)
-    h = t_end / steps
+    h = t_end / R1_RK4_STEPS
     t, r = 0.0, r0
-    for _ in range(steps):
+    for _ in range(R1_RK4_STEPS):
         r = rk4_scalar_step(fun, t, r, h)
         t += h
     return abs(closed_form_r1(profile, r0, C_bound, t_end) - r)
@@ -374,7 +379,7 @@ def sphere_ode_suite():
     q = prof_g.beta - math.floor(prof_g.beta) - 1.0
     c_obs = 0.0
     for t, r in zip(times, r_ode):
-        lam = math.exp(prof_g.gamma * t)
+        lam = speed_profile.lambda_of_tau(prof_g, t)
         gs = prof_g.gamma * eval_scaled(prof_g, lam, r)
         c_obs = max(c_obs, gs / (lam**q * r**prof_g.beta))
     # 1% slack: the sampled supremum can undershoot the true one between

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from anisoflow.diagnostics import fit_exponential
-from anisoflow.flow_engine import StepControl, initial_state, rhs, run
+from anisoflow.flow_engine import StepControl, initial_state, rhs, run, step
 from anisoflow.speed_profile import ExpFlatG, MonomialG, SpeedProfile
 from anisoflow.sphere_geometry import (
     RadialGraph,
@@ -88,7 +88,7 @@ def test_ac1_round_spheres_are_stationary():
             for alpha in sorted({1.0 / k, 1.0, 2.0}):
                 prof = SpeedProfile(n=n, k=k, alpha=alpha, beta=1.0 + k * alpha)
                 for r0 in (0.5, 1.0, 1.7):
-                    out, _, _ = rhs(prof, sphere_graph(grid, r0), lam=1.0)
+                    out, _, _ = rhs(prof, sphere_graph(grid, r0), 0.0)
                     worst = max(worst, float(np.abs(out).max()))
                     cases += 1
     ok = worst <= 1e-10
@@ -306,6 +306,68 @@ def test_ac8_gradient_bounds_on_stored_runs(ac3_run, ac4_run):
         ok,
         "both stored runs" if ok else "; ".join(problems),
     )
+    assert ok, line
+
+
+# ---------------------------------------------------------------------------
+# AC-9: the linearized spectrum at the sphere
+
+
+def _mode_decay_rates(profile, grid, basis, t_end):
+    """Fitted decay rate of each mode l = 0..3, seeded alone at amplitude 1e-4:
+    minus the slope of log|c_l(tau)|, c the least-squares coefficients of the
+    (column of) phi on the basis columns, recorded every step of at most 2e-3."""
+    control = StepControl(t_end=t_end, dt_max=2e-3)
+    rates = []
+    for l in range(4):
+        phi = 1e-4 * basis[:, l]
+        if grid.n == 2:  # zonal: the state runs on one column
+            phi = np.repeat(phi[:, None], grid.n_lon, axis=1)
+        state = initial_state(profile, RadialGraph(grid, phi))
+        taus, coefs = [], []
+        while True:
+            column = state.graph.phi if grid.n == 1 else state.graph.phi[:, 0]
+            taus.append(state.tau)
+            coefs.append(abs(np.linalg.lstsq(basis, column, rcond=None)[0][l]))
+            if state.tau >= t_end - 1e-15:
+                break
+            state = step(state, control, dt_cap=t_end - state.tau)
+        rates.append(-fit_exponential(np.array(taus), np.array(coefs), window=(0.0, t_end)).rate)
+    return rates
+
+
+def test_ac9_linearized_spectrum_at_the_sphere():
+    # With g = 0, phi_tau = gamma - r^(beta-1) rho sigma_k^alpha linearized at
+    # phi = 0 damps the degree-l harmonic at
+    # lambda_l = C(n,k)^alpha [(beta - 1 - k alpha) + (alpha k / n) l (l + n - 1)],
+    # whatever integrator steps it.  Fits here read 1.00004, 2.99999, 8.99973,
+    # 18.99745 (curve) and 1.00004, 2.99999, 6.99989, 12.99773 (zonal
+    # column); the largest relative error is 1.7e-4, from the time step and
+    # the amplitude's quadratic terms.  A 1% error in the spacing of the
+    # second-difference stencil moves lambda_2 by 1.8%, and the exponent beta
+    # in place of beta - 1 moves every rate by C(n,k)^alpha, so a relative
+    # tolerance of 2e-3 tells both apart.
+    def predicted(p, l):
+        return math.comb(p.n, p.k) ** p.alpha * ((p.beta - 1.0 - p.ka) + (p.alpha * p.k / p.n) * l * (l + p.n - 1))
+
+    curve = SpeedProfile(n=1, k=1, alpha=2.0, beta=4.0)
+    circle = SphericalGrid.circle(128)
+    cosines = np.cos(np.outer(circle.theta, np.arange(6)))
+    column = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0)
+    sphere = SphericalGrid.sphere(32, 64)
+    # P_0..P_5 at the midpoint latitudes, which are not orthogonal there
+    legendre = np.polynomial.legendre.legvander(np.cos(sphere.theta), 5)
+    problems, detail = [], []
+    for name, profile, grid, basis, t_end in (
+        ("curve N=128", curve, circle, cosines, 0.3),
+        ("zonal 32x64", column, sphere, legendre, 0.4),
+    ):
+        rates = _mode_decay_rates(profile, grid, basis, t_end)
+        want = [predicted(profile, l) for l in range(4)]
+        detail.append(f"{name}: " + ", ".join(f"{a:.5f}/{b:g}" for a, b in zip(rates, want)))
+        problems += [f"{name} l={l}" for l, (a, b) in enumerate(zip(rates, want)) if abs(a - b) > 2e-3 * b]
+    ok = not problems
+    line = _report("AC-9 linearized decay rates at the sphere", ok, "; ".join(detail + problems))
     assert ok, line
 
 

@@ -506,6 +506,19 @@ def test_run_records_a_finite_speed_where_r_to_the_beta_overflows(tmp_path, caps
         np.testing.assert_allclose(series.column(column), math.exp(400.0), rtol=1e-12)
 
 
+def test_run_reports_a_flat_speed_past_the_float_range(tmp_path, capsys):
+    # the same sphere with g = r^2 exp(-1/r): lam^beta g(r/lam) = e^800 at tau = 0
+    text = (
+        BASIC.replace("g.kind = zero", "g.kind = expflat\ng.p = 1")
+        .replace("kind = sphere\nr0 = 1.0", "kind = fourier\nvariable = phi\nconst = 400")
+        .replace("t_end = 0.5", "t_end = 0.5\noverride = true")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    assert main(["run", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: rescaled g overflows: lam=1.0, r=") and err.endswith("(at tau=0)\n")
+
+
 def test_run_bad_config_exit_code(tmp_path, capsys):
     code = main(["run", write_config(tmp_path, BASIC.replace("r0 = 1.0", "r0 = -2"))])
     assert code == 1

@@ -13,14 +13,14 @@ from anisoflow.diagnostics import (
     closed_form_r1,
     closed_form_r2,
     fit_exponential,
-    integrate_sphere_ode,
     r1_comparison_rhs,
     rk4_scalar_step,
     sphere_ode_at,
     sphere_ode_rhs,
 )
 from anisoflow.flow_engine import StepControl
-from anisoflow import speed_profile
+import anisoflow
+from anisoflow import diagnostics, flow_engine, speed_profile, verify
 from anisoflow.speed_profile import ExpFlatG, SpeedProfile, ZeroG
 from anisoflow.sphere_geometry import SphericalGrid
 from anisoflow.verify import pde_vs_ode_check
@@ -182,6 +182,38 @@ def test_sphere_ode_rhs_calls_eval_scaled_through_its_module(monkeypatch):
     assert len(calls) == 1
 
 
+def test_sphere_ode_and_its_suite_take_lam_from_speed_profile(monkeypatch):
+    # lam = exp(gamma*tau) has one source, speed_profile.lambda_of_tau, which
+    # the engine and the package re-export
+    calls, inside = [], []
+    original_lam, original_rhs = speed_profile.lambda_of_tau, diagnostics.sphere_ode_rhs
+    assert anisoflow.lambda_of_tau is flow_engine.lambda_of_tau is original_lam
+
+    def counting(profile, tau):
+        if not inside:
+            calls.append(tau)
+        return original_lam(profile, tau)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return original_rhs(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(speed_profile, "lambda_of_tau", counting)
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    sphere_ode_rhs(profile, 1.2, 0.3)
+    assert calls == [0.3]
+    # the suite's own calls, outside the ODE's rhs: one per sample time of
+    # its sandwich bound
+    calls.clear()
+    monkeypatch.setattr(diagnostics, "sphere_ode_rhs", flagged)
+    monkeypatch.setattr(verify, "sphere_ode_rhs", flagged)
+    assert verify.sphere_ode_suite().ok
+    assert calls == list(np.linspace(0.0, 3.0, 61))
+
+
 def test_rk4_scalar_step_order():
     # one step of y' = y from 1: error against e^h is O(h^5)
     errs = [abs(rk4_scalar_step(lambda t, y: y, 0.0, 1.0, h) - math.exp(h)) for h in (0.1, 0.05)]
@@ -216,7 +248,8 @@ def test_sphere_ode_matches_closed_form():
 
 def test_integrate_sphere_ode_wrapper():
     prof = profile_k1(3.0)
-    times, rs = integrate_sphere_ode(prof, 0.5, 2.0, n_records=41)
+    times = np.linspace(0.0, 2.0, 41)
+    rs = sphere_ode_at(prof, 0.5, times)
     assert times.shape == rs.shape == (41,)
     assert times[0] == 0.0 and times[-1] == 2.0
     assert_allclose(rs[-1], closed_form_r2(prof, 0.5, 2.0), rtol=1e-10)

@@ -5,6 +5,7 @@ stability control, runs, checkpoints."""
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from anisoflow.flow_engine import (
     FlowState,
     NonFiniteRHSError,
     RunResult,
+    SpeedRangeError,
     StepControl,
     diagnostics_row,
     initial_state,
@@ -38,6 +40,7 @@ from anisoflow.speed_profile import (
     BumpG,
     ExpFlatG,
     MonomialG,
+    ScaleOverflowError,
     SpeedProfile,
     TabulatedG,
     ZeroG,
@@ -58,7 +61,7 @@ from anisoflow.symfunc import CONE_EPS, sigma_k_partials
 # classic RK4's real stability limit, the real root of z^3 + 4z^2 + 12z + 24
 # negated (Hairer & Wanner, Solving ODEs II, Sec. IV.2); the RK4 oracle steps
 # at this fraction of the engine's bound
-RK4_REAL_LIMIT = (4.0 + math.cbrt(172.0 + 36.0 * math.sqrt(29.0)) - math.cbrt(36.0 * math.sqrt(29.0) - 172.0)) / 3.0
+RK4_REAL_LIMIT = (4.0 + np.cbrt(172.0 + 36.0 * math.sqrt(29.0)) - np.cbrt(36.0 * math.sqrt(29.0) - 172.0)) / 3.0
 RK4_FRACTION = RK4_REAL_LIMIT / REAL_LIMIT
 
 # RKC(4) with damping 2/13, from the Chebyshev polynomial T4 itself: R(z) =
@@ -186,10 +189,10 @@ def test_rhs_vanishes_at_fixed_point():
     # any round sphere is stationary in the equality regime
     for r0 in (0.5, 1.0, 1.7):
         prof = profile_k1(2.0)
-        out, _, _ = rhs(prof, sphere_graph(SphericalGrid.circle(64), r0), lam=1.0)
+        out, _, _ = rhs(prof, sphere_graph(SphericalGrid.circle(64), r0), 0.0)
         assert np.max(np.abs(out)) < 1e-12
     prof2 = SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0)
-    out, _, _ = rhs(prof2, sphere_graph(SphericalGrid.sphere(32, 64), 1.3), lam=1.0)
+    out, _, _ = rhs(prof2, sphere_graph(SphericalGrid.sphere(32, 64), 1.3), 0.0)
     assert np.max(np.abs(out)) < 1e-10
 
 
@@ -197,7 +200,7 @@ def test_rhs_spot_value_power_speed():
     # r = 2, beta = 3, k = alpha = 1, g = 0: rhs = -(r^2)(1/r) + 1 = -1
     prof = profile_k1(3.0)
     graph = sphere_graph(SphericalGrid.circle(32), 2.0)
-    out, field, A = rhs(prof, graph, lam=1.0)
+    out, field, A = rhs(prof, graph, 0.0)
     assert_allclose(out, -1.0, rtol=1e-13)
     assert_allclose(A, 4.0, rtol=1e-13)
     assert_allclose(field.kappa[:, 0], 0.5, rtol=1e-13)
@@ -206,8 +209,8 @@ def test_rhs_spot_value_power_speed():
 def test_rhs_spot_value_monomial_speed():
     # sphere: rhs = gamma - gamma*r0^(beta-1-k*alpha) - gamma*lam^(beta-l)*r0^(l-1-k*alpha)
     r0, lam, beta, l = 1.5, 2.0, 3.0, 4.0
-    prof = profile_k1(beta, MonomialG(l))
-    out, _, _ = rhs(prof, sphere_graph(SphericalGrid.circle(32), r0), lam=lam)
+    prof = profile_k1(beta, MonomialG(l))  # gamma = 1: lam = 2 at tau = log 2
+    out, _, _ = rhs(prof, sphere_graph(SphericalGrid.circle(32), r0), math.log(lam))
     expect = 1.0 - r0 ** (beta - 2.0) - lam ** (beta - l) * r0 ** (l - 2.0)
     assert_allclose(out, expect, rtol=1e-12)
 
@@ -217,7 +220,7 @@ def test_rhs_nonfinite_detected():
     prof = profile_k1(3.0)
     graph = sphere_graph(SphericalGrid.circle(32), math.exp(600.0))
     with pytest.raises(NonFiniteRHSError):
-        rhs(prof, graph, lam=1.0)
+        rhs(prof, graph, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -231,7 +234,7 @@ def test_rhs_rejects_non_finite_stage_input(n, bad, g):
     phi.flat[5] = bad
     prof = SpeedProfile(n=n, k=1, alpha=1.0, beta=4.0, g=g)
     with pytest.raises((NonFiniteRHSError, SingularMetricError, ValueError)):
-        rhs(prof, RadialGraph._unchecked(grid, phi), lam=1.0)
+        rhs(prof, RadialGraph._unchecked(grid, phi), 0.0)
 
 
 def test_cone_gate_trips_on_dumbbell():
@@ -242,7 +245,7 @@ def test_cone_gate_trips_on_dumbbell():
     assert weingarten(graph).sigma[..., 1].min() < 0.0  # genuinely outside the cone
     prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0)
     with pytest.raises(ConeViolationError) as exc:
-        rhs(prof, graph, lam=1.0, tau=0.0)
+        rhs(prof, graph, 0.0)
     assert exc.value.tau == 0.0
     assert exc.value.margin < 0.0
     node_margin = weingarten(graph).sigma[..., :2].min(axis=-1)
@@ -258,7 +261,7 @@ def test_no_cone_gate_for_curve_shortening_family():
     graph = wiggly_circle(N=128, amp=0.3)  # concave at the waist
     field = weingarten(graph)
     assert field.sigma[:, 0].min() < 0.0
-    out, _, _ = rhs(prof, graph, lam=1.0)  # must not raise
+    out, _, _ = rhs(prof, graph, 0.0)  # must not raise
     assert np.all(np.isfinite(out))
 
 
@@ -266,7 +269,7 @@ def test_cone_gate_active_for_powered_curvature():
     # same concave curve, but alpha = 2 needs kappa > 0: gate trips
     prof = SpeedProfile(n=1, k=1, alpha=2.0, beta=3.0)
     with pytest.raises(ConeViolationError):
-        rhs(prof, wiggly_circle(N=128, amp=0.3), lam=1.0)
+        rhs(prof, wiggly_circle(N=128, amp=0.3), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +370,7 @@ def test_stable_dt_bound_scales_with_grid():
     bounds = []
     for N in (32, 64):
         graph = sphere_graph(SphericalGrid.circle(N), 1.0)
-        out, field, A = rhs(prof, graph, lam=1.0)
+        out, field, A = rhs(prof, graph, 0.0)
         bounds.append(stable_dt_bound(prof, graph, field, A))
     assert_allclose(bounds[0] / bounds[1], 4.0, rtol=1e-10)
 
@@ -376,7 +379,7 @@ def test_zonal_bound_ignores_longitude():
     grid = SphericalGrid.sphere(16, 256)  # absurdly fine longitude
     prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0)
     graph = sphere_graph(grid, 1.0)
-    _, field, A = rhs(prof, graph, lam=1.0)
+    _, field, A = rhs(prof, graph, 0.0)
     assert is_zonal(graph)
     b_zonal = stable_dt_bound(prof, grid.stage(graph), field, A)
     b_generic = stable_dt_bound(prof, graph, field, A)
@@ -442,8 +445,8 @@ def _fd_jacobian(profile, graph):
         d = np.zeros(phi0.size)
         d[j] = eps
         d = d.reshape(phi0.shape)
-        up = rhs(profile, RadialGraph(graph.grid, phi0 + d), 1.0)[0]
-        down = rhs(profile, RadialGraph(graph.grid, phi0 - d), 1.0)[0]
+        up = rhs(profile, RadialGraph(graph.grid, phi0 + d), 0.0)[0]
+        down = rhs(profile, RadialGraph(graph.grid, phi0 - d), 0.0)[0]
         J[:, j] = ((up - down) / (2.0 * eps)).ravel()
     return J
 
@@ -465,7 +468,7 @@ def _bound_and_spectrum(where, amp):
     else:
         profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
         graph = _surface(16, 32, zonal=False, amp=amp)
-    _, field, A = rhs(profile, graph, 1.0)
+    _, field, A = rhs(profile, graph, 0.0)
     bound = stable_dt_bound(profile, graph, field, A)
     return bound, np.linalg.eigvals(_fd_jacobian(profile, graph))
 
@@ -542,15 +545,15 @@ def _zonal_expflat_state():
 def _full_grid_step(state, control):
     """(phi, dt) of one engine step built from rhs on the full grid."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
-    k1, field, A = rhs(profile, state.graph, state.lam, tau0)
+    k1, field, A = rhs(profile, state.graph, tau0)
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.stage_graph, field, A))
     t1, t2, t3 = tau0 + STAGE_C1 * dt, tau0 + STAGE_C2 * dt, tau0 + 0.5 * dt
     u1 = phi0 + (STAGE_C1 * dt) * k1
-    k2, _, _ = rhs(profile, RadialGraph(grid, u1), lambda_of_tau(profile, t1), t1)
+    k2, _, _ = rhs(profile, RadialGraph(grid, u1), t1)
     u2 = phi0 + (STAGE_C2 * dt) * k2
-    k3, _, _ = rhs(profile, RadialGraph(grid, u2), lambda_of_tau(profile, t2), t2)
+    k3, _, _ = rhs(profile, RadialGraph(grid, u2), t2)
     u3 = phi0 + (0.5 * dt) * k3
-    k4, _, _ = rhs(profile, RadialGraph(grid, u3), lambda_of_tau(profile, t3), t3)
+    k4, _, _ = rhs(profile, RadialGraph(grid, u3), t3)
     return phi0 + dt * k4, dt
 
 
@@ -599,7 +602,7 @@ def test_zonal_cone_exit_matches_full_grid():
     graph = RadialGraph(grid, np.broadcast_to(np.log(1.0 + 0.7 * np.cos(2 * t)), grid.shape).copy())
     state = dataclasses.replace(_zonal_expflat_state(), graph=graph, tau=0.25)
     with pytest.raises(ConeViolationError) as full:
-        rhs(state.profile, graph, state.lam, state.tau)
+        rhs(state.profile, graph, state.tau)
     with pytest.raises(ConeViolationError) as strip:
         step(state, StepControl(t_end=10.0))
     assert state.field.r.shape == (32, 1)
@@ -789,13 +792,13 @@ def _ref_step(state, control):
 def _rk4_step(state, control, dt_cap=math.inf):
     """(phi, dt) of one classic RK4 step, dt = min(dt_max, cfl * RK4's limit, dt_cap)."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
-    k1, field, A = rhs(profile, state.graph, state.lam, tau0)
+    k1, field, A = rhs(profile, state.graph, tau0)
     # the engine's bound, whose stage graph drops a zonal state's longitude
     dt = min(control.dt_max, control.cfl * RK4_FRACTION * stable_dt_bound(profile, state.stage_graph, field, A), dt_cap)
     half, tau1 = tau0 + 0.5 * dt, tau0 + dt
-    k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), lambda_of_tau(profile, half), half)
-    k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), lambda_of_tau(profile, half), half)
-    k4, _, _ = rhs(profile, RadialGraph(grid, phi0 + dt * k3), lambda_of_tau(profile, tau1), tau1)
+    k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), half)
+    k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), half)
+    k4, _, _ = rhs(profile, RadialGraph(grid, phi0 + dt * k3), tau1)
     return phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt
 
 
@@ -838,7 +841,7 @@ def test_dt_bound_equals_last_axis_max_reference(where, k, alpha):
     state = initial_state(profile, graph, validate_regime=False)
     graph = state.stage_graph
     assert graph.phi.shape == {"curve": (128,), "zonal-strip": (32, 1), "nonzonal": (32, 64)}[where]
-    _, field, A = rhs(profile, graph, state.lam, field=state.field)
+    _, field, A = rhs(profile, graph, state.tau, field=state.field)
     bound = stable_dt_bound(profile, graph, field, A)
     if k == 1:  # all-ones partials: no principal curvatures needed
         assert "kappa" not in field.__dict__
@@ -896,14 +899,16 @@ LEAN_STAGE_CASES = {
 @pytest.mark.parametrize("case", sorted(LEAN_STAGE_CASES))
 def test_step_matches_reference_stages_bitwise(case):
     profile, graph = LEAN_STAGE_CASES[case]
-    state = initial_state(profile, graph, validate_regime=False)
+    # from tau = 0.25, so that every stage's lam = exp(gamma*tau), which rhs
+    # derives from tau, is above 1
+    state = dataclasses.replace(initial_state(profile, graph, validate_regime=False), tau=0.25)
     control = StepControl(t_end=10.0)
     for _ in range(4):
         # the stage values themselves: with a small dt, a last-bit change in
         # a stage can vanish in phi + dt * k
-        out, field, A = rhs(profile, state.graph, state.lam, state.tau)
+        out, field, A = rhs(profile, state.graph, state.tau)
         got = (out, A, field.r, field.rho, field.kappa, field.sigma)
-        for value, ref in zip(got, _ref_stage(profile, state.graph, state.lam)):
+        for value, ref in zip(got, _ref_stage(profile, state.graph, math.exp(profile.gamma * state.tau))):
             assert np.array_equal(value, ref)
         ref_phi, ref_dt = _ref_step(state, control)
         state = step(state, control)
@@ -990,6 +995,24 @@ def test_run_is_deterministic():
     a, b = once(), once()
     assert a.series == b.series
     assert np.array_equal(a.state.graph.phi, b.state.graph.phi)
+
+
+def test_run_ends_a_flat_speed_past_the_float_range_as_a_speed_range_error():
+    # a circle at phi = 400 with g = r^2 exp(-1/r) (n = k = alpha = 1, beta = 2):
+    # lam^beta g(r/lam) is e^800 at tau = 0.  The run ends typed and without
+    # an overflow warning, which pyproject's filter would make an error too
+    graph = RadialGraph(SphericalGrid.circle(64), np.full(64, 400.0))
+    state = initial_state(profile_k1(2.0, ExpFlatG(1.0)), graph, validate_regime=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SpeedRangeError) as exc:
+            run(state, StepControl(t_end=0.1))
+    assert not caught
+    assert isinstance(exc.value.__cause__, ScaleOverflowError)
+    assert exc.value.tau == 0.0 and exc.value.state is state
+    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={graph.r()[0]!r} (at tau=0)"
+    # the pure-power sphere at the same radius runs
+    assert run(initial_state(profile_k1(2.0), graph), StepControl(t_end=0.1)).reason == "t_end"
 
 
 def test_control_validation():

@@ -258,6 +258,10 @@ def test_scaled_flat_family_matches_masked_reference_bitwise(prof):
         (1.0, np.array([1e-300, 1.0 / EXP_FLUSH, 1.0 / 700.0, max(shift, 1e-3), shift + 1e-3, 2.0])),
         (1e80, live),  # every node flushed
     ]
+    # every node live but the smallest within rounding of the flush threshold
+    edge = shift + EXP_FLUSH ** (-1.0 / prof.g.p)
+    for lam in (1.0, 1e3):
+        cases.append((lam, lam * edge * np.array([1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.5])))
     for lam, r in cases:
         ref, _ = reference_flat_scaled(prof, lam, np.asarray(r, dtype=float), shift)
         got = eval_scaled(prof, lam, r)
@@ -281,6 +285,28 @@ def test_scaled_flat_family_overflow_names_the_reference_radius(prof):
             eval_scaled(prof, lam, r)
         assert str(got.value) == str(ref.value)
         assert f"r={r[np.argmax(r)]!r}" in str(got.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g", [ExpFlatG(1.0), BumpG(0.5, 1.0)], ids=["expflat", "bump"])
+def test_scaled_flat_family_past_the_float_range_raises_without_a_warning(g):
+    # n = k = alpha = 1, beta = 2: lam^beta g(r/lam) = r^2 exp(-1/(r - shift))
+    # at lam = 1 is e^800 at r = e^400, so the value itself overflows
+    prof = profile_k1(2.0, g)
+    r = np.full(4, math.exp(400.0))
+    r[1] = 0.2  # a dead node of the bump, which the check skips
+    with pytest.raises(ScaleOverflowError) as exc:
+        eval_scaled(prof, 1.0, r)
+    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={r[0]!r}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaled_flat_family_is_finite_where_only_r_to_the_power_overflows():
+    # r = e^400 and r/lam = 1/700: r^2 = e^800 overflows, but
+    # lam^2 g(r/lam) = r^2 exp(-lam/r) = e^(800 - 700) does not
+    prof = profile_k1(2.0, ExpFlatG(1.0))
+    r = math.exp(400.0)
+    assert_allclose(eval_scaled(prof, 700.0 * r, np.array([r])), math.exp(100.0), rtol=1e-12)
 
 
 def test_expflat_closed_form():

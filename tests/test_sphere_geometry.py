@@ -7,9 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow.sphere_geometry import (
+    GRID_KINDS,
+    CircleGrid,
     RadialGraph,
     SingularMetricError,
     SphericalGrid,
+    SphereGrid,
+    ZonalColumn,
     _d1,
     _d2,
     _pad_periodic,
@@ -73,6 +77,35 @@ def test_grid_validation():
     assert SphericalGrid.sphere(np.int32(32), np.int64(64)).shape == (32, 64)
     with pytest.raises(TypeError, match="circle or SphericalGrid.sphere"):
         SphericalGrid(n=1, n_lat=64, n_lon=0)  # the kind is a class: no kindless grid
+
+
+def test_a_grid_kind_fixes_its_dimension():
+    # n and, on the column, n_lon are the kind's, not constructor arguments: a
+    # circle that called itself 2-dimensional would pass initial_state's
+    # dimension check with a k = 2 profile and fail later in an IndexError
+    with pytest.raises(TypeError):
+        CircleGrid(n=2, n_lat=64, n_lon=0)
+    with pytest.raises(TypeError):
+        ZonalColumn(n=2, n_lat=32, n_lon=5)
+    sphere = SphericalGrid.sphere(32, 64)
+    for grid, n in ((SphericalGrid.circle(64), 1), (sphere, 2), (sphere.zonal_column, 2)):
+        assert type(grid).n == grid.n == n
+    assert {n: kind.n for n, kind in GRID_KINDS.items()} == {1: 1, 2: 2}
+    assert sphere.zonal_column == ZonalColumn(32) and sphere.zonal_column.shape == (32, 1)
+
+
+def test_built_grids_equal_and_hash_as_their_kinds():
+    assert SphericalGrid.circle(64) == CircleGrid(64)
+    assert hash(SphericalGrid.circle(64)) == hash(CircleGrid(64))
+    assert SphericalGrid.sphere(32, 64) == SphereGrid(32, 64)
+    assert hash(SphericalGrid.sphere(32, 64)) == hash(SphereGrid(32, 64))
+    assert SphericalGrid.circle(64) != SphericalGrid.circle(32)
+    assert ZonalColumn(32) != SphericalGrid.circle(32)
+    # a kind's constructor checks the sizes as the builders do
+    with pytest.raises(ValueError):
+        CircleGrid(8)
+    with pytest.raises(ValueError, match="even"):
+        SphereGrid(32, 33)
 
 
 def test_radial_graph_validation():
