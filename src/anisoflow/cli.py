@@ -34,23 +34,80 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class InitialSpec:
-    """One of: sphere(r0), fourier(series for r or phi), file(path)."""
+class SphereInitial:
+    """The round sphere of radius r0."""
 
-    kind: str
-    r0: float = None
-    const: float = None
+    r0: float
+    KIND = "sphere"
+
+    def __post_init__(self):
+        if self.r0 <= 0:
+            raise ValueError(f"r0: must be positive, got {self.r0}")
+
+    def graph(self, grid):
+        return sphere_graph(grid, self.r0)
+
+
+@dataclass(frozen=True)
+class FourierInitial:
+    """const plus (m, c) terms c cos(m theta) and c sin(m theta), sorted by m,
+    as the radius r or as phi = log r.  A config names each term after its
+    field: cos_<m> = c, sin_<m> = c."""
+
+    const: float = 1.0
     variable: str = "r"
     cos_terms: tuple = ()
     sin_terms: tuple = ()
-    path: str = None
+    KIND = "fourier"
+
+    def __post_init__(self):
+        if self.variable not in ("r", "phi"):
+            raise ValueError(f"variable: must be 'r' or 'phi', got {self.variable!r}")
+        if not np.isfinite([self.const, *(c for _, c in self.cos_terms + self.sin_terms)]).all():
+            raise ValueError("const, cos_* and sin_*: must be finite")
+
+    def graph(self, grid):
+        # cos(m theta) = T_m(cos theta) is smooth on S^2; sin(theta) is not at the poles
+        if grid.n == 2 and self.sin_terms:
+            raise ValueError("sin_*: not smooth across the poles on n=2 grids")
+        th = np.expand_dims(grid.theta, tuple(range(1, len(grid.shape))))  # a column on a sphere grid
+        vals = np.full_like(th, self.const)
+        with np.errstate(over="ignore"):  # a sum past the float range fails as phi = inf
+            for m, c in self.cos_terms:
+                vals = vals + c * np.cos(m * th)
+            for m, c in self.sin_terms:
+                vals = vals + c * np.sin(m * th)
+        vals = np.broadcast_to(vals, grid.shape).copy()
+        if self.variable == "phi":
+            return RadialGraph(grid, vals)
+        if not np.all(vals > 0.0):
+            raise ValueError(f"initial radius must be positive everywhere (min = {vals.min():.6g})")
+        return RadialGraph(grid, np.log(vals))
+
+
+@dataclass(frozen=True)
+class FileInitial:
+    """A graph saved by save_graph, on the config's grid."""
+
+    path: str
+    KIND = "file"
+
+    def graph(self, grid):
+        graph = load_graph(self.path)
+        if graph.grid != grid:
+            raise ValueError(f"initial file grid ({graph.grid.describe()}) does not match config grid ({grid.describe()})")
+        return graph
+
+
+# each kind's fields are its [initial] keys; graph(grid) raises ValueError on bad data
+INITIAL_KINDS = {c.KIND: c for c in (SphereInitial, FourierInitial, FileInitial)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     profile: SpeedProfile
     grid: SphericalGrid
-    initial: InitialSpec
+    initial: object  # an INITIAL_KINDS instance
     control: flow_engine.StepControl
     override: bool = False
     csv_path: str = None
@@ -59,29 +116,30 @@ class RunConfig:
     g_table_path: str = None
 
 
+# the fields each section reads (_take_fields) and writes (_field_lines), besides g's, kind and override
+_PROFILE_FIELDS = tuple(f for f in dataclasses.fields(SpeedProfile) if f.init and f.name != "g")
+_CONTROL_FIELDS = dataclasses.fields(flow_engine.StepControl)
+_OUTPUT_FIELDS = tuple(f for f in dataclasses.fields(RunConfig) if f.name in ("csv_path", "plot_path", "checkpoint_path"))
+_INITIAL_FIELDS = [f for cls in INITIAL_KINDS.values() for f in dataclasses.fields(cls)]
+
 # g.<field> for every field of every g kind given by parameters (a table kind has g.table_path)
 _G_PARAMS = {f"g.{f.name}" for cls in G_KINDS.values() if not cls.TABLE for f in dataclasses.fields(cls)}
 
-# [control] is StepControl's fields (their types and defaults too) plus override
-_CONTROL_FIELDS = dataclasses.fields(flow_engine.StepControl)
-
 _SECTIONS = {
-    "profile": {"n", "k", "alpha", "beta", "g.kind", "g.table_path"} | _G_PARAMS,
+    "profile": {f.name for f in _PROFILE_FIELDS} | {"g.kind", "g.table_path"} | _G_PARAMS,
     "grid": {"n"} | {key for cls in GRID_KINDS.values() for key in cls.CONFIG_KEYS},
-    "initial": {"kind", "r0", "const", "variable", "path"},
+    "initial": {"kind"} | {f.name for f in _INITIAL_FIELDS if f.type is not tuple},
     "control": {f.name for f in _CONTROL_FIELDS} | {"override"},
-    "output": {"csv_path", "plot_path", "checkpoint_path"},
+    "output": {f.name for f in _OUTPUT_FIELDS},
 }
 
 
-def _initial_key_ok(key):
-    if key in _SECTIONS["initial"]:
-        return True
-    for prefix in ("cos_", "sin_"):
-        if key.startswith(prefix):
-            tail = key[len(prefix) :]
-            return tail.isdigit() and int(tail) >= 1
-    return False
+def _series_m(f, key):
+    """m if f is a series field '<prefix>_terms', a tuple of (m, value) pairs,
+    and key is '<prefix>_<m>' with m a positive integer in plain digits."""
+    head, _, m = key.rpartition("_")
+    series = f.type is tuple and head == f.name.removesuffix("_terms")
+    return int(m) if series and m.isascii() and m.isdigit() and m[0] != "0" else None
 
 
 def _tokenize(text, errors):
@@ -107,7 +165,7 @@ def _tokenize(text, errors):
         if section is None:
             errors.append(f"line {lineno}: key {key!r} outside any section")
             continue
-        known = _initial_key_ok(key) if section == "initial" else key in _SECTIONS[section]
+        known = key in _SECTIONS[section] or (section == "initial" and any(_series_m(f, key) for f in _INITIAL_FIELDS))
         if not known:
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
             continue
@@ -132,6 +190,32 @@ def _take(data, section, key, conv, errors, default=_REQUIRED):
         return None
 
 
+def _take_fields(data, section, fields, errors):
+    """{name: value} of the dataclass fields, each read through its type and
+    required unless it has a default; a series is its keys' pairs sorted by m."""
+    values = {}
+    for f in fields:
+        if f.type is tuple:
+            terms = [(m, _take(data, section, key, float, errors)) for key in sorted(data[section]) if (m := _series_m(f, key))]
+            values[f.name] = None if any(c is None for _, c in terms) else tuple(sorted(terms))
+        else:
+            default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+            values[f.name] = _take(data, section, f.name, f.type, errors, default)
+    return values
+
+
+def _field_lines(obj, fields):
+    """The lines _take_fields reads back into obj's fields; a None is left out."""
+    lines = []
+    for f in fields:
+        value = getattr(obj, f.name)
+        if f.type is tuple:
+            lines += [f"{f.name.removesuffix('_terms')}_{m} = {_fmt(c)}" for m, c in value]
+        elif value is not None:  # ints as plain digits: _fmt(10**17) is '1e+17', which int() rejects
+            lines.append(f"{f.name} = {_fmt(value) if f.type is float else value}")
+    return lines
+
+
 def _bool(raw):
     if raw == "true":
         return True
@@ -141,10 +225,7 @@ def _bool(raw):
 
 
 def _parse_profile(data, errors):
-    n = _take(data, "profile", "n", int, errors)
-    k = _take(data, "profile", "k", int, errors)
-    alpha = _take(data, "profile", "alpha", float, errors)
-    beta = _take(data, "profile", "beta", float, errors)
+    scalars = _take_fields(data, "profile", _PROFILE_FIELDS, errors)
     kind = _take(data, "profile", "g.kind", str, errors)
     table_path = None
     g = None
@@ -172,10 +253,10 @@ def _parse_profile(data, errors):
     for leftover in sorted(data["profile"]):
         _, lineno = data["profile"][leftover]
         errors.append(f"line {lineno}: [profile] {leftover}: not valid for g.kind={kind}")
-    if None in (n, k, alpha, beta) or g is None:
+    if None in scalars.values() or g is None:
         return None, table_path
     try:
-        return SpeedProfile(n=n, k=k, alpha=alpha, beta=beta, g=g), table_path
+        return SpeedProfile(**scalars, g=g), table_path
     except ValueError as exc:
         errors.append(f"[profile] {exc}")
         return None, table_path
@@ -201,75 +282,23 @@ def _parse_grid(data, profile, errors):
         return None
 
 
-def _parse_initial(data, grid, errors):
+def _parse_initial(data, errors):
     kind = _take(data, "initial", "kind", str, errors)
-    terms = {"cos": [], "sin": []}
-    for key in sorted(data["initial"]):
-        for prefix in ("cos_", "sin_"):
-            if key.startswith(prefix):
-                coeff = _take(data, "initial", key, float, errors)
-                if coeff is not None:
-                    terms[prefix[:-1]].append((int(key[len(prefix) :]), coeff))
-    spec = None
-    if kind == "sphere":
-        r0 = _take(data, "initial", "r0", float, errors)
-        if r0 is not None and r0 <= 0:
-            errors.append(f"[initial] r0: must be positive, got {r0}")
-        elif r0 is not None:
-            spec = InitialSpec(kind="sphere", r0=r0)
-    elif kind == "fourier":
-        const = _take(data, "initial", "const", float, errors, default=1.0)
-        variable = _take(data, "initial", "variable", str, errors, default="r")
-        if variable not in ("r", "phi"):
-            errors.append(f"[initial] variable: must be 'r' or 'phi', got {variable!r}")
-            variable = "r"
-        # cos(m theta) = T_m(cos theta) is smooth on S^2; sin(theta) is not at the poles
-        if grid is not None and grid.n == 2 and terms["sin"]:
-            errors.append("[initial] sin_*: not smooth across the poles on n=2 grids")
-        spec = InitialSpec(
-            kind="fourier",
-            const=const,
-            variable=variable,
-            cos_terms=tuple(sorted(terms["cos"])),
-            sin_terms=tuple(sorted(terms["sin"])),
-        )
-    elif kind == "file":
-        path = _take(data, "initial", "path", str, errors)
-        if path is not None:
-            spec = InitialSpec(kind="file", path=path)
+    cls = INITIAL_KINDS.get(kind)
+    initial = None
+    if cls is not None:
+        values = _take_fields(data, "initial", dataclasses.fields(cls), errors)
+        if None not in values.values():
+            try:
+                initial = cls(**values)
+            except ValueError as exc:
+                errors.append(f"[initial] {exc}")
     elif kind is not None:
-        errors.append(f"[initial] kind: unknown kind {kind!r} (sphere|fourier|file)")
+        errors.append(f"[initial] kind: unknown kind {kind!r} ({'|'.join(INITIAL_KINDS)})")
     for leftover in sorted(data["initial"]):
         _, lineno = data["initial"][leftover]
         errors.append(f"line {lineno}: [initial] {leftover}: not valid for kind={kind}")
-    return spec
-
-
-def build_initial_graph(grid, spec):
-    """RadialGraph from an InitialSpec; raises ValueError on bad data."""
-    if spec.kind == "sphere":
-        return sphere_graph(grid, spec.r0)
-    if spec.kind == "file":
-        graph = load_graph(spec.path)
-        if graph.grid != grid:
-            raise ValueError(
-                f"initial file grid ({graph.grid.describe()}) does not match config grid ({grid.describe()})"
-            )
-        return graph
-    th = np.expand_dims(grid.theta, tuple(range(1, len(grid.shape))))  # a column on a sphere grid
-    vals = np.full_like(th, spec.const)
-    for m, c in spec.cos_terms:
-        vals = vals + c * np.cos(m * th)
-    for m, c in spec.sin_terms:
-        vals = vals + c * np.sin(m * th)
-    vals = np.broadcast_to(vals, grid.shape).copy()
-    if spec.variable == "r":
-        if not np.all(vals > 0.0):
-            raise ValueError(f"initial radius must be positive everywhere (min = {vals.min():.6g})")
-        phi = np.log(vals)
-    else:
-        phi = vals
-    return RadialGraph(grid, phi)
+    return initial
 
 
 def parse_config(text):
@@ -282,10 +311,7 @@ def _parse_config(text):
     errors = []
     data = _tokenize(text, errors)
     override = _take(data, "control", "override", _bool, errors, default=False)
-    controls = {}
-    for f in _CONTROL_FIELDS:
-        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-        controls[f.name] = _take(data, "control", f.name, f.type, errors, default)
+    controls = _take_fields(data, "control", _CONTROL_FIELDS, errors)
     control = None
     if None not in controls.values():
         try:
@@ -295,11 +321,8 @@ def _parse_config(text):
 
     profile, table_path = _parse_profile(data, errors)
     grid = _parse_grid(data, profile, errors)
-    initial = _parse_initial(data, grid, errors)
-
-    csv_path = _take(data, "output", "csv_path", str, errors, default=None)
-    plot_path = _take(data, "output", "plot_path", str, errors, default=None)
-    checkpoint_path = _take(data, "output", "checkpoint_path", str, errors, default=None)
+    initial = _parse_initial(data, errors)
+    outputs = _take_fields(data, "output", _OUTPUT_FIELDS, errors)
 
     if profile is not None and not override:
         report = validate_for_regime(profile)
@@ -311,10 +334,10 @@ def _parse_config(text):
     graph = None
     if grid is not None and initial is not None:
         try:
-            graph = build_initial_graph(grid, initial)
+            graph = initial.graph(grid)
             if profile is not None:  # the initial data's own checks, without the validator's
                 flow_engine.initial_state(profile, graph, validate_regime=False)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             errors.append(f"[initial] {exc}")
 
     if errors:
@@ -325,48 +348,25 @@ def _parse_config(text):
         initial=initial,
         control=control,
         override=override,
-        csv_path=csv_path,
-        plot_path=plot_path,
-        checkpoint_path=checkpoint_path,
         g_table_path=table_path,
+        **outputs,
     )
     return config, graph
 
 
 def format_config(cfg):
     """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
-    p, g = cfg.profile, cfg.profile.g
-    lines = ["[profile]", f"n = {p.n}", f"k = {p.k}", f"alpha = {_fmt(p.alpha)}", f"beta = {_fmt(p.beta)}", f"g.kind = {g.KIND}"]
+    g = cfg.profile.g
+    lines = ["[profile]", *_field_lines(cfg.profile, _PROFILE_FIELDS), f"g.kind = {g.KIND}"]
     lines += [f"g.{name} = {_fmt(value)}" for name, value in g.params.items()]
     if g.TABLE:
         lines.append(f"g.table_path = {cfg.g_table_path}")
     lines.append("[grid]")
     lines += [f"{key} = {size}" for key, size in zip(cfg.grid.CONFIG_KEYS, cfg.grid.shape)]
-    init = cfg.initial
-    lines.append("[initial]")
-    lines.append(f"kind = {init.kind}")
-    if init.kind == "sphere":
-        lines.append(f"r0 = {_fmt(init.r0)}")
-    elif init.kind == "fourier":
-        lines += [f"const = {_fmt(init.const)}", f"variable = {init.variable}"]
-        for m, c in init.cos_terms:
-            lines.append(f"cos_{m} = {_fmt(c)}")
-        for m, c in init.sin_terms:
-            lines.append(f"sin_{m} = {_fmt(c)}")
-    else:
-        lines.append(f"path = {init.path}")
-    lines.append("[control]")
-    for f in _CONTROL_FIELDS:  # ints as plain digits: _fmt(10**17) is '1e+17', which int() rejects
-        value = getattr(cfg.control, f.name)
-        lines.append(f"{f.name} = {_fmt(value) if f.type is float else value}")
+    lines += ["[initial]", f"kind = {cfg.initial.KIND}", *_field_lines(cfg.initial, dataclasses.fields(cfg.initial))]
+    lines += ["[control]", *_field_lines(cfg.control, _CONTROL_FIELDS)]
     lines.append(f"override = {'true' if cfg.override else 'false'}")
-    lines.append("[output]")
-    if cfg.csv_path is not None:
-        lines.append(f"csv_path = {cfg.csv_path}")
-    if cfg.plot_path is not None:
-        lines.append(f"plot_path = {cfg.plot_path}")
-    if cfg.checkpoint_path is not None:
-        lines.append(f"checkpoint_path = {cfg.checkpoint_path}")
+    lines += ["[output]", *_field_lines(cfg, _OUTPUT_FIELDS)]
     return "\n".join(lines) + "\n"
 
 
@@ -473,7 +473,7 @@ def cmd_run(config_path):
     if cfg.csv_path is None:
         print("config error: [output] csv_path is required by run", file=sys.stderr)
         return 1
-    for path in (cfg.csv_path, cfg.plot_path, cfg.checkpoint_path):
+    for path in (getattr(cfg, f.name) for f in _OUTPUT_FIELDS):
         if path is not None and not _probe_writable(path):
             return 1
     state = flow_engine.initial_state(cfg.profile, graph, validate_regime=False)
@@ -535,7 +535,7 @@ def cmd_ode_compare(config_path):
     cfg = _read_config(config_path)
     if cfg is None:
         return 1
-    if cfg.initial.kind != "sphere":
+    if cfg.initial.KIND != "sphere":
         print("config error: ode-compare needs [initial] kind = sphere", file=sys.stderr)
         return 1
     try:

@@ -9,8 +9,9 @@ through ``eval_g``.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
 kind's name to its class, and each kind answers for itself: ``scaled``
-(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``support``, and its text,
-``params`` by name or, for a ``TABLE`` kind, 'r,value,derivative' ``rows``.
+(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``support``, the equality
+regime's ``zero_near_origin`` check, and its text, ``params`` by name or, for
+a ``TABLE`` kind, 'r,value,derivative' ``rows``.
 
 Two validator entry points mirror the two convergence regimes:
 
@@ -59,13 +60,23 @@ def _positive_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _sampled_zero_near_origin(g, r_grid, gval):
+    """The equality regime's 'g vanishes near the origin', on the samples within
+    a decade of the first, for a kind with no interval of its own to check."""
+    near = r_grid <= 10.0 * r_grid[0]
+    worst = float(np.max(np.abs(gval[near])))
+    i = int(np.argmax(np.abs(np.where(near, gval, 0.0))))
+    return ConditionReport("zero_near_origin", worst <= _TOL, worst, float(r_grid[i]))
+
+
 class _Analytic:
     """What the analytic kinds share: parameters (the dataclass fields) and no
-    table rows, and g defined for every r >= 0."""
+    table rows, g defined for every r >= 0, and the sampled zero_near_origin."""
 
     TABLE = False
     support = (0.0, math.inf)
     params = property(dataclasses.asdict)
+    zero_near_origin = _sampled_zero_near_origin
 
     def rows(self):
         return ()
@@ -82,6 +93,9 @@ class ZeroG(_Analytic):
 
     def derivative(self, profile, r, g):
         return np.zeros_like(r)
+
+    def zero_near_origin(self, r_grid, gval):
+        return ConditionReport("zero_near_origin", True, 0.0, 0.0)
 
 
 class _FlatFamily(_Analytic):
@@ -155,6 +169,12 @@ class BumpG(_FlatFamily):
     def shift(self):
         return self.epsilon
 
+    def zero_near_origin(self, r_grid, gval):
+        """g on the samples in [0, epsilon]."""
+        inside = r_grid <= self.epsilon
+        worst = float(np.max(np.abs(gval[inside]))) if np.any(inside) else 0.0
+        return ConditionReport("zero_near_origin", worst <= _TOL, worst, float(self.epsilon))
+
 
 @dataclass(frozen=True)
 class ExpFlatG(_FlatFamily):
@@ -183,7 +203,15 @@ class MonomialG(_Analytic):
             raise ValueError(f"monomial exponent must be an integer >= 1, got {self.l}")
 
     def scaled(self, profile, lam, r):
-        return lam ** (profile.beta - self.l) * r**self.l
+        """lam^(beta-l) r^l.  One max bounds the log of every value by
+        (beta - l) log lam + l log max(r, 1): at most EXP_MAX, the product is
+        formed as such; above it, exp(l log r + (beta - l) log lam) behind
+        the overflow check."""
+        log_scale = (profile.beta - self.l) * math.log(lam)
+        if log_scale + self.l * math.log(r.max(initial=1.0)) <= EXP_MAX:
+            return lam ** (profile.beta - self.l) * r**self.l
+        with np.errstate(divide="ignore"):  # r = 0 (eval_g's origin): L = -inf, a value of 0
+            return _exp_checked(self.l * np.log(r) + log_scale, lam, r)
 
     def derivative(self, profile, r, g):
         return self.l * r ** (self.l - 1.0)
@@ -202,6 +230,7 @@ class TabulatedG:
     KIND = "tabulated"
     TABLE = True
     params = property(lambda self: {})  # the rows are all of it
+    zero_near_origin = _sampled_zero_near_origin
 
     def __init__(self, points, values, derivs):
         self.points = np.asarray(points, dtype=float)
@@ -276,7 +305,7 @@ class TabulatedG:
         """lam^beta * g(r/lam) by direct evaluation, behind the lam cap."""
         if lam > LAMBDA_CAP:
             raise ScaleOverflowError(
-                f"lam={lam!r} exceeds the tabulated-speed cap {LAMBDA_CAP:g} (r={r!r})"
+                f"lam={lam!r} exceeds the tabulated-speed cap {LAMBDA_CAP:g} (largest r={float(r.max(initial=0.0))!r})"
             )
         val = self.value(r / lam)
         with np.errstate(over="ignore"):
@@ -284,7 +313,7 @@ class TabulatedG:
         if not np.isfinite(gs).all():
             bad = int(np.argmax(~np.isfinite(np.ravel(gs))))
             raise ScaleOverflowError(
-                f"rescaled tabulated g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}"
+                f"rescaled tabulated g overflows: lam={lam!r}, r={float(np.ravel(r)[bad])!r}"
             )
         return gs
 
@@ -387,7 +416,7 @@ def _exp_checked(L, lam, r):
     passes EXP_MAX."""
     if (L > EXP_MAX).any():
         bad = int(np.argmax(L))
-        raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}")
+        raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={float(np.ravel(r)[bad])!r}")
     return np.exp(L)
 
 
@@ -481,22 +510,11 @@ def validate_theorem1(profile, r_grid=None):
     gval, gder = eval_g(profile, r_grid)
     gval, gder = np.atleast_1d(gval), np.atleast_1d(gder)
 
-    conds = [_condition_nonneg(profile, r_grid, gval)]
-
-    g = profile.g
-    if isinstance(g, ZeroG):
-        conds.append(ConditionReport("zero_near_origin", True, 0.0, 0.0))
-    elif isinstance(g, BumpG):
-        inside = r_grid <= g.epsilon
-        worst = float(np.max(np.abs(gval[inside]))) if np.any(inside) else 0.0
-        conds.append(ConditionReport("zero_near_origin", worst <= _TOL, worst, float(g.epsilon)))
-    else:
-        near = r_grid <= 10.0 * r_grid[0]
-        worst = float(np.max(np.abs(gval[near])))
-        i = int(np.argmax(np.abs(np.where(near, gval, 0.0))))
-        conds.append(ConditionReport("zero_near_origin", worst <= _TOL, worst, float(r_grid[i])))
-
-    conds.append(_condition_scaling(profile, r_grid, gval, gder))
+    conds = [
+        _condition_nonneg(profile, r_grid, gval),
+        profile.g.zero_near_origin(r_grid, gval),
+        _condition_scaling(profile, r_grid, gval, gder),
+    ]
     return _finish(conds)
 
 

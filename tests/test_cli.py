@@ -10,9 +10,8 @@ import anisoflow.cli
 import anisoflow.symfunc
 from anisoflow.cli import (
     ConfigError,
-    InitialSpec,
     RunConfig,
-    build_initial_graph,
+    SphereInitial,
     format_config,
     main,
     parse_config,
@@ -68,7 +67,7 @@ def test_parse_minimal_config():
     assert cfg.profile.gamma == 1.0
     assert cfg.profile.equality_regime
     assert cfg.grid.n_lat == 64
-    assert cfg.initial.kind == "sphere" and cfg.initial.r0 == 1.0
+    assert cfg.initial == SphereInitial(r0=1.0)
     assert cfg.control.t_end == 0.5
     assert cfg.control.cfl == 0.8  # defaults
     assert cfg.control.dt_max == 1.0
@@ -187,14 +186,14 @@ def fourier_config(extra):
 
 def test_fourier_initial_builds_expected_radius():
     cfg = parse_config(fourier_config("const = 1.0\ncos_2 = 0.3"))
-    graph = build_initial_graph(cfg.grid, cfg.initial)
+    graph = cfg.initial.graph(cfg.grid)
     theta = cfg.grid.theta
     np.testing.assert_allclose(graph.r(), 1.0 + 0.3 * np.cos(2 * theta), rtol=1e-15)
 
 
 def test_fourier_initial_variable_phi():
     cfg = parse_config(fourier_config("variable = phi\nconst = 0.0\nsin_3 = 0.2"))
-    graph = build_initial_graph(cfg.grid, cfg.initial)
+    graph = cfg.initial.graph(cfg.grid)
     np.testing.assert_allclose(graph.phi, 0.2 * np.sin(3 * cfg.grid.theta), rtol=1e-15)
 
 
@@ -226,12 +225,12 @@ def test_n2_fourier_restrictions():
     assert any("not smooth across the poles" in e for e in errs)
     # cos(m theta) = T_m(cos theta) is smooth on S^2 for odd m too
     cfg = parse_config(n2_config("kind = fourier\nconst = 1.0\ncos_1 = 0.1\ncos_3 = 0.05"))
-    graph = build_initial_graph(cfg.grid, cfg.initial)
+    graph = cfg.initial.graph(cfg.grid)
     assert is_zonal(graph)
     th = cfg.grid.theta
     np.testing.assert_allclose(graph.phi[:, 0], np.log(1.0 + 0.1 * np.cos(th) + 0.05 * np.cos(3.0 * th)), rtol=0.0, atol=1e-15)
     cfg = parse_config(n2_config("kind = fourier\nconst = 1.0\ncos_2 = 0.1"))
-    graph = build_initial_graph(cfg.grid, cfg.initial)
+    graph = cfg.initial.graph(cfg.grid)
     assert graph.grid.shape == (16, 32)
     assert np.ptp(graph.phi, axis=1).max() == 0.0  # zonal broadcast
 
@@ -241,7 +240,7 @@ def test_file_initial_roundtrip(tmp_path):
     save_graph(sphere_graph(grid, 1.25), tmp_path / "init.csv")
     text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
     cfg = parse_config(text)
-    graph = build_initial_graph(cfg.grid, cfg.initial)
+    graph = cfg.initial.graph(cfg.grid)
     np.testing.assert_allclose(graph.r(), 1.25)
 
 
@@ -360,7 +359,7 @@ def test_codecs_roundtrip_every_g_kind(tmp_path, kind):
         cfg = RunConfig(
             profile=profile,
             grid=grid,
-            initial=InitialSpec(kind="sphere", r0=1.0),
+            initial=SphereInitial(r0=1.0),
             control=StepControl(t_end=0.5),
             override=True,
             g_table_path=table_path,
@@ -517,6 +516,19 @@ def test_run_reports_a_flat_speed_past_the_float_range(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("run failed: rescaled g overflows: lam=1.0, r=") and err.endswith("(at tau=0)\n")
+
+
+def test_run_reports_a_monomial_speed_past_the_float_range(tmp_path, capsys):
+    # g = r^4 with beta = 3 on a sphere at phi = 178: lam^beta g(r/lam) = e^712 at tau = 0
+    text = (
+        BASIC.replace("beta = 2\ng.kind = zero", "beta = 3\ng.kind = monomial\ng.l = 4")
+        .replace("kind = sphere\nr0 = 1.0", "kind = fourier\nvariable = phi\nconst = 178")
+        .replace("t_end = 0.5", "t_end = 0.5\noverride = true")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    assert main(["run", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"run failed: rescaled g overflows: lam=1.0, r={math.exp(178.0)!r} (at tau=0)\n"
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):

@@ -228,12 +228,13 @@ def test_rhs_nonfinite_detected():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("g", [ZeroG(), MonomialG(5.0)], ids=["zero", "monomial"])
 def test_rhs_rejects_non_finite_stage_input(n, bad, g):
-    # RK stage graphs skip RadialGraph's finiteness scan; rhs must still fail loudly
+    # RK stage graphs skip RadialGraph's finiteness scan; rhs must still fail
+    # loudly (an infinite radius is past g's overflow bound)
     grid = SphericalGrid.circle(64) if n == 1 else SphericalGrid.sphere(16, 32)
     phi = np.zeros(grid.shape)
     phi.flat[5] = bad
     prof = SpeedProfile(n=n, k=1, alpha=1.0, beta=4.0, g=g)
-    with pytest.raises((NonFiniteRHSError, SingularMetricError, ValueError)):
+    with pytest.raises((NonFiniteRHSError, SingularMetricError, ValueError, ScaleOverflowError)):
         rhs(prof, RadialGraph._unchecked(grid, phi), 0.0)
 
 
@@ -1010,9 +1011,25 @@ def test_run_ends_a_flat_speed_past_the_float_range_as_a_speed_range_error():
     assert not caught
     assert isinstance(exc.value.__cause__, ScaleOverflowError)
     assert exc.value.tau == 0.0 and exc.value.state is state
-    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={graph.r()[0]!r} (at tau=0)"
+    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={float(graph.r()[0])!r} (at tau=0)"
     # the pure-power sphere at the same radius runs
     assert run(initial_state(profile_k1(2.0), graph), StepControl(t_end=0.1)).reason == "t_end"
+
+
+@pytest.mark.parametrize("mode", ["always", "error"])
+def test_run_ends_a_monomial_speed_past_the_float_range_as_a_speed_range_error(mode):
+    # a circle at phi = 178 with g = r^4 (n = k = alpha = 1, beta = 3):
+    # lam^beta g(r/lam) is e^712 at tau = 0, under either warning filter
+    graph = RadialGraph(SphericalGrid.circle(64), np.full(64, 178.0))
+    state = initial_state(profile_k1(3.0, MonomialG(4.0)), graph, validate_regime=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(mode)
+        with pytest.raises(SpeedRangeError) as exc:
+            run(state, StepControl(t_end=0.1))
+    assert not caught
+    assert isinstance(exc.value.__cause__, ScaleOverflowError)
+    assert exc.value.tau == 0.0
+    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={float(graph.r()[0])!r} (at tau=0)"
 
 
 def test_control_validation():

@@ -190,7 +190,7 @@ def reference_flat_scaled(profile, lam, r, shift):
     w = (profile.beta - one_ka) * math.log(lam) - np.where(live, barrier, 0.0)
     if (live & (w > 700.0)).any():
         bad = int(np.argmax(np.where(live, w, -np.inf)))
-        raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={np.ravel(r)[bad]!r}")
+        raise ScaleOverflowError(f"rescaled g overflows: lam={lam!r}, r={float(np.ravel(r)[bad])!r}")
     return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0), live
 
 
@@ -284,7 +284,7 @@ def test_scaled_flat_family_overflow_names_the_reference_radius(prof):
         with pytest.raises(ScaleOverflowError) as got:
             eval_scaled(prof, lam, r)
         assert str(got.value) == str(ref.value)
-        assert f"r={r[np.argmax(r)]!r}" in str(got.value)
+        assert f"r={float(r[np.argmax(r)])!r}" in str(got.value)
 
 
 @pytest.mark.filterwarnings("error")
@@ -297,7 +297,23 @@ def test_scaled_flat_family_past_the_float_range_raises_without_a_warning(g):
     r[1] = 0.2  # a dead node of the bump, which the check skips
     with pytest.raises(ScaleOverflowError) as exc:
         eval_scaled(prof, 1.0, r)
-    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={r[0]!r}"
+    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={float(r[0])!r}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaled_monomial_past_the_float_range_raises_without_a_warning():
+    # g = r^4, beta = 3: lam^beta g(r/lam) = r^4 / lam, the plain product bit
+    # for bit while 4 log max(r, 1) - log lam <= 700, a typed error past e^700
+    prof = profile_k1(3.0, MonomialG(4.0))
+    r = np.array([0.5, 2.0, math.exp(175.0)])
+    assert np.array_equal(eval_scaled(prof, 1.0, r), 1.0 ** (3.0 - 4.0) * r**4.0)
+    r[1] = math.exp(178.0)
+    with pytest.raises(ScaleOverflowError) as exc:
+        eval_scaled(prof, 1.0, r)
+    assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={float(r[1])!r}"
+    # g = r, beta = 3: lam^2 overflows alone, lam^2 r = e^600 does not
+    prof = profile_k1(3.0, MonomialG(1.0))
+    assert_allclose(eval_scaled(prof, math.exp(400.0), np.array([math.exp(-200.0)])), math.exp(600.0), rtol=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -467,8 +483,9 @@ def test_scaled_tabulated_lam_cap():
     pts = np.linspace(0.0, 3.0, 50)
     prof = profile_k1(3.0, TabulatedG(pts, np.zeros(50), np.zeros(50)))
     eval_scaled(prof, 1e99, 1.0)  # under the cap: fine (g == 0 everywhere)
-    with pytest.raises(ScaleOverflowError):
-        eval_scaled(prof, 1e101, 1.0)
+    with pytest.raises(ScaleOverflowError) as exc:
+        eval_scaled(prof, 1e101, np.array([1.0, 2.0]))
+    assert str(exc.value).endswith("(largest r=2.0)")
 
 
 def test_scaled_tabulated_matches_reference_bitwise():
