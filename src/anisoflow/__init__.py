@@ -29,10 +29,8 @@ from .flow_engine import (
     initial_state,
     lambda_maps,
     lambda_of_tau,
-    load_checkpoint,
     rhs,
     run,
-    save_checkpoint,
     step,
     t_of_tau,
     unnormalize,
@@ -61,8 +59,6 @@ from .sphere_geometry import (
     WeingartenField,
     covariant_derivatives,
     embedding_oracle,
-    load_graph,
-    save_graph,
     sphere_graph,
     weingarten,
 )
@@ -73,6 +69,7 @@ from .symfunc import (
     sigma_k,
     sigma_k_partials,
 )
+from .textform import load_checkpoint, load_graph, save_checkpoint, save_graph
 from .verify import pde_vs_ode_check
 
 __version__ = "0.1.0"

@@ -1,9 +1,6 @@
 """Command-line front end: config parsing, runs, verification, ODE comparison.
 
-Config format: INI-like plain text.  ``[section]`` headers, ``key = value``
-pairs, ``#`` starts a comment anywhere.  Sections and keys are fixed; unknown
-ones are errors (typos must not silently change a run).  See the README for
-the full key reference.
+A config's text form is ``textform``'s; the README has the key reference.
 
 Exit codes: 0 ok; 1 config error; 2 runtime (cone/overflow/step) error;
 3 verification failure.
@@ -19,18 +16,10 @@ import numpy as np
 
 from . import flow_engine, verify
 from .diagnostics import closed_form_r2, fit_exponential
-from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
-from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, _fmt, load_graph, sphere_graph
-
-_REQUIRED = object()
-
-
-class ConfigError(Exception):
-    """Carries every config problem found, not just the first."""
-
-    def __init__(self, errors):
-        super().__init__("; ".join(errors))
-        self.errors = list(errors)
+from .speed_profile import SpeedProfile, validate_for_regime
+from .sphere_geometry import RadialGraph, SphericalGrid, sphere_graph
+from .textform import GRID_KEYS, PROFILE_KEYS, ConfigError, _field_lines, _grid_lines, _keys_of, _parse_grid
+from .textform import _parse_profile, _parse_text, _profile_lines, _take, _take_fields, load_graph, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -116,170 +105,18 @@ class RunConfig:
     g_table_path: str = None
 
 
-# the fields each section reads (_take_fields) and writes (_field_lines), besides g's, kind and override
-_PROFILE_FIELDS = tuple(f for f in dataclasses.fields(SpeedProfile) if f.init and f.name != "g")
+# the fields each section reads (_take_fields) and writes (_field_lines), besides kind and override
 _CONTROL_FIELDS = dataclasses.fields(flow_engine.StepControl)
 _OUTPUT_FIELDS = tuple(f for f in dataclasses.fields(RunConfig) if f.name in ("csv_path", "plot_path", "checkpoint_path"))
 _INITIAL_FIELDS = [f for cls in INITIAL_KINDS.values() for f in dataclasses.fields(cls)]
 
-# g.<field> for every field of every g kind given by parameters (a table kind has g.table_path)
-_G_PARAMS = {f"g.{f.name}" for cls in G_KINDS.values() if not cls.TABLE for f in dataclasses.fields(cls)}
-
 _SECTIONS = {
-    "profile": {f.name for f in _PROFILE_FIELDS} | {"g.kind", "g.table_path"} | _G_PARAMS,
-    "grid": {"n"} | {key for cls in GRID_KINDS.values() for key in cls.CONFIG_KEYS},
-    "initial": {"kind"} | {f.name for f in _INITIAL_FIELDS if f.type is not tuple},
-    "control": {f.name for f in _CONTROL_FIELDS} | {"override"},
-    "output": {f.name for f in _OUTPUT_FIELDS},
+    "profile": PROFILE_KEYS,
+    "grid": GRID_KEYS,
+    "initial": _keys_of(_INITIAL_FIELDS, "kind"),
+    "control": _keys_of(_CONTROL_FIELDS, "override"),
+    "output": _keys_of(_OUTPUT_FIELDS),
 }
-
-
-def _series_m(f, key):
-    """m if f is a series field '<prefix>_terms', a tuple of (m, value) pairs,
-    and key is '<prefix>_<m>' with m a positive integer in plain digits."""
-    head, _, m = key.rpartition("_")
-    series = f.type is tuple and head == f.name.removesuffix("_terms")
-    return int(m) if series and m.isascii() and m.isdigit() and m[0] != "0" else None
-
-
-def _tokenize(text, errors):
-    """-> {section: {key: (raw_value, line_no)}}"""
-    data = {name: {} for name in _SECTIONS}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                errors.append(f"line {lineno}: unknown section [{name}]")
-                section = None
-            else:
-                section = name
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if section is None:
-            errors.append(f"line {lineno}: key {key!r} outside any section")
-            continue
-        known = key in _SECTIONS[section] or (section == "initial" and any(_series_m(f, key) for f in _INITIAL_FIELDS))
-        if not known:
-            errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
-            continue
-        if key in data[section]:
-            errors.append(f"line {lineno}: duplicate key {key!r} in [{section}]")
-            continue
-        data[section][key] = (value, lineno)
-    return data
-
-
-def _take(data, section, key, conv, errors, default=_REQUIRED):
-    if key not in data[section]:
-        if default is _REQUIRED:
-            errors.append(f"[{section}] {key}: required")
-            return None
-        return default
-    raw, lineno = data[section].pop(key)
-    try:
-        return conv(raw)
-    except (ValueError, TypeError):
-        errors.append(f"line {lineno}: [{section}] {key}: bad value {raw!r}")
-        return None
-
-
-def _take_fields(data, section, fields, errors):
-    """{name: value} of the dataclass fields, each read through its type and
-    required unless it has a default; a series is its keys' pairs sorted by m."""
-    values = {}
-    for f in fields:
-        if f.type is tuple:
-            terms = [(m, _take(data, section, key, float, errors)) for key in sorted(data[section]) if (m := _series_m(f, key))]
-            values[f.name] = None if any(c is None for _, c in terms) else tuple(sorted(terms))
-        else:
-            default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-            values[f.name] = _take(data, section, f.name, f.type, errors, default)
-    return values
-
-
-def _field_lines(obj, fields):
-    """The lines _take_fields reads back into obj's fields; a None is left out."""
-    lines = []
-    for f in fields:
-        value = getattr(obj, f.name)
-        if f.type is tuple:
-            lines += [f"{f.name.removesuffix('_terms')}_{m} = {_fmt(c)}" for m, c in value]
-        elif value is not None:  # ints as plain digits: _fmt(10**17) is '1e+17', which int() rejects
-            lines.append(f"{f.name} = {_fmt(value) if f.type is float else value}")
-    return lines
-
-
-def _bool(raw):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError(raw)
-
-
-def _parse_profile(data, errors):
-    scalars = _take_fields(data, "profile", _PROFILE_FIELDS, errors)
-    kind = _take(data, "profile", "g.kind", str, errors)
-    table_path = None
-    g = None
-    cls = G_KINDS.get(kind)
-    if cls is not None and cls.TABLE:
-        table_path = _take(data, "profile", "g.table_path", str, errors)
-        if table_path is not None:
-            try:
-                with open(table_path) as fh:
-                    g = cls.from_rows(fh)
-            except (OSError, ValueError) as exc:
-                errors.append(f"[profile] g.table_path: {exc}")
-    elif cls is not None:
-        params = {
-            f.name: _take(data, "profile", f"g.{f.name}", float, errors)
-            for f in dataclasses.fields(cls)
-        }
-        if None not in params.values():
-            try:
-                g = cls(**params)
-            except ValueError as exc:
-                errors.append(f"[profile] g: {exc}")
-    elif kind is not None:
-        errors.append(f"[profile] g.kind: unknown kind {kind!r}")
-    for leftover in sorted(data["profile"]):
-        _, lineno = data["profile"][leftover]
-        errors.append(f"line {lineno}: [profile] {leftover}: not valid for g.kind={kind}")
-    if None in scalars.values() or g is None:
-        return None, table_path
-    try:
-        return SpeedProfile(**scalars, g=g), table_path
-    except ValueError as exc:
-        errors.append(f"[profile] {exc}")
-        return None, table_path
-
-
-def _parse_grid(data, profile, errors):
-    n_grid = _take(data, "grid", "n", int, errors, default=None)
-    if profile is not None and n_grid is not None and n_grid != profile.n:
-        errors.append(f"[grid] n: {n_grid} does not match [profile] n = {profile.n}")
-    n = profile.n if profile is not None else n_grid
-    cls = GRID_KINDS.get(n)
-    if cls is None:
-        return None
-    sizes = [_take(data, "grid", key, int, errors) for key in cls.CONFIG_KEYS]
-    for key, (_, lineno) in sorted(data["grid"].items()):  # another kind's keys
-        errors.append(f"line {lineno}: [grid] {key}: not valid for n={n} (use {'/'.join(cls.CONFIG_KEYS)})")
-    if None in sizes:
-        return None
-    try:
-        return cls(*sizes)
-    except ValueError as exc:
-        errors.append(f"[grid] {exc}")
-        return None
 
 
 def _parse_initial(data, errors):
@@ -308,9 +145,11 @@ def parse_config(text):
 
 def _parse_config(text):
     """(RunConfig, the initial graph built and checked from it), as parse_config."""
-    errors = []
-    data = _tokenize(text, errors)
-    override = _take(data, "control", "override", _bool, errors, default=False)
+    return _parse_text(text, _SECTIONS, _parse_sections)
+
+
+def _parse_sections(data, errors):
+    override = _take(data, "control", "override", {"true": True, "false": False}.__getitem__, errors, default=False)
     controls = _take_fields(data, "control", _CONTROL_FIELDS, errors)
     control = None
     if None not in controls.values():
@@ -320,7 +159,7 @@ def _parse_config(text):
             errors.append(f"[control] {exc}")
 
     profile, table_path = _parse_profile(data, errors)
-    grid = _parse_grid(data, profile, errors)
+    grid = _parse_grid(data, None if profile is None else profile.n, errors)
     initial = _parse_initial(data, errors)
     outputs = _take_fields(data, "output", _OUTPUT_FIELDS, errors)
 
@@ -341,7 +180,7 @@ def _parse_config(text):
             errors.append(f"[initial] {exc}")
 
     if errors:
-        raise ConfigError(errors)
+        return None
     config = RunConfig(
         profile=profile,
         grid=grid,
@@ -356,13 +195,7 @@ def _parse_config(text):
 
 def format_config(cfg):
     """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
-    g = cfg.profile.g
-    lines = ["[profile]", *_field_lines(cfg.profile, _PROFILE_FIELDS), f"g.kind = {g.KIND}"]
-    lines += [f"g.{name} = {_fmt(value)}" for name, value in g.params.items()]
-    if g.TABLE:
-        lines.append(f"g.table_path = {cfg.g_table_path}")
-    lines.append("[grid]")
-    lines += [f"{key} = {size}" for key, size in zip(cfg.grid.CONFIG_KEYS, cfg.grid.shape)]
+    lines = [*_profile_lines(cfg.profile, cfg.g_table_path), *_grid_lines(cfg.grid)]
     lines += ["[initial]", f"kind = {cfg.initial.KIND}", *_field_lines(cfg.initial, dataclasses.fields(cfg.initial))]
     lines += ["[control]", *_field_lines(cfg.control, _CONTROL_FIELDS)]
     lines.append(f"override = {'true' if cfg.override else 'false'}")
@@ -483,14 +316,14 @@ def cmd_run(config_path):
         # keep the evidence: the records before the failure and the last state reached
         err.series.to_csv(cfg.csv_path)
         if cfg.checkpoint_path is not None:
-            flow_engine.save_checkpoint(err.state, cfg.checkpoint_path)
+            save_checkpoint(err.state, cfg.checkpoint_path)
         print(f"run failed: {err}", file=sys.stderr)
         return 2
     result.series.to_csv(cfg.csv_path)
     if cfg.plot_path is not None:
         write_svg_plot(cfg.plot_path, result.series)
     if cfg.checkpoint_path is not None:
-        flow_engine.save_checkpoint(result.state, cfg.checkpoint_path)
+        save_checkpoint(result.state, cfg.checkpoint_path)
     series = result.series
     try:
         rate = f"{fit_exponential(series.column('tau'), series.column('osc')).rate:.4g}"

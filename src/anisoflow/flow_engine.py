@@ -26,7 +26,6 @@ r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
 the physical time t(tau).
 """
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ import numpy as np
 from . import speed_profile
 from .diagnostics import DiagnosticsSeries
 from .speed_profile import (
-    G_KINDS,
     NonPositiveRadiusError,
     ScaleOverflowError,
     SpeedProfile,
@@ -45,14 +43,7 @@ from .speed_profile import (
     lambda_of_tau,
     validate_for_regime,
 )
-from .sphere_geometry import (
-    RadialGraph,
-    SingularMetricError,
-    _fmt,
-    graph_from_text,
-    graph_to_text,
-    weingarten,
-)
+from .sphere_geometry import RadialGraph, SingularMetricError, weingarten
 from .symfunc import CONE_EPS
 
 _MIN_DT = 1e-14
@@ -374,11 +365,14 @@ def diagnostics_row(state):
     The speed factor Phi = f sigma_k^alpha, f = r^beta + lam^beta g(r/lam),
     is taken as u (A sigma_k^alpha), the support function times the rhs's
     speed term, so it stays finite where r^beta overflows but Phi does not
-    (a large sphere: r^beta sigma_k^alpha ~ r^(beta - k alpha)).
+    (a large sphere: r^beta sigma_k^alpha ~ r^(beta - k alpha)).  A record
+    may precede the cone gate, so the power is formed of |sigma_k| and takes
+    sigma_k's sign: a node outside the cone gives a negative Phi, not a NaN.
     """
     profile = state.profile
     field = state.field
-    sig_pow = _sigma_pow(field.sigma[..., profile.k - 1], profile.alpha)
+    sig = field.sigma[..., profile.k - 1]
+    sig_pow = np.copysign(_sigma_pow(np.abs(sig), profile.alpha), sig)
     big_phi = field.u * (_speed_coefficient(profile, state.stage_graph, field, state.tau) * sig_pow)
     r_min = float(field.r.min())
     r_max = float(field.r.max())
@@ -436,102 +430,3 @@ def run(state, control):
     except SingularMetricError as err:
         raise DegenerateMetricError(str(err), state.tau, series, state) from err
     return RunResult(state=state, series=series, reason=reason)
-
-
-# ---------------------------------------------------------------------------
-# checkpointing (bit-exact resume)
-
-
-def _profile_line(profile, rows):
-    g = profile.g
-    parts = [
-        f"n={profile.n}",
-        f"k={profile.k}",
-        f"alpha={_fmt(profile.alpha)}",
-        f"beta={_fmt(profile.beta)}",
-        f"g={g.KIND}",
-        *(f"{name}={_fmt(value)}" for name, value in g.params.items()),
-    ]
-    if g.TABLE:
-        parts.append(f"points={len(rows)}")
-    return "profile: " + " ".join(parts)
-
-
-def save_checkpoint(state, path):
-    rows = state.profile.g.rows()
-    lines = ["anisoflow-checkpoint 1", _profile_line(state.profile, rows), *(f"table: {row}" for row in rows)]
-    lines.append(
-        "state: "
-        f"tau={_fmt(state.tau)} lambda={_fmt(state.lam)} "
-        f"step_count={state.step_count} last_dt={_fmt(state.last_dt)}"
-    )
-    lines.append("graph:")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write(graph_to_text(state.graph))
-
-
-def _parse_kv(text):
-    return dict(tok.split("=", 1) for tok in text.split())
-
-
-def load_checkpoint(path):
-    """The FlowState saved by ``save_checkpoint``; ValueError on any malformed file."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    try:
-        return _state_from_lines(lines)
-    except IndexError:
-        raise ValueError("checkpoint is truncated") from None
-    except KeyError as err:
-        raise ValueError(f"checkpoint line lacks its {err.args[0]}= field") from None
-
-
-def _state_from_lines(lines):
-    if not lines or lines[0].strip() != "anisoflow-checkpoint 1":
-        raise ValueError("not an anisoflow checkpoint")
-    if not lines[1].startswith("profile: "):
-        raise ValueError("checkpoint missing profile line")
-    pf = _parse_kv(lines[1][len("profile: ") :])
-    idx = 2
-    cls = G_KINDS.get(pf["g"])
-    if cls is None:
-        raise ValueError(f"unknown g kind {pf['g']!r} in checkpoint")
-    if cls.TABLE:
-        count = int(pf["points"])
-        rows, idx = lines[idx : idx + count], idx + count
-        try:
-            if len(rows) != count or not all(row.startswith("table: ") for row in rows):
-                raise ValueError(f"want {count} 'table: ' lines")
-            g = cls.from_rows(row[len("table: ") :] for row in rows)
-        except ValueError as exc:
-            raise ValueError(f"checkpoint's {cls.KIND} g rows: {exc}") from None
-    else:
-        g = cls(**{f.name: float(pf[f.name]) for f in dataclasses.fields(cls)})
-    profile = SpeedProfile(
-        n=int(pf["n"]), k=int(pf["k"]), alpha=float(pf["alpha"]), beta=float(pf["beta"]), g=g
-    )
-    if not lines[idx].startswith("state: "):
-        raise ValueError("checkpoint missing state line")
-    st = _parse_kv(lines[idx][len("state: ") :])
-    idx += 1
-    if lines[idx].strip() != "graph:":
-        raise ValueError("checkpoint missing graph section")
-    graph = graph_from_text("\n".join(lines[idx + 1 :]))
-    tau = float(st["tau"])
-    lam = float(st["lambda"])
-    expected = lambda_of_tau(profile, tau)
-    if lam != expected:
-        raise ValueError(
-            f"checkpoint lambda {lam!r} inconsistent with exp(gamma*tau) = {expected!r}"
-        )
-    state = FlowState(
-        tau=tau,
-        graph=graph,
-        step_count=int(st["step_count"]),
-        last_dt=float(st["last_dt"]),
-        profile=profile,
-    )
-    if graph.grid.n != profile.n:
-        raise ValueError("checkpoint grid dimension does not match profile")
-    return state

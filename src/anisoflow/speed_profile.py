@@ -474,10 +474,13 @@ def _default_grid():
 
 def _condition_nonneg(profile, r_grid, gval):
     i = int(np.argmin(gval))
-    return ConditionReport("nonnegative", gval[i] >= -_TOL, float(-gval[i]), float(r_grid[i]))
+    return ConditionReport("nonnegative", bool(gval[i] >= -_TOL), float(-gval[i]), float(r_grid[i]))
 
 
 def _condition_scaling(profile, r_grid, gval, gder):
+    """(1 + k*alpha) g(r)/r <= g'(r) on the samples r > 0, where g/r is defined."""
+    live = r_grid > 0
+    r_grid, gval, gder = r_grid[live], gval[live], gder[live]
     viol = (1.0 + profile.ka) * gval / r_grid - gder
     i = int(np.argmax(viol))
     ok = viol[i] <= _TOL * (1.0 + abs(gder[i]))

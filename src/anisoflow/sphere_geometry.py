@@ -59,9 +59,8 @@ class SphericalGrid:
       spacings summed over the directions its stencils run (the dt bound);
     * ``stage(graph)`` and ``broadcast(phi, grid)``: the graph a state's
       stages run on, and a stage result put back on the state's grid;
-    * ``HEADER_KEYS``/``CONFIG_KEYS``: its sizes' (``shape``'s, the
-      constructor's arguments) names in a graph header (``describe``) and a
-      config.
+    * ``KEYS``: its sizes' (``shape``'s, the constructor's arguments) names
+      in the [grid] section of every text (``textform``) and in ``describe``.
 
     The defaults here: stencils in theta alone, states staged on themselves.
     """
@@ -78,7 +77,7 @@ class SphericalGrid:
         return SphereGrid(n_lat, n_lon)
 
     def describe(self):
-        return " ".join((f"n={self.n}", *(f"{key}={size}" for key, size in zip(self.HEADER_KEYS, self.shape))))
+        return " ".join((f"n={self.n}", *(f"{key}={size}" for key, size in zip(self.KEYS, self.shape))))
 
     def max_d_over_h2(self, D):
         return D.max() / self.h_theta**2
@@ -96,7 +95,7 @@ class CircleGrid(SphericalGrid):
 
     n_lat: int
     n = 1
-    HEADER_KEYS = CONFIG_KEYS = ("N",)
+    KEYS = ("N",)
 
     def __post_init__(self):
         _set_size(self, "n_lat")
@@ -146,8 +145,7 @@ class _LatitudeGrid(SphericalGrid):
     tables and the pole padding."""
 
     n = 2
-    HEADER_KEYS = ("N_lat", "N_lon")
-    CONFIG_KEYS = ("n_lat", "n_lon")
+    KEYS = ("n_lat", "n_lon")
 
     @property
     def shape(self):
@@ -339,7 +337,7 @@ class ZonalColumn(_LatitudeGrid):
         return np.repeat(phi, grid.n_lon, axis=1)
 
 
-#: the grid kind of each dimension n, which a graph header and a config name
+#: the grid kind of each dimension n, which a [grid] section names
 GRID_KINDS = {1: CircleGrid, 2: SphereGrid}
 
 
@@ -590,57 +588,3 @@ def _oracle_field(r, u, grad_sq, sigma, kappa):
     field = WeingartenField(r, r / u, grad_sq, sigma, lambda: kappa)
     vars(field)["u"] = u  # fills the cached property: not r / rho
     return field
-
-
-# ---------------------------------------------------------------------------
-# serialization: "theta[,phi],value" rows, 17 significant digits, bit-exact
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def graph_to_text(graph):
-    values = graph.phi.ravel().tolist()
-    rows = (",".join(map(_fmt, (*node, v))) for node, v in zip(graph.grid.nodes, values))
-    return "\n".join((graph.grid.describe(), *rows)) + "\n"
-
-
-def graph_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph serialization")
-    grid = _parse_header(lines[0])
-    nodes, body = grid.nodes, lines[1:]
-    if len(body) != len(nodes):
-        raise ValueError(f"expected {len(nodes)} rows, got {len(body)}")
-    phi = []
-    for idx, (ln, node) in enumerate(zip(body, nodes)):
-        *coords, value = ln.split(",")
-        if len(coords) != len(node):
-            raise ValueError(f"bad row {ln!r}")
-        if tuple(map(float, coords)) != node:
-            raise ValueError(f"row {idx}: node does not match the grid")
-        phi.append(float(value))
-    return RadialGraph(grid, np.reshape(phi, grid.shape))
-
-
-def _parse_header(line):
-    fields = dict(tok.split("=", 1) for tok in line.split())
-    cls = {str(n): kind for n, kind in GRID_KINDS.items()}.get(fields.get("n"))
-    if cls is None:
-        raise ValueError(f"bad graph header: {line!r}")
-    try:
-        return cls(*(int(fields[key]) for key in cls.HEADER_KEYS))
-    except KeyError as err:
-        raise ValueError(f"bad graph header: {line!r} lacks {err.args[0]}=") from None
-
-
-def save_graph(graph, path):
-    with open(path, "w") as fh:
-        fh.write(graph_to_text(graph))
-
-
-def load_graph(path):
-    with open(path) as fh:
-        return graph_from_text(fh.read())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from anisoflow.cli import (
     write_svg_plot,
 )
 from anisoflow.diagnostics import DiagnosticsSeries
-from anisoflow.flow_engine import StepControl, initial_state, load_checkpoint, save_checkpoint
-from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, save_graph, sphere_graph
+from anisoflow.flow_engine import StepControl, initial_state
+from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
     BumpG,
@@ -30,6 +31,7 @@ from anisoflow.speed_profile import (
     ZeroG,
     eval_g,
 )
+from anisoflow.textform import load_checkpoint, save_checkpoint, save_graph
 
 
 BASIC = """\
@@ -263,7 +265,7 @@ def test_file_initial_bad_header_is_config_error(tmp_path, capsys):
     text += f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\n"
     assert main(["run", write_config(tmp_path, text)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "bad graph header" in err
+    assert err.startswith("config error:") and "[grid] n: required" in err
 
 
 def test_file_initial_grid_mismatch(tmp_path):
@@ -436,6 +438,23 @@ def test_run_reports_cone_violation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cone margin" in err and err.count("node") == 1
+
+
+def test_run_from_outside_the_cone_exits_2_without_a_warning(tmp_path, capsys):
+    # alpha = 1/2 on a curve with a concave waist: the tau = 0 record forms
+    # sigma_1^alpha before the cone gate trips
+    text = (
+        BASIC.replace("alpha = 1\nbeta = 2", "alpha = 0.5\nbeta = 1.5")
+        .replace("kind = sphere\nr0 = 1.0", "kind = fourier\ncos_2 = 0.3")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", write_config(tmp_path, text)])
+    assert code == 2 and not caught
+    assert "run failed: cone margin" in capsys.readouterr().err
+    series = DiagnosticsSeries.from_csv(tmp_path / "x.csv")
+    assert np.isfinite([series.column(name) for name in ("phi_min_cap", "phi_max_cap")]).all()
 
 
 def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):

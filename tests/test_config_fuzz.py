@@ -1,5 +1,7 @@
-"""Config fuzzing: every initial kind x g kind x grid kind round-trips through
-its canonical text, and a corrupted text fails as a ConfigError or not at all."""
+"""Text fuzzing: every initial kind x g kind x grid kind round-trips through
+its canonical config text, every g kind x grid kind through its checkpoint and
+graph file, and a corrupted text fails as a ConfigError (a ValueError) or not
+at all."""
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from anisoflow.cli import (
     format_config,
     parse_config,
 )
-from anisoflow.flow_engine import StepControl
+from anisoflow.flow_engine import FlowState, StepControl
 from anisoflow.speed_profile import (
     G_KINDS,
     BumpG,
@@ -28,7 +30,8 @@ from anisoflow.speed_profile import (
     eval_g,
     validate_for_regime,
 )
-from anisoflow.sphere_geometry import GRID_KINDS, CircleGrid, SphereGrid, save_graph
+from anisoflow.sphere_geometry import GRID_KINDS, CircleGrid, RadialGraph, SphereGrid
+from anisoflow.textform import load_checkpoint, load_graph, save_checkpoint, save_graph
 
 GRIDS = (CircleGrid(16), CircleGrid(24), SphereGrid(16, 16), SphereGrid(16, 20))
 
@@ -81,15 +84,20 @@ def terms():
     return st.dictionaries(st.integers(1, 12), finite(-0.01, 0.01), max_size=3).map(lambda d: tuple(sorted(d.items())))
 
 
-@st.composite
-def configs(draw, files):
-    table_path, graph_paths = files
-    grid = draw(st.sampled_from(GRIDS))
+def draw_profile(draw, table_path, grid):
     k = draw(st.integers(1, grid.n))
     alpha = draw(st.sampled_from((1.0 / k, 1.0, 2.0)) | finite(1.0, 3.0))
     beta = 1.0 + k * alpha + draw(st.just(0.0) | finite(0.0, 3.0))
     g = draw(g_kinds(table_path)[draw(st.sampled_from(sorted(G_KINDS)))])
-    profile = SpeedProfile(n=grid.n, k=k, alpha=alpha, beta=beta, g=g)
+    return SpeedProfile(n=grid.n, k=k, alpha=alpha, beta=beta, g=g)
+
+
+@st.composite
+def configs(draw, files):
+    table_path, graph_paths = files
+    grid = draw(st.sampled_from(GRIDS))
+    profile = draw_profile(draw, table_path, grid)
+    g = profile.g
 
     kind = draw(st.sampled_from(sorted(INITIAL_KINDS)))
     if kind == "sphere":
@@ -158,6 +166,72 @@ def test_corrupted_config_text_is_a_config_error(files, data):
     except ConfigError:
         return
     assert how != "duplicate"
+
+
+@st.composite
+def states(draw, files):
+    """A FlowState of any profile, on any grid, with any finite phi."""
+    grid = draw(st.sampled_from(GRIDS))
+    profile = draw_profile(draw, files[0], grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = RadialGraph(grid, rng.normal(0.0, draw(finite(0.0, 2.0)), grid.shape))
+    tau, last_dt = draw(finite(0.0, 1e3)), draw(finite(0.0, 1.0))
+    return FlowState(tau=tau, graph=graph, step_count=draw(st.integers(0, 10**18)), last_dt=last_dt, profile=profile)
+
+
+@pytest.fixture(scope="module")
+def texts(tmp_path_factory):
+    return tmp_path_factory.mktemp("texts")
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_and_graph_texts_round_trip(files, texts, data):
+    state = data.draw(states(files))
+    save_checkpoint(state, texts / "state.ckpt")
+    loaded = load_checkpoint(texts / "state.ckpt")
+    assert loaded.profile == state.profile
+    assert loaded.graph.grid == state.graph.grid and loaded.graph.phi.tobytes() == state.graph.phi.tobytes()
+    assert [x.hex() for x in (loaded.tau, loaded.last_dt)] == [x.hex() for x in (state.tau, state.last_dt)]
+    assert loaded.step_count == state.step_count
+    save_checkpoint(loaded, texts / "again.ckpt")
+    assert (texts / "again.ckpt").read_bytes() == (texts / "state.ckpt").read_bytes()
+
+    save_graph(state.graph, texts / "state.graph")
+    graph = load_graph(texts / "state.graph")
+    assert graph.grid == state.graph.grid and graph.phi.tobytes() == state.graph.phi.tobytes()
+    save_graph(graph, texts / "again.graph")
+    assert (texts / "again.graph").read_bytes() == (texts / "state.graph").read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_corrupted_checkpoint_and_graph_texts_are_value_errors(files, texts, data):
+    state = data.draw(states(files))
+    form = data.draw(st.sampled_from(("checkpoint", "graph")))
+    path = texts / form
+    save_checkpoint(state, path) if form == "checkpoint" else save_graph(state.graph, path)
+    lines = path.read_text().splitlines()
+    keyed = [i for i, line in enumerate(lines) if "=" in line]
+    rows = [i for i, line in enumerate(lines) if "," in line]  # graph and table rows
+    how = data.draw(st.sampled_from(("drop", "junk", "duplicate", "cut")))
+    i = data.draw(st.sampled_from({"drop": range(len(lines)), "junk": keyed, "duplicate": keyed + rows, "cut": rows}[how]))
+    in_table = "[table]" in lines and lines.index("[table]") < i < lines.index("[state]")
+    if how == "drop":
+        del lines[i]
+    elif how == "junk":
+        lines[i] = lines[i].split("=", 1)[0] + "= " + data.draw(JUNK)
+    elif how == "duplicate":
+        lines.insert(i + data.draw(st.integers(0, 1)), lines[i])
+    else:
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1))]
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        load_checkpoint(path) if form == "checkpoint" else load_graph(path)
+    except ValueError:
+        return
+    # what may still load: another value, a shorter row, a table one row shorter
+    assert how in ("junk", "cut") or (how == "drop" and in_table)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow import sphere_geometry
+from anisoflow.diagnostics import COLUMNS
 from anisoflow.flow_engine import (
     STAGE_C1,
     STAGE_C2,
@@ -27,10 +28,8 @@ from anisoflow.flow_engine import (
     initial_state,
     lambda_maps,
     lambda_of_tau,
-    load_checkpoint,
     rhs,
     run,
-    save_checkpoint,
     stable_dt_bound,
     step,
     t_of_tau,
@@ -56,6 +55,7 @@ from anisoflow.sphere_geometry import (
     weingarten,
 )
 from anisoflow.symfunc import CONE_EPS, sigma_k_partials
+from anisoflow.textform import load_checkpoint, save_checkpoint
 
 
 # classic RK4's real stability limit, the real root of z^3 + 4z^2 + 12z + 24
@@ -1032,6 +1032,23 @@ def test_run_ends_a_monomial_speed_past_the_float_range_as_a_speed_range_error(m
     assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={float(graph.r()[0])!r} (at tau=0)"
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_run_from_outside_the_cone_ends_typed_with_a_finite_first_record():
+    # alpha = 1/2: sigma_1^alpha is not real at the concave waist of
+    # r = 1 + 0.3 cos 2theta, and the tau = 0 record comes before the cone gate
+    grid = SphericalGrid.circle(64)
+    graph = RadialGraph(grid, np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta)))
+    profile = SpeedProfile(n=1, k=1, alpha=0.5, beta=1.5)
+    with pytest.raises(ConeViolationError) as exc:
+        run(initial_state(profile, graph), StepControl(t_end=1.0))
+    series = exc.value.series
+    assert exc.value.tau == 0.0 and len(series) == 1
+    assert np.isfinite([series.last(name) for name in COLUMNS]).all()
+    # the record's power takes sigma_1's sign: the waist shows as a negative Phi
+    assert series.last("phi_min_cap") < 0.0 < series.last("phi_max_cap")
+    assert series.last("cone_margin") < 0.0
+
+
 def test_control_validation():
     with pytest.raises(ValueError):
         StepControl(t_end=0.0)
@@ -1131,33 +1148,27 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path = tmp_path / "chk.txt"
     save_checkpoint(state, path)
     text = path.read_text()
-
     bad = tmp_path / "bad.txt"
-    bad.write_text("something else\n" + text)
-    with pytest.raises(ValueError, match="not an anisoflow checkpoint"):
-        load_checkpoint(bad)
 
-    tampered = text.replace("lambda=1", "lambda=1.5")
-    bad.write_text(tampered)
-    with pytest.raises(ValueError, match="inconsistent"):
-        load_checkpoint(bad)
-
-    lines = text.splitlines(keepends=True)
-    state_end = next(i for i, ln in enumerate(lines) if ln.startswith("state: ")) + 1
-    for cut in (1, 2, state_end):
-        bad.write_text("".join(lines[:cut]))
-        with pytest.raises(ValueError, match="truncated"):
+    def fails(tampered, match):
+        bad.write_text(tampered)
+        with pytest.raises(ValueError, match=match):
             load_checkpoint(bad)
 
-    bad.write_text(text.replace(" g=zero", "", 1))
-    with pytest.raises(ValueError, match="g= field"):
-        load_checkpoint(bad)
+    fails("something else\n" + text, "expected 'key = value'")
+    # the format of version 1: a header line, then 'profile:', 'state:' and 'graph:' lines
+    fails("anisoflow-checkpoint 1\nprofile: n=1 k=1 alpha=1 beta=2 g=zero\n", "format version 1")
+
+    lines = text.splitlines(keepends=True)
+    for cut in (1, 2, lines.index("[grid]\n"), len(lines) - 1):
+        fails("".join(lines[:cut]), "required|31 rows for the 32 nodes")
+    fails(text.replace("g.kind = zero\n", "", 1), r"\[profile\] g.kind: required")
+    fails(text.replace("tau = 0\n", "tau = 0\ntau = 0\n", 1), "duplicate key 'tau'")
+    fails(text.replace("n = 1\n", "n = 2\n", 1), r"\[grid\] n: 1 does not match \[profile\] n = 2")
 
     tab = initial_state(tab_profile(), wiggly_circle(N=32, amp=0.04), validate_regime=False)
     save_checkpoint(tab, path)
     text = path.read_text()
-    first_row = next(ln for ln in text.splitlines() if ln.startswith("table: "))
-    for tampered in (text.replace(first_row, first_row + ",0", 1), text.replace(" points=80", " points=0", 1)):
-        bad.write_text(tampered)
-        with pytest.raises(ValueError, match="tabulated g rows"):
-            load_checkpoint(bad)
+    first_row = text.split("[table]\n", 1)[1].split("\n", 1)[0]
+    fails(text.replace(first_row, first_row + ",0", 1), r"\[table\] bad table row")
+    fails(text.replace("g.kind = tabulated", "g.kind = zero"), r"\[table\] rows: not valid for g.kind=zero")

@@ -1,4 +1,5 @@
-"""No path through the package loads scipy: numpy is its only runtime dependency.
+"""No path through the package loads scipy: numpy is its only runtime dependency;
+and importing the package loads neither its command line nor argparse.
 
 Every g kind, the tabulated one with its Hermite spline included, is plain
 numpy.  The check runs in a fresh interpreter, because this test process has
@@ -130,3 +131,18 @@ def test_no_path_loads_scipy(tmp_path):
         "TabulatedG value and g'",
     ]
     assert all(modules == [] for modules in seen.values()), seen
+
+
+def test_import_loads_neither_the_command_line_nor_argparse():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, anisoflow; print([m for m in ('anisoflow.cli', 'argparse') if m in sys.modules])"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", (
+        "import anisoflow loaded " + proc.stdout.strip() + ": `python -m anisoflow.cli` imports the package, "
+        "then runs cli as __main__, and warns when it finds anisoflow.cli in sys.modules already"
+    )

@@ -577,6 +577,23 @@ def test_validator_rejects_insufficient_flatness():
     assert rep.failed() == ("flatness",)
 
 
+@pytest.mark.filterwarnings("error")
+def test_validator_scaling_skips_a_sample_at_the_origin():
+    # g(r)/r is undefined at r = 0: the scaling condition reads the r > 0 samples
+    rep = validate_theorem1(profile_k1(2.0, BumpG(0.5, 1.0)), r_grid=np.linspace(0.0, 3.0, 31))
+    assert rep.ok, (rep.condition, rep.worst_violation)
+    (scaling,) = (c for c in rep.conditions if c.name == "scaling")
+    assert np.isfinite(scaling.worst_violation) and scaling.location > 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(G_KINDS))
+def test_every_condition_reports_a_python_bool(kind):
+    for beta in (2.0, 6.0):  # the equality regime, then the strict one
+        rep = validate_for_regime(profile_k1(beta, G_SAMPLES[kind]))
+        assert all(c.ok is True or c.ok is False for c in rep.conditions), rep.conditions
+        assert rep.ok is True or rep.ok is False
+
+
 def test_validator_dispatch():
     assert validate_for_regime(profile_k1(2.0)).ok
     assert validate_for_regime(profile_k1(3.0, MonomialG(4.0))).ok

@@ -1,4 +1,4 @@
-"""Grids, covariant derivatives, curvature, and graph serialization."""
+"""Grids, covariant derivatives, curvature, and graph files."""
 
 import math
 
@@ -19,13 +19,10 @@ from anisoflow.sphere_geometry import (
     _pad_periodic,
     covariant_derivatives,
     embedding_oracle,
-    graph_from_text,
-    graph_to_text,
-    load_graph,
-    save_graph,
     sphere_graph,
     weingarten,
 )
+from anisoflow.textform import load_graph, save_graph
 
 
 def circle_graph(N, fn):
@@ -55,7 +52,7 @@ def test_grid_constructors_and_spacing():
     assert s.shape == (32, 64)
     assert s.h_theta == math.pi / 32
     assert s.h_phi == 2.0 * math.pi / 64
-    assert s.describe() == "n=2 N_lat=32 N_lon=64"
+    assert s.describe() == "n=2 n_lat=32 n_lon=64"
     # cell-centered latitudes: no node on a pole, symmetric about the equator
     assert s.theta[0] == 0.5 * s.h_theta
     assert_allclose(s.theta + s.theta[::-1], math.pi)
@@ -390,7 +387,7 @@ def test_zonal_strip_curvature_equals_full_grid_bitwise():
     column = grid.zonal_column
     assert grid.zonal_column is column
     assert column.shape == (32, 1) and column.h_theta == grid.h_theta
-    assert column != grid and column.describe() == "n=2 N_lat=32 N_lon=1"
+    assert column != grid and column.describe() == "n=2 n_lat=32 n_lon=1"
     graph = sphere2_graph(32, 64, lambda t, p: np.log(1.0375 + 0.1125 * np.cos(2.0 * t)) + 0.0 * p)
     full = weingarten(graph)
     narrow = weingarten(RadialGraph(column, graph.phi[:, :1].copy()))
@@ -577,12 +574,17 @@ def test_metric_check_rejects_a_nan_radius():
 # serialization
 
 
-def test_serialization_roundtrip_bit_exact():
+def test_serialization_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     g1 = RadialGraph(SphericalGrid.circle(32), rng.normal(0, 0.3, 32))
     g2 = RadialGraph(SphericalGrid.sphere(16, 32), rng.normal(0, 0.3, (16, 32)))
-    for g in (g1, g2):
-        assert graph_from_text(graph_to_text(g)) == g
+    for g, head in ((g1, "N = 32"), (g2, "n_lat = 16\nn_lon = 32")):
+        save_graph(g, tmp_path / "graph.txt")
+        text = (tmp_path / "graph.txt").read_text()
+        assert text.startswith(f"[grid]\nn = {g.grid.n}\n{head}\n[graph]\n")
+        assert load_graph(tmp_path / "graph.txt") == g
+        save_graph(load_graph(tmp_path / "graph.txt"), tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == text
 
 
 def test_serialization_file_roundtrip(tmp_path):
@@ -593,22 +595,20 @@ def test_serialization_file_roundtrip(tmp_path):
     assert load_graph(path) == g
 
 
-def test_serialization_rejects_malformed_text():
-    g = RadialGraph(SphericalGrid.circle(16), np.zeros(16))
-    text = graph_to_text(g)
-    with pytest.raises(ValueError):
-        graph_from_text("")
-    for header in ("n=3 N=16", "n=1", "n=2 N_lat=16"):
-        with pytest.raises(ValueError, match="header"):
-            graph_from_text(header + "\n0,0\n")
-    lines = text.splitlines()
-    with pytest.raises(ValueError):  # wrong row count
-        graph_from_text("\n".join(lines[:-1]) + "\n")
-    broken = list(lines)
-    broken[3] = "0.5," + broken[3].split(",")[1]  # node not on the grid
-    with pytest.raises(ValueError, match="does not match"):
-        graph_from_text("\n".join(broken) + "\n")
-    broken = list(lines)
-    broken[3] = broken[3] + ",0.0"  # wrong arity
-    with pytest.raises(ValueError, match="bad row"):
-        graph_from_text("\n".join(broken) + "\n")
+def test_serialization_rejects_malformed_text(tmp_path):
+    path = tmp_path / "graph.txt"
+    save_graph(RadialGraph(SphericalGrid.circle(16), np.zeros(16)), path)
+    lines = path.read_text().splitlines()
+
+    def fails(text, match):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_graph(path)
+
+    fails("", r"\[grid\] n: required")
+    for grid in ("n = 3\nN = 16", "n = 1", "n = 2\nn_lat = 16"):
+        fails(f"[grid]\n{grid}\n[graph]\n0,0\n", r"\[grid\] (n: bad value '3'|N: required|n_lon: required)")
+    fails("n=1 N=16\n" + "\n".join(lines[4:]), "outside any section")  # the former header line
+    fails("\n".join(lines[:-1]) + "\n", "15 rows for the 16 nodes")
+    for row in ("0.5," + lines[6].split(",")[1], lines[6] + ",0.0"):  # node not on the grid; wrong arity
+        fails("\n".join(lines[:6] + [row] + lines[7:]) + "\n", "line 7: \\[graph\\] bad row")
