@@ -1,206 +1,21 @@
-"""Command-line front end: config parsing, runs, verification, ODE comparison.
+"""Command-line front end: runs, verification, ODE comparison, and the SVG plot.
 
-A config's text form is ``textform``'s; the README has the key reference.
+``textform`` reads the config; the README has the key reference.
 
 Exit codes: 0 ok; 1 config error; 2 runtime (cone/overflow/step) error;
 3 verification failure.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import flow_engine, verify
 from .diagnostics import closed_form_r2, fit_exponential
-from .speed_profile import SpeedProfile, validate_for_regime
-from .sphere_geometry import RadialGraph, SphericalGrid, sphere_graph
-from .textform import GRID_KEYS, PROFILE_KEYS, ConfigError, _field_lines, _grid_lines, _keys_of, _parse_grid
-from .textform import _parse_profile, _parse_text, _profile_lines, _take, _take_fields, load_graph, save_checkpoint
-
-
-@dataclass(frozen=True)
-class SphereInitial:
-    """The round sphere of radius r0."""
-
-    r0: float
-    KIND = "sphere"
-
-    def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValueError(f"r0: must be positive, got {self.r0}")
-
-    def graph(self, grid):
-        return sphere_graph(grid, self.r0)
-
-
-@dataclass(frozen=True)
-class FourierInitial:
-    """const plus (m, c) terms c cos(m theta) and c sin(m theta), sorted by m,
-    as the radius r or as phi = log r.  A config names each term after its
-    field: cos_<m> = c, sin_<m> = c."""
-
-    const: float = 1.0
-    variable: str = "r"
-    cos_terms: tuple = ()
-    sin_terms: tuple = ()
-    KIND = "fourier"
-
-    def __post_init__(self):
-        if self.variable not in ("r", "phi"):
-            raise ValueError(f"variable: must be 'r' or 'phi', got {self.variable!r}")
-        if not np.isfinite([self.const, *(c for _, c in self.cos_terms + self.sin_terms)]).all():
-            raise ValueError("const, cos_* and sin_*: must be finite")
-
-    def graph(self, grid):
-        # cos(m theta) = T_m(cos theta) is smooth on S^2; sin(theta) is not at the poles
-        if grid.n == 2 and self.sin_terms:
-            raise ValueError("sin_*: not smooth across the poles on n=2 grids")
-        th = np.expand_dims(grid.theta, tuple(range(1, len(grid.shape))))  # a column on a sphere grid
-        vals = np.full_like(th, self.const)
-        with np.errstate(over="ignore"):  # a sum past the float range fails as phi = inf
-            for m, c in self.cos_terms:
-                vals = vals + c * np.cos(m * th)
-            for m, c in self.sin_terms:
-                vals = vals + c * np.sin(m * th)
-        vals = np.broadcast_to(vals, grid.shape).copy()
-        if self.variable == "phi":
-            return RadialGraph(grid, vals)
-        if not np.all(vals > 0.0):
-            raise ValueError(f"initial radius must be positive everywhere (min = {vals.min():.6g})")
-        return RadialGraph(grid, np.log(vals))
-
-
-@dataclass(frozen=True)
-class FileInitial:
-    """A graph saved by save_graph, on the config's grid."""
-
-    path: str
-    KIND = "file"
-
-    def graph(self, grid):
-        graph = load_graph(self.path)
-        if graph.grid != grid:
-            raise ValueError(f"initial file grid ({graph.grid.describe()}) does not match config grid ({grid.describe()})")
-        return graph
-
-
-# each kind's fields are its [initial] keys; graph(grid) raises ValueError on bad data
-INITIAL_KINDS = {c.KIND: c for c in (SphereInitial, FourierInitial, FileInitial)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    profile: SpeedProfile
-    grid: SphericalGrid
-    initial: object  # an INITIAL_KINDS instance
-    control: flow_engine.StepControl
-    override: bool = False
-    csv_path: str = None
-    plot_path: str = None
-    checkpoint_path: str = None
-    g_table_path: str = None
-
-
-# the fields each section reads (_take_fields) and writes (_field_lines), besides kind and override
-_CONTROL_FIELDS = dataclasses.fields(flow_engine.StepControl)
-_OUTPUT_FIELDS = tuple(f for f in dataclasses.fields(RunConfig) if f.name in ("csv_path", "plot_path", "checkpoint_path"))
-_INITIAL_FIELDS = [f for cls in INITIAL_KINDS.values() for f in dataclasses.fields(cls)]
-
-_SECTIONS = {
-    "profile": PROFILE_KEYS,
-    "grid": GRID_KEYS,
-    "initial": _keys_of(_INITIAL_FIELDS, "kind"),
-    "control": _keys_of(_CONTROL_FIELDS, "override"),
-    "output": _keys_of(_OUTPUT_FIELDS),
-}
-
-
-def _parse_initial(data, errors):
-    kind = _take(data, "initial", "kind", str, errors)
-    cls = INITIAL_KINDS.get(kind)
-    initial = None
-    if cls is not None:
-        values = _take_fields(data, "initial", dataclasses.fields(cls), errors)
-        if None not in values.values():
-            try:
-                initial = cls(**values)
-            except ValueError as exc:
-                errors.append(f"[initial] {exc}")
-    elif kind is not None:
-        errors.append(f"[initial] kind: unknown kind {kind!r} ({'|'.join(INITIAL_KINDS)})")
-    for leftover in sorted(data["initial"]):
-        _, lineno = data["initial"][leftover]
-        errors.append(f"line {lineno}: [initial] {leftover}: not valid for kind={kind}")
-    return initial
-
-
-def parse_config(text):
-    """Validated RunConfig or ConfigError listing every problem."""
-    return _parse_config(text)[0]
-
-
-def _parse_config(text):
-    """(RunConfig, the initial graph built and checked from it), as parse_config."""
-    return _parse_text(text, _SECTIONS, _parse_sections)
-
-
-def _parse_sections(data, errors):
-    override = _take(data, "control", "override", {"true": True, "false": False}.__getitem__, errors, default=False)
-    controls = _take_fields(data, "control", _CONTROL_FIELDS, errors)
-    control = None
-    if None not in controls.values():
-        try:
-            control = flow_engine.StepControl(**controls)
-        except ValueError as exc:
-            errors.append(f"[control] {exc}")
-
-    profile, table_path = _parse_profile(data, errors)
-    grid = _parse_grid(data, None if profile is None else profile.n, errors)
-    initial = _parse_initial(data, errors)
-    outputs = _take_fields(data, "output", _OUTPUT_FIELDS, errors)
-
-    if profile is not None and not override:
-        report = validate_for_regime(profile)
-        if not report.ok:
-            errors.append(
-                f"[profile] fails its regime validator (condition {report.condition!r}, "
-                f"worst violation {report.worst_violation:.3e}); set [control] override = true to force"
-            )
-    graph = None
-    if grid is not None and initial is not None:
-        try:
-            graph = initial.graph(grid)
-            if profile is not None:  # the initial data's own checks, without the validator's
-                flow_engine.initial_state(profile, graph, validate_regime=False)
-        except (OSError, ValueError) as exc:
-            errors.append(f"[initial] {exc}")
-
-    if errors:
-        return None
-    config = RunConfig(
-        profile=profile,
-        grid=grid,
-        initial=initial,
-        control=control,
-        override=override,
-        g_table_path=table_path,
-        **outputs,
-    )
-    return config, graph
-
-
-def format_config(cfg):
-    """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
-    lines = [*_profile_lines(cfg.profile, cfg.g_table_path), *_grid_lines(cfg.grid)]
-    lines += ["[initial]", f"kind = {cfg.initial.KIND}", *_field_lines(cfg.initial, dataclasses.fields(cfg.initial))]
-    lines += ["[control]", *_field_lines(cfg.control, _CONTROL_FIELDS)]
-    lines.append(f"override = {'true' if cfg.override else 'false'}")
-    lines += ["[output]", *_field_lines(cfg, _OUTPUT_FIELDS)]
-    return "\n".join(lines) + "\n"
+from .speed_profile import validate_for_regime
+from .textform import ConfigError, parse_config, parse_config_graph, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +114,14 @@ def _probe_writable(path):
 
 
 def cmd_run(config_path):
-    parsed = _read_config(config_path, _parse_config)
+    parsed = _read_config(config_path, parse_config_graph)
     if parsed is None:
         return 1
     cfg, graph = parsed
     if cfg.csv_path is None:
         print("config error: [output] csv_path is required by run", file=sys.stderr)
         return 1
-    for path in (getattr(cfg, f.name) for f in _OUTPUT_FIELDS):
+    for path in (cfg.csv_path, cfg.plot_path, cfg.checkpoint_path):
         if path is not None and not _probe_writable(path):
             return 1
     state = flow_engine.initial_state(cfg.profile, graph, validate_regime=False)

@@ -6,10 +6,12 @@ comma-separated rows instead.  Each section is read and written from the
 fields of what it builds, so every key is named once, and floats are written
 with 17 significant digits, so every text round-trips bit-exactly.
 
-* a config (``cli``): [profile], [grid], [initial], [control], [output];
+* a config: [profile], [grid], [initial], [control], [output];
 * a graph file: [grid], then one 'theta[,phi],value' [graph] row per node;
-* a checkpoint: [profile] as a config writes it, but with a tabulated g's
-  rows inline in [table], then [state], then the graph file's sections.
+* a checkpoint: [profile], then [state], then the graph file's sections.
+
+Every text reads a tabulated g's rows from the file g.table_path names or
+from a [table] section after [profile], and every writer writes the rows.
 
 A malformed text raises ConfigError, a ValueError listing every problem found.
 """
@@ -18,13 +20,13 @@ import dataclasses
 
 import numpy as np
 
-from .flow_engine import FlowState
-from .speed_profile import G_KINDS, SpeedProfile
-from .sphere_geometry import GRID_KINDS, RadialGraph
+from .flow_engine import FlowState, StepControl, initial_state
+from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
+from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, sphere_graph
 
 _REQUIRED = object()
 
-ROWS = None  # a row section's entry in the sections a text is read with
+_ROWS = None  # a row section's entry in the sections a text is read with
 
 
 class ConfigError(ValueError):
@@ -56,8 +58,8 @@ def _keys_of(fields, *extra):
 
 def _tokenize(text, sections, errors):
     """-> {section: {key: (raw_value, line_no)}}, or [(row, line_no)] for a
-    row section; sections maps each name to its keys' test, or to ROWS."""
-    data = {name: {} if known is not ROWS else [] for name, known in sections.items()}
+    row section; sections maps each name to its keys' test, or to _ROWS."""
+    data = {name: {} if known is not _ROWS else [] for name, known in sections.items()}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,13 +67,11 @@ def _tokenize(text, sections, errors):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in sections:
+            section = name if name in sections else None
+            if section is None:
                 errors.append(f"line {lineno}: unknown section [{name}]")
-                section = None
-            else:
-                section = name
             continue
-        if section is not None and sections[section] is ROWS:
+        if section is not None and sections[section] is _ROWS:
             data[section].append((line, lineno))
             continue
         if "=" not in line:
@@ -132,12 +132,15 @@ def _take_fields(data, section, fields, errors):
 
 
 def _field_lines(obj, fields):
-    """The lines _take_fields reads back into obj's fields; a None is left out."""
+    """The lines _take_fields reads back into obj's fields; a None is left out,
+    and a string the tokenizer would read back otherwise is a ValueError."""
     lines = []
     for f in fields:
         value = getattr(obj, f.name)
         if f.type is tuple:
             lines += [f"{f.name.removesuffix('_terms')}_{m} = {_fmt(c)}" for m, c in value]
+        elif f.type is str and value is not None and ("#" in value or value != value.strip() or len(value.splitlines()) > 1):
+            raise ValueError(f"{f.name}: {value!r} has a '#', a line break or edge whitespace, which a text cannot hold")
         elif value is not None:  # ints as plain digits: _fmt(10**17) is '1e+17', which int() rejects
             lines.append(f"{f.name} = {_fmt(value) if f.type is float else value}")
     return lines
@@ -152,31 +155,31 @@ _PROFILE_FIELDS = tuple(f for f in dataclasses.fields(SpeedProfile) if f.init an
 # g.<field> for every field of every g kind given by parameters (a table kind has g.table_path)
 _G_PARAMS = {f"g.{f.name}" for cls in G_KINDS.values() if not cls.TABLE for f in dataclasses.fields(cls)}
 
-PROFILE_KEYS = _keys_of(_PROFILE_FIELDS, "g.kind", "g.table_path", *_G_PARAMS)
-GRID_KEYS = _keys_of((), "n", *(key for cls in GRID_KINDS.values() for key in cls.KEYS))
+_PROFILE_KEYS = _keys_of(_PROFILE_FIELDS, "g.kind", "g.table_path", *_G_PARAMS)
+_GRID_KEYS = _keys_of((), "n", *(key for cls in GRID_KINDS.values() for key in cls.KEYS))
 
 
 def _parse_profile(data, errors):
-    """(SpeedProfile, the table path a tabulated g was read from).  A text
-    with a [table] section (a checkpoint) holds a tabulated g's rows there."""
+    """The SpeedProfile of [profile]; a tabulated g's rows are in the file
+    g.table_path names or in [table], not in both."""
     scalars = _take_fields(data, "profile", _PROFILE_FIELDS, errors)
     kind = _take(data, "profile", "g.kind", str, errors)
-    table_path = None
+    rows = data.pop("table")
     g = None
     cls = G_KINDS.get(kind)
-    if cls is not None and cls.TABLE and "table" in data:
+    if cls is not None and cls.TABLE:
+        path = _take(data, "profile", "g.table_path", str, errors, default=None)
         try:
-            g = cls.from_rows(row for row, _ in data.pop("table"))
-        except ValueError as exc:
-            errors.append(f"[table] {exc}")
-    elif cls is not None and cls.TABLE:
-        table_path = _take(data, "profile", "g.table_path", str, errors)
-        if table_path is not None:
-            try:
-                with open(table_path) as fh:
-                    g = cls.from_rows(fh)
-            except (OSError, ValueError) as exc:
-                errors.append(f"[profile] g.table_path: {exc}")
+            lines = [row for row, _ in rows]
+            if (path is not None) == bool(lines):  # both, or neither
+                raise ValueError("a tabulated g's rows are in g.table_path's file or in [table], one of the two")
+            if path is not None:
+                with open(path) as fh:
+                    lines = fh.readlines()
+            g = cls.from_rows(lines)
+        except (OSError, ValueError) as exc:
+            errors.append(f"[profile] g.table_path: {exc}" if path is not None else f"[table] {exc}")
+        rows = []
     elif cls is not None:
         params = {f.name: _take(data, "profile", f"g.{f.name}", float, errors) for f in dataclasses.fields(cls)}
         if None not in params.values():
@@ -189,26 +192,23 @@ def _parse_profile(data, errors):
     for leftover in sorted(data["profile"]):
         _, lineno = data["profile"][leftover]
         errors.append(f"line {lineno}: [profile] {leftover}: not valid for g.kind={kind}")
-    for _, lineno in data.pop("table", [])[:1]:
+    for _, lineno in rows[:1]:
         errors.append(f"line {lineno}: [table] rows: not valid for g.kind={kind}")
     if None in scalars.values() or g is None:
-        return None, table_path
+        return None
     try:
-        return SpeedProfile(**scalars, g=g), table_path
+        return SpeedProfile(**scalars, g=g)
     except ValueError as exc:
         errors.append(f"[profile] {exc}")
-        return None, table_path
+        return None
 
 
-def _profile_lines(profile, table_path=None):
-    """[profile] as _parse_profile reads it back: a tabulated g names its
-    table file or, without one, has its rows follow in [table]."""
+def _profile_lines(profile):
+    """[profile] as _parse_profile reads it back, a tabulated g's rows in [table]."""
     g = profile.g
     lines = ["[profile]", *_field_lines(profile, _PROFILE_FIELDS), f"g.kind = {g.KIND}"]
     lines += [f"g.{name} = {_fmt(value)}" for name, value in g.params.items()]
-    if g.TABLE:
-        lines += [f"g.table_path = {table_path}"] if table_path is not None else ["[table]", *g.rows()]
-    return lines
+    return lines + (["[table]", *g.rows()] if g.TABLE else [])
 
 
 def _parse_grid(data, n, errors):
@@ -239,9 +239,9 @@ def _grid_lines(grid):
 # ---------------------------------------------------------------------------
 # graph files and checkpoints
 
-_GRAPH_SECTIONS = {"grid": GRID_KEYS, "graph": ROWS}
+_GRAPH_SECTIONS = {"grid": _GRID_KEYS, "graph": _ROWS}
 _STATE_FIELDS = tuple(f for f in dataclasses.fields(FlowState) if f.name in ("tau", "step_count", "last_dt"))
-_CHECKPOINT_SECTIONS = {"profile": PROFILE_KEYS, "table": ROWS, "state": _keys_of(_STATE_FIELDS), **_GRAPH_SECTIONS}
+_CHECKPOINT_SECTIONS = {"profile": _PROFILE_KEYS, "table": _ROWS, "state": _keys_of(_STATE_FIELDS), **_GRAPH_SECTIONS}
 
 
 def _parse_graph(data, errors):
@@ -276,9 +276,16 @@ def _graph_lines(graph):
     return [*_grid_lines(graph.grid), "[graph]", *(",".join(map(_fmt, (*node, v))) for node, v in zip(graph.grid.nodes, values))]
 
 
+def _nonnegative(value):
+    """value, unless it is negative or not finite: a time, a step size or a step count."""
+    if not 0 <= value < float("inf"):
+        raise ValueError(value)
+    return value
+
+
 def _parse_checkpoint(data, errors):
-    profile, _ = _parse_profile(data, errors)
-    state = _take_fields(data, "state", _STATE_FIELDS, errors)
+    profile = _parse_profile(data, errors)
+    state = {f.name: _take(data, "state", f.name, lambda raw, conv=f.type: _nonnegative(conv(raw)), errors) for f in _STATE_FIELDS}
     graph = _parse_graph(data, errors)
     if profile is not None and graph is not None and graph.grid.n != profile.n:
         errors.append(f"[grid] n: {graph.grid.n} does not match [profile] n = {profile.n}")
@@ -312,3 +319,179 @@ def load_checkpoint(path):
     if text.startswith("anisoflow-checkpoint 1"):  # the first line of format version 1, one line per object
         raise ConfigError(["line 1: a checkpoint in format version 1, which is no longer read"])
     return _parse_text(text, _CHECKPOINT_SECTIONS, _parse_checkpoint)
+
+
+# ---------------------------------------------------------------------------
+# configs: the initial data kinds, RunConfig and the [initial], [control] and [output] sections
+
+
+@dataclasses.dataclass(frozen=True)
+class SphereInitial:
+    """The round sphere of radius r0."""
+
+    r0: float
+    KIND = "sphere"
+
+    def __post_init__(self):
+        if self.r0 <= 0:
+            raise ValueError(f"r0: must be positive, got {self.r0}")
+
+    def graph(self, grid):
+        return sphere_graph(grid, self.r0)
+
+
+@dataclasses.dataclass(frozen=True)
+class FourierInitial:
+    """const plus (m, c) terms c cos(m theta) and c sin(m theta), sorted by m,
+    as the radius r or as phi = log r.  A config names each term after its
+    field: cos_<m> = c, sin_<m> = c."""
+
+    const: float = 1.0
+    variable: str = "r"
+    cos_terms: tuple = ()
+    sin_terms: tuple = ()
+    KIND = "fourier"
+
+    def __post_init__(self):
+        if self.variable not in ("r", "phi"):
+            raise ValueError(f"variable: must be 'r' or 'phi', got {self.variable!r}")
+        if not np.isfinite([self.const, *(c for _, c in self.cos_terms + self.sin_terms)]).all():
+            raise ValueError("const, cos_* and sin_*: must be finite")
+
+    def graph(self, grid):
+        # cos(m theta) = T_m(cos theta) is smooth on S^2; sin(theta) is not at the poles
+        if grid.n == 2 and self.sin_terms:
+            raise ValueError("sin_*: not smooth across the poles on n=2 grids")
+        th = np.expand_dims(grid.theta, tuple(range(1, len(grid.shape))))  # a column on a sphere grid
+        vals = np.full_like(th, self.const)
+        with np.errstate(over="ignore"):  # a sum past the float range fails as phi = inf
+            for m, c in self.cos_terms:
+                vals = vals + c * np.cos(m * th)
+            for m, c in self.sin_terms:
+                vals = vals + c * np.sin(m * th)
+        vals = np.broadcast_to(vals, grid.shape).copy()
+        if self.variable == "phi":
+            return RadialGraph(grid, vals)
+        if not np.all(vals > 0.0):
+            raise ValueError(f"initial radius must be positive everywhere (min = {vals.min():.6g})")
+        return RadialGraph(grid, np.log(vals))
+
+
+@dataclasses.dataclass(frozen=True)
+class FileInitial:
+    """A graph saved by save_graph, on the config's grid."""
+
+    path: str
+    KIND = "file"
+
+    def graph(self, grid):
+        graph = load_graph(self.path)
+        if graph.grid != grid:
+            raise ValueError(f"initial file grid ({graph.grid.describe()}) does not match config grid ({grid.describe()})")
+        return graph
+
+
+# each kind's fields are its [initial] keys; graph(grid) raises ValueError on bad data
+INITIAL_KINDS = {c.KIND: c for c in (SphereInitial, FourierInitial, FileInitial)}
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    profile: SpeedProfile
+    grid: SphericalGrid
+    initial: object  # an INITIAL_KINDS instance
+    control: StepControl
+    override: bool = False
+    csv_path: str = None
+    plot_path: str = None
+    checkpoint_path: str = None
+
+
+# the fields each section reads (_take_fields) and writes (_field_lines), besides kind and override
+_CONTROL_FIELDS = dataclasses.fields(StepControl)
+_OUTPUT_FIELDS = tuple(f for f in dataclasses.fields(RunConfig) if f.name.endswith("_path"))
+
+_CONFIG_SECTIONS = {
+    "profile": _PROFILE_KEYS,
+    "table": _ROWS,
+    "grid": _GRID_KEYS,
+    "initial": _keys_of([f for cls in INITIAL_KINDS.values() for f in dataclasses.fields(cls)], "kind"),
+    "control": _keys_of(_CONTROL_FIELDS, "override"),
+    "output": _keys_of(_OUTPUT_FIELDS),
+}
+
+
+def _parse_initial(data, errors):
+    kind = _take(data, "initial", "kind", str, errors)
+    cls = INITIAL_KINDS.get(kind)
+    initial = None
+    if cls is not None:
+        values = _take_fields(data, "initial", dataclasses.fields(cls), errors)
+        if None not in values.values():
+            try:
+                initial = cls(**values)
+            except ValueError as exc:
+                errors.append(f"[initial] {exc}")
+    elif kind is not None:
+        errors.append(f"[initial] kind: unknown kind {kind!r} ({'|'.join(INITIAL_KINDS)})")
+    for leftover in sorted(data["initial"]):
+        _, lineno = data["initial"][leftover]
+        errors.append(f"line {lineno}: [initial] {leftover}: not valid for kind={kind}")
+    return initial
+
+
+def _parse_config(data, errors):
+    override = _take(data, "control", "override", {"true": True, "false": False}.__getitem__, errors, default=False)
+    controls = _take_fields(data, "control", _CONTROL_FIELDS, errors)
+    control = None
+    if None not in controls.values():
+        try:
+            control = StepControl(**controls)
+        except ValueError as exc:
+            errors.append(f"[control] {exc}")
+
+    profile = _parse_profile(data, errors)
+    grid = _parse_grid(data, None if profile is None else profile.n, errors)
+    initial = _parse_initial(data, errors)
+    outputs = _take_fields(data, "output", _OUTPUT_FIELDS, errors)
+
+    if profile is not None and not override:
+        report = validate_for_regime(profile)
+        if not report.ok:
+            errors.append(
+                f"[profile] fails its regime validator (condition {report.condition!r}, "
+                f"worst violation {report.worst_violation:.3e}); set [control] override = true to force"
+            )
+    graph = None
+    if grid is not None and initial is not None:
+        try:
+            graph = initial.graph(grid)
+            if profile is not None:  # the initial data's own checks, without the validator's
+                initial_state(profile, graph, validate_regime=False)
+        except (OSError, ValueError) as exc:
+            errors.append(f"[initial] {exc}")
+
+    if errors:
+        return None
+    return RunConfig(profile=profile, grid=grid, initial=initial, control=control, override=override, **outputs), graph
+
+
+def parse_config_graph(text):
+    """(RunConfig, the initial graph built and checked from it), or
+    ConfigError listing every problem; a graph file is read once."""
+    return _parse_text(text, _CONFIG_SECTIONS, _parse_config)
+
+
+def parse_config(text):
+    """Validated RunConfig or ConfigError listing every problem."""
+    return parse_config_graph(text)[0]
+
+
+def format_config(cfg):
+    """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
+    lines = [*_profile_lines(cfg.profile), *_grid_lines(cfg.grid)]
+    lines += ["[initial]", f"kind = {cfg.initial.KIND}", *_field_lines(cfg.initial, dataclasses.fields(cfg.initial))]
+    lines += ["[control]", *_field_lines(cfg.control, _CONTROL_FIELDS)]
+    lines.append(f"override = {'true' if cfg.override else 'false'}")
+    lines += ["[output]", *_field_lines(cfg, _OUTPUT_FIELDS)]
+    return "\n".join(lines) + "\n"

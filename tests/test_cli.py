@@ -7,17 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-import anisoflow.cli
 import anisoflow.symfunc
-from anisoflow.cli import (
-    ConfigError,
-    RunConfig,
-    SphereInitial,
-    format_config,
-    main,
-    parse_config,
-    write_svg_plot,
-)
+import anisoflow.textform
+from anisoflow.cli import main, write_svg_plot
 from anisoflow.diagnostics import DiagnosticsSeries
 from anisoflow.flow_engine import StepControl, initial_state
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
@@ -31,7 +23,17 @@ from anisoflow.speed_profile import (
     ZeroG,
     eval_g,
 )
-from anisoflow.textform import load_checkpoint, save_checkpoint, save_graph
+from anisoflow.textform import (
+    ConfigError,
+    FileInitial,
+    RunConfig,
+    SphereInitial,
+    format_config,
+    load_checkpoint,
+    parse_config,
+    save_checkpoint,
+    save_graph,
+)
 
 
 BASIC = """\
@@ -250,8 +252,8 @@ def test_file_initial_run_reads_the_file_once(tmp_path, monkeypatch, capsys):
     # parse_config's checked graph is the graph the run starts from
     save_graph(sphere_graph(SphericalGrid.circle(64), 1.25), tmp_path / "init.csv")
     reads = []
-    load = anisoflow.cli.load_graph
-    monkeypatch.setattr(anisoflow.cli, "load_graph", lambda path: reads.append(path) or load(path))
+    load = anisoflow.textform.load_graph
+    monkeypatch.setattr(anisoflow.textform, "load_graph", lambda path: reads.append(path) or load(path))
     text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
     text += f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\n"
     assert main(["run", write_config(tmp_path, text)]) == 0
@@ -319,8 +321,44 @@ def test_format_roundtrip_tabulated(tmp_path):
     )
     cfg = parse_config(text)
     assert isinstance(cfg.profile.g, TabulatedG)
-    assert cfg.g_table_path == str(table)
-    assert parse_config(format_config(cfg)) == cfg
+    # the file is read once; the written config holds the rows themselves
+    text = format_config(cfg)
+    assert "g.table_path" not in text and text.count("\n0,") == 1
+    table.unlink()
+    assert parse_config(text) == cfg
+
+
+def test_format_roundtrip_tabulated_built_in_code():
+    pts = np.linspace(0.0, 4.0, 9)
+    g = TabulatedG(pts, pts**5, 5.0 * pts**4)
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=g)
+    cfg = RunConfig(profile, SphericalGrid.circle(32), SphereInitial(r0=1.0), StepControl(t_end=0.5), override=True)
+    text = format_config(cfg)
+    assert parse_config(text) == cfg
+    assert format_config(parse_config(text)) == text
+
+
+def test_table_is_a_file_or_rows_not_both(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("0,0,0\n1,1,5\n2,32,80\n")
+    text = BASIC.replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}\n[table]\n0,0,0\n1,1,5")
+    message = "a tabulated g's rows are in g.table_path's file or in [table], one of the two"
+    assert errors_of(text) == ["[profile] g.table_path: " + message]
+    assert errors_of(BASIC.replace("g.kind = zero", "g.kind = tabulated")) == ["[table] " + message]
+    text = BASIC.replace("g.kind = zero", "g.kind = zero\n[table]\n0,0,0")
+    assert errors_of(text) == ["line 8: [table] rows: not valid for g.kind=zero"]
+
+
+@pytest.mark.parametrize("field", ["csv_path", "plot_path", "checkpoint_path", "initial"])
+@pytest.mark.parametrize("bad", ["out#1.csv", " out.csv", "out.csv ", "out\n.csv", "out\x0c.csv", "\t"])
+def test_format_refuses_a_path_that_does_not_read_back(field, bad):
+    cfg = parse_config(BASIC)
+    if field == "initial":
+        cfg, field = dataclasses.replace(cfg, initial=FileInitial(bad)), "path"
+    else:
+        cfg = dataclasses.replace(cfg, **{field: bad})
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        format_config(cfg)
 
 
 def flat_table():
@@ -352,20 +390,7 @@ def test_codecs_roundtrip_every_g_kind(tmp_path, kind):
         save_checkpoint(loaded, tmp_path / "again.chk")
         assert (tmp_path / "again.chk").read_bytes() == (tmp_path / "state.chk").read_bytes()
 
-        table_path = None
-        if isinstance(g, TabulatedG):
-            table_path = str(tmp_path / "table.csv")
-            with open(table_path, "w") as fh:
-                for row in zip(g.points, g.values, g.derivs):
-                    fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-        cfg = RunConfig(
-            profile=profile,
-            grid=grid,
-            initial=SphereInitial(r0=1.0),
-            control=StepControl(t_end=0.5),
-            override=True,
-            g_table_path=table_path,
-        )
+        cfg = RunConfig(profile, grid, SphereInitial(r0=1.0), StepControl(t_end=0.5), override=True)
         text = format_config(cfg)
         assert parse_config(text) == cfg
         assert format_config(parse_config(text)) == text

@@ -8,16 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisoflow.cli import (
-    INITIAL_KINDS,
-    ConfigError,
-    FileInitial,
-    FourierInitial,
-    RunConfig,
-    SphereInitial,
-    format_config,
-    parse_config,
-)
 from anisoflow.flow_engine import FlowState, StepControl
 from anisoflow.speed_profile import (
     G_KINDS,
@@ -31,7 +21,20 @@ from anisoflow.speed_profile import (
     validate_for_regime,
 )
 from anisoflow.sphere_geometry import GRID_KINDS, CircleGrid, RadialGraph, SphereGrid
-from anisoflow.textform import load_checkpoint, load_graph, save_checkpoint, save_graph
+from anisoflow.textform import (
+    INITIAL_KINDS,
+    ConfigError,
+    FileInitial,
+    FourierInitial,
+    RunConfig,
+    SphereInitial,
+    format_config,
+    load_checkpoint,
+    load_graph,
+    parse_config,
+    save_checkpoint,
+    save_graph,
+)
 
 GRIDS = (CircleGrid(16), CircleGrid(24), SphereGrid(16, 16), SphereGrid(16, 20))
 
@@ -97,7 +100,6 @@ def configs(draw, files):
     table_path, graph_paths = files
     grid = draw(st.sampled_from(GRIDS))
     profile = draw_profile(draw, table_path, grid)
-    g = profile.g
 
     kind = draw(st.sampled_from(sorted(INITIAL_KINDS)))
     if kind == "sphere":
@@ -129,7 +131,6 @@ def configs(draw, files):
         csv_path=draw(path),
         plot_path=draw(path),
         checkpoint_path=draw(path),
-        g_table_path=table_path if g.TABLE else None,
     )
 
 

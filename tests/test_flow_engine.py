@@ -55,7 +55,7 @@ from anisoflow.sphere_geometry import (
     weingarten,
 )
 from anisoflow.symfunc import CONE_EPS, sigma_k_partials
-from anisoflow.textform import load_checkpoint, save_checkpoint
+from anisoflow.textform import ConfigError, load_checkpoint, save_checkpoint
 
 
 # classic RK4's real stability limit, the real root of z^3 + 4z^2 + 12z + 24
@@ -1172,3 +1172,20 @@ def test_checkpoint_rejects_corruption(tmp_path):
     first_row = text.split("[table]\n", 1)[1].split("\n", 1)[0]
     fails(text.replace(first_row, first_row + ",0", 1), r"\[table\] bad table row")
     fails(text.replace("g.kind = tabulated", "g.kind = zero"), r"\[table\] rows: not valid for g.kind=zero")
+
+
+@pytest.mark.parametrize(
+    "key, value", [("tau", "nan"), ("tau", "inf"), ("tau", "-5"), ("last_dt", "nan"), ("last_dt", "-1e-3"), ("step_count", "-1")]
+)
+def test_checkpoint_state_must_be_finite_and_nonnegative(tmp_path, key, value):
+    # a nan tau would load, and a run from it end in an untyped error from the speed terms
+    state = initial_state(profile_k1(4.0, ExpFlatG(1.0)), sphere_graph(SphericalGrid.circle(32), 1.0))
+    path = tmp_path / "chk.txt"
+    save_checkpoint(state, path)
+    lines = path.read_text().splitlines()
+    i = lines.index(f"{key} = 0")
+    lines[i] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(path)
+    assert exc.value.errors == [f"line {i + 1}: [state] {key}: bad value {value!r}"]
