@@ -244,12 +244,15 @@ def _sigma_pow(sig, alpha):
 def _speed_coefficient(profile, graph, field, tau):
     """A = f rho / r, the coefficient of sigma_k^alpha in the rhs, where
     f = r^beta + lam^beta g(r/lam) is the rescaled speed weight at tau."""
-    A = np.exp((profile.beta - 1.0) * graph.phi) * field.rho
+    A = (profile.beta - 1.0) * graph.phi
+    np.exp(A, out=A)
+    A *= field.rho
     if not profile.pure_power:  # else A + 0.0 == A: the flow's A is >= 0
         # looked up per call, so that a wrapper installed on the module name
         # (perfbench/layers.py's tracer) sees every evaluation
         lam = lambda_of_tau(profile, tau)
-        A = A + (field.rho / field.r) * speed_profile.eval_scaled(profile, lam, field.r)
+        g_term = field.rho / field.r
+        A += np.multiply(g_term, speed_profile.eval_scaled(profile, lam, field.r), out=g_term)
     return A
 
 
@@ -264,7 +267,8 @@ def rhs(profile, graph, tau, field=None):
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
     A = _speed_coefficient(profile, graph, field, tau)
-    out = profile.gamma - A * _sigma_pow(sig, profile.alpha)
+    out = A * _sigma_pow(sig, profile.alpha)
+    np.subtract(profile.gamma, out, out=out)
     if not np.isfinite(out).all():
         raise NonFiniteRHSError("non-finite right-hand side", tau)
     return out, field, A
@@ -398,8 +402,11 @@ def run(state, control):
     order), recording diagnostics every record_every steps plus the final state.
 
     Every failure ends as a FlowError that carries its tau, the series
-    recorded so far and the last state reached.
+    recorded so far and the last state reached.  A state whose tau is not a
+    finite number >= 0 (one built in code) is refused first, with a ValueError.
     """
+    if not 0.0 <= state.tau < math.inf:  # NaN fails too
+        raise ValueError(f"state tau must be finite and >= 0, got {state.tau!r}")
     series = DiagnosticsSeries()
     last_recorded = -1
     try:

@@ -121,12 +121,15 @@ class _FlatFamily(_Analytic):
         one_ka = 1.0 + profile.ka
         log_scale = (profile.beta - one_ka) * math.log(lam)
         bounded = log_scale + one_ka * math.log(r.max(initial=1.0)) <= EXP_MAX
-        base = r / lam - self.shift
+        base = np.asarray(r / lam)  # an array (0-d for a scalar r) to work in
+        if self.shift:  # x - 0.0 is x: ExpFlatG skips it
+            base -= self.shift
         low = base.min(initial=math.inf)  # NaN fails the test below
         if low > 0 and self.p * math.log(low) > _LIVE_LOG:
-            w = log_scale - base ** (-self.p)
+            base **= -self.p
+            w = np.subtract(log_scale, base, out=base)
             if bounded:
-                return r**one_ka * np.exp(w)
+                return np.multiply(r**one_ka, np.exp(w, out=w), out=w)
             return _exp_checked(one_ka * np.log(r) + w, lam, r)
         positive = base > 0
         with np.errstate(divide="ignore", over="ignore"):

@@ -14,6 +14,12 @@ r^2*E with E = g_S + dphi dphi, second form (r/rho)*(E - Hess phi)).
 ``embedding_oracle`` recomputes curvature from the embedded position vector
 and classical fundamental-form algebra; it shares only the stencils with
 ``weingarten`` and exists to cross-check its geometry.
+
+The stage arithmetic (stencils, curvature, the engine's speed terms) writes
+in place into temporaries it has just made, never into an array it was
+handed, and each in-place form is the IEEE operation of the expression it
+stands for (``a = x - y; a *= c`` is ``(x - y) * c``; sums and products
+commute exactly), so every value keeps its bits.
 """
 
 import math
@@ -132,10 +138,13 @@ class CircleGrid(SphericalGrid):
         grad_sq = phi_d * phi_d
         rho2 = 1.0 + grad_sq
         rho = np.sqrt(rho2)
-        den = r * rho * rho2
+        den = r * rho
+        den *= rho2
         if not den.all():  # den >= 0: a radius underflowed to 0
             raise SingularMetricError("metric lost positivity (r = 0)")
-        kappa = ((rho2 - phi_dd) / den)[:, None]  # also sigma_1
+        kappa = np.subtract(rho2, phi_dd, out=phi_dd)
+        kappa /= den
+        kappa = kappa[:, None]  # also sigma_1
         return WeingartenField(r, rho, grad_sq, kappa, lambda: kappa)
 
 
@@ -270,29 +279,44 @@ class SphereGrid(_LatitudeGrid):
     def derivatives(self, phi):
         """(phi_t, phi_p, H_tt, H_tp, H_pp): gradient and covariant Hessian."""
         F_t, F_p, F_tt, F_tp, F_pp = self.partials(phi)
-        return F_t, F_p, F_tt, F_tp - self.cot_theta * F_p, F_pp + self.sin_cos_theta * F_t
+        F_tp -= self.cot_theta * F_p
+        F_pp += self.sin_cos_theta * F_t
+        return F_t, F_p, F_tt, F_tp, F_pp
 
     def curvature(self, graph):
         """kappa, built on first read: the eigenvalues of adj(E) B' / (det E r rho)."""
         r = graph.r()
         F_t, F_p, H_tt, H_tp, H_pp = covariant_derivatives(graph)
-        s2 = self.sin2_theta
-        tt, pp, tp = F_t * F_t, F_p * F_p, F_t * F_p
-        grad2 = tt + pp * self.inv_sin2_theta
-        e11 = 1.0 + tt
-        e22 = s2 + pp
-        b11 = e11 - H_tt
-        b12 = tp - H_tp
-        b22 = e22 - H_pp
+        tp = F_t * F_p
+        tt = np.multiply(F_t, F_t, out=F_t)
+        pp = F_p * F_p
+        e22 = pp + self.sin2_theta
+        grad2 = np.multiply(pp, self.inv_sin2_theta, out=pp)
+        grad2 += tt
+        e11 = np.add(tt, 1.0, out=tt)
+        b11 = np.subtract(e11, H_tt, out=H_tt)
+        b12 = np.subtract(tp, H_tp, out=H_tp)
+        b22 = np.subtract(e22, H_pp, out=H_pp)
         cross = tp * b12
-        n11 = e22 * b11 - cross  # the diagonal of adj(E) B'
-        n22 = e11 * b22 - cross
-        rho, sigma, den = _graph_curvature(self, r, 1.0 + grad2, n11 + n22, b11 * b22 - b12 * b12)
+        n11 = e22 * b11  # the diagonal of adj(E) B'
+        n11 -= cross
+        n22 = e11 * b22
+        n22 -= cross
+        det = b11 * b22
+        det -= np.multiply(b12, b12, out=cross)
+        rho, sigma, den = _graph_curvature(self, r, grad2 + 1.0, n11 + n22, det)
 
-        # the off-diagonal of adj(E) B', built now: a lazy kappa holding its nine
-        # inputs alive read slower on the non-zonal benchmark than this extra work
-        n12, n21 = e22 * b12 - tp * b22, e11 * b12 - tp * b11
-        return WeingartenField(r, rho, grad2, sigma, partial(_eigen_2x2, n11, n12, n21, n22, den))
+        def kappa():
+            # the off-diagonal of adj(E) B', built only when kappa is read (the
+            # dt bound and a record); with the in-place temporaries, lazy read
+            # 652 against eager 672 us a step on nonzonal_pole (2-core VM)
+            n12 = e22 * b12
+            n12 -= tp * b22
+            n21 = e11 * b12
+            n21 -= tp * b11
+            return _eigen_2x2(n11, n12, n21, n22, den)
+
+        return WeingartenField(r, rho, grad2, sigma, kappa)
 
     def max_d_over_h2(self, D):
         return (self.inv_spacing_sq * D).max()
@@ -326,11 +350,11 @@ class ZonalColumn(_LatitudeGrid):
         F_t, H_tt, H_pp = covariant_derivatives(graph)
         s2 = self.sin2_theta
         grad2 = F_t * F_t
-        e11 = 1.0 + grad2  # also rho^2
-        b11 = e11 - H_tt
-        b22 = s2 - H_pp
+        e11 = grad2 + 1.0  # also rho^2
+        b11 = np.subtract(e11, H_tt, out=H_tt)
+        b22 = np.subtract(s2, H_pp, out=H_pp)
         n11, n22 = s2 * b11, e11 * b22
-        rho, sigma, den = _graph_curvature(self, r, e11, n11 + n22, b11 * b22)
+        rho, sigma, den = _graph_curvature(self, r, e11, n11 + n22, np.multiply(b11, b22, out=b11))
         return WeingartenField(r, rho, grad2, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
 
     def broadcast(self, phi, grid):
@@ -416,15 +440,21 @@ def _pad_periodic(F):
 
 def _d1(P, h):
     """First derivative along axis 0 of P, padded by two ghost entries at each end."""
-    return (P[3:-1] - P[1:-3]) * (8.0 / (12.0 * h)) - (P[4:] - P[:-4]) * (1.0 / (12.0 * h))
+    near, far = P[3:-1] - P[1:-3], P[4:] - P[:-4]
+    near *= 8.0 / (12.0 * h)
+    near -= np.multiply(far, 1.0 / (12.0 * h), out=far)
+    return near
 
 
 def _d2(P, h):
     """Second derivative along axis 0 of P, padded by two ghost entries at each end."""
     C = P[2:-2]
-    return ((P[1:-3] - C) + (P[3:-1] - C)) * (16.0 / (12.0 * h * h)) - (
-        (P[:-4] - C) + (P[4:] - C)
-    ) * (1.0 / (12.0 * h * h))
+    near, far, other = P[1:-3] - C, P[:-4] - C, P[3:-1] - C
+    near += other
+    near *= 16.0 / (12.0 * h * h)
+    far += np.subtract(P[4:], C, out=other)
+    near -= np.multiply(far, 1.0 / (12.0 * h * h), out=far)
+    return near
 
 
 def covariant_derivatives(graph):
@@ -485,8 +515,15 @@ def _eigen_2x2(M11, M12, M21, M22, den):
     not from trace and determinant, so it does not cancel at an umbilic;
     round-off below 0 is clamped.
     """
-    mean = 0.5 * (M11 + M22) / den
-    root = np.sqrt(np.maximum((0.5 * (M11 - M22)) ** 2 + M12 * M21, 0.0)) / den
+    mean = M11 + M22
+    mean *= 0.5
+    mean /= den
+    root = np.asarray(M11 - M22)  # an array (0-d for scalar entries) to work in
+    root *= 0.5
+    np.square(root, out=root)
+    root += M12 * M21
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+    root /= den
     out = np.empty(np.shape(mean) + (2,))
     np.add(mean, root, out=out[..., 0])
     np.subtract(mean, root, out=out[..., 1])
@@ -499,8 +536,9 @@ def _graph_curvature(grid, r, rho2, tr_num, det_num):
     zero den) raises before any division."""
     rho = np.sqrt(rho2)
     w = r * rho
-    den = grid.sin2_theta * rho2 * w
-    den2 = den * w
+    den = grid.sin2_theta * rho2
+    den *= w
+    den2 = np.multiply(w, den, out=w)
     if not den2.min() > 0.0:  # NaN fails too
         raise SingularMetricError("metric lost positivity (det <= 0)")
     sigma = np.empty(r.shape + (2,))

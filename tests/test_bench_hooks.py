@@ -1,12 +1,13 @@
 """The names the benchmark's tracer and step clock wrap must exist in the package,
-and a run must reach them through those names.
+and a run must reach them through those names; the benchmark's workloads must
+pass their gates.
 
 perfbench/layers.py times layers by replacing module-level names of anisoflow;
 a renamed name would silently mark its layer absent (or, for diagnostics_row,
 drop the calibrated step clock back to raw wall time), and so would a run that
 called a local copy instead of looking the name up.  The layer table, the
-tracer and the step clock are read from that file, which is imported and left
-unmodified.
+tracer and the step clock are read from that file, and the workloads and their
+gates from perfbench/workloads.py; both are imported and left unmodified.
 """
 
 import importlib
@@ -17,11 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no __pycache__ there
     try:
@@ -31,7 +32,8 @@ def load_layers():
     return module
 
 
-layers = load_layers()
+layers = load_perfbench("layers")
+workloads = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("layer", layers.LAYERS, ids=lambda layer: layer[0])
@@ -93,3 +95,18 @@ def test_tracer_sees_every_layer_of_a_surface_run(zonal):
     # each record's field is reused by the next step's first stage
     assert tracer.calls["weingarten"] == 4 * result.state.step_count + 1
     assert tracer.calls["stencils"] == tracer.calls["weingarten"]
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_benchmark_workload_passes_its_gate_and_repeats_bit_for_bit(name):
+    # seed 0 of each workload as the benchmark runs it: a broken gate or a
+    # lost bit of zonality fails here, and so does a run that does not repeat
+    from anisoflow import flow_engine
+
+    finals = []
+    for _ in range(2):
+        case = workloads.WORKLOADS[name](0)
+        result = flow_engine.run(flow_engine.initial_state(case.profile, case.graph), case.control)
+        assert case.gate(result) == []
+        finals.append(result.state.graph.phi.tobytes())
+    assert finals[0] == finals[1]

@@ -667,6 +667,38 @@ def test_recorded_speed_factor_is_f_times_sigma_k_to_the_alpha(zonal, g):
     assert row["phi_max_cap"] == pytest.approx(big_phi.max(), rel=1e-14)
 
 
+FIELD_ARRAYS = ("r", "rho", "grad_sq", "sigma", "kappa", "u")
+
+
+@pytest.mark.parametrize("where", ["circle", "zonal", "nonzonal"])
+def test_no_kernel_writes_into_an_array_it_was_handed(where):
+    # the stage arithmetic writes into its own temporaries only: a state's
+    # graphs and its field, which a record and the next step's first stage
+    # share, keep their bytes through every kernel
+    if where == "circle":
+        profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0, g=ExpFlatG(1.0))
+        graph = wiggly_circle()
+    else:
+        profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+        graph = _surface(32, 64, zonal=where == "zonal")
+    start = dataclasses.replace(initial_state(profile, graph, validate_regime=False), tau=0.25)
+    state, unread = start, dataclasses.replace(start)
+    field, lazy = state.field, unread.field
+    arrays = [state.graph.phi, state.stage_graph.phi] + [getattr(field, name) for name in FIELD_ARRAYS]
+    kept = [a.tobytes() for a in arrays]
+    weingarten(state.stage_graph)
+    rhs(profile, state.stage_graph, state.tau)
+    rhs(profile, state.stage_graph, state.tau, field=field)
+    rhs(profile, unread.stage_graph, unread.tau, field=lazy)
+    step(state, StepControl(t_end=10.0))
+    diagnostics_row(state)
+    assert [a.tobytes() for a in arrays] == kept
+    # kappa and u first read after an rhs on their field have the same bytes
+    assert "kappa" not in vars(lazy) and "u" not in vars(lazy)
+    for name in FIELD_ARRAYS:
+        assert getattr(lazy, name).tobytes() == getattr(field, name).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # bit-identity guard: the engine's stages against a plain transcription of the
 # stage arithmetic, which builds everything the stages once built
@@ -1087,6 +1119,16 @@ def test_initial_state_validation():
         with pytest.raises(ValueError, match="overflows"):
             initial_state(prof, huge, validate_regime=validate_regime)
     initial_state(prof, RadialGraph(graph.grid, np.full(graph.grid.shape, 709.0)))
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -5.0])
+@pytest.mark.parametrize("g", [ZeroG(), ExpFlatG(1.0)], ids=["pure", "expflat"])
+def test_run_refuses_a_state_whose_tau_is_not_finite_and_nonnegative(tau, g):
+    # a state built in code: nan stepped to max_steps, inf "finished" after
+    # 0 steps, and the flat g died in eval_scaled with an untyped error
+    start = initial_state(profile_k1(4.0, g), sphere_graph(SphericalGrid.circle(32), 1.0), validate_regime=False)
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        run(dataclasses.replace(start, tau=tau), StepControl(t_end=1.0, max_steps=2000))
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,25 @@ def test_scaled_flat_family_matches_masked_reference_bitwise(prof):
 
 @pytest.mark.parametrize("prof", FLAT_SCALED_PROFILES.values(), ids=FLAT_SCALED_PROFILES.keys())
 @pytest.mark.filterwarnings("error")
+def test_scaled_flat_family_all_live_equals_its_expression_form_bitwise(prof):
+    # every node live: the value is the expression below, which the path now
+    # forms in its own temporaries (and without the shift when it is 0.0)
+    g = prof.g
+    shift = getattr(g, "epsilon", 0.0)
+    one_ka = 1.0 + prof.ka
+    rng = np.random.default_rng(4)
+    for lam in (1.0, 1.37, 40.0):
+        for r in (lam * rng.uniform(shift + 0.2, 3.0, (32, 64)), lam * (shift + 0.7)):
+            kept = np.asarray(r).tobytes()
+            ref = r**one_ka * np.exp((prof.beta - one_ka) * math.log(lam) - (r / lam - shift) ** (-g.p))
+            got = eval_scaled(prof, lam, r)
+            assert type(got) is type(ref if np.ndim(r) else float(ref))
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+            assert np.asarray(r).tobytes() == kept
+
+
+@pytest.mark.parametrize("prof", FLAT_SCALED_PROFILES.values(), ids=FLAT_SCALED_PROFILES.keys())
+@pytest.mark.filterwarnings("error")
 def test_scaled_flat_family_overflow_names_the_reference_radius(prof):
     # w = (beta - 1 - k*alpha) log(lam) - barrier passes 700 where r/lam is
     # largest: every node live, then some flushed

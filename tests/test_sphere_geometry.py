@@ -339,6 +339,70 @@ def test_pad_stencils_match_roll_reference_bitwise(grid):
         assert np.array_equal(got, ref)
 
 
+# the stencils and the S^2 curvature in the expression forms they had before
+# they wrote into their own temporaries: every value must keep its bits
+
+
+def _d1_expr(P, h):
+    return (P[3:-1] - P[1:-3]) * (8.0 / (12.0 * h)) - (P[4:] - P[:-4]) * (1.0 / (12.0 * h))
+
+
+def _d2_expr(P, h):
+    C = P[2:-2]
+    return ((P[1:-3] - C) + (P[3:-1] - C)) * (16.0 / (12.0 * h * h)) - (
+        (P[:-4] - C) + (P[4:] - C)
+    ) * (1.0 / (12.0 * h * h))
+
+
+@pytest.mark.parametrize("shape", [(256 + 4,), (32 + 4, 64), (32 + 4, 1), (36 * 68 + 4,)],
+                         ids=["circle", "sphere", "zonal-column", "longitude-line"])
+def test_stencils_equal_their_expression_forms_bitwise(shape):
+    rng = np.random.default_rng(5)
+    for h in (2.0 * math.pi / 256, math.pi / 32, 0.3 * rng.uniform()):
+        P = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape)
+        kept = P.tobytes()
+        assert _d1(P, h).tobytes() == _d1_expr(P, h).tobytes()
+        assert _d2(P, h).tobytes() == _d2_expr(P, h).tobytes()
+        assert P.tobytes() == kept
+
+
+def _eager_sphere_curvature(graph):
+    """(rho, grad_sq, sigma, kappa) of a full S^2 grid with every product a
+    fresh array and the off-diagonal of adj(E) B' built up front."""
+    grid = graph.grid
+    r = graph.r()
+    F_t, F_p, H_tt, H_tp, H_pp = covariant_derivatives(graph)
+    s2 = grid.sin2_theta
+    tt, pp, tp = F_t * F_t, F_p * F_p, F_t * F_p
+    grad2 = tt + pp * grid.inv_sin2_theta
+    e11, e22 = 1.0 + tt, s2 + pp
+    b11, b12, b22 = e11 - H_tt, tp - H_tp, e22 - H_pp
+    n11 = e22 * b11 - tp * b12
+    n22 = e11 * b22 - tp * b12
+    n12, n21 = e22 * b12 - tp * b22, e11 * b12 - tp * b11
+    rho2 = 1.0 + grad2
+    rho = np.sqrt(rho2)
+    w = r * rho
+    den = grid.sin2_theta * rho2 * w
+    sigma = np.stack([(n11 + n22) / den, (b11 * b22 - b12 * b12) / (den * w)], axis=-1)
+    mean = 0.5 * (n11 + n22) / den
+    root = np.sqrt(np.maximum((0.5 * (n11 - n22)) ** 2 + n12 * n21, 0.0)) / den
+    return rho, grad2, sigma, np.stack([mean + root, mean - root], axis=-1)
+
+
+def test_sphere_curvature_equals_its_eager_form_bitwise():
+    grid = SphericalGrid.sphere(32, 64)
+    rng = np.random.default_rng(8)
+    for amp in (1e-3, 0.05, 0.3):
+        graph = RadialGraph(grid, amp * rng.standard_normal(grid.shape))
+        kept = graph.phi.tobytes()
+        field = weingarten(graph)
+        assert "kappa" not in vars(field)  # the off-diagonal is built on first read
+        for name, ref in zip(("rho", "grad_sq", "sigma", "kappa"), _eager_sphere_curvature(graph)):
+            assert getattr(field, name).tobytes() == ref.tobytes(), name
+        assert graph.phi.tobytes() == kept
+
+
 def test_grid_tables_are_cached_read_only_and_outside_equality():
     a, b = SphericalGrid.sphere(32, 64), SphericalGrid.sphere(32, 64)
     tables = (
