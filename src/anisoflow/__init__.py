@@ -49,8 +49,6 @@ from .speed_profile import (
     eval_g,
     eval_scaled,
     validate_for_regime,
-    validate_theorem1,
-    validate_theorem2,
 )
 from .sphere_geometry import (
     RadialGraph,

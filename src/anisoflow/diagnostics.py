@@ -150,30 +150,33 @@ def rk4_scalar_step(fun, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def sphere_ode_at(profile, r0, times, max_dt=1e-3):
-    """RK4-integrate the sphere ODE, reporting r at the given increasing times."""
+def rk4_scalar_at(fun, y0, times, max_dt):
+    """RK4-integrate dy/dt = fun(t, y) from y(0) = y0, reporting y at the given
+    increasing times; each span between them is cut into equal steps of at
+    most max_dt."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be increasing and start at >= 0")
-
-    def fun(t, y):
-        return sphere_ode_rhs(profile, y, t)
-
     out = np.empty_like(times)
-    t, r = 0.0, float(r0)
+    t, y = 0.0, float(y0)
     for i, target in enumerate(times):
         span = target - t
         if span > 0.0:
             steps = max(1, math.ceil(span / max_dt - 1e-12))
             h = span / steps
             for _ in range(steps):
-                r = rk4_scalar_step(fun, t, r, h)
+                y = rk4_scalar_step(fun, t, y, h)
                 t += h
             t = target
-        out[i] = r
+        out[i] = y
     return out
+
+
+def sphere_ode_at(profile, r0, times, max_dt=1e-3):
+    """RK4-integrate the sphere ODE, reporting r at the given increasing times."""
+    return rk4_scalar_at(lambda t, r: sphere_ode_rhs(profile, r, t), r0, times, max_dt)
 
 
 def _require_shrinking_regime(profile):

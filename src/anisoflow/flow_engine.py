@@ -411,7 +411,7 @@ def run(state, control):
     last_recorded = -1
     try:
         while True:
-            if state.step_count % control.record_every == 0 and state.step_count != last_recorded:
+            if state.step_count % control.record_every == 0:
                 series.append(**diagnostics_row(state))
                 last_recorded = state.step_count
             if state.tau >= control.t_end - 1e-15:

@@ -4,7 +4,7 @@ The flow speed is f(r) * sigma_k^alpha.  The normalized equation never needs g
 itself, only the rescaled term lam^beta * g(r/lam), with lam = exp(gamma*tau)
 (``lambda_of_tau``); ``eval_scaled`` evaluates it in a form that stays finite
 for arbitrarily large lam (log-space for the exponentially flat families,
-exponent arithmetic for monomials).  g' is needed only by the validators,
+exponent arithmetic for monomials).  g' is needed only by the validator,
 through ``eval_g``.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
@@ -13,12 +13,14 @@ kind's name to its class, and each kind answers for itself: ``scaled``
 regime's ``zero_near_origin`` check, and its text, ``params`` by name or, for
 a ``TABLE`` kind, 'r,value,derivative' ``rows``.
 
-Two validator entry points mirror the two convergence regimes:
+One validator, ``validate_for_regime``, checks g for the convergence regime
+that beta selects, on samples of [0.01, 3] inside g's support.  Both regimes
+ask g >= 0 and (1 + k*alpha) * g(r) / r <= g'(r); besides,
 
-* equality regime beta = 1 + k*alpha: g must vanish identically near the origin
-  and satisfy (1 + k*alpha) * g(r) / r <= g'(r);
-* strict regime beta > 1 + k*alpha: same differential inequality, plus g must be
-  flat at the origin through order floor(beta) (checked by a decade ratio test).
+* the equality regime beta = 1 + k*alpha asks g to vanish identically near
+  the origin;
+* the strict regime beta > 1 + k*alpha asks g(0) = 0 and flatness at the
+  origin through order floor(beta) (checked by a decade ratio test).
 """
 
 import dataclasses
@@ -60,13 +62,13 @@ def _positive_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _sampled_zero_near_origin(g, r_grid, gval):
+def _sampled_zero_near_origin(g, r, gval):
     """The equality regime's 'g vanishes near the origin', on the samples within
     a decade of the first, for a kind with no interval of its own to check."""
-    near = r_grid <= 10.0 * r_grid[0]
+    near = r <= 10.0 * r[0]
     worst = float(np.max(np.abs(gval[near])))
     i = int(np.argmax(np.abs(np.where(near, gval, 0.0))))
-    return ConditionReport("zero_near_origin", worst <= _TOL, worst, float(r_grid[i]))
+    return ConditionReport("zero_near_origin", worst <= _TOL, worst, float(r[i]))
 
 
 class _Analytic:
@@ -94,7 +96,7 @@ class ZeroG(_Analytic):
     def derivative(self, profile, r, g):
         return np.zeros_like(r)
 
-    def zero_near_origin(self, r_grid, gval):
+    def zero_near_origin(self, r, gval):
         return ConditionReport("zero_near_origin", True, 0.0, 0.0)
 
 
@@ -172,9 +174,9 @@ class BumpG(_FlatFamily):
     def shift(self):
         return self.epsilon
 
-    def zero_near_origin(self, r_grid, gval):
+    def zero_near_origin(self, r, gval):
         """g on the samples in [0, epsilon]."""
-        inside = r_grid <= self.epsilon
+        inside = r <= self.epsilon
         worst = float(np.max(np.abs(gval[inside]))) if np.any(inside) else 0.0
         return ConditionReport("zero_near_origin", worst <= _TOL, worst, float(self.epsilon))
 
@@ -195,7 +197,7 @@ class ExpFlatG(_FlatFamily):
 class MonomialG(_Analytic):
     """g = r^l for an integer l >= 1 (r^l is smooth at 0 only for integer l).
 
-    Admissibility (l >= floor(beta) + 1) is the validators' business.
+    Admissibility (l >= floor(beta) + 1) is the validator's business.
     """
 
     l: float
@@ -300,10 +302,6 @@ class TabulatedG:
         s, _, c1, c2, c3 = self._gather(np.asarray(r, dtype=float))
         return 0.0 + c1 + (2 * c2) * s + (3 * c3) * (s * s)
 
-    def __call__(self, r):
-        """(g(r), g'(r))."""
-        return self.value(r), self.derivative(None, r, None)
-
     def scaled(self, profile, lam, r):
         """lam^beta * g(r/lam) by direct evaluation, behind the lam cap."""
         if lam > LAMBDA_CAP:
@@ -345,7 +343,7 @@ class SpeedProfile:
     The constructor checks structural constraints only: the alpha family
     ((k = 1, alpha > 0) or (k >= 2, alpha = 1/k or alpha >= 1)) and
     beta >= 1 + k*alpha.  Whether g is admissible for the regime selected by
-    beta is decided by validate_theorem1/validate_theorem2.
+    beta is decided by validate_for_regime.
     """
 
     n: int
@@ -402,7 +400,7 @@ def lambda_of_tau(profile, tau):
 def eval_g(profile, r):
     """g(r) and g'(r) for the profile's g specification, unscaled (lam = 1).
 
-    The one source of g', which only the admissibility validators read.
+    The one source of g', which only the admissibility validator reads.
     Accepts scalars or arrays; r must be >= 0 (and within the table for
     tabulated g).  Returns (g, gp) with the input's shape.
     """
@@ -442,7 +440,7 @@ def eval_scaled(profile, lam, r):
 
 
 # ---------------------------------------------------------------------------
-# admissibility validators
+# admissibility validator
 
 
 @dataclass(frozen=True)
@@ -471,102 +469,66 @@ class ProfileReport:
         return tuple(c.name for c in self.conditions if not c.ok)
 
 
-def _default_grid():
-    return np.geomspace(0.01, 3.0, 600)
+#: the validator's samples; it reads those inside g's support
+_SAMPLES = np.geomspace(0.01, 3.0, 600)
 
 
-def _condition_nonneg(profile, r_grid, gval):
+def _condition_nonneg(r, gval):
     i = int(np.argmin(gval))
-    return ConditionReport("nonnegative", bool(gval[i] >= -_TOL), float(-gval[i]), float(r_grid[i]))
+    return ConditionReport("nonnegative", bool(gval[i] >= -_TOL), float(-gval[i]), float(r[i]))
 
 
-def _condition_scaling(profile, r_grid, gval, gder):
-    """(1 + k*alpha) g(r)/r <= g'(r) on the samples r > 0, where g/r is defined."""
-    live = r_grid > 0
-    r_grid, gval, gder = r_grid[live], gval[live], gder[live]
-    viol = (1.0 + profile.ka) * gval / r_grid - gder
-    i = int(np.argmax(viol))
-    ok = viol[i] <= _TOL * (1.0 + abs(gder[i]))
-    return ConditionReport("scaling", bool(ok), float(viol[i]), float(r_grid[i]))
-
-
-def _finish(conditions):
-    bad = [c for c in conditions if not c.ok]
-    pick = max(bad, key=lambda c: c.worst_violation) if bad else max(
-        conditions, key=lambda c: c.worst_violation
-    )
-    return ProfileReport(
-        ok=not bad,
-        worst_violation=pick.worst_violation,
-        location=pick.location,
-        condition=pick.name,
-        conditions=tuple(conditions),
-    )
-
-
-def validate_theorem1(profile, r_grid=None):
-    """Check g for the equality regime beta = 1 + k*alpha.
-
-    Conditions: g >= 0, g identically zero near the origin, and
-    (1 + k*alpha) g(r)/r <= g'(r) at every sample.
-    """
-    if not profile.equality_regime:
-        raise ValueError("equality-regime validator called with beta != 1 + k*alpha")
-    r_grid = _default_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    gval, gder = eval_g(profile, r_grid)
-    gval, gder = np.atleast_1d(gval), np.atleast_1d(gder)
-
-    conds = [
-        _condition_nonneg(profile, r_grid, gval),
-        profile.g.zero_near_origin(r_grid, gval),
-        _condition_scaling(profile, r_grid, gval, gder),
-    ]
-    return _finish(conds)
-
-
-def validate_theorem2(profile, r_grid=None):
-    """Check g for the strict regime beta > 1 + k*alpha.
-
-    Conditions: g >= 0, g(0) = 0, flatness at the origin through order
-    floor(beta) (decade ratio test on g / r^(floor(beta)+1)), and the same
-    differential inequality as the equality regime.
-    """
-    if profile.equality_regime or profile.beta < 1.0 + profile.ka:
-        raise ValueError("strict-regime validator called with beta = 1 + k*alpha")
-    r_grid = _default_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    gval, gder = eval_g(profile, r_grid)
-    gval, gder = np.atleast_1d(gval), np.atleast_1d(gder)
-
-    conds = [_condition_nonneg(profile, r_grid, gval)]
-
-    origin, end = profile.g.support
+def _condition_vanishes(profile, origin):
     g0, _ = eval_g(profile, origin)
-    conds.append(ConditionReport("vanishes_at_origin", abs(g0) <= _TOL, abs(float(g0)), origin))
+    return ConditionReport("vanishes_at_origin", abs(g0) <= _TOL, abs(g0), origin)
 
+
+def _condition_flatness(profile, origin, end):
+    """Decade ratio test on g / r^(floor(beta)+1) within [1e-3, 1e-1]."""
     m = math.floor(profile.beta) + 1
     lo, hi = max(1e-3, origin), min(1e-1, end)
-    if hi > lo * 10.0:
-        mid = math.sqrt(lo * hi)
-        d1 = np.geomspace(lo, mid, 40)
-        d2 = np.geomspace(mid, hi, 40)
-        q1, _ = eval_g(profile, d1)
-        q2, _ = eval_g(profile, d2)
-        q1 = np.atleast_1d(q1) / d1**m
-        q2 = np.atleast_1d(q2) / d2**m
-        K1, K2 = float(np.max(q1)), float(np.max(q2))
-        ok = K1 <= 1.2 * K2 + 1e-300
-        conds.append(
-            ConditionReport("flatness", ok, K1 - 1.2 * K2, float(d1[int(np.argmax(q1))]))
-        )
+    if not hi > lo * 10.0:
+        return ConditionReport("flatness", True, 0.0, lo)
+    mid = math.sqrt(lo * hi)
+    d1 = np.geomspace(lo, mid, 40)
+    d2 = np.geomspace(mid, hi, 40)
+    q1 = eval_g(profile, d1)[0] / d1**m
+    q2 = eval_g(profile, d2)[0] / d2**m
+    K1, K2 = float(np.max(q1)), float(np.max(q2))
+    return ConditionReport("flatness", K1 <= 1.2 * K2 + 1e-300, K1 - 1.2 * K2, float(d1[int(np.argmax(q1))]))
+
+
+def _condition_scaling(profile, r, gval, gder):
+    """(1 + k*alpha) g(r)/r <= g'(r) on the samples."""
+    viol = (1.0 + profile.ka) * gval / r - gder
+    i = int(np.argmax(viol))
+    ok = viol[i] <= _TOL * (1.0 + abs(gder[i]))
+    return ConditionReport("scaling", bool(ok), float(viol[i]), float(r[i]))
+
+
+def validate_for_regime(profile):
+    """Check g against the conditions of the regime that beta selects, on the
+    samples in [0.01, 3] that lie inside g's support.
+
+    Both regimes: g >= 0 and (1 + k*alpha) g(r)/r <= g'(r).  Between them,
+    the equality regime beta = 1 + k*alpha asks that g vanish identically
+    near the origin; the strict regime beta > 1 + k*alpha asks g(0) = 0 and
+    flatness at the origin through order floor(beta).  A g whose support
+    holds no sample fails, as condition 'support'.
+    """
+    origin, end = profile.g.support
+    r = _SAMPLES[(origin <= _SAMPLES) & (_SAMPLES <= end)]
+    if r.size:
+        gval, gder = eval_g(profile, r)
+        if profile.equality_regime:
+            middle = (profile.g.zero_near_origin(r, gval),)
+        else:
+            middle = (_condition_vanishes(profile, origin), _condition_flatness(profile, origin, end))
+        conds = (_condition_nonneg(r, gval), *middle, _condition_scaling(profile, r, gval, gder))
     else:
-        conds.append(ConditionReport("flatness", True, 0.0, lo))
-
-    conds.append(_condition_scaling(profile, r_grid, gval, gder))
-    return _finish(conds)
-
-
-def validate_for_regime(profile, r_grid=None):
-    """Dispatch to the validator matching the profile's beta."""
-    if profile.equality_regime:
-        return validate_theorem1(profile, r_grid)
-    return validate_theorem2(profile, r_grid)
+        conds = (ConditionReport("support", False, math.inf, origin),)
+    bad = [c for c in conds if not c.ok]
+    pick = max(bad or conds, key=lambda c: c.worst_violation)
+    return ProfileReport(
+        ok=not bad, worst_violation=pick.worst_violation, location=pick.location, condition=pick.name, conditions=conds
+    )

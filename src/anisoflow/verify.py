@@ -15,7 +15,7 @@ import numpy as np
 import anisoflow.symfunc as sf
 
 from . import speed_profile
-from .diagnostics import closed_form_r1, closed_form_r2, r1_comparison_rhs, rk4_scalar_step, sphere_ode_at, sphere_ode_rhs
+from .diagnostics import closed_form_r1, closed_form_r2, r1_comparison_rhs, rk4_scalar_at, sphere_ode_at, sphere_ode_rhs
 from .flow_engine import initial_state, run
 from .speed_profile import (
     BumpG,
@@ -24,8 +24,7 @@ from .speed_profile import (
     SpeedProfile,
     ZeroG,
     eval_scaled,
-    validate_theorem1,
-    validate_theorem2,
+    validate_for_regime,
 )
 from .sphere_geometry import RadialGraph, SphericalGrid, embedding_oracle, sphere_graph, weingarten
 
@@ -258,44 +257,28 @@ def oracle_suite():
 
 
 def profile_matrix():
-    """(label, report, expected_ok, expected_condition) for the standard cases."""
+    """(label, validate_for_regime's report, expected_ok, expected_condition)
+    for the standard cases."""
     rows = []
 
-    def add(label, profile, validator, expected_ok, expected_condition=None):
-        rows.append((label, validator(profile), expected_ok, expected_condition))
+    def add(label, profile, expected_ok, expected_condition=None):
+        rows.append((label, validate_for_regime(profile), expected_ok, expected_condition))
 
-    add("zero", SpeedProfile(1, 1, 1.0, 2.0, ZeroG()), validate_theorem1, True)
+    add("zero", SpeedProfile(1, 1, 1.0, 2.0, ZeroG()), True)
     for p in (1.0, 2.0):
-        add(
-            f"bump(eps=0.5,p={p:g})",
-            SpeedProfile(1, 1, 1.0, 2.0, BumpG(epsilon=0.5, p=p)),
-            validate_theorem1,
-            True,
-        )
+        add(f"bump(eps=0.5,p={p:g})", SpeedProfile(1, 1, 1.0, 2.0, BumpG(epsilon=0.5, p=p)), True)
     for p in (1.0, 2.0):
-        add(
-            f"expflat(p={p:g})",
-            SpeedProfile(1, 1, 1.0, 3.0, ExpFlatG(p=p)),
-            validate_theorem2,
-            True,
-        )
+        add(f"expflat(p={p:g})", SpeedProfile(1, 1, 1.0, 3.0, ExpFlatG(p=p)), True)
+    add("monomial(l=4),beta=3", SpeedProfile(1, 1, 1.0, 3.0, MonomialG(l=4)), True)
     add(
-        "monomial(l=4),beta=3",
-        SpeedProfile(1, 1, 1.0, 3.0, MonomialG(l=4)),
-        validate_theorem2,
-        True,
-    )
-    add(
-        "monomial(l=1),beta=2",  # g = r against the equality-regime validator
+        "monomial(l=1),beta=2",  # g = r in the equality regime
         SpeedProfile(1, 1, 1.0, 2.0, MonomialG(l=1)),
-        validate_theorem1,
         False,
         "scaling",
     )
     add(
         "monomial(l=3),beta=3",  # l = floor(beta): not flat enough at the origin
         SpeedProfile(1, 1, 1.0, 3.0, MonomialG(l=3)),
-        validate_theorem2,
         False,
         "flatness",
     )
@@ -321,12 +304,8 @@ def profile_suite():
 
 def _r1_vs_rk4(profile, r0, C_bound, t_end):
     fun = lambda t, r: r1_comparison_rhs(profile, C_bound, r, t)
-    h = t_end / R1_RK4_STEPS
-    t, r = 0.0, r0
-    for _ in range(R1_RK4_STEPS):
-        r = rk4_scalar_step(fun, t, r, h)
-        t += h
-    return abs(closed_form_r1(profile, r0, C_bound, t_end) - r)
+    (r,) = rk4_scalar_at(fun, r0, [t_end], max_dt=t_end / R1_RK4_STEPS)
+    return abs(closed_form_r1(profile, r0, C_bound, t_end) - float(r))
 
 
 def sphere_ode_suite():

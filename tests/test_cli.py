@@ -11,7 +11,7 @@ import anisoflow.symfunc
 import anisoflow.textform
 from anisoflow.cli import main, write_svg_plot
 from anisoflow.diagnostics import DiagnosticsSeries
-from anisoflow.flow_engine import StepControl, initial_state
+from anisoflow.flow_engine import AdmissibilityError, StepControl, initial_state
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
@@ -635,6 +635,32 @@ def test_verify_config_path_reports_conditions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "scaling: FAIL" in out
+
+
+def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsys):
+    # the validator reads its samples inside the table [0.5, 2] only: g(0.5)
+    # = 0.5^5 fails vanishes_at_origin, and nothing queries g outside the table
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{r},{r**5},{5 * r**4}\n" for r in np.linspace(0.5, 2.0, 7)))
+    text = BASIC.replace("beta = 2", "beta = 3").replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
+    message = (
+        "[profile] fails its regime validator (condition 'vanishes_at_origin', "
+        "worst violation 3.125e-02); set [control] override = true to force"
+    )
+    assert errors_of(text) == [message]
+    assert main(["run", write_config(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert main(["verify", write_config(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+    forced = text.replace("t_end = 0.5", "t_end = 0.5\noverride = true")
+    cfg = parse_config(forced)
+    with pytest.raises(AdmissibilityError, match="'vanishes_at_origin'"):
+        initial_state(cfg.profile, sphere_graph(cfg.grid, 1.0))
+    assert main(["verify", write_config(tmp_path, forced)]) == 3
+    out = capsys.readouterr().out
+    assert "vanishes_at_origin: FAIL worst=3.125e-02 at r=0.5" in out
+    assert "scaling: PASS" in out
 
 
 def test_ode_compare_strict_regime(tmp_path, capsys):

@@ -105,7 +105,7 @@ note("anisoflow run, ode-compare and verify")
 
 cubic = TabulatedG(pts, pts**3, 3.0 * pts**2)
 r = np.linspace(0.0, 3.0, 101)
-val, der = cubic(r)
+val, der = eval_g(SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=cubic), r)
 assert np.array_equal(val, cubic.value(r)) and np.abs(der - 3.0 * r**2).max() < 1e-3
 note("TabulatedG value and g'")
 print("FOOTPRINT " + json.dumps(seen))

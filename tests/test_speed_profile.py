@@ -21,8 +21,6 @@ from anisoflow.speed_profile import (
     eval_g,
     eval_scaled,
     validate_for_regime,
-    validate_theorem1,
-    validate_theorem2,
 )
 
 
@@ -379,9 +377,9 @@ def _cubic(r):
 def test_tabulated_reproduces_a_cubic():
     # a cubic Hermite spline is exact for a cubic, on uneven nodes too
     pts = np.array([0.0, 0.1, 0.35, 0.4, 1.0, 1.7, 2.0])
-    table = TabulatedG(pts, *_cubic(pts))
+    prof = profile_k1(4.0, TabulatedG(pts, *_cubic(pts)))
     q = np.random.default_rng(3).uniform(0.0, 2.0, 500)
-    g, gp = table(q)
+    g, gp = eval_g(prof, q)
     want, want_p = _cubic(q)
     assert_allclose(g, want, rtol=1e-14, atol=1e-14)
     assert_allclose(gp, want_p, rtol=1e-14, atol=1e-14)
@@ -390,7 +388,7 @@ def test_tabulated_reproduces_a_cubic():
 def test_tabulated_at_its_nodes():
     pts = np.array([0.05, 0.2, 0.9, 1.0, 2.5, 3.0])
     vals, ders = _cubic(pts)
-    g, gp = TabulatedG(pts, vals, ders)(pts)
+    g, gp = eval_g(profile_k1(4.0, TabulatedG(pts, vals, ders)), pts)
     # a node starts its interval (s = 0), save the last, which ends the last interval
     assert np.array_equal(g[:-1], vals[:-1]) and np.array_equal(gp[:-1], ders[:-1])
     assert_allclose(g[-1], vals[-1], rtol=1e-14)
@@ -399,7 +397,7 @@ def test_tabulated_at_its_nodes():
 
 def test_tabulated_two_rows():
     table = TabulatedG([1.0, 3.0], [0.5, 2.0], [1.0, -0.5])
-    g, gp = table(np.array([1.0, 2.0, 3.0]))
+    g, gp = eval_g(profile_k1(4.0, table), np.array([1.0, 2.0, 3.0]))
     # Hermite midpoint: (y0 + y1)/2 + h (d0 - d1)/8 and 3 (y1 - y0)/(2h) - (d0 + d1)/4
     assert_allclose(g, [0.5, 1.25 + 2.0 * 1.5 / 8.0, 2.0], rtol=1e-15)
     assert_allclose(gp, [1.0, 1.5 * 1.5 / 2.0 - 0.5 / 4.0, -0.5], rtol=1e-15)
@@ -413,7 +411,7 @@ def test_tabulated_scalar_query_returns_floats():
     for r in (0.0, 0.7, 2.0):
         g, gp = eval_g(prof, r)
         assert type(g) is float and type(gp) is float
-        assert (g, gp) == tuple(float(v[0]) for v in prof.g(np.array([r])))  # an array query's bits
+        assert (g, gp) == tuple(float(v[0]) for v in eval_g(prof, np.array([r])))  # an array query's bits
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +564,7 @@ def test_scaled_rejects_nan_radius_for_every_kind(kind, r):
 
 def test_validator_passes_equality_regime_kinds():
     for g in (ZeroG(), BumpG(0.5, 1.0), BumpG(0.5, 2.0)):
-        rep = validate_theorem1(profile_k1(2.0, g))
+        rep = validate_for_regime(profile_k1(2.0, g))
         assert rep.ok, (g, rep.condition, rep.worst_violation)
 
 
@@ -577,32 +575,23 @@ def test_validator_passes_strict_regime_kinds():
         (profile_k1(3.0, MonomialG(4.0)), "monomial-4"),
     ]
     for prof, label in strict:
-        rep = validate_theorem2(prof)
+        rep = validate_for_regime(prof)
         assert rep.ok, (label, rep.condition, rep.worst_violation)
 
 
 def test_validator_rejects_linear_g_in_equality_regime():
     # g = r fails the differential inequality (1+k*alpha) g / r <= g'
-    rep = validate_theorem1(profile_k1(2.0, MonomialG(1.0)))
+    rep = validate_for_regime(profile_k1(2.0, MonomialG(1.0)))
     assert not rep.ok
     assert rep.condition == "scaling"
 
 
 def test_validator_rejects_insufficient_flatness():
     # g = r^3 with beta = 3 needs vanishing through order 3; r^3 only gives 2
-    rep = validate_theorem2(profile_k1(3.0, MonomialG(3.0)))
+    rep = validate_for_regime(profile_k1(3.0, MonomialG(3.0)))
     assert not rep.ok
     assert rep.condition == "flatness"
     assert rep.failed() == ("flatness",)
-
-
-@pytest.mark.filterwarnings("error")
-def test_validator_scaling_skips_a_sample_at_the_origin():
-    # g(r)/r is undefined at r = 0: the scaling condition reads the r > 0 samples
-    rep = validate_theorem1(profile_k1(2.0, BumpG(0.5, 1.0)), r_grid=np.linspace(0.0, 3.0, 31))
-    assert rep.ok, (rep.condition, rep.worst_violation)
-    (scaling,) = (c for c in rep.conditions if c.name == "scaling")
-    assert np.isfinite(scaling.worst_violation) and scaling.location > 0.0
 
 
 @pytest.mark.parametrize("kind", sorted(G_KINDS))
@@ -616,10 +605,6 @@ def test_every_condition_reports_a_python_bool(kind):
 def test_validator_dispatch():
     assert validate_for_regime(profile_k1(2.0)).ok
     assert validate_for_regime(profile_k1(3.0, MonomialG(4.0))).ok
-    with pytest.raises(ValueError):
-        validate_theorem1(profile_k1(3.0))
-    with pytest.raises(ValueError):
-        validate_theorem2(profile_k1(2.0))
 
 
 def test_validator_tabulated_expflat_passes():
@@ -628,5 +613,28 @@ def test_validator_tabulated_expflat_passes():
     pts = np.concatenate([[0.0], pts])
     vals, ders = eval_g(base, pts)
     prof = profile_k1(4.0, TabulatedG(pts, vals, ders))
-    rep = validate_theorem2(prof, r_grid=np.geomspace(0.01, 2.9, 400))
+    rep = validate_for_regime(prof)
     assert rep.ok, (rep.condition, rep.worst_violation)
+
+
+def _cubic_table(lo, hi):
+    pts = np.linspace(lo, hi, 9)
+    return TabulatedG(pts, *_cubic(pts))
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_validator_samples_only_inside_a_narrow_table(beta):
+    # the samples in [0.5, 2] are checked, and no query leaves the table:
+    # g(0.5) > 0 fails the regime's condition at the support's start
+    rep = validate_for_regime(profile_k1(beta, _cubic_table(0.5, 2.0)))
+    assert not rep.ok
+    assert ("zero_near_origin" if beta == 2.0 else "vanishes_at_origin") in rep.failed()
+    assert all(0.5 <= c.location <= 2.0 for c in rep.conditions)
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_validator_fails_a_table_that_holds_no_sample(beta):
+    rep = validate_for_regime(profile_k1(beta, _cubic_table(5.0, 10.0)))
+    assert not rep.ok
+    assert rep.failed() == ("support",) and rep.condition == "support"
+    assert rep.location == 5.0 and rep.worst_violation == math.inf
