@@ -18,8 +18,9 @@ recorded on its grid's stage of its graph (``SphericalGrid.stage``), which
 for a bit-exactly zonal state on S^2 is one latitude column, and ``step``
 has the stage grid broadcast the result back.  A step keeps a zonal state
 zonal, so it hands the column it computed on to the state it returns: the
-zonality scan runs once per run.  A state's curvature field is built once,
-for a record and the next step's first stage alike.
+zonality scan runs once per run.  A state's curvature field and speed
+coefficient are built once, for a record and the next step's first stage
+alike.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -149,6 +150,12 @@ class FlowState:
         """weingarten(stage_graph), shared by a record and the next step's k1 stage."""
         return weingarten(self.stage_graph)
 
+    @cached_property
+    def speed_coefficient(self):
+        """rhs's coefficient A at this state, shared by a record and the next
+        step's k1 stage."""
+        return _speed_coefficient(self.profile, self.stage_graph, self.field, self.tau)
+
 
 @dataclass(frozen=True)
 class StepControl:
@@ -256,17 +263,19 @@ def _speed_coefficient(profile, graph, field, tau):
     return A
 
 
-def rhs(profile, graph, tau, field=None):
+def rhs(profile, graph, tau, field=None, A=None):
     """d(phi)/d(tau) per node at normalized time tau, plus the curvature field
     and coefficient A.
 
-    field, when given, is weingarten(graph), already built.
+    field, when given, is weingarten(graph), already built; A, when given, is
+    the coefficient at (graph, field, tau), already built.
     """
     if field is None:
         field = weingarten(graph)
     _cone_gate(profile, field, tau)
     sig = field.sigma[..., profile.k - 1]
-    A = _speed_coefficient(profile, graph, field, tau)
+    if A is None:
+        A = _speed_coefficient(profile, graph, field, tau)
     out = A * _sigma_pow(sig, profile.alpha)
     np.subtract(profile.gamma, out, out=out)
     if not np.isfinite(out).all():
@@ -318,7 +327,9 @@ def step(state, control, dt_cap=math.inf):
     profile, grid = state.profile, state.graph.grid
     graph = state.stage_graph
     tau0, phi0, stage_grid = state.tau, graph.phi, graph.grid
-    k, field0, A0 = rhs(profile, graph, tau0, state.field)
+    # A as a record of the state built it; else k1 builds it after the cone
+    # gate, as every other stage does
+    k, field0, A0 = rhs(profile, graph, tau0, state.field, vars(state).get("speed_coefficient"))
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, graph, field0, A0), dt_cap)
     if dt < _MIN_DT:
         raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
@@ -364,7 +375,8 @@ def initial_state(profile, graph, validate_regime=True):
 
 def diagnostics_row(state):
     """The per-record reduction vector (see DiagnosticsSeries for the order),
-    reduced over state.field, which the next step's first stage reuses.
+    reduced over state.field and state.speed_coefficient, which the next
+    step's first stage reuses.
 
     The speed factor Phi = f sigma_k^alpha, f = r^beta + lam^beta g(r/lam),
     is taken as u (A sigma_k^alpha), the support function times the rhs's
@@ -377,7 +389,7 @@ def diagnostics_row(state):
     field = state.field
     sig = field.sigma[..., profile.k - 1]
     sig_pow = np.copysign(_sigma_pow(np.abs(sig), profile.alpha), sig)
-    big_phi = field.u * (_speed_coefficient(profile, state.stage_graph, field, state.tau) * sig_pow)
+    big_phi = field.u * (state.speed_coefficient * sig_pow)
     r_min = float(field.r.min())
     r_max = float(field.r.max())
     grad_phi = field.grad_phi_norm()

@@ -125,9 +125,15 @@ class CircleGrid(SphericalGrid):
         """(theta,) per node, in the order of phi.ravel()."""
         return [(t,) for t in self.theta.tolist()]
 
+    @cached_property
+    def pad_index(self):
+        """Indices into an (N,) field giving its (N + 4,) periodic padding:
+        two wrapped ghost entries past each end."""
+        return _read_only(np.arange(-2, self.n_lat + 2) % self.n_lat)
+
     def partials(self, F):
         """(F', F'') by the periodic stencils."""
-        P, h = _pad_periodic(F), self.h_theta
+        P, h = F.take(self.pad_index), self.h_theta
         return _d1(P, h), _d2(P, h)
 
     derivatives = partials  # the metric is d theta^2: covariant derivatives are partials
@@ -170,15 +176,19 @@ class _LatitudeGrid(SphericalGrid):
 
     # Per-grid tables: built on first use, cached on the instance (outside the
     # fields, so equality and hashing ignore them), and read-only.  The
-    # latitude tables are (N_lat, 1) columns.
+    # latitude tables have the grid's own shape, (N_lat, 1) on a zonal column,
+    # so the stage arithmetic multiplies fields by them without a broadcast.
+
+    def _latitude_table(self, values):
+        return _read_only(np.repeat(values[:, None], self.n_lon, axis=1))
 
     @cached_property
     def sin_theta(self):
-        return _read_only(np.sin(self.theta)[:, None])
+        return self._latitude_table(np.sin(self.theta))
 
     @cached_property
     def cos_theta(self):
-        return _read_only(np.cos(self.theta)[:, None])
+        return self._latitude_table(np.cos(self.theta))
 
     @cached_property
     def sin2_theta(self):
@@ -239,9 +249,9 @@ class SphereGrid(_LatitudeGrid):
 
     @cached_property
     def inv_spacing_sq(self):
-        """1/h_theta^2 + 1/(h_phi^2 sin^2(theta)) as an (N_lat, 1) column: each
-        row's inverse squared spacings summed over both directions, which the
-        dt bound multiplies by the diffusivity."""
+        """1/h_theta^2 + 1/(h_phi^2 sin^2(theta)) at every node: its inverse
+        squared spacings summed over both directions, which the dt bound
+        multiplies by the diffusivity."""
         return _read_only(1.0 / self.h_theta**2 + 1.0 / (self.h_phi**2 * self.sin2_theta))
 
     @cached_property
@@ -431,11 +441,6 @@ def sphere_graph(grid, r0):
 
 # ---------------------------------------------------------------------------
 # finite differences
-
-
-def _pad_periodic(F):
-    """Two wrapped ghost entries past each end of axis 0."""
-    return np.concatenate((F[-2:], F, F[:2]))
 
 
 def _d1(P, h):

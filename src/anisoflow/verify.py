@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-import anisoflow.symfunc as sf
-
 from . import speed_profile
+from . import symfunc as sf
 from .diagnostics import closed_form_r1, closed_form_r2, r1_comparison_rhs, rk4_scalar_at, sphere_ode_at, sphere_ode_rhs
 from .flow_engine import initial_state, run
 from .speed_profile import (

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
 from anisoflow.diagnostics import fit_exponential
 from anisoflow.flow_engine import StepControl, initial_state, rhs, run, step
@@ -313,43 +314,55 @@ def test_ac8_gradient_bounds_on_stored_runs(ac3_run, ac4_run):
 # AC-9: the linearized spectrum at the sphere
 
 
+def _decay_rate(profile, graph, coefficient, t_end):
+    """Minus the fitted slope of log|coefficient(phi)| over a run from graph
+    to t_end, recorded every step of at most 2e-3."""
+    control = StepControl(t_end=t_end, dt_max=2e-3)
+    state = initial_state(profile, graph)
+    taus, coefs = [], []
+    while True:
+        taus.append(state.tau)
+        coefs.append(abs(coefficient(state.graph.phi)))
+        if state.tau >= t_end - 1e-15:
+            break
+        state = step(state, control, dt_cap=t_end - state.tau)
+    return -fit_exponential(np.array(taus), np.array(coefs), window=(0.0, t_end)).rate
+
+
 def _mode_decay_rates(profile, grid, basis, t_end):
     """Fitted decay rate of each mode l = 0..3, seeded alone at amplitude 1e-4:
-    minus the slope of log|c_l(tau)|, c the least-squares coefficients of the
-    (column of) phi on the basis columns, recorded every step of at most 2e-3."""
-    control = StepControl(t_end=t_end, dt_max=2e-3)
+    c_l, the least-squares coefficients of the (column of) phi on the basis
+    columns, along ``_decay_rate``."""
     rates = []
     for l in range(4):
         phi = 1e-4 * basis[:, l]
         if grid.n == 2:  # zonal: the state runs on one column
             phi = np.repeat(phi[:, None], grid.n_lon, axis=1)
-        state = initial_state(profile, RadialGraph(grid, phi))
-        taus, coefs = [], []
-        while True:
-            column = state.graph.phi if grid.n == 1 else state.graph.phi[:, 0]
-            taus.append(state.tau)
-            coefs.append(abs(np.linalg.lstsq(basis, column, rcond=None)[0][l]))
-            if state.tau >= t_end - 1e-15:
-                break
-            state = step(state, control, dt_cap=t_end - state.tau)
-        rates.append(-fit_exponential(np.array(taus), np.array(coefs), window=(0.0, t_end)).rate)
+
+        def coefficient(phi, l=l):
+            column = phi if grid.n == 1 else phi[:, 0]
+            return np.linalg.lstsq(basis, column, rcond=None)[0][l]
+
+        rates.append(_decay_rate(profile, RadialGraph(grid, phi), coefficient, t_end))
     return rates
 
 
-def test_ac9_linearized_spectrum_at_the_sphere():
-    # With g = 0, phi_tau = gamma - r^(beta-1) rho sigma_k^alpha linearized at
-    # phi = 0 damps the degree-l harmonic at
-    # lambda_l = C(n,k)^alpha [(beta - 1 - k alpha) + (alpha k / n) l (l + n - 1)],
-    # whatever integrator steps it.  Fits here read 1.00004, 2.99999, 8.99973,
-    # 18.99745 (curve) and 1.00004, 2.99999, 6.99989, 12.99773 (zonal
-    # column); the largest relative error is 1.7e-4, from the time step and
-    # the amplitude's quadratic terms.  A 1% error in the spacing of the
-    # second-difference stencil moves lambda_2 by 1.8%, and the exponent beta
-    # in place of beta - 1 moves every rate by C(n,k)^alpha, so a relative
-    # tolerance of 2e-3 tells both apart.
-    def predicted(p, l):
-        return math.comb(p.n, p.k) ** p.alpha * ((p.beta - 1.0 - p.ka) + (p.alpha * p.k / p.n) * l * (l + p.n - 1))
+def _predicted_rate(p, l):
+    """With g = 0, phi_tau = gamma - r^(beta-1) rho sigma_k^alpha linearized at
+    phi = 0 damps the degree-l harmonic at
+    lambda_l = C(n,k)^alpha [(beta - 1 - k alpha) + (alpha k / n) l (l + n - 1)],
+    whatever integrator steps it."""
+    return math.comb(p.n, p.k) ** p.alpha * ((p.beta - 1.0 - p.ka) + (p.alpha * p.k / p.n) * l * (l + p.n - 1))
 
+
+def test_ac9_linearized_spectrum_at_the_sphere():
+    # Fits here read 1.00004, 2.99999, 8.99973, 18.99745 (curve) and 1.00004,
+    # 2.99999, 6.99989, 12.99773 (zonal column) against _predicted_rate; the
+    # largest relative error is 1.7e-4, from the time step and the amplitude's
+    # quadratic terms.  A 1% error in the spacing of the second-difference
+    # stencil moves lambda_2 by 1.8%, and the exponent beta in place of
+    # beta - 1 moves every rate by C(n,k)^alpha, so a relative tolerance of
+    # 2e-3 tells both apart.
     curve = SpeedProfile(n=1, k=1, alpha=2.0, beta=4.0)
     circle = SphericalGrid.circle(128)
     cosines = np.cos(np.outer(circle.theta, np.arange(6)))
@@ -363,11 +376,41 @@ def test_ac9_linearized_spectrum_at_the_sphere():
         ("zonal 32x64", column, sphere, legendre, 0.4),
     ):
         rates = _mode_decay_rates(profile, grid, basis, t_end)
-        want = [predicted(profile, l) for l in range(4)]
+        want = [_predicted_rate(profile, l) for l in range(4)]
         detail.append(f"{name}: " + ", ".join(f"{a:.5f}/{b:g}" for a, b in zip(rates, want)))
         problems += [f"{name} l={l}" for l, (a, b) in enumerate(zip(rates, want)) if abs(a - b) > 2e-3 * b]
     ok = not problems
     line = _report("AC-9 linearized decay rates at the sphere", ok, "; ".join(detail + problems))
+    assert ok, line
+
+
+def test_ac9_nonzonal_modes_at_the_sphere():
+    # Y_l^m = P_l^m(cos theta) cos(m phi), m != 0, seeded alone at amplitude
+    # 1e-4 on a full 16x32 grid, so the longitude stencils and the latitude
+    # factors of the covariant Hessian and the metric act on it.  Each
+    # latitude's m-th longitude rfft coefficient is fitted by least squares
+    # on P_m^m..P_(m+3)^m (the P_l^m are not orthogonal on the midpoint
+    # latitudes).  Fits read 6.99868, 12.98592 and 6.99932 against 7 and 13,
+    # within 1.1e-3 relative; with F_pp's longitude spacing 1% off they read
+    # 6.900, 12.779 and 6.949, 0.7-1.7% off.
+    profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0)
+    grid = SphericalGrid.sphere(16, 32)
+    x = np.cos(grid.theta)
+    problems, detail = [], []
+    for l, m in ((2, 2), (3, 3), (2, 1)):
+        basis = np.stack([lpmv(m, j, x) for j in range(m, m + 4)], axis=1)
+        seed = basis[:, l - m] / np.abs(basis[:, l - m]).max()
+        graph = RadialGraph(grid, 1e-4 * np.outer(seed, np.cos(m * grid.phi_lon)))
+
+        def coefficient(phi, basis=basis, l=l, m=m):
+            return np.linalg.lstsq(basis, np.fft.rfft(phi, axis=1)[:, m], rcond=None)[0][l - m]
+
+        rate, want = _decay_rate(profile, graph, coefficient, 0.2), _predicted_rate(profile, l)
+        detail.append(f"Y_{l}^{m}: {rate:.5f}/{want:g}")
+        if abs(rate - want) > 2e-3 * want:
+            problems.append(f"Y_{l}^{m}")
+    ok = not problems
+    line = _report("AC-9 non-zonal decay rates at the sphere", ok, "; ".join(detail + problems))
     assert ok, line
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anisoflow import sphere_geometry
+from anisoflow import flow_engine, speed_profile, sphere_geometry
 from anisoflow.diagnostics import COLUMNS
 from anisoflow.flow_engine import (
     STAGE_C1,
@@ -644,6 +644,33 @@ def test_zonal_run_scans_for_zonality_once(monkeypatch):
     result = run(_zonal_expflat_state(), StepControl(t_end=10.0, max_steps=12, record_every=5))
     assert result.state.step_count == 12 and len(result.series) == 4
     assert len(calls) == 1  # the initial state's; each step hands its column on
+
+
+def test_a_record_and_the_next_first_stage_share_the_speed_terms(monkeypatch):
+    # eval_scaled, looked up through its module name as perfbench's tracer
+    # wraps it, runs once per evaluated state: each step's four stages and
+    # the final state, which a record reads but no step follows
+    calls = dict.fromkeys(("eval_scaled", "rhs", "weingarten"), 0)
+    for module, name in ((speed_profile, "eval_scaled"), (flow_engine, "rhs"), (flow_engine, "weingarten")):
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    start = initial_state(profile, _surface(16, 32, zonal=False), validate_regime=False)
+    result = run(start, StepControl(t_end=10.0, max_steps=12, record_every=5))
+    assert len(result.series) == 4  # steps 0, 5, 10 and the final 12
+    assert calls == {"eval_scaled": 49, "rhs": 48, "weingarten": 49}
+    # the shared A has the bits of the one the first stage builds itself
+    unrecorded = run(dataclasses.replace(start), StepControl(t_end=10.0, max_steps=12, record_every=10**9))
+    assert result.state.graph.phi.tobytes() == unrecorded.state.graph.phi.tobytes()
+    state = result.state
+    assert "speed_coefficient" in vars(state)
+    A = rhs(profile, state.stage_graph, state.tau)[2]
+    assert A.tobytes() == state.speed_coefficient.tobytes()
 
 
 @pytest.mark.parametrize("zonal", [None, True, False], ids=["circle", "zonal", "nonzonal"])

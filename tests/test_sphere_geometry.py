@@ -16,7 +16,6 @@ from anisoflow.sphere_geometry import (
     ZonalColumn,
     _d1,
     _d2,
-    _pad_periodic,
     covariant_derivatives,
     embedding_oracle,
     sphere_graph,
@@ -414,22 +413,40 @@ def test_grid_tables_are_cached_read_only_and_outside_equality():
         with pytest.raises(ValueError):
             table[0] = 0
     sin_t, cos_t = np.sin(a.theta)[:, None], np.cos(a.theta)[:, None]
-    assert np.array_equal(a.sin_theta, sin_t)
-    assert np.array_equal(a.cos_theta, cos_t)
-    assert np.array_equal(a.sin2_theta, sin_t * sin_t)
-    assert np.array_equal(a.inv_sin2_theta, 1.0 / (sin_t * sin_t))
-    assert np.array_equal(a.cot_theta, cos_t / sin_t)
-    assert np.array_equal(a.sin_cos_theta, sin_t * cos_t)
+    # the latitude tables have the grid's shape: a field is multiplied by
+    # them without a broadcast
+    for table, column in (
+        (a.sin_theta, sin_t),
+        (a.cos_theta, cos_t),
+        (a.sin2_theta, sin_t * sin_t),
+        (a.inv_sin2_theta, 1.0 / (sin_t * sin_t)),
+        (a.cot_theta, cos_t / sin_t),
+        (a.sin_cos_theta, sin_t * cos_t),
+    ):
+        assert table.shape == a.shape and table.flags.c_contiguous
+        assert table.tobytes() == np.repeat(column, 64, axis=1).tobytes()
+    column = a.zonal_column
+    for name in ("sin_theta", "sin2_theta", "inv_sin2_theta", "cot_theta", "sin_cos_theta"):
+        assert getattr(column, name).tobytes() == getattr(a, name)[:, :1].copy().tobytes(), name
     assert a == b and hash(a) == hash(b)
     assert "sin_theta" not in vars(b)
     assert a != SphericalGrid.sphere(32, 66)
+
+
+def test_circle_pad_index_is_the_periodic_padding_cached_and_read_only():
+    grid = SphericalGrid.circle(32)
+    index = grid.pad_index
+    assert grid.pad_index is index and not index.flags.writeable
+    F = np.arange(32.0)
+    assert np.array_equal(F.take(index), np.concatenate((F[-2:], F, F[:2])))
+    assert grid == SphericalGrid.circle(32) and "pad_index" not in vars(SphericalGrid.circle(32))
 
 
 def test_inv_spacing_sq_is_the_formula_cached_and_read_only():
     grid = SphericalGrid.sphere(32, 64)
     table = grid.inv_spacing_sq
     ref = 1.0 / grid.h_theta**2 + 1.0 / (grid.h_phi**2 * np.sin(grid.theta)[:, None] ** 2)
-    assert table.shape == (32, 1) and np.array_equal(table, ref)
+    assert table.shape == (32, 64) and np.array_equal(table, np.repeat(ref, 64, axis=1))
     assert grid.inv_spacing_sq is table
     assert not table.flags.writeable
     with pytest.raises(ValueError):
@@ -537,11 +554,8 @@ def test_hessian_of_radius_identity():
         graph = RadialGraph(grid, ellipse_phi(grid.theta, a, b))
         field = weingarten(graph)
         r = field.r
-        h = grid.h_theta
-        P = _pad_periodic(r)
-        rd = _d1(P, h)
-        rdd = _d2(P, h)
-        gamma = _d1(_pad_periodic(np.log(r * field.rho)), h)
+        rd, rdd = grid.partials(r)
+        gamma, _ = grid.partials(np.log(r * field.rho))
         g11 = r**2 * field.rho**2
         lhs = rdd - gamma * rd
         rhs = g11 / r - (field.u / r) * field.kappa[:, 0] * g11 - rd**2 / r
