@@ -16,11 +16,11 @@ reductions so repeated runs are bit-identical.
 The engine does not branch on the kind of grid: a state is stepped and
 recorded on its grid's stage of its graph (``SphericalGrid.stage``), which
 for a bit-exactly zonal state on S^2 is one latitude column, and ``step``
-has the stage grid broadcast the result back.  A step keeps a zonal state
-zonal, so it hands the column it computed on to the state it returns: the
-zonality scan runs once per run.  A state's curvature field and speed
-coefficient are built once, for a record and the next step's first stage
-alike.
+has the stage grid broadcast the result back.  Each step hands the stage it
+computed on to the state it returns, so zonality is decided once per run, on
+the initial state: a zonal run stays on its column and a non-zonal one on
+its full grid.  A state's curvature field and speed coefficient are built
+once, for a record and the next step's first stage alike.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -125,7 +125,7 @@ class FlowState:
     """One instant of the normalized flow.
 
     stage_graph is built from graph on first read, unless ``step`` handed on
-    the zonal column it computed, of which graph is the broadcast.
+    the stage it computed: graph itself, or the zonal column graph broadcasts.
     """
 
     tau: float
@@ -321,8 +321,8 @@ def step(state, control, dt_cap=math.inf):
     real axis.  The stages run on state.stage_graph, whose grid broadcasts the
     result back onto the state's grid.  Only the stage's values are checked
     for finiteness; when the stage is not the state's graph (a zonal column),
-    the broadcast graph is built unchecked and the column is handed on as the
-    new state's stage_graph, since a step keeps a zonal state zonal.
+    the broadcast graph is built unchecked.  Either way the stage is handed on
+    as the new state's stage_graph, so no later state is scanned for zonality.
     """
     profile, grid = state.profile, state.graph.grid
     graph = state.stage_graph
@@ -342,9 +342,7 @@ def step(state, control, dt_cap=math.inf):
     k *= dt
     k += phi0
     stage = RadialGraph(stage_grid, k)
-    if stage_grid is grid:
-        return FlowState(tau=tau0 + dt, graph=stage, step_count=state.step_count + 1, last_dt=dt, profile=profile)
-    graph1 = RadialGraph._unchecked(grid, stage_grid.broadcast(k, grid))
+    graph1 = stage if stage_grid is grid else RadialGraph._unchecked(grid, stage_grid.broadcast(k, grid))
     state1 = FlowState(tau=tau0 + dt, graph=graph1, step_count=state.step_count + 1, last_dt=dt, profile=profile)
     vars(state1)["stage_graph"] = stage  # fills the cached property: no zonality scan
     return state1

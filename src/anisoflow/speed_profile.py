@@ -192,6 +192,11 @@ class ExpFlatG(_FlatFamily):
     def __post_init__(self):
         _positive_finite("p", self.p)
 
+    def zero_near_origin(self, r, gval):
+        """Fails for every p, at the first positive sample: g > 0 for every r > 0."""
+        i = int(np.argmax(gval > 0.0))
+        return ConditionReport("zero_near_origin", False, float(gval[i]), float(r[i]))
+
 
 @dataclass(frozen=True)
 class MonomialG(_Analytic):

@@ -1,10 +1,12 @@
 """Elementary symmetric polynomials of principal curvatures and the k-positive cone.
 
-Everything here is closed-form for surface dimension n <= 3 (n = 3 exists so the
-algebraic identities can be cross-checked one dimension above what the geometry
-modules use).  Functions broadcast over leading axes, so a curvature vector is an
-array of shape (..., n) and a single point is just the (n,) case.
+One recurrence serves every surface dimension n and every 1 <= k <= n:
+e_j(kappa_1..kappa_m) = e_j(kappa_1..kappa_{m-1}) + kappa_m e_{j-1}(kappa_1..kappa_{m-1}),
+with e_0 = 1.  Functions broadcast over leading axes, so a curvature vector is
+an array of shape (..., n) and a single point is just the (n,) case.
 """
+
+import functools
 
 import numpy as np
 
@@ -12,11 +14,25 @@ import numpy as np
 CONE_EPS = 1e-10
 
 
-def _check_nk(n, k):
-    if n not in (1, 2, 3):
-        raise ValueError(f"only n <= 3 is supported, got n={n}")
+def _checked(kappa, k):
+    kappa = np.asarray(kappa, dtype=float)
+    n = kappa.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")
+    return kappa
+
+
+def _sigmas(kappa, k):
+    """[sigma_0, ..., sigma_k] of the entries along kappa's last axis, k <= n.  Each
+    new e_m is kappa_m e_{m-1}; j runs down, so e[j - 1] still holds the last e_{j-1}."""
+    e = [np.ones(kappa.shape[:-1])]
+    for m in range(kappa.shape[-1]):
+        x = kappa[..., m]
+        if m < k:
+            e.append(x * e[m])
+        for j in range(min(m, k), 0, -1):
+            e[j] = e[j] + x * e[j - 1]
+    return e
 
 
 def sigma_k(kappa, k):
@@ -24,24 +40,14 @@ def sigma_k(kappa, k):
 
     Parameters
     ----------
-    kappa : array_like, shape (..., n) with n in {1, 2, 3}
+    kappa : array_like, shape (..., n)
     k : int, 1 <= k <= n
 
     Returns
     -------
     ndarray of shape (...)
     """
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    _check_nk(n, k)
-    if k == 1:
-        return kappa.sum(axis=-1)
-    if n == 2:
-        return kappa[..., 0] * kappa[..., 1]
-    k1, k2, k3 = kappa[..., 0], kappa[..., 1], kappa[..., 2]
-    if k == 2:
-        return k1 * k2 + k1 * k3 + k2 * k3
-    return k1 * k2 * k3
+    return _sigmas(_checked(kappa, k), k)[k]
 
 
 def sigma_k_partials(kappa, k):
@@ -49,28 +55,13 @@ def sigma_k_partials(kappa, k):
 
     Shape matches ``kappa``.  sigma_0 of the empty tuple is 1, so k=1 gives ones.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    _check_nk(n, k)
-    if k == 1:
-        return np.ones_like(kappa)
-    if n == 2:
-        return kappa[..., ::-1].copy()
-    k1, k2, k3 = kappa[..., 0], kappa[..., 1], kappa[..., 2]
-    if k == 2:
-        s1 = k1 + k2 + k3
-        return np.stack([s1 - k1, s1 - k2, s1 - k3], axis=-1)
-    return np.stack([k2 * k3, k1 * k3, k1 * k2], axis=-1)
+    kappa = _checked(kappa, k)
+    return np.stack([_sigmas(np.delete(kappa, i, axis=-1), k - 1)[k - 1] for i in range(kappa.shape[-1])], axis=-1)
 
 
 def cone_margin(kappa, k):
     """min over j = 1..k of sigma_j(kappa); positive exactly on the Gamma_k^+ cone."""
-    kappa = np.asarray(kappa, dtype=float)
-    _check_nk(kappa.shape[-1], k)
-    margin = sigma_k(kappa, 1)
-    for j in range(2, k + 1):
-        margin = np.minimum(margin, sigma_k(kappa, j))
-    return margin
+    return functools.reduce(np.minimum, _sigmas(_checked(kappa, k), k)[1:])
 
 
 def in_gamma_k_plus(kappa, k):

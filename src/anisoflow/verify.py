@@ -62,7 +62,7 @@ def cone_samples(n, k, count, rng):
 
 
 def identity_suite():
-    """Exact symmetric-polynomial identities on random cone samples."""
+    """Exact symmetric-polynomial identities on random cone samples, n = 1..5."""
     rng = np.random.default_rng(IDENTITY_SEED)
     worst = 0.0
     worst_what = ""
@@ -74,7 +74,7 @@ def identity_suite():
         if r > worst:
             worst, worst_what = r, what
 
-    for n in (1, 2, 3):
+    for n in range(1, 6):
         for k in range(1, n + 1):
             kap = cone_samples(n, k, IDENTITY_SAMPLES, rng)
             total += len(kap)

@@ -633,17 +633,29 @@ def test_stepped_nonzonal_state_stages_on_its_full_grid():
     state = initial_state(profile, _surface(32, 64, zonal=False), validate_regime=False)
     for _ in range(2):
         state = step(state, StepControl(t_end=10.0))
-        assert "stage_graph" not in vars(state)
+        assert "stage_graph" in vars(state)  # handed on, not rebuilt
         assert state.stage_graph is state.graph
 
 
-def test_zonal_run_scans_for_zonality_once(monkeypatch):
+def _count_zonality_scans(monkeypatch, start):
     calls = []
     scan = sphere_geometry.is_zonal
     monkeypatch.setattr(sphere_geometry, "is_zonal", lambda graph: calls.append(graph) or scan(graph))
-    result = run(_zonal_expflat_state(), StepControl(t_end=10.0, max_steps=12, record_every=5))
+    result = run(start, StepControl(t_end=10.0, max_steps=12, record_every=5))
     assert result.state.step_count == 12 and len(result.series) == 4
-    assert len(calls) == 1  # the initial state's; each step hands its column on
+    return len(calls)
+
+
+def test_zonal_run_scans_for_zonality_once(monkeypatch):
+    # the initial state's scan; each step hands its column on
+    assert _count_zonality_scans(monkeypatch, _zonal_expflat_state()) == 1
+
+
+def test_nonzonal_run_scans_for_zonality_once(monkeypatch):
+    # the initial state's scan; each step hands its full-grid stage on
+    profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
+    start = initial_state(profile, _surface(16, 32, zonal=False), validate_regime=False)
+    assert _count_zonality_scans(monkeypatch, start) == 1
 
 
 def test_a_record_and_the_next_first_stage_share_the_speed_terms(monkeypatch):

@@ -586,6 +586,17 @@ def test_validator_rejects_linear_g_in_equality_regime():
     assert rep.condition == "scaling"
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+def test_validator_rejects_expflat_in_equality_regime_for_every_p(p):
+    # g = r^2 exp(-1/r^p) > 0 for every r > 0: it vanishes on no interval at
+    # the origin, although for p >= 2 every sample within a decade of 0.01
+    # underflows to 0
+    rep = validate_for_regime(profile_k1(2.0, ExpFlatG(p)))
+    assert not rep.ok
+    assert rep.failed() == ("zero_near_origin",)
+    assert rep.worst_violation > 0.0 and rep.location > 0.0
+
+
 def test_validator_rejects_insufficient_flatness():
     # g = r^3 with beta = 3 needs vanishing through order 3; r^3 only gives 2
     rep = validate_for_regime(profile_k1(3.0, MonomialG(3.0)))

@@ -8,6 +8,7 @@ import pytest
 
 from anisoflow.sphere_geometry import _eigen_2x2
 from anisoflow.symfunc import (
+    CONE_EPS,
     cone_margin,
     in_gamma_k_plus,
     sigma_k,
@@ -40,7 +41,7 @@ def test_sigma_partials_spot_values():
     np.testing.assert_array_equal(sigma_k_partials(np.array([-4.0, 7.0]), 1), [1.0, 1.0])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_sigma_matches_brute_force(n):
     rng = np.random.default_rng(5 + n)
     kap = rng.normal(0.0, 2.0, size=(300, n))
@@ -51,7 +52,7 @@ def test_sigma_matches_brute_force(n):
         np.testing.assert_allclose(sigma_k_partials(kap, k), expect_p, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_partials_are_derivatives(n):
     # central finite difference of sigma_k in each slot
     rng = np.random.default_rng(17 + n)
@@ -67,6 +68,28 @@ def test_partials_are_derivatives(n):
                 assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_cone_test_matches_brute_force(n):
+    rng = np.random.default_rng(41 + n)
+    kap = rng.normal(1.0, 1.0, size=(100, n))
+    for k in range(1, n + 1):
+        expect = np.array([min(brute_sigma(row, j) for j in range(1, k + 1)) for row in kap])
+        np.testing.assert_allclose(cone_margin(kap, k), expect, rtol=1e-12, atol=1e-12)
+        inside, _ = in_gamma_k_plus(kap, k)
+        np.testing.assert_array_equal(inside, expect > CONE_EPS)
+
+
+def test_n2_is_the_closed_form_bitwise():
+    # the geometry's dimensions: sigma_1 = k0 + k1, sigma_2 = k0 * k1 and the
+    # sigma_2 partials (k1, k0), bit for bit
+    kap = np.random.default_rng(23).normal(0.0, 2.0, size=(1000, 2))
+    k0, k1 = kap[:, 0], kap[:, 1]
+    assert sigma_k(kap, 1).tobytes() == (k0 + k1).tobytes()
+    assert sigma_k(kap, 2).tobytes() == (k0 * k1).tobytes()
+    assert sigma_k_partials(kap, 2).tobytes() == kap[:, ::-1].copy().tobytes()
+    assert cone_margin(kap, 2).tobytes() == np.minimum(k0 + k1, k0 * k1).tobytes()
+
+
 def test_sigma_k_out_of_range():
     with pytest.raises(ValueError):
         sigma_k(np.array([1.0, 2.0]), 3)
@@ -74,6 +97,8 @@ def test_sigma_k_out_of_range():
         sigma_k(np.array([1.0]), 0)
     with pytest.raises(ValueError):
         sigma_k_partials(np.array([1.0, 2.0, 3.0]), 4)
+    with pytest.raises(ValueError):
+        cone_margin(np.ones(8), 9)
 
 
 def test_cone_membership():
@@ -100,7 +125,7 @@ def test_cone_margin_is_min_of_sigmas():
 def test_euler_identity_tight():
     # sum_i dsigma_k/dkappa_i * kappa_i == k * sigma_k, 1e-12 relative
     rng = np.random.default_rng(3)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5, 6):
         kap = rng.normal(0.0, 2.0, size=(500, n))
         for k in range(1, n + 1):
             lhs = np.sum(sigma_k_partials(kap, k) * kap, axis=-1)
