@@ -7,15 +7,20 @@ rotationally symmetric: r = 1.0375 + 0.1125 cos(2 theta).  Two things to watch:
  * the perturbation makes the mean radius dip below 1 before the rescaling
    term pulls it back - the limit radius is approached from below;
  * longitude-independence is preserved bit-for-bit (every phi stencil sees
-   identical values), which the step controller exploits: the CFL bound can
-   ignore the 1/sin^2(theta) pole factor while the state stays exactly zonal.
+   identical values), so initial_state puts the surface on one latitude
+   column, where the run lives: the CFL bound ignores the 1/sin^2(theta) pole
+   factor, and the saved graph repeats the column over every longitude.
 """
+
+import os
+import tempfile
 
 import numpy as np
 
 from anisoflow.flow_engine import StepControl, initial_state, run
 from anisoflow.speed_profile import ExpFlatG, SpeedProfile
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal
+from anisoflow.textform import load_graph, save_graph
 
 prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
 grid = SphericalGrid.sphere(32, 64)
@@ -42,4 +47,9 @@ r_end = series.last("r_max")
 print()
 print(f"dip below the limit radius : min over run r_min = {series.column('r_min').min():.6f}")
 print(f"final |r - 1|              : {abs(r_end - 1.0):.2e}")
-print(f"still exactly zonal        : {is_zonal(result.state.graph)}")
+print(f"run lived on               : {result.state.graph.grid}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "final.graph")
+    save_graph(result.state.graph, path)
+    saved = load_graph(path)
+print(f"saved graph, exactly zonal : {saved.grid.describe()}, {is_zonal(saved)}")

@@ -14,13 +14,12 @@ current curvature field every step; all reductions are fixed-order numpy
 reductions so repeated runs are bit-identical.
 
 The engine does not branch on the kind of grid: a state is stepped and
-recorded on its grid's stage of its graph (``SphericalGrid.stage``), which
-for a bit-exactly zonal state on S^2 is one latitude column, and ``step``
-has the stage grid broadcast the result back.  Each step hands the stage it
-computed on to the state it returns, so zonality is decided once per run, on
-the initial state: a zonal run stays on its column and a non-zonal one on
-its full grid.  A state's curvature field and speed coefficient are built
-once, for a record and the next step's first stage alike.
+recorded on its graph's grid.  Zonality is decided once, where a state is
+made from outside (``initial_state``, ``textform.load_checkpoint``): a
+bit-exactly zonal graph on S^2 becomes the same surface on one latitude
+column (``reduce_zonal``), where the run then lives.  A state's curvature
+field and speed coefficient are built once, for a record and the next
+step's first stage alike.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -44,7 +43,7 @@ from .speed_profile import (
     lambda_of_tau,
     validate_for_regime,
 )
-from .sphere_geometry import RadialGraph, SingularMetricError, weingarten
+from .sphere_geometry import RadialGraph, SingularMetricError, reduce_zonal, weingarten
 from .symfunc import CONE_EPS
 
 _MIN_DT = 1e-14
@@ -104,7 +103,13 @@ class NonFiniteRHSError(FlowError):
 
 
 class StepTooSmallError(FlowError):
-    """The stable step size collapsed below 1e-14."""
+    """The stable step size collapsed below 1e-14; carries the smallest radius
+    ``r_min`` and its ``node``, where a collapsing surface shows first."""
+
+    def __init__(self, dt, r_min, node, tau=None):
+        super().__init__(f"stable step {dt:.3e} below {_MIN_DT:g}; smallest radius {r_min:.3e} at node {node}", tau)
+        self.r_min = r_min
+        self.node = node
 
 
 class SpeedRangeError(FlowError):
@@ -122,11 +127,9 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class FlowState:
-    """One instant of the normalized flow.
-
-    stage_graph is built from graph on first read, unless ``step`` handed on
-    the stage it computed: graph itself, or the zonal column graph broadcasts.
-    """
+    """One instant of the normalized flow, on its graph's grid: a zonal
+    column for a zonal surface made by ``initial_state`` or
+    ``load_checkpoint``, else the grid the graph was given on."""
 
     tau: float
     graph: RadialGraph
@@ -140,21 +143,15 @@ class FlowState:
         return lambda_of_tau(self.profile, self.tau)
 
     @cached_property
-    def stage_graph(self):
-        """The graph the RK stages, the dt bound and the record evaluate: the
-        grid's stage of the graph."""
-        return self.graph.grid.stage(self.graph)
-
-    @cached_property
     def field(self):
-        """weingarten(stage_graph), shared by a record and the next step's k1 stage."""
-        return weingarten(self.stage_graph)
+        """weingarten(graph), shared by a record and the next step's k1 stage."""
+        return weingarten(self.graph)
 
     @cached_property
     def speed_coefficient(self):
         """rhs's coefficient A at this state, shared by a record and the next
         step's k1 stage."""
-        return _speed_coefficient(self.profile, self.stage_graph, self.field, self.tau)
+        return _speed_coefficient(self.profile, self.graph, self.field, self.tau)
 
 
 @dataclass(frozen=True)
@@ -236,10 +233,13 @@ def _cone_gate(profile, field, tau):
         return
     margin = field.sigma[..., : profile.k].min()
     if margin <= CONE_EPS:
-        node_margin = field.sigma[..., : profile.k].min(axis=-1)
-        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(node_margin)), node_margin.shape))
-        node = node[0] if len(node) == 1 else node
-        raise ConeViolationError(node=node, margin=float(margin), tau=tau)
+        raise ConeViolationError(node=_argmin_node(field.sigma[..., : profile.k].min(axis=-1)), margin=float(margin), tau=tau)
+
+
+def _argmin_node(values):
+    """The node of values' smallest entry: an index on a curve, (i, j) on a surface."""
+    node = tuple(int(i) for i in np.unravel_index(int(np.argmin(values)), values.shape))
+    return node[0] if len(node) == 1 else node
 
 
 def _sigma_pow(sig, alpha):
@@ -318,34 +318,26 @@ def step(state, control, dt_cap=math.inf):
     from phi0: u_j = phi0 + c_j dt F(u_{j-1}, tau0 + c_{j-1} dt), and phi1 = u_4,
     whose stability polynomial is R above.  That is second order in time; a
     third-order four-stage method such as SSPRK(4,3) reaches only 5.15 on the
-    real axis.  The stages run on state.stage_graph, whose grid broadcasts the
-    result back onto the state's grid.  Only the stage's values are checked
-    for finiteness; when the stage is not the state's graph (a zonal column),
-    the broadcast graph is built unchecked.  Either way the stage is handed on
-    as the new state's stage_graph, so no later state is scanned for zonality.
+    real axis.  The stages run on state.graph's grid as given.
     """
-    profile, grid = state.profile, state.graph.grid
-    graph = state.stage_graph
-    tau0, phi0, stage_grid = state.tau, graph.phi, graph.grid
+    profile, graph = state.profile, state.graph
+    tau0, phi0, grid = state.tau, graph.phi, graph.grid
     # A as a record of the state built it; else k1 builds it after the cone
     # gate, as every other stage does
     k, field0, A0 = rhs(profile, graph, tau0, state.field, vars(state).get("speed_coefficient"))
     dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, graph, field0, A0), dt_cap)
     if dt < _MIN_DT:
-        raise StepTooSmallError(f"stable step {dt:.3e} below {_MIN_DT:g}", tau0)
+        r = field0.r
+        raise StepTooSmallError(dt, float(r.min()), _argmin_node(r), tau0)
     # two registers, phi0 and k: each stage turns the last rhs output, a fresh
     # array, into the next stage in place (k * h + phi0 has the bits of phi0 + h * k)
     for h in (STAGE_C1 * dt, STAGE_C2 * dt, 0.5 * dt):
         k *= h
         k += phi0
-        k, _, _ = rhs(profile, RadialGraph._unchecked(stage_grid, k), tau0 + h)
+        k, _, _ = rhs(profile, RadialGraph._unchecked(grid, k), tau0 + h)
     k *= dt
     k += phi0
-    stage = RadialGraph(stage_grid, k)
-    graph1 = stage if stage_grid is grid else RadialGraph._unchecked(grid, stage_grid.broadcast(k, grid))
-    state1 = FlowState(tau=tau0 + dt, graph=graph1, step_count=state.step_count + 1, last_dt=dt, profile=profile)
-    vars(state1)["stage_graph"] = stage  # fills the cached property: no zonality scan
-    return state1
+    return FlowState(tau=tau0 + dt, graph=RadialGraph(grid, k), step_count=state.step_count + 1, last_dt=dt, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +345,9 @@ def step(state, control, dt_cap=math.inf):
 
 
 def initial_state(profile, graph, validate_regime=True):
-    """FlowState at tau = 0.  The radius exp(phi) must be finite everywhere,
-    and unless disabled, the profile must pass its theorem-regime validator
-    (override knob for deliberately inadmissible runs)."""
+    """FlowState at tau = 0 on ``reduce_zonal(graph)``.  The radius exp(phi) must
+    be finite everywhere, and unless disabled, the profile must pass its
+    theorem-regime validator (override knob for deliberately inadmissible runs)."""
     if graph.grid.n != profile.n:
         raise ValueError(f"grid dimension {graph.grid.n} != profile n {profile.n}")
     with np.errstate(over="ignore"):
@@ -368,7 +360,7 @@ def initial_state(profile, graph, validate_regime=True):
                 f"profile fails its regime validator: condition {report.condition!r}, "
                 f"worst violation {report.worst_violation:.3e} at r={report.location:.6g}"
             )
-    return FlowState(tau=0.0, graph=graph, step_count=0, last_dt=0.0, profile=profile)
+    return FlowState(tau=0.0, graph=reduce_zonal(graph), step_count=0, last_dt=0.0, profile=profile)
 
 
 def diagnostics_row(state):

@@ -1,10 +1,10 @@
 """Radial graphs over S^1 and S^2: grids, derivatives, curvature.
 
 A star-shaped hypersurface is stored as phi = log r on a structured grid.
-Each kind of grid is a class that owns its stencils, curvature, dt-bound
-spacings and staging: ``CircleGrid`` (S^1), ``SphereGrid`` (S^2) and
-``ZonalColumn``, the one column of a sphere grid on which a bit-exactly zonal
-state is evaluated.  ``covariant_derivatives`` and ``weingarten`` delegate to
+Each kind of grid is a class that owns its stencils, curvature and dt-bound
+spacings: ``CircleGrid`` (S^1), ``SphereGrid`` (S^2) and ``ZonalColumn``, the
+one column of a sphere grid, on which a bit-exactly zonal surface lives
+(``reduce_zonal``).  ``covariant_derivatives`` and ``weingarten`` delegate to
 the graph's grid.
 
 All derivatives are 4th-order central differences, written as differences of
@@ -63,12 +63,10 @@ class SphericalGrid:
     * ``curvature(graph)``: what ``weingarten`` returns;
     * ``max_d_over_h2(D)``: the largest diffusivity D times the inverse squared
       spacings summed over the directions its stencils run (the dt bound);
-    * ``stage(graph)`` and ``broadcast(phi, grid)``: the graph a state's
-      stages run on, and a stage result put back on the state's grid;
     * ``KEYS``: its sizes' (``shape``'s, the constructor's arguments) names
       in the [grid] section of every text (``textform``) and in ``describe``.
 
-    The defaults here: stencils in theta alone, states staged on themselves.
+    The default here: stencils in theta alone.
     """
 
     def __init__(self, *args, **kwargs):
@@ -87,12 +85,6 @@ class SphericalGrid:
 
     def max_d_over_h2(self, D):
         return D.max() / self.h_theta**2
-
-    def stage(self, graph):
-        return graph
-
-    def broadcast(self, phi, grid):
-        return phi
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ class _LatitudeGrid(SphericalGrid):
     # so the stage arithmetic multiplies fields by them without a broadcast.
 
     def _latitude_table(self, values):
-        return _read_only(np.repeat(values[:, None], self.n_lon, axis=1))
+        return _read_only(np.repeat(values[:, None], self.shape[1], axis=1))
 
     @cached_property
     def sin_theta(self):
@@ -212,8 +204,8 @@ class _LatitudeGrid(SphericalGrid):
         pole padding: two ghost rows past each pole by the antipodal rule
         value(-theta, phi) = value(theta, phi + pi); on one column, the
         column's even reflection."""
-        index = np.arange(self.n_lat * self.n_lon).reshape(self.n_lat, self.n_lon)
-        across = np.roll(index, self.n_lon // 2, axis=1)  # (theta, phi + pi)
+        index = np.arange(math.prod(self.shape)).reshape(self.shape)
+        across = np.roll(index, self.shape[1] // 2, axis=1)  # (theta, phi + pi)
         return _read_only(np.concatenate((across[1::-1], index, across[:-3:-1])))
 
 
@@ -267,8 +259,8 @@ class SphereGrid(_LatitudeGrid):
 
     @cached_property
     def zonal_column(self):
-        """The (N_lat, 1) grid a bit-exactly zonal state's stages run on."""
-        return ZonalColumn(self.n_lat)
+        """The (N_lat, 1) grid a bit-exactly zonal surface lives on."""
+        return ZonalColumn(self.n_lat, self.n_lon)
 
     def partials(self, F):
         """4th-order partials (F_t, F_p, F_tt, F_tp, F_pp).
@@ -331,21 +323,25 @@ class SphereGrid(_LatitudeGrid):
     def max_d_over_h2(self, D):
         return (self.inv_spacing_sq * D).max()
 
-    def stage(self, graph):
-        if not is_zonal(graph):
-            return graph
-        return RadialGraph._unchecked(self.zonal_column, graph.phi[:, :1].copy())
-
 
 @dataclass(frozen=True)
 class ZonalColumn(_LatitudeGrid):
-    """One longitude column of an n = 2 grid, the stage of a bit-exactly zonal
-    state.  A zonal field's longitude partials are exactly +0.0, so the column
-    computes only the latitude ones and drops the terms the others would add:
-    every value has the full grid's bits."""
+    """The (N_lat, 1) column of the N_lat x N_lon sphere grid on which a
+    bit-exactly zonal surface lives.  A zonal field's longitude partials are
+    exactly +0.0, so the column computes only the latitude ones and drops the
+    terms the others would add: every value has the full grid's bits."""
 
     n_lat: int
-    n_lon = 1
+    n_lon: int
+
+    @property
+    def shape(self):
+        return (self.n_lat, 1)
+
+    @property
+    def sphere(self):
+        """The sphere grid the column stands for."""
+        return SphereGrid(self.n_lat, self.n_lon)
 
     def derivatives(self, phi):
         """(phi_t, H_tt, H_pp): the derivatives a zonal field does not zero."""
@@ -366,9 +362,6 @@ class ZonalColumn(_LatitudeGrid):
         n11, n22 = s2 * b11, e11 * b22
         rho, sigma, den = _graph_curvature(self, r, e11, n11 + n22, np.multiply(b11, b22, out=b11))
         return WeingartenField(r, rho, grad2, sigma, partial(_eigen_2x2, n11, 0.0, 0.0, n22, den))
-
-    def broadcast(self, phi, grid):
-        return np.repeat(phi, grid.n_lon, axis=1)
 
 
 #: the grid kind of each dimension n, which a [grid] section names
@@ -421,7 +414,7 @@ def is_zonal(graph):
     """True when the field is bit-exactly longitude-independent (n=2 only).
 
     Every stencil and coefficient is longitude-uniform, so such a state stays
-    so under a step, and a sphere grid stages it on its ``zonal_column``,
+    so under a step, and ``reduce_zonal`` puts it on its ``zonal_column``,
     which every other column would repeat bit for bit.
 
     For the finite phi a RadialGraph holds, every row equal to its first
@@ -430,6 +423,15 @@ def is_zonal(graph):
     """
     phi = graph.phi
     return graph.grid.n == 2 and bool((phi == phi[:, :1]).all())
+
+
+def reduce_zonal(graph):
+    """graph, or the same surface on its grid's zonal_column when it is a
+    bit-exactly zonal graph on a SphereGrid: the graph a flow state lives on."""
+    grid = graph.grid
+    if isinstance(grid, SphereGrid) and is_zonal(graph):
+        return RadialGraph._unchecked(grid.zonal_column, graph.phi[:, :1].copy())
+    return graph
 
 
 def sphere_graph(grid, r0):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .flow_engine import FlowState, StepControl, initial_state
 from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
-from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, sphere_graph
+from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, ZonalColumn, reduce_zonal, sphere_graph
 
 _REQUIRED = object()
 
@@ -272,8 +272,9 @@ def _parse_graph(data, errors):
 
 
 def _graph_lines(graph):
-    values = graph.phi.ravel().tolist()
-    return [*_grid_lines(graph.grid), "[graph]", *(",".join(map(_fmt, (*node, v))) for node, v in zip(graph.grid.nodes, values))]
+    grid = graph.grid.sphere if isinstance(graph.grid, ZonalColumn) else graph.grid  # every column alike
+    values = np.broadcast_to(graph.phi, grid.shape).ravel().tolist()
+    return [*_grid_lines(grid), "[graph]", *(",".join(map(_fmt, (*node, v))) for node, v in zip(grid.nodes, values))]
 
 
 def _nonnegative(value):
@@ -289,7 +290,7 @@ def _parse_checkpoint(data, errors):
     graph = _parse_graph(data, errors)
     if profile is not None and graph is not None and graph.grid.n != profile.n:
         errors.append(f"[grid] n: {graph.grid.n} does not match [profile] n = {profile.n}")
-    return None if errors else FlowState(graph=graph, profile=profile, **state)
+    return None if errors else FlowState(graph=reduce_zonal(graph), profile=profile, **state)
 
 
 def _write(path, lines):
@@ -312,7 +313,8 @@ def save_checkpoint(state, path):
 
 
 def load_checkpoint(path):
-    """The FlowState saved by ``save_checkpoint``, which resumes bit-exactly;
+    """The FlowState saved by ``save_checkpoint``, on ``reduce_zonal`` of its
+    graph as ``initial_state`` makes it, which resumes bit-exactly;
     ConfigError, a ValueError, on any malformed file."""
     with open(path) as fh:
         text = fh.read()

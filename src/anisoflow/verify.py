@@ -1,6 +1,7 @@
 """Property suites: algebraic identities, curvature-oracle agreement,
 profile-validator matrix, and sphere-ODE closed-form cross-checks, plus the
-full PDE engine against the sphere ODE (``pde_vs_ode_check``).
+full PDE engine against the sphere ODE (``pde_vs_ode_check``), and the
+round-measure mean of phi (``round_mean``), AC-14's invariant.
 
 Each suite returns a SuiteResult and is safe to run repeatedly (fixed seeds,
 no state).  The CLI's ``verify`` subcommand prints one line per suite; the
@@ -394,6 +395,30 @@ def pde_vs_ode_check(profile, r0, grid, control, validate_regime=True):
     deviation = float(np.max(np.abs(r_pde - r_ode) / r_ode))
     nonuniformity = float(result.series.column("osc").max())
     return deviation, nonuniformity
+
+
+# ---------------------------------------------------------------------------
+# the round-measure mean (AC-14's invariant)
+
+
+def fejer_weights(n_lat):
+    """Fejer's first-rule weights at the cell-centred latitudes
+    theta_i = (i + 1/2) pi / n_lat, the rule's nodes in x = cos(theta):
+    sum_i w_i f(cos theta_i) integrates f over [-1, 1], spectrally for smooth f,
+    where the midpoint rule against sin(theta) is second order."""
+    theta = (np.arange(n_lat) + 0.5) * (math.pi / n_lat)
+    j = np.arange(1, n_lat // 2 + 1)
+    terms = np.cos(2.0 * np.outer(theta, j)) / (4.0 * j * j - 1.0)
+    return (2.0 / n_lat) * (1.0 - 2.0 * terms.sum(axis=1))
+
+
+def round_mean(graph):
+    """The mean of phi over the round S^n: the plain mean on a circle (spectral
+    for periodic data); on S^2, Fejer's first rule in cos(theta) over each
+    latitude's longitude mean, on a full grid or a zonal column alike."""
+    if graph.grid.n == 1:
+        return float(graph.phi.mean())
+    return 0.5 * float(fejer_weights(graph.grid.n_lat) @ graph.phi.mean(axis=1))
 
 
 # ---------------------------------------------------------------------------

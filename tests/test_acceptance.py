@@ -24,9 +24,11 @@ from anisoflow.diagnostics import fit_exponential
 from anisoflow.flow_engine import StepControl, initial_state, rhs, run, step
 from anisoflow.speed_profile import ExpFlatG, MonomialG, SpeedProfile
 from anisoflow.sphere_geometry import (
+    CircleGrid,
     RadialGraph,
+    SphereGrid,
     SphericalGrid,
-    is_zonal,
+    ZonalColumn,
     sphere_graph,
     weingarten,
 )
@@ -36,9 +38,11 @@ from anisoflow.verify import (
     aggregate_slope,
     ellipse_exact_curvature,
     ellipse_graph,
+    fejer_weights,
     identity_suite,
     oracle_convergence,
     profile_matrix,
+    round_mean,
 )
 
 
@@ -202,7 +206,8 @@ def test_ac4_zonal_surface_converges_to_unit_sphere(ac4_run):
         f"final osc = {osc_end:.2e}, |r - 1| = {abs(r_limit - 1.0):.2e}, "
         f"reason = {ac4_run.reason}",
     )
-    assert is_zonal(ac4_run.state.graph)  # longitude independence survives
+    # the run lived on its column, which every longitude repeats bit for bit
+    assert ac4_run.state.graph.grid == SphericalGrid.sphere(64, 128).zonal_column
     assert ok, line
 
 
@@ -224,7 +229,7 @@ def test_ac4_mean_convex_nonconvex_surface_rounds_out(alpha, beta):
         f"initial min sigma_2 = {sigma2_min:.3f}, min sigma_1 margin = {margin:.3f}, "
         f"{result.state.step_count} steps, reason = {result.reason}",
     )
-    assert is_zonal(result.state.graph)
+    assert result.state.graph.grid == grid.zonal_column
     assert ok, line
 
 
@@ -462,5 +467,94 @@ def test_ac11_flow_is_fourth_order_in_space():
         + " (ratios " + ", ".join(f"{q:.2f}" for q in curve_ratios) + "); "
         + "zonal N_lat=16,48 vs 144: " + ", ".join(f"{e:.2e}" for e in column_errs)
         + f" (ratio {column_ratio:.1f})",
+    )
+    assert ok, line
+
+
+# ---------------------------------------------------------------------------
+# AC-14: the Gauss-Bonnet invariant.  For k = n, alpha = 1, beta = 1 + n and
+# g = 0 the rhs is 1 - A sigma_n with A = r^n rho, and A dsigma is the area
+# element, so the integral of A sigma_n over S^n is the degree of the Gauss
+# map times |S^n|, which is |S^n| for a star-shaped hypersurface: the
+# round-measure mean of phi is conserved, far from round as well, and the
+# limit sphere's radius is exp(mean phi0)
+
+AC14_CURVE = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
+AC14_SURFACE = SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0)
+AC14_TO_ROUND = StepControl(t_end=10.0, sphericity_stop=1e-3, record_every=10**9)
+
+
+def _ac14_curve(N):
+    grid = SphericalGrid.circle(N)
+    return RadialGraph(grid, np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta)))
+
+
+def _ac14_zonal(n_lat):
+    grid = SphericalGrid.sphere(n_lat, 2 * n_lat)
+    col = np.log(1.0 + 0.2 * np.cos(2.0 * grid.theta))
+    return RadialGraph(grid, np.broadcast_to(col[:, None], grid.shape).copy())
+
+
+def _ac14_nonzonal(n_lat):
+    # AC-4's data plus a longitude mode
+    grid = SphericalGrid.sphere(n_lat, 2 * n_lat)
+    t, lon = grid.theta[:, None], grid.phi_lon[None, :]
+    return RadialGraph(grid, np.log(1.0375 + 0.1125 * np.cos(2.0 * t)) + 0.05 * np.sin(t) ** 2 * np.cos(2.0 * lon))
+
+
+# case: (profile, data, resolutions, control, the grid kind the run lives on,
+# bound on the coarsest drift).  Measured drifts: curve 5.2e-7, 3.4e-8,
+# 2.1e-9; zonal column 8.9e-6, 5.4e-7, 3.3e-8; non-zonal 4.9e-7, 3.0e-8
+AC14_CASES = {
+    "curve": (AC14_CURVE, _ac14_curve, (64, 128, 256), AC14_TO_ROUND, CircleGrid, 1e-6),
+    "zonal-column": (AC14_SURFACE, _ac14_zonal, (16, 32, 64), AC14_TO_ROUND, ZonalColumn, 2e-5),
+    "nonzonal": (AC14_SURFACE, _ac14_nonzonal, (16, 32), StepControl(t_end=0.02, record_every=10**9), SphereGrid, 1e-6),
+}
+
+
+def test_fejer_weights_integrate_polynomials_in_cos_theta_exactly():
+    for n_lat in (16, 17, 32):
+        x = np.cos((np.arange(n_lat) + 0.5) * (math.pi / n_lat))
+        w = fejer_weights(n_lat)
+        for m in range(n_lat):
+            assert abs(w @ x**m - (2.0 / (m + 1) if m % 2 == 0 else 0.0)) <= 1e-14, (n_lat, m)
+    # on the round S^2, the mean of cos^2(theta) is 1/3, on a full grid and on a column alike
+    grid = SphericalGrid.sphere(16, 32)
+    full = RadialGraph(grid, np.broadcast_to(np.cos(grid.theta)[:, None] ** 2, grid.shape).copy())
+    column = RadialGraph(grid.zonal_column, full.phi[:, :1].copy())
+    assert abs(round_mean(full) - 1.0 / 3.0) <= 1e-15 and round_mean(column) == round_mean(full)
+
+
+@pytest.mark.parametrize("case", list(AC14_CASES))
+def test_ac14_round_mean_of_phi_is_conserved(case):
+    profile, data, levels, control, kind, bound = AC14_CASES[case]
+    drifts = []
+    for level in levels:
+        start = initial_state(profile, data(level))
+        assert type(start.graph.grid) is kind
+        drifts.append(abs(round_mean(run(start, control).state.graph) - round_mean(start.graph)))
+    ratios = [a / b for a, b in zip(drifts, drifts[1:])]
+    ok = drifts[0] <= bound and min(ratios) >= 12.0
+    line = _report(
+        f"AC-14 the round mean of phi is conserved ({case})", ok,
+        f"drift at {levels}: " + ", ".join(f"{d:.2e}" for d in drifts)
+        + " (ratios " + ", ".join(f"{q:.1f}" for q in ratios) + f"); bound {bound:g}, ratio 12",
+    )
+    assert ok, line
+
+
+def test_ac14_curve_ends_at_the_predicted_radius():
+    # run to sphericity 1e-6, every radius is within the stop's 1e-6 of
+    # exp(mean phi0) (measured 5.2e-7), and the end's mean is that of phi0
+    # to the drift (measured 3.3e-8)
+    graph = _ac14_curve(128)
+    predicted = math.exp(round_mean(graph))
+    result = run(initial_state(AC14_CURVE, graph), StepControl(t_end=50.0, sphericity_stop=1e-6, record_every=10**9))
+    off = float(np.abs(result.state.graph.r() - predicted).max())
+    mean_off = abs(math.exp(round_mean(result.state.graph)) - predicted)
+    ok = result.reason == "sphericity_stop" and off <= 1e-6 and mean_off <= 1e-7
+    line = _report(
+        "AC-14 a curve ends at the radius exp(mean phi0)", ok,
+        f"max |r - {predicted:.6f}| = {off:.2e}, |exp(mean phi) - exp(mean phi0)| = {mean_off:.2e}, reason = {result.reason}",
     )
     assert ok, line

@@ -74,8 +74,8 @@ def test_tracer_counts_rhs_step_and_diagnostics():
 
 @pytest.mark.parametrize("zonal", [True, False], ids=["zonal", "nonzonal"])
 def test_tracer_sees_every_layer_of_a_surface_run(zonal):
-    # a zonal surface is stepped on its one-column stage and a non-zonal one on
-    # its full grid; either must reach the stencils, curvature, the cone gate
+    # a zonal surface lives on its one column and a non-zonal one on its full
+    # grid; either must reach the stencils, curvature, the cone gate
     # and the speed terms through their module names
     from anisoflow import ExpFlatG, RadialGraph, SpeedProfile, SphericalGrid, StepControl, flow_engine
 
@@ -86,7 +86,7 @@ def test_tracer_sees_every_layer_of_a_surface_run(zonal):
         phi += 1e-3 * np.sin(t) ** 2 * np.cos(2.0 * grid.phi_lon)
     profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
     state = flow_engine.initial_state(profile, RadialGraph(grid, phi))
-    assert state.stage_graph.grid == (grid.zonal_column if zonal else grid)
+    assert state.graph.grid == (grid.zonal_column if zonal else grid)
     with layers.Tracer() as tracer:
         result = flow_engine.run(state, StepControl(t_end=1.0, max_steps=6, record_every=2))
     assert result.reason == "max_steps"

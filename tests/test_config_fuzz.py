@@ -20,7 +20,7 @@ from anisoflow.speed_profile import (
     eval_g,
     validate_for_regime,
 )
-from anisoflow.sphere_geometry import GRID_KINDS, CircleGrid, RadialGraph, SphereGrid
+from anisoflow.sphere_geometry import GRID_KINDS, CircleGrid, RadialGraph, SphereGrid, reduce_zonal
 from anisoflow.textform import (
     INITIAL_KINDS,
     ConfigError,
@@ -193,7 +193,9 @@ def test_checkpoint_and_graph_texts_round_trip(texts, data):
     save_checkpoint(state, texts / "state.ckpt")
     loaded = load_checkpoint(texts / "state.ckpt")
     assert loaded.profile == state.profile
-    assert loaded.graph.grid == state.graph.grid and loaded.graph.phi.tobytes() == state.graph.phi.tobytes()
+    # a bit-exactly zonal sphere graph loads on its column, which writes the same text
+    expected = reduce_zonal(state.graph)
+    assert loaded.graph.grid == expected.grid and loaded.graph.phi.tobytes() == expected.phi.tobytes()
     assert [x.hex() for x in (loaded.tau, loaded.last_dt)] == [x.hex() for x in (state.tau, state.last_dt)]
     assert loaded.step_count == state.step_count
     save_checkpoint(loaded, texts / "again.ckpt")

@@ -24,6 +24,7 @@ from anisoflow.flow_engine import (
     RunResult,
     SpeedRangeError,
     StepControl,
+    StepTooSmallError,
     diagnostics_row,
     initial_state,
     lambda_maps,
@@ -50,12 +51,14 @@ from anisoflow.sphere_geometry import (
     RadialGraph,
     SingularMetricError,
     SphericalGrid,
+    ZonalColumn,
     is_zonal,
+    reduce_zonal,
     sphere_graph,
     weingarten,
 )
 from anisoflow.symfunc import CONE_EPS, sigma_k_partials
-from anisoflow.textform import ConfigError, load_checkpoint, save_checkpoint
+from anisoflow.textform import ConfigError, load_checkpoint, save_checkpoint, save_graph
 
 
 # classic RK4's real stability limit, the real root of z^3 + 4z^2 + 12z + 24
@@ -360,10 +363,22 @@ def test_step_self_convergence_order():
 def test_step_too_small_rejected():
     prof = profile_k1(2.0)
     state = initial_state(prof, sphere_graph(SphericalGrid.circle(32), 1.0))
-    from anisoflow.flow_engine import StepTooSmallError
-
     with pytest.raises(StepTooSmallError):
         step(state, StepControl(t_end=1.0), dt_cap=1e-16)
+
+
+def test_step_too_small_names_the_smallest_radius_and_its_node():
+    # a curve of radius about 1e-13 under g = r: the stable step is already
+    # below 1e-14 at tau = 0, and the error says where the surface is smallest
+    grid = SphericalGrid.circle(32)
+    graph = RadialGraph(grid, np.log(1e-13 * (1.0 + 0.1 * np.cos(grid.theta))))
+    state = initial_state(profile_k1(2.0, MonomialG(1.0)), graph, validate_regime=False)
+    with pytest.raises(StepTooSmallError) as exc:
+        run(state, StepControl(t_end=1.0))
+    r = graph.r()
+    assert exc.value.tau == 0.0 and exc.value.state is state
+    assert exc.value.node == 16 == int(np.argmin(r)) and exc.value.r_min == float(r.min())
+    assert str(exc.value) == "stable step 6.178e-15 below 1e-14; smallest radius 9.000e-14 at node 16 (at tau=0)"
 
 
 def test_stable_dt_bound_scales_with_grid():
@@ -381,8 +396,9 @@ def test_zonal_bound_ignores_longitude():
     prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0)
     graph = sphere_graph(grid, 1.0)
     _, field, A = rhs(prof, graph, 0.0)
-    assert is_zonal(graph)
-    b_zonal = stable_dt_bound(prof, grid.stage(graph), field, A)
+    column = reduce_zonal(graph)
+    assert column.grid == grid.zonal_column
+    b_zonal = stable_dt_bound(prof, column, field, A)
     b_generic = stable_dt_bound(prof, graph, field, A)
     assert b_zonal > 20.0 * b_generic  # sin^2 near the poles throttles the generic bound
     D = A * sigma_k_partials(field.kappa, 2).max(axis=-1) / (field.r * field.rho)
@@ -523,19 +539,29 @@ def test_cfl_one_is_stable_and_matches_the_default():
 
 
 def test_zonality_is_preserved_by_steps():
+    # a state built by hand steps on the full grid it is given, and every
+    # stencil and coefficient is longitude-uniform there
     grid = SphericalGrid.sphere(16, 32)
     t = grid.theta[:, None]
     prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0)
     phi0 = np.broadcast_to(np.log(1.0 + 0.05 * np.cos(2 * t)), grid.shape).copy()
-    state = initial_state(prof, RadialGraph(grid, phi0))
+    state = FlowState(tau=0.0, graph=RadialGraph(grid, phi0), step_count=0, last_dt=0.0, profile=prof)
     for _ in range(5):
         state = step(state, StepControl(t_end=10.0))
+    assert state.graph.grid == grid
     assert is_zonal(state.graph)
 
 
 # ---------------------------------------------------------------------------
-# the zonal strip: a bit-exactly zonal state is stepped and recorded on two
-# columns, and every result must equal the full grid's bit for bit
+# the zonal strip: a bit-exactly zonal state lives on one column, and every
+# result must equal the full grid's bit for bit
+
+
+def _full_graph(graph):
+    """graph on the full grid: a zonal column's graph repeated over its sphere grid's longitudes."""
+    if isinstance(graph.grid, ZonalColumn):
+        return RadialGraph(graph.grid.sphere, np.repeat(graph.phi, graph.grid.n_lon, axis=1))
+    return graph
 
 
 def _zonal_expflat_state():
@@ -544,10 +570,12 @@ def _zonal_expflat_state():
 
 
 def _full_grid_step(state, control):
-    """(phi, dt) of one engine step built from rhs on the full grid."""
-    profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
-    k1, field, A = rhs(profile, state.graph, tau0)
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.stage_graph, field, A))
+    """(phi, dt) of one engine step built from rhs on the full grid, at the
+    dt of the state's own grid."""
+    graph = _full_graph(state.graph)
+    profile, grid, tau0, phi0 = state.profile, graph.grid, state.tau, graph.phi
+    k1, field, A = rhs(profile, graph, tau0)
+    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field, A))
     t1, t2, t3 = tau0 + STAGE_C1 * dt, tau0 + STAGE_C2 * dt, tau0 + 0.5 * dt
     u1 = phi0 + (STAGE_C1 * dt) * k1
     k2, _, _ = rhs(profile, RadialGraph(grid, u1), t1)
@@ -559,21 +587,31 @@ def _full_grid_step(state, control):
 
 
 def _on_full_grid(state):
-    """A copy of state whose stage graph is pinned to its full grid."""
-    full = dataclasses.replace(state)
-    full.__dict__["stage_graph"] = full.graph
-    return full
+    """A copy of state built by hand on its full grid."""
+    return dataclasses.replace(state, graph=_full_graph(state.graph))
 
 
 def test_only_zonal_states_take_the_strip():
     zonal = _zonal_expflat_state()
-    assert zonal.stage_graph.grid == zonal.graph.grid.zonal_column
-    assert np.array_equal(zonal.stage_graph.phi, zonal.graph.phi[:, :1])
+    full = _surface(32, 64, zonal=True)
+    assert zonal.graph.grid == full.grid.zonal_column == ZonalColumn(32, 64)
+    assert zonal.graph.phi.tobytes() == full.phi[:, :1].copy().tobytes()
     assert zonal.field.r.shape == (32, 1)
     state = initial_state(zonal.profile, _surface(32, 64, zonal=False))
-    assert state.stage_graph is state.graph
+    assert state.graph.grid == full.grid
     assert state.field.r.shape == (32, 64)
     assert not is_zonal(step(state, StepControl(t_end=10.0)).graph)
+
+
+def test_a_state_built_by_hand_steps_on_the_grid_it_is_given():
+    # zonality is decided where states are made from outside, not by step:
+    # the full grid's dt bound adds the longitude spacing
+    zonal = _zonal_expflat_state()
+    control = StepControl(t_end=10.0)
+    on_column, on_full = step(zonal, control), step(_on_full_grid(zonal), control)
+    assert on_column.graph.grid == ZonalColumn(32, 64)
+    assert on_full.graph.grid == SphericalGrid.sphere(32, 64)
+    assert on_column.last_dt > 100.0 * on_full.last_dt
 
 
 def test_zonal_step_equals_full_grid_step_bitwise():
@@ -583,8 +621,8 @@ def test_zonal_step_equals_full_grid_step_bitwise():
         ref_phi, ref_dt = _full_grid_step(state, control)
         state = step(state, control)
         assert state.last_dt == ref_dt
-        assert state.graph.phi.shape == (32, 64)
-        assert np.array_equal(state.graph.phi, ref_phi)
+        assert state.graph.phi.shape == (32, 1)
+        assert np.array_equal(np.repeat(state.graph.phi, 64, axis=1), ref_phi)
 
 
 def test_zonal_record_equals_full_grid_record():
@@ -601,7 +639,7 @@ def test_zonal_cone_exit_matches_full_grid():
     grid = SphericalGrid.sphere(32, 64)
     t = grid.theta[:, None]
     graph = RadialGraph(grid, np.broadcast_to(np.log(1.0 + 0.7 * np.cos(2 * t)), grid.shape).copy())
-    state = dataclasses.replace(_zonal_expflat_state(), graph=graph, tau=0.25)
+    state = dataclasses.replace(_zonal_expflat_state(), graph=reduce_zonal(graph), tau=0.25)
     with pytest.raises(ConeViolationError) as full:
         rhs(state.profile, graph, state.tau)
     with pytest.raises(ConeViolationError) as strip:
@@ -616,46 +654,50 @@ def test_zonal_cone_exit_matches_full_grid():
 
 
 def test_stepped_zonal_states_carry_their_column():
-    # a step hands the column it computed on: the next state's stage is that
-    # column, equal bit for bit to the one its broadcast graph would give
+    # a zonal state is stepped on its column and the next state lives there
+    # too, with the column's (N_lat, 1) phi
     state = _zonal_expflat_state()
-    column = state.graph.grid.zonal_column
+    column = state.graph.grid
     for _ in range(4):
         state = step(state, StepControl(t_end=10.0))
-        assert "stage_graph" in vars(state)  # handed on, not rebuilt
-        assert state.stage_graph.grid is column
-        assert state.stage_graph.phi.tobytes() == state.graph.phi[:, :1].copy().tobytes()
-        assert is_zonal(state.graph)
+        assert state.graph.grid is column
+        assert state.graph.phi.shape == (32, 1)
 
 
 def test_stepped_nonzonal_state_stages_on_its_full_grid():
     profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
     state = initial_state(profile, _surface(32, 64, zonal=False), validate_regime=False)
+    grid = state.graph.grid
     for _ in range(2):
         state = step(state, StepControl(t_end=10.0))
-        assert "stage_graph" in vars(state)  # handed on, not rebuilt
-        assert state.stage_graph is state.graph
+        assert state.graph.grid is grid and state.graph.phi.shape == (32, 64)
 
 
-def _count_zonality_scans(monkeypatch, start):
+def _count_zonality_scans(monkeypatch, make_state):
+    """(is_zonal calls while make_state() makes a state, calls in a 12-step
+    run from it, which builds every FlowState field it reads)."""
     calls = []
     scan = sphere_geometry.is_zonal
     monkeypatch.setattr(sphere_geometry, "is_zonal", lambda graph: calls.append(graph) or scan(graph))
+    start = make_state()
+    made = len(calls)
     result = run(start, StepControl(t_end=10.0, max_steps=12, record_every=5))
     assert result.state.step_count == 12 and len(result.series) == 4
-    return len(calls)
+    return made, len(calls) - made
 
 
-def test_zonal_run_scans_for_zonality_once(monkeypatch):
-    # the initial state's scan; each step hands its column on
-    assert _count_zonality_scans(monkeypatch, _zonal_expflat_state()) == 1
+def test_zonal_run_scans_for_zonality_once(monkeypatch, tmp_path):
+    # initial_state's scan and load_checkpoint's; none in run, step or FlowState
+    assert _count_zonality_scans(monkeypatch, _zonal_expflat_state) == (1, 0)
+    save_checkpoint(_zonal_expflat_state(), tmp_path / "chk.txt")  # written on the full grid
+    assert _count_zonality_scans(monkeypatch, lambda: load_checkpoint(tmp_path / "chk.txt")) == (1, 0)
 
 
 def test_nonzonal_run_scans_for_zonality_once(monkeypatch):
-    # the initial state's scan; each step hands its full-grid stage on
+    # initial_state's scan; none in run, step or FlowState
     profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
-    start = initial_state(profile, _surface(16, 32, zonal=False), validate_regime=False)
-    assert _count_zonality_scans(monkeypatch, start) == 1
+    start = functools.partial(initial_state, profile, _surface(16, 32, zonal=False), validate_regime=False)
+    assert _count_zonality_scans(monkeypatch, start) == (1, 0)
 
 
 def test_a_record_and_the_next_first_stage_share_the_speed_terms(monkeypatch):
@@ -681,7 +723,7 @@ def test_a_record_and_the_next_first_stage_share_the_speed_terms(monkeypatch):
     assert result.state.graph.phi.tobytes() == unrecorded.state.graph.phi.tobytes()
     state = result.state
     assert "speed_coefficient" in vars(state)
-    A = rhs(profile, state.stage_graph, state.tau)[2]
+    A = rhs(profile, state.graph, state.tau)[2]
     assert A.tobytes() == state.speed_coefficient.tobytes()
 
 
@@ -723,12 +765,12 @@ def test_no_kernel_writes_into_an_array_it_was_handed(where):
     start = dataclasses.replace(initial_state(profile, graph, validate_regime=False), tau=0.25)
     state, unread = start, dataclasses.replace(start)
     field, lazy = state.field, unread.field
-    arrays = [state.graph.phi, state.stage_graph.phi] + [getattr(field, name) for name in FIELD_ARRAYS]
+    arrays = [state.graph.phi] + [getattr(field, name) for name in FIELD_ARRAYS]
     kept = [a.tobytes() for a in arrays]
-    weingarten(state.stage_graph)
-    rhs(profile, state.stage_graph, state.tau)
-    rhs(profile, state.stage_graph, state.tau, field=field)
-    rhs(profile, unread.stage_graph, unread.tau, field=lazy)
+    weingarten(state.graph)
+    rhs(profile, state.graph, state.tau)
+    rhs(profile, state.graph, state.tau, field=field)
+    rhs(profile, unread.graph, unread.tau, field=lazy)
     step(state, StepControl(t_end=10.0))
     diagnostics_row(state)
     assert [a.tobytes() for a in arrays] == kept
@@ -865,8 +907,8 @@ def _rk4_step(state, control, dt_cap=math.inf):
     """(phi, dt) of one classic RK4 step, dt = min(dt_max, cfl * RK4's limit, dt_cap)."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
     k1, field, A = rhs(profile, state.graph, tau0)
-    # the engine's bound, whose stage graph drops a zonal state's longitude
-    dt = min(control.dt_max, control.cfl * RK4_FRACTION * stable_dt_bound(profile, state.stage_graph, field, A), dt_cap)
+    # the engine's bound, which drops a zonal graph's longitude on its column
+    dt = min(control.dt_max, control.cfl * RK4_FRACTION * stable_dt_bound(profile, reduce_zonal(state.graph), field, A), dt_cap)
     half, tau1 = tau0 + 0.5 * dt, tau0 + dt
     k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), half)
     k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), half)
@@ -875,7 +917,8 @@ def _rk4_step(state, control, dt_cap=math.inf):
 
 
 def _rk4_final_phi(state, control):
-    """phi at control.t_end by RK4 oracle steps."""
+    """phi at control.t_end by RK4 oracle steps on the full grid."""
+    state = _on_full_grid(state)
     while state.tau < control.t_end - 1e-15:
         phi, dt = _rk4_step(state, control, control.t_end - state.tau)
         state = dataclasses.replace(state, tau=state.tau + dt, graph=RadialGraph(state.graph.grid, phi))
@@ -911,7 +954,7 @@ def test_dt_bound_equals_last_axis_max_reference(where, k, alpha):
     profile = SpeedProfile(n=n, k=k, alpha=alpha, beta=2.0 + k * alpha, g=ExpFlatG(1.0))
     graph = _curve(128, 0.1) if where == "curve" else _surface(32, 64, zonal=where == "zonal-strip")
     state = initial_state(profile, graph, validate_regime=False)
-    graph = state.stage_graph
+    graph = state.graph
     assert graph.phi.shape == {"curve": (128,), "zonal-strip": (32, 1), "nonzonal": (32, 64)}[where]
     _, field, A = rhs(profile, graph, state.tau, field=state.field)
     bound = stable_dt_bound(profile, graph, field, A)
@@ -977,15 +1020,17 @@ def test_step_matches_reference_stages_bitwise(case):
     control = StepControl(t_end=10.0)
     for _ in range(4):
         # the stage values themselves: with a small dt, a last-bit change in
-        # a stage can vanish in phi + dt * k
+        # a stage can vanish in phi + dt * k.  The reference runs on the full
+        # grid, and a zonal column's values repeat over its longitudes
+        full = _full_graph(state.graph)
         out, field, A = rhs(profile, state.graph, state.tau)
         got = (out, A, field.r, field.rho, field.kappa, field.sigma)
-        for value, ref in zip(got, _ref_stage(profile, state.graph, math.exp(profile.gamma * state.tau))):
-            assert np.array_equal(value, ref)
-        ref_phi, ref_dt = _ref_step(state, control)
+        for value, ref in zip(got, _ref_stage(profile, full, math.exp(profile.gamma * state.tau))):
+            assert np.array_equal(np.broadcast_to(value, ref.shape), ref)
+        ref_phi, ref_dt = _ref_step(dataclasses.replace(state, graph=full), control)
         state = step(state, control)
         assert state.last_dt == ref_dt
-        assert np.array_equal(state.graph.phi, ref_phi)
+        assert np.array_equal(np.broadcast_to(state.graph.phi, ref_phi.shape), ref_phi)
 
 
 EXPFLAT_K2 = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
@@ -1206,19 +1251,39 @@ def test_checkpoint_roundtrip(tmp_path, prof):
     assert loaded.last_dt == state.last_dt
 
 
-def test_checkpoint_resume_is_bit_exact(tmp_path):
-    prof = profile_k1(2.0)
+# the curve and the AC-4 zonal surface
+RESUME_CASES = {"curve": (profile_k1(2.0), wiggly_circle(N=64, amp=0.08)), "zonal": (EXPFLAT_K2, _surface(32, 64, zonal=True))}
+
+
+@pytest.mark.parametrize("case", list(RESUME_CASES))
+def test_checkpoint_resume_is_bit_exact(tmp_path, case):
+    prof, graph = RESUME_CASES[case]
     control = StepControl(t_end=10.0)
-    state = initial_state(prof, wiggly_circle(N=64, amp=0.08))
+    state = initial_state(prof, graph)
     for _ in range(10):
         state = step(state, control)
     path = tmp_path / "chk.txt"
     save_checkpoint(state, path)
+    save_graph(state.graph, tmp_path / "graph.txt")
+    # both texts hold one row per node of the full grid, a zonal state's
+    # column repeated over every longitude, and the same graph sections
+    text = path.read_text()
+    rows = text.split("[graph]\n", 1)[1].splitlines()
+    assert len(rows) == graph.phi.size
+    values = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+    assert values.tobytes() == np.broadcast_to(state.graph.phi, graph.grid.shape).tobytes()
+    assert (tmp_path / "graph.txt").read_text() == text[text.index("[grid]\n") :]
     resumed = load_checkpoint(path)
-    for _ in range(10):
+    # the resumed run steps at its own grid's dt: the column's if the state is zonal
+    phi = resumed.graph.phi
+    own = RadialGraph(graph.grid, phi) if case == "curve" else RadialGraph(graph.grid.zonal_column, np.ascontiguousarray(phi[:, :1]))
+    _, field, A = rhs(prof, own, resumed.tau)
+    state, resumed = step(state, control), step(resumed, control)
+    assert resumed.last_dt == min(control.dt_max, control.cfl * stable_dt_bound(prof, own, field, A))
+    for _ in range(9):
         state = step(state, control)
         resumed = step(resumed, control)
-    assert np.array_equal(state.graph.phi, resumed.graph.phi)
+    assert state.graph.phi.tobytes() == resumed.graph.phi.tobytes()
     assert state.tau == resumed.tau
     assert state.last_dt == resumed.last_dt
 

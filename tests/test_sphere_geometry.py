@@ -76,18 +76,20 @@ def test_grid_validation():
 
 
 def test_a_grid_kind_fixes_its_dimension():
-    # n and, on the column, n_lon are the kind's, not constructor arguments: a
-    # circle that called itself 2-dimensional would pass initial_state's
-    # dimension check with a k = 2 profile and fail later in an IndexError
+    # n is the kind's, not a constructor argument: a circle that called itself
+    # 2-dimensional would pass initial_state's dimension check with a k = 2
+    # profile and fail later in an IndexError
     with pytest.raises(TypeError):
         CircleGrid(n=2, n_lat=64, n_lon=0)
     with pytest.raises(TypeError):
-        ZonalColumn(n=2, n_lat=32, n_lon=5)
+        ZonalColumn(n=2, n_lat=32, n_lon=64)
     sphere = SphericalGrid.sphere(32, 64)
     for grid, n in ((SphericalGrid.circle(64), 1), (sphere, 2), (sphere.zonal_column, 2)):
         assert type(grid).n == grid.n == n
     assert {n: kind.n for n, kind in GRID_KINDS.items()} == {1: 1, 2: 2}
-    assert sphere.zonal_column == ZonalColumn(32) and sphere.zonal_column.shape == (32, 1)
+    # the column records the sphere grid it stands for; its arrays are one column
+    assert sphere.zonal_column == ZonalColumn(32, 64) and sphere.zonal_column.shape == (32, 1)
+    assert sphere.zonal_column.sphere == sphere
 
 
 def test_built_grids_equal_and_hash_as_their_kinds():
@@ -96,7 +98,9 @@ def test_built_grids_equal_and_hash_as_their_kinds():
     assert SphericalGrid.sphere(32, 64) == SphereGrid(32, 64)
     assert hash(SphericalGrid.sphere(32, 64)) == hash(SphereGrid(32, 64))
     assert SphericalGrid.circle(64) != SphericalGrid.circle(32)
-    assert ZonalColumn(32) != SphericalGrid.circle(32)
+    assert ZonalColumn(32, 64) != SphericalGrid.circle(32)
+    assert ZonalColumn(32, 64) != SphericalGrid.sphere(32, 64)
+    assert ZonalColumn(32, 64) != ZonalColumn(32, 128)
     # a kind's constructor checks the sizes as the builders do
     with pytest.raises(ValueError):
         CircleGrid(8)
