@@ -23,7 +23,7 @@ for n in (1, 2):
             prof = SpeedProfile(n=n, k=k, alpha=alpha, beta=1.0 + k * alpha)
             worst = 0.0
             for r0 in (0.5, 1.0, 1.7):
-                out, _, _ = rhs(prof, sphere_graph(grid, r0), 0.0)
+                out = rhs(prof, sphere_graph(grid, r0), 0.0)
                 worst = max(worst, float(np.abs(out).max()))
             print(f"{n:>2} {k:>2} {alpha:>6.2f} {prof.beta:>5.2f}   {worst:.3e}")
 

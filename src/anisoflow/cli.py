@@ -15,7 +15,7 @@ import numpy as np
 from . import flow_engine, verify
 from .diagnostics import closed_form_r2, fit_exponential
 from .speed_profile import validate_for_regime
-from .textform import ConfigError, parse_config, parse_config_graph, save_checkpoint
+from .textform import ConfigError, parse_config, parse_config_state, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +114,16 @@ def _probe_writable(path):
 
 
 def cmd_run(config_path):
-    parsed = _read_config(config_path, parse_config_graph)
+    parsed = _read_config(config_path, parse_config_state)
     if parsed is None:
         return 1
-    cfg, graph = parsed
+    cfg, state = parsed
     if cfg.csv_path is None:
         print("config error: [output] csv_path is required by run", file=sys.stderr)
         return 1
     for path in (cfg.csv_path, cfg.plot_path, cfg.checkpoint_path):
         if path is not None and not _probe_writable(path):
             return 1
-    state = flow_engine.initial_state(cfg.profile, graph, validate_regime=False)
     try:
         result = flow_engine.run(state, cfg.control)
     except flow_engine.FlowError as err:

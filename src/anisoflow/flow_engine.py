@@ -15,11 +15,11 @@ reductions so repeated runs are bit-identical.
 
 The engine does not branch on the kind of grid: a state is stepped and
 recorded on its graph's grid.  Zonality is decided once, where a state is
-made from outside (``initial_state``, ``textform.load_checkpoint``): a
-bit-exactly zonal graph on S^2 becomes the same surface on one latitude
-column (``reduce_zonal``), where the run then lives.  A state's curvature
-field and speed coefficient are built once, for a record and the next
-step's first stage alike.
+made from outside data (``initial_state``, which configs and checkpoints go
+through): a bit-exactly zonal graph on S^2 becomes the same surface on one
+latitude column (``reduce_zonal``), where the run then lives.  A state's
+curvature field and speed coefficient are built once, on the state, and read
+from it by a record, the dt bound and the next step's first stage alike.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -47,6 +47,7 @@ from .sphere_geometry import RadialGraph, SingularMetricError, reduce_zonal, wei
 from .symfunc import CONE_EPS
 
 _MIN_DT = 1e-14
+_T_END_SLACK = 1e-15  # a state this close to t_end has reached it
 _ALPHA_TOL = 1e-12
 
 # The damped optimal four-stage second-order stability polynomial (after Abdulle
@@ -128,8 +129,9 @@ class AdmissibilityError(ValueError):
 @dataclass(frozen=True)
 class FlowState:
     """One instant of the normalized flow, on its graph's grid: a zonal
-    column for a zonal surface made by ``initial_state`` or
-    ``load_checkpoint``, else the grid the graph was given on."""
+    column for a zonal surface, else the grid the graph was given on.  Made
+    from outside data (a config, a checkpoint) by ``initial_state`` alone;
+    its products ``field`` and ``speed_coefficient`` are built on first read."""
 
     tau: float
     graph: RadialGraph
@@ -144,13 +146,12 @@ class FlowState:
 
     @cached_property
     def field(self):
-        """weingarten(graph), shared by a record and the next step's k1 stage."""
+        """weingarten(graph)."""
         return weingarten(self.graph)
 
     @cached_property
     def speed_coefficient(self):
-        """rhs's coefficient A at this state, shared by a record and the next
-        step's k1 stage."""
+        """rhs's coefficient A at this state."""
         return _speed_coefficient(self.profile, self.graph, self.field, self.tau)
 
 
@@ -264,12 +265,8 @@ def _speed_coefficient(profile, graph, field, tau):
 
 
 def rhs(profile, graph, tau, field=None, A=None):
-    """d(phi)/d(tau) per node at normalized time tau, plus the curvature field
-    and coefficient A.
-
-    field, when given, is weingarten(graph), already built; A, when given, is
-    the coefficient at (graph, field, tau), already built.
-    """
+    """d(phi)/d(tau) per node at normalized time tau; field and A, when given,
+    are a state's own weingarten(graph) and speed coefficient at tau."""
     if field is None:
         field = weingarten(graph)
     _cone_gate(profile, field, tau)
@@ -280,61 +277,61 @@ def rhs(profile, graph, tau, field=None, A=None):
     np.subtract(profile.gamma, out, out=out)
     if not np.isfinite(out).all():
         raise NonFiniteRHSError("non-finite right-hand side", tau)
-    return out, field, A
+    return out
 
 
-def stable_dt_bound(profile, graph, field, A):
-    """The linear stability limit: REAL_LIMIT, the stability polynomial's
-    real interval, over the largest spectral radius of the linearized
-    principal part, D2_RADIUS * D / h^2 per node and stencil direction.
+def stable_dt_bound(state):
+    """The linear stability limit at a state: REAL_LIMIT, the stability
+    polynomial's real interval, over the largest spectral radius of the
+    linearized principal part, D2_RADIUS * D / h^2 per node and stencil axis.
 
     D = alpha * A * sigma_k^(alpha-1) * maxeig(d sigma_k / d kappa) / (r rho)
-    is the diffusivity per node.  The graph's grid sums the inverse squared
-    spacings h^-2 over the directions its stencils run
-    (``SphericalGrid.max_d_over_h2``): a full S^2 grid's longitude adds
-    1 / (h_phi^2 sin^2(theta)), a zonal column's does not.
+    is the diffusivity per node, read from the state's field and A.  The
+    graph's grid sums the inverse squared spacings h^-2 over the directions
+    its stencils run (``SphericalGrid.max_d_over_h2``): a full S^2 grid's
+    longitude adds 1 / (h_phi^2 sin^2(theta)), a zonal column's does not.
 
     For k = 1 the partials are all 1 and A * 1.0 is A, so D = A / (r rho)
     needs no kappa (no eigen solve on a surface).  For k = 2 (so n = 2) the
     partials are (kappa_2, kappa_1), and the larger is kappa_1, the first of
     the descending kappa columns.
     """
-    k, alpha = profile.k, profile.alpha
+    k, alpha = state.profile.k, state.profile.alpha
+    field, A = state.field, state.speed_coefficient
     if k == 1:
         D = A / (field.r * field.rho)
     else:
         D = A * field.kappa[..., 0] / (field.r * field.rho)
     if abs(alpha - 1.0) > _ALPHA_TOL:
-        sig = field.sigma[..., k - 1]
-        D = alpha * np.power(sig, alpha - 1.0) * D
-    return float(REAL_LIMIT / (D2_RADIUS * graph.grid.max_d_over_h2(D)))
+        D = alpha * np.power(field.sigma[..., k - 1], alpha - 1.0) * D
+    return float(REAL_LIMIT / (D2_RADIUS * state.graph.grid.max_d_over_h2(D)))
 
 
-def step(state, control, dt_cap=math.inf):
-    """One explicit step; dt = min(dt_max, cfl * stability limit, dt_cap).
+def step(state, control):
+    """One explicit step; dt = min(dt_max, cfl * stability limit, t_end - tau).
 
     The limit is ``stable_dt_bound``, so any cfl in (0, 1] is linearly stable.
     With c = (0, STAGE_C1, STAGE_C2, 1/2, 1) and u_0 = phi0, each stage restarts
     from phi0: u_j = phi0 + c_j dt F(u_{j-1}, tau0 + c_{j-1} dt), and phi1 = u_4,
     whose stability polynomial is R above.  That is second order in time; a
     third-order four-stage method such as SSPRK(4,3) reaches only 5.15 on the
-    real axis.  The stages run on state.graph's grid as given.
+    real axis.  The stages run on state.graph's grid as given, the first from
+    the state's field and A.  A state that ``run`` stops has no step: ValueError.
     """
     profile, graph = state.profile, state.graph
     tau0, phi0, grid = state.tau, graph.phi, graph.grid
-    # A as a record of the state built it; else k1 builds it after the cone
-    # gate, as every other stage does
-    k, field0, A0 = rhs(profile, graph, tau0, state.field, vars(state).get("speed_coefficient"))
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, graph, field0, A0), dt_cap)
+    if tau0 >= control.t_end - _T_END_SLACK:
+        raise ValueError(f"no time left to step: tau={tau0!r} reaches t_end={control.t_end!r}")
+    k = rhs(profile, graph, tau0, state.field, state.speed_coefficient)
+    dt = min(control.dt_max, control.cfl * stable_dt_bound(state), control.t_end - tau0)
     if dt < _MIN_DT:
-        r = field0.r
-        raise StepTooSmallError(dt, float(r.min()), _argmin_node(r), tau0)
+        raise StepTooSmallError(dt, float(state.field.r.min()), _argmin_node(state.field.r), tau0)
     # two registers, phi0 and k: each stage turns the last rhs output, a fresh
     # array, into the next stage in place (k * h + phi0 has the bits of phi0 + h * k)
     for h in (STAGE_C1 * dt, STAGE_C2 * dt, 0.5 * dt):
         k *= h
         k += phi0
-        k, _, _ = rhs(profile, RadialGraph._unchecked(grid, k), tau0 + h)
+        k = rhs(profile, RadialGraph._unchecked(grid, k), tau0 + h)
     k *= dt
     k += phi0
     return FlowState(tau=tau0 + dt, graph=RadialGraph(grid, k), step_count=state.step_count + 1, last_dt=dt, profile=profile)
@@ -345,9 +342,11 @@ def step(state, control, dt_cap=math.inf):
 
 
 def initial_state(profile, graph, validate_regime=True):
-    """FlowState at tau = 0 on ``reduce_zonal(graph)``.  The radius exp(phi) must
-    be finite everywhere, and unless disabled, the profile must pass its
-    theorem-regime validator (override knob for deliberately inadmissible runs)."""
+    """FlowState at tau = 0 on ``reduce_zonal(graph)``, the one maker of a
+    state from outside data (``textform``'s configs and checkpoints).  The
+    radius exp(phi) must be finite everywhere, and unless disabled, the profile
+    must pass its theorem-regime validator (override knob for deliberately
+    inadmissible runs)."""
     if graph.grid.n != profile.n:
         raise ValueError(f"grid dimension {graph.grid.n} != profile n {profile.n}")
     with np.errstate(over="ignore"):
@@ -416,7 +415,7 @@ def run(state, control):
             if state.step_count % control.record_every == 0:
                 series.append(**diagnostics_row(state))
                 last_recorded = state.step_count
-            if state.tau >= control.t_end - 1e-15:
+            if state.tau >= control.t_end - _T_END_SLACK:
                 reason = "t_end"
                 break
             if control.sphericity_stop > 0.0:
@@ -427,7 +426,7 @@ def run(state, control):
             if state.step_count >= control.max_steps:
                 reason = "max_steps"
                 break
-            state = step(state, control, dt_cap=control.t_end - state.tau)
+            state = step(state, control)
         if state.step_count != last_recorded:
             series.append(**diagnostics_row(state))
     except FlowError as err:

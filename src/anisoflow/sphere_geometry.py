@@ -343,6 +343,9 @@ class ZonalColumn(_LatitudeGrid):
         """The sphere grid the column stands for."""
         return SphereGrid(self.n_lat, self.n_lon)
 
+    def describe(self):
+        return f"zonal column of {self.sphere.describe()}"
+
     def derivatives(self, phi):
         """(phi_t, H_tt, H_pp): the derivatives a zonal field does not zero."""
         P = phi.take(self.lat_pad_index)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .flow_engine import FlowState, StepControl, initial_state
 from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
-from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, ZonalColumn, reduce_zonal, sphere_graph
+from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, ZonalColumn, sphere_graph
 
 _REQUIRED = object()
 
@@ -290,7 +290,10 @@ def _parse_checkpoint(data, errors):
     graph = _parse_graph(data, errors)
     if profile is not None and graph is not None and graph.grid.n != profile.n:
         errors.append(f"[grid] n: {graph.grid.n} does not match [profile] n = {profile.n}")
-    return None if errors else FlowState(graph=reduce_zonal(graph), profile=profile, **state)
+    try:
+        return None if errors else dataclasses.replace(initial_state(profile, graph, validate_regime=False), **state)
+    except ValueError as exc:  # the radius overflows
+        errors.append(f"[graph] {exc}")
 
 
 def _write(path, lines):
@@ -313,9 +316,9 @@ def save_checkpoint(state, path):
 
 
 def load_checkpoint(path):
-    """The FlowState saved by ``save_checkpoint``, on ``reduce_zonal`` of its
-    graph as ``initial_state`` makes it, which resumes bit-exactly;
-    ConfigError, a ValueError, on any malformed file."""
+    """The FlowState saved by ``save_checkpoint``, made by ``initial_state``
+    with the saved tau, step count and last dt, which resumes bit-exactly;
+    ConfigError, a ValueError, on any malformed file or overflowing radius."""
     with open(path) as fh:
         text = fh.read()
     if text.startswith("anisoflow-checkpoint 1"):  # the first line of format version 1, one line per object
@@ -464,29 +467,29 @@ def _parse_config(data, errors):
                 f"[profile] fails its regime validator (condition {report.condition!r}, "
                 f"worst violation {report.worst_violation:.3e}); set [control] override = true to force"
             )
-    graph = None
+    state = None
     if grid is not None and initial is not None:
         try:
             graph = initial.graph(grid)
             if profile is not None:  # the initial data's own checks, without the validator's
-                initial_state(profile, graph, validate_regime=False)
+                state = initial_state(profile, graph, validate_regime=False)
         except (OSError, ValueError) as exc:
             errors.append(f"[initial] {exc}")
 
     if errors:
         return None
-    return RunConfig(profile=profile, grid=grid, initial=initial, control=control, override=override, **outputs), graph
+    return RunConfig(profile=profile, grid=grid, initial=initial, control=control, override=override, **outputs), state
 
 
-def parse_config_graph(text):
-    """(RunConfig, the initial graph built and checked from it), or
-    ConfigError listing every problem; a graph file is read once."""
+def parse_config_state(text):
+    """(RunConfig, the initial FlowState made from it by ``initial_state``),
+    or ConfigError listing every problem; a graph file is read once."""
     return _parse_text(text, _CONFIG_SECTIONS, _parse_config)
 
 
 def parse_config(text):
     """Validated RunConfig or ConfigError listing every problem."""
-    return parse_config_graph(text)[0]
+    return parse_config_state(text)[0]
 
 
 def format_config(cfg):

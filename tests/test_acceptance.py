@@ -93,7 +93,7 @@ def test_ac1_round_spheres_are_stationary():
             for alpha in sorted({1.0 / k, 1.0, 2.0}):
                 prof = SpeedProfile(n=n, k=k, alpha=alpha, beta=1.0 + k * alpha)
                 for r0 in (0.5, 1.0, 1.7):
-                    out, _, _ = rhs(prof, sphere_graph(grid, r0), 0.0)
+                    out = rhs(prof, sphere_graph(grid, r0), 0.0)
                     worst = max(worst, float(np.abs(out).max()))
                     cases += 1
     ok = worst <= 1e-10
@@ -330,7 +330,7 @@ def _decay_rate(profile, graph, coefficient, t_end):
         coefs.append(abs(coefficient(state.graph.phi)))
         if state.tau >= t_end - 1e-15:
             break
-        state = step(state, control, dt_cap=t_end - state.tau)
+        state = step(state, control)
     return -fit_exponential(np.array(taus), np.array(coefs), window=(0.0, t_end)).rate
 
 

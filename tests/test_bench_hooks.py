@@ -95,6 +95,9 @@ def test_tracer_sees_every_layer_of_a_surface_run(zonal):
     # each record's field is reused by the next step's first stage
     assert tracer.calls["weingarten"] == 4 * result.state.step_count + 1
     assert tracer.calls["stencils"] == tracer.calls["weingarten"]
+    # four stages and one dt bound per step, the first stage on the state's own A
+    assert tracer.calls["rhs"] == 4 * result.state.step_count
+    assert tracer.calls["dt_bound"] == result.state.step_count
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import anisoflow.sphere_geometry
 import anisoflow.symfunc
 import anisoflow.textform
 from anisoflow.cli import main, write_svg_plot
@@ -436,6 +437,23 @@ def test_run_end_to_end(tmp_path, capsys):
     assert svg.read_text().startswith("<svg ")
     state = load_checkpoint(chk)
     assert state.tau == pytest.approx(1.0, abs=1e-12)
+
+
+def test_run_scans_a_zonal_config_for_zonality_once(tmp_path, monkeypatch, capsys):
+    # the config's initial state is made once, by initial_state, and run as given
+    calls = []
+    scan = anisoflow.sphere_geometry.is_zonal
+    monkeypatch.setattr(anisoflow.sphere_geometry, "is_zonal", lambda graph: calls.append(graph) or scan(graph))
+    text = (
+        BASIC.replace("n = 1\nk = 1\nalpha = 1\nbeta = 2", "n = 2\nk = 2\nalpha = 1\nbeta = 3")
+        .replace("N = 64", "n_lat = 16\nn_lon = 32")
+        .replace("kind = sphere\nr0 = 1.0", "kind = fourier\nconst = 1.0\ncos_2 = 0.05")
+        .replace("t_end = 0.5", "t_end = 0.01")
+        + f"\n[output]\ncsv_path = {tmp_path / 'diag.csv'}\n"
+    )
+    assert main(["run", write_config(tmp_path, text)]) == 0
+    assert "reason=t_end" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_run_requires_csv_path(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Every demo runs to completion: each ``demos/*.py`` script, and ``anisoflow
-run demos/sample_run.ini``, in a fresh interpreter that turns every
-RuntimeWarning into an error, from a temporary working directory (the sample
-run writes its CSV and sketch there)."""
+"""Every demo runs to completion: each ``demos/*.py`` script, ``anisoflow
+run demos/sample_run.ini`` and the README's minimal example, in a fresh
+interpreter that turns every RuntimeWarning into an error, from a temporary
+working directory (the sample run writes its CSV and sketch there)."""
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -43,3 +44,11 @@ def test_sample_run_config_runs(tmp_path):
     assert "reason=sphericity_stop" in proc.stdout
     assert (tmp_path / "run_series.csv").is_file()
     assert (tmp_path / "run_profile.svg").is_file()
+
+
+def test_readme_minimal_example_runs(tmp_path):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        (example,) = re.findall(r"^```python\n(.*?)^```$", fh.read(), flags=re.S | re.M)
+    proc = _run(["-c", example], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("sphericity_stop ")

@@ -192,10 +192,10 @@ def test_rhs_vanishes_at_fixed_point():
     # any round sphere is stationary in the equality regime
     for r0 in (0.5, 1.0, 1.7):
         prof = profile_k1(2.0)
-        out, _, _ = rhs(prof, sphere_graph(SphericalGrid.circle(64), r0), 0.0)
+        out = rhs(prof, sphere_graph(SphericalGrid.circle(64), r0), 0.0)
         assert np.max(np.abs(out)) < 1e-12
     prof2 = SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0)
-    out, _, _ = rhs(prof2, sphere_graph(SphericalGrid.sphere(32, 64), 1.3), 0.0)
+    out = rhs(prof2, sphere_graph(SphericalGrid.sphere(32, 64), 1.3), 0.0)
     assert np.max(np.abs(out)) < 1e-10
 
 
@@ -203,17 +203,18 @@ def test_rhs_spot_value_power_speed():
     # r = 2, beta = 3, k = alpha = 1, g = 0: rhs = -(r^2)(1/r) + 1 = -1
     prof = profile_k1(3.0)
     graph = sphere_graph(SphericalGrid.circle(32), 2.0)
-    out, field, A = rhs(prof, graph, 0.0)
+    state = initial_state(prof, graph)
+    out = rhs(prof, graph, 0.0)
     assert_allclose(out, -1.0, rtol=1e-13)
-    assert_allclose(A, 4.0, rtol=1e-13)
-    assert_allclose(field.kappa[:, 0], 0.5, rtol=1e-13)
+    assert_allclose(state.speed_coefficient, 4.0, rtol=1e-13)
+    assert_allclose(state.field.kappa[:, 0], 0.5, rtol=1e-13)
 
 
 def test_rhs_spot_value_monomial_speed():
     # sphere: rhs = gamma - gamma*r0^(beta-1-k*alpha) - gamma*lam^(beta-l)*r0^(l-1-k*alpha)
     r0, lam, beta, l = 1.5, 2.0, 3.0, 4.0
     prof = profile_k1(beta, MonomialG(l))  # gamma = 1: lam = 2 at tau = log 2
-    out, _, _ = rhs(prof, sphere_graph(SphericalGrid.circle(32), r0), math.log(lam))
+    out = rhs(prof, sphere_graph(SphericalGrid.circle(32), r0), math.log(lam))
     expect = 1.0 - r0 ** (beta - 2.0) - lam ** (beta - l) * r0 ** (l - 2.0)
     assert_allclose(out, expect, rtol=1e-12)
 
@@ -265,7 +266,7 @@ def test_no_cone_gate_for_curve_shortening_family():
     graph = wiggly_circle(N=128, amp=0.3)  # concave at the waist
     field = weingarten(graph)
     assert field.sigma[:, 0].min() < 0.0
-    out, _, _ = rhs(prof, graph, 0.0)  # must not raise
+    out = rhs(prof, graph, 0.0)  # must not raise
     assert np.all(np.isfinite(out))
 
 
@@ -348,11 +349,11 @@ def test_step_self_convergence_order():
     def advance(dt, m):
         s = base
         for _ in range(m):
-            s = step(s, control, dt_cap=dt)
+            s = step(s, dataclasses.replace(control, dt_max=dt))
             assert s.last_dt == dt
         return s.graph.phi
 
-    T, m0 = 0.032, 8  # dt below the N=64 stability limit (about 0.0089) so the cap binds
+    T, m0 = 0.032, 8  # dt below the N=64 stability limit (about 0.0089) so dt_max binds
     sols = [advance(T / m, m) for m in (m0, 2 * m0, 4 * m0)]
     e1 = np.max(np.abs(sols[0] - sols[1]))
     e2 = np.max(np.abs(sols[1] - sols[2]))
@@ -364,7 +365,7 @@ def test_step_too_small_rejected():
     prof = profile_k1(2.0)
     state = initial_state(prof, sphere_graph(SphericalGrid.circle(32), 1.0))
     with pytest.raises(StepTooSmallError):
-        step(state, StepControl(t_end=1.0), dt_cap=1e-16)
+        step(state, StepControl(t_end=1.0, dt_max=1e-16))
 
 
 def test_step_too_small_names_the_smallest_radius_and_its_node():
@@ -381,13 +382,30 @@ def test_step_too_small_names_the_smallest_radius_and_its_node():
     assert str(exc.value) == "stable step 6.178e-15 below 1e-14; smallest radius 9.000e-14 at node 16 (at tau=0)"
 
 
+@pytest.mark.parametrize("tau", [1.0 - 1e-16, 1.0, 2.0])
+def test_step_with_no_time_left_is_refused(tau):
+    # a state run would stop at t_end has no step left, which is not a
+    # collapse of the stable step (StepTooSmallError)
+    state = dataclasses.replace(initial_state(profile_k1(2.0), wiggly_circle(N=32)), tau=tau)
+    with pytest.raises(ValueError) as exc:
+        step(state, StepControl(t_end=1.0))
+    assert not isinstance(exc.value, StepTooSmallError)
+    assert str(exc.value) == f"no time left to step: tau={tau!r} reaches t_end=1.0"
+
+
+def test_step_ends_exactly_at_t_end():
+    state = dataclasses.replace(initial_state(profile_k1(2.0), wiggly_circle(N=32)), tau=1.0 - 1e-3)
+    assert 1e-3 < 0.8 * stable_dt_bound(state)  # the time left binds, not the limit
+    new = step(state, StepControl(t_end=1.0))
+    assert new.tau == 1.0
+    assert new.last_dt == 1.0 - state.tau
+
+
 def test_stable_dt_bound_scales_with_grid():
     prof = profile_k1(2.0)
     bounds = []
     for N in (32, 64):
-        graph = sphere_graph(SphericalGrid.circle(N), 1.0)
-        out, field, A = rhs(prof, graph, 0.0)
-        bounds.append(stable_dt_bound(prof, graph, field, A))
+        bounds.append(stable_dt_bound(initial_state(prof, sphere_graph(SphericalGrid.circle(N), 1.0))))
     assert_allclose(bounds[0] / bounds[1], 4.0, rtol=1e-10)
 
 
@@ -395,12 +413,13 @@ def test_zonal_bound_ignores_longitude():
     grid = SphericalGrid.sphere(16, 256)  # absurdly fine longitude
     prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0)
     graph = sphere_graph(grid, 1.0)
-    _, field, A = rhs(prof, graph, 0.0)
-    column = reduce_zonal(graph)
-    assert column.grid == grid.zonal_column
-    b_zonal = stable_dt_bound(prof, column, field, A)
-    b_generic = stable_dt_bound(prof, graph, field, A)
+    column = initial_state(prof, graph)
+    assert column.graph.grid == grid.zonal_column
+    full = dataclasses.replace(column, graph=graph)
+    b_zonal = stable_dt_bound(column)
+    b_generic = stable_dt_bound(full)
     assert b_zonal > 20.0 * b_generic  # sin^2 near the poles throttles the generic bound
+    field, A = full.field, full.speed_coefficient
     D = A * sigma_k_partials(field.kappa, 2).max(axis=-1) / (field.r * field.rho)
     assert_allclose(b_zonal, REAL_LIMIT * (3.0 / 16.0) * grid.h_theta**2 / D.max(), rtol=1e-12)
 
@@ -462,8 +481,8 @@ def _fd_jacobian(profile, graph):
         d = np.zeros(phi0.size)
         d[j] = eps
         d = d.reshape(phi0.shape)
-        up = rhs(profile, RadialGraph(graph.grid, phi0 + d), 0.0)[0]
-        down = rhs(profile, RadialGraph(graph.grid, phi0 - d), 0.0)[0]
+        up = rhs(profile, RadialGraph(graph.grid, phi0 + d), 0.0)
+        down = rhs(profile, RadialGraph(graph.grid, phi0 - d), 0.0)
         J[:, j] = ((up - down) / (2.0 * eps)).ravel()
     return J
 
@@ -485,9 +504,8 @@ def _bound_and_spectrum(where, amp):
     else:
         profile = SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
         graph = _surface(16, 32, zonal=False, amp=amp)
-    _, field, A = rhs(profile, graph, 0.0)
-    bound = stable_dt_bound(profile, graph, field, A)
-    return bound, np.linalg.eigvals(_fd_jacobian(profile, graph))
+    state = FlowState(tau=0.0, graph=graph, step_count=0, last_dt=0.0, profile=profile)
+    return stable_dt_bound(state), np.linalg.eigvals(_fd_jacobian(profile, graph))
 
 
 @pytest.mark.parametrize("where, amp", SPECTRUM_CASES, ids=SPECTRUM_IDS)
@@ -574,15 +592,15 @@ def _full_grid_step(state, control):
     dt of the state's own grid."""
     graph = _full_graph(state.graph)
     profile, grid, tau0, phi0 = state.profile, graph.grid, state.tau, graph.phi
-    k1, field, A = rhs(profile, graph, tau0)
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(profile, state.graph, field, A))
+    k1 = rhs(profile, graph, tau0)
+    dt = min(control.dt_max, control.cfl * stable_dt_bound(dataclasses.replace(state)))
     t1, t2, t3 = tau0 + STAGE_C1 * dt, tau0 + STAGE_C2 * dt, tau0 + 0.5 * dt
     u1 = phi0 + (STAGE_C1 * dt) * k1
-    k2, _, _ = rhs(profile, RadialGraph(grid, u1), t1)
+    k2 = rhs(profile, RadialGraph(grid, u1), t1)
     u2 = phi0 + (STAGE_C2 * dt) * k2
-    k3, _, _ = rhs(profile, RadialGraph(grid, u2), t2)
+    k3 = rhs(profile, RadialGraph(grid, u2), t2)
     u3 = phi0 + (0.5 * dt) * k3
-    k4, _, _ = rhs(profile, RadialGraph(grid, u3), t3)
+    k4 = rhs(profile, RadialGraph(grid, u3), t3)
     return phi0 + dt * k4, dt
 
 
@@ -723,7 +741,8 @@ def test_a_record_and_the_next_first_stage_share_the_speed_terms(monkeypatch):
     assert result.state.graph.phi.tobytes() == unrecorded.state.graph.phi.tobytes()
     state = result.state
     assert "speed_coefficient" in vars(state)
-    A = rhs(profile, state.graph, state.tau)[2]
+    # the A a stage's rhs builds itself from the graph alone
+    A = flow_engine._speed_coefficient(profile, state.graph, weingarten(state.graph), state.tau)
     assert A.tobytes() == state.speed_coefficient.tobytes()
 
 
@@ -903,16 +922,17 @@ def _ref_step(state, control):
 # limit, against which the engine's trajectories are checked at fixed horizons
 
 
-def _rk4_step(state, control, dt_cap=math.inf):
-    """(phi, dt) of one classic RK4 step, dt = min(dt_max, cfl * RK4's limit, dt_cap)."""
+def _rk4_step(state, control):
+    """(phi, dt) of one classic RK4 step, dt = min(dt_max, cfl * RK4's limit, t_end - tau)."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
-    k1, field, A = rhs(profile, state.graph, tau0)
+    k1 = rhs(profile, state.graph, tau0)
     # the engine's bound, which drops a zonal graph's longitude on its column
-    dt = min(control.dt_max, control.cfl * RK4_FRACTION * stable_dt_bound(profile, reduce_zonal(state.graph), field, A), dt_cap)
+    bound = stable_dt_bound(dataclasses.replace(state, graph=reduce_zonal(state.graph)))
+    dt = min(control.dt_max, control.cfl * RK4_FRACTION * bound, control.t_end - tau0)
     half, tau1 = tau0 + 0.5 * dt, tau0 + dt
-    k2, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), half)
-    k3, _, _ = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), half)
-    k4, _, _ = rhs(profile, RadialGraph(grid, phi0 + dt * k3), tau1)
+    k2 = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), half)
+    k3 = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), half)
+    k4 = rhs(profile, RadialGraph(grid, phi0 + dt * k3), tau1)
     return phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt
 
 
@@ -920,7 +940,7 @@ def _rk4_final_phi(state, control):
     """phi at control.t_end by RK4 oracle steps on the full grid."""
     state = _on_full_grid(state)
     while state.tau < control.t_end - 1e-15:
-        phi, dt = _rk4_step(state, control, control.t_end - state.tau)
+        phi, dt = _rk4_step(state, control)
         state = dataclasses.replace(state, tau=state.tau + dt, graph=RadialGraph(state.graph.grid, phi))
     return state.graph.phi
 
@@ -956,8 +976,8 @@ def test_dt_bound_equals_last_axis_max_reference(where, k, alpha):
     state = initial_state(profile, graph, validate_regime=False)
     graph = state.graph
     assert graph.phi.shape == {"curve": (128,), "zonal-strip": (32, 1), "nonzonal": (32, 64)}[where]
-    _, field, A = rhs(profile, graph, state.tau, field=state.field)
-    bound = stable_dt_bound(profile, graph, field, A)
+    bound = stable_dt_bound(state)
+    field, A = state.field, state.speed_coefficient
     if k == 1:  # all-ones partials: no principal curvatures needed
         assert "kappa" not in field.__dict__
     ref = _ref_dt_bound(profile, graph.grid, graph.phi, A, field.r, field.rho, field.kappa, field.sigma)
@@ -1023,8 +1043,8 @@ def test_step_matches_reference_stages_bitwise(case):
         # a stage can vanish in phi + dt * k.  The reference runs on the full
         # grid, and a zonal column's values repeat over its longitudes
         full = _full_graph(state.graph)
-        out, field, A = rhs(profile, state.graph, state.tau)
-        got = (out, A, field.r, field.rho, field.kappa, field.sigma)
+        out, field = rhs(profile, state.graph, state.tau), state.field
+        got = (out, state.speed_coefficient, field.r, field.rho, field.kappa, field.sigma)
         for value, ref in zip(got, _ref_stage(profile, full, math.exp(profile.gamma * state.tau))):
             assert np.array_equal(np.broadcast_to(value, ref.shape), ref)
         ref_phi, ref_dt = _ref_step(dataclasses.replace(state, graph=full), control)
@@ -1277,9 +1297,9 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, case):
     # the resumed run steps at its own grid's dt: the column's if the state is zonal
     phi = resumed.graph.phi
     own = RadialGraph(graph.grid, phi) if case == "curve" else RadialGraph(graph.grid.zonal_column, np.ascontiguousarray(phi[:, :1]))
-    _, field, A = rhs(prof, own, resumed.tau)
+    bound = stable_dt_bound(dataclasses.replace(resumed, graph=own))
     state, resumed = step(state, control), step(resumed, control)
-    assert resumed.last_dt == min(control.dt_max, control.cfl * stable_dt_bound(prof, own, field, A))
+    assert resumed.last_dt == min(control.dt_max, control.cfl * bound)
     for _ in range(9):
         state = step(state, control)
         resumed = step(resumed, control)
@@ -1318,6 +1338,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
     first_row = text.split("[table]\n", 1)[1].split("\n", 1)[0]
     fails(text.replace(first_row, first_row + ",0", 1), r"\[table\] bad table row")
     fails(text.replace("g.kind = tabulated", "g.kind = zero"), r"\[table\] rows: not valid for g.kind=zero")
+
+
+def test_checkpoint_whose_radius_overflows_is_a_config_error(tmp_path):
+    # a checkpoint's state is made by initial_state, with its finite-radius
+    # check: phi = 800 at one node would load and its run write NaN records
+    state = initial_state(profile_k1(2.0), wiggly_circle(N=32, amp=0.04))
+    phi = state.graph.phi.copy()
+    phi[5] = 800.0
+    path = tmp_path / "chk.txt"
+    save_checkpoint(dataclasses.replace(state, graph=RadialGraph(state.graph.grid, phi)), path)
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(path)
+    assert exc.value.errors == ["[graph] initial radius exp(phi) overflows (max phi = 800)"]
 
 
 @pytest.mark.parametrize(

@@ -472,7 +472,7 @@ def test_zonal_strip_curvature_equals_full_grid_bitwise():
     column = grid.zonal_column
     assert grid.zonal_column is column
     assert column.shape == (32, 1) and column.h_theta == grid.h_theta
-    assert column != grid and column.describe() == "n=2 n_lat=32 n_lon=1"
+    assert column != grid and column.describe() == f"zonal column of {grid.describe()}" == "zonal column of n=2 n_lat=32 n_lon=64"
     graph = sphere2_graph(32, 64, lambda t, p: np.log(1.0375 + 0.1125 * np.cos(2.0 * t)) + 0.0 * p)
     full = weingarten(graph)
     narrow = weingarten(RadialGraph(column, graph.phi[:, :1].copy()))
