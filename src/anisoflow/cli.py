@@ -15,7 +15,7 @@ import numpy as np
 from . import flow_engine, verify
 from .diagnostics import closed_form_r2, fit_exponential
 from .speed_profile import validate_for_regime
-from .textform import ConfigError, parse_config, parse_config_state, save_checkpoint
+from .textform import ConfigError, parse_config_state, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -91,75 +91,56 @@ def write_svg_plot(path, series):
 # subcommands
 
 
-def _read_config(path, parse=parse_config):
+def _read_config(path):
     try:
         with open(path) as fh:
-            return parse(fh.read())
+            return parse_config_state(fh.read())
     except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None
-    except ConfigError as exc:
-        for msg in exc.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return None
-
-
-def _probe_writable(path):
-    try:
-        with open(path, "a"):
-            return True
-    except OSError as exc:
-        print(f"config error: {path!r} not writable: {exc}", file=sys.stderr)
-        return False
+        raise ConfigError([str(exc)]) from exc
 
 
 def cmd_run(config_path):
-    parsed = _read_config(config_path, parse_config_state)
-    if parsed is None:
-        return 1
-    cfg, state = parsed
+    cfg, state = _read_config(config_path)
     if cfg.csv_path is None:
-        print("config error: [output] csv_path is required by run", file=sys.stderr)
-        return 1
+        raise ConfigError(["[output] csv_path is required by run"])
     for path in (cfg.csv_path, cfg.plot_path, cfg.checkpoint_path):
-        if path is not None and not _probe_writable(path):
-            return 1
+        try:
+            if path is not None:
+                open(path, "a").close()
+        except OSError as exc:
+            raise ConfigError([f"{path!r} not writable: {exc}"]) from exc
     try:
-        result = flow_engine.run(state, cfg.control)
+        end = flow_engine.run(state, cfg.control)
     except flow_engine.FlowError as err:
-        # keep the evidence: the records before the failure and the last state reached
-        err.series.to_csv(cfg.csv_path)
-        if cfg.checkpoint_path is not None:
-            save_checkpoint(err.state, cfg.checkpoint_path)
-        print(f"run failed: {err}", file=sys.stderr)
-        return 2
-    result.series.to_csv(cfg.csv_path)
+        end = err  # a failed run keeps its evidence: the records so far and the last state reached
+    end.series.to_csv(cfg.csv_path)
     if cfg.plot_path is not None:
-        write_svg_plot(cfg.plot_path, result.series)
+        write_svg_plot(cfg.plot_path, end.series)
     if cfg.checkpoint_path is not None:
-        save_checkpoint(result.state, cfg.checkpoint_path)
-    series = result.series
+        save_checkpoint(end.state, cfg.checkpoint_path)
+    if isinstance(end, flow_engine.FlowError):
+        print(f"run failed: {end}", file=sys.stderr)
+        return 2
+    series = end.series
     try:
         rate = f"{fit_exponential(series.column('tau'), series.column('osc')).rate:.4g}"
     except ValueError:
         rate = "n/a"
     print(
-        f"reason={result.reason} steps={result.state.step_count} "
-        f"tau={result.state.tau:.6g} oscillation={series.last('osc'):.4e} "
+        f"reason={end.reason} steps={end.state.step_count} "
+        f"tau={end.state.tau:.6g} oscillation={series.last('osc'):.4e} "
         f"osc_decay_rate={rate}"
     )
     return 0
 
 
 def cmd_verify(target):
-    if target != "all" and target not in verify.SUITE_NAMES:
+    if target != "all" and target not in verify.SUITES:
         if os.path.exists(target):
-            cfg = _read_config(target)
-            if cfg is None:
-                return 1
-            report = validate_for_regime(cfg.profile)
-            regime = "equality" if cfg.profile.equality_regime else "strict"
-            print(f"profile regime: {regime}; g kind: {cfg.profile.g.KIND}")
+            profile = _read_config(target)[0].profile
+            report = validate_for_regime(profile)
+            regime = "equality" if profile.equality_regime else "strict"
+            print(f"profile regime: {regime}; g kind: {profile.g.KIND}")
             for cond in report.conditions:
                 status = "PASS" if cond.ok else "FAIL"
                 print(
@@ -167,35 +148,29 @@ def cmd_verify(target):
                 )
             return 0 if report.ok else 3
         print(
-            f"verify: unknown suite {target!r} (choose from {', '.join(verify.SUITE_NAMES)}, "
+            f"verify: unknown suite {target!r} (choose from {', '.join(verify.SUITES)}, "
             "'all', or a config path)",
             file=sys.stderr,
         )
         return 1
-    results = verify.run_all() if target == "all" else [verify.run_suite(target)]
+    results = [suite() for name, suite in verify.SUITES.items() if target in ("all", name)]
     for res in results:
         print(f"{res.name}: {'PASS' if res.ok else 'FAIL'} — {res.details}")
     return 0 if all(res.ok for res in results) else 3
 
 
 def cmd_ode_compare(config_path):
-    cfg = _read_config(config_path)
-    if cfg is None:
-        return 1
-    if cfg.initial.KIND != "sphere":
-        print("config error: ode-compare needs [initial] kind = sphere", file=sys.stderr)
-        return 1
+    cfg, state = _read_config(config_path)
     try:
-        # the regime was checked (or overridden) when the config was parsed
-        deviation, nonuniformity = verify.pde_vs_ode_check(
-            cfg.profile, cfg.initial.r0, cfg.grid, cfg.control, validate_regime=False
-        )
+        deviation, nonuniformity = verify.pde_vs_ode_check(state, cfg.control)
+    except ValueError as exc:  # not round data at tau = 0
+        raise ConfigError([f"ode-compare: {exc}"]) from exc
     except flow_engine.FlowError as err:
         print(f"ode-compare failed: {err}", file=sys.stderr)
         return 2
     print(f"max_relative_deviation={deviation:.4e} max_spatial_oscillation={nonuniformity:.4e}")
     if not cfg.profile.equality_regime and cfg.profile.pure_power:
-        r2 = closed_form_r2(cfg.profile, cfg.initial.r0, cfg.control.t_end)
+        r2 = closed_form_r2(cfg.profile, verify.sphere_radius(state), cfg.control.t_end)
         print(f"closed_form_radius_at_t_end={r2:.12g}")
     return 0
 
@@ -213,11 +188,16 @@ def main(argv=None):
     p_ode = sub.add_parser("ode-compare", help="compare a sphere run against the exact ODE")
     p_ode.add_argument("config")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "verify":
-        return cmd_verify(args.target)
-    return cmd_ode_compare(args.config)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config)
+        if args.command == "verify":
+            return cmd_verify(args.target)
+        return cmd_ode_compare(args.config)
+    except ConfigError as exc:  # every problem with the config or its outputs, before any run
+        for msg in exc.errors:
+            print(f"config error: {msg}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

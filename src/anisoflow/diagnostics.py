@@ -37,7 +37,7 @@ COLUMNS = (
 
 
 class DiagnosticsSeries:
-    """Fixed-column time series of per-record reductions; tau strictly increasing."""
+    """Fixed-column time series of per-record reductions; tau finite and strictly increasing."""
 
     def __init__(self):
         self._data = {name: [] for name in COLUMNS}
@@ -51,9 +51,10 @@ class DiagnosticsSeries:
             extra = set(row) - set(COLUMNS)
             raise ValueError(f"bad record: missing {sorted(missing)}, extra {sorted(extra)}")
         tau = float(row["tau"])
-        if self._data["tau"] and tau <= self._data["tau"][-1]:
-            raise ValueError(f"tau must be strictly increasing, got {tau} after {self._data['tau'][-1]}")
-        if row["osc"] < 0.0:
+        last = self._data["tau"][-1] if self._data["tau"] else -math.inf
+        if not last < tau < math.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and strictly increasing, got {tau} after {last}")
+        if not row["osc"] >= 0.0:
             raise ValueError(f"oscillation must be >= 0, got {row['osc']}")
         for name in COLUMNS:
             self._data[name].append(float(row[name]))

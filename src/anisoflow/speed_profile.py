@@ -398,8 +398,12 @@ class SpeedProfile:
 
 
 def lambda_of_tau(profile, tau):
-    """The normalization factor lam = exp(gamma*tau), the one place it is computed."""
-    return math.exp(profile.gamma * tau)
+    """The normalization factor lam = exp(gamma*tau), the one place it is
+    computed; ScaleOverflowError once it passes the float range."""
+    try:
+        return math.exp(profile.gamma * tau)
+    except OverflowError:
+        raise ScaleOverflowError(f"normalization factor lam = exp(gamma*tau) overflows at tau={tau!r}") from None
 
 
 def eval_g(profile, r):

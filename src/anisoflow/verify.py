@@ -16,7 +16,7 @@ import numpy as np
 from . import speed_profile
 from . import symfunc as sf
 from .diagnostics import closed_form_r1, closed_form_r2, r1_comparison_rhs, rk4_scalar_at, sphere_ode_at, sphere_ode_rhs
-from .flow_engine import initial_state, run
+from .flow_engine import run
 from .speed_profile import (
     BumpG,
     ExpFlatG,
@@ -26,7 +26,7 @@ from .speed_profile import (
     eval_scaled,
     validate_for_regime,
 )
-from .sphere_geometry import RadialGraph, SphericalGrid, embedding_oracle, sphere_graph, weingarten
+from .sphere_geometry import RadialGraph, SphericalGrid, embedding_oracle, weingarten
 
 IDENTITY_TOL = 1e-10
 IDENTITY_SAMPLES = 2000  # cone samples per (n, k) in identity_suite
@@ -376,22 +376,30 @@ def sphere_ode_suite():
     return SuiteResult("sphere-ode", ok, worst_all, "; ".join(notes))
 
 
-def pde_vs_ode_check(profile, r0, grid, control, validate_regime=True):
-    """Integrate the PDE from sphere data under ``control`` and compare its
-    radius trajectory with the sphere ODE, RK4 at steps of at most ODE_DT,
-    at every record.
+def sphere_radius(state):
+    """The radius of a round state at tau = 0, where the sphere ODE starts; ValueError for any other state."""
+    r = state.field.r
+    if state.tau != 0.0 or r.min() != r.max():
+        raise ValueError(f"the sphere ODE starts from round data at tau = 0, got radii in [{r.min():.6g}, {r.max():.6g}] at tau={state.tau:.6g}")
+    return float(r.max())
 
-    Sphere data starts round, so a sphericity stop would end the run at
-    tau = 0; it is ignored and the run goes to t_end (or max_steps).
-    validate_regime is passed to ``initial_state``.
+
+def pde_vs_ode_check(state, control):
+    """Run the PDE from a round state at tau = 0 under ``control`` and compare
+    its radius trajectory with the sphere ODE from the state's radius
+    (``sphere_radius``, which refuses any other state), RK4 at steps of at
+    most ODE_DT, at every record.
+
+    A round start would meet a sphericity stop at tau = 0; it is ignored and
+    the run goes to t_end (or max_steps).
 
     Returns (max relative radius deviation, max spatial oscillation).
     """
-    state = initial_state(profile, sphere_graph(grid, r0), validate_regime)
+    r0 = sphere_radius(state)
     result = run(state, replace(control, sphericity_stop=0.0))
     taus = result.series.column("tau")
     r_pde = result.series.column("r_max")
-    r_ode = sphere_ode_at(profile, r0, taus, max_dt=ODE_DT)
+    r_ode = sphere_ode_at(state.profile, r0, taus, max_dt=ODE_DT)
     deviation = float(np.max(np.abs(r_pde - r_ode) / r_ode))
     nonuniformity = float(result.series.column("osc").max())
     return deviation, nonuniformity
@@ -430,14 +438,3 @@ SUITES = {
     "profiles": profile_suite,
     "sphere-ode": sphere_ode_suite,
 }
-SUITE_NAMES = tuple(SUITES)
-
-
-def run_suite(name):
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SUITES[name]()
-
-
-def run_all():
-    return [run_suite(name) for name in SUITE_NAMES]

@@ -120,7 +120,7 @@ def test_ac2_sphere_matches_closed_form_and_ode():
     ok_closed = rel <= 1e-4 and nonuni <= 1e-8
 
     prof_g = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0, g=MonomialG(4.0))
-    dev, osc = pde_vs_ode_check(prof_g, 2.0, grid, StepControl(t_end=math.log(2.0), record_every=9))
+    dev, osc = pde_vs_ode_check(initial_state(prof_g, sphere_graph(grid, 2.0)), StepControl(t_end=math.log(2.0), record_every=9))
     ok_ode = dev <= 1e-4 and osc <= 1e-8
 
     line = _report(

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -500,6 +501,34 @@ def test_run_from_outside_the_cone_exits_2_without_a_warning(tmp_path, capsys):
     assert np.isfinite([series.column(name) for name in ("phi_min_cap", "phi_max_cap")]).all()
 
 
+def test_a_run_that_leaves_the_cone_keeps_its_records_state_and_plot(tmp_path, capsys):
+    # alpha = 2 on a three-lobed curve: the gate trips on the first step
+    text = (
+        BASIC.replace("alpha = 1\nbeta = 2", "alpha = 2\nbeta = 3")
+        .replace("kind = sphere\nr0 = 1.0", "kind = fourier\ncos_3 = 0.5")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\nplot_path = {tmp_path / 'x.svg'}\ncheckpoint_path = {tmp_path / 'x.chk'}\n"
+    )
+    assert main(["run", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith("run failed: cone margin -1.594e+01")
+    assert len(DiagnosticsSeries.from_csv(tmp_path / "x.csv")) == 1
+    assert load_checkpoint(tmp_path / "x.chk").tau == 0.0
+    assert ElementTree.parse(tmp_path / "x.svg").getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+
+def test_a_run_past_the_float_range_of_lam_exits_2_with_its_records(tmp_path, capsys):
+    # an admissible flat g: lam = exp(tau) leaves the float range at tau = 709.78
+    text = (
+        BASIC.replace("beta = 2\ng.kind = zero", "beta = 3\ng.kind = expflat\ng.p = 1")
+        .replace("N = 64", "N = 16")
+        .replace("kind = sphere\nr0 = 1.0", "kind = fourier\ncos_2 = 0.1")
+        .replace("t_end = 0.5", "t_end = 800")
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    assert main(["run", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith("run failed: normalization factor lam = exp(gamma*tau) overflows at tau=709.78")
+    assert DiagnosticsSeries.from_csv(tmp_path / "x.csv").last("tau") > 700.0
+
+
 def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
     # strict regime: lam = exp(tau) grows while r stays near 1, so r/lam
     # leaves the table [0.5, 3] before tau = ln 2 (at tau = 0.5165)
@@ -716,7 +745,18 @@ def test_ode_compare_requires_sphere(tmp_path, capsys):
     text = fourier_config("const = 1.0\ncos_2 = 0.1")
     code = main(["ode-compare", write_config(tmp_path, text)])
     assert code == 1
-    assert "kind = sphere" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "config error: ode-compare: the sphere ODE starts from round data at tau = 0, got radii in [0.9"
+    )
+
+
+def test_ode_compare_runs_round_fourier_data(tmp_path, capsys):
+    # a fourier config with only const set is the round sphere of that radius
+    sphere = BASIC.replace("beta = 2", "beta = 3").replace("r0 = 1.0", "r0 = 2.0")
+    assert main(["ode-compare", write_config(tmp_path, sphere)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["ode-compare", write_config(tmp_path, fourier_config("const = 2.0").replace("beta = 2", "beta = 3"))]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_svg_plot_handles_all_zero_series(tmp_path):

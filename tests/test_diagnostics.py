@@ -1,5 +1,6 @@
 """Diagnostics series, decay fits, and the sphere-ODE oracle with closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,11 +19,11 @@ from anisoflow.diagnostics import (
     sphere_ode_at,
     sphere_ode_rhs,
 )
-from anisoflow.flow_engine import StepControl
+from anisoflow.flow_engine import StepControl, initial_state
 import anisoflow
 from anisoflow import diagnostics, flow_engine, speed_profile, verify
 from anisoflow.speed_profile import ExpFlatG, SpeedProfile, ZeroG
-from anisoflow.sphere_geometry import SphericalGrid
+from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, sphere_graph
 from anisoflow.verify import pde_vs_ode_check
 
 
@@ -65,6 +66,15 @@ def test_series_rejects_bad_rows():
         s.append(**sample_row(0.5))
     with pytest.raises(ValueError, match="oscillation"):
         s.append(**sample_row(0.7, osc=-1e-3))
+    # NaN fails every comparison, so each check is written to refuse it
+    with pytest.raises(ValueError, match="oscillation"):
+        s.append(**sample_row(0.7, osc=math.nan))
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            s.append(**sample_row(tau))
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        DiagnosticsSeries().append(**sample_row(math.nan))
+    assert len(s) == 1
 
 
 def test_series_csv_roundtrip_bit_exact(tmp_path):
@@ -88,6 +98,13 @@ def test_series_csv_rejects_malformed(tmp_path):
     good_header = ",".join(COLUMNS)
     path.write_text(good_header + "\n1.0,2.0\n")
     with pytest.raises(ValueError, match="row"):
+        DiagnosticsSeries.from_csv(path)
+    nan_row = ",".join(["nan"] * len(COLUMNS))
+    path.write_text(f"{good_header}\n{nan_row}\n{nan_row}\n")
+    with pytest.raises(ValueError, match="tau must be finite"):
+        DiagnosticsSeries.from_csv(path)
+    path.write_text(good_header + "\n" + ",".join("nan" if name == "osc" else "0" for name in COLUMNS) + "\n")
+    with pytest.raises(ValueError, match="oscillation"):
         DiagnosticsSeries.from_csv(path)
 
 
@@ -326,9 +343,20 @@ def test_closed_form_r1_input_validation():
 
 def test_pde_vs_ode_stationary_sphere():
     prof = profile_k1(2.0)
-    dev, osc = pde_vs_ode_check(prof, 1.3, SphericalGrid.circle(32), StepControl(t_end=0.2))
+    dev, osc = pde_vs_ode_check(initial_state(prof, sphere_graph(SphericalGrid.circle(32), 1.3)), StepControl(t_end=0.2))
     assert dev < 1e-10
     assert osc < 1e-12
+
+
+def test_pde_vs_ode_refuses_a_state_that_is_not_round_data_at_tau_0():
+    prof = profile_k1(2.0)
+    grid = SphericalGrid.circle(32)
+    wavy = initial_state(prof, RadialGraph(grid, 1e-3 * np.cos(2 * grid.theta)))
+    with pytest.raises(ValueError, match="round data at tau = 0"):
+        pde_vs_ode_check(wavy, StepControl(t_end=0.2))
+    later = dataclasses.replace(initial_state(prof, sphere_graph(grid, 1.3)), tau=0.1)
+    with pytest.raises(ValueError, match=r"round data at tau = 0, got radii in \[1.3, 1.3\] at tau=0.1"):
+        pde_vs_ode_check(later, StepControl(t_end=0.2))
 
 
 def test_pde_vs_ode_strict_regime_tracks_closed_form():
@@ -338,7 +366,7 @@ def test_pde_vs_ode_strict_regime_tracks_closed_form():
     devs = []
     for cfl in (0.8, 0.4, 0.2):
         control = StepControl(t_end=math.log(2.0), cfl=cfl)
-        dev, osc = pde_vs_ode_check(prof, 2.0, SphericalGrid.circle(64), control)
+        dev, osc = pde_vs_ode_check(initial_state(prof, sphere_graph(SphericalGrid.circle(64), 2.0)), control)
         assert osc < 1e-12
         devs.append(dev)
     assert devs[0] <= 1e-5

@@ -1168,6 +1168,21 @@ def test_run_ends_a_monomial_speed_past_the_float_range_as_a_speed_range_error(m
     assert str(exc.value) == f"rescaled g overflows: lam=1.0, r={float(graph.r()[0])!r} (at tau=0)"
 
 
+def test_run_ends_a_normalization_factor_past_the_float_range_as_a_speed_range_error():
+    # an admissible flat g (n = k = alpha = 1, beta = 3): lam = exp(tau)
+    # leaves the float range at tau = 709.78, where lam^beta g(r/lam) is still 0
+    prof = profile_k1(3.0, ExpFlatG(1.0))
+    with pytest.raises(ScaleOverflowError, match="overflows at tau=710.0"):
+        lambda_of_tau(prof, 710.0)
+    start = dataclasses.replace(initial_state(prof, wiggly_circle(N=16)), tau=709.0)
+    with pytest.raises(SpeedRangeError) as exc:
+        run(start, StepControl(t_end=711.0))
+    assert isinstance(exc.value.__cause__, ScaleOverflowError)
+    assert str(exc.value).startswith("normalization factor lam = exp(gamma*tau) overflows at tau=7")
+    assert 709.0 <= exc.value.tau < 711.0 and exc.value.state.tau == exc.value.tau
+    assert len(exc.value.series) > 0 and exc.value.series.last("tau") <= exc.value.tau
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_run_from_outside_the_cone_ends_typed_with_a_finite_first_record():
     # alpha = 1/2: sigma_1^alpha is not real at the concave waist of
