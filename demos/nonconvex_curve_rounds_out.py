@@ -9,10 +9,10 @@ The run stops itself once max r - min r drops below 1e-3.
 
 import numpy as np
 
-from anisoflow.diagnostics import fit_exponential
 from anisoflow.flow_engine import StepControl, initial_state, run
 from anisoflow.speed_profile import SpeedProfile
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid
+from anisoflow.verify import fit_exponential
 
 N = 256
 prof = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)

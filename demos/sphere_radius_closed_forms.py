@@ -15,17 +15,17 @@ import math
 
 import numpy as np
 
-from anisoflow.diagnostics import (
+from anisoflow.flow_engine import StepControl, initial_state
+from anisoflow.speed_profile import MonomialG, SpeedProfile, ZeroG
+from anisoflow.sphere_geometry import SphericalGrid, sphere_graph
+from anisoflow.verify import (
     closed_form_r1,
     closed_form_r2,
+    pde_vs_ode_check,
     r1_comparison_rhs,
     rk4_scalar_at,
     sphere_ode_at,
 )
-from anisoflow.flow_engine import StepControl, initial_state
-from anisoflow.speed_profile import MonomialG, SpeedProfile, ZeroG
-from anisoflow.sphere_geometry import SphericalGrid, sphere_graph
-from anisoflow.verify import pde_vs_ode_check
 
 prof = SpeedProfile(n=1, k=1, alpha=1.0, beta=3.0)
 r0 = 2.0

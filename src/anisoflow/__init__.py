@@ -5,20 +5,12 @@ surfaces are radial graphs over S^1 or S^2.  See the README for the module
 map and the command-line interface.
 """
 
-from .diagnostics import (
-    COLUMNS,
-    DecayFit,
-    DiagnosticsSeries,
-    closed_form_r1,
-    closed_form_r2,
-    fit_exponential,
-    sphere_ode_at,
-    sphere_ode_rhs,
-)
 from .flow_engine import (
+    COLUMNS,
     AdmissibilityError,
     ConeViolationError,
     DegenerateMetricError,
+    DiagnosticsSeries,
     FlowError,
     FlowState,
     NonFiniteRHSError,
@@ -67,7 +59,15 @@ from .symfunc import (
     sigma_k,
     sigma_k_partials,
 )
-from .textform import load_checkpoint, load_graph, save_checkpoint, save_graph
-from .verify import pde_vs_ode_check
+from .textform import load_checkpoint, load_graph, load_series, save_checkpoint, save_graph, save_series
+from .verify import (
+    DecayFit,
+    closed_form_r1,
+    closed_form_r2,
+    fit_exponential,
+    pde_vs_ode_check,
+    sphere_ode_at,
+    sphere_ode_rhs,
+)
 
 __version__ = "0.1.0"

@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from . import flow_engine, verify
-from .diagnostics import closed_form_r2, fit_exponential
 from .speed_profile import validate_for_regime
-from .textform import ConfigError, parse_config_state, save_checkpoint
+from .textform import ConfigError, parse_config_state, save_checkpoint, save_series
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +44,7 @@ def write_svg_plot(path, series):
         for label, vals, color in curves
         if np.any(vals > 0)
     ]
-    if positive and len(tau) > 1 and tau[-1] > tau[0]:
+    if positive and len(tau) > 1:
         x0, x1 = float(tau[0]), float(tau[-1])
         y0 = min(float(ys.min()) for _, _, ys, _ in positive)
         y1 = max(float(ys.max()) for _, _, ys, _ in positive)
@@ -70,7 +69,8 @@ def write_svg_plot(path, series):
             body.append(f'<rect x="{width - margin - 150}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
             body.append(f'<text x="{width - margin - 135}" y="{ly}" font-size="11">{label}</text>')
     else:
-        body.append(f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle">no positive data to plot</text>')
+        note = f"one record (tau={tau[0]:.6g}) draws no curve" if positive else "no positive data to plot"
+        body.append(f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle">{note}</text>')
     frame = (
         f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
         f'height="{height - 2 * margin}" fill="none" stroke="black"/>'
@@ -113,7 +113,7 @@ def cmd_run(config_path):
         end = flow_engine.run(state, cfg.control)
     except flow_engine.FlowError as err:
         end = err  # a failed run keeps its evidence: the records so far and the last state reached
-    end.series.to_csv(cfg.csv_path)
+    save_series(end.series, cfg.csv_path)
     if cfg.plot_path is not None:
         write_svg_plot(cfg.plot_path, end.series)
     if cfg.checkpoint_path is not None:
@@ -123,7 +123,7 @@ def cmd_run(config_path):
         return 2
     series = end.series
     try:
-        rate = f"{fit_exponential(series.column('tau'), series.column('osc')).rate:.4g}"
+        rate = f"{verify.fit_exponential(series.column('tau'), series.column('osc')).rate:.4g}"
     except ValueError:
         rate = "n/a"
     print(
@@ -170,7 +170,7 @@ def cmd_ode_compare(config_path):
         return 2
     print(f"max_relative_deviation={deviation:.4e} max_spatial_oscillation={nonuniformity:.4e}")
     if not cfg.profile.equality_regime and cfg.profile.pure_power:
-        r2 = closed_form_r2(cfg.profile, verify.sphere_radius(state), cfg.control.t_end)
+        r2 = verify.closed_form_r2(cfg.profile, verify.sphere_radius(state), cfg.control.t_end)
         print(f"closed_form_radius_at_t_end={r2:.12g}")
     return 0
 

@@ -20,6 +20,7 @@ through): a bit-exactly zonal graph on S^2 becomes the same surface on one
 latitude column (``reduce_zonal``), where the run then lives.  A state's
 curvature field and speed coefficient are built once, on the state, and read
 from it by a record, the dt bound and the next step's first stage alike.
+A run's records, one ``diagnostics_row`` each, make its ``DiagnosticsSeries``.
 
 The physical-time picture: the unnormalized surface shrinks toward the origin,
 r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
@@ -34,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from . import speed_profile
-from .diagnostics import DiagnosticsSeries
 from .speed_profile import (
     NonPositiveRadiusError,
     ScaleOverflowError,
@@ -182,6 +182,55 @@ class StepControl:
             raise ValueError(f"sphericity_stop must be >= 0 (0 disables), got {self.sphericity_stop}")
         if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.max_steps, self.record_every)):
             raise ValueError(f"max_steps and record_every must be integers >= 1, got {self.max_steps!r}, {self.record_every!r}")
+
+
+COLUMNS = (
+    "tau",
+    "r_min",
+    "r_max",
+    "osc",
+    "grad_phi_max",
+    "grad_r_max",
+    "u_min",
+    "phi_min_cap",
+    "phi_max_cap",
+    "cone_margin",
+    "a_max",
+    "dt",
+)
+
+
+class DiagnosticsSeries:
+    """Fixed-column time series of per-record reductions; tau finite and strictly increasing."""
+
+    def __init__(self):
+        self._data = {name: [] for name in COLUMNS}
+
+    def __len__(self):
+        return len(self._data["tau"])
+
+    def append(self, **row):
+        if set(row) != set(COLUMNS):
+            missing = set(COLUMNS) - set(row)
+            extra = set(row) - set(COLUMNS)
+            raise ValueError(f"bad record: missing {sorted(missing)}, extra {sorted(extra)}")
+        tau = float(row["tau"])
+        last = self._data["tau"][-1] if self._data["tau"] else -math.inf
+        if not last < tau < math.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and strictly increasing, got {tau} after {last}")
+        if not row["osc"] >= 0.0:
+            raise ValueError(f"oscillation must be >= 0, got {row['osc']}")
+        for name in COLUMNS:
+            self._data[name].append(float(row[name]))
+
+    def column(self, name):
+        return np.array(self._data[name])
+
+    def last(self, name):
+        return self._data[name][-1]
+
+    def __eq__(self, other):
+        return isinstance(other, DiagnosticsSeries) and self._data == other._data
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,6 @@ _LIVE_LOG = 1e-9 - math.log(EXP_FLUSH)
 #: an exponent past EXP_MAX is an overflow (e^700 ~ 1e304)
 EXP_MAX = 700.0
 
-#: hard cap on the rescaling factor for direct (tabulated) evaluation
-LAMBDA_CAP = 1e100
-
 _TOL = 1e-12
 
 
@@ -308,14 +305,13 @@ class TabulatedG:
         return 0.0 + c1 + (2 * c2) * s + (3 * c3) * (s * s)
 
     def scaled(self, profile, lam, r):
-        """lam^beta * g(r/lam) by direct evaluation, behind the lam cap."""
-        if lam > LAMBDA_CAP:
-            raise ScaleOverflowError(
-                f"lam={lam!r} exceeds the tabulated-speed cap {LAMBDA_CAP:g} (largest r={float(r.max(initial=0.0))!r})"
-            )
+        """lam^beta * g(r/lam) by direct evaluation; a value past the float
+        range is a ScaleOverflowError naming its r."""
         val = self.value(r / lam)
-        with np.errstate(over="ignore"):
-            gs = np.where(val == 0.0, 0.0, lam**profile.beta * val)
+        # lam^beta in numpy, so that it overflows to inf, not to OverflowError;
+        # inf * 0 is formed before the where drops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            gs = np.where(val == 0.0, 0.0, np.power(lam, profile.beta) * val)
         if not np.isfinite(gs).all():
             bad = int(np.argmax(~np.isfinite(np.ravel(gs))))
             raise ScaleOverflowError(

@@ -1,4 +1,4 @@
-"""The text forms of the flow's objects, one codec: configs, graph files and checkpoints.
+"""The text forms of the flow's objects, one codec: configs, graph files, checkpoints and record CSVs.
 
 A text is INI-like: ``[section]`` headers, ``key = value`` pairs, ``#``
 comments; unknown sections and keys are errors.  A row section holds
@@ -8,19 +8,21 @@ with 17 significant digits, so every text round-trips bit-exactly.
 
 * a config: [profile], [grid], [initial], [control], [output];
 * a graph file: [grid], then one 'theta[,phi],value' [graph] row per node;
-* a checkpoint: [profile], then [state], then the graph file's sections.
+* a checkpoint: [profile], then [state], then the graph file's sections;
+* a run's records: a CSV, the COLUMNS header, then one row per record.
 
 Every text reads a tabulated g's rows from the file g.table_path names or
 from a [table] section after [profile], and every writer writes the rows.
 
-A malformed text raises ConfigError, a ValueError listing every problem found.
+A malformed config, graph file or checkpoint raises ConfigError, a ValueError
+listing every problem found; a malformed CSV, a ValueError at its first problem.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .flow_engine import FlowState, StepControl, initial_state
+from .flow_engine import COLUMNS, DiagnosticsSeries, FlowState, StepControl, initial_state
 from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
 from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, ZonalColumn, sphere_graph
 
@@ -237,7 +239,7 @@ def _grid_lines(grid):
 
 
 # ---------------------------------------------------------------------------
-# graph files and checkpoints
+# graph files, checkpoints and record CSVs
 
 _GRAPH_SECTIONS = {"grid": _GRID_KEYS, "graph": _ROWS}
 _STATE_FIELDS = tuple(f for f in dataclasses.fields(FlowState) if f.name in ("tau", "step_count", "last_dt"))
@@ -324,6 +326,30 @@ def load_checkpoint(path):
     if text.startswith("anisoflow-checkpoint 1"):  # the first line of format version 1, one line per object
         raise ConfigError(["line 1: a checkpoint in format version 1, which is no longer read"])
     return _parse_text(text, _CHECKPOINT_SECTIONS, _parse_checkpoint)
+
+
+_SERIES_HEADER = ",".join(COLUMNS)
+
+
+def save_series(series, path):
+    columns = [series.column(name).tolist() for name in COLUMNS]
+    _write(path, [_SERIES_HEADER, *(",".join(map(_fmt, row)) for row in zip(*columns))])
+
+
+def load_series(path):
+    """The DiagnosticsSeries saved by ``save_series``; a ValueError on a bad
+    header or row, or on a record the series refuses (a NaN tau or osc)."""
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines or lines[0] != _SERIES_HEADER:
+        raise ValueError("bad diagnostics CSV header")
+    series = DiagnosticsSeries()
+    for ln in lines[1:]:
+        vals = [float(tok) for tok in ln.split(",")]
+        if len(vals) != len(COLUMNS):
+            raise ValueError(f"bad diagnostics CSV row: {ln!r}")
+        series.append(**dict(zip(COLUMNS, vals)))
+    return series
 
 
 # ---------------------------------------------------------------------------

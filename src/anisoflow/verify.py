@@ -1,11 +1,23 @@
 """Property suites: algebraic identities, curvature-oracle agreement,
 profile-validator matrix, and sphere-ODE closed-form cross-checks, plus the
-full PDE engine against the sphere ODE (``pde_vs_ode_check``), and the
-round-measure mean of phi (``round_mean``), AC-14's invariant.
+full PDE engine against the sphere ODE (``pde_vs_ode_check``), the
+round-measure mean of phi (``round_mean``), AC-14's invariant, and
+exponential-rate fits of a run's records (``fit_exponential``).
 
 Each suite returns a SuiteResult and is safe to run repeatedly (fixed seeds,
 no state).  The CLI's ``verify`` subcommand prints one line per suite; the
 test suite asserts on the same results.
+
+A round sphere r(tau) under the normalized flow obeys the scalar ODE
+
+    dr/dtau = -gamma r^(beta - k alpha)
+              - gamma lam^beta g(r/lam) r^(-k alpha) + gamma r,
+
+with lam = exp(gamma*tau).  For beta > 1 + k*alpha and g == 0 this has the
+closed form ``closed_form_r2``; bounding the g term by C*lam^(q) r^(beta-ka)
+with q = beta - floor(beta) - 1 gives the comparison solution
+``closed_form_r1`` (a Bernoulli equation, solved exactly here).  Both tend to
+1, sandwiching the true radius.
 """
 
 import math
@@ -15,7 +27,6 @@ import numpy as np
 
 from . import speed_profile
 from . import symfunc as sf
-from .diagnostics import closed_form_r1, closed_form_r2, r1_comparison_rhs, rk4_scalar_at, sphere_ode_at, sphere_ode_rhs
 from .flow_engine import run
 from .speed_profile import (
     BumpG,
@@ -299,7 +310,141 @@ def profile_suite():
 
 
 # ---------------------------------------------------------------------------
-# sphere-ODE closed forms
+# exponential fits
+
+
+@dataclass(frozen=True)
+class DecayFit:
+    """Least-squares exponential fit value ~ amplitude * exp(rate * tau)."""
+
+    rate: float
+    amplitude: float
+    residual: float
+    window: tuple
+
+    def __post_init__(self):
+        if not self.window[1] > self.window[0]:
+            raise ValueError(f"degenerate fit window {self.window}")
+        if self.residual < 0.0:
+            raise ValueError("residual must be >= 0")
+
+
+def fit_exponential(tau, values, window=None):
+    """Fit log(values) linearly in tau over the window (default: last half)."""
+    tau = np.asarray(tau, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if tau.shape != values.shape or tau.ndim != 1:
+        raise ValueError("tau and values must be matching 1-d arrays")
+    if window is None:
+        window = (tau[0] + 0.5 * (tau[-1] - tau[0]), tau[-1])
+    lo, hi = float(window[0]), float(window[1])
+    mask = (tau >= lo) & (tau <= hi)
+    if int(mask.sum()) < 10:
+        raise ValueError(f"need >= 10 points in window, got {int(mask.sum())}")
+    vals = values[mask]
+    if np.any(vals <= 0.0):
+        raise ValueError("fit window contains nonpositive values")
+    logs = np.log(vals)
+    slope, intercept = np.polyfit(tau[mask], logs, 1)
+    resid = float(np.sqrt(np.mean((logs - (slope * tau[mask] + intercept)) ** 2)))
+    return DecayFit(rate=float(slope), amplitude=float(math.exp(intercept)), residual=resid, window=(lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# the sphere-ODE oracle and its closed forms
+
+
+def sphere_ode_rhs(profile, r, t):
+    """dr/dtau for a round sphere of radius r at normalized time t."""
+    if r <= 0.0:
+        raise ValueError(f"radius must be positive, got {r}")
+    gamma, ka = profile.gamma, profile.ka
+    gs = speed_profile.eval_scaled(profile, speed_profile.lambda_of_tau(profile, t), float(r))
+    return -gamma * r ** (profile.beta - ka) - gamma * gs * r ** (-ka) + gamma * r
+
+
+def rk4_scalar_step(fun, t, y, h):
+    k1 = fun(t, y)
+    k2 = fun(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = fun(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = fun(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_scalar_at(fun, y0, times, max_dt):
+    """RK4-integrate dy/dt = fun(t, y) from y(0) = y0, reporting y at the given
+    increasing times; each span between them is cut into equal steps of at
+    most max_dt."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a non-empty 1-d array")
+    if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be increasing and start at >= 0")
+    out = np.empty_like(times)
+    t, y = 0.0, float(y0)
+    for i, target in enumerate(times):
+        span = target - t
+        if span > 0.0:
+            steps = max(1, math.ceil(span / max_dt - 1e-12))
+            h = span / steps
+            for _ in range(steps):
+                y = rk4_scalar_step(fun, t, y, h)
+                t += h
+            t = target
+        out[i] = y
+    return out
+
+
+def sphere_ode_at(profile, r0, times, max_dt=1e-3):
+    """RK4-integrate the sphere ODE, reporting r at the given increasing times."""
+    return rk4_scalar_at(lambda t, r: sphere_ode_rhs(profile, r, t), r0, times, max_dt)
+
+
+def _require_shrinking_regime(profile):
+    p = 1.0 + profile.ka - profile.beta
+    if p >= -1e-12:
+        raise ValueError("closed forms require beta > 1 + k*alpha")
+    return p
+
+
+def closed_form_r2(profile, r0, t):
+    """Exact sphere-ODE solution for g == 0 (beta > 1 + k*alpha)."""
+    p = _require_shrinking_regime(profile)
+    if r0 <= 0.0:
+        raise ValueError(f"r0 must be positive, got {r0}")
+    w = 1.0 + (r0**p - 1.0) * math.exp(p * profile.gamma * t)
+    return w ** (1.0 / p)
+
+
+def closed_form_r1(profile, r0, C_bound, t):
+    """Exact solution of the comparison ODE with the g term bounded by
+    C * lam^(beta - floor(beta) - 1) * r^(beta - k alpha).
+
+    Two branches depending on whether the two exponents p = 1 + k*alpha - beta
+    and q = beta - floor(beta) - 1 coincide (Bernoulli linearization in r^p).
+    """
+    p = _require_shrinking_regime(profile)
+    if r0 <= 0.0 or C_bound < 0.0:
+        raise ValueError("need r0 > 0 and C_bound >= 0")
+    gamma = profile.gamma
+    q = profile.beta - math.floor(profile.beta) - 1.0
+    w0 = r0**p
+    if abs(q - p) <= 1e-12:
+        w = (w0 - 1.0 - p * C_bound * t) * math.exp(p * gamma * t) + 1.0
+    else:
+        D = p * C_bound / ((q - p) * gamma)
+        w = (w0 - 1.0 + D) * math.exp(p * gamma * t) + 1.0 - D * math.exp(q * gamma * t)
+    if w <= 0.0:
+        raise ArithmeticError(f"comparison solution left its domain (w={w:.3e} at t={t:.6g})")
+    return w ** (1.0 / p)
+
+
+def r1_comparison_rhs(profile, C_bound, r, t):
+    """dr/dt of the bounding ODE that closed_form_r1 solves exactly."""
+    gamma = profile.gamma
+    q = profile.beta - math.floor(profile.beta) - 1.0
+    lam_q = math.exp(q * gamma * t)
+    return -(gamma + C_bound * lam_q) * r ** (profile.beta - profile.ka) + gamma * r
 
 
 def _r1_vs_rk4(profile, r0, C_bound, t_end):

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from anisoflow.diagnostics import fit_exponential
 from anisoflow.flow_engine import StepControl, initial_state, rhs, run, step
 from anisoflow.speed_profile import ExpFlatG, MonomialG, SpeedProfile
 from anisoflow.sphere_geometry import (
@@ -39,6 +38,7 @@ from anisoflow.verify import (
     ellipse_exact_curvature,
     ellipse_graph,
     fejer_weights,
+    fit_exponential,
     identity_suite,
     oracle_convergence,
     profile_matrix,

@@ -12,8 +12,7 @@ import anisoflow.sphere_geometry
 import anisoflow.symfunc
 import anisoflow.textform
 from anisoflow.cli import main, write_svg_plot
-from anisoflow.diagnostics import DiagnosticsSeries
-from anisoflow.flow_engine import AdmissibilityError, StepControl, initial_state
+from anisoflow.flow_engine import COLUMNS, AdmissibilityError, DiagnosticsSeries, StepControl, initial_state
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
@@ -32,6 +31,7 @@ from anisoflow.textform import (
     SphereInitial,
     format_config,
     load_checkpoint,
+    load_series,
     parse_config,
     save_checkpoint,
     save_graph,
@@ -260,7 +260,7 @@ def test_file_initial_run_reads_the_file_once(tmp_path, monkeypatch, capsys):
     text += f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\n"
     assert main(["run", write_config(tmp_path, text)]) == 0
     assert reads == [str(tmp_path / "init.csv")]
-    assert DiagnosticsSeries.from_csv(tmp_path / "out.csv").column("r_max")[0] == pytest.approx(1.25)
+    assert load_series(tmp_path / "out.csv").column("r_max")[0] == pytest.approx(1.25)
 
 
 def test_file_initial_bad_header_is_config_error(tmp_path, capsys):
@@ -432,7 +432,7 @@ def test_run_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "reason=t_end" in out and "osc_decay_rate=" in out
-    series = DiagnosticsSeries.from_csv(csv)
+    series = load_series(csv)
     assert series.last("tau") == pytest.approx(1.0, abs=1e-12)
     assert series.column("osc")[-1] < series.column("osc")[0]
     assert svg.read_text().startswith("<svg ")
@@ -497,7 +497,7 @@ def test_run_from_outside_the_cone_exits_2_without_a_warning(tmp_path, capsys):
         code = main(["run", write_config(tmp_path, text)])
     assert code == 2 and not caught
     assert "run failed: cone margin" in capsys.readouterr().err
-    series = DiagnosticsSeries.from_csv(tmp_path / "x.csv")
+    series = load_series(tmp_path / "x.csv")
     assert np.isfinite([series.column(name) for name in ("phi_min_cap", "phi_max_cap")]).all()
 
 
@@ -510,9 +510,10 @@ def test_a_run_that_leaves_the_cone_keeps_its_records_state_and_plot(tmp_path, c
     )
     assert main(["run", write_config(tmp_path, text)]) == 2
     assert capsys.readouterr().err.startswith("run failed: cone margin -1.594e+01")
-    assert len(DiagnosticsSeries.from_csv(tmp_path / "x.csv")) == 1
+    assert len(load_series(tmp_path / "x.csv")) == 1
     assert load_checkpoint(tmp_path / "x.chk").tau == 0.0
     assert ElementTree.parse(tmp_path / "x.svg").getroot().tag == "{http://www.w3.org/2000/svg}svg"
+    assert "one record (tau=0) draws no curve" in (tmp_path / "x.svg").read_text()
 
 
 def test_a_run_past_the_float_range_of_lam_exits_2_with_its_records(tmp_path, capsys):
@@ -526,7 +527,7 @@ def test_a_run_past_the_float_range_of_lam_exits_2_with_its_records(tmp_path, ca
     )
     assert main(["run", write_config(tmp_path, text)]) == 2
     assert capsys.readouterr().err.startswith("run failed: normalization factor lam = exp(gamma*tau) overflows at tau=709.78")
-    assert DiagnosticsSeries.from_csv(tmp_path / "x.csv").last("tau") > 700.0
+    assert load_series(tmp_path / "x.csv").last("tau") > 700.0
 
 
 def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
@@ -547,7 +548,7 @@ def test_run_reports_tabulated_g_leaving_its_table(tmp_path, capsys):
     tau = float(err.split("at tau=")[1].rstrip(")\n"))
     assert 0.5 < tau < math.log(2.0)
     # the failed run keeps the records it made before the failure
-    taus = DiagnosticsSeries.from_csv(tmp_path / "x.csv").column("tau")
+    taus = load_series(tmp_path / "x.csv").column("tau")
     assert len(taus) > 1 and taus[0] == 0.0
     assert taus[-1] < tau
     # and the state the failing step started from, at the reported tau
@@ -591,7 +592,7 @@ def test_run_records_a_finite_speed_where_r_to_the_beta_overflows(tmp_path, caps
     )
     assert main(["run", write_config(tmp_path, text)]) == 0
     assert "reason=t_end" in capsys.readouterr().out
-    series = DiagnosticsSeries.from_csv(tmp_path / "x.csv")
+    series = load_series(tmp_path / "x.csv")
     for column in ("phi_min_cap", "phi_max_cap"):
         np.testing.assert_allclose(series.column(column), math.exp(400.0), rtol=1e-12)
 
@@ -760,8 +761,6 @@ def test_ode_compare_runs_round_fourier_data(tmp_path, capsys):
 
 
 def test_svg_plot_handles_all_zero_series(tmp_path):
-    from anisoflow.diagnostics import COLUMNS
-
     s = DiagnosticsSeries()
     r0 = {name: 0.0 for name in COLUMNS}
     s.append(**r0)

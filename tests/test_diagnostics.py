@@ -7,24 +7,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anisoflow.diagnostics import (
-    COLUMNS,
+from anisoflow.flow_engine import COLUMNS, DiagnosticsSeries, StepControl, initial_state
+import anisoflow
+from anisoflow import flow_engine, speed_profile, verify
+from anisoflow.speed_profile import ExpFlatG, SpeedProfile, ZeroG
+from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, sphere_graph
+from anisoflow.textform import load_series, save_series
+from anisoflow.verify import (
     DecayFit,
-    DiagnosticsSeries,
     closed_form_r1,
     closed_form_r2,
     fit_exponential,
+    pde_vs_ode_check,
     r1_comparison_rhs,
     rk4_scalar_step,
     sphere_ode_at,
     sphere_ode_rhs,
 )
-from anisoflow.flow_engine import StepControl, initial_state
-import anisoflow
-from anisoflow import diagnostics, flow_engine, speed_profile, verify
-from anisoflow.speed_profile import ExpFlatG, SpeedProfile, ZeroG
-from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, sphere_graph
-from anisoflow.verify import pde_vs_ode_check
 
 
 def profile_k1(beta):
@@ -83,29 +82,49 @@ def test_series_csv_roundtrip_bit_exact(tmp_path):
     s.append(**sample_row(0.1 + 0.2, osc=1.0 / 3.0, dt=1e-17))
     s.append(**sample_row(1.0 / 7.0 + 1.0, a_max=math.pi))
     path = tmp_path / "diag.csv"
-    s.to_csv(path)
-    loaded = DiagnosticsSeries.from_csv(path)
+    save_series(s, path)
+    loaded = load_series(path)
     assert loaded == s
     for name in COLUMNS:
         assert np.array_equal(loaded.column(name), s.column(name))
+
+
+# the first two records that `anisoflow run demos/sample_run.ini` writes: the
+# text pins the CSV format byte for byte
+SAMPLE_RUN_CSV = """\
+tau,r_min,r_max,osc,grad_phi_max,grad_r_max,u_min,phi_min_cap,phi_max_cap,cone_margin,a_max,dt
+0,0.69999999999999996,1.3,0.60000000000000009,0.6289352357364324,0.60000007001954225,0.68587604248622558,-0.49999900093143212,2.5000000668958458,-1.0204061243498617,1.479289980411743,0
+0.010724963158413798,0.71213632724539111,1.2873856064973055,0.57524927925191438,0.60722266970028183,0.58160504428941395,0.70209524106352128,-0.36309537681473991,2.4406354771910257,-0.71596936225284424,1.4726027984484882,0.0010724963158413796
+"""
+
+
+def test_series_csv_reads_and_writes_the_sample_runs_records(tmp_path):
+    path = tmp_path / "run_series.csv"
+    path.write_text(SAMPLE_RUN_CSV)
+    series = load_series(path)
+    rows = [line.split(",") for line in SAMPLE_RUN_CSV.splitlines()[1:]]
+    for i, name in enumerate(COLUMNS):
+        assert series.column(name).tolist() == [float(row[i]) for row in rows]
+    save_series(series, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == SAMPLE_RUN_CSV.encode()
 
 
 def test_series_csv_rejects_malformed(tmp_path):
     path = tmp_path / "diag.csv"
     path.write_text("tau,r_min\n0,1\n")
     with pytest.raises(ValueError, match="header"):
-        DiagnosticsSeries.from_csv(path)
+        load_series(path)
     good_header = ",".join(COLUMNS)
     path.write_text(good_header + "\n1.0,2.0\n")
     with pytest.raises(ValueError, match="row"):
-        DiagnosticsSeries.from_csv(path)
+        load_series(path)
     nan_row = ",".join(["nan"] * len(COLUMNS))
     path.write_text(f"{good_header}\n{nan_row}\n{nan_row}\n")
     with pytest.raises(ValueError, match="tau must be finite"):
-        DiagnosticsSeries.from_csv(path)
+        load_series(path)
     path.write_text(good_header + "\n" + ",".join("nan" if name == "osc" else "0" for name in COLUMNS) + "\n")
     with pytest.raises(ValueError, match="oscillation"):
-        DiagnosticsSeries.from_csv(path)
+        load_series(path)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +222,7 @@ def test_sphere_ode_and_its_suite_take_lam_from_speed_profile(monkeypatch):
     # lam = exp(gamma*tau) has one source, speed_profile.lambda_of_tau, which
     # the engine and the package re-export
     calls, inside = [], []
-    original_lam, original_rhs = speed_profile.lambda_of_tau, diagnostics.sphere_ode_rhs
+    original_lam, original_rhs = speed_profile.lambda_of_tau, verify.sphere_ode_rhs
     assert anisoflow.lambda_of_tau is flow_engine.lambda_of_tau is original_lam
 
     def counting(profile, tau):
@@ -225,7 +244,6 @@ def test_sphere_ode_and_its_suite_take_lam_from_speed_profile(monkeypatch):
     # the suite's own calls, outside the ODE's rhs: one per sample time of
     # its sandwich bound
     calls.clear()
-    monkeypatch.setattr(diagnostics, "sphere_ode_rhs", flagged)
     monkeypatch.setattr(verify, "sphere_ode_rhs", flagged)
     assert verify.sphere_ode_suite().ok
     assert calls == list(np.linspace(0.0, 3.0, 61))

@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow import flow_engine, speed_profile, sphere_geometry
-from anisoflow.diagnostics import COLUMNS
 from anisoflow.flow_engine import (
+    COLUMNS,
     STAGE_C1,
     STAGE_C2,
     REAL_LIMIT,
@@ -1181,6 +1181,19 @@ def test_run_ends_a_normalization_factor_past_the_float_range_as_a_speed_range_e
     assert str(exc.value).startswith("normalization factor lam = exp(gamma*tau) overflows at tau=7")
     assert 709.0 <= exc.value.tau < 711.0 and exc.value.state.tau == exc.value.tau
     assert len(exc.value.series) > 0 and exc.value.series.last("tau") <= exc.value.tau
+
+
+def test_run_ends_a_tabulated_speed_past_the_float_range_as_a_speed_range_error():
+    # an admissible table of g = r^6 (n = k = alpha = 1, beta = 4): at tau = 200
+    # lam^beta is e^800, past the float range already at the first record
+    pts = np.linspace(0.0, 3.0, 301)
+    prof = profile_k1(4.0, TabulatedG(pts, pts**6, 6.0 * pts**5))
+    start = dataclasses.replace(initial_state(prof, sphere_graph(SphericalGrid.circle(16), 1.0)), tau=200.0)
+    with pytest.raises(SpeedRangeError) as exc:
+        run(start, StepControl(t_end=201.0))
+    assert isinstance(exc.value.__cause__, ScaleOverflowError)
+    assert str(exc.value) == f"rescaled tabulated g overflows: lam={math.exp(200.0)!r}, r=1.0 (at tau=200)"
+    assert exc.value.state is start and len(exc.value.series) == 0
 
 
 @pytest.mark.filterwarnings("error")

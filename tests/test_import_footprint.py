@@ -22,9 +22,9 @@ import numpy as np
 import anisoflow
 import anisoflow.cli
 from anisoflow import (
-    BumpG, DiagnosticsSeries, ExpFlatG, MonomialG, RadialGraph, SpeedProfile,
-    SphericalGrid, StepControl, TabulatedG, ZeroG, eval_g, initial_state,
-    load_checkpoint, run, save_checkpoint,
+    BumpG, ExpFlatG, MonomialG, RadialGraph, SpeedProfile, SphericalGrid,
+    StepControl, TabulatedG, ZeroG, eval_g, initial_state, load_checkpoint,
+    load_series, run, save_checkpoint, save_series,
 )
 
 tmp = sys.argv[1]
@@ -63,8 +63,8 @@ for where, graph in graphs.items():
         result = run(initial_state(profile, graph), StepControl(t_end=1.0, max_steps=3, record_every=1))
         assert result.reason == "max_steps" and result.state.step_count == 3
         csv = os.path.join(tmp, "series.csv")
-        result.series.to_csv(csv)
-        back = DiagnosticsSeries.from_csv(csv)
+        save_series(result.series, csv)
+        back = load_series(csv)
         assert np.array_equal(back.column("tau"), result.series.column("tau"))
         ckpt = os.path.join(tmp, "state.ckpt")
         save_checkpoint(result.state, ckpt)

@@ -496,13 +496,17 @@ def test_scaled_flat_overflow_raises_past_700_only(g):
     assert np.isfinite(eval_scaled(prof, math.exp(349.9), r)).all()  # log_scale just below 700
 
 
-def test_scaled_tabulated_lam_cap():
+def test_scaled_tabulated_overflow_names_its_radius():
     pts = np.linspace(0.0, 3.0, 50)
     prof = profile_k1(3.0, TabulatedG(pts, np.zeros(50), np.zeros(50)))
-    eval_scaled(prof, 1e99, 1.0)  # under the cap: fine (g == 0 everywhere)
+    # no cap on lam: lam^beta = inf, and lam^beta * 0 is still 0, without a warning
+    assert np.array_equal(eval_scaled(prof, 1e200, np.array([1.0, 2.0])), [0.0, 0.0])
+    # g = r^6 on a 301-row table (beta = 4): lam^beta = 1e360 is past the float range
+    pts = np.linspace(0.0, 3.0, 301)
+    prof = profile_k1(4.0, TabulatedG(pts, pts**6, 6.0 * pts**5))
     with pytest.raises(ScaleOverflowError) as exc:
-        eval_scaled(prof, 1e101, np.array([1.0, 2.0]))
-    assert str(exc.value).endswith("(largest r=2.0)")
+        eval_scaled(prof, 1e90, np.array([1.0]))
+    assert str(exc.value) == "rescaled tabulated g overflows: lam=1e+90, r=1.0"
 
 
 def test_scaled_tabulated_matches_reference_bitwise():
