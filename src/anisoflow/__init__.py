@@ -19,13 +19,10 @@ from .flow_engine import (
     StepControl,
     StepTooSmallError,
     initial_state,
-    lambda_maps,
     lambda_of_tau,
     rhs,
     run,
     step,
-    t_of_tau,
-    unnormalize,
 )
 from .speed_profile import (
     BumpG,
@@ -42,32 +39,9 @@ from .speed_profile import (
     eval_scaled,
     validate_for_regime,
 )
-from .sphere_geometry import (
-    RadialGraph,
-    SingularMetricError,
-    SphericalGrid,
-    WeingartenField,
-    covariant_derivatives,
-    embedding_oracle,
-    sphere_graph,
-    weingarten,
-)
-from .symfunc import (
-    CONE_EPS,
-    cone_margin,
-    in_gamma_k_plus,
-    sigma_k,
-    sigma_k_partials,
-)
+from .sphere_geometry import RadialGraph, SingularMetricError, SphericalGrid, sphere_graph
+from .symfunc import CONE_EPS
 from .textform import load_checkpoint, load_graph, load_series, save_checkpoint, save_graph, save_series
-from .verify import (
-    DecayFit,
-    closed_form_r1,
-    closed_form_r2,
-    fit_exponential,
-    pde_vs_ode_check,
-    sphere_ode_at,
-    sphere_ode_rhs,
-)
+from .verify import pde_vs_ode_check
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Command-line front end: runs, verification, ODE comparison, and the SVG plot.
+"""Command-line front end: runs, verification and ODE comparison.
 
 ``textform`` reads the config; the README has the key reference.
 
@@ -10,85 +10,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import flow_engine, verify
 from .speed_profile import validate_for_regime
 from .textform import ConfigError, parse_config_state, save_checkpoint, save_series
-
-
-# ---------------------------------------------------------------------------
-# SVG plot (no plotting dependency: direct polyline emission)
-
-
-def _svg_polyline(xs, ys, x0, x1, y0, y1, width, height, margin, color):
-    pts = []
-    for x, y in zip(xs, ys):
-        px = margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
-        py = height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
-        pts.append(f"{px:.2f},{py:.2f}")
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'
-
-
-def write_svg_plot(path, series):
-    """Oscillation and max|grad phi| vs tau on a log-10 y axis."""
-    width, height, margin = 640, 400, 60
-    tau = series.column("tau")
-    curves = [
-        ("oscillation", series.column("osc"), "#1f77b4"),
-        ("max|grad phi|", series.column("grad_phi_max"), "#d62728"),
-    ]
-    body = []
-    positive = [
-        (label, tau[vals > 0], np.log10(vals[vals > 0]), color)
-        for label, vals, color in curves
-        if np.any(vals > 0)
-    ]
-    if positive and len(tau) > 1:
-        x0, x1 = float(tau[0]), float(tau[-1])
-        y0 = min(float(ys.min()) for _, _, ys, _ in positive)
-        y1 = max(float(ys.max()) for _, _, ys, _ in positive)
-        if y1 - y0 < 1e-12:
-            y0, y1 = y0 - 1.0, y1 + 1.0
-        for label, xs, ys, color in positive:
-            if len(xs) >= 2:
-                body.append(_svg_polyline(xs, ys, x0, x1, y0, y1, width, height, margin, color))
-        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            yv = y0 + frac * (y1 - y0)
-            py = height - margin - frac * (height - 2 * margin)
-            body.append(
-                f'<text x="{margin - 8}" y="{py + 4:.1f}" font-size="11" text-anchor="end">1e{yv:.1f}</text>'
-            )
-            xv = x0 + frac * (x1 - x0)
-            px = margin + frac * (width - 2 * margin)
-            body.append(
-                f'<text x="{px:.1f}" y="{height - margin + 16}" font-size="11" text-anchor="middle">{xv:.3g}</text>'
-            )
-        for i, (label, _, _, color) in enumerate(positive):
-            ly = margin + 14 * i
-            body.append(f'<rect x="{width - margin - 150}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
-            body.append(f'<text x="{width - margin - 135}" y="{ly}" font-size="11">{label}</text>')
-    else:
-        note = f"one record (tau={tau[0]:.6g}) draws no curve" if positive else "no positive data to plot"
-        body.append(f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle">{note}</text>')
-    frame = (
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="black"/>'
-    )
-    labels = (
-        f'<text x="{width / 2}" y="{height - 12}" font-size="12" text-anchor="middle">tau</text>'
-        f'<text x="16" y="{height / 2}" font-size="12" transform="rotate(-90 16 {height / 2})" '
-        f'text-anchor="middle">log10 value</text>'
-    )
-    with open(path, "w") as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
-            f"{frame}\n" + "\n".join(body) + f"\n{labels}\n</svg>\n"
-        )
-
-
-# ---------------------------------------------------------------------------
-# subcommands
 
 
 def _read_config(path):
@@ -103,7 +27,7 @@ def cmd_run(config_path):
     cfg, state = _read_config(config_path)
     if cfg.csv_path is None:
         raise ConfigError(["[output] csv_path is required by run"])
-    for path in (cfg.csv_path, cfg.plot_path, cfg.checkpoint_path):
+    for path in (cfg.csv_path, cfg.checkpoint_path):
         try:
             if path is not None:
                 open(path, "a").close()
@@ -114,8 +38,6 @@ def cmd_run(config_path):
     except flow_engine.FlowError as err:
         end = err  # a failed run keeps its evidence: the records so far and the last state reached
     save_series(end.series, cfg.csv_path)
-    if cfg.plot_path is not None:
-        write_svg_plot(cfg.plot_path, end.series)
     if cfg.checkpoint_path is not None:
         save_checkpoint(end.state, cfg.checkpoint_path)
     if isinstance(end, flow_engine.FlowError):

@@ -21,10 +21,6 @@ latitude column (``reduce_zonal``), where the run then lives.  A state's
 curvature field and speed coefficient are built once, on the state, and read
 from it by a record, the dt bound and the next step's first stage alike.
 A run's records, one ``diagnostics_row`` each, make its ``DiagnosticsSeries``.
-
-The physical-time picture: the unnormalized surface shrinks toward the origin,
-r_phys = exp(phi - gamma*tau); ``unnormalize`` reconstructs it together with
-the physical time t(tau).
 """
 
 import math
@@ -238,38 +234,6 @@ class RunResult:
     state: FlowState
     series: DiagnosticsSeries
     reason: str  # "t_end" | "sphericity_stop" | "max_steps"
-
-
-# ---------------------------------------------------------------------------
-# normalization maps
-
-
-def lambda_maps(profile, t):
-    """(lambda(t), tau(t)) for physical time t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    gamma = profile.gamma
-    if profile.equality_regime:
-        return lambda_of_tau(profile, t), t
-    p = profile.beta - profile.ka - 1.0
-    lam = (1.0 + p * gamma * t) ** (1.0 / p)
-    tau = math.log1p(p * gamma * t) / (p * gamma)
-    return lam, tau
-
-
-def t_of_tau(profile, tau):
-    """Physical time for normalized time tau; inverse of lambda_maps' tau(t)."""
-    if profile.equality_regime:
-        return tau
-    p = profile.beta - profile.ka - 1.0
-    return math.expm1(p * profile.gamma * tau) / (p * profile.gamma)
-
-
-def unnormalize(state):
-    """(t, graph) of the original shrinking flow: r_phys = r * lambda^-1."""
-    t = t_of_tau(state.profile, state.tau)
-    phi_phys = state.graph.phi - state.profile.gamma * state.tau
-    return t, RadialGraph(state.graph.grid, phi_phys)
 
 
 # ---------------------------------------------------------------------------

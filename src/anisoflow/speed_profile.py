@@ -21,6 +21,9 @@ ask g >= 0 and (1 + k*alpha) * g(r) / r <= g'(r); besides,
   the origin;
 * the strict regime beta > 1 + k*alpha asks g(0) = 0 and flatness at the
   origin through order floor(beta) (checked by a decade ratio test).
+
+The samples start at 0.01, but a long run reads g ever closer to 0, so a
+table also answers for its ``germ`` exactly: its first interval, from 0.
 """
 
 import dataclasses
@@ -70,7 +73,8 @@ def _sampled_zero_near_origin(g, r, gval):
 
 class _Analytic:
     """What the analytic kinds share: parameters (the dataclass fields) and no
-    table rows, g defined for every r >= 0, and the sampled zero_near_origin."""
+    table rows, g defined for every r >= 0, the sampled zero_near_origin, and
+    no condition checked exactly at the origin (``germ``)."""
 
     TABLE = False
     support = (0.0, math.inf)
@@ -78,6 +82,9 @@ class _Analytic:
     zero_near_origin = _sampled_zero_near_origin
 
     def rows(self):
+        return ()
+
+    def germ(self, profile):
         return ()
 
 
@@ -283,6 +290,19 @@ class TabulatedG:
     @property
     def support(self):
         return float(self.points[0]), float(self.points[-1])
+
+    def germ(self, profile):
+        """The origin interval, checked exactly: once lam is large the flow's
+        lam^beta g(r/lam) reads only the first cubic, so the table must start
+        at 0 and that cubic's power coefficients must vanish through order
+        min(3, floor(beta)) in the strict regime, and all of them in the
+        equality regime."""
+        origin = float(self.points[0])
+        if origin > 0.0:
+            return (ConditionReport("origin_interval", False, origin, origin),)
+        order = 3 if profile.equality_regime else min(3, math.floor(profile.beta))
+        worst = max(abs(float(c[0])) for c in self._c[: order + 1])
+        return (ConditionReport("origin_interval", worst == 0.0, worst, origin),)
 
     def _gather(self, r):
         """s = r - points[i] and the coefficients of r's interval i (the last
@@ -518,8 +538,9 @@ def validate_for_regime(profile):
     Both regimes: g >= 0 and (1 + k*alpha) g(r)/r <= g'(r).  Between them,
     the equality regime beta = 1 + k*alpha asks that g vanish identically
     near the origin; the strict regime beta > 1 + k*alpha asks g(0) = 0 and
-    flatness at the origin through order floor(beta).  A g whose support
-    holds no sample fails, as condition 'support'.
+    flatness at the origin through order floor(beta).  A table's origin
+    interval is checked exactly too (``germ``).  A g whose support holds no
+    sample fails, as condition 'support'.
     """
     origin, end = profile.g.support
     r = _SAMPLES[(origin <= _SAMPLES) & (_SAMPLES <= end)]
@@ -529,7 +550,7 @@ def validate_for_regime(profile):
             middle = (profile.g.zero_near_origin(r, gval),)
         else:
             middle = (_condition_vanishes(profile, origin), _condition_flatness(profile, origin, end))
-        conds = (_condition_nonneg(r, gval), *middle, _condition_scaling(profile, r, gval, gder))
+        conds = (_condition_nonneg(r, gval), *middle, _condition_scaling(profile, r, gval, gder), *profile.g.germ(profile))
     else:
         conds = (ConditionReport("support", False, math.inf, origin),)
     bad = [c for c in conds if not c.ok]

@@ -434,7 +434,6 @@ class RunConfig:
     control: StepControl
     override: bool = False
     csv_path: str = None
-    plot_path: str = None
     checkpoint_path: str = None
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import warnings
-from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ import pytest
 import anisoflow.sphere_geometry
 import anisoflow.symfunc
 import anisoflow.textform
-from anisoflow.cli import main, write_svg_plot
-from anisoflow.flow_engine import COLUMNS, AdmissibilityError, DiagnosticsSeries, StepControl, initial_state
+from anisoflow.cli import main
+from anisoflow.flow_engine import AdmissibilityError, StepControl, initial_state
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
@@ -111,6 +110,9 @@ def test_unknown_section_key_and_duplicate_report_line_numbers():
     text = BASIC.replace("N = 64", "N = 64\nspacing = 3")
     errs = errors_of(text)
     assert any("unknown key 'spacing'" in e and "line 10" in e for e in errs)
+
+    text = BASIC + "\n[output]\ncsv_path = x.csv\nplot_path = x.svg\n"
+    assert errors_of(text) == ["line 20: unknown key 'plot_path' in [output]"]
 
     text = BASIC.replace("t_end = 0.5", "t_end = 0.5\nt_end = 0.7")
     errs = errors_of(text)
@@ -298,7 +300,7 @@ def test_format_roundtrip_rich_config(tmp_path):
             "t_end = 0.5",
             "t_end = 2.5\ncfl = 0.15\ndt_max = 0.1\nsphericity_stop = 1e-4\nmax_steps = 12345\nrecord_every = 3",
         )
-        + f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\nplot_path = {tmp_path / 'out.svg'}\n"
+        + f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\ncheckpoint_path = {tmp_path / 'out.chk'}\n"
     )
     cfg = parse_config(text)
     assert parse_config(format_config(cfg)) == cfg
@@ -351,7 +353,7 @@ def test_table_is_a_file_or_rows_not_both(tmp_path):
     assert errors_of(text) == ["line 8: [table] rows: not valid for g.kind=zero"]
 
 
-@pytest.mark.parametrize("field", ["csv_path", "plot_path", "checkpoint_path", "initial"])
+@pytest.mark.parametrize("field", ["csv_path", "checkpoint_path", "initial"])
 @pytest.mark.parametrize("bad", ["out#1.csv", " out.csv", "out.csv ", "out\n.csv", "out\x0c.csv", "\t"])
 def test_format_refuses_a_path_that_does_not_read_back(field, bad):
     cfg = parse_config(BASIC)
@@ -421,12 +423,11 @@ def write_config(tmp_path, text):
 
 def test_run_end_to_end(tmp_path, capsys):
     csv = tmp_path / "diag.csv"
-    svg = tmp_path / "diag.svg"
     chk = tmp_path / "state.chk"
     text = (
         BASIC.replace("kind = sphere\nr0 = 1.0", "kind = fourier\nconst = 1.0\ncos_2 = 0.1")
         .replace("t_end = 0.5", "t_end = 1.0\nrecord_every = 5")
-        + f"\n[output]\ncsv_path = {csv}\nplot_path = {svg}\ncheckpoint_path = {chk}\n"
+        + f"\n[output]\ncsv_path = {csv}\ncheckpoint_path = {chk}\n"
     )
     code = main(["run", write_config(tmp_path, text)])
     out = capsys.readouterr().out
@@ -435,7 +436,6 @@ def test_run_end_to_end(tmp_path, capsys):
     series = load_series(csv)
     assert series.last("tau") == pytest.approx(1.0, abs=1e-12)
     assert series.column("osc")[-1] < series.column("osc")[0]
-    assert svg.read_text().startswith("<svg ")
     state = load_checkpoint(chk)
     assert state.tau == pytest.approx(1.0, abs=1e-12)
 
@@ -501,19 +501,17 @@ def test_run_from_outside_the_cone_exits_2_without_a_warning(tmp_path, capsys):
     assert np.isfinite([series.column(name) for name in ("phi_min_cap", "phi_max_cap")]).all()
 
 
-def test_a_run_that_leaves_the_cone_keeps_its_records_state_and_plot(tmp_path, capsys):
+def test_a_run_that_leaves_the_cone_keeps_its_records_and_state(tmp_path, capsys):
     # alpha = 2 on a three-lobed curve: the gate trips on the first step
     text = (
         BASIC.replace("alpha = 1\nbeta = 2", "alpha = 2\nbeta = 3")
         .replace("kind = sphere\nr0 = 1.0", "kind = fourier\ncos_3 = 0.5")
-        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\nplot_path = {tmp_path / 'x.svg'}\ncheckpoint_path = {tmp_path / 'x.chk'}\n"
+        + f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\ncheckpoint_path = {tmp_path / 'x.chk'}\n"
     )
     assert main(["run", write_config(tmp_path, text)]) == 2
     assert capsys.readouterr().err.startswith("run failed: cone margin -1.594e+01")
     assert len(load_series(tmp_path / "x.csv")) == 1
     assert load_checkpoint(tmp_path / "x.chk").tau == 0.0
-    assert ElementTree.parse(tmp_path / "x.svg").getroot().tag == "{http://www.w3.org/2000/svg}svg"
-    assert "one record (tau=0) draws no curve" in (tmp_path / "x.svg").read_text()
 
 
 def test_a_run_past_the_float_range_of_lam_exits_2_with_its_records(tmp_path, capsys):
@@ -686,14 +684,15 @@ def test_verify_config_path_reports_conditions(tmp_path, capsys):
 
 
 def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsys):
-    # the validator reads its samples inside the table [0.5, 2] only: g(0.5)
-    # = 0.5^5 fails vanishes_at_origin, and nothing queries g outside the table
+    # the table [0.5, 2] does not start at 0, which fails origin_interval; the
+    # validator reads its samples inside the table only: g(0.5) = 0.5^5 fails
+    # vanishes_at_origin, and nothing queries g outside the table
     table = tmp_path / "table.csv"
     table.write_text("".join(f"{r},{r**5},{5 * r**4}\n" for r in np.linspace(0.5, 2.0, 7)))
     text = BASIC.replace("beta = 2", "beta = 3").replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
     message = (
-        "[profile] fails its regime validator (condition 'vanishes_at_origin', "
-        "worst violation 3.125e-02); set [control] override = true to force"
+        "[profile] fails its regime validator (condition 'origin_interval', "
+        "worst violation 5.000e-01); set [control] override = true to force"
     )
     assert errors_of(text) == [message]
     assert main(["run", write_config(tmp_path, text)]) == 1
@@ -703,12 +702,31 @@ def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsy
 
     forced = text.replace("t_end = 0.5", "t_end = 0.5\noverride = true")
     cfg = parse_config(forced)
-    with pytest.raises(AdmissibilityError, match="'vanishes_at_origin'"):
+    with pytest.raises(AdmissibilityError, match="'origin_interval'"):
         initial_state(cfg.profile, sphere_graph(cfg.grid, 1.0))
     assert main(["verify", write_config(tmp_path, forced)]) == 3
     out = capsys.readouterr().out
     assert "vanishes_at_origin: FAIL worst=3.125e-02 at r=0.5" in out
+    assert "origin_interval: FAIL worst=5.000e-01 at r=0.5" in out
     assert "scaling: PASS" in out
+
+
+@pytest.mark.parametrize("lo, worst", [(0.0, "4.000e-06"), (0.005, "5.000e-03")], ids=["r6", "shifted"])
+def test_a_table_whose_origin_interval_fails_is_a_config_error(tmp_path, capsys, lo, worst):
+    # (r - lo)^6 on [lo, 3], 301 rows, beta = 4: the validator's samples pass,
+    # but the first cubic (lo = 0) is not zero, or the table misses the origin
+    table = tmp_path / "table.csv"
+    pts = np.linspace(lo, 3.0, 301)
+    np.savetxt(table, np.column_stack((pts, (pts - lo) ** 6, 6.0 * (pts - lo) ** 5)), fmt="%.17g", delimiter=",")
+    text = BASIC.replace("beta = 2", "beta = 4").replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
+    assert errors_of(text) == [
+        f"[profile] fails its regime validator (condition 'origin_interval', worst violation {worst}); "
+        "set [control] override = true to force"
+    ]
+    assert main(["verify", write_config(tmp_path, text + "override = true\n")]) == 3
+    out = capsys.readouterr().out
+    assert f"origin_interval: FAIL worst={worst} at r={lo:g}" in out
+    assert out.count("FAIL") == 1
 
 
 def test_ode_compare_strict_regime(tmp_path, capsys):
@@ -759,13 +777,3 @@ def test_ode_compare_runs_round_fourier_data(tmp_path, capsys):
     assert main(["ode-compare", write_config(tmp_path, fourier_config("const = 2.0").replace("beta = 2", "beta = 3"))]) == 0
     assert capsys.readouterr().out == expected
 
-
-def test_svg_plot_handles_all_zero_series(tmp_path):
-    s = DiagnosticsSeries()
-    r0 = {name: 0.0 for name in COLUMNS}
-    s.append(**r0)
-    s.append(**dict(r0, tau=1.0))
-    path = tmp_path / "plot.svg"
-    write_svg_plot(path, s)
-    text = path.read_text()
-    assert text.startswith("<svg ") and "no positive data" in text

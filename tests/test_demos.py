@@ -1,7 +1,7 @@
 """Every demo runs to completion: each ``demos/*.py`` script, ``anisoflow
 run demos/sample_run.ini`` and the README's minimal example, in a fresh
 interpreter that turns every RuntimeWarning into an error, from a temporary
-working directory (the sample run writes its CSV and sketch there)."""
+working directory (the sample run writes its CSV there)."""
 
 import glob
 import os
@@ -43,7 +43,6 @@ def test_sample_run_config_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "reason=sphericity_stop" in proc.stdout
     assert (tmp_path / "run_series.csv").is_file()
-    assert (tmp_path / "run_profile.svg").is_file()
 
 
 def test_readme_minimal_example_runs(tmp_path):

@@ -281,7 +281,7 @@ def test_sphere_ode_matches_closed_form():
     assert rs[0] == 2.0
 
 
-def test_integrate_sphere_ode_wrapper():
+def test_sphere_ode_at_matches_the_closed_form():
     prof = profile_k1(3.0)
     times = np.linspace(0.0, 2.0, 41)
     rs = sphere_ode_at(prof, 0.5, times)

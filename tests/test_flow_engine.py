@@ -27,14 +27,11 @@ from anisoflow.flow_engine import (
     StepTooSmallError,
     diagnostics_row,
     initial_state,
-    lambda_maps,
     lambda_of_tau,
     rhs,
     run,
     stable_dt_bound,
     step,
-    t_of_tau,
-    unnormalize,
 )
 from anisoflow.speed_profile import (
     BumpG,
@@ -131,57 +128,6 @@ def profile_k1(beta, g=None, n=1):
 def wiggly_circle(N=64, amp=0.1):
     grid = SphericalGrid.circle(N)
     return RadialGraph(grid, amp * np.cos(2 * grid.theta))
-
-
-# ---------------------------------------------------------------------------
-# normalization maps
-
-
-def test_lambda_maps_spot_values():
-    eq = profile_k1(2.0)  # beta = 1 + k*alpha, gamma = 1
-    assert_allclose(lambda_maps(eq, 1.0), (math.e, 1.0), rtol=1e-15)
-    strict = profile_k1(3.0)  # beta = k*alpha + 2, gamma = 1
-    assert_allclose(lambda_maps(strict, 2.0), (3.0, math.log(3.0)), rtol=1e-15)
-    for prof in (eq, strict):
-        assert lambda_maps(prof, 0.0) == (1.0, 0.0)
-    with pytest.raises(ValueError):
-        lambda_maps(eq, -0.5)
-
-
-@pytest.mark.parametrize("beta", [2.0, 3.0, 4.5])
-def test_lambda_maps_inverse_consistency(beta):
-    prof = profile_k1(beta)
-    for t in (0.0, 0.3, 1.0, 7.5):
-        lam, tau = lambda_maps(prof, t)
-        assert_allclose(t_of_tau(prof, tau), t, rtol=1e-13, atol=1e-15)
-        assert_allclose(lambda_of_tau(prof, tau), lam, rtol=1e-13)
-
-
-def test_unnormalize_identity_at_start():
-    prof = profile_k1(3.0)
-    state = initial_state(prof, sphere_graph(SphericalGrid.circle(32), 1.4))
-    t, graph = unnormalize(state)
-    assert t == 0.0
-    assert graph == state.graph
-
-
-def test_unnormalize_strict_regime_spot_value():
-    # beta = k*alpha + 2 and gamma = 1: tau = log 3 corresponds to t = 2
-    prof = profile_k1(3.0)
-    graph = sphere_graph(SphericalGrid.circle(32), 1.0)
-    state = FlowState(tau=math.log(3.0), graph=graph, step_count=5, last_dt=0.1, profile=prof)
-    t, phys = unnormalize(state)
-    assert_allclose(t, 2.0, rtol=1e-15)
-    assert_allclose(phys.r(), 1.0 / 3.0, rtol=1e-15)
-
-
-def test_unnormalize_equality_regime_sphere_shrinks_exponentially():
-    prof = SpeedProfile(n=1, k=1, alpha=2.0, beta=3.0)  # equality regime, gamma = 1
-    state = initial_state(prof, sphere_graph(SphericalGrid.circle(32), 0.8))
-    result = run(state, StepControl(t_end=0.5, dt_max=0.01))
-    t, phys = unnormalize(result.state)
-    assert_allclose(t, 0.5, atol=1e-12)
-    assert_allclose(phys.r(), 0.8 * math.exp(-0.5), rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1172,6 +1118,9 @@ def test_run_ends_a_normalization_factor_past_the_float_range_as_a_speed_range_e
     # an admissible flat g (n = k = alpha = 1, beta = 3): lam = exp(tau)
     # leaves the float range at tau = 709.78, where lam^beta g(r/lam) is still 0
     prof = profile_k1(3.0, ExpFlatG(1.0))
+    for profile in (prof, SpeedProfile(n=2, k=1, alpha=1.5, beta=4.0)):  # gamma 1 and 2^1.5
+        for tau in (0.0, 0.3, 7.5, 200.0):
+            assert_allclose(lambda_of_tau(profile, tau), math.exp(profile.gamma * tau), rtol=1e-15)
     with pytest.raises(ScaleOverflowError, match="overflows at tau=710.0"):
         lambda_of_tau(prof, 710.0)
     start = dataclasses.replace(initial_state(prof, wiggly_circle(N=16)), tau=709.0)
@@ -1184,16 +1133,33 @@ def test_run_ends_a_normalization_factor_past_the_float_range_as_a_speed_range_e
 
 
 def test_run_ends_a_tabulated_speed_past_the_float_range_as_a_speed_range_error():
-    # an admissible table of g = r^6 (n = k = alpha = 1, beta = 4): at tau = 200
-    # lam^beta is e^800, past the float range already at the first record
+    # a table of g = r^6 (n = k = alpha = 1, beta = 4), run with validation off,
+    # since its first cubic is not zero: at tau = 200 lam^beta is e^800, past
+    # the float range already at the first record
     pts = np.linspace(0.0, 3.0, 301)
     prof = profile_k1(4.0, TabulatedG(pts, pts**6, 6.0 * pts**5))
-    start = dataclasses.replace(initial_state(prof, sphere_graph(SphericalGrid.circle(16), 1.0)), tau=200.0)
+    graph = sphere_graph(SphericalGrid.circle(16), 1.0)
+    start = dataclasses.replace(initial_state(prof, graph, validate_regime=False), tau=200.0)
     with pytest.raises(SpeedRangeError) as exc:
         run(start, StepControl(t_end=201.0))
     assert isinstance(exc.value.__cause__, ScaleOverflowError)
     assert str(exc.value) == f"rescaled tabulated g overflows: lam={math.exp(200.0)!r}, r=1.0 (at tau=200)"
     assert exc.value.state is start and len(exc.value.series) == 0
+
+
+def test_a_table_whose_origin_interval_is_zero_runs_to_the_unit_sphere():
+    # a table of r^2 exp(-1/r) whose first cubic, on [0, 1e-3], is exactly 0;
+    # late in the run lam^beta g(r/lam) reads only that cubic, so the g term is 0
+    base = profile_k1(4.0, ExpFlatG(1.0))
+    pts = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, 500)])
+    prof = profile_k1(4.0, TabulatedG(pts, *eval_g(base, pts)))
+    graph = wiggly_circle(N=32)
+    result = run(initial_state(prof, graph), StepControl(t_end=20.0))
+    r = result.state.graph.r()
+    assert result.reason == "t_end" and np.abs(r - 1.0).max() < 1e-12
+    assert np.array_equal(eval_scaled(prof, result.state.lam, r), np.zeros_like(r))
+    analytic = run(initial_state(base, graph), StepControl(t_end=20.0))
+    assert np.abs(result.state.graph.phi - analytic.state.graph.phi).max() < 1e-12
 
 
 @pytest.mark.filterwarnings("error")

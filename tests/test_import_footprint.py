@@ -80,7 +80,7 @@ with open(run_ini, "w") as fh:
         "[grid]\nn_lat = 16\nn_lon = 32\n"
         "[initial]\nkind = fourier\nconst = 1.0\ncos_2 = 0.05\n"
         "[control]\nt_end = 1.0\nmax_steps = 3\nrecord_every = 1\n"
-        f"[output]\ncsv_path = {tmp}/cli.csv\nplot_path = {tmp}/cli.svg\n"
+        f"[output]\ncsv_path = {tmp}/cli.csv\n"
         f"checkpoint_path = {tmp}/cli.ckpt\n"
     )
 assert anisoflow.cli.main(["run", run_ini]) == 0

@@ -21,8 +21,8 @@ def private_imports(source, filename):
 
 
 def test_the_check_sees_a_private_import():
-    source = "from .textform import ConfigError, _take\nfrom anisoflow.cli import _svg_polyline\nfrom . import __version__\n"
-    assert private_imports(source, "x.py") == ["x.py:1: _take", "x.py:2: _svg_polyline"]
+    source = "from .textform import ConfigError, _take\nfrom anisoflow.cli import _read_config\nfrom . import __version__\n"
+    assert private_imports(source, "x.py") == ["x.py:1: _take", "x.py:2: _read_config"]
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -632,6 +632,30 @@ def test_validator_tabulated_expflat_passes():
     assert rep.ok, (rep.condition, rep.worst_violation)
 
 
+def _power_table(lo):
+    """(r - lo)^6 on [lo, 3], 301 rows, with exact derivatives."""
+    pts = np.linspace(lo, 3.0, 301)
+    return TabulatedG(pts, (pts - lo) ** 6, 6.0 * (pts - lo) ** 5)
+
+
+@pytest.mark.parametrize(
+    "lo, beta, worst",
+    [(0.0, 4.0, 4e-6), (0.0, 3.5, 4e-6), (0.0, 2.5, 3e-8), (0.005, 4.0, 0.005)],
+    ids=["beta4", "beta3.5", "beta2.5", "shifted"],
+)
+def test_validator_judges_a_tables_origin_interval_exactly(lo, beta, worst):
+    # the samples start at 0.01, the first cubic's right end, and pass these
+    # tables of (r - lo)^6; but a long run reads only that cubic, which for
+    # g = r^6 is -3e-8 r^2 + 4e-6 r^3 (lam^beta g(r/lam) ~ -lam^(beta-2)), or
+    # reads g below a table that does not start at 0
+    rep = validate_for_regime(profile_k1(beta, _power_table(lo)))
+    assert rep.failed() == ("origin_interval",) and rep.condition == "origin_interval"
+    assert rep.location == lo
+    assert_allclose(rep.worst_violation, worst, rtol=1e-9)
+    # the equality regime asks the whole first cubic to vanish
+    assert "origin_interval" in validate_for_regime(profile_k1(2.0, _power_table(lo))).failed()
+
+
 def _cubic_table(lo, hi):
     pts = np.linspace(lo, hi, 9)
     return TabulatedG(pts, *_cubic(pts))
