@@ -9,21 +9,23 @@ through ``eval_g``.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
 kind's name to its class, and each kind answers for itself: ``scaled``
-(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``support``, the equality
-regime's ``zero_near_origin`` check, and its text, ``params`` by name or, for
-a ``TABLE`` kind, 'r,value,derivative' ``rows``.
+(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``support``, ``germ`` (its
+regime's condition at the origin) and its text, ``params`` by name or, for a
+``TABLE`` kind, 'r,value,derivative' ``rows``.
 
 One validator, ``validate_for_regime``, checks g for the convergence regime
-that beta selects, on samples of [0.01, 3] inside g's support.  Both regimes
-ask g >= 0 and (1 + k*alpha) * g(r) / r <= g'(r); besides,
+that beta selects.  Both regimes ask g >= 0 and (1 + k*alpha) * g(r) / r <=
+g'(r), on samples of [0.01, 3] inside g's support (a table's g >= 0 on every
+cubic); besides,
 
 * the equality regime beta = 1 + k*alpha asks g to vanish identically near
-  the origin;
-* the strict regime beta > 1 + k*alpha asks g(0) = 0 and flatness at the
-  origin through order floor(beta) (checked by a decade ratio test).
+  the origin (``zero_near_origin``);
+* the strict regime beta > 1 + k*alpha asks g to be flat at the origin
+  through order floor(beta) (``flatness``).
 
-The samples start at 0.01, but a long run reads g ever closer to 0, so a
-table also answers for its ``germ`` exactly: its first interval, from 0.
+A long run reads g ever closer to 0, below every sample, so each kind decides
+its regime's origin condition exactly, in ``germ``: an analytic kind from its
+formula, a table from its first cubic (``origin_interval``).
 """
 
 import dataclasses
@@ -62,30 +64,34 @@ def _positive_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _sampled_zero_near_origin(g, r, gval):
-    """The equality regime's 'g vanishes near the origin', on the samples within
-    a decade of the first, for a kind with no interval of its own to check."""
-    near = r <= 10.0 * r[0]
-    worst = float(np.max(np.abs(gval[near])))
-    i = int(np.argmax(np.abs(np.where(near, gval, 0.0))))
-    return ConditionReport("zero_near_origin", worst <= _TOL, worst, float(r[i]))
-
-
 class _Analytic:
     """What the analytic kinds share: parameters (the dataclass fields) and no
-    table rows, g defined for every r >= 0, the sampled zero_near_origin, and
-    no condition checked exactly at the origin (``germ``)."""
+    table rows, g defined for every r >= 0 with g(0) = 0, and ``germ``."""
 
     TABLE = False
     support = (0.0, math.inf)
     params = property(dataclasses.asdict)
-    zero_near_origin = _sampled_zero_near_origin
+    zero_interval = False  # g = 0 on some [0, epsilon]; else g > 0 on (0, inf)
+    flat_order = math.inf  # g vanishes through this order at 0
 
     def rows(self):
         return ()
 
-    def germ(self, profile):
-        return ()
+    def germ(self, profile, r, gval):
+        """The regime's origin condition, decided exactly from the two facts
+        above and shown on the samples: a g that is 0 on some [0, epsilon]
+        passes either regime; any other g fails 'zero_near_origin', at the
+        first sample where g > 0, and is flat iff flat_order >= floor(beta),
+        else failing 'flatness' with g/r^(floor(beta)+1) at the first sample."""
+        if self.zero_interval:
+            return ConditionReport("zero_near_origin" if profile.equality_regime else "flatness", True, 0.0, 0.0)
+        if profile.equality_regime:
+            i = int(np.argmax(gval > 0.0))
+            return ConditionReport("zero_near_origin", False, float(gval[i]), float(r[i]))
+        m = math.floor(profile.beta) + 1
+        if self.flat_order >= m - 1:
+            return ConditionReport("flatness", True, 0.0, 0.0)
+        return ConditionReport("flatness", False, float(gval[0] / r[0] ** m), float(r[0]))
 
 
 @dataclass(frozen=True)
@@ -93,15 +99,13 @@ class ZeroG(_Analytic):
     """g identically zero (pure r^beta speed)."""
 
     KIND = "zero"
+    zero_interval = True
 
     def scaled(self, profile, lam, r):
         return np.zeros_like(r)
 
     def derivative(self, profile, r, g):
         return np.zeros_like(r)
-
-    def zero_near_origin(self, r, gval):
-        return ConditionReport("zero_near_origin", True, 0.0, 0.0)
 
 
 class _FlatFamily(_Analytic):
@@ -169,6 +173,7 @@ class BumpG(_FlatFamily):
     epsilon: float
     p: float
     KIND = "bump"
+    zero_interval = True
 
     def __post_init__(self):
         _positive_finite("epsilon", self.epsilon)
@@ -177,12 +182,6 @@ class BumpG(_FlatFamily):
     @property
     def shift(self):
         return self.epsilon
-
-    def zero_near_origin(self, r, gval):
-        """g on the samples in [0, epsilon]."""
-        inside = r <= self.epsilon
-        worst = float(np.max(np.abs(gval[inside]))) if np.any(inside) else 0.0
-        return ConditionReport("zero_near_origin", worst <= _TOL, worst, float(self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -196,21 +195,18 @@ class ExpFlatG(_FlatFamily):
     def __post_init__(self):
         _positive_finite("p", self.p)
 
-    def zero_near_origin(self, r, gval):
-        """Fails for every p, at the first positive sample: g > 0 for every r > 0."""
-        i = int(np.argmax(gval > 0.0))
-        return ConditionReport("zero_near_origin", False, float(gval[i]), float(r[i]))
-
 
 @dataclass(frozen=True)
 class MonomialG(_Analytic):
     """g = r^l for an integer l >= 1 (r^l is smooth at 0 only for integer l).
 
-    Admissibility (l >= floor(beta) + 1) is the validator's business.
+    It vanishes through order l - 1 at 0, so it is flat enough for the strict
+    regime iff l >= floor(beta) + 1.
     """
 
     l: float
     KIND = "monomial"
+    flat_order = property(lambda self: self.l - 1)
 
     def __post_init__(self):
         if not (self.l >= 1 and float(self.l).is_integer()):
@@ -244,7 +240,6 @@ class TabulatedG:
     KIND = "tabulated"
     TABLE = True
     params = property(lambda self: {})  # the rows are all of it
-    zero_near_origin = _sampled_zero_near_origin
 
     def __init__(self, points, values, derivs):
         self.points = np.asarray(points, dtype=float)
@@ -291,7 +286,7 @@ class TabulatedG:
     def support(self):
         return float(self.points[0]), float(self.points[-1])
 
-    def germ(self, profile):
+    def germ(self, profile, r, gval):
         """The origin interval, checked exactly: once lam is large the flow's
         lam^beta g(r/lam) reads only the first cubic, so the table must start
         at 0 and that cubic's power coefficients must vanish through order
@@ -299,10 +294,28 @@ class TabulatedG:
         equality regime."""
         origin = float(self.points[0])
         if origin > 0.0:
-            return (ConditionReport("origin_interval", False, origin, origin),)
+            return ConditionReport("origin_interval", False, origin, origin)
         order = 3 if profile.equality_regime else min(3, math.floor(profile.beta))
         worst = max(abs(float(c[0])) for c in self._c[: order + 1])
-        return (ConditionReport("origin_interval", worst == 0.0, worst, origin),)
+        return ConditionReport("origin_interval", worst == 0.0, worst, origin)
+
+    def extrema(self):
+        """The radii where g's extremes lie, and g there: the nodes and each
+        cubic's interior critical points, the roots in (0, h) of
+        c1 + 2 c2 s + 3 c3 s^2."""
+        c0, c1, c2, c3 = self._c
+        a, b = 3.0 * c3, 2.0 * c2
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the roots q/a and c1/q, free of cancellation; a complex pair
+            # (NaN) and the root that a = 0 sends to infinity fall out below
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c1), b))
+            s = np.concatenate((q / a, c1 / q))
+        i = np.tile(np.arange(c0.size), 2)
+        inside = (s > 0.0) & (s < np.diff(self.points).take(i))
+        s, i = s[inside], i[inside]
+        inner = c0.take(i) + c1.take(i) * s + c2.take(i) * (s * s) + c3.take(i) * (s * s * s)
+        r = np.concatenate((self.points, self.points.take(i) + s))
+        return r, np.concatenate((self.value(self.points), inner))
 
     def _gather(self, r):
         """s = r - points[i] and the coefficients of r's interval i (the last
@@ -426,11 +439,12 @@ def eval_g(profile, r):
     """g(r) and g'(r) for the profile's g specification, unscaled (lam = 1).
 
     The one source of g', which only the admissibility validator reads.
-    Accepts scalars or arrays; r must be >= 0 (and within the table for
-    tabulated g).  Returns (g, gp) with the input's shape.
+    Accepts scalars or arrays; r must be >= 0 (a NaN radius raises
+    ValueError like r < 0) and within the table for tabulated g.  Returns
+    (g, gp) with the input's shape.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not (r >= 0).all():  # NaN fails too
         raise ValueError("g is only defined for r >= 0")
     g = profile.g.scaled(profile, 1.0, r)
     gp = profile.g.derivative(profile, r, g)
@@ -498,29 +512,13 @@ class ProfileReport:
 _SAMPLES = np.geomspace(0.01, 3.0, 600)
 
 
-def _condition_nonneg(r, gval):
+def _condition_nonneg(g, r, gval):
+    """g >= 0 on the samples; a table's at its extrema, where every cubic's
+    minimum lies."""
+    if g.TABLE:
+        r, gval = g.extrema()
     i = int(np.argmin(gval))
     return ConditionReport("nonnegative", bool(gval[i] >= -_TOL), float(-gval[i]), float(r[i]))
-
-
-def _condition_vanishes(profile, origin):
-    g0, _ = eval_g(profile, origin)
-    return ConditionReport("vanishes_at_origin", abs(g0) <= _TOL, abs(g0), origin)
-
-
-def _condition_flatness(profile, origin, end):
-    """Decade ratio test on g / r^(floor(beta)+1) within [1e-3, 1e-1]."""
-    m = math.floor(profile.beta) + 1
-    lo, hi = max(1e-3, origin), min(1e-1, end)
-    if not hi > lo * 10.0:
-        return ConditionReport("flatness", True, 0.0, lo)
-    mid = math.sqrt(lo * hi)
-    d1 = np.geomspace(lo, mid, 40)
-    d2 = np.geomspace(mid, hi, 40)
-    q1 = eval_g(profile, d1)[0] / d1**m
-    q2 = eval_g(profile, d2)[0] / d2**m
-    K1, K2 = float(np.max(q1)), float(np.max(q2))
-    return ConditionReport("flatness", K1 <= 1.2 * K2 + 1e-300, K1 - 1.2 * K2, float(d1[int(np.argmax(q1))]))
 
 
 def _condition_scaling(profile, r, gval, gder):
@@ -532,25 +530,21 @@ def _condition_scaling(profile, r, gval, gder):
 
 
 def validate_for_regime(profile):
-    """Check g against the conditions of the regime that beta selects, on the
-    samples in [0.01, 3] that lie inside g's support.
+    """Check g against the conditions of the regime that beta selects.
 
-    Both regimes: g >= 0 and (1 + k*alpha) g(r)/r <= g'(r).  Between them,
-    the equality regime beta = 1 + k*alpha asks that g vanish identically
-    near the origin; the strict regime beta > 1 + k*alpha asks g(0) = 0 and
-    flatness at the origin through order floor(beta).  A table's origin
-    interval is checked exactly too (``germ``).  A g whose support holds no
-    sample fails, as condition 'support'.
+    Both regimes: g >= 0 and (1 + k*alpha) g(r)/r <= g'(r), on the samples
+    in [0.01, 3] that lie inside g's support (g >= 0 on a table's every
+    cubic).  Between them comes the regime's origin condition, which g's kind
+    decides exactly (``germ``): the equality regime beta = 1 + k*alpha asks
+    that g vanish identically near the origin, the strict regime
+    beta > 1 + k*alpha that g be flat there through order floor(beta).  A g
+    whose support holds no sample fails, as condition 'support'.
     """
     origin, end = profile.g.support
     r = _SAMPLES[(origin <= _SAMPLES) & (_SAMPLES <= end)]
     if r.size:
         gval, gder = eval_g(profile, r)
-        if profile.equality_regime:
-            middle = (profile.g.zero_near_origin(r, gval),)
-        else:
-            middle = (_condition_vanishes(profile, origin), _condition_flatness(profile, origin, end))
-        conds = (_condition_nonneg(r, gval), *middle, _condition_scaling(profile, r, gval, gder), *profile.g.germ(profile))
+        conds = (_condition_nonneg(profile.g, r, gval), profile.g.germ(profile, r, gval), _condition_scaling(profile, r, gval, gder))
     else:
         conds = (ConditionReport("support", False, math.inf, origin),)
     bad = [c for c in conds if not c.ok]

@@ -685,8 +685,8 @@ def test_verify_config_path_reports_conditions(tmp_path, capsys):
 
 def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsys):
     # the table [0.5, 2] does not start at 0, which fails origin_interval; the
-    # validator reads its samples inside the table only: g(0.5) = 0.5^5 fails
-    # vanishes_at_origin, and nothing queries g outside the table
+    # validator reads its samples inside the table only, and nothing queries g
+    # outside the table
     table = tmp_path / "table.csv"
     table.write_text("".join(f"{r},{r**5},{5 * r**4}\n" for r in np.linspace(0.5, 2.0, 7)))
     text = BASIC.replace("beta = 2", "beta = 3").replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
@@ -706,7 +706,6 @@ def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsy
         initial_state(cfg.profile, sphere_graph(cfg.grid, 1.0))
     assert main(["verify", write_config(tmp_path, forced)]) == 3
     out = capsys.readouterr().out
-    assert "vanishes_at_origin: FAIL worst=3.125e-02 at r=0.5" in out
     assert "origin_interval: FAIL worst=5.000e-01 at r=0.5" in out
     assert "scaling: PASS" in out
 

@@ -1162,6 +1162,16 @@ def test_a_table_whose_origin_interval_is_zero_runs_to_the_unit_sphere():
     assert np.abs(result.state.graph.phi - analytic.state.graph.phi).max() < 1e-12
 
 
+@pytest.mark.parametrize("g", [ExpFlatG(0.1), ExpFlatG(0.3), BumpG(0.001, 0.1)], ids=repr)
+def test_a_g_flat_to_all_orders_runs_to_the_unit_sphere(g):
+    # g/r^4 falls from r = 1e-3 to 0.1 for these, but each is flat to all
+    # orders at 0: the strict regime's theorem holds, and the run rounds out
+    grid = SphericalGrid.circle(64)
+    graph = RadialGraph(grid, np.log(1.0 + 0.1 * np.cos(2.0 * grid.theta)))
+    result = run(initial_state(profile_k1(3.0, g), graph), StepControl(t_end=60.0))
+    assert result.reason == "t_end" and np.abs(result.state.graph.r() - 1.0).max() < 1e-9
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_run_from_outside_the_cone_ends_typed_with_a_finite_first_record():
     # alpha = 1/2: sigma_1^alpha is not real at the concave waist of

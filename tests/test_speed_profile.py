@@ -160,6 +160,14 @@ def test_eval_g_negative_radius_rejected():
         eval_g(profile_k1(2.0), -0.1)
 
 
+@pytest.mark.parametrize("kind", sorted(G_KINDS))
+@pytest.mark.parametrize("r", [math.nan, [1.0, math.nan]])
+def test_eval_g_rejects_a_nan_radius_for_every_kind(kind, r):
+    # NaN fails every comparison, so a guard written as "any r < 0" lets it through
+    with pytest.raises(ValueError, match=r"only defined for r >= 0"):
+        eval_g(_nan_radius_profiles()[kind], r)
+
+
 @pytest.mark.parametrize(
     "g",
     [BumpG(0.5, 1.0), BumpG(0.3, 2.0), ExpFlatG(1.0), ExpFlatG(2.0)],
@@ -577,6 +585,10 @@ def test_validator_passes_strict_regime_kinds():
         (SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(1.0)), "expflat-1"),
         (SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(2.0)), "expflat-2"),
         (profile_k1(3.0, MonomialG(4.0)), "monomial-4"),
+        # flat to all orders, though g/r^4 still falls from 1e-3 to 0.1
+        (profile_k1(3.0, ExpFlatG(0.1)), "expflat-0.1"),
+        (profile_k1(3.0, ExpFlatG(0.3)), "expflat-0.3"),
+        (profile_k1(3.0, BumpG(0.001, 0.1)), "bump-0.001-0.1"),
     ]
     for prof, label in strict:
         rep = validate_for_regime(prof)
@@ -599,6 +611,29 @@ def test_validator_rejects_expflat_in_equality_regime_for_every_p(p):
     assert not rep.ok
     assert rep.failed() == ("zero_near_origin",)
     assert rep.worst_violation > 0.0 and rep.location > 0.0
+
+
+@pytest.mark.parametrize("l", [2, 5, 11, 12, 20])
+def test_validator_rejects_a_monomial_in_equality_regime_for_every_l(l):
+    # g = r^l > 0 for every r > 0, however small it is at the first sample
+    rep = validate_for_regime(profile_k1(2.0, MonomialG(l)))
+    assert rep.failed() == ("zero_near_origin",) and rep.condition == "zero_near_origin"
+    assert rep.location == 0.01
+    assert_allclose(rep.worst_violation, 0.01**l, rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.5])
+def test_validator_asks_a_monomial_for_l_above_floor_beta(beta):
+    # r^l vanishes through order l - 1 at 0: flat enough iff l >= floor(beta) + 1;
+    # a failure shows g/r^(floor(beta)+1) at the first sample
+    m = math.floor(beta) + 1
+    for l in range(1, 21):
+        rep = validate_for_regime(profile_k1(beta, MonomialG(l)))
+        assert rep.ok is (l >= m), (l, rep)
+        if not rep.ok:
+            assert rep.condition == "flatness" and "flatness" in rep.failed(), (l, rep)
+            assert rep.location == 0.01
+            assert_allclose(rep.worst_violation, 0.01 ** (l - m), rtol=1e-12)
 
 
 def test_validator_rejects_insufficient_flatness():
@@ -663,12 +698,32 @@ def _cubic_table(lo, hi):
 
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_validator_samples_only_inside_a_narrow_table(beta):
-    # the samples in [0.5, 2] are checked, and no query leaves the table:
-    # g(0.5) > 0 fails the regime's condition at the support's start
+    # the samples in [0.5, 2] are checked, and no query leaves the table: a
+    # table that does not start at 0 fails origin_interval at its first node
     rep = validate_for_regime(profile_k1(beta, _cubic_table(0.5, 2.0)))
     assert not rep.ok
-    assert ("zero_near_origin" if beta == 2.0 else "vanishes_at_origin") in rep.failed()
+    assert "origin_interval" in rep.failed()
     assert all(0.5 <= c.location <= 2.0 for c in rep.conditions)
+
+
+def test_validator_checks_a_tables_nonnegativity_between_samples():
+    # r^4 exp(-1/r) with exact derivatives, but the last interval's end
+    # derivatives are -5g/h and +5g/h: its cubic dips below 0 between the
+    # samples 2.97 and 3
+    pts = np.concatenate([[0.0], np.linspace(0.001, 3.0, 300)])
+    base = profile_k1(3.0, ExpFlatG(1.0))  # r^2 exp(-1/r)
+    g, gp = eval_g(base, pts)
+    g, gp = g * pts**2, gp * pts**2 + 2.0 * pts * g
+    assert validate_for_regime(profile_k1(3.0, TabulatedG(pts, g, gp))).ok
+    h = pts[-1] - pts[-2]
+    gp[-2:] = -5.0 * g[-2] / h, 5.0 * g[-1] / h
+    dipped = profile_k1(3.0, TabulatedG(pts, g, gp))
+    rep = validate_for_regime(dipped)
+    assert rep.failed() == ("nonnegative",) and rep.condition == "nonnegative"
+    assert_allclose(rep.worst_violation, 14.405, rtol=1e-4)
+    assert pts[-2] < rep.location < pts[-1]
+    # the interpolant itself is that low there
+    assert_allclose(eval_g(dipped, rep.location)[0], -rep.worst_violation, rtol=1e-12)
 
 
 @pytest.mark.parametrize("beta", [2.0, 3.0])
