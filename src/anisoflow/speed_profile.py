@@ -4,28 +4,27 @@ The flow speed is f(r) * sigma_k^alpha.  The normalized equation never needs g
 itself, only the rescaled term lam^beta * g(r/lam), with lam = exp(gamma*tau)
 (``lambda_of_tau``); ``eval_scaled`` evaluates it in a form that stays finite
 for arbitrarily large lam (log-space for the exponentially flat families,
-exponent arithmetic for monomials).  g' is needed only by the validator,
-through ``eval_g``.
+exponent arithmetic for monomials).  g' is needed only by the validator.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
 kind's name to its class, and each kind answers for itself: ``scaled``
-(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``support``, ``germ`` (its
-regime's condition at the origin) and its text, ``params`` by name or, for a
+(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``conditions`` (its
+admissibility for a profile) and its text, ``params`` by name or, for a
 ``TABLE`` kind, 'r,value,derivative' ``rows``.
 
-One validator, ``validate_for_regime``, checks g for the convergence regime
-that beta selects.  Both regimes ask g >= 0 and (1 + k*alpha) * g(r) / r <=
-g'(r), on samples of [0.01, 3] inside g's support (a table's g >= 0 on every
-cubic); besides,
+One validator, ``validate_for_regime``, judges g for the convergence regime
+that beta selects, at every r > 0.  Both regimes ask g >= 0
+(``nonnegative``) and (1 + k*alpha) * g(r) / r <= g'(r) (``scaling``);
+besides,
 
 * the equality regime beta = 1 + k*alpha asks g to vanish identically near
   the origin (``zero_near_origin``);
 * the strict regime beta > 1 + k*alpha asks g to be flat at the origin
   through order floor(beta) (``flatness``).
 
-A long run reads g ever closer to 0, below every sample, so each kind decides
-its regime's origin condition exactly, in ``germ``: an analytic kind from its
-formula, a table from its first cubic (``origin_interval``).
+A run reads g at radii no sample grid foresees, ever closer to 0 as lam grows,
+so each kind decides all three exactly, in ``conditions``: an analytic kind
+from its formula, a table from its cubics (``origin_interval`` at the origin).
 """
 
 import dataclasses
@@ -66,10 +65,9 @@ def _positive_finite(name, value):
 
 class _Analytic:
     """What the analytic kinds share: parameters (the dataclass fields) and no
-    table rows, g defined for every r >= 0 with g(0) = 0, and ``germ``."""
+    table rows, g defined for every r >= 0 with g(0) = 0, and ``conditions``."""
 
     TABLE = False
-    support = (0.0, math.inf)
     params = property(dataclasses.asdict)
     zero_interval = False  # g = 0 on some [0, epsilon]; else g > 0 on (0, inf)
     flat_order = math.inf  # g vanishes through this order at 0
@@ -77,21 +75,25 @@ class _Analytic:
     def rows(self):
         return ()
 
-    def germ(self, profile, r, gval):
-        """The regime's origin condition, decided exactly from the two facts
-        above and shown on the samples: a g that is 0 on some [0, epsilon]
-        passes either regime; any other g fails 'zero_near_origin', at the
-        first sample where g > 0, and is flat iff flat_order >= floor(beta),
-        else failing 'flatness' with g/r^(floor(beta)+1) at the first sample."""
-        if self.zero_interval:
-            return ConditionReport("zero_near_origin" if profile.equality_regime else "flatness", True, 0.0, 0.0)
+    def conditions(self, profile):
+        """The three conditions, decided exactly from the two facts above: g >= 0;
+        g'/g is l/r for r^l, (1 + k*alpha)/r plus a positive term for the flat
+        families, so 'scaling' holds iff flat_order >= k*alpha; a g that is 0
+        on some [0, epsilon] passes either origin condition, any other fails
+        'zero_near_origin' and passes 'flatness' iff flat_order >= floor(beta).
+        A failure shows its violation at r = 1 ((1 + k*alpha) g - g', or g =
+        g/r^(floor(beta)+1)), a pass 0 at r = 0."""
+        g, gp = eval_g(profile, 1.0)
         if profile.equality_regime:
-            i = int(np.argmax(gval > 0.0))
-            return ConditionReport("zero_near_origin", False, float(gval[i]), float(r[i]))
-        m = math.floor(profile.beta) + 1
-        if self.flat_order >= m - 1:
-            return ConditionReport("flatness", True, 0.0, 0.0)
-        return ConditionReport("flatness", False, float(gval[0] / r[0] ** m), float(r[0]))
+            origin = "zero_near_origin", self.zero_interval
+        else:
+            origin = "flatness", self.flat_order >= math.floor(profile.beta)
+        verdicts = (
+            ("nonnegative", True, 0.0),
+            ("scaling", self.flat_order >= profile.ka - _TOL, (1.0 + profile.ka) * g - gp),
+            (*origin, g),
+        )
+        return tuple(ConditionReport(name, ok, 0.0 if ok else v, 0.0 if ok else 1.0) for name, ok, v in verdicts)
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ class MonomialG(_Analytic):
 class TabulatedG:
     """g given by sample points with values and derivatives, Hermite-interpolated.
 
-    Queries outside ``support``, [points[0], points[-1]], raise ValueError.
+    Queries outside [points[0], points[-1]] raise ValueError.
     Inside, g and g' are bit for bit those of scipy's ``CubicHermiteSpline``
     and its derivative: the same power-basis coefficients per interval, the
     same interval for a query at a node (the one it starts), and the same
@@ -253,6 +255,8 @@ class TabulatedG:
             raise ValueError("table entries must be finite")
         if not np.all(np.diff(self.points) > 0):
             raise ValueError("sample points must be strictly increasing")
+        if self.points[0] < 0.0:
+            raise ValueError("g is only defined for r >= 0")
         h = np.diff(self.points)
         d0 = self.derivs[:-1]
         slope = np.diff(self.values) / h
@@ -282,46 +286,55 @@ class TabulatedG:
         table = zip(self.points.tolist(), self.values.tolist(), self.derivs.tolist())
         return [",".join(format(v, ".17g") for v in row) for row in table]
 
-    @property
-    def support(self):
-        return float(self.points[0]), float(self.points[-1])
-
-    def germ(self, profile, r, gval):
-        """The origin interval, checked exactly: once lam is large the flow's
-        lam^beta g(r/lam) reads only the first cubic, so the table must start
-        at 0 and that cubic's power coefficients must vanish through order
-        min(3, floor(beta)) in the strict regime, and all of them in the
-        equality regime."""
+    def conditions(self, profile):
+        """The three conditions, decided exactly on the cubics.  g and
+        r g' - (1 + k*alpha) g (the scaling inequality times r, allowing
+        1e-12 (1 + max |g'| at the nodes) for rounding) are cubics on each
+        interval, so each is >= 0 there iff it is at the interval's ends and
+        interior critical points.  'origin_interval': once lam is large the
+        flow reads only the first cubic, so the table must start at 0 and that
+        cubic's power coefficients must vanish through order min(3,
+        floor(beta)) in the strict regime, and all of them in the equality
+        regime."""
+        r, g = self._extremes(self._c)
+        i = int(np.argmin(g))
+        nonnegative = ConditionReport("nonnegative", bool(g[i] >= -_TOL), float(-g[i]), float(r[i]))
+        m, x, (c0, c1, c2, c3) = 1.0 + profile.ka, self.points[:-1], self._c
+        tol = _TOL * (1.0 + np.abs(self.derivs).max())
+        # r g' - m g + tol r, in s = r - x
+        d = (x * c1 - m * c0 + tol * x, 2.0 * x * c2 + (1.0 - m) * c1 + tol, 3.0 * x * c3 + (2.0 - m) * c2, (3.0 - m) * c3)
+        r, q = self._extremes(d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            viol = tol - q / r  # (1 + k*alpha) g/r - g'; NaN at r = 0 if g(0) = 0
+        i = int(np.nanargmax(viol))
+        scaling = ConditionReport("scaling", bool(q.min() >= 0.0), float(viol[i]), float(r[i]))
         origin = float(self.points[0])
-        if origin > 0.0:
-            return ConditionReport("origin_interval", False, origin, origin)
         order = 3 if profile.equality_regime else min(3, math.floor(profile.beta))
-        worst = max(abs(float(c[0])) for c in self._c[: order + 1])
-        return ConditionReport("origin_interval", worst == 0.0, worst, origin)
+        worst = origin if origin > 0.0 else max(abs(float(c[0])) for c in self._c[: order + 1])
+        return nonnegative, scaling, ConditionReport("origin_interval", worst == 0.0, worst, origin)
 
-    def extrema(self):
-        """The radii where g's extremes lie, and g there: the nodes and each
-        cubic's interior critical points, the roots in (0, h) of
-        c1 + 2 c2 s + 3 c3 s^2."""
-        c0, c1, c2, c3 = self._c
-        a, b = 3.0 * c3, 2.0 * c2
+    def _extremes(self, c):
+        """The radii where the piecewise cubic of power coefficients c (in
+        s = r - points[i] on interval i, as ``_c``) has its extremes, and its
+        values there: the nodes and each cubic's interior critical points,
+        the roots in (0, h) of c1 + 2 c2 s + 3 c3 s^2."""
+        a, b = 3.0 * c[3], 2.0 * c[2]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # the roots q/a and c1/q, free of cancellation; a complex pair
             # (NaN) and the root that a = 0 sends to infinity fall out below
-            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c1), b))
-            s = np.concatenate((q / a, c1 / q))
-        i = np.tile(np.arange(c0.size), 2)
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c[1]), b))
+            s = np.concatenate((q / a, c[1] / q))
+        i = np.tile(np.arange(a.size), 2)
         inside = (s > 0.0) & (s < np.diff(self.points).take(i))
         s, i = s[inside], i[inside]
-        inner = c0.take(i) + c1.take(i) * s + c2.take(i) * (s * s) + c3.take(i) * (s * s * s)
+        node_i, node_s = self._interval(self.points)
         r = np.concatenate((self.points, self.points.take(i) + s))
-        return r, np.concatenate((self.value(self.points), inner))
+        return r, _cubic_at(c, np.concatenate((node_i, i)), np.concatenate((node_s, s)))
 
-    def _gather(self, r):
-        """s = r - points[i] and the coefficients of r's interval i (the last
-        interval for r == points[-1])."""
+    def _interval(self, r):
+        """r's interval i (the last one for r == points[-1]) and s = r - points[i]."""
         i = np.minimum(np.searchsorted(self.points, r, side="right") - 1, self.points.size - 2)
-        return r - self.points.take(i), *(c.take(i) for c in self._c)
+        return i, r - self.points.take(i)
 
     def value(self, r):
         """g(r) alone: the flow reads no g'."""
@@ -330,11 +343,11 @@ class TabulatedG:
             raise TableRangeError(
                 f"tabulated g queried outside [{self.points[0]}, {self.points[-1]}]"
             )
-        s, c0, c1, c2, c3 = self._gather(r)
-        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        return _cubic_at(self._c, *self._interval(r))
 
     def derivative(self, profile, r, g):
-        s, _, c1, c2, c3 = self._gather(np.asarray(r, dtype=float))
+        i, s = self._interval(np.asarray(r, dtype=float))
+        c1, c2, c3 = (c.take(i) for c in self._c[1:])
         return 0.0 + c1 + (2 * c2) * s + (3 * c3) * (s * s)
 
     def scaled(self, profile, lam, r):
@@ -362,6 +375,11 @@ class TabulatedG:
 
     def __repr__(self):
         return f"TabulatedG(<{self.points.size} rows on [{self.points[0]}, {self.points[-1]}]>)"
+
+
+def _cubic_at(c, i, s):
+    """The piecewise cubic of power coefficients c at s in intervals i."""
+    return 0.0 + c[0].take(i) + c[1].take(i) * s + c[2].take(i) * (s * s) + c[3].take(i) * (s * s * s)
 
 
 G_KINDS = {c.KIND: c for c in (ZeroG, BumpG, ExpFlatG, MonomialG, TabulatedG)}
@@ -438,10 +456,10 @@ def lambda_of_tau(profile, tau):
 def eval_g(profile, r):
     """g(r) and g'(r) for the profile's g specification, unscaled (lam = 1).
 
-    The one source of g', which only the admissibility validator reads.
-    Accepts scalars or arrays; r must be >= 0 (a NaN radius raises
-    ValueError like r < 0) and within the table for tabulated g.  Returns
-    (g, gp) with the input's shape.
+    The flow reads no g': an analytic kind's ``conditions`` reads it here, at
+    r = 1, and a table's reads its cubics directly.  Accepts scalars or
+    arrays; r must be >= 0 (a NaN radius raises ValueError like r < 0) and
+    within the table for tabulated g.  Returns (g, gp) with the input's shape.
     """
     r = np.asarray(r, dtype=float)
     if not (r >= 0).all():  # NaN fails too
@@ -492,10 +510,10 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class ProfileReport:
-    """Validator outcome: ok iff every condition holds on the sample grid.
+    """Validator outcome: ok iff every condition holds.
 
-    worst_violation/location/condition describe the worst failing condition
-    (or the least comfortable passing one when ok).
+    worst_violation/location/condition describe the first failing condition
+    (nonnegative, scaling, the origin condition), or the first one when ok.
     """
 
     ok: bool
@@ -508,47 +526,17 @@ class ProfileReport:
         return tuple(c.name for c in self.conditions if not c.ok)
 
 
-#: the validator's samples; it reads those inside g's support
-_SAMPLES = np.geomspace(0.01, 3.0, 600)
-
-
-def _condition_nonneg(g, r, gval):
-    """g >= 0 on the samples; a table's at its extrema, where every cubic's
-    minimum lies."""
-    if g.TABLE:
-        r, gval = g.extrema()
-    i = int(np.argmin(gval))
-    return ConditionReport("nonnegative", bool(gval[i] >= -_TOL), float(-gval[i]), float(r[i]))
-
-
-def _condition_scaling(profile, r, gval, gder):
-    """(1 + k*alpha) g(r)/r <= g'(r) on the samples."""
-    viol = (1.0 + profile.ka) * gval / r - gder
-    i = int(np.argmax(viol))
-    ok = viol[i] <= _TOL * (1.0 + abs(gder[i]))
-    return ConditionReport("scaling", bool(ok), float(viol[i]), float(r[i]))
-
-
 def validate_for_regime(profile):
-    """Check g against the conditions of the regime that beta selects.
+    """Judge g by the conditions of the regime that beta selects, at every r > 0.
 
-    Both regimes: g >= 0 and (1 + k*alpha) g(r)/r <= g'(r), on the samples
-    in [0.01, 3] that lie inside g's support (g >= 0 on a table's every
-    cubic).  Between them comes the regime's origin condition, which g's kind
-    decides exactly (``germ``): the equality regime beta = 1 + k*alpha asks
-    that g vanish identically near the origin, the strict regime
-    beta > 1 + k*alpha that g be flat there through order floor(beta).  A g
-    whose support holds no sample fails, as condition 'support'.
+    Both regimes ask g >= 0 ('nonnegative') and (1 + k*alpha) g(r)/r <= g'(r)
+    ('scaling').  Besides, the equality regime beta = 1 + k*alpha asks that g
+    vanish identically near the origin, the strict regime beta > 1 + k*alpha
+    that g be flat there through order floor(beta).  g's kind decides each
+    exactly (``conditions``); the report names the first that fails.
     """
-    origin, end = profile.g.support
-    r = _SAMPLES[(origin <= _SAMPLES) & (_SAMPLES <= end)]
-    if r.size:
-        gval, gder = eval_g(profile, r)
-        conds = (_condition_nonneg(profile.g, r, gval), profile.g.germ(profile, r, gval), _condition_scaling(profile, r, gval, gder))
-    else:
-        conds = (ConditionReport("support", False, math.inf, origin),)
-    bad = [c for c in conds if not c.ok]
-    pick = max(bad or conds, key=lambda c: c.worst_violation)
+    conds = profile.g.conditions(profile)
+    pick = next((c for c in conds if not c.ok), conds[0])
     return ProfileReport(
-        ok=not bad, worst_violation=pick.worst_violation, location=pick.location, condition=pick.name, conditions=conds
+        ok=pick.ok, worst_violation=pick.worst_violation, location=pick.location, condition=pick.name, conditions=conds
     )

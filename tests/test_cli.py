@@ -621,6 +621,16 @@ def test_run_reports_a_monomial_speed_past_the_float_range(tmp_path, capsys):
     assert err == f"run failed: rescaled g overflows: lam=1.0, r={math.exp(178.0)!r} (at tau=0)\n"
 
 
+def test_run_accepts_a_monomial_whose_power_overflows_past_r_3(tmp_path, capsys):
+    # g = r^638 with beta = 3 is admissible: the validator reads the kind's
+    # conditions off its formula and evaluates no r^638 past the float range
+    text = BASIC.replace("beta = 2\ng.kind = zero", "beta = 3\ng.kind = monomial\ng.l = 638") + (
+        f"\n[output]\ncsv_path = {tmp_path / 'x.csv'}\n"
+    )
+    assert main(["run", write_config(tmp_path, text)]) == 0
+    assert "reason=t_end" in capsys.readouterr().out
+
+
 def test_run_bad_config_exit_code(tmp_path, capsys):
     code = main(["run", write_config(tmp_path, BASIC.replace("r0 = 1.0", "r0 = -2"))])
     assert code == 1
@@ -684,9 +694,8 @@ def test_verify_config_path_reports_conditions(tmp_path, capsys):
 
 
 def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsys):
-    # the table [0.5, 2] does not start at 0, which fails origin_interval; the
-    # validator reads its samples inside the table only, and nothing queries g
-    # outside the table
+    # the table [0.5, 2] does not start at 0, which fails origin_interval;
+    # nothing queries g outside the table
     table = tmp_path / "table.csv"
     table.write_text("".join(f"{r},{r**5},{5 * r**4}\n" for r in np.linspace(0.5, 2.0, 7)))
     text = BASIC.replace("beta = 2", "beta = 3").replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
@@ -712,7 +721,7 @@ def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsy
 
 @pytest.mark.parametrize("lo, worst", [(0.0, "4.000e-06"), (0.005, "5.000e-03")], ids=["r6", "shifted"])
 def test_a_table_whose_origin_interval_fails_is_a_config_error(tmp_path, capsys, lo, worst):
-    # (r - lo)^6 on [lo, 3], 301 rows, beta = 4: the validator's samples pass,
+    # (r - lo)^6 on [lo, 3], 301 rows, beta = 4: nonnegative and scaling pass,
     # but the first cubic (lo = 0) is not zero, or the table misses the origin
     table = tmp_path / "table.csv"
     pts = np.linspace(lo, 3.0, 301)

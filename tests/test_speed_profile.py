@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicHermiteSpline
 
@@ -91,6 +93,8 @@ def test_g_parameter_validation():
         TabulatedG([1.0, 0.5], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         TabulatedG([1.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match="r >= 0"):
+        TabulatedG([-1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 6.0])
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             BumpG(epsilon=bad, p=1.0)
@@ -118,10 +122,11 @@ G_SAMPLES = {
 def test_every_kind_answers_for_itself(kind):
     g = G_SAMPLES[kind]
     assert type(g) is G_KINDS[kind] and g.KIND == kind
-    for name in ("scaled", "derivative", "support", "params", "rows", "TABLE"):
+    for name in ("scaled", "derivative", "conditions", "params", "rows", "TABLE"):
         assert hasattr(g, name), name
-    lo, hi = g.support
-    assert 0.0 <= lo < hi
+    for beta in (2.0, 6.0):  # the equality regime, then the strict one
+        names = [c.name for c in g.conditions(profile_k1(beta, g))]
+        assert names[:2] == ["nonnegative", "scaling"] and len(names) == 3, names
     assert bool(g.TABLE) == bool(g.rows())
 
 
@@ -589,6 +594,8 @@ def test_validator_passes_strict_regime_kinds():
         (profile_k1(3.0, ExpFlatG(0.1)), "expflat-0.1"),
         (profile_k1(3.0, ExpFlatG(0.3)), "expflat-0.3"),
         (profile_k1(3.0, BumpG(0.001, 0.1)), "bump-0.001-0.1"),
+        # r^638 overflows at r = 3, but the conditions are read off its formula
+        (profile_k1(3.0, MonomialG(638)), "monomial-638"),
     ]
     for prof, label in strict:
         rep = validate_for_regime(prof)
@@ -615,25 +622,25 @@ def test_validator_rejects_expflat_in_equality_regime_for_every_p(p):
 
 @pytest.mark.parametrize("l", [2, 5, 11, 12, 20])
 def test_validator_rejects_a_monomial_in_equality_regime_for_every_l(l):
-    # g = r^l > 0 for every r > 0, however small it is at the first sample
+    # g = r^l > 0 for every r > 0, however small it is near 0; the failure
+    # shows g at r = 1
     rep = validate_for_regime(profile_k1(2.0, MonomialG(l)))
     assert rep.failed() == ("zero_near_origin",) and rep.condition == "zero_near_origin"
-    assert rep.location == 0.01
-    assert_allclose(rep.worst_violation, 0.01**l, rtol=1e-12)
+    assert rep.location == 1.0 and rep.worst_violation == 1.0
 
 
 @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.5])
 def test_validator_asks_a_monomial_for_l_above_floor_beta(beta):
     # r^l vanishes through order l - 1 at 0: flat enough iff l >= floor(beta) + 1;
-    # a failure shows g/r^(floor(beta)+1) at the first sample
+    # a failure shows g/r^(floor(beta)+1) = 1 at r = 1, and r^1 fails scaling
+    # first, by 2 - 1 at r = 1
     m = math.floor(beta) + 1
     for l in range(1, 21):
         rep = validate_for_regime(profile_k1(beta, MonomialG(l)))
         assert rep.ok is (l >= m), (l, rep)
         if not rep.ok:
-            assert rep.condition == "flatness" and "flatness" in rep.failed(), (l, rep)
-            assert rep.location == 0.01
-            assert_allclose(rep.worst_violation, 0.01 ** (l - m), rtol=1e-12)
+            assert rep.condition == ("scaling" if l == 1 else "flatness") and "flatness" in rep.failed(), (l, rep)
+            assert rep.location == 1.0 and rep.worst_violation == 1.0
 
 
 def test_validator_rejects_insufficient_flatness():
@@ -665,6 +672,10 @@ def test_validator_tabulated_expflat_passes():
     prof = profile_k1(4.0, TabulatedG(pts, vals, ders))
     rep = validate_for_regime(prof)
     assert rep.ok, (rep.condition, rep.worst_violation)
+    # the same g on [0, 10], judged past r = 3 too
+    pts = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 800)])
+    rep = validate_for_regime(profile_k1(3.0, TabulatedG(pts, *eval_g(base, pts))))
+    assert rep.ok, (rep.condition, rep.worst_violation)
 
 
 def _power_table(lo):
@@ -679,8 +690,8 @@ def _power_table(lo):
     ids=["beta4", "beta3.5", "beta2.5", "shifted"],
 )
 def test_validator_judges_a_tables_origin_interval_exactly(lo, beta, worst):
-    # the samples start at 0.01, the first cubic's right end, and pass these
-    # tables of (r - lo)^6; but a long run reads only that cubic, which for
+    # these tables of (r - lo)^6 pass nonnegative and scaling; but a long run
+    # reads only the first cubic, on [lo, lo + 0.01], which for
     # g = r^6 is -3e-8 r^2 + 4e-6 r^3 (lam^beta g(r/lam) ~ -lam^(beta-2)), or
     # reads g below a table that does not start at 0
     rep = validate_for_regime(profile_k1(beta, _power_table(lo)))
@@ -698,37 +709,125 @@ def _cubic_table(lo, hi):
 
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_validator_samples_only_inside_a_narrow_table(beta):
-    # the samples in [0.5, 2] are checked, and no query leaves the table: a
-    # table that does not start at 0 fails origin_interval at its first node
+    # no query leaves the table: a table that does not start at 0 fails
+    # origin_interval at its first node
     rep = validate_for_regime(profile_k1(beta, _cubic_table(0.5, 2.0)))
     assert not rep.ok
     assert "origin_interval" in rep.failed()
     assert all(0.5 <= c.location <= 2.0 for c in rep.conditions)
 
 
-def test_validator_checks_a_tables_nonnegativity_between_samples():
-    # r^4 exp(-1/r) with exact derivatives, but the last interval's end
-    # derivatives are -5g/h and +5g/h: its cubic dips below 0 between the
-    # samples 2.97 and 3
+def _r4_table():
+    """r^4 exp(-1/r) with exact derivatives on [0] + linspace(0.001, 3, 300)."""
     pts = np.concatenate([[0.0], np.linspace(0.001, 3.0, 300)])
     base = profile_k1(3.0, ExpFlatG(1.0))  # r^2 exp(-1/r)
     g, gp = eval_g(base, pts)
-    g, gp = g * pts**2, gp * pts**2 + 2.0 * pts * g
+    return pts, g * pts**2, gp * pts**2 + 2.0 * pts * g
+
+
+def test_validator_checks_a_tables_nonnegativity_between_samples():
+    # the last interval's end derivatives are -5g/h and +5g/h: its cubic dips
+    # below 0 between the nodes 2.99 and 3 (and g' < 0 at 2.99 fails scaling)
+    pts, g, gp = _r4_table()
     assert validate_for_regime(profile_k1(3.0, TabulatedG(pts, g, gp))).ok
     h = pts[-1] - pts[-2]
     gp[-2:] = -5.0 * g[-2] / h, 5.0 * g[-1] / h
     dipped = profile_k1(3.0, TabulatedG(pts, g, gp))
     rep = validate_for_regime(dipped)
-    assert rep.failed() == ("nonnegative",) and rep.condition == "nonnegative"
+    assert rep.failed() == ("nonnegative", "scaling") and rep.condition == "nonnegative"
     assert_allclose(rep.worst_violation, 14.405, rtol=1e-4)
     assert pts[-2] < rep.location < pts[-1]
     # the interpolant itself is that low there
     assert_allclose(eval_g(dipped, rep.location)[0], -rep.worst_violation, rtol=1e-12)
 
 
+def _expflat_table():
+    """r^2 exp(-1/r) with exact derivatives on [0] + geomspace(0.001, 10, 800)."""
+    pts = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 800)])
+    return (pts, *eval_g(profile_k1(3.0, ExpFlatG(1.0)), pts))
+
+
+@pytest.mark.parametrize(
+    "table, at, dg, worst",
+    [(_r4_table, 2.98997, -0.5, 2.8898e3), (_expflat_table, 8.0331, 0.0, 14.186)],
+    ids=["r4-below-3", "expflat-past-3"],
+)
+def test_validator_checks_a_tables_scaling_between_samples(table, at, dg, worst):
+    # one node's derivative set to dg g/h, g >= 0 kept: (1 + k alpha) g/r <= g'
+    # fails there, below r = 3 (r4) or past it (expflat)
+    pts, g, gp = table()
+    j = int(np.argmin(abs(pts - at)))
+    gp[j] = dg * g[j] / (pts[j + 1] - pts[j])
+    prof = profile_k1(3.0, TabulatedG(pts, g, gp))
+    rep = validate_for_regime(prof)
+    assert rep.failed() == ("scaling",) and rep.condition == "scaling"
+    assert rep.location == pts[j]
+    assert_allclose(rep.worst_violation, worst, rtol=1e-4)
+    g1, gp1 = eval_g(prof, rep.location)
+    assert_allclose(2.0 * g1 / rep.location - gp1, rep.worst_violation, rtol=1e-9)
+
+
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_validator_fails_a_table_that_holds_no_sample(beta):
+    # [5, 10] is judged on every cubic, and misses the origin
     rep = validate_for_regime(profile_k1(beta, _cubic_table(5.0, 10.0)))
     assert not rep.ok
-    assert rep.failed() == ("support",) and rep.condition == "support"
-    assert rep.location == 5.0 and rep.worst_violation == math.inf
+    assert rep.failed() == ("origin_interval",) and rep.condition == "origin_interval"
+    assert rep.location == 5.0 and rep.worst_violation == 5.0
+
+
+# ---------------------------------------------------------------------------
+# the validator's scaling verdict against the definition, on dense samples
+
+
+def _scaling_violations(prof, r):
+    """(1 + k alpha) g/r - g' beyond the rounding allowance, at radii r > 0."""
+    g, gp = eval_g(prof, r)
+    return (1.0 + prof.ka) * g / r - gp > 1e-12 * (1.0 + abs(gp))
+
+
+@pytest.mark.parametrize(
+    "n, k, alpha", [(1, 1, 0.5), (1, 1, 1.0), (1, 1, 3.0), (2, 1, 1.5), (2, 2, 0.5), (2, 2, 1.0), (2, 2, 1.5)]
+)
+def test_analytic_scaling_verdicts_match_a_dense_check(n, k, alpha):
+    kinds = [
+        ZeroG(),
+        *(MonomialG(l) for l in range(1, 9)),
+        *(ExpFlatG(p) for p in (0.3, 1.0, 2.0)),
+        *(BumpG(eps, p) for eps in (0.01, 0.5) for p in (0.3, 2.0)),
+    ]
+    r = np.geomspace(1e-3, 1e2, 2000)
+    for beta in (1.0 + k * alpha, 2.5 + k * alpha):
+        for g in kinds:
+            prof = SpeedProfile(n=n, k=k, alpha=alpha, beta=beta, g=g)
+            scaling = validate_for_regime(prof).conditions[1]
+            assert scaling.name == "scaling"
+            assert scaling.ok is not _scaling_violations(prof, r).any(), (g, beta, scaling)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_tables_scaling_verdict_is_exact(data):
+    # a power r^l on random nodes, perhaps lifted off 0, with one node's
+    # derivative perhaps scaled: a pass holds on 64 points of every interval,
+    # and a failure is one at the location it reports
+    n, k, alpha = data.draw(st.sampled_from([(1, 1, 1.0), (1, 1, 0.5), (2, 2, 0.5), (2, 1, 2.0)]))
+    m = 1.0 + k * alpha
+    steps = data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
+    pts = data.draw(st.sampled_from([0.0, 0.05])) + np.concatenate([[0.0], np.cumsum(steps)])
+    l = data.draw(st.sampled_from([1.0, m, m + 1.0, m + 2.5]))
+    vals = pts**l + data.draw(st.sampled_from([0.0, 0.01]))
+    ders = l * pts ** (l - 1.0)
+    ders[data.draw(st.integers(0, pts.size - 1))] *= data.draw(st.sampled_from([1.0, 0.999, 0.5, -0.5]))
+    prof = SpeedProfile(n=n, k=k, alpha=alpha, beta=m + 1.0, g=TabulatedG(pts, vals, ders))
+    scaling = validate_for_regime(prof).conditions[1]
+    tol = 1e-12 * (1.0 + np.abs(ders).max())
+    if scaling.ok:
+        r = np.minimum(pts[:-1, None] + np.linspace(0.0, 1.0, 64) * np.diff(pts)[:, None], pts[-1]).ravel()
+        r = r[r > 0.0]
+        g, gp = eval_g(prof, r)
+        assert (m * g / r - gp <= tol).all(), scaling
+    else:
+        at = scaling.location
+        g, gp = eval_g(prof, at)
+        assert at * gp - m * g + tol * at < 0.0, scaling  # the inequality times r
