@@ -9,9 +9,9 @@ where lam = exp(gamma*tau) is the normalization factor, advanced analytically
 (never integrated).  Stepping is explicit, second order in time: four rhs
 calls per step in a two-register form, whose stability polynomial swings
 between +eta and -eta, RKC(4)'s damping, over a real interval 1.21x RKC(4)'s,
-with dt a fraction ``cfl`` of that real stability limit, recomputed from the
-current curvature field every step; all reductions are fixed-order numpy
-reductions so repeated runs are bit-identical.
+with dt the fixed fraction ``STEP_FRACTION`` of that real stability limit,
+recomputed from the current curvature field every step; all reductions are
+fixed-order numpy reductions so repeated runs are bit-identical.
 
 The engine does not branch on the kind of grid: a state is stepped and
 recorded on its graph's grid.  Zonality is decided once, where a state is
@@ -55,10 +55,11 @@ _ALPHA_TOL = 1e-12
 # |R(-x)| <= 1 on [0, REAL_LIMIT], the real root of a4 x^3 - a3 x^2 + x/2 - 1
 # (where R(-x) climbs back to 1), and <= eta on [1, x2]: 11.8693, 1.21x RKC(4)'s
 # 9.80426 and 2.30x SSPRK(4,3)'s 5.1495.  ``step``'s stage coefficients are
-# c1 = a4/a3 and c2 = 2 a3.  A cfl up to x2 / REAL_LIMIT = 0.828, the default 0.8
-# among them, keeps every mode past x = 1 damped by eta.
+# c1 = a4/a3 and c2 = 2 a3.  Any step fraction up to x2 / REAL_LIMIT = 0.828,
+# STEP_FRACTION among them, keeps every mode past x = 1 damped by eta.
 _A3, _A4 = 0.07894655096054984, 0.0037002440195151153
 REAL_LIMIT = 11.869290077999935
+STEP_FRACTION = 0.8
 STAGE_C1, STAGE_C2 = _A4 / _A3, 2.0 * _A3
 # h^2 times the spectral radius of the 4th-order second-difference stencil:
 # its symbol (30 - 32 cos(xi) + 2 cos(2 xi)) / 12 peaks at xi = pi.
@@ -135,11 +136,6 @@ class FlowState:
     last_dt: float
     profile: SpeedProfile
 
-    @property
-    def lam(self):
-        """The normalization factor exp(gamma*tau)."""
-        return lambda_of_tau(self.profile, self.tau)
-
     @cached_property
     def field(self):
         """weingarten(graph)."""
@@ -155,21 +151,18 @@ class FlowState:
 class StepControl:
     """Integration controls.  sphericity_stop = 0 disables that termination.
 
-    cfl is the fraction of the linear stability limit (``stable_dt_bound``) a
-    step takes; cfl = 1 steps at the limit itself and is still stable.
-    max_steps and record_every are integers.
+    A step takes STEP_FRACTION of the linear stability limit
+    (``stable_dt_bound``), and dt_max caps it: the one way to ask for a
+    smaller step.  max_steps and record_every are integers.
     """
 
     t_end: float
-    cfl: float = 0.8
     dt_max: float = 1.0
     sphericity_stop: float = 0.0
     max_steps: int = 10_000_000
     record_every: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not self.dt_max > 0.0:
@@ -321,9 +314,9 @@ def stable_dt_bound(state):
 
 
 def step(state, control):
-    """One explicit step; dt = min(dt_max, cfl * stability limit, t_end - tau).
+    """One explicit step; dt = min(dt_max, STEP_FRACTION * stability limit, t_end - tau).
 
-    The limit is ``stable_dt_bound``, so any cfl in (0, 1] is linearly stable.
+    The limit is ``stable_dt_bound``, so any fraction in (0, 1] is linearly stable.
     With c = (0, STAGE_C1, STAGE_C2, 1/2, 1) and u_0 = phi0, each stage restarts
     from phi0: u_j = phi0 + c_j dt F(u_{j-1}, tau0 + c_{j-1} dt), and phi1 = u_4,
     whose stability polynomial is R above.  That is second order in time; a
@@ -336,7 +329,7 @@ def step(state, control):
     if tau0 >= control.t_end - _T_END_SLACK:
         raise ValueError(f"no time left to step: tau={tau0!r} reaches t_end={control.t_end!r}")
     k = rhs(profile, graph, tau0, state.field, state.speed_coefficient)
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(state), control.t_end - tau0)
+    dt = min(control.dt_max, STEP_FRACTION * stable_dt_bound(state), control.t_end - tau0)
     if dt < _MIN_DT:
         raise StepTooSmallError(dt, float(state.field.r.min()), _argmin_node(state.field.r), tau0)
     # two registers, phi0 and k: each stage turns the last rhs output, a fresh

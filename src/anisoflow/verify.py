@@ -1,8 +1,9 @@
 """Property suites: algebraic identities, curvature-oracle agreement,
 profile-validator matrix, and sphere-ODE closed-form cross-checks, plus the
-full PDE engine against the sphere ODE (``pde_vs_ode_check``), the
-round-measure mean of phi (``round_mean``), AC-14's invariant, and
-exponential-rate fits of a run's records (``fit_exponential``).
+full PDE engine against the sphere ODE (``pde_vs_ode_check``), a run's
+records against its sphere barriers (``sphere_barriers``, AC-15's C^0
+estimate), the round-measure mean of phi (``round_mean``), AC-14's invariant,
+and exponential-rate fits of a run's records (``fit_exponential``).
 
 Each suite returns a SuiteResult and is safe to run repeatedly (fixed seeds,
 no state).  The CLI's ``verify`` subcommand prints one line per suite; the
@@ -548,6 +549,28 @@ def pde_vs_ode_check(state, control):
     deviation = float(np.max(np.abs(r_pde - r_ode) / r_ode))
     nonuniformity = float(result.series.column("osc").max())
     return deviation, nonuniformity
+
+
+def sphere_barriers(profile, series):
+    """(lower, upper): the worst margins of a run's records against its sphere
+    barriers, the least r_min(tau) - R-(tau) and R+(tau) - r_max(tau) over the
+    records after the first, where R- and R+ follow the sphere ODE
+    (``sphere_ode_at``) from the first record's r_min and r_max.
+
+    Spheres centred at the origin solve the flow, and inside the cone the
+    radial-graph equation is a scalar parabolic PDE, so the comparison
+    principle keeps both margins >= 0; a step that loses the discrete maximum
+    principle shows as a negative margin.  The ODE starts at tau = 0, so a
+    series whose first record is elsewhere, or that has no second record,
+    is refused with a ValueError.
+    """
+    tau = series.column("tau")
+    if len(tau) < 2 or tau[0] != 0.0:
+        raise ValueError(f"sphere barriers need two or more records from tau = 0, got {len(tau)} from tau {tau[:1].tolist()}")
+    r_min, r_max = series.column("r_min"), series.column("r_max")
+    lower = sphere_ode_at(profile, r_min[0], tau[1:])
+    upper = sphere_ode_at(profile, r_max[0], tau[1:])
+    return float((r_min[1:] - lower).min()), float((upper - r_max[1:]).min())
 
 
 # ---------------------------------------------------------------------------

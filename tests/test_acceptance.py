@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from anisoflow.flow_engine import StepControl, initial_state, rhs, run, step
+from anisoflow import flow_engine
+from anisoflow.flow_engine import StepControl, initial_state, rhs, run, stable_dt_bound, step
 from anisoflow.speed_profile import ExpFlatG, MonomialG, SpeedProfile
 from anisoflow.sphere_geometry import (
     CircleGrid,
@@ -43,6 +44,7 @@ from anisoflow.verify import (
     oracle_convergence,
     profile_matrix,
     round_mean,
+    sphere_barriers,
 )
 
 
@@ -424,8 +426,9 @@ def test_ac9_nonzonal_modes_at_the_sphere():
 
 
 def _flow_phi(profile, graph, t_end):
-    """phi at t_end, stepped at cfl 0.2."""
-    result = run(initial_state(profile, graph), StepControl(t_end=t_end, cfl=0.2, record_every=10**9))
+    """phi at t_end, stepped at dt_max = 0.2 x the initial state's own stable_dt_bound."""
+    state = initial_state(profile, graph)
+    result = run(state, StepControl(t_end=t_end, dt_max=0.2 * stable_dt_bound(state), record_every=10**9))
     assert result.reason == "t_end"
     return result.state.graph.phi
 
@@ -435,11 +438,12 @@ def test_ac11_flow_is_fourth_order_in_space():
     # the curve (equispaced) under doubling against N = 512 at tau 0.5, the
     # AC-4 zonal column (cell-centred latitudes) under tripling against
     # N_lat = 144 at tau 1.  Measured 5.8e-5, 3.6e-6, 2.3e-7 (ratios 15.97 and
-    # 16.03, fourth order 16) and 7.9e-6, 9.7e-8 (ratio 82, fourth order 81).
+    # 16.03, fourth order 16) and 4.0e-6, 4.8e-8 (ratio 83, fourth order 81).
     # The three-point second-difference stencil in place of the fourth-order
     # one gives ratios 4.1, 4.2 and 9.0, so the bounds are ratio >= 12 under
-    # doubling and >= 40 under tripling.  At cfl 0.2 the engine's second-order
-    # time error (dt ~ h^2, so it too falls as h^4) stays below these.
+    # doubling and >= 40 under tripling.  With dt capped at 0.2x each level's
+    # own initial stability limit, the engine's second-order time error
+    # (dt ~ h^2, so it too falls as h^4) stays below these.
     curve = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
 
     def curve_phi(N):
@@ -558,3 +562,40 @@ def test_ac14_curve_ends_at_the_predicted_radius():
         f"max |r - {predicted:.6f}| = {off:.2e}, |exp(mean phi) - exp(mean phi0)| = {mean_off:.2e}, reason = {result.reason}",
     )
     assert ok, line
+
+
+# ---------------------------------------------------------------------------
+# AC-15: the sphere barriers, the theorem's C^0 estimate.  Spheres centred at
+# the origin solve the flow, and inside the cone the comparison principle
+# holds, so r_min stays above the sphere started at the first record's r_min
+# and r_max below the one started at its r_max
+
+BARRIER_ALLOWANCE = 1e-12  # round-off on a margin
+
+
+def test_ac15_stored_runs_stay_inside_their_sphere_barriers(ac3_run, ac4_run):
+    # every record after tau = 0; measured (lower, upper) margins: 3.21e-4,
+    # 3.22e-4 on the curve (N = 512) and 1.38e-4, 2.44e-4 on the surface (64x128)
+    runs = {"non-convex curve": ac3_run, "zonal surface": ac4_run}
+    margins = {name: sphere_barriers(result.state.profile, result.series) for name, result in runs.items()}
+    ok = min(min(pair) for pair in margins.values()) >= -BARRIER_ALLOWANCE
+    line = _report(
+        "AC-15 r_min and r_max stay inside their sphere barriers", ok,
+        "; ".join(f"{name}: lower {lo:.2e}, upper {up:.2e}" for name, (lo, up) in margins.items()) + f"; allowance {BARRIER_ALLOWANCE:g}",
+    )
+    assert ok, line
+
+
+def test_ac15_barriers_catch_a_step_past_the_stability_limit(monkeypatch):
+    # AC-3's curve at N = 128 to tau 0.5 stays inside its barriers at the
+    # engine's step fraction (measured margins 5.0e-3, 5.1e-3); at 1.05x the
+    # stability limit, where the top mode grows 2.6x per step, it leaves both
+    # (measured -0.68 and -50)
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
+    grid = SphericalGrid.circle(128)
+    state = initial_state(profile, RadialGraph(grid, np.log(1.0 + 0.3 * np.cos(2.0 * grid.theta))))
+    control = StepControl(t_end=0.5, record_every=1)
+    assert min(sphere_barriers(profile, run(state, control).series)) > 0.0
+    monkeypatch.setattr(flow_engine, "STEP_FRACTION", 1.05)
+    lower, upper = sphere_barriers(profile, run(state, control).series)
+    assert lower < 0.0 and upper < 0.0, (lower, upper)

@@ -11,7 +11,7 @@ import anisoflow.sphere_geometry
 import anisoflow.symfunc
 import anisoflow.textform
 from anisoflow.cli import main
-from anisoflow.flow_engine import AdmissibilityError, StepControl, initial_state
+from anisoflow.flow_engine import STEP_FRACTION, AdmissibilityError, StepControl, initial_state, stable_dt_bound
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
@@ -32,6 +32,7 @@ from anisoflow.textform import (
     load_checkpoint,
     load_series,
     parse_config,
+    parse_config_state,
     save_checkpoint,
     save_graph,
 )
@@ -74,8 +75,7 @@ def test_parse_minimal_config():
     assert cfg.grid.n_lat == 64
     assert cfg.initial == SphereInitial(r0=1.0)
     assert cfg.control.t_end == 0.5
-    assert cfg.control.cfl == 0.8  # defaults
-    assert cfg.control.dt_max == 1.0
+    assert cfg.control.dt_max == 1.0  # defaults
     assert cfg.control.record_every == 10
     assert cfg.csv_path is None and not cfg.override
 
@@ -172,8 +172,8 @@ def test_monomial_exponent_must_be_integer():
 
 def test_control_keys_are_step_control_fields():
     assert parse_config(BASIC).control == StepControl(t_end=0.5)  # every other field at its default
-    errs = errors_of(BASIC.replace("t_end = 0.5", "t_end = 0.5\ncfl = banana\nmax_steps = 1e5"))
-    assert any("[control] cfl: bad value 'banana'" in e for e in errs)
+    errs = errors_of(BASIC.replace("t_end = 0.5", "t_end = 0.5\ndt_max = banana\nmax_steps = 1e5"))
+    assert any("[control] dt_max: bad value 'banana'" in e for e in errs)
     assert any("[control] max_steps: bad value '1e5'" in e for e in errs)
 
 
@@ -298,7 +298,7 @@ def test_format_roundtrip_rich_config(tmp_path):
         .replace("kind = sphere\nr0 = 1.0", "kind = fourier\nconst = 1.1\ncos_2 = 0.25\nsin_3 = -0.1")
         .replace(
             "t_end = 0.5",
-            "t_end = 2.5\ncfl = 0.15\ndt_max = 0.1\nsphericity_stop = 1e-4\nmax_steps = 12345\nrecord_every = 3",
+            "t_end = 2.5\ndt_max = 0.1\nsphericity_stop = 1e-4\nmax_steps = 12345\nrecord_every = 3",
         )
         + f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\ncheckpoint_path = {tmp_path / 'out.chk'}\n"
     )
@@ -639,6 +639,10 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     code = main(["run", write_config(tmp_path, BASIC.replace("t_end = 0.5", "t_end = 0.5\nsphericity_stop = nan"))])
     assert code == 1
     assert "config error: [control] sphericity_stop must be >= 0" in capsys.readouterr().err
+    # the engine owns its step fraction: a config asks for a smaller step through dt_max
+    code = main(["run", write_config(tmp_path, BASIC + "cfl = 0.8\n")])
+    assert code == 1
+    assert "unknown key 'cfl' in [control]" in capsys.readouterr().err
 
 
 def test_verify_all(capsys):
@@ -745,11 +749,13 @@ def test_ode_compare_strict_regime(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "closed_form_radius_at_t_end=1.33333333" in out
-    # second order in time: about 4x less per halving of cfl (measured
-    # 4.67e-6, 1.17e-6 and 2.93e-7 at cfl 0.8, 0.4 and 0.2)
+    # second order in time: about 4x less per halving of dt from the first
+    # step's STEP_FRACTION of the stability limit (measured 4.67e-6, 1.17e-6
+    # and 2.93e-7 at the default, then dt_max at 1/2 and 1/4 of that step)
+    first_dt = STEP_FRACTION * stable_dt_bound(parse_config_state(text)[1])
     deviations = [float(out.split("max_relative_deviation=")[1].split()[0])]
-    for cfl in (0.4, 0.2):
-        assert main(["ode-compare", write_config(tmp_path, text + f"cfl = {cfl}\n")]) == 0
+    for dt_max in (first_dt / 2.0, first_dt / 4.0):
+        assert main(["ode-compare", write_config(tmp_path, text + f"dt_max = {dt_max!r}\n")]) == 0
         deviations.append(float(capsys.readouterr().out.split("max_relative_deviation=")[1].split()[0]))
     assert deviations[0] <= 1e-5
     assert deviations[0] >= 3.5 * deviations[1] and deviations[1] >= 3.5 * deviations[2], deviations

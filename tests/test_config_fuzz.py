@@ -117,7 +117,6 @@ def configs(draw, graph_paths):
 
     control = StepControl(
         t_end=draw(finite(1e-3, 10.0)),
-        cfl=draw(finite(0.01, 1.0)),
         dt_max=draw(finite(1e-4, 2.0)),
         sphericity_stop=draw(finite(0.0, 1e-2)),
         max_steps=draw(st.integers(1, 10**18)),

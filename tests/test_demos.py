@@ -1,7 +1,8 @@
 """Every demo runs to completion: each ``demos/*.py`` script, ``anisoflow
 run demos/sample_run.ini`` and the README's minimal example, in a fresh
 interpreter that turns every RuntimeWarning into an error, from a temporary
-working directory (the sample run writes its CSV there)."""
+working directory (the sample run writes its CSV there).  The README's
+config reference parses as it stands."""
 
 import glob
 import os
@@ -10,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+
+from anisoflow import textform
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -51,3 +54,10 @@ def test_readme_minimal_example_runs(tmp_path):
     proc = _run(["-c", example], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("sphericity_stop ")
+
+
+def test_readme_config_reference_parses():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        (reference,) = re.findall(r"^```ini\n(.*?)^```$", fh.read(), flags=re.S | re.M)
+    config, state = textform.parse_config_state(reference)
+    assert config.control.t_end == 3.0 and state.tau == 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anisoflow.flow_engine import COLUMNS, DiagnosticsSeries, StepControl, initial_state
+from anisoflow.flow_engine import COLUMNS, STEP_FRACTION, DiagnosticsSeries, StepControl, initial_state, stable_dt_bound
 import anisoflow
 from anisoflow import flow_engine, speed_profile, verify
 from anisoflow.speed_profile import ExpFlatG, SpeedProfile, ZeroG
@@ -377,14 +377,31 @@ def test_pde_vs_ode_refuses_a_state_that_is_not_round_data_at_tau_0():
         pde_vs_ode_check(later, StepControl(t_end=0.2))
 
 
+def test_sphere_barriers_refuse_records_that_do_not_start_at_tau_0():
+    # the barriers' ODE starts at tau = 0, and the first record is its start
+    prof = profile_k1(2.0)
+    state = initial_state(prof, sphere_graph(SphericalGrid.circle(32), 1.3))
+    alone = DiagnosticsSeries()
+    alone.append(**flow_engine.diagnostics_row(state))
+    with pytest.raises(ValueError, match=r"from tau = 0, got 1 from tau \[0.0\]"):
+        verify.sphere_barriers(prof, alone)
+    later = DiagnosticsSeries()
+    for tau in (0.1, 0.2):
+        later.append(**flow_engine.diagnostics_row(dataclasses.replace(state, tau=tau)))
+    with pytest.raises(ValueError, match=r"got 2 from tau \[0.1\]"):
+        verify.sphere_barriers(prof, later)
+
+
 def test_pde_vs_ode_strict_regime_tracks_closed_form():
     # the engine is second order in time, so the deviation falls about 4x per
-    # halving of cfl (measured 4.67e-6, 1.17e-6 and 2.93e-7 at 0.8, 0.4, 0.2)
-    prof = profile_k1(3.0)
+    # halving of dt from the first step's STEP_FRACTION of the stability limit
+    # (measured 4.67e-6, 1.17e-6 and 2.93e-7 at the default, then dt_max at
+    # 1/2 and 1/4 of that step)
+    state = initial_state(profile_k1(3.0), sphere_graph(SphericalGrid.circle(64), 2.0))
+    first_dt = STEP_FRACTION * stable_dt_bound(state)
     devs = []
-    for cfl in (0.8, 0.4, 0.2):
-        control = StepControl(t_end=math.log(2.0), cfl=cfl)
-        dev, osc = pde_vs_ode_check(initial_state(prof, sphere_graph(SphericalGrid.circle(64), 2.0)), control)
+    for dt_max in (1.0, first_dt / 2.0, first_dt / 4.0):  # 1.0, the default cap, never binds here
+        dev, osc = pde_vs_ode_check(state, StepControl(t_end=math.log(2.0), dt_max=dt_max))
         assert osc < 1e-12
         devs.append(dev)
     assert devs[0] <= 1e-5

@@ -17,6 +17,7 @@ from anisoflow.flow_engine import (
     STAGE_C1,
     STAGE_C2,
     REAL_LIMIT,
+    STEP_FRACTION,
     AdmissibilityError,
     ConeViolationError,
     FlowState,
@@ -290,7 +291,7 @@ def test_step_self_convergence_order():
     prof = profile_k1(3.0)
     grid = SphericalGrid.circle(64)
     base = initial_state(prof, RadialGraph(grid, 0.05 * np.cos(2 * grid.theta)))
-    control = StepControl(t_end=10.0, cfl=1.0, dt_max=1.0)
+    control = StepControl(t_end=10.0, dt_max=1.0)
 
     def advance(dt, m):
         s = base
@@ -299,7 +300,7 @@ def test_step_self_convergence_order():
             assert s.last_dt == dt
         return s.graph.phi
 
-    T, m0 = 0.032, 8  # dt below the N=64 stability limit (about 0.0089) so dt_max binds
+    T, m0 = 0.032, 8  # dt below STEP_FRACTION of the N=64 stability limit (about 0.0089) so dt_max binds
     sols = [advance(T / m, m) for m in (m0, 2 * m0, 4 * m0)]
     e1 = np.max(np.abs(sols[0] - sols[1]))
     e2 = np.max(np.abs(sols[1] - sols[2]))
@@ -488,14 +489,15 @@ def test_dt_bound_is_rk4_limit_over_measured_spectral_radius(where, amp):
     assert float(np.abs(R).max()) <= 1.0 + 1e-12
 
 
-def test_cfl_one_is_stable_and_matches_the_default():
-    # cfl = 1 steps at the linear limit itself; at 1.02x the limit this run's
-    # r_max rises by 8.3 between records and phi is off by 1.6.  The two
-    # runs differ by the second-order time error (measured 6.6e-8)
+def test_cfl_one_is_stable_and_matches_the_default(monkeypatch):
+    # a step fraction of 1 steps at the linear limit itself; at 1.02x the
+    # limit this run's r_max rises by 8.3 between records and phi is off by
+    # 1.6.  The two runs differ by the second-order time error (measured 6.6e-8)
     profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0)
     state = initial_state(profile, _curve(256, 0.3))
     default = run(state, StepControl(t_end=0.5))
-    full = run(state, StepControl(t_end=0.5, cfl=1.0))
+    monkeypatch.setattr(flow_engine, "STEP_FRACTION", 1.0)  # step reads it at call time
+    full = run(state, StepControl(t_end=0.5))
     assert full.reason == "t_end" and full.state.tau == default.state.tau == 0.5
     assert full.state.step_count < default.state.step_count
     assert np.diff(full.series.column("r_max")).max() <= 1e-9
@@ -539,7 +541,7 @@ def _full_grid_step(state, control):
     graph = _full_graph(state.graph)
     profile, grid, tau0, phi0 = state.profile, graph.grid, state.tau, graph.phi
     k1 = rhs(profile, graph, tau0)
-    dt = min(control.dt_max, control.cfl * stable_dt_bound(dataclasses.replace(state)))
+    dt = min(control.dt_max, STEP_FRACTION * stable_dt_bound(dataclasses.replace(state)))
     t1, t2, t3 = tau0 + STAGE_C1 * dt, tau0 + STAGE_C2 * dt, tau0 + 0.5 * dt
     u1 = phi0 + (STAGE_C1 * dt) * k1
     k2 = rhs(profile, RadialGraph(grid, u1), t1)
@@ -706,7 +708,7 @@ def test_recorded_speed_factor_is_f_times_sigma_k_to_the_alpha(zonal, g):
         graph = _surface(32, 64, zonal)
     state = step(initial_state(profile, graph, validate_regime=False), StepControl(t_end=10.0))
     field = state.field
-    f = field.r**profile.beta + eval_scaled(profile, state.lam, field.r)
+    f = field.r**profile.beta + eval_scaled(profile, lambda_of_tau(profile, state.tau), field.r)
     big_phi = f * field.sigma[..., profile.k - 1] ** profile.alpha
     row = diagnostics_row(state)
     assert row["phi_min_cap"] == pytest.approx(big_phi.min(), rel=1e-14)
@@ -856,7 +858,7 @@ def _ref_step(state, control):
 
     tau0, phi0 = state.tau, state.graph.phi
     k1, A, r, rho, kappa, sigma = stage(phi0, tau0)
-    dt = min(control.dt_max, control.cfl * _ref_dt_bound(profile, grid, phi0, A, r, rho, kappa, sigma))
+    dt = min(control.dt_max, STEP_FRACTION * _ref_dt_bound(profile, grid, phi0, A, r, rho, kappa, sigma))
     u1 = phi0 + (STAGE_C1 * dt) * k1
     u2 = phi0 + (STAGE_C2 * dt) * stage(u1, tau0 + STAGE_C1 * dt)[0]
     u3 = phi0 + (0.5 * dt) * stage(u2, tau0 + STAGE_C2 * dt)[0]
@@ -864,17 +866,17 @@ def _ref_step(state, control):
 
 
 # ---------------------------------------------------------------------------
-# the RK4 oracle: classic RK4 from rhs on the full grid, at cfl of its own
+# the RK4 oracle: classic RK4 from rhs on the full grid, at STEP_FRACTION of its own
 # limit, against which the engine's trajectories are checked at fixed horizons
 
 
 def _rk4_step(state, control):
-    """(phi, dt) of one classic RK4 step, dt = min(dt_max, cfl * RK4's limit, t_end - tau)."""
+    """(phi, dt) of one classic RK4 step, dt = min(dt_max, STEP_FRACTION * RK4's limit, t_end - tau)."""
     profile, grid, tau0, phi0 = state.profile, state.graph.grid, state.tau, state.graph.phi
     k1 = rhs(profile, state.graph, tau0)
     # the engine's bound, which drops a zonal graph's longitude on its column
     bound = stable_dt_bound(dataclasses.replace(state, graph=reduce_zonal(state.graph)))
-    dt = min(control.dt_max, control.cfl * RK4_FRACTION * bound, control.t_end - tau0)
+    dt = min(control.dt_max, STEP_FRACTION * RK4_FRACTION * bound, control.t_end - tau0)
     half, tau1 = tau0 + 0.5 * dt, tau0 + dt
     k2 = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k1), half)
     k3 = rhs(profile, RadialGraph(grid, phi0 + (0.5 * dt) * k2), half)
@@ -1157,7 +1159,7 @@ def test_a_table_whose_origin_interval_is_zero_runs_to_the_unit_sphere():
     result = run(initial_state(prof, graph), StepControl(t_end=20.0))
     r = result.state.graph.r()
     assert result.reason == "t_end" and np.abs(r - 1.0).max() < 1e-12
-    assert np.array_equal(eval_scaled(prof, result.state.lam, r), np.zeros_like(r))
+    assert np.array_equal(eval_scaled(prof, lambda_of_tau(prof, result.state.tau), r), np.zeros_like(r))
     analytic = run(initial_state(base, graph), StepControl(t_end=20.0))
     assert np.abs(result.state.graph.phi - analytic.state.graph.phi).max() < 1e-12
 
@@ -1193,10 +1195,6 @@ def test_control_validation():
     with pytest.raises(ValueError):
         StepControl(t_end=0.0)
     with pytest.raises(ValueError):
-        StepControl(t_end=1.0, cfl=0.0)
-    with pytest.raises(ValueError):
-        StepControl(t_end=1.0, cfl=1.5)
-    with pytest.raises(ValueError):
         StepControl(t_end=1.0, dt_max=-1.0)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, sphericity_stop=-1e-3)
@@ -1221,7 +1219,7 @@ def test_initial_state_validation():
     with pytest.raises(AdmissibilityError, match="scaling"):
         initial_state(bad, graph)
     state = initial_state(bad, graph, validate_regime=False)  # explicit override
-    assert state.tau == 0.0 and state.lam == 1.0
+    assert state.tau == 0.0 and lambda_of_tau(state.profile, state.tau) == 1.0
     huge = RadialGraph(graph.grid, np.full(graph.grid.shape, 710.0))  # exp(710) overflows
     for validate_regime in (True, False):
         with pytest.raises(ValueError, match="overflows"):
@@ -1270,7 +1268,7 @@ def test_checkpoint_roundtrip(tmp_path, prof):
     assert loaded.profile == state.profile
     assert loaded.graph == state.graph
     assert loaded.tau == state.tau
-    assert loaded.lam == state.lam
+    assert lambda_of_tau(loaded.profile, loaded.tau) == lambda_of_tau(state.profile, state.tau)
     assert loaded.step_count == state.step_count
     assert loaded.last_dt == state.last_dt
 
@@ -1303,7 +1301,7 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, case):
     own = RadialGraph(graph.grid, phi) if case == "curve" else RadialGraph(graph.grid.zonal_column, np.ascontiguousarray(phi[:, :1]))
     bound = stable_dt_bound(dataclasses.replace(resumed, graph=own))
     state, resumed = step(state, control), step(resumed, control)
-    assert resumed.last_dt == min(control.dt_max, control.cfl * bound)
+    assert resumed.last_dt == min(control.dt_max, STEP_FRACTION * bound)
     for _ in range(9):
         state = step(state, control)
         resumed = step(resumed, control)
