@@ -23,7 +23,7 @@ from anisoflow.verify import (
     closed_form_r2,
     pde_vs_ode_check,
     r1_comparison_rhs,
-    rk4_scalar_at,
+    rk4_at,
     sphere_ode_at,
 )
 
@@ -41,7 +41,7 @@ print(f"  tau = log 2 gives exactly {closed_form_r2(prof, r0, math.log(2.0)):.12
 print()
 print("closed_form_r1 against RK4 on the comparison ODE (C = 1):")
 for C in (0.5, 1.0):
-    (r,) = rk4_scalar_at(lambda t, y: r1_comparison_rhs(prof, C, y, t), r0, [1.0], max_dt=1e-4)
+    (r,) = rk4_at(lambda t, y: r1_comparison_rhs(prof, C, y, t), r0, [1.0], max_dt=1e-4)
     r_cf = closed_form_r1(prof, r0, C, 1.0)
     print(f"  C = {C}: closed form {r_cf:.12f}   RK4 {r:.12f}   diff {abs(r_cf - r):.1e}")
 print("  (beta = 3, k*alpha = 1 lands on the resonant branch with its t*exp term)")

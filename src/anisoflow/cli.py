@@ -59,7 +59,7 @@ def cmd_run(config_path):
 def cmd_verify(target):
     if target != "all" and target not in verify.SUITES:
         if os.path.exists(target):
-            profile = _read_config(target)[0].profile
+            profile = _read_config(target)[1].profile
             report = validate_for_regime(profile)
             regime = "equality" if profile.equality_regime else "strict"
             print(f"profile regime: {regime}; g kind: {profile.g.KIND}")
@@ -91,8 +91,8 @@ def cmd_ode_compare(config_path):
         print(f"ode-compare failed: {err}", file=sys.stderr)
         return 2
     print(f"max_relative_deviation={deviation:.4e} max_spatial_oscillation={nonuniformity:.4e}")
-    if not cfg.profile.equality_regime and cfg.profile.pure_power:
-        r2 = verify.closed_form_r2(cfg.profile, verify.sphere_radius(state), cfg.control.t_end)
+    if not state.profile.equality_regime and state.profile.pure_power:
+        r2 = verify.closed_form_r2(state.profile, verify.sphere_radius(state), cfg.control.t_end)
         print(f"closed_form_radius_at_t_end={r2:.12g}")
     return 0
 

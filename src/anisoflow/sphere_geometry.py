@@ -402,9 +402,6 @@ class RadialGraph:
     def r(self):
         return np.exp(self.phi)
 
-    def copy(self):
-        return RadialGraph(self.grid, self.phi.copy())
-
     def __eq__(self, other):
         return (
             isinstance(other, RadialGraph)

@@ -2,17 +2,18 @@
 
 A text is INI-like: ``[section]`` headers, ``key = value`` pairs, ``#``
 comments; unknown sections and keys are errors.  A row section holds
-comma-separated rows instead.  Each section is read and written from the
-fields of what it builds, so every key is named once, and floats are written
-with 17 significant digits, so every text round-trips bit-exactly.
+comma-separated rows instead.  Each section is read (and, outside a config,
+written) from the fields of what it builds, so every key is named once.
 
-* a config: [profile], [grid], [initial], [control], [output];
+* a config, read only: [profile], [grid], [initial], [control], [output];
 * a graph file: [grid], then one 'theta[,phi],value' [graph] row per node;
 * a checkpoint: [profile], then [state], then the graph file's sections;
 * a run's records: a CSV, the COLUMNS header, then one row per record.
 
-Every text reads a tabulated g's rows from the file g.table_path names or
-from a [table] section after [profile], and every writer writes the rows.
+Graph files, checkpoints and record CSVs are written with 17 significant
+digits, so each round-trips bit-exactly.  A config or checkpoint reads a
+tabulated g's rows from the file g.table_path names or from a [table] section
+after [profile]; save_checkpoint writes the rows in [table].
 
 A malformed config, graph file or checkpoint raises ConfigError, a ValueError
 listing every problem found; a malformed CSV, a ValueError at its first problem.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .flow_engine import COLUMNS, DiagnosticsSeries, FlowState, StepControl, initial_state
 from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
-from .sphere_geometry import GRID_KINDS, RadialGraph, SphericalGrid, ZonalColumn, sphere_graph
+from .sphere_geometry import GRID_KINDS, RadialGraph, ZonalColumn, sphere_graph
 
 _REQUIRED = object()
 
@@ -134,18 +135,11 @@ def _take_fields(data, section, fields, errors):
 
 
 def _field_lines(obj, fields):
-    """The lines _take_fields reads back into obj's fields; a None is left out,
-    and a string the tokenizer would read back otherwise is a ValueError."""
-    lines = []
-    for f in fields:
-        value = getattr(obj, f.name)
-        if f.type is tuple:
-            lines += [f"{f.name.removesuffix('_terms')}_{m} = {_fmt(c)}" for m, c in value]
-        elif f.type is str and value is not None and ("#" in value or value != value.strip() or len(value.splitlines()) > 1):
-            raise ValueError(f"{f.name}: {value!r} has a '#', a line break or edge whitespace, which a text cannot hold")
-        elif value is not None:  # ints as plain digits: _fmt(10**17) is '1e+17', which int() rejects
-            lines.append(f"{f.name} = {_fmt(value) if f.type is float else value}")
-    return lines
+    """The lines _take_fields reads back into obj's fields, each a float or an
+    int: a checkpoint's [profile] scalars and [state].  An int is written in
+    plain digits, since _fmt(10**17) is '1e+17', which int() rejects."""
+    values = ((f, getattr(obj, f.name)) for f in fields)
+    return [f"{f.name} = {_fmt(value) if f.type is float else value}" for f, value in values]
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +422,14 @@ INITIAL_KINDS = {c.KIND: c for c in (SphereInitial, FourierInitial, FileInitial)
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    profile: SpeedProfile
-    grid: SphericalGrid
-    initial: object  # an INITIAL_KINDS instance
+    """What a config asks of a run besides its initial state."""
+
     control: StepControl
-    override: bool = False
     csv_path: str = None
     checkpoint_path: str = None
 
 
-# the fields each section reads (_take_fields) and writes (_field_lines), besides kind and override
+# the fields each section reads (_take_fields), besides kind and override
 _CONTROL_FIELDS = dataclasses.fields(StepControl)
 _OUTPUT_FIELDS = tuple(f for f in dataclasses.fields(RunConfig) if f.name.endswith("_path"))
 
@@ -503,25 +495,11 @@ def _parse_config(data, errors):
 
     if errors:
         return None
-    return RunConfig(profile=profile, grid=grid, initial=initial, control=control, override=override, **outputs), state
+    return RunConfig(control, **outputs), state
 
 
 def parse_config_state(text):
-    """(RunConfig, the initial FlowState made from it by ``initial_state``),
-    or ConfigError listing every problem; a graph file is read once."""
+    """(RunConfig, the initial FlowState made by ``initial_state`` from its
+    profile, grid and initial data), or ConfigError listing every problem;
+    a graph file is read once."""
     return _parse_text(text, _CONFIG_SECTIONS, _parse_config)
-
-
-def parse_config(text):
-    """Validated RunConfig or ConfigError listing every problem."""
-    return parse_config_state(text)[0]
-
-
-def format_config(cfg):
-    """Canonical text for a RunConfig; parse_config(format_config(c)) == c."""
-    lines = [*_profile_lines(cfg.profile), *_grid_lines(cfg.grid)]
-    lines += ["[initial]", f"kind = {cfg.initial.KIND}", *_field_lines(cfg.initial, dataclasses.fields(cfg.initial))]
-    lines += ["[control]", *_field_lines(cfg.control, _CONTROL_FIELDS)]
-    lines.append(f"override = {'true' if cfg.override else 'false'}")
-    lines += ["[output]", *_field_lines(cfg, _OUTPUT_FIELDS)]
-    return "\n".join(lines) + "\n"

@@ -320,14 +320,6 @@ class DecayFit:
 
     rate: float
     amplitude: float
-    residual: float
-    window: tuple
-
-    def __post_init__(self):
-        if not self.window[1] > self.window[0]:
-            raise ValueError(f"degenerate fit window {self.window}")
-        if self.residual < 0.0:
-            raise ValueError("residual must be >= 0")
 
 
 def fit_exponential(tau, values, window=None):
@@ -345,10 +337,8 @@ def fit_exponential(tau, values, window=None):
     vals = values[mask]
     if np.any(vals <= 0.0):
         raise ValueError("fit window contains nonpositive values")
-    logs = np.log(vals)
-    slope, intercept = np.polyfit(tau[mask], logs, 1)
-    resid = float(np.sqrt(np.mean((logs - (slope * tau[mask] + intercept)) ** 2)))
-    return DecayFit(rate=float(slope), amplitude=float(math.exp(intercept)), residual=resid, window=(lo, hi))
+    slope, intercept = np.polyfit(tau[mask], np.log(vals), 1)
+    return DecayFit(rate=float(slope), amplitude=float(math.exp(intercept)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +346,15 @@ def fit_exponential(tau, values, window=None):
 
 
 def sphere_ode_rhs(profile, r, t):
-    """dr/dtau for a round sphere of radius r at normalized time t."""
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
+    """dr/dtau for round spheres of radius r, a float or an array, at normalized
+    time t; a radius <= 0 or NaN anywhere in r is eval_scaled's
+    NonPositiveRadiusError, a ValueError, raised before any power of r."""
     gamma, ka = profile.gamma, profile.ka
-    gs = speed_profile.eval_scaled(profile, speed_profile.lambda_of_tau(profile, t), float(r))
+    gs = speed_profile.eval_scaled(profile, speed_profile.lambda_of_tau(profile, t), r)
     return -gamma * r ** (profile.beta - ka) - gamma * gs * r ** (-ka) + gamma * r
 
 
-def rk4_scalar_step(fun, t, y, h):
+def rk4_step(fun, t, y, h):
     k1 = fun(t, y)
     k2 = fun(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = fun(t + 0.5 * h, y + 0.5 * h * k2)
@@ -372,24 +362,24 @@ def rk4_scalar_step(fun, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_scalar_at(fun, y0, times, max_dt):
-    """RK4-integrate dy/dt = fun(t, y) from y(0) = y0, reporting y at the given
-    increasing times; each span between them is cut into equal steps of at
-    most max_dt."""
+def rk4_at(fun, y0, times, max_dt):
+    """RK4-integrate dy/dt = fun(t, y) from y(0) = y0, a float or an array,
+    reporting y at the given increasing times, one row per time; each span
+    between them is cut into equal steps of at most max_dt."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be increasing and start at >= 0")
-    out = np.empty_like(times)
-    t, y = 0.0, float(y0)
+    t, y = 0.0, np.array(y0, dtype=float)
+    out = np.empty(times.shape + y.shape)
     for i, target in enumerate(times):
         span = target - t
         if span > 0.0:
             steps = max(1, math.ceil(span / max_dt - 1e-12))
             h = span / steps
             for _ in range(steps):
-                y = rk4_scalar_step(fun, t, y, h)
+                y = rk4_step(fun, t, y, h)
                 t += h
             t = target
         out[i] = y
@@ -397,8 +387,9 @@ def rk4_scalar_at(fun, y0, times, max_dt):
 
 
 def sphere_ode_at(profile, r0, times, max_dt=1e-3):
-    """RK4-integrate the sphere ODE, reporting r at the given increasing times."""
-    return rk4_scalar_at(lambda t, r: sphere_ode_rhs(profile, r, t), r0, times, max_dt)
+    """RK4-integrate the sphere ODE from r0, a float or a 1-d array of radii,
+    reporting r at the given increasing times, one row per time."""
+    return rk4_at(lambda t, r: sphere_ode_rhs(profile, r, t), r0, times, max_dt)
 
 
 def _require_shrinking_regime(profile):
@@ -450,7 +441,7 @@ def r1_comparison_rhs(profile, C_bound, r, t):
 
 def _r1_vs_rk4(profile, r0, C_bound, t_end):
     fun = lambda t, r: r1_comparison_rhs(profile, C_bound, r, t)
-    (r,) = rk4_scalar_at(fun, r0, [t_end], max_dt=t_end / R1_RK4_STEPS)
+    (r,) = rk4_at(fun, r0, [t_end], max_dt=t_end / R1_RK4_STEPS)
     return abs(closed_form_r1(profile, r0, C_bound, t_end) - float(r))
 
 
@@ -568,8 +559,7 @@ def sphere_barriers(profile, series):
     if len(tau) < 2 or tau[0] != 0.0:
         raise ValueError(f"sphere barriers need two or more records from tau = 0, got {len(tau)} from tau {tau[:1].tolist()}")
     r_min, r_max = series.column("r_min"), series.column("r_max")
-    lower = sphere_ode_at(profile, r_min[0], tau[1:])
-    upper = sphere_ode_at(profile, r_max[0], tau[1:])
+    lower, upper = sphere_ode_at(profile, [r_min[0], r_max[0]], tau[1:]).T
     return float((r_min[1:] - lower).min()), float((upper - r_max[1:]).min())
 
 

@@ -25,13 +25,11 @@ from anisoflow.speed_profile import (
 )
 from anisoflow.textform import (
     ConfigError,
-    FileInitial,
+    FourierInitial,
     RunConfig,
     SphereInitial,
-    format_config,
     load_checkpoint,
     load_series,
-    parse_config,
     parse_config_state,
     save_checkpoint,
     save_graph,
@@ -60,7 +58,7 @@ t_end = 0.5
 
 def errors_of(text):
     with pytest.raises(ConfigError) as exc:
-        parse_config(text)
+        parse_config_state(text)
     return exc.value.errors
 
 
@@ -69,20 +67,19 @@ def errors_of(text):
 
 
 def test_parse_minimal_config():
-    cfg = parse_config(BASIC)
-    assert cfg.profile.gamma == 1.0
-    assert cfg.profile.equality_regime
-    assert cfg.grid.n_lat == 64
-    assert cfg.initial == SphereInitial(r0=1.0)
+    cfg, state = parse_config_state(BASIC)
+    assert state.profile.gamma == 1.0
+    assert state.profile.equality_regime
+    assert state.graph == sphere_graph(SphericalGrid.circle(64), 1.0)
     assert cfg.control.t_end == 0.5
     assert cfg.control.dt_max == 1.0  # defaults
     assert cfg.control.record_every == 10
-    assert cfg.csv_path is None and not cfg.override
+    assert cfg.csv_path is None and cfg.checkpoint_path is None
 
 
 def test_parse_comments_and_blank_lines():
     text = BASIC.replace("r0 = 1.0", "r0 = 1.0   # unit sphere\n\n# trailing comment")
-    assert parse_config(text).initial.r0 == 1.0
+    assert parse_config_state(text)[1].graph == sphere_graph(SphericalGrid.circle(64), 1.0)
 
 
 def test_alpha_family_error_reaches_config():
@@ -98,8 +95,7 @@ def test_inadmissible_profile_needs_override():
     errs = errors_of(text)
     assert any("override = true to force" in e and "scaling" in e for e in errs)
     forced = text.replace("t_end = 0.5", "t_end = 0.5\noverride = true")
-    cfg = parse_config(forced)
-    assert cfg.override and cfg.profile.g.l == 1.0
+    assert parse_config_state(forced)[1].profile.g == MonomialG(1)
 
 
 def test_unknown_section_key_and_duplicate_report_line_numbers():
@@ -167,11 +163,11 @@ def test_monomial_exponent_must_be_integer():
     monomial = BASIC.replace("beta = 2", "beta = 3").replace("g.kind = zero", "g.kind = monomial\ng.l = 4.5")
     errs = errors_of(monomial)
     assert any("[profile] g: monomial exponent must be an integer" in e for e in errs)
-    assert parse_config(monomial.replace("g.l = 4.5", "g.l = 4.0")).profile.g == MonomialG(4)
+    assert parse_config_state(monomial.replace("g.l = 4.5", "g.l = 4.0"))[1].profile.g == MonomialG(4)
 
 
 def test_control_keys_are_step_control_fields():
-    assert parse_config(BASIC).control == StepControl(t_end=0.5)  # every other field at its default
+    assert parse_config_state(BASIC)[0].control == StepControl(t_end=0.5)  # every other field at its default
     errs = errors_of(BASIC.replace("t_end = 0.5", "t_end = 0.5\ndt_max = banana\nmax_steps = 1e5"))
     assert any("[control] dt_max: bad value 'banana'" in e for e in errs)
     assert any("[control] max_steps: bad value '1e5'" in e for e in errs)
@@ -193,16 +189,14 @@ def fourier_config(extra):
 
 
 def test_fourier_initial_builds_expected_radius():
-    cfg = parse_config(fourier_config("const = 1.0\ncos_2 = 0.3"))
-    graph = cfg.initial.graph(cfg.grid)
-    theta = cfg.grid.theta
+    graph = parse_config_state(fourier_config("const = 1.0\ncos_2 = 0.3"))[1].graph
+    theta = graph.grid.theta
     np.testing.assert_allclose(graph.r(), 1.0 + 0.3 * np.cos(2 * theta), rtol=1e-15)
 
 
 def test_fourier_initial_variable_phi():
-    cfg = parse_config(fourier_config("variable = phi\nconst = 0.0\nsin_3 = 0.2"))
-    graph = cfg.initial.graph(cfg.grid)
-    np.testing.assert_allclose(graph.phi, 0.2 * np.sin(3 * cfg.grid.theta), rtol=1e-15)
+    graph = parse_config_state(fourier_config("variable = phi\nconst = 0.0\nsin_3 = 0.2"))[1].graph
+    np.testing.assert_allclose(graph.phi, 0.2 * np.sin(3 * graph.grid.theta), rtol=1e-15)
 
 
 def test_fourier_initial_must_stay_positive():
@@ -232,28 +226,24 @@ def test_n2_fourier_restrictions():
     errs = errors_of(n2_config("kind = fourier\nconst = 1.0\nsin_2 = 0.1"))
     assert any("not smooth across the poles" in e for e in errs)
     # cos(m theta) = T_m(cos theta) is smooth on S^2 for odd m too
-    cfg = parse_config(n2_config("kind = fourier\nconst = 1.0\ncos_1 = 0.1\ncos_3 = 0.05"))
-    graph = cfg.initial.graph(cfg.grid)
-    assert is_zonal(graph)
-    th = cfg.grid.theta
+    # a zonal initial state lives on its grid's zonal column
+    graph = parse_config_state(n2_config("kind = fourier\nconst = 1.0\ncos_1 = 0.1\ncos_3 = 0.05"))[1].graph
+    assert graph.grid == SphericalGrid.sphere(16, 32).zonal_column
+    th = graph.grid.theta
     np.testing.assert_allclose(graph.phi[:, 0], np.log(1.0 + 0.1 * np.cos(th) + 0.05 * np.cos(3.0 * th)), rtol=0.0, atol=1e-15)
-    cfg = parse_config(n2_config("kind = fourier\nconst = 1.0\ncos_2 = 0.1"))
-    graph = cfg.initial.graph(cfg.grid)
-    assert graph.grid.shape == (16, 32)
-    assert np.ptp(graph.phi, axis=1).max() == 0.0  # zonal broadcast
+    full = FourierInitial(const=1.0, cos_terms=((2, 0.1),)).graph(SphericalGrid.sphere(16, 32))
+    assert full.grid.shape == (16, 32) and is_zonal(full)  # zonal broadcast
 
 
 def test_file_initial_roundtrip(tmp_path):
     grid = SphericalGrid.circle(64)
     save_graph(sphere_graph(grid, 1.25), tmp_path / "init.csv")
     text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = file\npath = {tmp_path / 'init.csv'}")
-    cfg = parse_config(text)
-    graph = cfg.initial.graph(cfg.grid)
-    np.testing.assert_allclose(graph.r(), 1.25)
+    np.testing.assert_allclose(parse_config_state(text)[1].graph.r(), 1.25)
 
 
 def test_file_initial_run_reads_the_file_once(tmp_path, monkeypatch, capsys):
-    # parse_config's checked graph is the graph the run starts from
+    # parse_config_state's checked graph is the graph the run starts from
     save_graph(sphere_graph(SphericalGrid.circle(64), 1.25), tmp_path / "init.csv")
     reads = []
     load = anisoflow.textform.load_graph
@@ -282,17 +272,19 @@ def test_file_initial_grid_mismatch(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# canonical formatting
+# config texts written by the config_text fixture read back as their pieces
 
 
-def test_format_roundtrip_basic():
-    cfg = parse_config(BASIC)
-    assert parse_config(format_config(cfg)) == cfg
-    huge = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, max_steps=10**17))
-    assert parse_config(format_config(huge)) == huge
+def test_format_roundtrip_basic(config_text):
+    cfg, state = parse_config_state(BASIC)
+    for control in (cfg.control, dataclasses.replace(cfg.control, max_steps=10**17)):
+        text = config_text(state.profile, SphericalGrid.circle(64), SphereInitial(r0=1.0), control)
+        again, again_state = parse_config_state(text)
+        assert again == RunConfig(control)
+        assert again_state.profile == state.profile and again_state.graph == state.graph
 
 
-def test_format_roundtrip_rich_config(tmp_path):
+def test_format_roundtrip_rich_config(tmp_path, config_text):
     text = (
         BASIC.replace("g.kind = zero", "g.kind = bump\ng.epsilon = 0.5\ng.p = 2")
         .replace("kind = sphere\nr0 = 1.0", "kind = fourier\nconst = 1.1\ncos_2 = 0.25\nsin_3 = -0.1")
@@ -302,11 +294,19 @@ def test_format_roundtrip_rich_config(tmp_path):
         )
         + f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\ncheckpoint_path = {tmp_path / 'out.chk'}\n"
     )
-    cfg = parse_config(text)
-    assert parse_config(format_config(cfg)) == cfg
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0, g=BumpG(epsilon=0.5, p=2.0))
+    grid = SphericalGrid.circle(64)
+    initial = FourierInitial(const=1.1, cos_terms=((2, 0.25),), sin_terms=((3, -0.1),))
+    control = StepControl(t_end=2.5, dt_max=0.1, sphericity_stop=1e-4, max_steps=12345, record_every=3)
+    cfg = RunConfig(control, str(tmp_path / "out.csv"), str(tmp_path / "out.chk"))
+    written = config_text(profile, grid, initial, control, csv_path=cfg.csv_path, checkpoint_path=cfg.checkpoint_path)
+    for source in (text, written):
+        again, state = parse_config_state(source)
+        assert again == cfg
+        assert state.profile == profile and state.graph == initial.graph(grid)
 
 
-def test_format_roundtrip_tabulated(tmp_path):
+def test_format_roundtrip_tabulated(tmp_path, config_text):
     from anisoflow.speed_profile import ExpFlatG, SpeedProfile
 
     base = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=ExpFlatG(1.0))
@@ -323,23 +323,20 @@ def test_format_roundtrip_tabulated(tmp_path):
         .replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
         .replace("t_end = 0.5", "t_end = 0.5\noverride = true")
     )
-    cfg = parse_config(text)
-    assert isinstance(cfg.profile.g, TabulatedG)
-    # the file is read once; the written config holds the rows themselves
-    text = format_config(cfg)
-    assert "g.table_path" not in text and text.count("\n0,") == 1
+    cfg, state = parse_config_state(text)
+    assert isinstance(state.profile.g, TabulatedG)
+    # the file is read once; the same rows given in [table] read back the same g
+    text = config_text(state.profile, SphericalGrid.circle(64), SphereInitial(r0=1.0), cfg.control, override=True)
     table.unlink()
-    assert parse_config(text) == cfg
+    assert parse_config_state(text)[1].profile == state.profile
 
 
-def test_format_roundtrip_tabulated_built_in_code():
+def test_format_roundtrip_tabulated_built_in_code(config_text):
     pts = np.linspace(0.0, 4.0, 9)
     g = TabulatedG(pts, pts**5, 5.0 * pts**4)
     profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=g)
-    cfg = RunConfig(profile, SphericalGrid.circle(32), SphereInitial(r0=1.0), StepControl(t_end=0.5), override=True)
-    text = format_config(cfg)
-    assert parse_config(text) == cfg
-    assert format_config(parse_config(text)) == text
+    text = config_text(profile, SphericalGrid.circle(32), SphereInitial(r0=1.0), StepControl(t_end=0.5), override=True)
+    assert parse_config_state(text)[1].profile == profile
 
 
 def test_table_is_a_file_or_rows_not_both(tmp_path):
@@ -351,18 +348,6 @@ def test_table_is_a_file_or_rows_not_both(tmp_path):
     assert errors_of(BASIC.replace("g.kind = zero", "g.kind = tabulated")) == ["[table] " + message]
     text = BASIC.replace("g.kind = zero", "g.kind = zero\n[table]\n0,0,0")
     assert errors_of(text) == ["line 8: [table] rows: not valid for g.kind=zero"]
-
-
-@pytest.mark.parametrize("field", ["csv_path", "checkpoint_path", "initial"])
-@pytest.mark.parametrize("bad", ["out#1.csv", " out.csv", "out.csv ", "out\n.csv", "out\x0c.csv", "\t"])
-def test_format_refuses_a_path_that_does_not_read_back(field, bad):
-    cfg = parse_config(BASIC)
-    if field == "initial":
-        cfg, field = dataclasses.replace(cfg, initial=FileInitial(bad)), "path"
-    else:
-        cfg = dataclasses.replace(cfg, **{field: bad})
-    with pytest.raises(ValueError, match=f"^{field}: "):
-        format_config(cfg)
 
 
 def flat_table():
@@ -382,7 +367,7 @@ G_SAMPLES = {
 
 
 @pytest.mark.parametrize("kind", sorted(G_KINDS))
-def test_codecs_roundtrip_every_g_kind(tmp_path, kind):
+def test_codecs_roundtrip_every_g_kind(tmp_path, kind, config_text):
     g = G_SAMPLES[kind]
     for grid in (SphericalGrid.circle(16), SphericalGrid.sphere(16, 32)):
         profile = SpeedProfile(n=grid.n, k=1, alpha=1.0, beta=4.0, g=g)
@@ -394,10 +379,9 @@ def test_codecs_roundtrip_every_g_kind(tmp_path, kind):
         save_checkpoint(loaded, tmp_path / "again.chk")
         assert (tmp_path / "again.chk").read_bytes() == (tmp_path / "state.chk").read_bytes()
 
-        cfg = RunConfig(profile, grid, SphereInitial(r0=1.0), StepControl(t_end=0.5), override=True)
-        text = format_config(cfg)
-        assert parse_config(text) == cfg
-        assert format_config(parse_config(text)) == text
+        text = config_text(profile, grid, SphereInitial(r0=1.0), StepControl(t_end=0.5), override=True)
+        parsed = parse_config_state(text)[1]
+        assert parsed.profile == profile and parsed.graph == state.graph
 
 
 def test_bad_table_rejected(tmp_path):
@@ -714,9 +698,9 @@ def test_a_table_narrower_than_the_validator_samples_fails_typed(tmp_path, capsy
     assert capsys.readouterr().err == f"config error: {message}\n"
 
     forced = text.replace("t_end = 0.5", "t_end = 0.5\noverride = true")
-    cfg = parse_config(forced)
+    state = parse_config_state(forced)[1]
     with pytest.raises(AdmissibilityError, match="'origin_interval'"):
-        initial_state(cfg.profile, sphere_graph(cfg.grid, 1.0))
+        initial_state(state.profile, state.graph)
     assert main(["verify", write_config(tmp_path, forced)]) == 3
     out = capsys.readouterr().out
     assert "origin_interval: FAIL worst=5.000e-01 at r=0.5" in out
