@@ -8,9 +8,9 @@ exponent arithmetic for monomials).  g' is needed only by the validator.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
 kind's name to its class, and each kind answers for itself: ``scaled``
-(lam^beta * g(r/lam)), ``derivative`` (g' given g), ``conditions`` (its
-admissibility for a profile) and its text, ``params`` by name or, for a
-``TABLE`` kind, 'r,value,derivative' ``rows``.
+(lam^beta * g(r/lam)), ``derivative`` (g' given g) and ``conditions`` (its
+admissibility for a profile).  Its text is ``textform``'s: an analytic kind
+is its dataclass fields, a table its 'r,value,derivative' rows.
 
 One validator, ``validate_for_regime``, judges g for the convergence regime
 that beta selects, at every r > 0.  Both regimes ask g >= 0
@@ -27,7 +27,6 @@ so each kind decides all three exactly, in ``conditions``: an analytic kind
 from its formula, a table from its cubics (``origin_interval`` at the origin).
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -64,16 +63,11 @@ def _positive_finite(name, value):
 
 
 class _Analytic:
-    """What the analytic kinds share: parameters (the dataclass fields) and no
-    table rows, g defined for every r >= 0 with g(0) = 0, and ``conditions``."""
+    """What the analytic kinds share: g defined for every r >= 0 with g(0) = 0,
+    and ``conditions``."""
 
-    TABLE = False
-    params = property(dataclasses.asdict)
     zero_interval = False  # g = 0 on some [0, epsilon]; else g > 0 on (0, inf)
     flat_order = math.inf  # g vanishes through this order at 0
-
-    def rows(self):
-        return ()
 
     def conditions(self, profile):
         """The three conditions, decided exactly from the two facts above: g >= 0;
@@ -240,8 +234,6 @@ class TabulatedG:
     """
 
     KIND = "tabulated"
-    TABLE = True
-    params = property(lambda self: {})  # the rows are all of it
 
     def __init__(self, points, values, derivs):
         self.points = np.asarray(points, dtype=float)
@@ -263,28 +255,6 @@ class TabulatedG:
         t = (d0 + self.derivs[1:] - 2 * slope) / h
         # one contiguous column per power of s = r - points[i], gathered by take
         self._c = (self.values[:-1], d0, (slope - d0) / h - t, t / h)
-
-    @classmethod
-    def from_rows(cls, lines):
-        """The table of 'r,value,derivative' lines; '#' starts a comment and
-        blank lines are skipped."""
-        rows = []
-        for raw in lines:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"bad table row {line!r} (want 'r,value,derivative')")
-            rows.append([float(tok) for tok in parts])
-        if len(rows) < 2:
-            raise ValueError("table needs at least 2 rows")
-        return cls(*zip(*rows))
-
-    def rows(self):
-        """The 'r,value,derivative' lines, 17 significant digits (bit-exact)."""
-        table = zip(self.points.tolist(), self.values.tolist(), self.derivs.tolist())
-        return [",".join(format(v, ".17g") for v in row) for row in table]
 
     def conditions(self, profile):
         """The three conditions, decided exactly on the cubics.  g and

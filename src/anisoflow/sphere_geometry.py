@@ -175,28 +175,20 @@ class _LatitudeGrid(SphericalGrid):
         return _read_only(np.repeat(values[:, None], self.shape[1], axis=1))
 
     @cached_property
-    def sin_theta(self):
-        return self._latitude_table(np.sin(self.theta))
-
-    @cached_property
-    def cos_theta(self):
-        return self._latitude_table(np.cos(self.theta))
-
-    @cached_property
     def sin2_theta(self):
-        return _read_only(self.sin_theta**2)
+        return self._latitude_table(np.sin(self.theta) ** 2)
 
     @cached_property
     def inv_sin2_theta(self):
-        return _read_only(1.0 / self.sin2_theta)
+        return self._latitude_table(1.0 / np.sin(self.theta) ** 2)
 
     @cached_property
     def cot_theta(self):
-        return _read_only(self.cos_theta / self.sin_theta)
+        return self._latitude_table(np.cos(self.theta) / np.sin(self.theta))
 
     @cached_property
     def sin_cos_theta(self):
-        return _read_only(self.sin_theta * self.cos_theta)
+        return self._latitude_table(np.sin(self.theta) * np.cos(self.theta))
 
     @cached_property
     def lat_pad_index(self):

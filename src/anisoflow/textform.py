@@ -1,7 +1,8 @@
 """The text forms of the flow's objects, one codec: configs, graph files, checkpoints and record CSVs.
 
 A text is INI-like: ``[section]`` headers, ``key = value`` pairs, ``#``
-comments; unknown sections and keys are errors.  A row section holds
+comments (from a ``#`` at a line's start or after whitespace, so ``out#1.csv``
+is a path); unknown sections and keys are errors.  A row section holds
 comma-separated rows instead.  Each section is read (and, outside a config,
 written) from the fields of what it builds, so every key is named once.
 
@@ -12,19 +13,20 @@ written) from the fields of what it builds, so every key is named once.
 
 Graph files, checkpoints and record CSVs are written with 17 significant
 digits, so each round-trips bit-exactly.  A config or checkpoint reads a
-tabulated g's rows from the file g.table_path names or from a [table] section
-after [profile]; save_checkpoint writes the rows in [table].
+tabulated g's 'r,value,derivative' rows from the file g.table_path names or
+from a [table] section after [profile]; save_checkpoint writes them in [table].
 
 A malformed config, graph file or checkpoint raises ConfigError, a ValueError
 listing every problem found; a malformed CSV, a ValueError at its first problem.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 
 from .flow_engine import COLUMNS, DiagnosticsSeries, FlowState, StepControl, initial_state
-from .speed_profile import G_KINDS, SpeedProfile, validate_for_regime
+from .speed_profile import G_KINDS, SpeedProfile, TabulatedG, validate_for_regime
 from .sphere_geometry import GRID_KINDS, RadialGraph, ZonalColumn, sphere_graph
 
 _REQUIRED = object()
@@ -42,6 +44,11 @@ class ConfigError(ValueError):
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _content(raw):
+    """The line before its comment, stripped; a '#' inside a value is the value's."""
+    return re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
 
 
 def _series_m(f, key):
@@ -65,7 +72,7 @@ def _tokenize(text, sections, errors):
     data = {name: {} if known is not _ROWS else [] for name, known in sections.items()}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _content(raw)
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -149,7 +156,7 @@ def _field_lines(obj, fields):
 _PROFILE_FIELDS = tuple(f for f in dataclasses.fields(SpeedProfile) if f.init and f.name != "g")
 
 # g.<field> for every field of every g kind given by parameters (a table kind has g.table_path)
-_G_PARAMS = {f"g.{f.name}" for cls in G_KINDS.values() if not cls.TABLE for f in dataclasses.fields(cls)}
+_G_PARAMS = {f"g.{f.name}" for cls in G_KINDS.values() if cls is not TabulatedG for f in dataclasses.fields(cls)}
 
 _PROFILE_KEYS = _keys_of(_PROFILE_FIELDS, "g.kind", "g.table_path", *_G_PARAMS)
 _GRID_KEYS = _keys_of((), "n", *(key for cls in GRID_KINDS.values() for key in cls.KEYS))
@@ -163,7 +170,7 @@ def _parse_profile(data, errors):
     rows = data.pop("table")
     g = None
     cls = G_KINDS.get(kind)
-    if cls is not None and cls.TABLE:
+    if cls is TabulatedG:
         path = _take(data, "profile", "g.table_path", str, errors, default=None)
         try:
             lines = [row for row, _ in rows]
@@ -172,7 +179,7 @@ def _parse_profile(data, errors):
             if path is not None:
                 with open(path) as fh:
                     lines = fh.readlines()
-            g = cls.from_rows(lines)
+            g = _table(lines)
         except (OSError, ValueError) as exc:
             errors.append(f"[profile] g.table_path: {exc}" if path is not None else f"[table] {exc}")
         rows = []
@@ -199,12 +206,27 @@ def _parse_profile(data, errors):
         return None
 
 
+def _table(lines):
+    """The TabulatedG of 'r,value,derivative' lines; comments and blank lines are skipped."""
+    rows = []
+    for line in filter(None, map(_content, lines)):
+        try:
+            r, value, derivative = map(float, line.split(","))
+        except ValueError:
+            raise ValueError(f"bad table row {line!r} (want 'r,value,derivative')") from None
+        rows.append((r, value, derivative))
+    if len(rows) < 2:
+        raise ValueError("table needs at least 2 rows")
+    return TabulatedG(*zip(*rows))
+
+
 def _profile_lines(profile):
     """[profile] as _parse_profile reads it back, a tabulated g's rows in [table]."""
     g = profile.g
     lines = ["[profile]", *_field_lines(profile, _PROFILE_FIELDS), f"g.kind = {g.KIND}"]
-    lines += [f"g.{name} = {_fmt(value)}" for name, value in g.params.items()]
-    return lines + (["[table]", *g.rows()] if g.TABLE else [])
+    if isinstance(g, TabulatedG):
+        return [*lines, "[table]", *(",".join(map(_fmt, row)) for row in zip(g.points, g.values, g.derivs))]
+    return lines + [f"g.{name} = {_fmt(value)}" for name, value in dataclasses.asdict(g).items()]
 
 
 def _parse_grid(data, n, errors):

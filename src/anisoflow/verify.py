@@ -45,7 +45,7 @@ IDENTITY_SAMPLES = 2000  # cone samples per (n, k) in identity_suite
 IDENTITY_SEED = 20240817
 GRAPH_AMPLITUDE = 0.08  # bound on each mode's coefficient in random_graph_function
 R1_RK4_STEPS = 4000  # RK4 steps of the bounding ODE in the sphere-ODE suite
-ODE_DT = 1e-3  # the largest RK4 step of the sphere ODE in pde_vs_ode_check
+ODE_DT = 1e-3  # the largest RK4 step of the sphere ODE in sphere_ode_at, by default
 
 
 @dataclass(frozen=True)
@@ -386,7 +386,7 @@ def rk4_at(fun, y0, times, max_dt):
     return out
 
 
-def sphere_ode_at(profile, r0, times, max_dt=1e-3):
+def sphere_ode_at(profile, r0, times, max_dt=ODE_DT):
     """RK4-integrate the sphere ODE from r0, a float or a 1-d array of radii,
     reporting r at the given increasing times, one row per time."""
     return rk4_at(lambda t, r: sphere_ode_rhs(profile, r, t), r0, times, max_dt)
@@ -536,7 +536,7 @@ def pde_vs_ode_check(state, control):
     result = run(state, replace(control, sphericity_stop=0.0))
     taus = result.series.column("tau")
     r_pde = result.series.column("r_max")
-    r_ode = sphere_ode_at(state.profile, r0, taus, max_dt=ODE_DT)
+    r_ode = sphere_ode_at(state.profile, r0, taus)
     deviation = float(np.max(np.abs(r_pde - r_ode) / r_ode))
     nonuniformity = float(result.series.column("osc").max())
     return deviation, nonuniformity

@@ -82,6 +82,21 @@ def test_parse_comments_and_blank_lines():
     assert parse_config_state(text)[1].graph == sphere_graph(SphericalGrid.circle(64), 1.0)
 
 
+def test_a_hash_starts_a_comment_only_at_a_line_start_or_after_whitespace(tmp_path):
+    # one rule for every text: a '#' glued to a value is the value's, so a
+    # path keeps it and a number fails, where both were silently cut short
+    text = BASIC + "[output]\ncsv_path = out#1.csv\t# tab, then a comment\n"
+    assert parse_config_state(text)[0].csv_path == "out#1.csv"
+    assert errors_of(BASIC.replace("t_end = 0.5", "t_end = 3.0#x")) == ["line 16: [control] t_end: bad value '3.0#x'"]
+    table = tmp_path / "table.csv"
+    table.write_text("# r,value,derivative\n0,0,0 # origin\n\n0.5,1,2#x\n")
+    text = BASIC.replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
+    assert errors_of(text) == ["[profile] g.table_path: bad table row '0.5,1,2#x' (want 'r,value,derivative')"]
+    assert errors_of(BASIC.replace("g.kind = zero", "g.kind = tabulated\n[table]\n0,0,0\n0.5,1,2#x")) == [
+        "[table] bad table row '0.5,1,2#x' (want 'r,value,derivative')"
+    ]
+
+
 def test_alpha_family_error_reaches_config():
     text = BASIC.replace("n = 1\nk = 1\nalpha = 1\nbeta = 2", "n = 2\nk = 2\nalpha = 0.7\nbeta = 4").replace(
         "N = 64", "n_lat = 16\nn_lon = 32"

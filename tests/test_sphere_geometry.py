@@ -406,11 +406,8 @@ def test_sphere_curvature_equals_its_eager_form_bitwise():
 
 def test_grid_tables_are_cached_read_only_and_outside_equality():
     a, b = SphericalGrid.sphere(32, 64), SphericalGrid.sphere(32, 64)
-    tables = (
-        a.sin_theta, a.cos_theta, a.sin2_theta, a.inv_sin2_theta, a.cot_theta, a.sin_cos_theta,
-        a.lat_pad_index, a.lon_pad_index,
-    )
-    assert a.sin_theta is tables[0] and a.lon_pad_index is tables[-1]
+    tables = (a.sin2_theta, a.inv_sin2_theta, a.cot_theta, a.sin_cos_theta, a.lat_pad_index, a.lon_pad_index)
+    assert a.sin2_theta is tables[0] and a.lon_pad_index is tables[-1]
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0
@@ -418,8 +415,6 @@ def test_grid_tables_are_cached_read_only_and_outside_equality():
     # the latitude tables have the grid's shape: a field is multiplied by
     # them without a broadcast
     for table, column in (
-        (a.sin_theta, sin_t),
-        (a.cos_theta, cos_t),
         (a.sin2_theta, sin_t * sin_t),
         (a.inv_sin2_theta, 1.0 / (sin_t * sin_t)),
         (a.cot_theta, cos_t / sin_t),
@@ -428,10 +423,10 @@ def test_grid_tables_are_cached_read_only_and_outside_equality():
         assert table.shape == a.shape and table.flags.c_contiguous
         assert table.tobytes() == np.repeat(column, 64, axis=1).tobytes()
     column = a.zonal_column
-    for name in ("sin_theta", "sin2_theta", "inv_sin2_theta", "cot_theta", "sin_cos_theta"):
+    for name in ("sin2_theta", "inv_sin2_theta", "cot_theta", "sin_cos_theta"):
         assert getattr(column, name).tobytes() == getattr(a, name)[:, :1].copy().tobytes(), name
     assert a == b and hash(a) == hash(b)
-    assert "sin_theta" not in vars(b)
+    assert "sin2_theta" not in vars(b)
     assert a != SphericalGrid.sphere(32, 66)
 
 
@@ -505,7 +500,7 @@ def _cholesky_curvature(graph):
     symmetric S = L^-1 B L^-T with G = L L^T, and numpy's symmetric eigen
     solver on S."""
     p_t, p_p, H_tt, H_tp, H_pp = covariant_derivatives(graph)
-    sin_t = graph.grid.sin_theta
+    sin_t = np.sin(graph.grid.theta)[:, None]
     r = np.exp(graph.phi)
     rho = np.sqrt(1.0 + p_t * p_t + (p_p / sin_t) ** 2)
     E11, E12, E22 = 1.0 + p_t * p_t, p_t * p_p, sin_t * sin_t + p_p * p_p
