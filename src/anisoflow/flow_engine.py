@@ -61,9 +61,6 @@ _A3, _A4 = 0.07894655096054984, 0.0037002440195151153
 REAL_LIMIT = 11.869290077999935
 STEP_FRACTION = 0.8
 STAGE_C1, STAGE_C2 = _A4 / _A3, 2.0 * _A3
-# h^2 times the spectral radius of the 4th-order second-difference stencil:
-# its symbol (30 - 32 cos(xi) + 2 cos(2 xi)) / 12 peaks at xi = pi.
-D2_RADIUS = 16.0 / 3.0
 
 
 class FlowError(Exception):
@@ -288,14 +285,13 @@ def rhs(profile, graph, tau, field=None, A=None):
 
 def stable_dt_bound(state):
     """The linear stability limit at a state: REAL_LIMIT, the stability
-    polynomial's real interval, over the largest spectral radius of the
-    linearized principal part, D2_RADIUS * D / h^2 per node and stencil axis.
+    polynomial's real interval, over the spectral radius of the linearized
+    principal part D * Laplacian, which the graph's grid gives from its
+    stencils and spacings (``SphericalGrid.principal_radius``, with the
+    stencil's D2_RADIUS, both in ``sphere_geometry``).
 
     D = alpha * A * sigma_k^(alpha-1) * maxeig(d sigma_k / d kappa) / (r rho)
-    is the diffusivity per node, read from the state's field and A.  The
-    graph's grid sums the inverse squared spacings h^-2 over the directions
-    its stencils run (``SphericalGrid.max_d_over_h2``): a full S^2 grid's
-    longitude adds 1 / (h_phi^2 sin^2(theta)), a zonal column's does not.
+    is the diffusivity per node, read from the state's field and A.
 
     For k = 1 the partials are all 1 and A * 1.0 is A, so D = A / (r rho)
     needs no kappa (no eigen solve on a surface).  For k = 2 (so n = 2) the
@@ -310,7 +306,7 @@ def stable_dt_bound(state):
         D = A * field.kappa[..., 0] / (field.r * field.rho)
     if abs(alpha - 1.0) > _ALPHA_TOL:
         D = alpha * np.power(field.sigma[..., k - 1], alpha - 1.0) * D
-    return float(REAL_LIMIT / (D2_RADIUS * state.graph.grid.max_d_over_h2(D)))
+    return float(REAL_LIMIT / state.graph.grid.principal_radius(D))
 
 
 def step(state, control):

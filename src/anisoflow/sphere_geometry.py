@@ -1,10 +1,11 @@
 """Radial graphs over S^1 and S^2: grids, derivatives, curvature.
 
 A star-shaped hypersurface is stored as phi = log r on a structured grid.
-Each kind of grid is a class that owns its stencils, curvature and dt-bound
-spacings: ``CircleGrid`` (S^1), ``SphereGrid`` (S^2) and ``ZonalColumn``, the
-one column of a sphere grid, on which a bit-exactly zonal surface lives
-(``reduce_zonal``).  ``covariant_derivatives`` and ``weingarten`` delegate to
+Each kind of grid is a class that owns its stencils, curvature and the
+spectral radius of its stencils (the dt bound's): ``CircleGrid`` (S^1),
+``SphereGrid`` (S^2) and ``ZonalColumn``, the one column of a sphere grid, on
+which a bit-exactly zonal surface lives (``reduce_zonal``, undone by
+``expand_zonal``).  ``covariant_derivatives`` and ``weingarten`` delegate to
 the graph's grid.
 
 All derivatives are 4th-order central differences, written as differences of
@@ -61,12 +62,14 @@ class SphericalGrid:
 
     * ``derivatives(phi)``, its stencils: what ``covariant_derivatives`` returns;
     * ``curvature(graph)``: what ``weingarten`` returns;
-    * ``max_d_over_h2(D)``: the largest diffusivity D times the inverse squared
-      spacings summed over the directions its stencils run (the dt bound);
+    * ``principal_radius(D)``: the spectral radius of the linearized principal
+      part D * Laplacian as its stencils discretize it, D2_RADIUS times the
+      largest D times the inverse squared spacings summed over the directions
+      its stencils run (the dt bound's denominator);
     * ``KEYS``: its sizes' (``shape``'s, the constructor's arguments) names
       in the [grid] section of every text (``textform``) and in ``describe``.
 
-    The default here: stencils in theta alone.
+    The default here: stencils in theta alone, spacing h_theta.
     """
 
     def __init__(self, *args, **kwargs):
@@ -83,8 +86,8 @@ class SphericalGrid:
     def describe(self):
         return " ".join((f"n={self.n}", *(f"{key}={size}" for key, size in zip(self.KEYS, self.shape))))
 
-    def max_d_over_h2(self, D):
-        return D.max() / self.h_theta**2
+    def principal_radius(self, D):
+        return D2_RADIUS * (D.max() / self.h_theta**2)
 
 
 @dataclass(frozen=True)
@@ -234,8 +237,8 @@ class SphereGrid(_LatitudeGrid):
     @cached_property
     def inv_spacing_sq(self):
         """1/h_theta^2 + 1/(h_phi^2 sin^2(theta)) at every node: its inverse
-        squared spacings summed over both directions, which the dt bound
-        multiplies by the diffusivity."""
+        squared spacings summed over both directions, which
+        ``principal_radius`` multiplies by the diffusivity."""
         return _read_only(1.0 / self.h_theta**2 + 1.0 / (self.h_phi**2 * self.sin2_theta))
 
     @cached_property
@@ -312,8 +315,10 @@ class SphereGrid(_LatitudeGrid):
 
         return WeingartenField(r, rho, grad2, sigma, kappa)
 
-    def max_d_over_h2(self, D):
-        return (self.inv_spacing_sq * D).max()
+    def principal_radius(self, D):
+        """Its longitude adds 1 / (h_phi^2 sin^2(theta)) per node; a zonal
+        column's stencils run in theta alone (the default)."""
+        return D2_RADIUS * (self.inv_spacing_sq * D).max()
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,15 @@ def reduce_zonal(graph):
     return graph
 
 
+def expand_zonal(graph):
+    """The inverse of ``reduce_zonal``: graph, or the same surface on its
+    grid's sphere grid, every column alike, when it lives on a ZonalColumn."""
+    grid = graph.grid
+    if isinstance(grid, ZonalColumn):
+        return RadialGraph._unchecked(grid.sphere, np.repeat(graph.phi, grid.n_lon, axis=1))
+    return graph
+
+
 def sphere_graph(grid, r0):
     """The round sphere of radius r0 as a graph."""
     if not r0 > 0:
@@ -454,6 +468,11 @@ def _d2(P, h):
     far += np.subtract(P[4:], C, out=other)
     near -= np.multiply(far, 1.0 / (12.0 * h * h), out=far)
     return near
+
+
+# h^2 times the spectral radius of _d2's stencil: its symbol
+# (30 - 32 cos(xi) + 2 cos(2 xi)) / 12 peaks at xi = pi, the Nyquist mode.
+D2_RADIUS = 16.0 / 3.0
 
 
 def covariant_derivatives(graph):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .flow_engine import COLUMNS, DiagnosticsSeries, FlowState, StepControl, initial_state
 from .speed_profile import G_KINDS, SpeedProfile, TabulatedG, validate_for_regime
-from .sphere_geometry import GRID_KINDS, RadialGraph, ZonalColumn, sphere_graph
+from .sphere_geometry import GRID_KINDS, RadialGraph, expand_zonal, sphere_graph
 
 _REQUIRED = object()
 
@@ -173,15 +173,15 @@ def _parse_profile(data, errors):
     if cls is TabulatedG:
         path = _take(data, "profile", "g.table_path", str, errors, default=None)
         try:
-            lines = [row for row, _ in rows]
-            if (path is not None) == bool(lines):  # both, or neither
+            if (path is not None) == bool(rows):  # both, or neither
                 raise ValueError("a tabulated g's rows are in g.table_path's file or in [table], one of the two")
             if path is not None:
                 with open(path) as fh:
-                    lines = fh.readlines()
-            g = _table(lines)
+                    rows = [(line, lineno) for lineno, line in enumerate(fh, start=1)]
+            g = _table(rows)
         except (OSError, ValueError) as exc:
-            errors.append(f"[profile] g.table_path: {exc}" if path is not None else f"[table] {exc}")
+            at = f"line {exc.lineno}: " if isinstance(exc, _RowError) else ""  # of the file, or of the text
+            errors.append(f"[profile] g.table_path: {at}{exc}" if path is not None else f"{at}[table] {exc}")
         rows = []
     elif cls is not None:
         params = {f.name: _take(data, "profile", f"g.{f.name}", float, errors) for f in dataclasses.fields(cls)}
@@ -206,18 +206,29 @@ def _parse_profile(data, errors):
         return None
 
 
-def _table(lines):
-    """The TabulatedG of 'r,value,derivative' lines; comments and blank lines are skipped."""
-    rows = []
-    for line in filter(None, map(_content, lines)):
+class _RowError(ValueError):
+    """A bad row, at its line number ``lineno``."""
+
+    def __init__(self, message, lineno):
+        super().__init__(message)
+        self.lineno = lineno
+
+
+def _table(rows):
+    """The TabulatedG of (line, line number) 'r,value,derivative' rows;
+    comments and blank lines are skipped, and a bad row raises _RowError."""
+    table = []
+    for raw, lineno in rows:
+        if not (line := _content(raw)):
+            continue
         try:
             r, value, derivative = map(float, line.split(","))
         except ValueError:
-            raise ValueError(f"bad table row {line!r} (want 'r,value,derivative')") from None
-        rows.append((r, value, derivative))
-    if len(rows) < 2:
+            raise _RowError(f"bad table row {line!r} (want 'r,value,derivative')", lineno) from None
+        table.append((r, value, derivative))
+    if len(table) < 2:
         raise ValueError("table needs at least 2 rows")
-    return TabulatedG(*zip(*rows))
+    return TabulatedG(*zip(*table))
 
 
 def _profile_lines(profile):
@@ -290,9 +301,9 @@ def _parse_graph(data, errors):
 
 
 def _graph_lines(graph):
-    grid = graph.grid.sphere if isinstance(graph.grid, ZonalColumn) else graph.grid  # every column alike
-    values = np.broadcast_to(graph.phi, grid.shape).ravel().tolist()
-    return [*_grid_lines(grid), "[graph]", *(",".join(map(_fmt, (*node, v))) for node, v in zip(grid.nodes, values))]
+    graph = expand_zonal(graph)
+    nodes, values = graph.grid.nodes, graph.phi.ravel().tolist()
+    return [*_grid_lines(graph.grid), "[graph]", *(",".join(map(_fmt, (*node, v))) for node, v in zip(nodes, values))]
 
 
 def _nonnegative(value):
@@ -356,15 +367,16 @@ def load_series(path):
     """The DiagnosticsSeries saved by ``save_series``; a ValueError on a bad
     header or row, or on a record the series refuses (a NaN tau or osc)."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != _SERIES_HEADER:
+        lines = [(ln, lineno) for lineno, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][0] != _SERIES_HEADER:
         raise ValueError("bad diagnostics CSV header")
     series = DiagnosticsSeries()
-    for ln in lines[1:]:
-        vals = [float(tok) for tok in ln.split(",")]
-        if len(vals) != len(COLUMNS):
-            raise ValueError(f"bad diagnostics CSV row: {ln!r}")
-        series.append(**dict(zip(COLUMNS, vals)))
+    for ln, lineno in lines[1:]:
+        try:  # a token that is not a number, or too few or too many
+            row = dict(zip(COLUMNS, map(float, ln.split(",")), strict=True))
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad diagnostics CSV row: {ln!r}") from None
+        series.append(**row)
     return series
 
 

@@ -567,14 +567,14 @@ def sphere_barriers(profile, series):
 # the round-measure mean (AC-14's invariant)
 
 
-def fejer_weights(n_lat):
-    """Fejer's first-rule weights at the cell-centred latitudes
-    theta_i = (i + 1/2) pi / n_lat, the rule's nodes in x = cos(theta):
-    sum_i w_i f(cos theta_i) integrates f over [-1, 1], spectrally for smooth f,
-    where the midpoint rule against sin(theta) is second order."""
-    theta = (np.arange(n_lat) + 0.5) * (math.pi / n_lat)
+def fejer_weights(grid):
+    """Fejer's first-rule weights at an n = 2 grid's cell-centred latitudes
+    ``grid.theta``, the rule's nodes in x = cos(theta): sum_i w_i f(cos theta_i)
+    integrates f over [-1, 1], spectrally for smooth f, where the midpoint
+    rule against sin(theta) is second order."""
+    n_lat = grid.n_lat
     j = np.arange(1, n_lat // 2 + 1)
-    terms = np.cos(2.0 * np.outer(theta, j)) / (4.0 * j * j - 1.0)
+    terms = np.cos(2.0 * np.outer(grid.theta, j)) / (4.0 * j * j - 1.0)
     return (2.0 / n_lat) * (1.0 - 2.0 * terms.sum(axis=1))
 
 
@@ -584,7 +584,7 @@ def round_mean(graph):
     latitude's longitude mean, on a full grid or a zonal column alike."""
     if graph.grid.n == 1:
         return float(graph.phi.mean())
-    return 0.5 * float(fejer_weights(graph.grid.n_lat) @ graph.phi.mean(axis=1))
+    return 0.5 * float(fejer_weights(graph.grid) @ graph.phi.mean(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -519,7 +519,7 @@ AC14_CASES = {
 def test_fejer_weights_integrate_polynomials_in_cos_theta_exactly():
     for n_lat in (16, 17, 32):
         x = np.cos((np.arange(n_lat) + 0.5) * (math.pi / n_lat))
-        w = fejer_weights(n_lat)
+        w = fejer_weights(SphericalGrid.sphere(n_lat, 32))
         for m in range(n_lat):
             assert abs(w @ x**m - (2.0 / (m + 1) if m % 2 == 0 else 0.0)) <= 1e-14, (n_lat, m)
     # on the round S^2, the mean of cos^2(theta) is 1/3, on a full grid and on a column alike

@@ -91,9 +91,10 @@ def test_a_hash_starts_a_comment_only_at_a_line_start_or_after_whitespace(tmp_pa
     table = tmp_path / "table.csv"
     table.write_text("# r,value,derivative\n0,0,0 # origin\n\n0.5,1,2#x\n")
     text = BASIC.replace("g.kind = zero", f"g.kind = tabulated\ng.table_path = {table}")
-    assert errors_of(text) == ["[profile] g.table_path: bad table row '0.5,1,2#x' (want 'r,value,derivative')"]
+    # a bad row names its line: in the table file, or in the text
+    assert errors_of(text) == ["[profile] g.table_path: line 4: bad table row '0.5,1,2#x' (want 'r,value,derivative')"]
     assert errors_of(BASIC.replace("g.kind = zero", "g.kind = tabulated\n[table]\n0,0,0\n0.5,1,2#x")) == [
-        "[table] bad table row '0.5,1,2#x' (want 'r,value,derivative')"
+        "line 9: [table] bad table row '0.5,1,2#x' (want 'r,value,derivative')"
     ]
 
 

@@ -117,6 +117,11 @@ def test_series_csv_rejects_malformed(tmp_path):
     path.write_text(good_header + "\n1.0,2.0\n")
     with pytest.raises(ValueError, match="row"):
         load_series(path)
+    # a token that is not a number names its row and line, past a blank line
+    bad_row = ",".join("x" if name == "osc" else "0" for name in COLUMNS)
+    path.write_text(f"{good_header}\n\n{bad_row}\n")
+    with pytest.raises(ValueError, match=f"^line 3: bad diagnostics CSV row: '{bad_row}'$"):
+        load_series(path)
     nan_row = ",".join(["nan"] * len(COLUMNS))
     path.write_text(f"{good_header}\n{nan_row}\n{nan_row}\n")
     with pytest.raises(ValueError, match="tau must be finite"):

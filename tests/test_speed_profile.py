@@ -148,7 +148,8 @@ def test_table_rows_roundtrip_bitwise():
     lines = textform._profile_lines(profile_k1(6.0, table))
     rows = lines[lines.index("[table]") + 1 :]
     assert rows[1] == "0.5,0.03125,0.3125"
-    assert textform._table(["# r,value,derivative", "", *rows, "  # the end"]) == table
+    lines = ["# r,value,derivative", "", *rows, "  # the end"]
+    assert textform._table(zip(lines, range(1, len(lines) + 1))) == table
 
 
 # ---------------------------------------------------------------------------

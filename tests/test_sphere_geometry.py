@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from anisoflow.sphere_geometry import (
+    D2_RADIUS,
     GRID_KINDS,
     CircleGrid,
     RadialGraph,
@@ -18,6 +19,8 @@ from anisoflow.sphere_geometry import (
     _d2,
     covariant_derivatives,
     embedding_oracle,
+    expand_zonal,
+    reduce_zonal,
     sphere_graph,
     weingarten,
 )
@@ -448,6 +451,31 @@ def test_inv_spacing_sq_is_the_formula_cached_and_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 0
+
+
+def test_d2_radius_is_the_stencils_nyquist_eigenvalue_and_scales_each_kinds_spacings():
+    # _d2 maps the Nyquist mode (-1)^j, where its symbol peaks, to -D2_RADIUS / h^2 times itself
+    circle = SphericalGrid.circle(64)
+    mode = (-1.0) ** np.arange(64)
+    assert_allclose(_d2(mode.take(circle.pad_index), circle.h_theta), (-D2_RADIUS / circle.h_theta**2) * mode, rtol=1e-12, atol=0)
+    # with D = 1, principal_radius is D2_RADIUS times the largest inverse squared
+    # spacings summed over the directions a kind's stencils run
+    sphere = SphericalGrid.sphere(32, 64)
+    pole_row = (1.0 / sphere.h_theta**2 + 1.0 / (sphere.h_phi**2 * np.sin(sphere.theta) ** 2))[0]
+    for grid, inv_h2 in ((circle, 1.0 / circle.h_theta**2), (sphere.zonal_column, 1.0 / sphere.h_theta**2), (sphere, pole_row)):
+        assert grid.principal_radius(np.ones(grid.shape)) == pytest.approx(D2_RADIUS * inv_h2, rel=1e-14), grid
+
+
+def test_expand_zonal_inverts_reduce_zonal_bit_for_bit():
+    zonal = sphere2_graph(16, 32, lambda t, p: np.log(1.0 + 0.2 * np.cos(2.0 * t)) + 0.0 * p)
+    column = reduce_zonal(zonal)
+    assert column.grid == zonal.grid.zonal_column
+    full = expand_zonal(column)
+    assert full.grid == zonal.grid and full.phi.tobytes() == zonal.phi.tobytes()
+    curve = circle_graph(32, lambda t: 0.1 * np.cos(3.0 * t))
+    nonzonal = sphere2_graph(16, 32, lambda t, p: 0.1 * np.sin(t) ** 2 * np.cos(p))
+    for graph in (curve, nonzonal, zonal):
+        assert expand_zonal(graph) is graph
 
 
 def test_sphere_partials_are_c_ordered():
