@@ -2,9 +2,12 @@
 
 A text is INI-like: ``[section]`` headers, ``key = value`` pairs, ``#``
 comments (from a ``#`` at a line's start or after whitespace, so ``out#1.csv``
-is a path); unknown sections and keys are errors.  A row section holds
+is a path); an unknown section is an error.  A row section holds
 comma-separated rows instead.  Each section is read (and, outside a config,
-written) from the fields of what it builds, so every key is named once.
+written) from the fields of what it builds, so every key is named once, by the
+reader that takes it.  The reader of a one-kind section ([profile]: one g kind,
+[grid]: one dimension, [initial]: one initial kind) reports each key its kind
+does not take; any other key that no reader took is reported as unknown.
 
 * a config, read only: [profile], [grid], [initial], [control], [output];
 * a graph file: [grid], then one 'theta[,phi],value' [graph] row per node;
@@ -30,8 +33,6 @@ from .speed_profile import G_KINDS, SpeedProfile, TabulatedG, validate_for_regim
 from .sphere_geometry import GRID_KINDS, RadialGraph, expand_zonal, sphere_graph
 
 _REQUIRED = object()
-
-_ROWS = None  # a row section's entry in the sections a text is read with
 
 
 class ConfigError(ValueError):
@@ -59,17 +60,10 @@ def _series_m(f, key):
     return int(m) if series and m.isascii() and m.isdigit() and m[0] != "0" else None
 
 
-def _keys_of(fields, *extra):
-    """The test a section's keys pass: a field's name, a series field's
-    term key, or one of extra."""
-    names = {f.name for f in fields if f.type is not tuple} | set(extra)
-    return lambda key: key in names or any(_series_m(f, key) for f in fields)
-
-
 def _tokenize(text, sections, errors):
     """-> {section: {key: (raw_value, line_no)}}, or [(row, line_no)] for a
-    row section; sections maps each name to its keys' test, or to _ROWS."""
-    data = {name: {} if known is not _ROWS else [] for name, known in sections.items()}
+    row section; sections maps each name to what it holds, dict or list."""
+    data = {name: holds() for name, holds in sections.items()}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _content(raw)
@@ -81,7 +75,7 @@ def _tokenize(text, sections, errors):
             if section is None:
                 errors.append(f"line {lineno}: unknown section [{name}]")
             continue
-        if section is not None and sections[section] is _ROWS:
+        if section is not None and sections[section] is list:
             data[section].append((line, lineno))
             continue
         if "=" not in line:
@@ -90,9 +84,6 @@ def _tokenize(text, sections, errors):
         key, value = (part.strip() for part in line.split("=", 1))
         if section is None:
             errors.append(f"line {lineno}: key {key!r} outside any section")
-            continue
-        if not sections[section](key):
-            errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
             continue
         if key in data[section]:
             errors.append(f"line {lineno}: duplicate key {key!r} in [{section}]")
@@ -103,9 +94,14 @@ def _tokenize(text, sections, errors):
 
 def _parse_text(text, sections, parse):
     """parse(data, errors) of the text's sections, or ConfigError listing
-    every problem the tokenizer and parse found."""
+    every problem the tokenizer and parse found and each key no reader took."""
     errors = []
-    value = parse(_tokenize(text, sections, errors), errors)
+    data = _tokenize(text, sections, errors)
+    value = parse(data, errors)
+    untaken = (
+        (lineno, name, key) for name, keys in data.items() if isinstance(keys, dict) for key, (_, lineno) in keys.items()
+    )
+    errors += [f"line {lineno}: unknown key {key!r} in [{name}]" for lineno, name, key in sorted(untaken)]
     if errors:
         raise ConfigError(errors)
     return value
@@ -141,6 +137,26 @@ def _take_fields(data, section, fields, errors):
     return values
 
 
+def _reject_rest(data, section, kind, errors):
+    """Reports each key left in a one-kind section, one its kind did not
+    take, and drops it."""
+    for key, (_, lineno) in sorted(data[section].items()):
+        errors.append(f"line {lineno}: [{section}] {key}: not valid for {kind}")
+    data[section].clear()
+
+
+def _build(where, errors, cls, *args, **kwargs):
+    """cls(*args, **kwargs) once no argument is None (a value missing or bad),
+    else None; a ValueError it raises is reported under where."""
+    if any(value is None for value in (*args, *kwargs.values())):
+        return None
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        errors.append(f"{where} {exc}")
+        return None
+
+
 def _field_lines(obj, fields):
     """The lines _take_fields reads back into obj's fields, each a float or an
     int: a checkpoint's [profile] scalars and [state].  An int is written in
@@ -154,12 +170,6 @@ def _field_lines(obj, fields):
 
 # the fields [profile] reads and writes besides g's
 _PROFILE_FIELDS = tuple(f for f in dataclasses.fields(SpeedProfile) if f.init and f.name != "g")
-
-# g.<field> for every field of every g kind given by parameters (a table kind has g.table_path)
-_G_PARAMS = {f"g.{f.name}" for cls in G_KINDS.values() if cls is not TabulatedG for f in dataclasses.fields(cls)}
-
-_PROFILE_KEYS = _keys_of(_PROFILE_FIELDS, "g.kind", "g.table_path", *_G_PARAMS)
-_GRID_KEYS = _keys_of((), "n", *(key for cls in GRID_KINDS.values() for key in cls.KEYS))
 
 
 def _parse_profile(data, errors):
@@ -185,25 +195,13 @@ def _parse_profile(data, errors):
         rows = []
     elif cls is not None:
         params = {f.name: _take(data, "profile", f"g.{f.name}", float, errors) for f in dataclasses.fields(cls)}
-        if None not in params.values():
-            try:
-                g = cls(**params)
-            except ValueError as exc:
-                errors.append(f"[profile] g: {exc}")
+        g = _build("[profile] g:", errors, cls, **params)
     elif kind is not None:
         errors.append(f"[profile] g.kind: unknown kind {kind!r}")
-    for leftover in sorted(data["profile"]):
-        _, lineno = data["profile"][leftover]
-        errors.append(f"line {lineno}: [profile] {leftover}: not valid for g.kind={kind}")
+    _reject_rest(data, "profile", f"g.kind={kind}", errors)
     for _, lineno in rows[:1]:
         errors.append(f"line {lineno}: [table] rows: not valid for g.kind={kind}")
-    if None in scalars.values() or g is None:
-        return None
-    try:
-        return SpeedProfile(**scalars, g=g)
-    except ValueError as exc:
-        errors.append(f"[profile] {exc}")
-        return None
+    return _build("[profile]", errors, SpeedProfile, **scalars, g=g)
 
 
 class _RowError(ValueError):
@@ -242,23 +240,18 @@ def _profile_lines(profile):
 
 def _parse_grid(data, n, errors):
     """The [grid] section's grid of dimension n.  Its own n key, if given,
-    must be n; with n None (a config whose [profile] failed) it decides."""
+    must be n; with n None (a config whose [profile] failed) it decides.
+    If nothing decides it, the section's other keys are dropped unread."""
     n_grid = _take(data, "grid", "n", int, errors, default=n)
     if None not in (n, n_grid) and n_grid != n:
         errors.append(f"[grid] n: {n_grid} does not match [profile] n = {n}")
     cls = GRID_KINDS.get(n if n is not None else n_grid)
     if cls is None:
+        data["grid"].clear()
         return None
     sizes = [_take(data, "grid", key, int, errors) for key in cls.KEYS]
-    for key, (_, lineno) in sorted(data["grid"].items()):  # another kind's keys
-        errors.append(f"line {lineno}: [grid] {key}: not valid for n={cls.n} (use {'/'.join(cls.KEYS)})")
-    if None in sizes:
-        return None
-    try:
-        return cls(*sizes)
-    except ValueError as exc:
-        errors.append(f"[grid] {exc}")
-        return None
+    _reject_rest(data, "grid", f"n={cls.n} (use {'/'.join(cls.KEYS)})", errors)
+    return _build("[grid]", errors, cls, *sizes)
 
 
 def _grid_lines(grid):
@@ -268,9 +261,9 @@ def _grid_lines(grid):
 # ---------------------------------------------------------------------------
 # graph files, checkpoints and record CSVs
 
-_GRAPH_SECTIONS = {"grid": _GRID_KEYS, "graph": _ROWS}
+_GRAPH_SECTIONS = {"grid": dict, "graph": list}
 _STATE_FIELDS = tuple(f for f in dataclasses.fields(FlowState) if f.name in ("tau", "step_count", "last_dt"))
-_CHECKPOINT_SECTIONS = {"profile": _PROFILE_KEYS, "table": _ROWS, "state": _keys_of(_STATE_FIELDS), **_GRAPH_SECTIONS}
+_CHECKPOINT_SECTIONS = {"profile": dict, "table": list, "state": dict, **_GRAPH_SECTIONS}
 
 
 def _parse_graph(data, errors):
@@ -365,7 +358,8 @@ def save_series(series, path):
 
 def load_series(path):
     """The DiagnosticsSeries saved by ``save_series``; a ValueError on a bad
-    header or row, or on a record the series refuses (a NaN tau or osc)."""
+    header or row, or on a record the series refuses (a NaN tau or osc),
+    each but the header naming its line."""
     with open(path) as fh:
         lines = [(ln, lineno) for lineno, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][0] != _SERIES_HEADER:
@@ -376,7 +370,10 @@ def load_series(path):
             row = dict(zip(COLUMNS, map(float, ln.split(",")), strict=True))
         except ValueError:
             raise ValueError(f"line {lineno}: bad diagnostics CSV row: {ln!r}") from None
-        series.append(**row)
+        try:
+            series.append(**row)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return series
 
 
@@ -467,14 +464,7 @@ class RunConfig:
 _CONTROL_FIELDS = dataclasses.fields(StepControl)
 _OUTPUT_FIELDS = tuple(f for f in dataclasses.fields(RunConfig) if f.name.endswith("_path"))
 
-_CONFIG_SECTIONS = {
-    "profile": _PROFILE_KEYS,
-    "table": _ROWS,
-    "grid": _GRID_KEYS,
-    "initial": _keys_of([f for cls in INITIAL_KINDS.values() for f in dataclasses.fields(cls)], "kind"),
-    "control": _keys_of(_CONTROL_FIELDS, "override"),
-    "output": _keys_of(_OUTPUT_FIELDS),
-}
+_CONFIG_SECTIONS = {"profile": dict, "table": list, "grid": dict, "initial": dict, "control": dict, "output": dict}
 
 
 def _parse_initial(data, errors):
@@ -482,29 +472,16 @@ def _parse_initial(data, errors):
     cls = INITIAL_KINDS.get(kind)
     initial = None
     if cls is not None:
-        values = _take_fields(data, "initial", dataclasses.fields(cls), errors)
-        if None not in values.values():
-            try:
-                initial = cls(**values)
-            except ValueError as exc:
-                errors.append(f"[initial] {exc}")
+        initial = _build("[initial]", errors, cls, **_take_fields(data, "initial", dataclasses.fields(cls), errors))
     elif kind is not None:
         errors.append(f"[initial] kind: unknown kind {kind!r} ({'|'.join(INITIAL_KINDS)})")
-    for leftover in sorted(data["initial"]):
-        _, lineno = data["initial"][leftover]
-        errors.append(f"line {lineno}: [initial] {leftover}: not valid for kind={kind}")
+    _reject_rest(data, "initial", f"kind={kind}", errors)
     return initial
 
 
 def _parse_config(data, errors):
     override = _take(data, "control", "override", {"true": True, "false": False}.__getitem__, errors, default=False)
-    controls = _take_fields(data, "control", _CONTROL_FIELDS, errors)
-    control = None
-    if None not in controls.values():
-        try:
-            control = StepControl(**controls)
-        except ValueError as exc:
-            errors.append(f"[control] {exc}")
+    control = _build("[control]", errors, StepControl, **_take_fields(data, "control", _CONTROL_FIELDS, errors))
 
     profile = _parse_profile(data, errors)
     grid = _parse_grid(data, None if profile is None else profile.n, errors)

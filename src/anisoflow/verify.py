@@ -52,7 +52,6 @@ ODE_DT = 1e-3  # the largest RK4 step of the sphere ODE in sphere_ode_at, by def
 class SuiteResult:
     name: str
     ok: bool
-    worst: float
     details: str
 
 
@@ -133,7 +132,7 @@ def identity_suite():
     details = f"{total} cone samples; worst residual {worst:.3e}"
     if not ok:
         details += f" ({worst_what})"
-    return SuiteResult("symfunc", ok, worst, details)
+    return SuiteResult("symfunc", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +255,7 @@ def oracle_suite():
     kappa = weingarten(ellipse_graph(grid, 2.0, 1.0)).kappa[:, 0]
     err = float(np.abs(kappa - ellipse_exact_curvature(grid, 2.0, 1.0)).max())
     ok = worst_slope >= 1.8 and err <= 5e-3
-    return SuiteResult(
-        "oracle",
-        ok,
-        worst_slope,
-        f"worst slope {worst_slope:.2f}; ellipse max err {err:.2e}; " + "; ".join(details),
-    )
+    return SuiteResult("oracle", ok, f"worst slope {worst_slope:.2f}; ellipse max err {err:.2e}; " + "; ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ def profile_suite():
             bad.append(f"{label}: condition={report.condition!r}, expected {expected_condition!r}")
     ok = not bad
     details = f"{len(rows)} profiles checked" + ("" if ok else "; " + "; ".join(bad))
-    return SuiteResult("profiles", ok, 0.0 if ok else 1.0, details)
+    return SuiteResult("profiles", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +503,7 @@ def sphere_ode_suite():
     notes.append(f"sandwich worst {sandwich_worst:.2e}")
     ok = ok and sandwich_worst <= 1e-7
 
-    worst_all = max(worst, rk_worst, lim_worst, sandwich_worst)
-    return SuiteResult("sphere-ode", ok, worst_all, "; ".join(notes))
+    return SuiteResult("sphere-ode", ok, "; ".join(notes))
 
 
 def sphere_radius(state):

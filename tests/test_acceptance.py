@@ -42,7 +42,7 @@ from anisoflow.verify import (
     fit_exponential,
     identity_suite,
     oracle_convergence,
-    profile_matrix,
+    profile_suite,
     round_mean,
     sphere_barriers,
 )
@@ -275,20 +275,9 @@ def test_ac6_symmetric_function_identities():
 
 
 def test_ac7_validator_matrix():
-    rows = profile_matrix()
-    assert len(rows) == 8
-    bad = []
-    for label, report, expected_ok, expected_condition in rows:
-        if report.ok != expected_ok:
-            bad.append(f"{label}: ok={report.ok}, wanted {expected_ok}")
-        elif not expected_ok and report.condition != expected_condition:
-            bad.append(f"{label}: condition={report.condition!r}, wanted {expected_condition!r}")
-    ok = not bad
-    line = _report(
-        "AC-7 speed-profile validator matrix", ok,
-        "8/8 verdicts as expected" if ok else "; ".join(bad),
-    )
-    assert ok, line
+    result = profile_suite()
+    line = _report("AC-7 speed-profile validator matrix", result.ok, result.details)
+    assert result.ok and result.details == "8 profiles checked", line
 
 
 # ---------------------------------------------------------------------------

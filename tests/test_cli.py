@@ -121,7 +121,7 @@ def test_unknown_section_key_and_duplicate_report_line_numbers():
 
     text = BASIC.replace("N = 64", "N = 64\nspacing = 3")
     errs = errors_of(text)
-    assert any("unknown key 'spacing'" in e and "line 10" in e for e in errs)
+    assert "line 10: [grid] spacing: not valid for n=1 (use N)" in errs
 
     text = BASIC + "\n[output]\ncsv_path = x.csv\nplot_path = x.svg\n"
     assert errors_of(text) == ["line 20: unknown key 'plot_path' in [output]"]
@@ -129,6 +129,31 @@ def test_unknown_section_key_and_duplicate_report_line_numbers():
     text = BASIC.replace("t_end = 0.5", "t_end = 0.5\nt_end = 0.7")
     errs = errors_of(text)
     assert any("duplicate key 't_end'" in e for e in errs)
+
+
+@pytest.mark.parametrize("key", ["cos_0", "cos_02", "sin_x", "r0"])
+def test_a_key_the_initial_kind_does_not_take_is_an_error_at_its_line(key):
+    # not series terms (m = 0, a leading zero, not digits), or another kind's field
+    text = BASIC.replace("kind = sphere\nr0 = 1.0", f"kind = fourier\ncos_2 = 0.1\n{key} = 0.1")
+    assert errors_of(text) == [f"line 14: [initial] {key}: not valid for kind=fourier"]
+
+
+def test_a_key_the_g_kind_does_not_take_is_an_error_at_its_line():
+    text = BASIC.replace("beta = 2\ng.kind = zero", "beta = 3\ng.kind = expflat\ng.p = 1\ng.l = 2")
+    assert errors_of(text) == ["line 8: [profile] g.l: not valid for g.kind=expflat"]
+
+
+def test_a_checkpoint_state_key_that_matches_no_field_is_an_error_at_its_line(tmp_path):
+    state = initial_state(SpeedProfile(1, 1, 1.0, 2.0, ZeroG()), sphere_graph(SphericalGrid.circle(16), 1.0))
+    path = tmp_path / "state.chk"
+    save_checkpoint(state, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("[state]") + 1
+    lines.insert(at, "steps = 3")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(path)
+    assert exc.value.errors == [f"line {at + 1}: unknown key 'steps' in [state]"]
 
 
 def test_multiple_errors_collected():

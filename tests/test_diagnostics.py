@@ -126,6 +126,11 @@ def test_series_csv_rejects_malformed(tmp_path):
     path.write_text(f"{good_header}\n{nan_row}\n{nan_row}\n")
     with pytest.raises(ValueError, match="tau must be finite"):
         load_series(path)
+    # a record the series refuses names its line too
+    zero_row = ",".join(["0"] * len(COLUMNS))
+    path.write_text(f"{good_header}\n{zero_row}\n{nan_row}\n")
+    with pytest.raises(ValueError, match="^line 3: tau must be finite and strictly increasing, got nan after 0.0$"):
+        load_series(path)
     path.write_text(good_header + "\n" + ",".join("nan" if name == "osc" else "0" for name in COLUMNS) + "\n")
     with pytest.raises(ValueError, match="oscillation"):
         load_series(path)
