@@ -52,4 +52,4 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "final.graph")
     save_graph(result.state.graph, path)
     saved = load_graph(path)
-print(f"saved graph, exactly zonal : {saved.grid.describe()}, {is_zonal(saved)}")
+print(f"saved graph, exactly zonal : {saved.grid}, {is_zonal(saved)}")

@@ -25,7 +25,7 @@ commute exactly), so every value keeps its bits.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -46,14 +46,6 @@ def _read_only(a):
 # grids: one class per kind, each owning its discretization
 
 
-def _set_size(grid, name):
-    """Store a grid size as an int; ValueError unless it is an integer (numpy's too)."""
-    value = getattr(grid, name)
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"grid sizes must be integers, got {value!r}")
-    object.__setattr__(grid, name, int(value))
-
-
 class SphericalGrid:
     """Structured grid on S^n.  Build with ``circle`` or ``sphere``.
 
@@ -65,11 +57,10 @@ class SphericalGrid:
     * ``principal_radius(D)``: the spectral radius of the linearized principal
       part D * Laplacian as its stencils discretize it, D2_RADIUS times the
       largest D times the inverse squared spacings summed over the directions
-      its stencils run (the dt bound's denominator);
-    * ``KEYS``: its sizes' (``shape``'s, the constructor's arguments) names
-      in the [grid] section of every text (``textform``) and in ``describe``.
+      its stencils run (the dt bound's denominator).
 
-    The default here: stencils in theta alone, spacing h_theta.
+    Its fields are its [grid] keys in every text (``textform``), and its repr
+    names it.  The default here: stencils in theta alone, spacing h_theta.
     """
 
     def __init__(self, *args, **kwargs):
@@ -83,8 +74,13 @@ class SphericalGrid:
     def sphere(n_lat, n_lon):
         return SphereGrid(n_lat, n_lon)
 
-    def describe(self):
-        return " ".join((f"n={self.n}", *(f"{key}={size}" for key, size in zip(self.KEYS, self.shape))))
+    def __post_init__(self):
+        """Store every size as an int; ValueError unless it is an integer (numpy's too)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"grid sizes must be integers, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
 
     def principal_radius(self, D):
         return D2_RADIUS * (D.max() / self.h_theta**2)
@@ -94,26 +90,25 @@ class SphericalGrid:
 class CircleGrid(SphericalGrid):
     """n = 1: N equispaced nodes theta_j = 2*pi*j/N on the circle (periodic)."""
 
-    n_lat: int
+    N: int
     n = 1
-    KEYS = ("N",)
 
     def __post_init__(self):
-        _set_size(self, "n_lat")
-        if self.n_lat < 16:
-            raise ValueError(f"need at least 16 nodes, got {self.n_lat}")
+        super().__post_init__()
+        if self.N < 16:
+            raise ValueError(f"need at least 16 nodes, got {self.N}")
 
     @property
     def shape(self):
-        return (self.n_lat,)
+        return (self.N,)
 
     @property
     def h_theta(self):
-        return TWO_PI / self.n_lat
+        return TWO_PI / self.N
 
     @property
     def theta(self):
-        return np.arange(self.n_lat) * (TWO_PI / self.n_lat)
+        return np.arange(self.N) * (TWO_PI / self.N)
 
     @property
     def nodes(self):
@@ -124,7 +119,7 @@ class CircleGrid(SphericalGrid):
     def pad_index(self):
         """Indices into an (N,) field giving its (N + 4,) periodic padding:
         two wrapped ghost entries past each end."""
-        return _read_only(np.arange(-2, self.n_lat + 2) % self.n_lat)
+        return _read_only(np.arange(-2, self.N + 2) % self.N)
 
     def partials(self, F):
         """(F', F'') by the periodic stencils."""
@@ -155,7 +150,6 @@ class _LatitudeGrid(SphericalGrid):
     tables and the pole padding."""
 
     n = 2
-    KEYS = ("n_lat", "n_lon")
 
     @property
     def shape(self):
@@ -214,8 +208,7 @@ class SphereGrid(_LatitudeGrid):
     n_lon: int
 
     def __post_init__(self):
-        _set_size(self, "n_lat")
-        _set_size(self, "n_lon")
+        super().__post_init__()
         if self.n_lat < 16 or self.n_lon < 16:
             raise ValueError(f"need at least 16 nodes per direction, got {self.n_lat}x{self.n_lon}")
         if self.n_lon % 2:
@@ -339,9 +332,6 @@ class ZonalColumn(_LatitudeGrid):
     def sphere(self):
         """The sphere grid the column stands for."""
         return SphereGrid(self.n_lat, self.n_lon)
-
-    def describe(self):
-        return f"zonal column of {self.sphere.describe()}"
 
     def derivatives(self, phi):
         """(phi_t, H_tt, H_pp): the derivatives a zonal field does not zero."""

@@ -159,8 +159,9 @@ def _build(where, errors, cls, *args, **kwargs):
 
 def _field_lines(obj, fields):
     """The lines _take_fields reads back into obj's fields, each a float or an
-    int: a checkpoint's [profile] scalars and [state].  An int is written in
-    plain digits, since _fmt(10**17) is '1e+17', which int() rejects."""
+    int: a checkpoint's [profile] scalars and [state], and a grid's sizes.  An
+    int is written in plain digits, since _fmt(10**17) is '1e+17', which int()
+    rejects."""
     values = ((f, getattr(obj, f.name)) for f in fields)
     return [f"{f.name} = {_fmt(value) if f.type is float else value}" for f, value in values]
 
@@ -197,7 +198,7 @@ def _parse_profile(data, errors):
         params = {f.name: _take(data, "profile", f"g.{f.name}", float, errors) for f in dataclasses.fields(cls)}
         g = _build("[profile] g:", errors, cls, **params)
     elif kind is not None:
-        errors.append(f"[profile] g.kind: unknown kind {kind!r}")
+        errors.append(f"[profile] g.kind: unknown kind {kind!r} ({'|'.join(G_KINDS)})")
     _reject_rest(data, "profile", f"g.kind={kind}", errors)
     for _, lineno in rows[:1]:
         errors.append(f"line {lineno}: [table] rows: not valid for g.kind={kind}")
@@ -249,13 +250,14 @@ def _parse_grid(data, n, errors):
     if cls is None:
         data["grid"].clear()
         return None
-    sizes = [_take(data, "grid", key, int, errors) for key in cls.KEYS]
-    _reject_rest(data, "grid", f"n={cls.n} (use {'/'.join(cls.KEYS)})", errors)
-    return _build("[grid]", errors, cls, *sizes)
+    fields = dataclasses.fields(cls)
+    sizes = _take_fields(data, "grid", fields, errors)
+    _reject_rest(data, "grid", f"n={cls.n} (use {'/'.join(f.name for f in fields)})", errors)
+    return _build("[grid]", errors, cls, **sizes)
 
 
 def _grid_lines(grid):
-    return ["[grid]", f"n = {grid.n}", *(f"{key} = {size}" for key, size in zip(grid.KEYS, grid.shape))]
+    return ["[grid]", f"n = {grid.n}", *_field_lines(grid, dataclasses.fields(grid))]
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +287,11 @@ def _parse_graph(data, errors):
         if coords != list(node):
             errors.append(f"line {lineno}: [graph] bad row {row!r}: want '{','.join(map(_fmt, node))},<phi>'")
             return None
+        if not np.isfinite(value):
+            errors.append(f"line {lineno}: [graph] phi must be finite, got {value!r}")
+            return None
         phi.append(value)
-    try:
-        return RadialGraph(grid, np.reshape(phi, grid.shape))
-    except ValueError as exc:
-        errors.append(f"[graph] {exc}")
-        return None
+    return RadialGraph(grid, np.reshape(phi, grid.shape))
 
 
 def _graph_lines(graph):
@@ -443,7 +444,7 @@ class FileInitial:
     def graph(self, grid):
         graph = load_graph(self.path)
         if graph.grid != grid:
-            raise ValueError(f"initial file grid ({graph.grid.describe()}) does not match config grid ({grid.describe()})")
+            raise ValueError(f"initial file grid {graph.grid!r} does not match config grid {grid!r}")
         return graph
 
 

@@ -15,7 +15,7 @@ from anisoflow.speed_profile import TabulatedG
 def config_text(profile, grid, initial, control, override=False, csv_path=None, checkpoint_path=None):
     """The config of these pieces: [profile] from the profile's scalars, its
     g's KIND and an analytic g's fields or a table's rows in [table], [grid]
-    from the grid's KEYS and shape, [initial] and [control] from the initial
+    from the grid's fields, [initial] and [control] from the initial
     kind's and StepControl's fields, and [output] from the paths that are not
     None.  A float is written by str(), its shortest repr, which float()
     reads back bit-exactly."""
@@ -26,7 +26,7 @@ def config_text(profile, grid, initial, control, override=False, csv_path=None, 
         lines += ["[table]", *(",".join(map(str, row)) for row in zip(g.points.tolist(), g.values.tolist(), g.derivs.tolist()))]
     else:
         lines += [f"g.{name} = {value}" for name, value in dataclasses.asdict(g).items()]
-    lines += ["[grid]", f"n = {grid.n}", *(f"{key} = {size}" for key, size in zip(grid.KEYS, grid.shape))]
+    lines += ["[grid]", f"n = {grid.n}", *(f"{key} = {size}" for key, size in dataclasses.asdict(grid).items())]
     lines += ["[initial]", f"kind = {initial.KIND}"]
     for f in dataclasses.fields(initial):
         value = getattr(initial, f.name)

@@ -11,7 +11,15 @@ import anisoflow.sphere_geometry
 import anisoflow.symfunc
 import anisoflow.textform
 from anisoflow.cli import main
-from anisoflow.flow_engine import STEP_FRACTION, AdmissibilityError, StepControl, initial_state, stable_dt_bound
+from anisoflow.flow_engine import (
+    STEP_FRACTION,
+    AdmissibilityError,
+    DegenerateMetricError,
+    StepControl,
+    initial_state,
+    run,
+    stable_dt_bound,
+)
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
@@ -183,6 +191,19 @@ def test_grid_keys_must_match_dimension():
 def test_leftover_g_parameters_rejected():
     errs = errors_of(BASIC.replace("g.kind = zero", "g.kind = zero\ng.p = 1"))
     assert any("not valid for g.kind=zero" in e for e in errs)
+
+
+@pytest.mark.parametrize(
+    "old, new, errors",
+    [
+        ("g.kind = zero", "g.kind = cubic", ["[profile] g.kind: unknown kind 'cubic' (zero|bump|expflat|monomial|tabulated)"]),
+        ("kind = sphere", "kind = cone", ["[initial] kind: unknown kind 'cone' (sphere|fourier|file)", "line 13: [initial] r0: not valid for kind=cone"]),
+        ("kind = sphere\nr0 = 1.0", "kind = fourier\nvariable = x", ["[initial] variable: must be 'r' or 'phi', got 'x'"]),
+    ],
+    ids=["g-kind", "initial-kind", "variable"],
+)
+def test_an_unknown_kind_or_variable_is_named(old, new, errors):
+    assert errors_of(BASIC.replace(old, new)) == errors
 
 
 @pytest.mark.parametrize(
@@ -603,6 +624,11 @@ def test_run_reports_a_radius_underflowing_to_zero(tmp_path, capsys, profile, gr
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("run failed: metric lost positivity") and err.endswith("(at tau=0)\n")
+    # the library's error, which carries the records so far (none) and the state
+    cfg, state = parse_config_state(text)
+    with pytest.raises(DegenerateMetricError, match="^metric lost positivity") as exc:
+        run(state, cfg.control)
+    assert exc.value.tau == 0.0 and len(exc.value.series) == 0 and exc.value.state is state
 
 
 def test_run_records_a_finite_speed_where_r_to_the_beta_overflows(tmp_path, capsys):
@@ -797,6 +823,19 @@ def test_ode_compare_honours_override(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert "max_relative_deviation=" in captured.out
+
+
+def test_ode_compare_reports_a_failed_run(tmp_path, capsys):
+    # the round sphere grows out of its tabulated g's table: the run fails
+    text = (
+        BASIC.replace("beta = 2\ng.kind = zero", "beta = 3\ng.kind = tabulated\n[table]\n0.5,0,0\n1,0.1,0.3\n3,5,9")
+        .replace("N = 64", "N = 32")
+        .replace("t_end = 0.5", "t_end = 1\noverride = true")
+    )
+    assert main(["ode-compare", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ode-compare failed: tabulated g queried outside [0.5, 3.0] (at tau=0.658468)\n"
 
 
 def test_ode_compare_requires_sphere(tmp_path, capsys):

@@ -1342,6 +1342,8 @@ def test_checkpoint_rejects_corruption(tmp_path):
     fails(text.replace("g.kind = zero\n", "", 1), r"\[profile\] g.kind: required")
     fails(text.replace("tau = 0\n", "tau = 0\ntau = 0\n", 1), "duplicate key 'tau'")
     fails(text.replace("n = 1\n", "n = 2\n", 1), r"\[grid\] n: 1 does not match \[profile\] n = 2")
+    last = lines[-1].rsplit(",", 1)[0]
+    fails("".join(lines[:-1]) + last + ",nan\n", rf"^line {len(lines)}: \[graph\] phi must be finite, got nan$")
 
     tab = initial_state(tab_profile(), wiggly_circle(N=32, amp=0.04), validate_regime=False)
     save_checkpoint(tab, path)

@@ -96,6 +96,9 @@ def test_g_parameter_validation():
         TabulatedG([1.0], [0.0], [0.0])
     with pytest.raises(ValueError, match="r >= 0"):
         TabulatedG([-1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 6.0])
+    for values, derivs in (([0.0, 1.0, 2.0], [0.0, 1.0]), ([0.0, 1.0], [[0.0, 1.0]])):
+        with pytest.raises(ValueError, match="^points, values and derivs must have equal shapes$"):
+            TabulatedG([0.0, 1.0], values, derivs)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             BumpG(epsilon=bad, p=1.0)
@@ -107,6 +110,8 @@ def test_g_parameter_validation():
             MonomialG(l=bad)
         with pytest.raises(ValueError, match="finite"):
             TabulatedG([0.0, 1.0], [0.0, bad], [0.0, 0.0])
+    with pytest.raises(TypeError, match="^unrecognized g specification: 'zero'$"):
+        SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0, g="zero")
 
 
 # one sample per kind: a kind added to G_KINDS without a sample fails below

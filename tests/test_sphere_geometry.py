@@ -47,14 +47,14 @@ def test_grid_constructors_and_spacing():
     c = SphericalGrid.circle(64)
     assert c.shape == (64,)
     assert c.h_theta == 2.0 * math.pi / 64
-    assert c.describe() == "n=1 N=64"
+    assert repr(c) == "CircleGrid(N=64)"
     assert_allclose(c.theta[1] - c.theta[0], c.h_theta)
 
     s = SphericalGrid.sphere(32, 64)
     assert s.shape == (32, 64)
     assert s.h_theta == math.pi / 32
     assert s.h_phi == 2.0 * math.pi / 64
-    assert s.describe() == "n=2 n_lat=32 n_lon=64"
+    assert repr(s) == "SphereGrid(n_lat=32, n_lon=64)"
     # cell-centered latitudes: no node on a pole, symmetric about the equator
     assert s.theta[0] == 0.5 * s.h_theta
     assert_allclose(s.theta + s.theta[::-1], math.pi)
@@ -74,6 +74,10 @@ def test_grid_validation():
         SphericalGrid.sphere(32, 64.0)
     assert SphericalGrid.circle(np.int64(16)) == SphericalGrid.circle(16)
     assert SphericalGrid.sphere(np.int32(32), np.int64(64)).shape == (32, 64)
+    # every kind stores its sizes as ints, the zonal column too
+    with pytest.raises(ValueError, match="integers"):
+        ZonalColumn(32, 64.0)
+    assert type(ZonalColumn(np.int64(32), 64).n_lat) is int
     with pytest.raises(TypeError, match="circle or SphericalGrid.sphere"):
         SphericalGrid(n=1, n_lat=64, n_lon=0)  # the kind is a class: no kindless grid
 
@@ -83,7 +87,7 @@ def test_a_grid_kind_fixes_its_dimension():
     # 2-dimensional would pass initial_state's dimension check with a k = 2
     # profile and fail later in an IndexError
     with pytest.raises(TypeError):
-        CircleGrid(n=2, n_lat=64, n_lon=0)
+        CircleGrid(n=2, N=64)
     with pytest.raises(TypeError):
         ZonalColumn(n=2, n_lat=32, n_lon=64)
     sphere = SphericalGrid.sphere(32, 64)
@@ -493,7 +497,7 @@ def test_zonal_strip_curvature_equals_full_grid_bitwise():
     column = grid.zonal_column
     assert grid.zonal_column is column
     assert column.shape == (32, 1) and column.h_theta == grid.h_theta
-    assert column != grid and column.describe() == f"zonal column of {grid.describe()}" == "zonal column of n=2 n_lat=32 n_lon=64"
+    assert column != grid and repr(column) == "ZonalColumn(n_lat=32, n_lon=64)"
     graph = sphere2_graph(32, 64, lambda t, p: np.log(1.0375 + 0.1125 * np.cos(2.0 * t)) + 0.0 * p)
     full = weingarten(graph)
     narrow = weingarten(RadialGraph(column, graph.phi[:, :1].copy()))
@@ -713,5 +717,9 @@ def test_serialization_rejects_malformed_text(tmp_path):
         fails(f"[grid]\n{grid}\n[graph]\n0,0\n", r"\[grid\] (n: bad value '3'|N: required|n_lon: required)")
     fails("n=1 N=16\n" + "\n".join(lines[4:]), "outside any section")  # the former header line
     fails("\n".join(lines[:-1]) + "\n", "15 rows for the 16 nodes")
-    for row in ("0.5," + lines[6].split(",")[1], lines[6] + ",0.0"):  # node not on the grid; wrong arity
+    # node not on the grid; wrong arity; a coordinate that is not a number
+    for row in ("0.5," + lines[6].split(",")[1], lines[6] + ",0.0", "x," + lines[6].split(",")[1]):
         fails("\n".join(lines[:6] + [row] + lines[7:]) + "\n", "line 7: \\[graph\\] bad row")
+    for value in ("nan", "-inf"):
+        row = lines[6].split(",")[0] + "," + value
+        fails("\n".join(lines[:6] + [row] + lines[7:]) + "\n", f"^line 7: \\[graph\\] phi must be finite, got {value}$")
