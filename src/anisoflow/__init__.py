@@ -25,7 +25,6 @@ from .flow_engine import (
     step,
 )
 from .speed_profile import (
-    BumpG,
     ExpFlatG,
     MonomialG,
     NonPositiveRadiusError,

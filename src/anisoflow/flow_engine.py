@@ -402,7 +402,7 @@ def diagnostics_row(state):
 
 def run(state, control):
     """Advance until t_end, sphericity_stop, or max_steps (checked in that
-    order), recording diagnostics every record_every steps plus the final state.
+    order), recording diagnostics at the start, every record_every steps and at the end.
 
     Every failure ends as a FlowError that carries its tau, the series
     recorded so far and the last state reached.  A state whose tau is not a
@@ -414,7 +414,7 @@ def run(state, control):
     last_recorded = -1
     try:
         while True:
-            if state.step_count % control.record_every == 0:
+            if state.step_count % control.record_every == 0 or not series:
                 series.append(**diagnostics_row(state))
                 last_recorded = state.step_count
             if state.tau >= control.t_end - _T_END_SLACK:

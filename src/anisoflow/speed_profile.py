@@ -3,7 +3,7 @@
 The flow speed is f(r) * sigma_k^alpha.  The normalized equation never needs g
 itself, only the rescaled term lam^beta * g(r/lam), with lam = exp(gamma*tau)
 (``lambda_of_tau``); ``eval_scaled`` evaluates it in a form that stays finite
-for arbitrarily large lam (log-space for the exponentially flat families,
+for arbitrarily large lam (log-space for the exponentially flat family,
 exponent arithmetic for monomials).  g' is needed only by the validator.
 
 This module is the one place that knows the g kinds: ``G_KINDS`` maps each
@@ -71,8 +71,8 @@ class _Analytic:
 
     def conditions(self, profile):
         """The three conditions, decided exactly from the two facts above: g >= 0;
-        g'/g is l/r for r^l, (1 + k*alpha)/r plus a positive term for the flat
-        families, so 'scaling' holds iff flat_order >= k*alpha; a g that is 0
+        g'/g is l/r for r^l, (1 + k*alpha)/r plus a positive term for
+        expflat, so 'scaling' holds iff flat_order >= k*alpha; a g that is 0
         on some [0, epsilon] passes either origin condition, any other fails
         'zero_near_origin' and passes 'flatness' iff flat_order >= floor(beta).
         A failure shows its violation at r = 1 ((1 + k*alpha) g - g', or g =
@@ -104,14 +104,27 @@ class ZeroG(_Analytic):
         return np.zeros_like(r)
 
 
-class _FlatFamily(_Analytic):
-    """g = r^(1+k*alpha) * exp(-1/(r - shift)^p) where r > shift, else 0."""
+@dataclass(frozen=True)
+class ExpFlatG(_Analytic):
+    """g = r^(1+k*alpha) * exp(-1/(r - epsilon)^p) where r > epsilon, else 0:
+    flat to all orders at 0, and with epsilon > 0 identically 0 on [0, epsilon],
+    as the equality regime asks.  The profile supplies the exponent 1 + k*alpha."""
+
+    p: float
+    epsilon: float = 0.0
+    KIND = "expflat"
+    zero_interval = property(lambda self: self.epsilon > 0)
+
+    def __post_init__(self):
+        _positive_finite("p", self.p)
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
     def scaled(self, profile, lam, r):
         """lam^beta * g(r/lam) = exp(L), L = (1+k*alpha) log r + w with the
         exponent w = (beta-1-k*alpha) log lam - barrier.
 
-        A node is live where base = r/lam - shift > 0 and the barrier base^-p
+        A node is live where base = r/lam - epsilon > 0 and the barrier base^-p
         is at most EXP_FLUSH; a dead node's value is exactly 0.  Masks keep
         dead nodes out of the power and the exponent.  The normal case, every
         node live, is told by one min and builds no mask (np.where(live, x,
@@ -128,8 +141,8 @@ class _FlatFamily(_Analytic):
         log_scale = (profile.beta - one_ka) * math.log(lam)
         bounded = log_scale + one_ka * math.log(r.max(initial=1.0)) <= EXP_MAX
         base = np.asarray(r / lam)  # an array (0-d for a scalar r) to work in
-        if self.shift:  # x - 0.0 is x: ExpFlatG skips it
-            base -= self.shift
+        if self.epsilon:  # x - 0.0 is x: a zero epsilon is skipped
+            base -= self.epsilon
         low = base.min(initial=math.inf)  # NaN fails the test below
         if low > 0 and self.p * math.log(low) > _LIVE_LOG:
             base **= -self.p
@@ -147,49 +160,15 @@ class _FlatFamily(_Analytic):
         return _exp_checked(np.where(live, one_ka * np.log(np.where(live, r, 1.0)) + w, -np.inf), lam, r)
 
     def derivative(self, profile, r, g):
-        """g times its log-derivative (1 + k*alpha)/r + p*(r - shift)^(-p-1) where g > 0."""
+        """g times its log-derivative (1 + k*alpha)/r + p*(r - epsilon)^(-p-1) where g > 0."""
         live = g > 0.0
         slope = np.where(
             live,
             (1.0 + profile.ka) / np.where(live, r, 1.0)
-            + self.p * np.where(live, r - self.shift, 1.0) ** (-self.p - 1.0),
+            + self.p * np.where(live, r - self.epsilon, 1.0) ** (-self.p - 1.0),
             0.0,
         )
         return g * slope
-
-
-@dataclass(frozen=True)
-class BumpG(_FlatFamily):
-    """g = 0 on [0, epsilon], then r^(1+k*alpha) * exp(-1/(r-epsilon)^p).
-
-    Identically zero near the origin, so it is admissible in the equality
-    regime; the exponent 1 + k*alpha is supplied by the owning profile.
-    """
-
-    epsilon: float
-    p: float
-    KIND = "bump"
-    zero_interval = True
-
-    def __post_init__(self):
-        _positive_finite("epsilon", self.epsilon)
-        _positive_finite("p", self.p)
-
-    @property
-    def shift(self):
-        return self.epsilon
-
-
-@dataclass(frozen=True)
-class ExpFlatG(_FlatFamily):
-    """g = r^(1+k*alpha) * exp(-1/r^p): positive for r > 0, flat to all orders at 0."""
-
-    p: float
-    KIND = "expflat"
-    shift = 0.0
-
-    def __post_init__(self):
-        _positive_finite("p", self.p)
 
 
 @dataclass(frozen=True)
@@ -352,7 +331,7 @@ def _cubic_at(c, i, s):
     return 0.0 + c[0].take(i) + c[1].take(i) * s + c[2].take(i) * (s * s) + c[3].take(i) * (s * s * s)
 
 
-G_KINDS = {c.KIND: c for c in (ZeroG, BumpG, ExpFlatG, MonomialG, TabulatedG)}
+G_KINDS = {c.KIND: c for c in (ZeroG, ExpFlatG, MonomialG, TabulatedG)}
 
 
 @dataclass(frozen=True)

@@ -146,10 +146,17 @@ class CircleGrid(SphericalGrid):
 
 class _LatitudeGrid(SphericalGrid):
     """What the n = 2 kinds share: N_lat cell-centered latitudes
-    theta_i = (i + 1/2) * pi / N_lat, so no node sits on a pole, the latitude
-    tables and the pole padding."""
+    theta_i = (i + 1/2) * pi / N_lat, so no node sits on a pole, the minimum
+    sizes, the latitude tables and the pole padding."""
 
     n = 2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_lat < 16 or self.n_lon < 16:
+            raise ValueError(f"need at least 16 nodes per direction, got {self.n_lat}x{self.n_lon}")
+        if self.n_lon % 2:
+            raise ValueError(f"longitude count must be even for the pole rule, got {self.n_lon}")
 
     @property
     def shape(self):
@@ -206,13 +213,6 @@ class SphereGrid(_LatitudeGrid):
 
     n_lat: int
     n_lon: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_lat < 16 or self.n_lon < 16:
-            raise ValueError(f"need at least 16 nodes per direction, got {self.n_lat}x{self.n_lon}")
-        if self.n_lon % 2:
-            raise ValueError(f"longitude count must be even for the pole rule, got {self.n_lon}")
 
     @property
     def h_phi(self):

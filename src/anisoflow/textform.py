@@ -52,11 +52,11 @@ def _content(raw):
     return re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
 
 
-def _series_m(f, key):
-    """m if f is a series field '<prefix>_terms', a tuple of (m, value) pairs,
-    and key is '<prefix>_<m>' with m a positive integer in plain digits."""
+def _series_m(f, key, prefix):
+    """m if f is a series field '<stem>_terms', a tuple of (m, value) pairs,
+    and key is prefix + '<stem>_<m>' with m a positive integer in plain digits."""
     head, _, m = key.rpartition("_")
-    series = f.type is tuple and head == f.name.removesuffix("_terms")
+    series = f.type is tuple and head == prefix + f.name.removesuffix("_terms")
     return int(m) if series and m.isascii() and m.isdigit() and m[0] != "0" else None
 
 
@@ -123,17 +123,17 @@ def _take(data, section, key, conv, errors, default=_REQUIRED):
         return None
 
 
-def _take_fields(data, section, fields, errors):
-    """{name: value} of the dataclass fields, each read through its type and
-    required unless it has a default; a series is its keys' pairs sorted by m."""
+def _take_fields(data, section, fields, errors, prefix=""):
+    """{name: value} of the dataclass fields, each read from key prefix + name through
+    its type, required unless it has a default; a series is its keys' pairs sorted by m."""
     values = {}
     for f in fields:
         if f.type is tuple:
-            terms = [(m, _take(data, section, key, float, errors)) for key in sorted(data[section]) if (m := _series_m(f, key))]
+            terms = [(m, _take(data, section, key, float, errors)) for key in sorted(data[section]) if (m := _series_m(f, key, prefix))]
             values[f.name] = None if any(c is None for _, c in terms) else tuple(sorted(terms))
         else:
             default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-            values[f.name] = _take(data, section, f.name, f.type, errors, default)
+            values[f.name] = _take(data, section, prefix + f.name, f.type, errors, default)
     return values
 
 
@@ -195,8 +195,7 @@ def _parse_profile(data, errors):
             errors.append(f"[profile] g.table_path: {at}{exc}" if path is not None else f"{at}[table] {exc}")
         rows = []
     elif cls is not None:
-        params = {f.name: _take(data, "profile", f"g.{f.name}", float, errors) for f in dataclasses.fields(cls)}
-        g = _build("[profile] g:", errors, cls, **params)
+        g = _build("[profile] g:", errors, cls, **_take_fields(data, "profile", dataclasses.fields(cls), errors, prefix="g."))
     elif kind is not None:
         errors.append(f"[profile] g.kind: unknown kind {kind!r} ({'|'.join(G_KINDS)})")
     _reject_rest(data, "profile", f"g.kind={kind}", errors)

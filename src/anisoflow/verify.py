@@ -30,7 +30,6 @@ from . import speed_profile
 from . import symfunc as sf
 from .flow_engine import run
 from .speed_profile import (
-    BumpG,
     ExpFlatG,
     MonomialG,
     SpeedProfile,
@@ -272,9 +271,11 @@ def profile_matrix():
 
     add("zero", SpeedProfile(1, 1, 1.0, 2.0, ZeroG()), True)
     for p in (1.0, 2.0):
-        add(f"bump(eps=0.5,p={p:g})", SpeedProfile(1, 1, 1.0, 2.0, BumpG(epsilon=0.5, p=p)), True)
+        add(f"expflat(eps=0.5,p={p:g})", SpeedProfile(1, 1, 1.0, 2.0, ExpFlatG(p=p, epsilon=0.5)), True)
     for p in (1.0, 2.0):
         add(f"expflat(p={p:g})", SpeedProfile(1, 1, 1.0, 3.0, ExpFlatG(p=p)), True)
+    # epsilon = 0: positive on (0, inf), so not zero near the origin
+    add("expflat(p=1),beta=2", SpeedProfile(1, 1, 1.0, 2.0, ExpFlatG(p=1.0)), False, "zero_near_origin")
     add("monomial(l=4),beta=3", SpeedProfile(1, 1, 1.0, 3.0, MonomialG(l=4)), True)
     add(
         "monomial(l=1),beta=2",  # g = r in the equality regime

@@ -277,7 +277,7 @@ def test_ac6_symmetric_function_identities():
 def test_ac7_validator_matrix():
     result = profile_suite()
     line = _report("AC-7 speed-profile validator matrix", result.ok, result.details)
-    assert result.ok and result.details == "8 profiles checked", line
+    assert result.ok and result.details == "9 profiles checked", line
 
 
 # ---------------------------------------------------------------------------

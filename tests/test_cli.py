@@ -23,7 +23,6 @@ from anisoflow.flow_engine import (
 from anisoflow.sphere_geometry import RadialGraph, SphericalGrid, is_zonal, sphere_graph
 from anisoflow.speed_profile import (
     G_KINDS,
-    BumpG,
     ExpFlatG,
     MonomialG,
     SpeedProfile,
@@ -196,11 +195,12 @@ def test_leftover_g_parameters_rejected():
 @pytest.mark.parametrize(
     "old, new, errors",
     [
-        ("g.kind = zero", "g.kind = cubic", ["[profile] g.kind: unknown kind 'cubic' (zero|bump|expflat|monomial|tabulated)"]),
+        ("g.kind = zero", "g.kind = cubic", ["[profile] g.kind: unknown kind 'cubic' (zero|expflat|monomial|tabulated)"]),
+        ("g.kind = zero", "g.kind = bump", ["[profile] g.kind: unknown kind 'bump' (zero|expflat|monomial|tabulated)"]),
         ("kind = sphere", "kind = cone", ["[initial] kind: unknown kind 'cone' (sphere|fourier|file)", "line 13: [initial] r0: not valid for kind=cone"]),
         ("kind = sphere\nr0 = 1.0", "kind = fourier\nvariable = x", ["[initial] variable: must be 'r' or 'phi', got 'x'"]),
     ],
-    ids=["g-kind", "initial-kind", "variable"],
+    ids=["g-kind", "g-kind-bump", "initial-kind", "variable"],
 )
 def test_an_unknown_kind_or_variable_is_named(old, new, errors):
     assert errors_of(BASIC.replace(old, new)) == errors
@@ -213,7 +213,7 @@ def test_an_unknown_kind_or_variable_is_named(old, new, errors):
         ("alpha = 1\nbeta = inf\ng.kind = zero", "[profile] alpha and beta must be finite"),
         ("alpha = inf\nbeta = inf\ng.kind = zero", "[profile] alpha and beta must be finite"),
         ("alpha = 1\nbeta = 3\ng.kind = expflat\ng.p = inf", "[profile] g: p must be finite"),
-        ("alpha = 1\nbeta = 2\ng.kind = bump\ng.epsilon = inf\ng.p = 1", "[profile] g: epsilon must be finite"),
+        ("alpha = 1\nbeta = 2\ng.kind = expflat\ng.epsilon = inf\ng.p = 1", "[profile] g: epsilon must be finite and >= 0"),
     ],
 )
 def test_non_finite_speed_parameters_are_config_errors(speed, message):
@@ -348,7 +348,7 @@ def test_format_roundtrip_basic(config_text):
 
 def test_format_roundtrip_rich_config(tmp_path, config_text):
     text = (
-        BASIC.replace("g.kind = zero", "g.kind = bump\ng.epsilon = 0.5\ng.p = 2")
+        BASIC.replace("g.kind = zero", "g.kind = expflat\ng.epsilon = 0.5\ng.p = 2")
         .replace("kind = sphere\nr0 = 1.0", "kind = fourier\nconst = 1.1\ncos_2 = 0.25\nsin_3 = -0.1")
         .replace(
             "t_end = 0.5",
@@ -356,7 +356,7 @@ def test_format_roundtrip_rich_config(tmp_path, config_text):
         )
         + f"\n[output]\ncsv_path = {tmp_path / 'out.csv'}\ncheckpoint_path = {tmp_path / 'out.chk'}\n"
     )
-    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0, g=BumpG(epsilon=0.5, p=2.0))
+    profile = SpeedProfile(n=1, k=1, alpha=1.0, beta=2.0, g=ExpFlatG(p=2.0, epsilon=0.5))
     grid = SphericalGrid.circle(64)
     initial = FourierInitial(const=1.1, cos_terms=((2, 0.25),), sin_terms=((3, -0.1),))
     control = StepControl(t_end=2.5, dt_max=0.1, sphericity_stop=1e-4, max_steps=12345, record_every=3)
@@ -421,16 +421,19 @@ def flat_table():
 # one sample per kind: a kind added to G_KINDS without a sample fails below
 G_SAMPLES = {
     "zero": ZeroG(),
-    "bump": BumpG(epsilon=0.5, p=2.0),
     "expflat": ExpFlatG(p=2.0),
     "monomial": MonomialG(l=5.0),
     "tabulated": flat_table(),
 }
+# the samples and a bump, expflat with epsilon > 0, which writes a g.epsilon
+# line that is not 0
+G_CASES = {**G_SAMPLES, "bump": ExpFlatG(p=2.0, epsilon=0.5)}
 
 
-@pytest.mark.parametrize("kind", sorted(G_KINDS))
-def test_codecs_roundtrip_every_g_kind(tmp_path, kind, config_text):
-    g = G_SAMPLES[kind]
+@pytest.mark.parametrize("case", sorted(G_CASES))
+def test_codecs_roundtrip_every_g_kind(tmp_path, case, config_text):
+    assert set(G_SAMPLES) == set(G_KINDS)
+    g = G_CASES[case]
     for grid in (SphericalGrid.circle(16), SphericalGrid.sphere(16, 32)):
         profile = SpeedProfile(n=grid.n, k=1, alpha=1.0, beta=4.0, g=g)
         state = initial_state(profile, sphere_graph(grid, 1.0), validate_regime=False)
@@ -444,6 +447,22 @@ def test_codecs_roundtrip_every_g_kind(tmp_path, kind, config_text):
         text = config_text(profile, grid, SphereInitial(r0=1.0), StepControl(t_end=0.5), override=True)
         parsed = parse_config_state(text)[1]
         assert parsed.profile == profile and parsed.graph == state.graph
+
+
+def test_an_expflat_checkpoint_without_g_epsilon_loads_with_epsilon_0(tmp_path):
+    # the [profile] written before expflat took epsilon has no g.epsilon line;
+    # the field's default, 0, reads it as the same profile, and saving it
+    # again writes the line
+    graph = sphere_graph(SphericalGrid.circle(16), 1.0)
+    save_graph(graph, tmp_path / "graph.txt")
+    head = "[profile]\nn = 1\nk = 1\nalpha = 1\nbeta = 4\ng.kind = expflat\ng.p = 2\n[state]\ntau = 0\nstep_count = 0\nlast_dt = 0\n"
+    (tmp_path / "old.chk").write_text(head + (tmp_path / "graph.txt").read_text())
+    loaded = load_checkpoint(tmp_path / "old.chk")
+    assert loaded.profile == SpeedProfile(n=1, k=1, alpha=1.0, beta=4.0, g=ExpFlatG(p=2.0))
+    assert loaded.graph == graph
+    save_checkpoint(loaded, tmp_path / "new.chk")
+    written = (tmp_path / "old.chk").read_text().replace("g.p = 2\n", "g.p = 2\ng.epsilon = 0\n")
+    assert (tmp_path / "new.chk").read_text() == written
 
 
 def test_bad_table_rejected(tmp_path):

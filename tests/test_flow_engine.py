@@ -35,7 +35,6 @@ from anisoflow.flow_engine import (
     step,
 )
 from anisoflow.speed_profile import (
-    BumpG,
     ExpFlatG,
     MonomialG,
     ScaleOverflowError,
@@ -972,7 +971,7 @@ LEAN_STAGE_CASES = {
         _surface(32, 64, zonal=True),
     ),
     "n2-bump-nonzonal": (
-        SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0, g=BumpG(epsilon=0.5, p=1.0)),
+        SpeedProfile(n=2, k=2, alpha=1.0, beta=3.0, g=ExpFlatG(p=1.0, epsilon=0.5)),
         _surface(16, 32, zonal=False),
     ),
     "n2-k1-alpha2": (SpeedProfile(n=2, k=1, alpha=2.0, beta=3.5), _surface(16, 32, zonal=False)),
@@ -1069,6 +1068,12 @@ def test_run_record_cadence():
     assert len(taus) == 4  # steps 0, 5, 10 and the final state at 12
     assert np.all(np.diff(taus) > 0)
     assert result.series.column("dt")[0] == 0.0  # nothing stepped yet at tau = 0
+    # a checkpoint's step count need not be a multiple of record_every: the
+    # start is recorded, then every tenth step and the final state
+    result = run(dataclasses.replace(state, step_count=15), StepControl(t_end=0.05, record_every=10))
+    taus, end = result.series.column("tau"), result.state.step_count
+    assert taus[0] == 0.0 and taus[-1] == result.state.tau >= 0.05
+    assert len(taus) == 1 + (end - 1) // 10  # 15, each multiple of 10 up to end, end
 
 
 def test_run_decays_toward_sphere():
@@ -1173,7 +1178,11 @@ def test_a_table_whose_origin_interval_is_zero_runs_to_the_unit_sphere():
     assert np.abs(result.state.graph.phi - analytic.state.graph.phi).max() < 1e-12
 
 
-@pytest.mark.parametrize("g", [ExpFlatG(0.1), ExpFlatG(0.3), BumpG(0.001, 0.1)], ids=repr)
+@pytest.mark.parametrize(
+    "g",
+    [ExpFlatG(0.1), ExpFlatG(0.3), ExpFlatG(p=0.1, epsilon=0.001)],
+    ids=["ExpFlatG(p=0.1)", "ExpFlatG(p=0.3)", "ExpFlatG(p=0.1, epsilon=0.001)"],
+)
 def test_a_g_flat_to_all_orders_runs_to_the_unit_sphere(g):
     # g/r^4 falls from r = 1e-3 to 0.1 for these, but each is flat to all
     # orders at 0: the strict regime's theorem holds, and the run rounds out
@@ -1263,7 +1272,7 @@ def tab_profile():
         profile_k1(2.0),
         profile_k1(4.0, ExpFlatG(2.0)),
         profile_k1(3.0, MonomialG(4.0)),
-        profile_k1(2.0, BumpG(0.5, 1.0)),
+        profile_k1(2.0, ExpFlatG(p=1.0, epsilon=0.5)),
         tab_profile(),
     ],
     ids=["zero", "expflat", "monomial", "bump", "tabulated"],

@@ -22,7 +22,7 @@ import numpy as np
 import anisoflow
 import anisoflow.cli
 from anisoflow import (
-    BumpG, ExpFlatG, MonomialG, RadialGraph, SpeedProfile, SphericalGrid,
+    ExpFlatG, MonomialG, RadialGraph, SpeedProfile, SphericalGrid,
     StepControl, TabulatedG, ZeroG, eval_g, initial_state, load_checkpoint,
     load_series, run, save_checkpoint, save_series,
 )
@@ -54,7 +54,7 @@ for where, graph in graphs.items():
     expflat = SpeedProfile(n=n, k=n, alpha=1.0, beta=2.0 + ka, g=ExpFlatG(1.0))
     profiles = (
         SpeedProfile(n=n, k=n, alpha=1.0, beta=1.0 + ka, g=ZeroG()),
-        SpeedProfile(n=n, k=n, alpha=1.0, beta=1.0 + ka, g=BumpG(0.5, 1.0)),
+        SpeedProfile(n=n, k=n, alpha=1.0, beta=1.0 + ka, g=ExpFlatG(p=1.0, epsilon=0.5)),
         expflat,
         SpeedProfile(n=n, k=n, alpha=1.0, beta=2.0 + ka, g=MonomialG(3.0 + ka)),
         SpeedProfile(n=n, k=n, alpha=1.0, beta=2.0 + ka, g=TabulatedG(pts, *eval_g(expflat, pts))),

@@ -13,7 +13,6 @@ from anisoflow import textform
 from anisoflow.speed_profile import (
     EXP_FLUSH,
     G_KINDS,
-    BumpG,
     ExpFlatG,
     MonomialG,
     NonPositiveRadiusError,
@@ -82,10 +81,12 @@ def test_bad_dimensions_rejected():
 
 
 def test_g_parameter_validation():
-    with pytest.raises(ValueError):
-        BumpG(epsilon=0.0, p=1.0)
+    assert ExpFlatG(p=1.0, epsilon=0.0) == ExpFlatG(1.0)
     with pytest.raises(ValueError):
         ExpFlatG(p=-1.0)
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"^epsilon must be finite and >= 0, got {bad}$"):
+            ExpFlatG(p=1.0, epsilon=bad)
     with pytest.raises(ValueError):
         MonomialG(l=0.5)
     with pytest.raises(ValueError, match="integer"):
@@ -101,11 +102,9 @@ def test_g_parameter_validation():
             TabulatedG([0.0, 1.0], values, derivs)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            BumpG(epsilon=bad, p=1.0)
-        with pytest.raises(ValueError):
-            BumpG(epsilon=0.5, p=bad)
-        with pytest.raises(ValueError):
             ExpFlatG(p=bad)
+        with pytest.raises(ValueError):
+            ExpFlatG(p=bad, epsilon=0.5)
         with pytest.raises(ValueError):
             MonomialG(l=bad)
         with pytest.raises(ValueError, match="finite"):
@@ -117,17 +116,19 @@ def test_g_parameter_validation():
 # one sample per kind: a kind added to G_KINDS without a sample fails below
 G_SAMPLES = {
     "zero": ZeroG(),
-    "bump": BumpG(epsilon=0.5, p=2.0),
     "expflat": ExpFlatG(p=2.0),
     "monomial": MonomialG(l=5.0),
     "tabulated": TabulatedG(np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 9) ** 5, 5.0 * np.linspace(0.0, 4.0, 9) ** 4),
 }
+# the samples and a bump, expflat with epsilon > 0: 0 on [0, epsilon], and
+# the one case whose scaled subtracts epsilon
+G_CASES = {**G_SAMPLES, "bump": ExpFlatG(p=2.0, epsilon=0.5)}
 
 
-@pytest.mark.parametrize("kind", sorted(G_KINDS))
-def test_every_kind_answers_for_itself(kind):
-    g = G_SAMPLES[kind]
-    assert type(g) is G_KINDS[kind] and g.KIND == kind
+@pytest.mark.parametrize("case", sorted(G_CASES))
+def test_every_kind_answers_for_itself(case):
+    g = G_CASES[case]
+    assert set(G_SAMPLES) == set(G_KINDS) and type(g) is G_KINDS[g.KIND]
     for name in ("scaled", "derivative", "conditions"):
         assert hasattr(g, name), name
     for beta in (2.0, 6.0):  # the equality regime, then the strict one
@@ -135,9 +136,9 @@ def test_every_kind_answers_for_itself(kind):
         assert names[:2] == ["nonnegative", "scaling"] and len(names) == 3, names
 
 
-@pytest.mark.parametrize("kind", sorted(G_KINDS))
-def test_eval_g_is_scaled_at_lam_one_bitwise(kind):
-    prof = profile_k1(6.0, G_SAMPLES[kind])
+@pytest.mark.parametrize("case", sorted(G_CASES))
+def test_eval_g_is_scaled_at_lam_one_bitwise(case):
+    prof = profile_k1(6.0, G_CASES[case])
     r = np.concatenate((np.geomspace(1e-3, 4.0, 400), np.linspace(0.01, 4.0, 57)))
     g, _ = eval_g(prof, r)
     assert np.array_equal(g, eval_scaled(prof, 1.0, r))
@@ -165,8 +166,8 @@ def test_eval_g_spot_values():
     assert eval_g(profile_k1(2.0), 1.3) == (0.0, 0.0)
     g, gp = eval_g(profile_k1(5.0, MonomialG(4.0)), 2.0)
     assert (g, gp) == (16.0, 32.0)
-    # bump supported on r > epsilon: identically zero below
-    g, gp = eval_g(profile_k1(2.0, BumpG(0.5, 1.0)), 0.4)
+    # epsilon > 0: identically zero on [0, epsilon]
+    g, gp = eval_g(profile_k1(2.0, ExpFlatG(p=1.0, epsilon=0.5)), 0.4)
     assert (g, gp) == (0.0, 0.0)
 
 
@@ -175,7 +176,7 @@ def test_eval_g_negative_radius_rejected():
         eval_g(profile_k1(2.0), -0.1)
 
 
-@pytest.mark.parametrize("kind", sorted(G_KINDS))
+@pytest.mark.parametrize("kind", sorted(G_CASES))
 @pytest.mark.parametrize("r", [math.nan, [1.0, math.nan]])
 def test_eval_g_rejects_a_nan_radius_for_every_kind(kind, r):
     # NaN fails every comparison, so a guard written as "any r < 0" lets it through
@@ -185,11 +186,11 @@ def test_eval_g_rejects_a_nan_radius_for_every_kind(kind, r):
 
 @pytest.mark.parametrize(
     "g",
-    [BumpG(0.5, 1.0), BumpG(0.3, 2.0), ExpFlatG(1.0), ExpFlatG(2.0)],
-    ids=lambda g: f"{g.KIND}-p{g.p}",
+    [ExpFlatG(p=1.0, epsilon=0.5), ExpFlatG(p=2.0, epsilon=0.3), ExpFlatG(1.0), ExpFlatG(2.0)],
+    ids=["bump-p1.0", "bump-p2.0", "expflat-p1.0", "expflat-p2.0"],
 )
 def test_eval_g_derivative_consistency(g):
-    prof = profile_k1(2.0 if isinstance(g, BumpG) else 4.0, g)
+    prof = profile_k1(2.0 if g.epsilon else 4.0, g)
     rs = np.linspace(0.6, 2.5, 40)
     h = 1e-6
     _, gp = eval_g(prof, rs)
@@ -197,13 +198,13 @@ def test_eval_g_derivative_consistency(g):
     assert_allclose(gp, fd, rtol=2e-9, atol=1e-9)
 
 
-def reference_flat_scaled(profile, lam, r, shift):
-    """(lam^beta g(r/lam), live) of the flat families with every dead-node
+def reference_flat_scaled(profile, lam, r, eps):
+    """(lam^beta g(r/lam), live) of expflat with every dead-node
     mask applied unconditionally, and the same overflow check and message."""
     g = profile.g
     one_ka = 1.0 + profile.ka
     s = r / lam
-    base = s - shift
+    base = s - eps
     live = base > 0
     with np.errstate(divide="ignore", over="ignore"):
         barrier = np.where(live, base, 1.0) ** (-g.p)
@@ -215,12 +216,12 @@ def reference_flat_scaled(profile, lam, r, shift):
     return np.where(live, r**one_ka * np.exp(np.where(live, w, 0.0)), 0.0), live
 
 
-def reference_flat_gp(profile, r, shift):
-    """g' of the flat families by the formula _scaled_flat_family used when it
+def reference_flat_gp(profile, r, eps):
+    """g' of expflat by the formula _scaled_flat_family used when it
     also returned g' (here at lam = 1): g * slope, live where the barrier
     is below the flush threshold."""
-    gs, live = reference_flat_scaled(profile, 1.0, r, shift)
-    base = r - shift
+    gs, live = reference_flat_scaled(profile, 1.0, r, eps)
+    base = r - eps
     slope = np.where(
         live,
         (1.0 + profile.ka) / np.where(live, r, 1.0)
@@ -233,40 +234,40 @@ def reference_flat_gp(profile, r, shift):
 @pytest.mark.parametrize(
     "prof",
     [
-        profile_k1(2.0, BumpG(0.5, 1.0)),
-        profile_k1(2.0, BumpG(0.3, 2.0)),
+        profile_k1(2.0, ExpFlatG(p=1.0, epsilon=0.5)),
+        profile_k1(2.0, ExpFlatG(p=2.0, epsilon=0.3)),
         profile_k1(4.0, ExpFlatG(1.0)),
         SpeedProfile(n=2, k=2, alpha=1.0, beta=4.0, g=ExpFlatG(2.0)),
     ],
     ids=["bump-p1", "bump-p2", "expflat-p1", "expflat-n2k2-p2"],
 )
 def test_flat_derivative_matches_reference_bitwise(prof):
-    shift = getattr(prof.g, "epsilon", 0.0)
+    eps = prof.g.epsilon
     samples = [
         np.array([0.0]),
         np.array([1e-300]),
-        np.linspace(0.0, max(shift, 1e-3), 257),  # r <= epsilon (the flat zone for bump)
+        np.linspace(0.0, max(eps, 1e-3), 257),  # r <= epsilon (the flat zone for bump)
         np.linspace(1.0 / EXP_FLUSH, 1.0 / 700.0, 257),  # live nodes whose g underflows to 0
         np.geomspace(1e-3, 5.0, 2001),
     ]
     for r in samples:
         _, gp = eval_g(prof, r)
-        assert np.array_equal(gp, reference_flat_gp(prof, r, shift))
+        assert np.array_equal(gp, reference_flat_gp(prof, r, eps))
 
 
 FLAT_SCALED_PROFILES = {
     "expflat-n2k2-p1": SpeedProfile(n=2, k=2, alpha=1.0, beta=5.0, g=ExpFlatG(1.0)),
     "expflat-n1-p2": profile_k1(4.0, ExpFlatG(2.0)),
-    "bump-n2k2-p1": SpeedProfile(n=2, k=2, alpha=1.0, beta=5.0, g=BumpG(0.5, 1.0)),
-    "bump-n1-p2": profile_k1(3.0, BumpG(0.3, 2.0)),
-    "bump-n1-p1.5": profile_k1(3.0, BumpG(0.3, 1.5)),  # (r/lam - epsilon)^-p is NaN below epsilon
+    "bump-n2k2-p1": SpeedProfile(n=2, k=2, alpha=1.0, beta=5.0, g=ExpFlatG(p=1.0, epsilon=0.5)),
+    "bump-n1-p2": profile_k1(3.0, ExpFlatG(p=2.0, epsilon=0.3)),
+    "bump-n1-p1.5": profile_k1(3.0, ExpFlatG(p=1.5, epsilon=0.3)),  # (r/lam - epsilon)^-p is NaN below epsilon
 }
 
 
 @pytest.mark.parametrize("prof", FLAT_SCALED_PROFILES.values(), ids=FLAT_SCALED_PROFILES.keys())
 @pytest.mark.filterwarnings("error")
 def test_scaled_flat_family_matches_masked_reference_bitwise(prof):
-    shift = getattr(prof.g, "epsilon", 0.0)
+    eps = prof.g.epsilon
     rng = np.random.default_rng(3)
     live = rng.uniform(0.8, 1.3, (32, 64))
     dead = live.copy()
@@ -276,15 +277,15 @@ def test_scaled_flat_family_matches_masked_reference_bitwise(prof):
         (1.37, live),
         (1.0, 1.2),  # scalar r
         (1.37, dead),
-        (1.0, np.array([1e-300, 1.0 / EXP_FLUSH, 1.0 / 700.0, max(shift, 1e-3), shift + 1e-3, 2.0])),
+        (1.0, np.array([1e-300, 1.0 / EXP_FLUSH, 1.0 / 700.0, max(eps, 1e-3), eps + 1e-3, 2.0])),
         (1e80, live),  # every node flushed
     ]
     # every node live but the smallest within rounding of the flush threshold
-    edge = shift + EXP_FLUSH ** (-1.0 / prof.g.p)
+    edge = eps + EXP_FLUSH ** (-1.0 / prof.g.p)
     for lam in (1.0, 1e3):
         cases.append((lam, lam * edge * np.array([1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.5])))
     for lam, r in cases:
-        ref, _ = reference_flat_scaled(prof, lam, np.asarray(r, dtype=float), shift)
+        ref, _ = reference_flat_scaled(prof, lam, np.asarray(r, dtype=float), eps)
         got = eval_scaled(prof, lam, r)
         assert np.shape(got) == np.shape(ref)
         assert np.asarray(got).tobytes() == ref.tobytes()
@@ -294,15 +295,15 @@ def test_scaled_flat_family_matches_masked_reference_bitwise(prof):
 @pytest.mark.filterwarnings("error")
 def test_scaled_flat_family_all_live_equals_its_expression_form_bitwise(prof):
     # every node live: the value is the expression below, which the path now
-    # forms in its own temporaries (and without the shift when it is 0.0)
+    # forms in its own temporaries (and without subtracting epsilon when it is 0.0)
     g = prof.g
-    shift = getattr(g, "epsilon", 0.0)
+    eps = g.epsilon
     one_ka = 1.0 + prof.ka
     rng = np.random.default_rng(4)
     for lam in (1.0, 1.37, 40.0):
-        for r in (lam * rng.uniform(shift + 0.2, 3.0, (32, 64)), lam * (shift + 0.7)):
+        for r in (lam * rng.uniform(eps + 0.2, 3.0, (32, 64)), lam * (eps + 0.7)):
             kept = np.asarray(r).tobytes()
-            ref = r**one_ka * np.exp((prof.beta - one_ka) * math.log(lam) - (r / lam - shift) ** (-g.p))
+            ref = r**one_ka * np.exp((prof.beta - one_ka) * math.log(lam) - (r / lam - eps) ** (-g.p))
             got = eval_scaled(prof, lam, r)
             assert type(got) is type(ref if np.ndim(r) else float(ref))
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
@@ -320,7 +321,7 @@ def test_scaled_flat_family_overflow_names_the_reference_radius(prof):
         lam * np.array([1e-6, 1.5, 3.0, 2.0, 1e-6]),
     ):
         with pytest.raises(ScaleOverflowError) as ref:
-            reference_flat_scaled(prof, lam, r, getattr(prof.g, "epsilon", 0.0))
+            reference_flat_scaled(prof, lam, r, prof.g.epsilon)
         with pytest.raises(ScaleOverflowError) as got:
             eval_scaled(prof, lam, r)
         assert str(got.value) == str(ref.value)
@@ -328,9 +329,9 @@ def test_scaled_flat_family_overflow_names_the_reference_radius(prof):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("g", [ExpFlatG(1.0), BumpG(0.5, 1.0)], ids=["expflat", "bump"])
+@pytest.mark.parametrize("g", [ExpFlatG(1.0), ExpFlatG(p=1.0, epsilon=0.5)], ids=["expflat", "bump"])
 def test_scaled_flat_family_past_the_float_range_raises_without_a_warning(g):
-    # n = k = alpha = 1, beta = 2: lam^beta g(r/lam) = r^2 exp(-1/(r - shift))
+    # n = k = alpha = 1, beta = 2: lam^beta g(r/lam) = r^2 exp(-1/(r - eps))
     # at lam = 1 is e^800 at r = e^400, so the value itself overflows
     prof = profile_k1(2.0, g)
     r = np.full(4, math.exp(400.0))
@@ -453,7 +454,7 @@ def test_scaled_monomial_spot_value():
 
 
 def test_scaled_bump_below_support_is_exact_power():
-    prof = profile_k1(2.0, BumpG(0.5, 1.0))
+    prof = profile_k1(2.0, ExpFlatG(p=1.0, epsilon=0.5))
     assert eval_scaled(prof, 4.0, 1.9) == 0.0  # r/lam = 0.475 < epsilon
 
 
@@ -462,7 +463,7 @@ def test_scaled_matches_direct_for_moderate_lam():
     cases = [
         (profile_k1(3.0, MonomialG(4.0)), 50.0),
         (profile_k1(4.0, ExpFlatG(1.0)), 30.0),
-        (profile_k1(2.0, BumpG(0.2, 1.0)), 3.0),
+        (profile_k1(2.0, ExpFlatG(p=1.0, epsilon=0.2)), 3.0),
     ]
     rs = np.linspace(0.8, 2.5, 31)
     for prof, lam in cases:
@@ -483,7 +484,7 @@ def test_scaled_f_dominates_pure_power():
     profs = [
         profile_k1(3.0, MonomialG(4.0)),
         profile_k1(4.0, ExpFlatG(1.0)),
-        profile_k1(2.0, BumpG(0.5, 1.0)),
+        profile_k1(2.0, ExpFlatG(p=1.0, epsilon=0.5)),
         profile_k1(2.0),
     ]
     rs = np.geomspace(0.05, 5.0, 200)
@@ -494,8 +495,8 @@ def test_scaled_f_dominates_pure_power():
 
 def test_scaled_huge_lam_flushes_flat_families():
     # at lam = 1e80 the argument r/lam is deep in the flat zone: exactly zero
-    for g in (ExpFlatG(1.0), BumpG(0.5, 1.0)):
-        prof = profile_k1(4.0 if isinstance(g, ExpFlatG) else 2.0, g)
+    for g in (ExpFlatG(1.0), ExpFlatG(p=1.0, epsilon=0.5)):
+        prof = profile_k1(2.0 if g.epsilon else 4.0, g)
         assert np.all(eval_scaled(prof, 1e80, np.array([0.5, 1.0, 2.0])) == 0.0)
 
 
@@ -507,7 +508,7 @@ def test_scaled_overflow_raises():
         eval_scaled(prof, lam, lam)  # r/lam = 1: not flushed, genuinely huge
 
 
-@pytest.mark.parametrize("g", [ExpFlatG(1.0), BumpG(0.5, 1.0)], ids=["expflat", "bump"])
+@pytest.mark.parametrize("g", [ExpFlatG(1.0), ExpFlatG(p=1.0, epsilon=0.5)], ids=["expflat", "bump"])
 def test_scaled_flat_overflow_raises_past_700_only(g):
     # w = log_scale - barrier with barrier >= 0: an overflow needs log_scale > 700
     prof = SpeedProfile(n=2, k=2, alpha=1.0, beta=5.0, g=g)  # log_scale = 2 log(lam)
@@ -556,7 +557,7 @@ def test_scaled_rejects_bad_inputs():
         eval_scaled(prof, 2.0, 0.0)
 
 
-@pytest.mark.parametrize("kind", sorted(G_KINDS))
+@pytest.mark.parametrize("kind", sorted(G_CASES))
 def test_scaled_accepts_an_empty_radius_array(kind):
     got = eval_scaled(_nan_radius_profiles()[kind], 1.5, np.empty((0, 3)))
     assert isinstance(got, np.ndarray) and got.shape == (0, 3)
@@ -567,13 +568,13 @@ def _nan_radius_profiles():
     return {
         "zero": profile_k1(3.0),
         "monomial": profile_k1(3.0, MonomialG(4)),
-        "bump": profile_k1(3.0, BumpG(0.5, 1.0)),
+        "bump": profile_k1(3.0, ExpFlatG(p=1.0, epsilon=0.5)),
         "expflat": profile_k1(3.0, ExpFlatG(1.0)),
         "tabulated": profile_k1(3.0, TabulatedG(pts, pts**4, 4.0 * pts**3)),
     }
 
 
-@pytest.mark.parametrize("kind", sorted(G_KINDS))
+@pytest.mark.parametrize("kind", sorted(G_CASES))
 @pytest.mark.parametrize(
     "r",
     [math.nan, [math.nan, 1.0], [[1.0, 2.0], [1.5, math.nan]], 0.0, -0.0, [1.0, 0.0], [[1.0, 2.0], [-0.0, 1.5]]],
@@ -590,7 +591,7 @@ def test_scaled_rejects_nan_radius_for_every_kind(kind, r):
 
 
 def test_validator_passes_equality_regime_kinds():
-    for g in (ZeroG(), BumpG(0.5, 1.0), BumpG(0.5, 2.0)):
+    for g in (ZeroG(), ExpFlatG(p=1.0, epsilon=0.5), ExpFlatG(p=2.0, epsilon=0.5)):
         rep = validate_for_regime(profile_k1(2.0, g))
         assert rep.ok, (g, rep.condition, rep.worst_violation)
 
@@ -603,7 +604,7 @@ def test_validator_passes_strict_regime_kinds():
         # flat to all orders, though g/r^4 still falls from 1e-3 to 0.1
         (profile_k1(3.0, ExpFlatG(0.1)), "expflat-0.1"),
         (profile_k1(3.0, ExpFlatG(0.3)), "expflat-0.3"),
-        (profile_k1(3.0, BumpG(0.001, 0.1)), "bump-0.001-0.1"),
+        (profile_k1(3.0, ExpFlatG(p=0.1, epsilon=0.001)), "bump-0.001-0.1"),
         # r^638 overflows at r = 3, but the conditions are read off its formula
         (profile_k1(3.0, MonomialG(638)), "monomial-638"),
     ]
@@ -661,10 +662,10 @@ def test_validator_rejects_insufficient_flatness():
     assert rep.failed() == ("flatness",)
 
 
-@pytest.mark.parametrize("kind", sorted(G_KINDS))
-def test_every_condition_reports_a_python_bool(kind):
+@pytest.mark.parametrize("case", sorted(G_CASES))
+def test_every_condition_reports_a_python_bool(case):
     for beta in (2.0, 6.0):  # the equality regime, then the strict one
-        rep = validate_for_regime(profile_k1(beta, G_SAMPLES[kind]))
+        rep = validate_for_regime(profile_k1(beta, G_CASES[case]))
         assert all(c.ok is True or c.ok is False for c in rep.conditions), rep.conditions
         assert rep.ok is True or rep.ok is False
 
@@ -804,7 +805,7 @@ def test_analytic_scaling_verdicts_match_a_dense_check(n, k, alpha):
         ZeroG(),
         *(MonomialG(l) for l in range(1, 9)),
         *(ExpFlatG(p) for p in (0.3, 1.0, 2.0)),
-        *(BumpG(eps, p) for eps in (0.01, 0.5) for p in (0.3, 2.0)),
+        *(ExpFlatG(p=p, epsilon=eps) for eps in (0.01, 0.5) for p in (0.3, 2.0)),
     ]
     r = np.geomspace(1e-3, 1e2, 2000)
     for beta in (1.0 + k * alpha, 2.5 + k * alpha):

@@ -78,6 +78,11 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="integers"):
         ZonalColumn(32, 64.0)
     assert type(ZonalColumn(np.int64(32), 64).n_lat) is int
+    # and checks its sphere grid's minimums where it is made
+    with pytest.raises(ValueError, match=r"^need at least 16 nodes per direction, got 4x33$"):
+        ZonalColumn(4, 33)
+    with pytest.raises(ValueError, match=r"^longitude count must be even for the pole rule, got 33$"):
+        ZonalColumn(32, 33)
     with pytest.raises(TypeError, match="circle or SphericalGrid.sphere"):
         SphericalGrid(n=1, n_lat=64, n_lon=0)  # the kind is a class: no kindless grid
 
